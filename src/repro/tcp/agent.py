@@ -15,7 +15,9 @@ excludes ``repro/tcp/`` from its scope (see docs/ANALYSIS.md).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from math import inf
 from typing import Callable, List, Optional, Tuple
 
 from repro.sim.node import Host
@@ -24,6 +26,7 @@ from repro.sim.topology import Network
 from repro.tcp.options import TCP_IP_HEADER, TcpConfig
 from repro.tcp.responses import Response
 from repro.tcp.scoreboard import Scoreboard
+from repro.udt.losslist import _RangeList
 
 #: ACK segment bytes: TCP/IP headers + 8 per SACK block.
 ACK_BASE_SIZE = TCP_IP_HEADER
@@ -142,8 +145,15 @@ class TcpSender:
         self.rttvar = 0.0
         self.rto = 1.0
         self._send_times: dict[int, float] = {}
-        self._retx_fack: dict[int, int] = {}  # seq -> snd_nxt at retransmit
-        self._rto_event = None
+        # (seq, snd_nxt at retransmit), oldest first; snd_nxt never
+        # decreases, so the marks are sorted.
+        self._retx_fack: deque[Tuple[int, int]] = deque()
+        # Retransmission timer: a deadline (None = disarmed) and at most
+        # one live heap entry, due at ``_rto_tick_at`` (inf = none posted).
+        # Restarting on every ACK just moves the deadline; see _rto_tick.
+        self._rto_deadline: Optional[float] = None
+        self._rto_tick_at = inf
+        self._rto_gen = 0
 
         # Vegas-style per-RTT bookkeeping
         self._rtt_mark = 0
@@ -158,9 +168,7 @@ class TcpSender:
         self._try_send()
 
     def close(self) -> None:
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-            self._rto_event = None
+        self._rto_deadline = None
         self.port.close()
 
     # -- sending ------------------------------------------------------------
@@ -197,7 +205,7 @@ class TcpSender:
             seq = board.next_lost_to_retransmit(self.snd_una)
             if seq is not None:
                 board.on_retransmit(seq)
-                self._retx_fack[seq] = self.snd_nxt
+                self._retx_fack.append((seq, self.snd_nxt))
                 self._send_times.pop(seq, None)  # Karn: no sample from retx
                 self.stats.retransmits += 1
                 self._emit(seq)
@@ -260,14 +268,13 @@ class TcpSender:
         # highest SACK has moved dupthresh past where a retransmission was
         # sent and it is still unacked, the retransmission died too.
         hs = board.highest_sacked()
-        if hs is not None and self._retx_fack:
-            thresh = self.config.dupthresh
-            for s, mark in list(self._retx_fack.items()):
-                if s < self.snd_una or s not in board.retransmitted:
-                    del self._retx_fack[s]
-                elif hs >= mark + thresh:
+        fack = self._retx_fack
+        if hs is not None and fack:
+            reach = hs - self.config.dupthresh
+            while fack and fack[0][1] <= reach:
+                s, _ = fack.popleft()
+                if s >= self.snd_una and s in board.retransmitted:
                     board.re_mark_lost(s)
-                    del self._retx_fack[s]
 
         if self.in_recovery:
             if self.snd_una >= self.recover_point:
@@ -295,9 +302,7 @@ class TcpSender:
         ):
             self.done = True
             self.finish_time = now
-            if self._rto_event is not None:
-                self._rto_event.cancel()
-                self._rto_event = None
+            self._rto_deadline = None
             return
         self._try_send()
 
@@ -314,7 +319,7 @@ class TcpSender:
         # Without SACK information (pure dupacks) presume the first
         # unacked segment is the loss.
         if not self.board.lost:
-            self.board._mark_lost(self.snd_una)
+            self.board.mark_lost(self.snd_una)
 
     # -- RTT / RTO -------------------------------------------------------
     def _rtt_update(self, sample: float) -> None:
@@ -329,14 +334,34 @@ class TcpSender:
         self.rto = min(max(self.rto, self.config.min_rto), self.config.max_rto)
 
     def _arm_rto(self, restart: bool = False) -> None:
-        if self._rto_event is not None:
-            if not restart:
-                return
-            self._rto_event.cancel()
-        self._rto_event = self.sim.schedule(self.rto, self._on_rto)
+        if self._rto_deadline is not None and not restart:
+            return
+        deadline = self._rto_deadline = self.sim.now + self.rto
+        # Usually the deadline only moves later and the outstanding tick
+        # will chase it; a shrunken rto can pull it in front of the tick.
+        if deadline < self._rto_tick_at:
+            self._post_rto_tick(deadline)
+
+    def _post_rto_tick(self, when: float) -> None:
+        self._rto_gen += 1
+        self._rto_tick_at = when
+        self.sim.post_at(when, self._rto_tick, self._rto_gen)
+
+    def _rto_tick(self, gen: int) -> None:
+        """The timer's heap entry fired: chase the deadline or time out."""
+        if gen != self._rto_gen:
+            return  # superseded by an earlier tick
+        deadline = self._rto_deadline
+        if deadline is None:  # done or closed: go inert
+            self._rto_tick_at = inf
+        elif deadline > self.sim.now:  # restarted since this tick was posted
+            self._post_rto_tick(deadline)
+        else:
+            self._rto_tick_at = inf
+            self._on_rto()
 
     def _on_rto(self) -> None:
-        self._rto_event = None
+        self._rto_deadline = None
         if self.done or self.snd_nxt == self.snd_una:
             return
         self.stats.timeouts += 1
@@ -373,8 +398,6 @@ class TcpSink:
         self._deliver = deliver
         self.next_expected = 0
         # Out-of-order segments as sorted disjoint ranges + per-seq sizes.
-        from repro.udt.losslist import _RangeList
-
         self._ranges = _RangeList()
         self._sizes: dict[int, int] = {}
         self._last_arrival: Optional[int] = None
@@ -393,20 +416,15 @@ class TcpSink:
     def _sack_blocks(self) -> Tuple[Tuple[int, int], ...]:
         """Most-recent block first (RFC 2018), then the highest others —
         so the sender learns the top of the SACK space fast."""
-        blocks = list(self._ranges.ranges())
-        if not blocks:
-            return ()
-        out: List[Tuple[int, int]] = []
+        ranges = self._ranges
         last = self._last_arrival
-        if last is not None:
-            for blk in blocks:
-                if blk[0] <= last <= blk[1]:
-                    out.append(blk)
-                    break
-        for blk in reversed(blocks):
-            if len(out) >= self.config.max_sack_blocks:
+        recent = ranges.find(last) if last is not None else None
+        out: List[Tuple[int, int]] = [] if recent is None else [recent]
+        cap = self.config.max_sack_blocks
+        for blk in ranges.top(cap):
+            if len(out) >= cap:
                 break
-            if blk not in out:
+            if blk != recent:
                 out.append(blk)
         return tuple(out)
 

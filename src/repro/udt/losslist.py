@@ -25,6 +25,7 @@ from __future__ import annotations
 # lint: disable-file=seqno-taint
 
 from bisect import bisect_left, bisect_right
+from itertools import islice
 from typing import Iterator, List, Optional, Tuple
 
 from repro.udt.params import MAX_SEQ_NO
@@ -93,6 +94,17 @@ class _RangeList:
     def contains(self, x: int) -> bool:
         i = bisect_right(self.starts, x) - 1
         return i >= 0 and self.ends[i] >= x
+
+    def find(self, x: int) -> Optional[Tuple[int, int]]:
+        """The range holding ``x``, or ``None``."""
+        i = bisect_right(self.starts, x) - 1
+        if i >= 0 and self.ends[i] >= x:
+            return self.starts[i], self.ends[i]
+        return None
+
+    def top(self, k: int) -> Iterator[Tuple[int, int]]:
+        """The ``k`` highest ranges, highest first."""
+        return islice(zip(reversed(self.starts), reversed(self.ends)), k)
 
     def insert(self, a: int, b: int) -> int:
         """Insert inclusive [a, b]; returns how many numbers were new."""

@@ -1,3 +1,10 @@
+# FROZEN ORACLE — not product code.  Everything below the divider is the
+# scan-based ``repro.tcp.scoreboard`` and the list-based
+# ``TcpSink._sack_blocks`` exactly as they stood before the per-ACK work
+# was made independent of the loss-event size.  tests/test_tcp_scoreboard.py
+# and tests/test_tcp_agent_units.py drive the live code against them;
+# never "fix" or speed this file up.
+# ---------------------------------------------------------------------------
 """SACK scoreboard (sender side), RFC 6675 flavoured.
 
 Packet sequence numbers are plain monotone integers here (TCP in this
@@ -8,10 +15,7 @@ rule scopes itself to ``repro/udt/`` and ``repro/sabul/`` (the 31-bit
 wrapping spaces) and excludes ``repro/tcp/`` — see docs/ANALYSIS.md.
 ``pipe`` — consulted for every transmission decision — is kept O(1) by
 maintaining the count of lost-but-not-retransmitted packets
-incrementally, and every other per-ACK operation touches only the
-sequences the ACK itself covers, never the whole ``lost`` set (the
-paper's Fig 9 property: bookkeeping cost must not grow with the size of
-a loss event).
+incrementally.
 """
 
 from __future__ import annotations
@@ -22,19 +26,6 @@ from typing import List, Optional
 
 
 class Scoreboard:
-    """Sender-side SACK state for one connection.
-
-    Invariants, upheld by every public method:
-
-    * ``lost`` and the SACKed ranges are disjoint — a sequence is never
-      marked lost while SACKed, and a SACK un-loses what it covers.
-      ``add_sack`` relies on this: only the part of a block that is
-      *newly* covered can hold a lost sequence.
-    * no member of ``lost`` or ``retransmitted`` lies below ``_floor``
-      (the highest cumulative ACK seen, lowered again if a caller marks
-      beneath it), so ``ack_upto`` walks just the sequences it passes.
-    """
-
     def __init__(self, dupthresh: int = 3):
         self.dupthresh = dupthresh
         self._starts: List[int] = []
@@ -45,29 +36,21 @@ class Scoreboard:
         self._sacked = 0
         self._retx_heap: List[int] = []  # lazy min-heap of retransmit candidates
         self._loss_frontier = 0  # all holes below are already classified
-        self._floor = 0  # nothing in lost/retransmitted is below this
 
     # -- sack bookkeeping -------------------------------------------------
     def add_sack(self, a: int, b: int) -> None:
         """Record that [a, b] was received out of order."""
         if b < a:
             raise ValueError("inverted SACK block")
+        # A packet marked lost that turns out to have arrived is un-lost.
+        revived = [s for s in self.lost if a <= s <= b]
+        for s in revived:
+            self.lost.discard(s)
+            if s not in self.retransmitted:
+                self._lost_not_retx -= 1
         starts, ends = self._starts, self._ends
         lo = bisect_left(ends, a - 1)
         hi = bisect_right(starts, b + 1)
-        if hi - lo == 1 and starts[lo] <= a and b <= ends[lo]:
-            return  # a repeated block: nothing newly covered
-        if self.lost:
-            # A packet marked lost that turns out to have arrived is
-            # un-lost.  Lost sequences are never SACKed, so only the gaps
-            # of [a, b] between the stored ranges can hold one.
-            cur = a
-            for i in range(lo, hi):
-                if cur < starts[i]:
-                    self._forget_lost(cur, starts[i] - 1)
-                cur = max(cur, ends[i] + 1)
-            if cur <= b:
-                self._forget_lost(cur, b)
         if lo >= hi:
             starts.insert(lo, a)
             ends.insert(lo, b)
@@ -81,18 +64,18 @@ class Scoreboard:
         ends.insert(lo, nb)
         self._sacked += (nb - na + 1) - absorbed
 
-    def _forget_lost(self, a: int, b: int) -> None:
-        """Drop [a, b] from ``lost``, keeping the pipe count exact."""
-        lost, retransmitted = self.lost, self.retransmitted
-        for s in range(a, b + 1):
-            if s in lost:
-                lost.discard(s)
-                if s not in retransmitted:
-                    self._lost_not_retx -= 1
-
     def is_sacked(self, seq: int) -> bool:
         i = bisect_right(self._starts, seq) - 1
         return i >= 0 and self._ends[i] >= seq
+
+    def sacked_above(self, seq: int) -> int:
+        """How many sacked packets lie strictly above ``seq``."""
+        total = 0
+        for a, b in zip(self._starts, self._ends):
+            if b <= seq:
+                continue
+            total += b - max(a, seq + 1) + 1
+        return total
 
     def highest_sacked(self) -> Optional[int]:
         return self._ends[-1] if self._ends else None
@@ -105,8 +88,6 @@ class Scoreboard:
         if seq in self.lost:
             return False
         self.lost.add(seq)
-        if seq < self._floor:
-            self._floor = seq
         if seq not in self.retransmitted:
             self._lost_not_retx += 1
             heapq.heappush(self._retx_heap, seq)
@@ -137,13 +118,13 @@ class Scoreboard:
         self._loss_frontier = max(self._loss_frontier, seq)
         return new
 
-    def mark_lost(self, seq: int) -> bool:
-        """Presume ``seq`` lost (dupack path); a SACKed one never is."""
-        return not self.is_sacked(seq) and self._mark_lost(seq)
-
     def mark_lost_range(self, a: int, b: int) -> int:
         """Timeout path: everything unsacked in [a, b] is presumed lost."""
-        return sum(self.mark_lost(s) for s in range(a, b + 1))
+        new = 0
+        for s in range(a, b + 1):
+            if not self.is_sacked(s) and self._mark_lost(s):
+                new += 1
+        return new
 
     def next_lost_to_retransmit(self, snd_una: int) -> Optional[int]:
         heap = self._retx_heap
@@ -159,8 +140,6 @@ class Scoreboard:
         if seq in self.lost and seq not in self.retransmitted:
             self._lost_not_retx -= 1
         self.retransmitted.add(seq)
-        if seq < self._floor:
-            self._floor = seq
 
     def re_mark_lost(self, seq: int) -> bool:
         """A retransmission was itself judged lost: make the sequence
@@ -186,10 +165,13 @@ class Scoreboard:
             self._sacked -= snd_una - starts[0]
             starts[0] = snd_una
         if self.lost:
-            self._forget_lost(self._floor, snd_una - 1)
+            gone = [s for s in self.lost if s < snd_una]
+            for s in gone:
+                self.lost.discard(s)
+                if s not in self.retransmitted:
+                    self._lost_not_retx -= 1
         if self.retransmitted:
-            self.retransmitted.difference_update(range(self._floor, snd_una))
-        self._floor = max(self._floor, snd_una)
+            self.retransmitted = {s for s in self.retransmitted if s >= snd_una}
         self._loss_frontier = max(self._loss_frontier, snd_una)
 
     def clear(self) -> None:
@@ -201,11 +183,27 @@ class Scoreboard:
         self._sacked = 0
         self._retx_heap.clear()
         self._loss_frontier = 0
-        # ``_floor`` stays: it bounds two sets that are now empty, and
-        # keeping it lets the ACK after a timeout walk only its own advance
-        # (marks beneath it lower it again).
 
     def pipe(self, snd_una: int, snd_nxt: int) -> int:
         """Packets judged in flight (RFC 6675 pipe), O(1)."""
         flight = snd_nxt - snd_una
         return max(flight - self._sacked - self._lost_not_retx, 0)
+
+
+def reference_sack_blocks(blocks, last, max_sack_blocks):
+    """``TcpSink._sack_blocks`` as it was: ``blocks`` is the full sorted
+    list of out-of-order ranges, ``last`` the most recent arrival."""
+    if not blocks:
+        return ()
+    out = []
+    if last is not None:
+        for blk in blocks:
+            if blk[0] <= last <= blk[1]:
+                out.append(blk)
+                break
+    for blk in reversed(blocks):
+        if len(out) >= max_sack_blocks:
+            break
+        if blk not in out:
+            out.append(blk)
+    return tuple(out)

@@ -1,10 +1,13 @@
 """Focused unit tests for TCP sender mechanics (RTO, Karn, app-limited)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.sim.engine import Event
 from repro.sim.topology import path_topology
 from repro.tcp import TcpConfig, start_tcp_flow
 from repro.tcp.agent import TcpAck, TcpData, TcpSender, TcpSink, _Port
+from tests._reference_scoreboard import reference_sack_blocks
 
 
 def make_sender(rate=10e6, rtt=0.02, **cfg):
@@ -46,10 +49,74 @@ class TestRto:
         top.net.run(until=0.1)
         # Force a retransmission of seq 0 and verify its send-time record
         # was discarded (no RTT sample can come from it).
-        snd.board._mark_lost(snd.snd_una)
+        snd.board.mark_lost(snd.snd_una)
         snd._send_times[snd.snd_una] = 123.0
         snd._try_send()
         assert snd.snd_una not in snd._send_times
+
+
+def rto_ticks(top, snd):
+    """Heap entries that belong to ``snd``'s retransmission timer."""
+    return [
+        e for e in top.net.sim._heap
+        if len(e) == 4 and getattr(e[2], "__self__", None) is snd
+    ]
+
+
+class TestRtoDeadlineTimer:
+    def test_restarts_post_nothing_and_cancel_nothing(self, monkeypatch):
+        cancels = []
+        monkeypatch.setattr(Event, "cancel", lambda ev: cancels.append(ev))
+        # rwnd just under the BDP: full rate, never a drop.
+        top, snd, sink = make_sender(rwnd_pkts=16)
+        snd.start()
+        top.net.run(until=3.0)
+        assert snd.stats.acks_received >= 2000
+        assert snd.stats.retransmits == 0 and snd.stats.timeouts == 0
+        assert snd.snd_nxt > snd.snd_una  # armed, data in flight
+        assert len(rto_ticks(top, snd)) == 1
+        assert cancels == []
+
+    def test_closed_sender_ignores_stale_tick(self, monkeypatch):
+        top, snd, sink = make_sender()
+        sink.port.handler = lambda seg: None  # silent: the RTO would fire
+        fired = []
+        monkeypatch.setattr(snd, "_on_rto", lambda: fired.append(top.net.sim.now))
+        snd.start()
+        top.net.run(until=0.1)
+        assert rto_ticks(top, snd)
+        snd.close()
+        top.net.run(until=3.0)
+        assert fired == []
+        assert rto_ticks(top, snd) == []  # went inert, did not re-post
+
+    def test_done_sender_ignores_stale_tick(self, monkeypatch):
+        top = path_topology(10e6, 0.02)
+        f = start_tcp_flow(top.net, top.src, top.dst, nbytes=20_000)
+        fired = []
+        monkeypatch.setattr(f.sender, "_on_rto", lambda: fired.append(top.net.sim.now))
+        top.net.run(until=0.5)
+        assert f.done and rto_ticks(top, f.sender)
+        top.net.run(until=3.0)
+        assert fired == []
+        assert rto_ticks(top, f.sender) == []
+
+    def test_shrunken_rto_fires_at_the_earlier_deadline(self):
+        top, snd, sink = make_sender()
+        sink.port.handler = lambda seg: None
+        fired = []
+        on_rto = snd._on_rto
+        snd._on_rto = lambda: (fired.append(top.net.sim.now), on_rto())
+        snd.start()  # rto 1.0: tick posted for t = 1.0
+        top.net.run(until=0.1)
+        snd.rto = 0.2
+        snd._arm_rto(restart=True)  # deadline 0.3, ahead of the tick
+        top.net.run(until=1.2)
+        # 0.3, then backoff 0.4 -> 0.7, then 0.8 -> 1.5; the superseded
+        # tick at 1.0 falls through.
+        assert fired == pytest.approx([0.3, 0.7])
+        assert snd.stats.timeouts == 2
+        assert len(rto_ticks(top, snd)) == 1
 
 
 class TestAppLimited:
@@ -93,6 +160,21 @@ class TestSinkAcks:
         sink._on_data(TcpData(2, 100))
         blocks = sink._sack_blocks()
         assert blocks[0] == (2, 2)  # the block containing the last arrival
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        arrivals=st.lists(st.integers(0, 40), max_size=60),
+        cap=st.integers(0, 4),
+    )
+    def test_sack_blocks_match_list_based_reference(self, arrivals, cap):
+        top, snd, sink = make_sender(max_sack_blocks=cap)
+        for seq in arrivals:
+            sink._on_data(TcpData(seq, 100))
+            expect = reference_sack_blocks(
+                list(sink._ranges.ranges()), sink._last_arrival, cap
+            )
+            assert sink._sack_blocks() == expect
 
 
 class TestPortPlumbing:

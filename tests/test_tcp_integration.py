@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.common import flow_start
 from repro.sim.topology import dumbbell, path_topology
 from repro.tcp import (
     BicResponse,
@@ -111,3 +112,55 @@ def test_highspeed_ramps_faster_than_reno_at_high_bdp():
         return f.throughput_bps(5, 15)
 
     assert run(HighSpeedResponse()) > run(None)  # None -> Reno
+
+
+# Per flow: (delivered_bytes, segs_sent, retransmits, timeouts,
+# fast_recoveries, acks_received, round(cwnd, 9)), captured from the
+# scan-based scoreboard and the cancel-and-reschedule RTO timer before
+# they were replaced.  The bookkeeping is an implementation detail; the
+# protocol's every decision must not move.
+GOLDEN_RUNS = {
+    # (n_flows, rate_bps, rtt, loss_rate, virtual seconds)
+    (4, 100e6, 0.05, 1e-3, 6.0): [
+        (8155560, 5768, 180, 0, 8, 5541, 40.507255404),
+        (7894220, 5437, 7, 0, 5, 5376, 51.004172246),
+        (13175040, 9349, 325, 0, 6, 8957, 60.450303047),
+        (12120920, 8638, 262, 0, 5, 8271, 95.444735376),
+    ],
+    # heavy random loss: 17 retransmission timeouts
+    (3, 50e6, 0.1, 2e-2, 10.0): [
+        (1908220, 1377, 61, 6, 19, 1318, 8.855359529),
+        (1562200, 1124, 44, 4, 15, 1065, 9.937669327),
+        (1419120, 1031, 47, 7, 17, 974, 11.680951745),
+    ],
+    # congestion loss only
+    (8, 200e6, 0.02, 0.0, 4.0): [
+        (12347220, 8646, 135, 0, 5, 8457, 53.44636587),
+        (13052400, 9108, 133, 0, 4, 8886, 88.738944059),
+        (12834860, 8889, 98, 0, 4, 8721, 69.474546468),
+        (9027180, 6259, 70, 0, 5, 6140, 48.462847876),
+        (8970240, 6263, 70, 0, 5, 6144, 48.407299532),
+        (14315300, 9951, 72, 0, 3, 9805, 73.686733552),
+        (15852680, 10993, 70, 0, 3, 10858, 64.887754713),
+        (8958560, 6254, 70, 0, 5, 6136, 47.512039691),
+    ],
+}
+
+
+@pytest.mark.parametrize("scenario", GOLDEN_RUNS, ids=lambda s: f"{s[0]}flows-p{s[3]}")
+def test_golden_per_flow_behaviour(scenario):
+    n, rate, rtt, loss_rate, duration = scenario
+    top = dumbbell(n, rate, rtt, seed=3, loss_rate=loss_rate)
+    flows = [
+        start_tcp_flow(top.net, top.sources[i], top.sinks[i], start=flow_start(i))
+        for i in range(n)
+    ]
+    top.net.run(until=duration)
+    got = []
+    for f in flows:
+        st = f.sender.stats
+        got.append((
+            f.delivered_bytes, st.segs_sent, st.retransmits, st.timeouts,
+            st.fast_recoveries, st.acks_received, round(f.sender.cwnd, 9),
+        ))
+    assert got == GOLDEN_RUNS[scenario]

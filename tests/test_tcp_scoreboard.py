@@ -1,8 +1,11 @@
 """Unit tests for the SACK scoreboard."""
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.tcp.scoreboard import Scoreboard
+from tests._reference_scoreboard import Scoreboard as ReferenceScoreboard
 
 
 def test_sack_merge_and_count():
@@ -13,14 +16,6 @@ def test_sack_merge_and_count():
     assert sb.sacked_count() == 5
     assert sb.highest_sacked() == 9
     assert sb.is_sacked(6) and not sb.is_sacked(4)
-
-
-def test_sacked_above():
-    sb = Scoreboard()
-    sb.add_sack(10, 14)
-    assert sb.sacked_above(5) == 5
-    assert sb.sacked_above(11) == 3
-    assert sb.sacked_above(14) == 0
 
 
 def test_fack_loss_marking():
@@ -130,3 +125,94 @@ def test_clear_resets_everything():
 def test_inverted_sack_rejected():
     with pytest.raises(ValueError):
         Scoreboard().add_sack(5, 3)
+
+
+# -- differential test against the frozen scan-based implementation ----------
+
+SEQ_SPACE = 48
+seqs = st.integers(0, SEQ_SPACE - 1)
+spans = st.tuples(seqs, st.integers(0, 12))
+
+
+class ScoreboardVsReference(RuleBasedStateMachine):
+    """Any sequence of public calls leaves the scoreboard in the state the
+    old whole-set scans would have produced."""
+
+    def __init__(self):
+        super().__init__()
+        self.new = Scoreboard(dupthresh=3)
+        self.ref = ReferenceScoreboard(dupthresh=3)
+        self.una = 0
+
+    @rule(span=spans)
+    def add_sack(self, span):
+        a, n = span
+        self.new.add_sack(a, a + n)
+        self.ref.add_sack(a, a + n)
+
+    @rule(una=seqs)
+    def ack_upto(self, una):
+        self.una = una  # deliberately not monotone: the oracle accepts any
+        self.new.ack_upto(una)
+        self.ref.ack_upto(una)
+
+    @rule()
+    def update_lost(self):
+        assert self.new.update_lost(self.una) == self.ref.update_lost(self.una)
+
+    @rule()
+    def retransmit_next(self):
+        seq = self.new.next_lost_to_retransmit(self.una)
+        assert seq == self.ref.next_lost_to_retransmit(self.una)
+        if seq is not None:
+            self.new.on_retransmit(seq)
+            self.ref.on_retransmit(seq)
+
+    @rule(seq=seqs)
+    def on_retransmit(self, seq):
+        self.new.on_retransmit(seq)
+        self.ref.on_retransmit(seq)
+
+    @rule(seq=seqs)
+    def re_mark_lost(self, seq):
+        assert self.new.re_mark_lost(seq) == self.ref.re_mark_lost(seq)
+
+    @rule(seq=seqs)
+    def mark_lost(self, seq):
+        expect = not self.ref.is_sacked(seq) and self.ref._mark_lost(seq)
+        assert self.new.mark_lost(seq) == expect
+
+    @rule(span=spans)
+    def mark_lost_range(self, span):
+        a, n = span
+        assert self.new.mark_lost_range(a, a + n) == self.ref.mark_lost_range(a, a + n)
+
+    @rule()
+    def clear(self):
+        self.new.clear()
+        self.ref.clear()
+
+    @invariant()
+    def same_observable_state(self):
+        new, ref = self.new, self.ref
+        assert new.lost == ref.lost
+        assert new.retransmitted == ref.retransmitted
+        assert new.highest_sacked() == ref.highest_sacked()
+        assert new.sacked_count() == ref.sacked_count()
+        for nxt in (self.una, self.una + 7, SEQ_SPACE + 16):
+            assert new.pipe(self.una, nxt) == ref.pipe(self.una, nxt)
+        assert new.next_lost_to_retransmit(self.una) == ref.next_lost_to_retransmit(
+            self.una
+        )
+
+    @invariant()
+    def documented_invariants(self):
+        new = self.new
+        assert not any(new.is_sacked(s) for s in new.lost)
+        assert all(s >= new._floor for s in new.lost | new.retransmitted)
+
+
+ScoreboardVsReference.TestCase.settings = settings(
+    max_examples=300, stateful_step_count=60, deadline=None
+)
+TestScoreboardVsReference = ScoreboardVsReference.TestCase
