@@ -147,7 +147,9 @@ class Link:
     def send(self, pkt: Packet) -> bool:
         """Hand a packet to this link's egress; False if the queue drops it."""
         sim = self.sim
-        if sim.now >= self._busy_until and not self.queue:
+        # ``queue.bytes`` is zero exactly when the queue is empty (packet
+        # sizes are positive) and, unlike its truth value, a plain load.
+        if sim.now >= self._busy_until and not self.queue.bytes:
             # Idle wire: serialisation starts immediately.
             if self.taps or self.bus.detail:
                 # Instrumented: emit the enqueue, then share _transmit
@@ -308,7 +310,7 @@ class Link:
         if pkt is None:
             return
         self._transmit(pkt)
-        if self.queue:
+        if self.queue.bytes:
             self._drain_pending = True
             self.sim.post_at(self._busy_until, self._drain)
 

@@ -34,10 +34,12 @@ class FlowMonitor:
     def on_deliver(self, flow: object, nbytes: int) -> None:
         """Record ``nbytes`` of goodput for ``flow`` at the current time."""
         t = self.sim.now
-        self.first_seen.setdefault(flow, t)
+        bins = self._bins.get(flow)
+        if bins is None:  # first record of this flow (credit_span is the other)
+            self.first_seen.setdefault(flow, t)
+            bins = self._bins[flow]
         self.total_bytes[flow] += nbytes
         b = int(t / self.bin_width)
-        bins = self._bins[flow]
         bins[b] = bins.get(b, 0) + nbytes
 
     def credit_span(self, flow: object, t0: float, t1: float, nbytes: int) -> None:

@@ -15,6 +15,7 @@ from repro.sim.node import Host
 from repro.sim.packet import IP_UDP_HEADER, Address, Packet
 
 Handler = Callable[[Any, Address, int], None]  # (payload, src_addr, size)
+DatagramHandler = Callable[[Any, int], None]  # (payload, size)
 
 
 class UdpEndpoint:
@@ -23,6 +24,7 @@ class UdpEndpoint:
         "sim",
         "port",
         "_handler",
+        "_datagram_handler",
         "_closed",
         "_addr",
         "bytes_sent",
@@ -37,6 +39,7 @@ class UdpEndpoint:
             port = host.next_free_port()
         self.port = port
         self._handler: Optional[Handler] = None
+        self._datagram_handler: Optional[DatagramHandler] = None
         host.bind(port, self._on_packet)
         self._closed = False
         self._addr: Address = (host.id, port)
@@ -51,12 +54,22 @@ class UdpEndpoint:
     def on_receive(self, handler: Handler) -> None:
         self._handler = handler
 
+    def on_datagram(self, handler: DatagramHandler) -> None:
+        """Receive as ``handler(payload, size)``, without the source address.
+
+        For a transport bound to one peer, whose input has this shape
+        (``UdtCore.on_datagram``): the port reaches it without an
+        argument-dropping frame in between.  Takes precedence over
+        :meth:`on_receive`.
+        """
+        self._datagram_handler = handler
+
     def sendto(
         self,
         payload: Any,
         size: int,
         dst: Address,
-        flow: Optional[int] = None,
+        flow: object = None,
     ) -> bool:
         """Send a datagram whose application payload is ``size`` bytes."""
         if self._closed:
@@ -65,7 +78,13 @@ class UdpEndpoint:
         pkt = Packet(wire, self._addr, dst, payload, flow, self.sim.now)
         self.bytes_sent += wire
         self.datagrams_sent += 1
-        return self.host.send(pkt)
+        host = self.host
+        # Routes never name the node itself, so a hit is a remote
+        # destination and Node.send would only repeat this lookup.
+        link = host.routes.get(dst[0])
+        if link is not None:
+            return link.send(pkt)
+        return host.send(pkt)  # loopback delivery, unroutable accounting
 
     def close(self) -> None:
         if not self._closed:
@@ -74,5 +93,8 @@ class UdpEndpoint:
 
     def _on_packet(self, pkt: Packet) -> None:
         self.datagrams_received += 1
-        if self._handler is not None:
+        handler = self._datagram_handler
+        if handler is not None:
+            handler(pkt.payload, pkt.size - IP_UDP_HEADER)
+        elif self._handler is not None:
             self._handler(pkt.payload, pkt.src, pkt.size - IP_UDP_HEADER)

@@ -33,7 +33,7 @@ from repro.udt.history import ArrivalRecorder, ProbeRecorder, RttEstimator
 from repro.udt.losslist import ReceiverLossList, SenderLossList
 from repro.udt.nakcodec import decode as nak_decode
 from repro.udt.nakcodec import encode as nak_encode
-from repro.udt.params import UdtConfig
+from repro.udt.params import UDT_HEADER, UdtConfig
 from repro.udt.seqno import seq_cmp, seq_dec, seq_inc, seq_off
 
 
@@ -133,7 +133,9 @@ class UdtCore:
         # queued but loss-list retransmissions continue so recovery can
         # finish and the pipe drain to a quiescent state.
         self._fluid_hold = False
-        self._probe_interval = config.probe_interval  # hot-path cache
+        # hot-path caches of derived config values
+        self._probe_interval = config.probe_interval
+        self._payload_size = config.payload_size
         # §4.4: the real inter-send interval (EWMA).  On hosts where one
         # send costs more than the nominal period, the controller must
         # correct P' with the achieved rate or rate control is impaired.
@@ -142,8 +144,7 @@ class UdtCore:
 
         # --- receiver state -----------------------------------------------
         self.rcv_loss = ReceiverLossList()
-        self.rcv_buffer = ReceiveBuffer(config.rcv_buffer_pkts, self._on_delivered)
-        self._deliver_cb = deliver
+        self.rcv_buffer = ReceiveBuffer(config.rcv_buffer_pkts, deliver)
         self.lrsn: Optional[int] = None  # largest received sequence number
         self.arrivals = ArrivalRecorder()
         self.probes = ProbeRecorder()
@@ -276,10 +277,10 @@ class UdtCore:
         # re-armed per packet (that would double the event count at high
         # rates); it checks ``_last_arrival`` lazily when it fires.
         self._exp_count = 1
-        self._last_arrival = self.sched.now()
+        self._last_arrival = now = self.sched.now()
         kind = msg.type_name
         if kind == "data":
-            self._on_data(msg)
+            self._on_data(msg, now)
         elif kind == "ack":
             self._on_ack(msg)
         elif kind == "nak":
@@ -389,7 +390,7 @@ class UdtCore:
         if now < self._freeze_until:
             self._schedule_send(self._freeze_until)
             return
-        sent = self._try_send_one()
+        sent = self._try_send_one(now)
         if not sent:
             # Break the achieved-rate measurement chain: idle or blocked
             # gaps must not count as send intervals (§4.4).
@@ -402,7 +403,7 @@ class UdtCore:
             delay = self.cc.period
         self._schedule_send(now + delay)
 
-    def _try_send_one(self) -> bool:
+    def _try_send_one(self, now: float) -> bool:
         """Transmit one data packet: loss list first, then new data.
 
         The §3.2 window is a threshold on *unacknowledged* packets, so it
@@ -433,7 +434,7 @@ class UdtCore:
                 continue
             size, data = entry
             self._pair_pending = False
-            self._emit_data(seq, size, data, retransmitted=True)
+            self._emit_data(seq, size, data, True, now)
             return True
         # 2. new data, if the window allows
         if self._fluid_hold:
@@ -441,31 +442,30 @@ class UdtCore:
         seq = self.curr_seq
         if seq_off(last_ack, seq) >= window:
             return False
-        if not snd_buffer.has_data:
-            if not self._unlimited_source:
-                return False
-            snd_buffer.add(self.config.payload_size)
-        size = snd_buffer.packetise(seq)
-        if size is None:
+        entry = snd_buffer.next_packet(
+            seq, self._payload_size if self._unlimited_source else 0
+        )
+        if entry is None:
             return False
-        data = None
-        entry = snd_buffer.lookup(seq)
-        if entry is not None:
-            data = entry[1]
+        size, data = entry
         self.curr_seq = seq_inc(seq)
-        if seq_cmp(seq, self.max_seq_sent) > 0:
-            self.max_seq_sent = seq
+        self.max_seq_sent = seq  # new data: always curr_seq's predecessor
         # A probe pair starts at every 16th packet of the sequence space.
         self._pair_pending = seq % self._probe_interval == 0
-        self._emit_data(seq, size, data, retransmitted=False)
+        self._emit_data(seq, size, data, False, now)
         return True
 
     def _emit_data(
-        self, seq: int, size: int, data: Optional[bytes], retransmitted: bool
+        self,
+        seq: int,
+        size: int,
+        data: Optional[bytes],
+        retransmitted: bool,
+        now: float,
     ) -> None:
-        now = self.sched.now()
-        if self._last_emit_time is not None and not self._pair_pending:
-            interval = now - self._last_emit_time
+        last = self._last_emit_time
+        if last is not None and not self._pair_pending:
+            interval = now - last
             if interval > 0:
                 self.achieved_period = (
                     interval
@@ -473,8 +473,16 @@ class UdtCore:
                     else (self.achieved_period * 7 + interval) / 8
                 )
         self._last_emit_time = now
+        # Positional (seq, size, ts, dst_id, data, retransmitted); the
+        # timestamp is _ts() and the wire size DataPacket.wire_size, both
+        # inlined: one allocation and no helper frames per packet.
         pkt = P.DataPacket(
-            seq=seq, size=size, ts=self._ts(), data=data, retransmitted=retransmitted
+            seq,
+            size,
+            int((now - self._start_time) * 1e6) & 0xFFFFFFFF,
+            0,
+            data,
+            retransmitted,
         )
         stats = self.stats
         stats.data_pkts_sent += 1
@@ -487,7 +495,7 @@ class UdtCore:
             self.bus.emit(
                 OB.PKT_SND, now, self.name, seq=seq, size=size, retx=retransmitted
             )
-        self._transmit(pkt, pkt.wire_size)
+        self._transmit(pkt, UDT_HEADER + size)
 
     # -- sender-side control input ----------------------------------------
     def _on_ack(self, ack: P.Ack) -> None:
@@ -604,42 +612,42 @@ class UdtCore:
     # ------------------------------------------------------------------
     # receiver half
     # ------------------------------------------------------------------
-    def _on_data(self, pkt: P.DataPacket) -> None:
-        if not self.connected or self.lrsn is None:
+    def _on_data(self, pkt: P.DataPacket, now: float) -> None:
+        """One arriving data packet (locals hoisted: the receive hot path)."""
+        lrsn = self.lrsn
+        if not self.connected or lrsn is None:
             return
-        now = self.sched.now()
+        seq = pkt.seq
+        size = pkt.size
+        rcv_buffer = self.rcv_buffer
         # Receive-buffer overflow mirrors the OS dropping datagrams before
         # the protocol sees them: it looks like network loss and the normal
         # NAK/EXP machinery recovers it.
-        ne = self.rcv_buffer.next_expected
-        if ne is not None and not self.rcv_buffer.accepts(pkt.seq):
+        ne = rcv_buffer.next_expected
+        if ne is not None and not rcv_buffer.accepts(seq):
             self.stats.buffer_drops += 1
             if self.bus.enabled:
-                self.bus.emit(
-                    OB.RCV_BUFFER_DROP, now, self.name, seq=pkt.seq, size=pkt.size
-                )
+                self.bus.emit(OB.RCV_BUFFER_DROP, now, self.name, seq=seq, size=size)
             return
         self.stats.data_pkts_received += 1
         if self.bus.detail:
-            self.bus.emit(
-                OB.PKT_RCV, now, self.name, seq=pkt.seq, retx=pkt.retransmitted
-            )
+            self.bus.emit(OB.PKT_RCV, now, self.name, seq=seq, retx=pkt.retransmitted)
         if self.meter is not None:
-            self.meter.on_data_received(pkt.size)
+            self.meter.on_data_received(size)
         # Measurement hooks (§3.2 / §3.4).
         self.arrivals.on_arrival(now)
         if not pkt.retransmitted:
-            phase = pkt.seq % self._probe_interval
+            phase = seq % self._probe_interval
             if phase == 0:
                 self.probes.on_probe1(now)
             elif phase == 1:
                 self.probes.on_probe2(now)
 
-        off = seq_off(self.lrsn, pkt.seq)
+        off = seq_off(lrsn, seq)
         if off > 1:
             # A hole: packets lrsn+1 .. seq-1 are missing.  NAK immediately
             # so the sender can react as fast as possible (§3.1).
-            first, last = seq_inc(self.lrsn), seq_dec(pkt.seq)
+            first, last = seq_inc(lrsn), seq_dec(seq)
             self.rcv_loss.insert(first, last, now=now)
             self.loss_events.append(off - 1)
             if self.meter is not None:
@@ -649,22 +657,18 @@ class UdtCore:
                     OB.RCV_LOSS, now, self.name, first=first, last=last, length=off - 1
                 )
             self._send_nak([(first, last)])
-            self.lrsn = pkt.seq
+            self.lrsn = seq
         elif off == 1:
-            self.lrsn = pkt.seq
+            self.lrsn = seq
         else:
             # Retransmission (or duplicate): clear it from the loss list.
             if self.meter is not None:
                 self.meter.on_loss_processing()
-            self.rcv_loss.remove(pkt.seq)
-        accepted = self.rcv_buffer.on_data(pkt.seq, pkt.size, pkt.data)
+            self.rcv_loss.remove(seq)
+        accepted = rcv_buffer.on_data(seq, size, pkt.data)
         if accepted and self.arrival_cb is not None:
-            self.arrival_cb(pkt.size)
+            self.arrival_cb(size)
         self._data_since_ack += 1
-
-    def _on_delivered(self, size: int, data: Optional[bytes]) -> None:
-        if self._deliver_cb is not None:
-            self._deliver_cb(size, data)
 
     def _send_nak(self, ranges: List[Tuple[int, int]]) -> None:
         words = nak_encode(ranges)
@@ -729,8 +733,8 @@ class UdtCore:
         )
         self._ack_window[self._ack_no] = (ack_seq, self.sched.now())
         if len(self._ack_window) > 64:
-            oldest = min(self._ack_window)
-            del self._ack_window[oldest]
+            # ack numbers only grow, so insertion order is age order
+            del self._ack_window[next(iter(self._ack_window))]
         self._xmit(ack)
         self.stats.acks_sent += 1
 

@@ -119,11 +119,11 @@ def attach_delay_detection(flow, window: int = 16) -> DelayTrendDetector:
 
     original_on_data = receiver._on_data
 
-    def tapped_on_data(pkt):
+    def tapped_on_data(pkt, now):
         if pkt.type_name == "data":
             send_time = receiver._start_time + pkt.ts / 1e6
-            detector.on_delay_sample(receiver.sched.now() - send_time)
-        original_on_data(pkt)
+            detector.on_delay_sample(now - send_time)
+        original_on_data(pkt, now)
 
     receiver._on_data = tapped_on_data
 

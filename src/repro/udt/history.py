@@ -80,8 +80,18 @@ class ArrivalRecorder:
         self._last: Optional[float] = None
 
     def on_arrival(self, now: float) -> None:
-        if self._last is not None:
-            self.window.push(now - self._last)
+        last = self._last
+        if last is not None:
+            # IntervalWindow.push, folded in: this runs once per data packet.
+            interval = now - last
+            if interval < 0:
+                raise ValueError("negative interval")
+            w = self.window
+            idx = w._idx
+            w._buf[idx] = interval
+            w._idx = (idx + 1) % w.size
+            if w._count < w.size:
+                w._count += 1
         self._last = now
 
     def skip(self) -> None:

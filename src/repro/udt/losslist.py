@@ -218,8 +218,9 @@ class SenderLossList:
         return None if a is None else _Unwrapper.to_seq(a)
 
     def peek(self) -> Optional[int]:
-        a = self._rl.first()
-        return None if a is None else _Unwrapper.to_seq(a)
+        # Asked once per send tick and almost always of an empty list.
+        starts = self._rl.starts
+        return _Unwrapper.to_seq(starts[0]) if starts else None
 
     def contains(self, seq: int) -> bool:
         return self._rl.contains(self._uw.to_abs(seq))

@@ -7,6 +7,7 @@ goodput through the network's :class:`~repro.sim.monitor.FlowMonitor`.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.obs import bus as OB
@@ -20,24 +21,25 @@ from repro.udt.params import UDT_HEADER, UdtConfig
 
 
 class SimScheduler:
-    """Adapts the discrete-event engine to the core's Scheduler protocol."""
+    """Adapts the discrete-event engine to the core's Scheduler protocol.
 
-    __slots__ = ("sim",)
+    ``post_at(time, fn)`` is the engine's own fire-and-forget
+    :meth:`~repro.sim.engine.Simulator.post_at` (no Event allocation, not
+    cancellable, raises on a time in the past): the core's pacing tick
+    re-arms through it once per data packet and never schedules backwards.
+    """
+
+    __slots__ = ("sim", "post_at")
 
     def __init__(self, sim: Simulator):
         self.sim = sim
+        self.post_at = sim.post_at
 
     def now(self) -> float:
         return self.sim.now
 
     def call_at(self, time: float, fn: Callable[[], None]) -> Event:
         return self.sim.schedule_at(max(time, self.sim.now), fn)
-
-    def post_at(self, time: float, fn: Callable[[], None]) -> None:
-        """Fire-and-forget timer: no Event allocation, not cancellable."""
-        sim = self.sim
-        now = sim.now
-        sim.post_at(time if time > now else now, fn)
 
     def cancel(self, handle: Event) -> None:
         handle.cancel()
@@ -196,10 +198,10 @@ class UdtFlow:
         fid = self.flow_id
 
         def snd_transmit(msg: Any, size: int) -> None:
-            src_sendto(msg, size, dst_addr, flow=fid)
+            src_sendto(msg, size, dst_addr, fid)
 
         def rcv_transmit(msg: Any, size: int) -> None:
-            dst_sendto(msg, size, src_addr, flow=fid)
+            dst_sendto(msg, size, src_addr, fid)
 
         self.sender = UdtCore(
             self.config,
@@ -219,14 +221,10 @@ class UdtFlow:
             meter=meter_rcv,
             bus=self.bus,
         )
-        snd_datagram = self.sender.on_datagram
-        rcv_datagram = self.receiver.on_datagram
-        self._src_ep.on_receive(lambda msg, addr, size: snd_datagram(msg, size))
-        self._dst_ep.on_receive(lambda msg, addr, size: rcv_datagram(msg, size))
+        self._src_ep.on_datagram(self.sender.on_datagram)
+        self._dst_ep.on_datagram(self.receiver.on_datagram)
         # Arrival-rate series (sink-side, NS-2 style) under "<id>:arr".
-        arr_key = (self.flow_id, "arr")
-        monitor_deliver = net.monitor.on_deliver
-        self.receiver.arrival_cb = lambda size: monitor_deliver(arr_key, size)
+        self.receiver.arrival_cb = partial(net.monitor.on_deliver, self.arrival_flow_id)
 
         fluid = getattr(net, "fluid", None)
         if fluid is not None:

@@ -1,3 +1,11 @@
+# FROZEN ORACLE — not product code.  Everything below the divider is
+# ``repro.udt.buffers`` exactly as it stood before the in-order data
+# packet got its straight path (``SendBuffer.next_packet``, the §4.6
+# branch of ``ReceiveBuffer.on_data``): every arrival went through the
+# reordering dict and ``_drain``, every send tick through
+# ``has_data``/``add``/``packetise``/``lookup``.  tests/test_buffers.py
+# drives the live classes against these; never "fix" or speed this file up.
+# ---------------------------------------------------------------------------
 """Send/receive buffers with overlapped-IO accounting (§4.3, §4.6).
 
 The simulator does not ship real payload bytes around (packets carry byte
@@ -17,7 +25,6 @@ retransmission arrival cost one speculation miss.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.udt.seqno import seq_cmp, seq_inc, seq_off
@@ -40,6 +47,8 @@ class SendBuffer:
         self._inflight: Dict[int, Tuple[int, Optional[bytes]]] = {}
         # Sequence numbers in packetisation order; ACKs release a strict
         # prefix, so ack_upto is O(packets acked), never a full scan.
+        from collections import deque
+
         self._order: deque[int] = deque()
 
     # -- application side --------------------------------------------------
@@ -63,50 +72,35 @@ class SendBuffer:
         self._pending_bytes += take
         return take
 
+    @property
+    def has_data(self) -> bool:
+        return self._pending_bytes > 0
+
     # -- sender side ---------------------------------------------------------
     def packetise(self, seq: int) -> Optional[int]:
         """Bind the next chunk to sequence ``seq``; returns payload size."""
-        entry = self.next_packet(seq)
-        return None if entry is None else entry[0]
-
-    def next_packet(
-        self, seq: int, refill: int = 0
-    ) -> Optional[Tuple[int, Optional[bytes]]]:
-        """Bind the next chunk to ``seq``; returns its ``(size, data)`` entry.
-
-        The send tick's single call.  An unlimited source passes its
-        top-up as ``refill``: with nothing pending, that many bytes are
-        queued first, room permitting, as ``add(refill)`` would.  Returns
-        None when there is (still) nothing to send.
-        """
-        pending = self._pending_bytes
-        if pending <= 0:
-            room = (self.capacity_pkts - len(self._inflight)) * self.payload_size
-            pending = min(refill, room)
-            if pending <= 0:
-                return None
-        size = min(self.payload_size, pending)
-        self._pending_bytes = pending - size
+        if self._pending_bytes <= 0:
+            return None
+        size = min(self.payload_size, self._pending_bytes)
+        self._pending_bytes -= size
         data: Optional[bytes] = None
-        pending_data = self._pending_data
-        if pending_data:  # live mode: real payload rides along
+        if self._pending_data:
             chunks: list[bytes] = []
             need = size
-            while need and pending_data:
-                head = pending_data[0]
+            while need and self._pending_data:
+                head = self._pending_data[0]
                 if len(head) <= need:
                     chunks.append(head)
-                    pending_data.pop(0)
+                    self._pending_data.pop(0)
                     need -= len(head)
                 else:
                     chunks.append(head[:need])
-                    pending_data[0] = head[need:]
+                    self._pending_data[0] = head[need:]
                     need = 0
             data = b"".join(chunks)
-        entry = (size, data)
-        self._inflight[seq] = entry
+        self._inflight[seq] = (size, data)
         self._order.append(seq)
-        return entry
+        return size
 
     def lookup(self, seq: int) -> Optional[Tuple[int, Optional[bytes]]]:
         """Payload (size, data) for a retransmission, None if already acked."""
@@ -154,7 +148,6 @@ class ReceiveBuffer:
         self.unread_packets = 0
         self._held: Dict[int, Tuple[int, Optional[bytes]]] = {}
         self.next_expected: Optional[int] = None
-        self._speculated: Optional[int] = None  # §4.6 guess: largest seen + 1
         self.delivered_bytes = 0
         self.delivered_packets = 0
         self.duplicates = 0
@@ -191,48 +184,36 @@ class ReceiveBuffer:
 
     def accepts(self, seq: int) -> bool:
         """Would a packet with this sequence fit the buffer window?"""
-        expected = self.next_expected
-        if expected is None:
+        if self.next_expected is None:
             return False
-        # Identity (not ordering) of two in-range seqs is wrap-safe.
-        if seq == expected:  # lint: disable=seqno-taint
-            return self.unread_packets < self.capacity_pkts
-        return seq_off(expected, seq) < self.capacity_pkts - self.unread_packets
+        off = seq_off(self.next_expected, seq)
+        return off < self.capacity_pkts - self.unread_packets
 
     def on_data(self, seq: int, size: int, data: Optional[bytes] = None) -> bool:
         """Accept one data packet; returns False for duplicates/overflow."""
-        expected = self.next_expected
-        if expected is None:
+        if self.next_expected is None:
             raise RuntimeError("buffer not started")
-        held = self._held
-        # Identity (not ordering) of two in-range seqs is wrap-safe, here
-        # and for the speculation check below.
-        in_order = seq == expected  # lint: disable=seqno-taint
-        if in_order:
-            if self.unread_packets >= self.capacity_pkts:
-                return False  # no room — dropped as if the NIC queue overflowed
-        else:
-            off = seq_off(expected, seq)
-            if off < 0 or seq in held:
-                self.duplicates += 1
-                return False
-            if off >= self.capacity_pkts - self.unread_packets:
-                return False
+        off = seq_off(self.next_expected, seq)
+        if off < 0 or seq in self._held:
+            self.duplicates += 1
+            return False
+        if not self.accepts(seq):
+            return False  # no room — dropped as if the NIC queue overflowed
         # Speculation: the receiver always guesses the largest-seen + 1.
-        following = seq_inc(seq)
+        # Identity (not ordering) of two in-range seqs is wrap-safe.
         if seq == self._speculated:  # lint: disable=seqno-taint
             self.speculation_hits += 1
-            self._speculated = following
         else:
             self.speculation_misses += 1
-            if seq_off(self._speculated, seq) >= 0:
-                self._speculated = following
-        if not in_order:
-            held[seq] = (size, data)
-            return True
-        # §4.6: the expected packet goes straight to the application and
-        # takes whatever contiguous run was waiting behind it along.
-        while True:
+        if seq_off(self._speculated, seq) >= 0:
+            self._speculated = seq_inc(seq)
+        self._held[seq] = (size, data)
+        self._drain()
+        return True
+
+    def _drain(self) -> None:
+        while self.next_expected in self._held:
+            size, data = self._held.pop(self.next_expected)
             if self.hold_for_app:
                 self.unread_packets += 1
             if self._user_buffer_bytes >= size:
@@ -244,11 +225,7 @@ class ReceiveBuffer:
             self.delivered_packets += 1
             if self._deliver is not None:
                 self._deliver(size, data)
-            self.next_expected = expected = following
-            if expected not in held:
-                return True
-            size, data = held.pop(expected)
-            following = seq_inc(expected)
+            self.next_expected = seq_inc(self.next_expected)
 
     @property
     def held_packets(self) -> int:

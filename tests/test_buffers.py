@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from repro.udt.buffers import ReceiveBuffer, SendBuffer
 from repro.udt.params import MAX_SEQ_NO
 from repro.udt.seqno import seq_inc
+from tests._reference_buffers import ReceiveBuffer as ReferenceReceiveBuffer
+from tests._reference_buffers import SendBuffer as ReferenceSendBuffer
 
 
 class TestSendBuffer:
@@ -161,3 +163,139 @@ def test_receive_buffer_delivers_everything_in_order(order, sizes):
         rb.on_data(seq, sizes[seq])
     assert delivered == sizes
     assert rb.delivered_packets == 12
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the frozen pre-fast-path buffers
+# (tests/_reference_buffers.py): same inputs, same outputs, same counters.
+# ---------------------------------------------------------------------------
+
+_RCV_COUNTERS = (
+    "next_expected", "_speculated", "unread_packets", "delivered_bytes",
+    "delivered_packets", "duplicates", "speculation_hits", "speculation_misses",
+    "zero_copy_bytes", "copied_bytes", "_user_buffer_bytes", "available",
+    "held_packets",
+)
+
+# Offset from next_expected: behind it (duplicate), on it (in order, half
+# of all arrivals), ahead of it (reordered), beyond the window (overflow).
+_rcv_offsets = st.one_of(st.just(0), st.integers(-3, 10))
+
+_rcv_data = st.tuples(
+    st.just("data"), _rcv_offsets, st.integers(1, 1456), st.booleans()
+)
+
+_rcv_ops = st.one_of(
+    _rcv_data,
+    _rcv_data,  # twice: arrivals outnumber the other operations
+    st.tuples(st.just("accepts"), _rcv_offsets),
+    st.tuples(st.just("post"), st.integers(0, 4000)),
+    st.tuples(st.just("read"), st.integers(0, 4)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    capacity=st.integers(1, 8),
+    hold_for_app=st.booleans(),
+    init_seq=st.sampled_from([0, 1000, MAX_SEQ_NO - 3]),
+    ops=st.lists(_rcv_ops, max_size=60),
+)
+def test_receive_buffer_matches_frozen_reference(capacity, hold_for_app, init_seq, ops):
+    pair = []
+    for cls in (ReceiveBuffer, ReferenceReceiveBuffer):
+        delivered = []
+        rb = cls(
+            capacity,
+            lambda size, data, out=delivered: out.append((size, data)),
+            hold_for_app=hold_for_app,
+        )
+        rb.start(init_seq)
+        pair.append((rb, delivered))
+    (new, new_out), (ref, ref_out) = pair
+    for op in ops:
+        if op[0] == "data":
+            seq = seq_inc(ref.next_expected, op[1])
+            data = bytes([op[1] & 0xFF]) * op[2] if op[3] else None
+            assert new.on_data(seq, op[2], data) == ref.on_data(seq, op[2], data)
+        elif op[0] == "accepts":
+            seq = seq_inc(ref.next_expected, op[1])
+            assert new.accepts(seq) == ref.accepts(seq)
+        elif op[0] == "post":
+            new.post_user_buffer(op[1])
+            ref.post_user_buffer(op[1])
+        else:
+            assert new.app_read(op[1]) == ref.app_read(op[1])
+        assert new_out == ref_out
+        for name in _RCV_COUNTERS:
+            assert getattr(new, name) == getattr(ref, name), name
+        assert new._held == ref._held
+
+
+_snd_ops = st.one_of(
+    # kind of payload: size only, real bytes, fewer or more bytes than declared
+    st.tuples(
+        st.just("add"), st.integers(0, 40),
+        st.sampled_from(["none", "exact", "short", "long"]),
+    ),
+    st.tuples(st.just("tick"), st.booleans()),  # the send tick; unlimited source?
+    st.tuples(st.just("packetise")),
+    st.tuples(st.just("ack"), st.integers(0, 5)),
+    st.tuples(st.just("lookup"), st.integers(-2, 6)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    capacity=st.integers(1, 5),
+    payload_size=st.integers(1, 8),
+    init_seq=st.sampled_from([0, MAX_SEQ_NO - 3]),
+    ops=st.lists(_snd_ops, max_size=60),
+)
+def test_send_buffer_matches_frozen_reference(capacity, payload_size, init_seq, ops):
+    new = SendBuffer(capacity, payload_size)
+    ref = ReferenceSendBuffer(capacity, payload_size)
+    seq = first_unacked = init_seq
+    fill = 0
+    for op in ops:
+        if op[0] == "add":
+            nbytes = op[1]
+            length = {"none": None, "exact": nbytes, "short": nbytes // 2,
+                      "long": nbytes + 3}[op[2]]
+            data = None
+            if length is not None:
+                data = bytes((fill + i) & 0xFF for i in range(length))
+                fill += length
+            assert new.add(nbytes, data) == ref.add(nbytes, data)
+        elif op[0] == "tick":
+            # UdtCore._try_send_one's new-data branch as it was ...
+            want = None
+            if ref.has_data or op[1]:
+                if not ref.has_data:
+                    ref.add(payload_size)
+                size = ref.packetise(seq)
+                if size is not None:
+                    want = (size, ref.lookup(seq)[1])
+            # ... and as it is.
+            got = new.next_packet(seq, payload_size if op[1] else 0)
+            assert got == want
+            if want is not None:
+                seq = seq_inc(seq)
+        elif op[0] == "packetise":
+            got = new.packetise(seq)
+            assert got == ref.packetise(seq)
+            if got is not None:
+                seq = seq_inc(seq)
+        elif op[0] == "ack":
+            upto = seq_inc(first_unacked, min(op[1], ref.inflight_packets))
+            assert new.ack_upto(upto) == ref.ack_upto(upto)
+            first_unacked = upto
+        else:
+            probe = seq_inc(first_unacked, op[1])
+            assert new.lookup(probe) == ref.lookup(probe)
+        assert new._pending_bytes == ref._pending_bytes
+        assert new._pending_data == ref._pending_data
+        assert new._inflight == ref._inflight
+        assert list(new._order) == list(ref._order)
+        assert new.free_packets() == ref.free_packets()
+        assert new.inflight_packets == ref.inflight_packets
