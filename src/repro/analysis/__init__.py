@@ -38,7 +38,8 @@ runs an experiment twice with perturbed same-vtime tie-breaking and hash
 seeds and diffs the JSONL traces byte-for-byte.
 
 Entry points: ``repro-udt lint`` and ``python -m repro.analysis``; the
-CI gate compares against ``analysis/baseline.json``.  See
+CI gate is zero findings (a deliberate exception is an inline
+``# lint: disable=<rule>`` with its reason beside it).  See
 docs/ANALYSIS.md for the full rule catalog and suppression syntax.
 """
 
@@ -46,13 +47,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.analysis.baseline import (
-    BaselineComparison,
-    compare,
-    default_baseline_path,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.core import (
     Checker,
     Finding,
@@ -96,18 +90,13 @@ def run_analysis(
 
 
 __all__ = [
-    "BaselineComparison",
     "Checker",
     "Finding",
     "ModuleContext",
     "all_checkers",
-    "compare",
-    "default_baseline_path",
     "default_root",
-    "load_baseline",
     "repo_root",
     "rule_ids",
     "run_analysis",
     "run_checkers",
-    "write_baseline",
 ]

@@ -6,8 +6,8 @@ repro.analysis`` (the same lint driver, importable without the rest of
 the CLI; also hosts the hidden ``--worker`` mode the determinism
 sanitizer spawns).
 
-Exit codes: 0 = clean (no non-baselined findings / sanitizer agreed /
-trace conforms), 1 = new findings, divergence or violations,
+Exit codes: 0 = clean (zero findings / sanitizer agreed / trace
+conforms), 1 = findings, divergence or violations,
 2 = usage/configuration error.
 
 Full-rule lint runs also maintain ``analysis/.lintstatus.json`` — a
@@ -25,12 +25,6 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.analysis.baseline import (
-    compare,
-    default_baseline_path,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.core import default_root, repo_root
 
 #: merge-updated status file consumed by the dashboard's code-health card.
@@ -64,35 +58,21 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--json",
         action="store_true",
-        help="emit the findings/baseline comparison as JSON on stdout "
-        "(round-trips through the baseline format)",
+        help="emit the report (findings, gate_passed, elapsed_s) as JSON "
+        "on stdout",
     )
     parser.add_argument(
         "--rule",
         action="append",
         default=None,
         metavar="RULE",
-        help="run only this rule (repeatable); default: all rules. "
-        "Rule filtering skips the baseline gate (exit reflects raw findings)",
+        help="run only this rule (repeatable); default: all rules",
     )
     parser.add_argument(
         "--root",
         metavar="DIR",
         default=None,
         help="package tree to analyse (default: the installed repro package)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="baseline file to gate against (default: analysis/baseline.json "
-        "at the repo root)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline file from the current findings instead of "
-        "gating (for deliberate, reviewed exceptions)",
     )
     parser.add_argument(
         "--sanitize",
@@ -160,7 +140,7 @@ def _parse_overrides(
 
 
 def run_lint(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    """Run the checker driver, gate against the baseline, maybe sanitize."""
+    """Run the checker driver (the gate is zero findings), maybe sanitize."""
     from repro.analysis import all_checkers, rule_ids
     from repro.analysis.core import run_checkers
 
@@ -190,122 +170,69 @@ def run_lint(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
     conform_reports = _run_conformance(args, parser)
 
-    baseline_path = (
-        Path(args.baseline) if args.baseline else default_baseline_path()
-    )
-    if baseline_path is None:
-        from repro.analysis.baseline import BASELINE_RELPATH
-
-        baseline_path = Path.cwd() / BASELINE_RELPATH
-
-    if args.write_baseline:
-        write_baseline(baseline_path, findings)
-        if not args.json:
-            print(f"[baseline: {len(findings)} finding(s) -> {baseline_path}]")
-        return 0
-
-    if rules:
-        # Partial runs can't be compared against the full-tree baseline;
-        # report raw findings and let the exit code reflect them.
-        payload: Dict[str, Any] = {
-            "schema": 1,
-            "kind": "lint.report",
-            "rules": sorted(rules),
-            "elapsed_s": round(elapsed, 3),
-            "findings": [f.to_dict() for f in findings],
-        }
-        if conform_reports is not None:
-            payload["conformance"] = [r.to_dict() for r in conform_reports]
-        if args.json:
-            json.dump(payload, sys.stdout, indent=2)
-            sys.stdout.write("\n")
-        else:
-            for f in findings:
-                print(f.format())
-            print(
-                f"[lint: {len(findings)} finding(s), rules "
-                f"{','.join(sorted(rules))}, {elapsed:.2f}s]"
-            )
-            for r in conform_reports or ():
-                print(r.format())
-        bad_traces = any(not r.ok for r in conform_reports or ())
-        return 1 if findings or bad_traces else 0
-
-    baseline = load_baseline(baseline_path) if baseline_path.is_file() else []
-    cmp = compare(findings, baseline)
-    payload = {
+    gate_passed = not findings
+    payload: Dict[str, Any] = {
         "schema": 1,
         "kind": "lint.report",
         "elapsed_s": round(elapsed, 3),
-        "baseline": str(baseline_path),
-        **cmp.to_dict(),
+        "findings": [f.to_dict() for f in findings],
+        "gate_passed": gate_passed,
     }
-
+    if rules:
+        payload["rules"] = sorted(rules)
     if conform_reports is not None:
         payload["conformance"] = [r.to_dict() for r in conform_reports]
 
-    rc = 0 if cmp.gate_passed else 1
+    rc = 0 if gate_passed else 1
     if any(not r.ok for r in conform_reports or ()):
         rc = 1
+
+    # The sanitizer and the dashboard's status file belong to full runs;
+    # a --rule selection reports its findings and nothing else.
     sanitize_result = None
-    if args.sanitize:
-        from repro.analysis.sanitizer import DeterminismSanitizer
+    if not rules:
+        if args.sanitize:
+            from repro.analysis.sanitizer import DeterminismSanitizer
 
-        sanitizer = DeterminismSanitizer(
-            args.sanitize,
-            overrides=_parse_overrides(args.overrides, parser),
-            trace_format=args.sanitize_format,
-        )
-        sanitize_result = sanitizer.run()
-        payload["sanitize"] = sanitize_result.to_dict()
-        if not sanitize_result.deterministic:
-            rc = 1
-
-    update_status(
-        "lint",
-        {
-            "findings": len(findings),
-            "new": len(cmp.new),
-            "baselined": len(cmp.baselined),
-            "fixed": len(cmp.fixed),
-            "gate_passed": cmp.gate_passed,
-            "elapsed_s": round(elapsed, 3),
-            "cache": (
-                {"hits": cache.hits, "misses": cache.misses}
-                if cache is not None
-                else None
-            ),
-        },
-    )
-    if conform_reports is not None:
+            sanitizer = DeterminismSanitizer(
+                args.sanitize,
+                overrides=_parse_overrides(args.overrides, parser),
+                trace_format=args.sanitize_format,
+            )
+            sanitize_result = sanitizer.run()
+            payload["sanitize"] = sanitize_result.to_dict()
+            if not sanitize_result.deterministic:
+                rc = 1
         update_status(
-            "conformance",
-            {"traces": [r.to_dict() for r in conform_reports]},
+            "lint",
+            {
+                "findings": len(findings),
+                "gate_passed": gate_passed,
+                "elapsed_s": round(elapsed, 3),
+                "cache": (
+                    {"hits": cache.hits, "misses": cache.misses}
+                    if cache is not None
+                    else None
+                ),
+            },
         )
+        if conform_reports is not None:
+            update_status(
+                "conformance",
+                {"traces": [r.to_dict() for r in conform_reports]},
+            )
 
     if args.json:
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
         return rc
 
-    for f in cmp.new:
+    for f in findings:
         print(f.format())
-    cache_note = (
-        f", cache {cache.hits} hit/{cache.misses} analysed"
-        if cache is not None
-        else ""
-    )
-    summary = (
-        f"[lint: {len(findings)} finding(s) — {len(cmp.new)} new, "
-        f"{len(cmp.baselined)} baselined, {len(cmp.fixed)} fixed vs baseline; "
-        f"{elapsed:.2f}s{cache_note}]"
-    )
-    print(summary)
-    if cmp.fixed:
-        print(
-            "[note: baseline lists finding(s) no longer present — "
-            "refresh it with --write-baseline]"
-        )
+    notes = f", rules {','.join(sorted(rules))}" if rules else ""
+    if cache is not None:
+        notes += f", cache {cache.hits} hit/{cache.misses} analysed"
+    print(f"[lint: {len(findings)} finding(s){notes}, {elapsed:.2f}s]")
     for r in conform_reports or ():
         print(r.format())
     if sanitize_result is not None:

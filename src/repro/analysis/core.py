@@ -68,10 +68,6 @@ class Finding:
             message=d["message"],
         )
 
-    def identity(self) -> Tuple[str, str, str]:
-        """Baseline-matching key: stable under small line drift."""
-        return (self.rule, self.path, self.message)
-
 
 class ModuleContext:
     """One parsed source module handed to every checker."""

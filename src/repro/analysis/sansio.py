@@ -23,9 +23,9 @@ Flagged inside ``repro/udt/`` and ``repro/sim/``:
   seed argument.  ``random.Random(seed)`` is fine — that is the pattern
   the engine itself uses.
 
-Allowlist: ``sim/engine.py`` may use ``perf_counter`` — its profiling
-path (``run_profiled``) deliberately measures wall time and never feeds
-it back into virtual time.  ``repro/obs/prof.py`` and ``repro/live/``
+Allowlist: ``sim/engine.py`` may use ``perf_counter`` — the timed branch
+of ``Simulator.run`` deliberately measures wall time and never feeds it
+back into virtual time.  ``repro/obs/prof.py`` and ``repro/live/``
 are outside this rule's scope entirely.
 """
 
@@ -84,8 +84,8 @@ _OS_TIME_SOURCES = frozenset({"times"})
 
 #: per-file exemptions: relpath -> names allowed despite the rule.
 _ALLOWLIST: Dict[str, frozenset] = {
-    # run_profiled() measures handler wall time; it never feeds virtual
-    # time, so the profiling path is the one sanctioned wall-clock user.
+    # The timed branch of Simulator.run measures handler wall time; it
+    # never feeds virtual time, so it is the one sanctioned wall-clock user.
     "sim/engine.py": frozenset({"perf_counter", "perf_counter_ns"}),
 }
 

@@ -2,7 +2,8 @@
 
 PR 6's :class:`repro.runner.progress.ProgressReporter` samples a *live*
 simulator from a daemon thread — deliberately lock-free on the engine
-side, so the hot loop pays nothing for observability.  That bargain is
+side: the hot loop writes ``now`` and ``events_processed`` per event and
+takes no lock for the reader.  That bargain is
 only safe while the thread confines itself to a reviewed, read-mostly
 slice of shared state; one innocent ``self._cur_sim.step()`` added in a
 refactor would mutate engine state from the wrong thread.

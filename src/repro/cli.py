@@ -33,8 +33,8 @@
     repro-udt lint                  # protocol-invariant static analysis
                                     # over the repro tree (seqno-taint,
                                     # sansio-purity, event-schema,
-                                    # vtime-determinism) gated against
-                                    # analysis/baseline.json
+                                    # vtime-determinism); the gate is
+                                    # zero findings
     repro-udt lint --sanitize fig02 --set duration=5
                                     # + determinism sanitizer: the
                                     # experiment runs twice with perturbed

@@ -425,12 +425,8 @@ def _code_health_card(status: Dict[str, Any]) -> str:
     parts: List[str] = ["<h2>Code health</h2>"]
     lint = status.get("lint")
     if isinstance(lint, dict):
-        badge = _badge(bool(lint.get("gate_passed")), bad_text="✗ new findings")
-        bits = [
-            f"{lint.get('findings', 0)} finding(s)",
-            f"{lint.get('new', 0)} new",
-            f"{lint.get('baselined', 0)} baselined",
-        ]
+        badge = _badge(bool(lint.get("gate_passed")), bad_text="✗ findings")
+        bits = [f"{lint.get('findings', 0)} finding(s)"]
         cache = lint.get("cache")
         if isinstance(cache, dict):
             bits.append(

@@ -9,19 +9,20 @@ answers "where do those seconds go" and snapshots the answer to
 
 Design:
 
-* **Zero cost when off.**  The profiler works by swapping
-  :meth:`Simulator.run` for :meth:`Simulator.run_profiled` (an engine
-  method that shares the same loop but times each handler).  Nothing is
-  patched until :meth:`SimProfiler.install` runs, so an unprofiled run
-  executes the original, untouched inner loop.
+* **One test per event when off.**  The engine has a single dispatch
+  loop; the profiler registers as a :class:`repro.sim.engine.RunObserver`
+  and hands each ``run()`` its accumulator, which switches that run to
+  the loop's timed branch.  Nothing is patched, so other observers (the
+  sweep's progress reporter) may be active at the same time and leave
+  in either order.
 * **Category attribution is lazy.**  The engine accumulates per-function
   ``[count, seconds]`` pairs keyed by the raw function object (one
   ``getattr`` per event); mapping functions to human categories happens
   once, at report time.
-* **Experiments construct their own simulators**, so the usual entry
-  point is the class-level patch (:meth:`install` with no argument, or
-  the :func:`profile_simulators` context manager): every ``Simulator``
-  created while installed feeds the same accumulator.
+* **Experiments construct their own simulators**, so registration is
+  process-wide (:meth:`install`, or the :func:`profile_simulators`
+  context manager): every ``Simulator`` run while installed feeds the
+  same accumulator.
 
 Usage::
 
@@ -41,7 +42,13 @@ from contextlib import contextmanager
 from time import perf_counter
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import (
+    RunObserver,
+    Simulator,
+    add_run_observer,
+    remove_run_observer,
+    run_observers,
+)
 
 #: Snapshot schema version for ``BENCH_profile_*.json``.
 PROFILE_SCHEMA = 1
@@ -64,9 +71,7 @@ CATEGORY_MAP: Dict[tuple, str] = {
     ("repro.apps.fileio", "DiskTransfer._drain"): "hostmodel.disk",
     ("repro.apps.bulk", "UdpBlast._start_burst"): "app.udp_blast",
     ("repro.apps.bulk", "UdpBlast._tick"): "app.udp_blast",
-    ("repro.apps.streaming_join", "StreamingSource._tick"): "app.streaming",
-    ("repro.sim.monitor", "QueueSampler._tick"): "obs.sampler",
-    ("repro.sim.trace", "QueueSampler._tick"): "obs.sampler",
+    ("repro.apps.streaming_join", "PacedSource._tick"): "app.streaming",
 }
 
 #: What each category covers — rendered in the text report and docs.
@@ -93,84 +98,51 @@ def categorize(fn: Callable) -> str:
     return f"{tail}.{qual}"
 
 
-class SimProfiler:
+class SimProfiler(RunObserver):
     """Accumulates per-category event counts and handler seconds.
 
     One profiler may span many simulators and many ``run`` segments;
-    everything lands in the same accumulator.  ``install()`` with a
-    simulator patches that instance only; with no argument it patches
-    the ``Simulator`` class so simulators constructed later (inside
-    experiment runners) are captured too.
+    everything lands in the same accumulator.
     """
 
     def __init__(self) -> None:
         self._acc: Dict[Any, List] = {}  # fn -> [count, seconds]
         self.wall_seconds = 0.0  # total wall time inside run()
         self.runs = 0
-        self._patched_class = False
-        self._patched_sims: List[Simulator] = []
-        self._saved_run: Optional[Callable] = None
+        self._run_t0 = 0.0
 
     # -- installation ----------------------------------------------------
-    def install(self, sim: Optional[Simulator] = None) -> "SimProfiler":
-        """Start profiling ``sim`` (or every future simulator)."""
-        profiler = self
-
-        if sim is not None:
-            orig_runp = sim.run_profiled
-
-            def run(until: Optional[float] = None) -> None:
-                profiler.runs += 1
-                t0 = perf_counter()
-                try:
-                    orig_runp(until, profiler._acc)
-                finally:
-                    profiler.wall_seconds += perf_counter() - t0
-
-            sim.run = run  # type: ignore[method-assign]
-            self._patched_sims.append(sim)
-            return self
-
-        if self._patched_class:
-            return self
-        if getattr(Simulator.run, "_sim_profiler_patch", False):
-            raise RuntimeError("another SimProfiler is already installed")
-        self._saved_run = Simulator.run
-
-        def class_run(self_sim: Simulator, until: Optional[float] = None) -> None:
-            profiler.runs += 1
-            t0 = perf_counter()
-            try:
-                self_sim.run_profiled(until, profiler._acc)
-            finally:
-                profiler.wall_seconds += perf_counter() - t0
-
-        class_run._sim_profiler_patch = True  # type: ignore[attr-defined]
-        Simulator.run = class_run  # type: ignore[method-assign]
-        self._patched_class = True
+    def install(self) -> "SimProfiler":
+        """Start profiling every simulator run from now on."""
+        for ob in run_observers():
+            if ob is self:
+                return self
+            if isinstance(ob, SimProfiler):
+                raise RuntimeError("another SimProfiler is already installed")
+        add_run_observer(self)
         return self
 
     def uninstall(self) -> None:
-        """Undo every patch this profiler applied (results are kept)."""
-        if self._patched_class and self._saved_run is not None:
-            Simulator.run = self._saved_run  # type: ignore[method-assign]
-            self._patched_class = False
-            self._saved_run = None
-        for sim in self._patched_sims:
-            try:
-                del sim.run
-            except AttributeError:
-                pass
-        self._patched_sims = []
+        """Stop profiling (results are kept)."""
+        remove_run_observer(self)
 
     @contextmanager
-    def activate(self, sim: Optional[Simulator] = None) -> Iterator["SimProfiler"]:
+    def activate(self) -> Iterator["SimProfiler"]:
         """``install`` on entry, ``uninstall`` on exit."""
-        self.install(sim)
+        self.install()
         try:
             yield self
         finally:
             self.uninstall()
+
+    # -- the engine seam -------------------------------------------------
+    def run_begin(self, sim: Simulator, until: Optional[float]) -> Dict[Any, List]:
+        self.runs += 1
+        self._run_t0 = perf_counter()
+        return self._acc
+
+    def run_end(self, sim: Simulator, until: Optional[float]) -> None:
+        self.wall_seconds += perf_counter() - self._run_t0
 
     # -- results ---------------------------------------------------------
     @property

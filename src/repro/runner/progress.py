@@ -5,17 +5,15 @@ parent printed nothing between "running" and the final table.  This
 module adds a side channel over the pipe the workers already have:
 
 * **Worker side** — :class:`ProgressReporter` runs inside
-  ``python -m repro.runner --worker ... --progress``.  It wraps
-  ``Simulator.run`` (class-wide, so every simulator an experiment
-  creates is covered) to learn the currently-running simulator and its
-  ``until`` horizon, and a daemon thread emits one JSON heartbeat per
-  interval on stdout — the worker's stdout is otherwise unused, so the
-  protocol needs no new file descriptors.  The live event count comes
-  from inspecting the engine frame's local ``processed`` counter via
-  ``sys._current_frames()``: the hot loop only flushes it to
-  ``events_processed`` when ``run()`` returns, and instrumenting the
-  loop itself would tax the very hot path the runner exists to measure.
-  Sampling from the reporter thread costs the engine nothing.
+  ``python -m repro.runner --worker ... --progress``.  It registers as a
+  :class:`repro.sim.engine.RunObserver` (process-wide, so every
+  simulator an experiment creates is covered) to learn the
+  currently-running simulator and its ``until`` horizon, and a daemon
+  thread emits one JSON heartbeat per interval on stdout — the worker's
+  stdout is otherwise unused, so the protocol needs no new file
+  descriptors.  The live event count is the simulator's own
+  ``events_processed``, which the dispatch loop writes per event; the
+  thread reads it and ``now`` and nothing else.
 
 * **Parent side** — :class:`ProgressBoard` collects heartbeats (and
   start/done/failed lifecycle records) from all workers, renders
@@ -36,7 +34,6 @@ engine events per wall second over the last interval.
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 import threading
@@ -45,6 +42,8 @@ from math import inf
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, TextIO
 
+from repro.sim.engine import RunObserver, add_run_observer, remove_run_observer
+
 HEARTBEAT = "sweep.heartbeat"
 
 Emit = Callable[[str], None]
@@ -52,10 +51,10 @@ Emit = Callable[[str], None]
 # ---------------------------------------------------------------------------
 # Cross-thread contract, machine-checked by the ``thread-shared-state``
 # lint rule (repro.analysis.threads).  The ProgressReporter daemon thread
-# (_loop -> sample -> _frame_processed) may READ exactly these reporter
-# attributes; everything else it touches is a lint finding.  Keep these in
-# sync when the sampler grows: the point is that the diff to this list is
-# the review surface for new cross-thread traffic.
+# (_loop -> sample) may READ exactly these reporter attributes; everything
+# else it touches is a lint finding.  Keep these in sync when the sampler
+# grows: the point is that the diff to this list is the review surface for
+# new cross-thread traffic.
 # ---------------------------------------------------------------------------
 
 #: reporter attributes the daemon thread may read (shared with the main
@@ -68,10 +67,10 @@ THREAD_SHARED_READS = frozenset(
         "_lock",
         "_cur_sim",
         "_cur_until",
+        "_cur_base",
         "_events_done",
         "_t0",
         "_stop",
-        "_run_code",
     }
 )
 
@@ -83,8 +82,8 @@ THREAD_OWNED = frozenset({"_last"})
 THREAD_SHARED_OBJECTS = frozenset({"_cur_sim"})
 
 #: the only attributes the thread may read on such a foreign object —
-#: ``Simulator.now`` is a plain float slot, racy-read safe by design.
-THREAD_SHARED_OBJECT_READS = frozenset({"now"})
+#: plain number slots the dispatch loop writes per event, racy-read safe.
+THREAD_SHARED_OBJECT_READS = frozenset({"now", "events_processed"})
 
 
 def default_progress_path(cache_dir: Optional[Path] = None) -> Path:
@@ -100,7 +99,7 @@ def default_progress_path(cache_dir: Optional[Path] = None) -> Path:
 # ---------------------------------------------------------------------------
 
 
-class ProgressReporter:
+class ProgressReporter(RunObserver):
     """Emits periodic heartbeat JSON lines for the experiment running here."""
 
     def __init__(
@@ -121,37 +120,12 @@ class ProgressReporter:
         self._last: Optional[tuple] = None
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        self._orig_run: Optional[Callable] = None
-        self._run_code = None
 
-    # -- engine hook -----------------------------------------------------
+    # -- engine seam -----------------------------------------------------
     def start(self) -> "ProgressReporter":
-        from repro.sim import engine
-
-        if self._orig_run is not None:
+        if self._thread is not None:
             raise RuntimeError("reporter already started")
-        orig = engine.Simulator.run
-        self._orig_run = orig
-        self._run_code = orig.__code__
-        reporter = self
-
-        @functools.wraps(orig)
-        def run(sim, until=None):
-            with reporter._lock:
-                reporter._cur_sim = sim
-                reporter._cur_until = until
-                reporter._cur_base = sim.events_processed
-            try:
-                return orig(sim, until)
-            finally:
-                with reporter._lock:
-                    reporter._events_done += (
-                        sim.events_processed - reporter._cur_base
-                    )
-                    reporter._cur_sim = None
-                    reporter._cur_until = None
-
-        engine.Simulator.run = run
+        add_run_observer(self)
         self._thread = threading.Thread(
             target=self._loop, name="progress-reporter", daemon=True
         )
@@ -163,11 +137,7 @@ class ProgressReporter:
         if self._thread is not None:
             self._thread.join(timeout=2.0)
             self._thread = None
-        if self._orig_run is not None:
-            from repro.sim import engine
-
-            engine.Simulator.run = self._orig_run
-            self._orig_run = None
+        remove_run_observer(self)
 
     def __enter__(self) -> "ProgressReporter":
         return self.start()
@@ -175,29 +145,19 @@ class ProgressReporter:
     def __exit__(self, *exc: Any) -> None:
         self.stop()
 
+    def run_begin(self, sim: Any, until: Optional[float]) -> None:
+        with self._lock:
+            self._cur_sim = sim
+            self._cur_until = until
+            self._cur_base = sim.events_processed
+
+    def run_end(self, sim: Any, until: Optional[float]) -> None:
+        with self._lock:
+            self._events_done += sim.events_processed - self._cur_base
+            self._cur_sim = None
+            self._cur_until = None
+
     # -- sampling --------------------------------------------------------
-    def _frame_processed(self) -> int:
-        """Read the engine loop's local ``processed`` from its live frame.
-
-        Zero cost on the hot path; any failure (no frame yet, exotic
-        interpreter) degrades to 0 rather than raising in the sampler.
-        """
-        try:
-            frames = sys._current_frames()
-        except Exception:
-            return 0
-        for frame in frames.values():
-            f, depth = frame, 0
-            while f is not None and depth < 64:
-                if f.f_code is self._run_code:
-                    try:
-                        return int(f.f_locals.get("processed", 0))
-                    except Exception:
-                        return 0
-                f = f.f_back
-                depth += 1
-        return 0
-
     def sample(self) -> Dict[str, Any]:
         """One heartbeat record from the current engine state."""
         wall = time.perf_counter() - self._t0
@@ -205,10 +165,11 @@ class ProgressReporter:
             sim = self._cur_sim
             until = self._cur_until
             events = self._events_done
+            base = self._cur_base
         vt: Optional[float] = None
         if sim is not None:
             vt = sim.now
-            events += self._frame_processed()
+            events += sim.events_processed - base
         rec: Dict[str, Any] = {
             "kind": HEARTBEAT,
             "exp": self.exp_id,

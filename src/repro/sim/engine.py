@@ -20,7 +20,7 @@ import os
 import random
 from math import inf
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: Same-instant tie-break orders.  "fifo" (the default, and the property
 #: agents may rely on) fires equal-time events in scheduling order;
@@ -98,6 +98,50 @@ API_UNITS = {
     "post_at": {"arg0": "s"},
     "call_at": {"arg0": "s"},
 }
+
+
+class RunObserver:
+    """The engine's one seam for tooling: registered, never patched in.
+
+    Experiments construct their own simulators, so observers register
+    process-wide (:func:`add_run_observer`) and every :meth:`Simulator.run`
+    call reports to them — at its start and at its end, never per event.
+    Between the two an observer (or a thread it owns) may read the
+    simulator's ``now`` and ``events_processed``, both written per event.
+    Several observers may be registered at once and leave in any order.
+    """
+
+    def run_begin(
+        self, sim: "Simulator", until: Optional[float]
+    ) -> Optional[Dict[Any, List]]:
+        """``sim.run(until)`` is starting.
+
+        Return a dict to have this run's handlers timed into it (see
+        :meth:`Simulator.run`), ``None`` to leave the run untimed.
+        """
+        return None
+
+    def run_end(self, sim: "Simulator", until: Optional[float]) -> None:
+        """``sim.run(until)`` is returning (also when a handler raised)."""
+
+
+_run_observers: List[RunObserver] = []
+
+
+def add_run_observer(observer: RunObserver) -> None:
+    """Register ``observer`` for every run that starts from now on."""
+    _run_observers.append(observer)
+
+
+def remove_run_observer(observer: RunObserver) -> None:
+    """Unregister ``observer`` (no-op if it is not registered)."""
+    if observer in _run_observers:
+        _run_observers.remove(observer)
+
+
+def run_observers() -> Tuple[RunObserver, ...]:
+    """The registered observers, in registration order."""
+    return tuple(_run_observers)
 
 
 class Simulator:
@@ -187,61 +231,31 @@ class Simulator:
 
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the last event fired earlier, so back-to-back ``run``
-        segments observe a continuous clock.
+        segments observe a continuous clock.  A run cut short by
+        :meth:`stop` leaves the clock at the stopping event: entries
+        before ``until`` may still be queued, and the next segment must
+        not find them in its past.
+
+        This is the engine's only dispatch loop.  Registered
+        :class:`RunObserver` objects are consulted here, once per call;
+        when one of them hands back an accumulator every handler is
+        timed into it (``fn -> [count, seconds]``, :class:`Timer` ticks
+        charged to the wrapped callback, not to ``Timer._fire``) — one
+        ``acc is None`` test per event otherwise.  ``events_processed``
+        is written per event, so another thread may sample it mid-run.
         """
-        heap = self._heap
-        pop = heapq.heappop
-        limit = inf if until is None else until
-        self._running = True
-        processed = 0
-        try:
-            while heap and self._running:
-                entry = heap[0]
-                time = entry[0]
-                if time > limit:
-                    break
-                entry = pop(heap)
-                if len(entry) == 4:  # fire-and-forget fast path
-                    self.now = time
-                    processed += 1
-                    entry[2](*entry[3])
-                    continue
-                ev = entry[2]
-                if ev.cancelled:
-                    continue
-                self.now = time
-                processed += 1
-                ev.fn(*ev.args)
-        finally:
-            self._running = False
-            self.events_processed += processed
-        if until is not None and self.now < until:
-            self.now = until
-
-    def run_profiled(
-        self, until: Optional[float] = None, acc: Optional[Dict[Any, List]] = None
-    ) -> Dict[Any, List]:
-        """:meth:`run` with per-handler wall-clock attribution.
-
-        Semantically identical to :meth:`run`, but each event's handler
-        is timed with ``perf_counter`` and charged to ``acc``, a dict
-        mapping the handler's underlying function object to a mutable
-        ``[count, seconds]`` pair (pass the same dict across segments —
-        and across simulators — to accumulate).  :class:`Timer` ticks are
-        charged to the wrapped callback, not to ``Timer._fire``.
-
-        This is a separate method (rather than a flag on ``run``) so the
-        unprofiled loop keeps its zero-overhead inner body; the profiler
-        in :mod:`repro.obs.prof` swaps ``run`` for this one on install.
-        """
-        if acc is None:
-            acc = {}
         heap = self._heap
         pop = heapq.heappop
         timer_fire = Timer._fire
         limit = inf if until is None else until
+        observers = run_observers()
+        acc: Optional[Dict[Any, List]] = None
+        for ob in observers:
+            got = ob.run_begin(self, until)
+            if got is not None:
+                acc = got
+        processed = self.events_processed
         self._running = True
-        processed = 0
         try:
             while heap and self._running:
                 entry = heap[0]
@@ -249,15 +263,21 @@ class Simulator:
                 if time > limit:
                     break
                 entry = pop(heap)
-                if len(entry) == 4:
-                    fn, args = entry[2], entry[3]
+                if len(entry) == 4:  # fire-and-forget
+                    fn = entry[2]
+                    args = entry[3]
                 else:
                     ev = entry[2]
                     if ev.cancelled:
                         continue
-                    fn, args = ev.fn, ev.args
+                    fn = ev.fn
+                    args = ev.args
                 self.now = time
                 processed += 1
+                self.events_processed = processed
+                if acc is None:
+                    fn(*args)
+                    continue
                 t0 = perf_counter()
                 fn(*args)
                 dt = perf_counter() - t0
@@ -271,12 +291,12 @@ class Simulator:
                 else:
                     ent[0] += 1
                     ent[1] += dt
+            if self._running and until is not None and self.now < until:
+                self.now = until
         finally:
             self._running = False
-            self.events_processed += processed
-        if until is not None and self.now < until:
-            self.now = until
-        return acc
+            for ob in observers:
+                ob.run_end(self, until)
 
     def stop(self) -> None:
         """Abort :meth:`run` after the current event finishes."""

@@ -8,7 +8,7 @@ loss of *any* fragment loses the whole transport packet — the
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Optional
 
 from repro.obs import bus as OB
 from repro.sim.engine import Simulator
@@ -17,14 +17,6 @@ from repro.sim.queues import DropTailQueue
 
 #: Per-IP-fragment header bytes (IPv4 header repeated on each fragment).
 FRAG_HEADER = 20
-
-#: Tap event kinds (ns-2 letters; re-exported by :mod:`repro.sim.trace`).
-ENQUEUE = "+"
-DEQUEUE = "-"
-DROP = "d"
-
-#: A link tap: ``tap(kind, time, link, pkt)``.
-LinkTap = Callable[[str, float, "Link", Packet], None]
 
 
 class Link:
@@ -92,12 +84,10 @@ class Link:
         self.bytes_sent = 0
         self.pkts_sent = 0
         self.pkts_lost = 0
-        # observability: stable hook points (no monkey-patching needed).
-        # ``taps`` see every enqueue/dequeue/drop; the bus gets drop and
-        # queue high-water events.  Both paths are dormant-by-default:
-        # an empty tap list is one truthiness check, a disabled bus one
-        # attribute load.
-        self.taps: List[LinkTap] = []
+        # observability: the bus is the only trace path.  Drops and queue
+        # high-water marks go out while it is enabled, every enqueue and
+        # dequeue while a subscriber asked for the detail tier; dormant,
+        # each guard is one attribute load.
         self.bus = OB.default_bus()
         self._q_highwater = 0
 
@@ -117,25 +107,6 @@ class Link:
     def tx_time(self, pkt: Packet) -> float:
         return self.wire_size(pkt) * 8.0 / self.rate_bps
 
-    # -- observability hooks --------------------------------------------
-    def add_tap(self, tap: LinkTap) -> None:
-        """Register a packet-event tap (idempotent).
-
-        Equality comparison (not identity): bound methods compare equal
-        across accesses, so ``add_tap(obj.cb)`` / ``remove_tap(obj.cb)``
-        pair up naturally.
-        """
-        if tap not in self.taps:
-            self.taps.append(tap)
-
-    def remove_tap(self, tap: LinkTap) -> None:
-        self.taps = [t for t in self.taps if t != tap]
-
-    def _fire_taps(self, kind: str, pkt: Packet) -> None:
-        t = self.sim.now
-        for tap in self.taps:
-            tap(kind, t, self, pkt)
-
     # -- data path ------------------------------------------------------
     #
     # The transmitter is *lazy*: instead of an end-of-serialisation event
@@ -151,21 +122,18 @@ class Link:
         # sizes are positive) and, unlike its truth value, a plain load.
         if sim.now >= self._busy_until and not self.queue.bytes:
             # Idle wire: serialisation starts immediately.
-            if self.taps or self.bus.detail:
-                # Instrumented: emit the enqueue, then share _transmit
-                # with the drain path.  Same RNG draw sites either way.
-                if self.taps:
-                    self._fire_taps(ENQUEUE, pkt)
-                if self.bus.detail:
-                    self.bus.emit(
-                        OB.LINK_ENQ,
-                        sim.now,
-                        self.name,
-                        uid=pkt.uid,
-                        flow=pkt.flow,
-                        seq=getattr(pkt.payload, "seq", None),
-                        qlen=0,
-                    )
+            if self.bus.detail:
+                # Traced: emit the enqueue, then share _transmit with the
+                # drain path.  Same RNG draw sites either way.
+                self.bus.emit(
+                    OB.LINK_ENQ,
+                    sim.now,
+                    self.name,
+                    uid=pkt.uid,
+                    flow=pkt.flow,
+                    seq=getattr(pkt.payload, "seq", None),
+                    qlen=0,
+                )
                 self._transmit(pkt)
                 return True
             # Untraced fast path — the hottest lines in the simulator;
@@ -205,8 +173,6 @@ class Link:
                 sim.post(tx + self.delay, self.dst.receive, pkt)
             return True
         ok = self.queue.push(pkt)
-        if self.taps:
-            self._fire_taps(ENQUEUE if ok else DROP, pkt)
         bus = self.bus
         if bus.enabled:
             if not ok:
@@ -271,8 +237,6 @@ class Link:
         self._busy_until = now + tx
         self.bytes_sent += wire
         self.pkts_sent += 1
-        if self.taps:
-            self._fire_taps(DEQUEUE, pkt)
         bus = self.bus
         if bus.detail:
             bus.emit(

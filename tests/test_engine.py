@@ -94,6 +94,31 @@ def test_stop_aborts_run():
     assert seen == [1, 2]
 
 
+def test_stop_inside_run_until_leaves_clock_at_the_stop():
+    """``until`` is only reached when the run got there: after ``stop()``
+    live entries before ``until`` remain, and jumping past them made the
+    next segment run time backwards (now == 10, then now == 2)."""
+    sim = Simulator()
+    times = []
+    sim.schedule(1, sim.stop)
+    sim.schedule(2, lambda: times.append(sim.now))
+    sim.run(until=10)
+    assert sim.now == 1
+    assert sim.pending() == 1
+    sim.run(until=10)
+    assert times == [2]
+    assert sim.now == 10
+
+
+def test_events_processed_is_live_during_run():
+    sim = Simulator()
+    seen = []
+    for _ in range(3):
+        sim.post(0.1, lambda: seen.append(sim.events_processed))
+    sim.run()
+    assert seen == [1, 2, 3]
+
+
 def test_pending_counts_live_events():
     sim = Simulator()
     ev1 = sim.schedule(1.0, lambda: None)
@@ -218,3 +243,28 @@ def test_tie_break_rejects_unknown_order():
 
     with pytest.raises(ValueError):
         Simulator(tie_break="random")
+
+
+def test_nothing_under_src_patches_the_engine_or_walks_frames():
+    """Tooling registers a ``RunObserver`` (DESIGN.md, "Engine seam").
+
+    Replacing ``Simulator.run`` — on the class or on an instance — is how
+    two tools used to un-install each other, and digging the loop's
+    locals out of ``sys._current_frames()`` is how one of them counted
+    events; neither may come back anywhere under ``src/repro``.
+    """
+    import re
+    from pathlib import Path
+
+    import repro
+
+    banned = re.compile(
+        r"\.run\s*=[^=]|setattr\([^)]*[\"']run[\"']|_current_frames|f_locals"
+    )
+    hits = [
+        f"{path}:{n}: {line.strip()}"
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if banned.search(line)
+    ]
+    assert hits == []

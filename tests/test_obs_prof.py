@@ -1,18 +1,52 @@
 """Tests for the simulator hot-path profiler (repro.obs.prof)."""
 
+import importlib
+import io
 import json
 
 import pytest
 
-from repro.obs.prof import PROFILE_SCHEMA, SimProfiler, categorize, profile_simulators
-from repro.sim.engine import Simulator, Timer
+from repro.obs.prof import (
+    CATEGORY_MAP,
+    PROFILE_SCHEMA,
+    SimProfiler,
+    categorize,
+    profile_simulators,
+)
+from repro.sim.engine import (
+    RunObserver,
+    Simulator,
+    Timer,
+    add_run_observer,
+    remove_run_observer,
+    run_observers,
+)
 
 
-def _orig_run():
-    return Simulator.__dict__["run"]
+#: ``Simulator.run`` as imported — nothing may ever replace it.
+_IMPORT_TIME_RUN = Simulator.__dict__["run"]
+
+
+def _run_timed(sim, until=None, acc=None):
+    """``sim.run(until)`` with ``acc`` handed to it through the seam."""
+    acc = {} if acc is None else acc
+
+    class Timed(RunObserver):
+        def run_begin(self, sim, until):
+            return acc
+
+    ob = Timed()
+    add_run_observer(ob)
+    try:
+        sim.run(until)
+    finally:
+        remove_run_observer(ob)
+    return acc
 
 
 class TestRunProfiled:
+    """The timed branch of the one dispatch loop (was ``run_profiled``)."""
+
     def test_matches_run_semantics(self):
         sim = Simulator()
         seen = []
@@ -20,7 +54,7 @@ class TestRunProfiled:
         sim.schedule(0.1, seen.append, "a")
         ev = sim.schedule(0.2, seen.append, "b")
         ev.cancel()
-        acc = sim.run_profiled()
+        acc = _run_timed(sim)
         assert seen == ["a", "c"]
         assert sim.events_processed == 2
         assert sum(c for c, _ in acc.values()) == 2
@@ -29,17 +63,20 @@ class TestRunProfiled:
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
         sim.schedule(5.0, lambda: None)
-        sim.run_profiled(until=2.0)
+        _run_timed(sim, until=2.0)
         assert sim.now == 2.0
 
     def test_accumulator_shared_across_segments(self):
         sim = Simulator()
         acc = {}
         sim.schedule(0.1, lambda: None)
-        sim.run_profiled(until=1.0, acc=acc)
+        _run_timed(sim, until=1.0, acc=acc)
         sim.schedule(0.5, lambda: None)
-        sim.run_profiled(acc=acc)
-        assert sum(c for c, _ in acc.values()) == 2
+        _run_timed(sim, acc=acc)
+        other = Simulator()
+        other.post(0.1, lambda: None)
+        _run_timed(other, acc=acc)
+        assert sum(c for c, _ in acc.values()) == 3
 
     def test_timer_charged_to_wrapped_callback(self):
         sim = Simulator()
@@ -49,25 +86,55 @@ class TestRunProfiled:
             fired.append(sim.now)
 
         Timer(sim, my_handler).restart(0.5)
-        acc = sim.run_profiled()
+        acc = _run_timed(sim)
         assert fired == [0.5]
         assert my_handler in acc
         assert Timer._fire not in acc
 
+    def test_observers_told_once_per_run_even_when_a_handler_raises(self):
+        calls = []
+
+        class Log(RunObserver):
+            def run_begin(self, sim, until):
+                calls.append(("begin", until))
+
+            def run_end(self, sim, until):
+                calls.append(("end", until))
+
+        def boom():
+            raise ValueError("boom")
+
+        sim = Simulator()
+        sim.schedule(0.1, lambda: None)
+        sim.schedule(0.2, boom)
+        ob = Log()
+        add_run_observer(ob)
+        try:
+            with pytest.raises(ValueError):
+                sim.run(until=1.0)
+        finally:
+            remove_run_observer(ob)
+        assert calls == [("begin", 1.0), ("end", 1.0)]
+        assert sim.events_processed == 2
+        sim.run()  # unregistered: no further calls
+        assert len(calls) == 2
+
 
 class TestSimProfiler:
     def test_instance_install_and_uninstall(self):
-        sim = Simulator()
+        sim = Simulator()  # constructed *before* install
         prof = SimProfiler()
-        prof.install(sim)
+        prof.install()
         sim.schedule(0.1, lambda: None)
         sim.run()
         prof.uninstall()
         assert prof.events_total == 1
         assert prof.runs == 1
         assert prof.wall_seconds > 0
-        # uninstalled: instance attribute removed, class method again
         assert "run" not in vars(sim)
+        sim.schedule(0.1, lambda: None)
+        sim.run()  # uninstalled: not counted
+        assert prof.events_total == 1 and prof.runs == 1
 
     def test_class_install_captures_new_simulators(self):
         prof = SimProfiler()
@@ -77,19 +144,49 @@ class TestSimProfiler:
             sim.schedule(0.2, lambda: None)
             sim.run()
         assert prof.events_total == 2
-        assert Simulator.run is _orig_run()
+        assert run_observers() == ()
 
     def test_class_install_is_exclusive(self):
-        with profile_simulators():
+        with profile_simulators() as prof:
             with pytest.raises(RuntimeError):
                 SimProfiler().install()
-        assert Simulator.run is _orig_run()
+            assert prof.install() is prof  # re-installing oneself is a no-op
+            assert run_observers() == (prof,)
+        assert run_observers() == ()
 
     def test_uninstall_restores_after_exception(self):
         with pytest.raises(ValueError):
             with profile_simulators():
                 raise ValueError("boom")
-        assert Simulator.run is _orig_run()
+        assert run_observers() == ()
+
+    @pytest.mark.parametrize("profiler_leaves_first", [True, False])
+    def test_profiler_and_reporter_nest_in_either_exit_order(
+        self, profiler_leaves_first
+    ):
+        """Both tools register; neither replaces ``Simulator.run``, so
+        whichever leaves first cannot un-install the other."""
+        from repro.runner.progress import ProgressReporter
+
+        prof = SimProfiler().install()
+        rep = ProgressReporter("x", interval=60.0, out=io.StringIO()).start()
+        assert Simulator.__dict__["run"] is _IMPORT_TIME_RUN
+        sim = Simulator()
+        sim.post(0.1, list)
+        sim.run()
+        first, second = (
+            (prof.uninstall, rep.stop) if profiler_leaves_first
+            else (rep.stop, prof.uninstall)
+        )
+        first()
+        sim.post(0.1, list)
+        sim.run()  # the one still registered keeps seeing runs
+        second()
+        assert run_observers() == ()
+        assert Simulator.__dict__["run"] is _IMPORT_TIME_RUN
+        assert "run" not in vars(sim)
+        assert prof.events_total == (1 if profiler_leaves_first else 2)
+        assert rep.sample()["events"] == (2 if profiler_leaves_first else 1)
 
     def test_categories_merge_and_sort(self):
         prof = SimProfiler()
@@ -152,6 +249,15 @@ class TestCategorize:
         assert categorize(UdtCore._on_send_timer) == "cc.send_timer"
         assert categorize(UdtCore._on_syn_timer) == "cc.syn_timer"
 
+    def test_every_mapped_handler_exists(self):
+        """A renamed handler must not leave a dead key behind: its events
+        would silently fall out of their category."""
+        for module, qualname in CATEGORY_MAP:
+            obj = importlib.import_module(module)
+            for part in qualname.split("."):
+                obj = getattr(obj, part)
+            assert callable(obj), (module, qualname)
+
     def test_unknown_handler_falls_back_to_qualname(self):
         def my_fn():
             pass
@@ -171,12 +277,12 @@ class TestProfiledExperiment:
             f = start_udt_flow(top.net, top.src, top.dst, flow_id="p")
             if profiled:
                 prof = SimProfiler()
-                with prof.activate(top.net.sim):
+                with prof.activate():
                     top.net.run(until=2.0)
                 assert prof.events_total > 100
                 assert prof.categories()[0]["events"] > 0
             else:
                 top.net.run(until=2.0)
-            return f.receiver.delivered_bytes
+            return f.receiver.delivered_bytes, top.net.sim.events_processed
 
         assert run_flow(False) == run_flow(True)

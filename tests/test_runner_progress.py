@@ -1,8 +1,8 @@
 """Live sweep telemetry: worker heartbeats, the progress board, the feed.
 
-The reporter is tested against a real engine run (the frame-inspection
-event counter has no other honest test) and with a stub simulator for
-the rate/ETA arithmetic; the board and ``read_progress`` are pure
+The reporter is tested against real engine runs (the live event count
+is read from another thread while ``run()`` is on the stack) and with a
+stub simulator for the rate/ETA arithmetic; the board and ``read_progress`` are pure
 record-folding and test directly.  The end-to-end ``sweep --progress``
 path (subprocess pipe included) lives in the slow tier with the other
 subprocess sweeps.
@@ -37,13 +37,18 @@ def _tiny_run():
 
 class TestReporter:
     def test_patch_is_restored(self):
+        """There is no patch any more: the reporter registers with the
+        engine, ``Simulator.run`` stays the import-time function and the
+        registration is gone after exit."""
         from repro.sim import engine
 
-        orig = engine.Simulator.run
+        orig = engine.Simulator.__dict__["run"]
         rep = ProgressReporter("x", interval=10.0, out=io.StringIO())
         with rep:
-            assert engine.Simulator.run is not orig
-        assert engine.Simulator.run is orig
+            assert engine.Simulator.__dict__["run"] is orig
+            assert engine.run_observers() == (rep,)
+        assert engine.Simulator.__dict__["run"] is orig
+        assert engine.run_observers() == ()
 
     def test_double_start_rejected(self):
         rep = ProgressReporter("x", interval=10.0, out=io.StringIO())
@@ -61,6 +66,54 @@ class TestReporter:
         assert rec["events"] == sim1.events_processed + sim2.events_processed
         assert rec["events"] > 1000
         assert "vt" not in rec  # no simulator running at sample time
+
+    def test_live_event_count_needs_no_frame_access(self, monkeypatch):
+        """Heartbeats sampled from another thread during ONE long run()
+        show the count climbing — read off the simulator, with frame
+        walking made impossible."""
+        import sys
+        import threading
+
+        from repro.sim.engine import Simulator
+
+        def no_frames():
+            raise AssertionError("the sampler must not walk frames")
+
+        monkeypatch.setattr(sys, "_current_frames", no_frames)
+        rep = ProgressReporter("x", interval=60.0, out=io.StringIO())
+        sim = Simulator()
+        samples = []
+        wake_main = threading.Event()
+        wake_sampler = threading.Event()
+
+        def sampler():
+            for _ in range(5):
+                wake_sampler.wait(timeout=10.0)
+                wake_sampler.clear()
+                samples.append(rep.sample())
+                wake_main.set()
+
+        def tick(n):
+            if n % 1000 == 0 and len(samples) < 5:
+                wake_main.clear()
+                wake_sampler.set()
+                wake_main.wait(timeout=10.0)
+            if n < 10_000:
+                sim.post(1e-3, tick, n + 1)
+
+        thread = threading.Thread(target=sampler, daemon=True)
+        with rep:
+            thread.start()
+            sim.post(0.0, tick, 1)
+            sim.run(until=100.0)
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        events = [rec["events"] for rec in samples]
+        assert events == [1000, 2000, 3000, 4000, 5000]
+        assert all(rec["vt_end"] == 100.0 for rec in samples)
+        vts = [rec["vt"] for rec in samples]
+        assert vts == sorted(vts) and vts[0] > 0
+        assert rep.sample()["events"] == sim.events_processed == 10_000
 
     def test_rate_and_eta_from_stub_sim(self):
         class Stub:

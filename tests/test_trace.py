@@ -1,96 +1,99 @@
-"""Tests for the tracing module (+ trace-validated protocol behaviour)."""
+"""Packet-level protocol facts, read off the bus detail tier.
 
-import io
+The detail tier (``link.enq`` / ``link.deq`` per hop, beside the always-on
+``link.drop`` / ``queue.highwater``) is the only packet trace path; these
+tests subscribe to it the way any tool would and pin what the wire must
+show: every accepted packet leaves exactly once, overflow is accounted
+for, probe pairs leave back to back (§3.4), a burst parks in the queue.
+"""
 
 import pytest
 
+from repro.obs import bus as OB
 from repro.sim.topology import path_topology
-from repro.sim.trace import DEQUEUE, DROP, ENQUEUE, PacketTracer, QueueSampler
 from repro.sim.udp import UdpEndpoint
 from repro.udt import start_udt_flow
 
+PACKET_KINDS = (OB.LINK_ENQ, OB.LINK_DEQ, OB.LINK_DROP)
 
-def test_every_packet_enqueued_then_dequeued():
-    top = path_topology(10e6, 0.01)
-    tracer = PacketTracer()
-    tracer.attach(top.bottleneck)
+
+@pytest.fixture
+def wire():
+    """``wire(link)`` -> the list that link's packet events collect in.
+
+    Links share the process-wide bus and name themselves in ``src``; every
+    subscription is dropped again after the test.
+    """
+    bus = OB.default_bus()
+    subs = []
+
+    def watch(link=None):
+        events = []
+
+        def on_event(ev):
+            if link is None or ev.src == link.name:
+                events.append(ev)
+
+        subs.append(bus.subscribe(on_event, kinds=PACKET_KINDS, detail=True))
+        return events
+
+    watch.subs = subs
+    yield watch
+    for sub in subs:
+        bus.unsubscribe(sub)
+
+
+def _kind(events, kind):
+    return [e for e in events if e.kind == kind]
+
+
+def _udp_pair(top):
     a = UdpEndpoint(top.src, 1)
     b = UdpEndpoint(top.dst, 2)
+    return a, b
+
+
+def test_every_packet_enqueued_then_dequeued(wire):
+    top = path_topology(10e6, 0.01)
+    events = wire(top.bottleneck)
+    a, b = _udp_pair(top)
     for i in range(20):
         top.net.sim.schedule(i * 0.01, a.sendto, i, 1000, b.address)
     top.net.run(until=2.0)
-    assert len(tracer.of_kind(ENQUEUE)) == 20
-    assert len(tracer.of_kind(DEQUEUE)) == 20
-    assert not tracer.drops()
+    enq, deq = _kind(events, OB.LINK_ENQ), _kind(events, OB.LINK_DEQ)
+    assert len(enq) == 20
+    assert [e.fields["uid"] for e in deq] == [e.fields["uid"] for e in enq]
+    assert all(d.t >= e.t for e, d in zip(enq, deq))
+    assert not _kind(events, OB.LINK_DROP)
 
 
-def test_drops_recorded_on_overflow():
+def test_drops_recorded_on_overflow(wire):
     top = path_topology(1e6, 0.01, queue_pkts=4)
-    tracer = PacketTracer()
-    tracer.attach(top.bottleneck)
-    a = UdpEndpoint(top.src, 1)
-    b = UdpEndpoint(top.dst, 2)
+    events = wire(top.bottleneck)
+    a, b = _udp_pair(top)
     for i in range(50):
         a.sendto(i, 1000, b.address)
     top.net.run(until=2.0)
-    drops = len(tracer.drops())
-    accepted = len(tracer.of_kind(ENQUEUE))
-    assert accepted + drops == 50  # every packet accounted for
-    assert 30 <= drops <= 46  # queue 4 + slots freed during the burst
+    drops = _kind(events, OB.LINK_DROP)
+    accepted = _kind(events, OB.LINK_ENQ)
+    assert len(accepted) + len(drops) == 50  # every packet accounted for
+    assert 30 <= len(drops) <= 46  # queue 4 + slots freed during the burst
+    assert {e.fields["reason"] for e in drops} == {"queue"}
+    assert len(_kind(events, OB.LINK_DEQ)) == len(accepted)
+    assert max(e.fields["qlen"] for e in accepted) == 4
 
 
-def test_trace_text_format():
-    top = path_topology(10e6, 0.01)
-    tracer = PacketTracer()
-    tracer.attach(top.bottleneck)
-    a = UdpEndpoint(top.src, 1)
-    b = UdpEndpoint(top.dst, 2)
-    a.sendto("x", 500, b.address)
-    top.net.run(until=1.0)
-    buf = io.StringIO()
-    n = tracer.write(buf)
-    assert n == len(tracer.events)
-    line = buf.getvalue().splitlines()[0]
-    assert line.startswith("+ ")
-    assert str(500 + 28) in line
-
-
-def test_attach_idempotent():
-    top = path_topology(10e6, 0.01)
-    tracer = PacketTracer()
-    tracer.attach(top.bottleneck)
-    tracer.attach(top.bottleneck)
-    a = UdpEndpoint(top.src, 1)
-    b = UdpEndpoint(top.dst, 2)
-    a.sendto("x", 500, b.address)
-    top.net.run(until=1.0)
-    assert len(tracer.of_kind(ENQUEUE)) == 1  # not double-counted
-
-
-def test_event_limit_respected():
-    tracer = PacketTracer(limit=5)
-    top = path_topology(10e6, 0.01)
-    tracer.attach(top.bottleneck)
-    a = UdpEndpoint(top.src, 1)
-    b = UdpEndpoint(top.dst, 2)
-    for i in range(50):
-        a.sendto(i, 1000, b.address)
-    top.net.run(until=2.0)
-    assert len(tracer.events) == 5
-
-
-def test_probe_pair_spacing_on_the_wire():
-    """Trace-validated §3.4: pair packets leave the bottleneck
-    back-to-back (their dequeue spacing equals the serialisation time,
-    not the sending period)."""
+def test_probe_pair_spacing_on_the_wire(wire):
+    """§3.4: pair packets leave the bottleneck back-to-back (their
+    dequeue spacing equals the serialisation time, not the sending
+    period)."""
     top = path_topology(50e6, 0.02)
-    tracer = PacketTracer()
-    tracer.attach(top.bottleneck)
-    f = start_udt_flow(top.net, top.src, top.dst)
+    events = wire(top.bottleneck)
+    start_udt_flow(top.net, top.src, top.dst)
     top.net.run(until=3.0)
-    # Gather dequeue times of full-size data packets, in order.
+    # Dequeue times of data packets (control packets carry no seq), in order.
     times = [
-        e.time for e in tracer.of_kind(DEQUEUE) if e.size >= 1500
+        e.t for e in _kind(events, OB.LINK_DEQ) if e.fields["seq"] is not None
     ]
     gaps = [b - a for a, b in zip(times, times[1:])]
     tx_time = 1500 * 8 / 50e6
@@ -100,112 +103,80 @@ def test_probe_pair_spacing_on_the_wire():
     assert len(wire_rate_gaps) > len(times) / 40  # ~1 of 16 + slack
 
 
-def test_queue_sampler():
-    top = path_topology(5e6, 0.01, queue_pkts=50)
-    sampler = QueueSampler(top.net.sim, top.bottleneck, interval=0.01)
-    a = UdpEndpoint(top.src, 1)
-    b = UdpEndpoint(top.dst, 2)
-    for i in range(40):
-        a.sendto(i, 1000, b.address)
-    top.net.run(until=1.0)
-    assert sampler.max_occupancy() > 10
-    assert 0 < sampler.mean_occupancy() < 50
-    with pytest.raises(ValueError):
-        QueueSampler(top.net.sim, top.bottleneck, interval=0)
-
-
-def test_detach_restores_link():
+def test_detach_restores_link(wire):
+    """Unsubscribing puts the links back on their dormant path; a later
+    subscriber picks the wire up again."""
     top = path_topology(10e6, 0.01)
-    tracer = PacketTracer()
-    tracer.attach(top.bottleneck)
-    a = UdpEndpoint(top.src, 1)
-    b = UdpEndpoint(top.dst, 2)
+    bus = top.bottleneck.bus
+    a, b = _udp_pair(top)
+    events = wire(top.bottleneck)
     a.sendto("x", 500, b.address)
     top.net.run(until=0.5)
-    seen = len(tracer.events)
-    assert seen > 0
-    tracer.detach(top.bottleneck)
-    assert top.bottleneck.taps == []
+    seen = len(events)
+    assert seen > 0 and bus.detail
+    bus.unsubscribe(wire.subs.pop())
+    assert not bus.detail and not bus.enabled
     a.sendto("y", 500, b.address)
     top.net.run(until=1.0)
-    assert len(tracer.events) == seen  # nothing recorded after detach
-    # re-attach works after a detach
-    tracer.attach(top.bottleneck)
+    assert len(events) == seen  # nothing recorded after unsubscribing
+    again = wire(top.bottleneck)
     a.sendto("z", 500, b.address)
     top.net.run(until=1.5)
-    assert len(tracer.events) > seen
+    assert len(events) == seen and len(again) == seen
 
 
-def test_tracer_context_manager_detaches_all():
+def test_detach_all_with_multiple_links(wire):
+    """One subscription hears every link of the path, told apart by
+    ``src``; dropping it silences all of them at once."""
     top = path_topology(10e6, 0.01)
-    a = UdpEndpoint(top.src, 1)
-    b = UdpEndpoint(top.dst, 2)
-    with PacketTracer() as tracer:
-        tracer.attach(top.bottleneck)
-        a.sendto("x", 500, b.address)
-        top.net.run(until=0.5)
-        assert tracer.attached_links == [top.bottleneck]
-    assert top.bottleneck.taps == []
-    n = len(tracer.events)
+    names = {l.name for l in top.net.links.values()}
+    a, b = _udp_pair(top)
+    events = wire()
+    a.sendto("x", 500, b.address)
+    top.net.run(until=0.5)
+    forward = {e.src for e in _kind(events, OB.LINK_DEQ)}
+    assert top.bottleneck.name in forward and len(forward) > 1
+    assert forward <= names
+    seen = len(events)
+    OB.default_bus().unsubscribe(wire.subs.pop())
     a.sendto("y", 500, b.address)
     top.net.run(until=1.0)
-    assert len(tracer.events) == n
-
-
-def test_detach_all_with_multiple_links():
-    top = path_topology(10e6, 0.01)
-    links = list(top.net.links.values())
-    tracer = PacketTracer()
-    for l in links:
-        tracer.attach(l)
-    tracer.detach()
-    assert tracer.attached_links == []
-    assert all(l.taps == [] for l in links)
+    assert len(events) == seen
 
 
 class TestQueueSampler:
-    def test_tick_scheduling_count(self):
-        top = path_topology(10e6, 0.01)
-        sampler = QueueSampler(top.net.sim, top.bottleneck, interval=0.1)
-        top.net.run(until=1.05)
-        # one sample at t=0 plus one per 0.1 s tick
-        assert len(sampler.samples) == 11
-        times = [t for t, _, _ in sampler.samples]
-        assert times == pytest.approx([i * 0.1 for i in range(11)])
+    """Queue occupancy as ``link.enq.qlen`` reports it (the name predates
+    the bus: the sampler is a subscriber now, not a timer)."""
 
-    def test_empty_queue_statistics(self):
+    def test_empty_queue_statistics(self, wire):
+        """Packets that find the wire idle never stand in the queue."""
         top = path_topology(10e6, 0.01)
-        sampler = QueueSampler(top.net.sim, top.bottleneck, interval=0.1)
-        top.net.run(until=1.0)
-        assert sampler.max_occupancy() == 0
-        assert sampler.mean_occupancy() == 0.0
+        events = wire(top.bottleneck)
+        highwater = []
+        sub = top.bottleneck.bus.subscribe(
+            highwater.append, kinds=[OB.QUEUE_HIGHWATER]
+        )
+        wire.subs.append(sub)
+        a, b = _udp_pair(top)
+        for i in range(10):
+            top.net.sim.schedule(i * 0.1, a.sendto, i, 1000, b.address)
+        top.net.run(until=1.5)
+        enq = _kind(events, OB.LINK_ENQ)
+        assert len(enq) == 10
+        assert {e.fields["qlen"] for e in enq} == {0}
+        assert not [e for e in highwater if e.src == top.bottleneck.name]
 
-    def test_no_samples_statistics(self):
-        top = path_topology(10e6, 0.01)
-        sampler = QueueSampler(top.net.sim, top.bottleneck, interval=0.1)
-        sampler.samples.clear()
-        assert sampler.max_occupancy() == 0
-        assert sampler.mean_occupancy() == 0.0
-
-    def test_bursty_queue_seen_by_sampler(self):
+    def test_bursty_queue_seen_by_sampler(self, wire):
         top = path_topology(1e6, 0.01, queue_pkts=100)
-        sampler = QueueSampler(top.net.sim, top.bottleneck, interval=0.001)
-        a = UdpEndpoint(top.src, 1)
-        b = UdpEndpoint(top.dst, 2)
+        events = wire(top.bottleneck)
+        a, b = _udp_pair(top)
         for i in range(50):  # 50 x 1000B burst into a 1 Mb/s link
             a.sendto(i, 1000, b.address)
         top.net.run(until=0.5)
-        assert sampler.max_occupancy() >= 40  # burst parked in the queue
-        assert 0 < sampler.mean_occupancy() < sampler.max_occupancy()
+        qlens = [e.fields["qlen"] for e in _kind(events, OB.LINK_ENQ)]
+        assert max(qlens) >= 40  # burst parked in the queue
+        assert 0 < sum(qlens) / len(qlens) < max(qlens)
+        assert not _kind(events, OB.LINK_DROP)
         # drains to empty by the end
-        assert sampler.samples[-1][1] == 0
-
-    def test_stop_cancels_tick(self):
-        top = path_topology(10e6, 0.01)
-        sampler = QueueSampler(top.net.sim, top.bottleneck, interval=0.1)
-        top.net.run(until=0.35)
-        sampler.stop()
-        n = len(sampler.samples)
-        top.net.run(until=2.0)
-        assert len(sampler.samples) == n
-        sampler.stop()  # idempotent
+        assert len(_kind(events, OB.LINK_DEQ)) == 50
+        assert len(top.bottleneck.queue) == 0
