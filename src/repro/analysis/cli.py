@@ -98,12 +98,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "(default: jsonl)",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not update the incremental lint cache "
-        "(analysis/.lintcache.json); full-rule runs use it by default",
-    )
-    parser.add_argument(
         "--conformance",
         action="append",
         default=[],
@@ -121,9 +115,10 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _parse_overrides(
+def parse_overrides(
     items: List[str], parser: Optional[argparse.ArgumentParser] = None
 ) -> Dict[str, Any]:
+    """``--set KEY=VALUE`` items as runner kwargs (literals, else strings)."""
     kwargs: Dict[str, Any] = {}
     for item in items:
         if "=" not in item:
@@ -154,19 +149,9 @@ def run_lint(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if not root.is_dir():
         parser.error(f"not a directory: {root}")
 
-    # The incremental cache only serves full-rule runs over the default
-    # root — a --rule or --root selection would poison its entries.
-    cache = None
-    if rules is None and args.root is None and not getattr(args, "no_cache", False):
-        from repro.analysis.lintcache import open_cache
-
-        cache = open_cache(repo_root(), root)
-
     t0 = time.perf_counter()
-    findings = run_checkers(root, all_checkers(), rules=rules, cache=cache)
+    findings = run_checkers(root, all_checkers(), rules=rules)
     elapsed = time.perf_counter() - t0
-    if cache is not None:
-        cache.save()
 
     conform_reports = _run_conformance(args, parser)
 
@@ -196,7 +181,7 @@ def run_lint(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
             sanitizer = DeterminismSanitizer(
                 args.sanitize,
-                overrides=_parse_overrides(args.overrides, parser),
+                overrides=parse_overrides(args.overrides, parser),
                 trace_format=args.sanitize_format,
             )
             sanitize_result = sanitizer.run()
@@ -209,11 +194,6 @@ def run_lint(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 "findings": len(findings),
                 "gate_passed": gate_passed,
                 "elapsed_s": round(elapsed, 3),
-                "cache": (
-                    {"hits": cache.hits, "misses": cache.misses}
-                    if cache is not None
-                    else None
-                ),
             },
         )
         if conform_reports is not None:
@@ -230,8 +210,6 @@ def run_lint(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     for f in findings:
         print(f.format())
     notes = f", rules {','.join(sorted(rules))}" if rules else ""
-    if cache is not None:
-        notes += f", cache {cache.hits} hit/{cache.misses} analysed"
     print(f"[lint: {len(findings)} finding(s){notes}, {elapsed:.2f}s]")
     for r in conform_reports or ():
         print(r.format())
@@ -314,7 +292,7 @@ def _run_worker(args: argparse.Namespace) -> int:
     run_worker(
         args.worker,
         args.worker_trace,
-        _parse_overrides(args.overrides),
+        parse_overrides(args.overrides),
         args.worker_packets,
     )
     return 0

@@ -175,23 +175,6 @@ class Checker:
         """Per-module findings (suppressions applied by the driver)."""
         return ()
 
-    def module_summary(self, ctx: ModuleContext) -> Any:
-        """JSON-serialisable per-module facts for the incremental cache.
-
-        Called right after :meth:`check_module`.  Whatever it returns is
-        cached alongside the module's findings; on a later run where the
-        file is unchanged, :meth:`consume_summary` is fed the cached value
-        *instead of* re-running ``check_module``.  Checkers whose
-        :meth:`finalize` depends on cross-module state collected during
-        ``check_module`` MUST route that state through this pair, or the
-        cache would silently starve ``finalize``.  Purely per-module
-        checkers return ``None`` (the default) — nothing to replay.
-        """
-        return None
-
-    def consume_summary(self, relpath: str, summary: Any) -> None:
-        """Replay a cached :meth:`module_summary` value for ``relpath``."""
-
     def finalize(self) -> Iterable[Finding]:
         """Whole-project findings, after every module has been seen."""
         return ()
@@ -223,56 +206,27 @@ def run_checkers(
     root: Path,
     checkers: Sequence[Checker],
     rules: Optional[Sequence[str]] = None,
-    cache: Optional["ModuleCache"] = None,
 ) -> List[Finding]:
     """Run ``checkers`` over every module under ``root``.
 
     ``rules`` filters to a subset of rule ids (suppression comments and
     parse errors always apply).  Findings come back sorted by
     (path, line, rule) with suppressed ones removed.
-
-    ``cache`` (see :mod:`repro.analysis.lintcache`) short-circuits
-    unchanged files: their cached post-suppression findings are reused
-    and their cached :meth:`Checker.module_summary` values replayed via
-    :meth:`Checker.consume_summary`, so cross-module ``finalize`` passes
-    still see the whole project.  The caller is responsible for only
-    passing a cache when the checker selection matches the one the cache
-    was built with (the CLI keys the cache to full-rule runs).
     """
     selected = [c for c in checkers if rules is None or c.rule in rules]
     findings: List[Finding] = []
-    contexts_seen = 0
     for path in iter_python_files(root):
-        relpath = path.relative_to(root).as_posix()
-        if cache is not None:
-            entry = cache.lookup(path, relpath)
-            if entry is not None:
-                findings.extend(Finding.from_dict(d) for d in entry["findings"])
-                summaries = entry["summaries"]
-                for checker in selected:
-                    if checker.rule in summaries:
-                        checker.consume_summary(relpath, summaries[checker.rule])
-                continue
         ctx, parse_err = load_module(root, path)
         if parse_err is not None:
             findings.append(parse_err)
             continue
         assert ctx is not None
-        contexts_seen += 1
-        module_findings: List[Finding] = []
-        module_summaries: Dict[str, Any] = {}
         for checker in selected:
             if not checker.interested(ctx):
                 continue
             for f in checker.check_module(ctx):
                 if not ctx.suppressed(f.rule, f.line):
-                    module_findings.append(f)
-            summary = checker.module_summary(ctx)
-            if summary is not None:
-                module_summaries[checker.rule] = summary
-        findings.extend(module_findings)
-        if cache is not None:
-            cache.store(path, relpath, module_findings, module_summaries)
+                    findings.append(f)
     # Whole-project passes (suppressions were applied per-module by the
     # checkers via ctx.suppressed where relevant; finalize findings are
     # synthesized from cross-module state and carry their own locations).

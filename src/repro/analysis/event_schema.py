@@ -172,8 +172,6 @@ class EventSchemaChecker(Checker):
         self._consts = _bus_constants()
         self._emits: List[_EmitSite] = []
         self._consumptions: List[_Consumption] = []
-        self._deferred: List[Finding] = []
-        self._summaries: Dict[str, Optional[dict]] = {}
         self._catalog_relpath = "obs/catalog.py"
         # Catalog-hygiene findings (declared-but-never-emitted) only make
         # sense when the walked tree is the real repro package; partial
@@ -192,16 +190,7 @@ class EventSchemaChecker(Checker):
         return None
 
     def check_module(self, ctx: ModuleContext) -> Iterable[Finding]:
-        summary = self._extract(ctx)
-        self._summaries[ctx.relpath] = summary
-        if summary is not None:
-            self.consume_summary(ctx.relpath, summary)
-        return ()
-
-    def _extract(self, ctx: ModuleContext) -> Optional[dict]:
-        """Per-module facts as a JSON-serialisable cacheable summary."""
-        emits: List[list] = []
-        consumptions: List[list] = []
+        """Record this module's emit and consumer sites for :meth:`finalize`."""
         # Producers: any module under src/repro.
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -216,54 +205,38 @@ class EventSchemaChecker(Checker):
                 continue  # runtime-variable kind: the wrapper's own body
             if ctx.suppressed(RULE, node.lineno):
                 continue
-            keys = sorted(kw.arg for kw in node.keywords if kw.arg is not None)
-            dynamic = any(kw.arg is None for kw in node.keywords)
-            emits.append([kind, node.lineno, node.col_offset, keys, dynamic])
+            self._emits.append(
+                _EmitSite(
+                    kind=kind,
+                    path=ctx.relpath,
+                    line=node.lineno,
+                    col=node.col_offset,
+                    keys=frozenset(
+                        kw.arg for kw in node.keywords if kw.arg is not None
+                    ),
+                    dynamic=any(kw.arg is None for kw in node.keywords),
+                )
+            )
         # Consumers: the three obs consumer modules.
         if ctx.relpath in CONSUMER_MODULES:
             visitor = _ConsumerVisitor(self._consts, set(self._catalog))
             visitor.visit(ctx.tree)
             for kind, key, node in visitor.accesses:
-                if ctx.suppressed(RULE, getattr(node, "lineno", 0)):
+                line = getattr(node, "lineno", 0)
+                if ctx.suppressed(RULE, line):
                     continue
-                consumptions.append(
-                    [
-                        kind,
-                        key,
-                        getattr(node, "lineno", 0),
-                        getattr(node, "col_offset", 0),
-                    ]
+                self._consumptions.append(
+                    _Consumption(
+                        kind=kind,
+                        key=key,
+                        path=ctx.relpath,
+                        line=line,
+                        col=getattr(node, "col_offset", 0),
+                    )
                 )
-        is_catalog = ctx.relpath == self._catalog_relpath
-        if not emits and not consumptions and not is_catalog:
-            return None
-        return {
-            "emits": emits,
-            "consumptions": consumptions,
-            "catalog": is_catalog,
-        }
-
-    def module_summary(self, ctx: ModuleContext) -> Optional[dict]:
-        return self._summaries.pop(ctx.relpath, None)
-
-    def consume_summary(self, relpath: str, summary: dict) -> None:
-        if summary.get("catalog"):
+        if ctx.relpath == self._catalog_relpath:
             self._saw_catalog = True
-        for kind, line, col, keys, dynamic in summary.get("emits", ()):
-            self._emits.append(
-                _EmitSite(
-                    kind=kind,
-                    path=relpath,
-                    line=line,
-                    col=col,
-                    keys=frozenset(keys),
-                    dynamic=dynamic,
-                )
-            )
-        for kind, key, line, col in summary.get("consumptions", ()):
-            self._consumptions.append(
-                _Consumption(kind=kind, key=key, path=relpath, line=line, col=col)
-            )
+        return ()
 
     def finalize(self) -> Iterable[Finding]:
         findings: List[Finding] = []

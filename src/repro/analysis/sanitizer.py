@@ -23,9 +23,8 @@ re-walks the records to pinpoint the first divergent event with its
 surrounding context (the qlog-ish equivalent of a sanitizer stack
 trace).  A clean experiment produces identical streams.
 
-Fresh subprocesses matter: ``PYTHONHASHSEED`` is fixed at interpreter
-start, and process-global counters (wire-packet uids, default flow ids)
-must start from the same state in both runs.  The worker entry point is
+Each run is a subprocess because ``PYTHONHASHSEED`` is fixed at
+interpreter start.  The worker entry point is
 ``python -m repro.analysis --worker <exp>`` (see ``__main__.py``).
 """
 

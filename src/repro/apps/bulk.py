@@ -54,7 +54,7 @@ class UdpBlast:
         #: known source wake-ups" from "a packet is still in flight".
         self._posts = 1
         net.sim.schedule_at(self._next_on, self._fire_start)
-        fluid = getattr(net, "fluid", None)
+        fluid = net.fluid
         if fluid is not None:
             fluid.register_source(self)
 

@@ -68,17 +68,9 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         from repro.sim.fluid import FIDELITY_ENV
 
         os.environ[FIDELITY_ENV] = args.fidelity
-    kwargs = {}
-    for item in getattr(args, "overrides", []):
-        if "=" not in item:
-            parser.error(f"--set expects KEY=VALUE, got {item!r}")
-        key, _, raw = item.partition("=")
-        try:
-            import ast
+    from repro.analysis.cli import parse_overrides
 
-            kwargs[key] = ast.literal_eval(raw)
-        except (ValueError, SyntaxError):
-            kwargs[key] = raw
+    kwargs = parse_overrides(getattr(args, "overrides", []), parser)
 
     ids = (
         [e.exp_id for e in list_experiments()]

@@ -212,7 +212,8 @@ CATALOG: Dict[str, EventSpec] = {
         ),
         _spec(
             OB.LINK_ENQ,
-            "a link accepted a packet for transmission (src = link name)",
+            "a link accepted a packet for transmission (src = link name; "
+            "uid = wire-packet id, unique per simulation)",
             required="uid flow seq qlen",
             detail=True,
         ),

@@ -93,11 +93,6 @@ class MetricSpec:
     hybrid: bool = True
     hybrid_tolerance: Optional[float] = None
 
-    def allowed_delta(self, reference: float) -> float:
-        if self.relative:
-            return self.tolerance * abs(reference)
-        return self.tolerance
-
 
 @dataclass(frozen=True)
 class FigureSpec:

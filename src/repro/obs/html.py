@@ -427,12 +427,6 @@ def _code_health_card(status: Dict[str, Any]) -> str:
     if isinstance(lint, dict):
         badge = _badge(bool(lint.get("gate_passed")), bad_text="✗ findings")
         bits = [f"{lint.get('findings', 0)} finding(s)"]
-        cache = lint.get("cache")
-        if isinstance(cache, dict):
-            bits.append(
-                f"cache {cache.get('hits', 0)} hit/"
-                f"{cache.get('misses', 0)} analysed"
-            )
         elapsed = lint.get("elapsed_s")
         if isinstance(elapsed, (int, float)):
             bits.append(f"{elapsed:.2f}s")

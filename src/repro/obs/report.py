@@ -140,10 +140,3 @@ def render_report(spanset: SpanSet, top_chains: int = 6) -> str:
             for reason, n in sorted(by_cause.items()):
                 lines.append(f"  {link:<16s} {reason:<7s} {n}")
     return "\n".join(lines)
-
-
-def render_report_from_file(path: str, kinds: Optional[List[str]] = None) -> str:
-    """Convenience: read a trace file and render its report."""
-    from repro.obs.spans import build_spans
-
-    return render_report(build_spans(path))

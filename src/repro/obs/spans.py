@@ -13,7 +13,7 @@ trace:
 
 * ``seq`` — the transport sequence number (``pkt.snd`` / ``pkt.rcv`` /
   ``link.*`` events carry it for data packets);
-* ``uid`` — the wire-packet id, unique per datagram, used to pair each
+* ``uid`` — the wire-packet id, unique per simulation, used to pair each
   link's enqueue with its dequeue for time-in-queue;
 * ``flow`` — the connection's flow id stamped on wire packets, matching
   the ``<flow>-snd`` / ``<flow>-rcv`` endpoint ``src`` names.

@@ -3,10 +3,11 @@
 The parent process computes each experiment's digest, answers what it can
 from the :class:`~repro.runner.cache.ResultCache`, and fans the misses
 out to worker subprocesses (``python -m repro.runner --worker``), at most
-``--jobs`` in flight at once.  One fresh interpreter per experiment means
-workers share no RNG, event-bus or module state — results and traces are
-byte-identical whatever ``--jobs`` is, and a crash in one experiment
-cannot poison another.
+``--jobs`` in flight at once.  Subprocesses are the sweep's parallelism
+and its crash isolation: a crash in one experiment cannot poison
+another.  Determinism does not depend on them — every id and the RNG
+belong to the run's own ``Simulator``/``Network`` — so results and traces
+are byte-identical whatever ``--jobs`` is.
 
 After the run the sweep merge-updates ``benchmarks/results/
 BENCH_runtime.json``: per-experiment wall times go under ``runtimes``

@@ -181,6 +181,8 @@ class Simulator:
         self._counter = itertools.count()
         self._running = False
         self.rng = random.Random(seed)
+        #: Wire-packet uids: whoever puts a packet on the wire draws one.
+        self.packet_uids = itertools.count()
         self.events_processed = 0
 
     # -- scheduling ----------------------------------------------------

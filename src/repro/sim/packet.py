@@ -4,18 +4,17 @@ A packet is a lightweight slotted record; the transport-protocol message it
 carries lives in ``payload`` (an arbitrary object owned by the protocol
 layer, e.g. a :class:`repro.udt.packets.DataPacket`).  ``size`` is the full
 on-wire size in bytes including all headers — links serialise by size only
-and never look inside the payload.
+and never look inside the payload.  ``uid`` is drawn from the simulator's
+``packet_uids`` by whoever puts the packet on the wire; a packet built by
+hand has none.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Optional, Tuple
 
 #: IPv4 (20 B) + UDP (8 B) header overhead added by the datagram service.
 IP_UDP_HEADER = 28
-
-_packet_ids = itertools.count()
 
 Address = Tuple[int, int]  # (node id, port)
 
@@ -40,10 +39,11 @@ class Packet:
         payload: Any = None,
         flow: Optional[int] = None,
         created: float = 0.0,
+        uid: Optional[int] = None,
     ):
         if size <= 0:
             raise ValueError(f"packet size must be positive, got {size}")
-        self.uid = next(_packet_ids)
+        self.uid = uid
         self.size = size
         self.src = src
         self.dst = dst

@@ -70,6 +70,7 @@ class Network:
             FluidController(self) if self.fidelity == "hybrid" else None
         )
         self._next_id = 0
+        self._flow_counts: Dict[str, int] = {}
 
     # -- construction ----------------------------------------------------
     def add_host(self, name: str = "") -> Host:
@@ -83,6 +84,12 @@ class Network:
         self.nodes[node.id] = node
         self._next_id += 1
         return node
+
+    def next_flow_id(self, prefix: str) -> str:
+        """The default id of this network's next ``prefix`` flow: ``udt0``, ``udt1``, ..."""
+        n = self._flow_counts.get(prefix, 0)
+        self._flow_counts[prefix] = n + 1
+        return f"{prefix}{n}"
 
     def add_link(
         self,

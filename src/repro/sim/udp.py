@@ -75,7 +75,10 @@ class UdpEndpoint:
         if self._closed:
             raise RuntimeError("endpoint is closed")
         wire = size + IP_UDP_HEADER
-        pkt = Packet(wire, self._addr, dst, payload, flow, self.sim.now)
+        sim = self.sim
+        pkt = Packet(
+            wire, self._addr, dst, payload, flow, sim.now, next(sim.packet_uids)
+        )
         self.bytes_sent += wire
         self.datagrams_sent += 1
         host = self.host

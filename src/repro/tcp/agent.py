@@ -69,14 +69,21 @@ class _Port:
         self.port = port if port is not None else host.next_free_port()
         host.bind(self.port, self._on_packet)
         self.handler: Optional[Callable] = None
+        #: Stamped on every packet sent, so link telemetry names the flow.
+        self.flow: Optional[object] = None
 
     @property
     def address(self):
         return (self.host.id, self.port)
 
     def send(self, msg, dst) -> None:
-        pkt = Packet(size=msg.wire_size, src=self.address, dst=dst, payload=msg)
-        self.host.send(pkt)
+        sim = self.sim
+        self.host.send(
+            Packet(
+                msg.wire_size, self.address, dst, msg, self.flow, sim.now,
+                next(sim.packet_uids),
+            )
+        )
 
     def _on_packet(self, pkt: Packet) -> None:
         if self.handler is not None:
@@ -476,8 +483,6 @@ class TcpSink:
 class TcpFlow:
     """A unidirectional TCP transfer, mirroring :class:`UdtFlow`."""
 
-    _counter = 0
-
     def __init__(
         self,
         net: Network,
@@ -494,8 +499,7 @@ class TcpFlow:
         self.net = net
         self.config = config if config is not None else TcpConfig()
         if flow_id is None:
-            flow_id = f"tcp{TcpFlow._counter}"
-            TcpFlow._counter += 1
+            flow_id = net.next_flow_id("tcp")
         self.flow_id = flow_id
         self.sink = TcpSink(dst, self.config, deliver=self._on_deliver, meter=meter_rcv)
         self.sender = TcpSender(
@@ -503,13 +507,14 @@ class TcpFlow:
             meter=meter_snd,
         )
         self.sink.src_addr = self.sender.port.address
+        self.sender.port.flow = self.sink.port.flow = flow_id
         self.sink.arrival_cb = lambda size: net.monitor.on_deliver(
             (self.flow_id, "arr"), size
         )
         net.sim.schedule_at(max(start, net.sim.now), self.sender.start)
         # TCP has no fluid model: an active TCP flow vetoes the hybrid
         # tier's analytic spans on this network.
-        fluid = getattr(net, "fluid", None)
+        fluid = net.fluid
         if fluid is not None:
             fluid.register_blocker(lambda: not self.done)
 

@@ -824,10 +824,6 @@ class UdtCore:
     def delivered_bytes(self) -> int:
         return self.rcv_buffer.delivered_bytes
 
-    @property
-    def sending_rate_bps(self) -> float:
-        return self.config.mss * 8.0 / self.cc.period if self.cc.period > 0 else 0.0
-
 
 class _CcView:
     """The restricted endpoint view handed to congestion controllers."""

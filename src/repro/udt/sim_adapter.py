@@ -153,8 +153,6 @@ class UdtFlow:
         Virtual time at which the connection handshake begins.
     """
 
-    _flow_counter = 0
-
     def __init__(
         self,
         net: Network,
@@ -174,8 +172,7 @@ class UdtFlow:
         self.bus = bus if bus is not None else OB.default_bus()
         self.config = config if config is not None else UdtConfig()
         if flow_id is None:
-            flow_id = f"udt{UdtFlow._flow_counter}"
-            UdtFlow._flow_counter += 1
+            flow_id = net.next_flow_id("udt")
         self.flow_id = flow_id
         self.nbytes = nbytes
         self.app_driven = app_driven
@@ -226,7 +223,7 @@ class UdtFlow:
         # Arrival-rate series (sink-side, NS-2 style) under "<id>:arr".
         self.receiver.arrival_cb = partial(net.monitor.on_deliver, self.arrival_flow_id)
 
-        fluid = getattr(net, "fluid", None)
+        fluid = net.fluid
         if fluid is not None:
             fluid.register_flow(_UdtFluidAdapter(self, src, dst))
 

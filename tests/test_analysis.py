@@ -8,7 +8,6 @@ from repro.analysis import all_checkers, rule_ids, run_analysis
 from repro.analysis.core import Finding, default_root, repo_root, run_checkers
 from repro.analysis.event_schema import EventSchemaChecker
 from repro.analysis.sanitizer import Divergence, SanitizerResult, diff_traces
-from repro.analysis.lintcache import ModuleCache
 from repro.analysis.sansio import SansioPurityChecker
 from repro.analysis.seqno_taint import SeqnoTaintChecker
 from repro.analysis.threads import ThreadSharedStateChecker
@@ -394,84 +393,6 @@ def test_thread_main_thread_methods_unconstrained(tmp_path):
         },
     )
     assert run_checkers(root, [ThreadSharedStateChecker()]) == []
-
-
-# -- incremental cache ----------------------------------------------------
-
-
-def test_cache_serves_identical_findings(tmp_path):
-    root = _tree(
-        tmp_path / "src",
-        {"udt/x.py": "def f(a_seq, b_seq):\n    return a_seq < b_seq\n"},
-    )
-    c1 = ModuleCache(tmp_path / "cache.json", "digest0")
-    first = run_checkers(root, [SeqnoTaintChecker()], cache=c1)
-    c1.save()
-    assert (c1.hits, c1.misses) == (0, 1) and _rules(first) == ["seqno-taint"]
-    c2 = ModuleCache(tmp_path / "cache.json", "digest0")
-    second = run_checkers(root, [SeqnoTaintChecker()], cache=c2)
-    assert (c2.hits, c2.misses) == (1, 0)
-    assert second == first
-
-
-def test_cache_invalidated_by_content_change(tmp_path):
-    root = _tree(
-        tmp_path / "src",
-        {"udt/x.py": "def f(a_seq, b_seq):\n    return a_seq < b_seq\n"},
-    )
-    c1 = ModuleCache(tmp_path / "cache.json", "digest0")
-    run_checkers(root, [SeqnoTaintChecker()], cache=c1)
-    c1.save()
-    (root / "udt" / "x.py").write_text(
-        "def f(a_seq, b_seq):\n    return seq_cmp(a_seq, b_seq)\n"
-    )
-    c2 = ModuleCache(tmp_path / "cache.json", "digest0")
-    second = run_checkers(root, [SeqnoTaintChecker()], cache=c2)
-    assert (c2.hits, c2.misses) == (0, 1)
-    assert second == []
-
-
-def test_cache_invalidated_by_analysis_digest(tmp_path):
-    # New checker code (a changed analysis digest) must drop the cache
-    # wholesale — stale findings from an older rule version are worse
-    # than a cold run.
-    root = _tree(
-        tmp_path / "src",
-        {"udt/x.py": "def f(a_seq, b_seq):\n    return a_seq < b_seq\n"},
-    )
-    c1 = ModuleCache(tmp_path / "cache.json", "digest0")
-    run_checkers(root, [SeqnoTaintChecker()], cache=c1)
-    c1.save()
-    c2 = ModuleCache(tmp_path / "cache.json", "digest1")
-    run_checkers(root, [SeqnoTaintChecker()], cache=c2)
-    assert (c2.hits, c2.misses) == (0, 1)
-
-
-def test_cache_replays_summaries_for_cross_module_finalize(tmp_path):
-    """A fully-cached run must still produce event-schema's cross-module
-    finding: consumptions replay through module summaries into finalize."""
-    root = _tree(
-        tmp_path / "src",
-        {
-            "udt/x.py": (
-                "def f(bus, t):\n"
-                '    bus.emit("cc.decrease", t, "s", trigger="nak")\n'
-            ),
-            "obs/report.py": (
-                "def g(rec, kind):\n"
-                '    if kind == "cc.decrease":\n'
-                '        return rec["window"]\n'
-            ),
-        },
-    )
-    c1 = ModuleCache(tmp_path / "cache.json", "d")
-    first = run_checkers(root, [EventSchemaChecker()], cache=c1)
-    c1.save()
-    assert any("no emit site produces" in f.message for f in first)
-    c2 = ModuleCache(tmp_path / "cache.json", "d")
-    second = run_checkers(root, [EventSchemaChecker()], cache=c2)
-    assert (c2.hits, c2.misses) == (2, 0)
-    assert any("no emit site produces" in f.message for f in second)
 
 
 # -- sansio-purity --------------------------------------------------------

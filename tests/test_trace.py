@@ -9,9 +9,13 @@ for, probe pairs leave back to back (§3.4), a burst parks in the queue.
 
 import pytest
 
+from repro.apps.bulk import UdpBlast
+from repro.experiments.common import traced
 from repro.obs import bus as OB
-from repro.sim.topology import path_topology
+from repro.obs.export import read_events
+from repro.sim.topology import dumbbell, path_topology
 from repro.sim.udp import UdpEndpoint
+from repro.tcp import start_tcp_flow
 from repro.udt import start_udt_flow
 
 PACKET_KINDS = (OB.LINK_ENQ, OB.LINK_DEQ, OB.LINK_DROP)
@@ -180,3 +184,48 @@ class TestQueueSampler:
         # drains to empty by the end
         assert len(_kind(events, OB.LINK_DEQ)) == 50
         assert len(top.bottleneck.queue) == 0
+
+
+# -- nothing outlives a run -------------------------------------------------
+
+
+def _mixed_dumbbell(path):
+    """UDT + TCP + an ON/OFF UDP blast through one small bottleneck queue,
+    default flow ids, packet-detail trace to ``path``; returns the two
+    flow ids and the bottleneck's ``link.enq`` records."""
+    with traced(str(path), packets=True):
+        d = dumbbell(3, 20e6, 0.02, queue_pkts=20, seed=3)
+        udt = start_udt_flow(d.net, d.sources[0], d.sinks[0])
+        tcp = start_tcp_flow(d.net, d.sources[1], d.sinks[1], start=0.01)
+        UdpBlast(
+            d.net, d.sources[2], (d.sinks[2].id, 9), 15e6,
+            on_time=0.05, off_time=0.1, start=0.2,
+        )
+        d.net.run(until=1.0)
+    enq = [
+        r for r in read_events(str(path))
+        if r["kind"] == OB.LINK_ENQ and r["src"] == d.bottleneck.name
+    ]
+    return (udt.flow_id, tcp.flow_id), enq
+
+
+def test_same_scenario_twice_in_one_interpreter_is_byte_identical(tmp_path):
+    paths = [tmp_path / "first.jsonl", tmp_path / "second.jsonl"]
+    for path in paths:
+        flow_ids, enq = _mixed_dumbbell(path)
+        assert flow_ids == ("udt0", "tcp0")
+        # One allocator per simulation: the three senders never share a uid.
+        assert {r["flow"] for r in enq} == {"udt0", "tcp0", None}
+        uids = [r["uid"] for r in enq]
+        assert len(set(uids)) == len(uids)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_tcp_segment_drop_names_its_flow(wire):
+    d = dumbbell(1, 20e6, 0.02, queue_pkts=10)
+    events = wire(d.bottleneck)
+    tcp = start_tcp_flow(d.net, d.sources[0], d.sinks[0])
+    d.net.run(until=1.0)
+    drops = _kind(events, OB.LINK_DROP)
+    assert drops and {e.fields["flow"] for e in drops} == {tcp.flow_id}
+    assert {e.fields["flow"] for e in _kind(events, OB.LINK_ENQ)} == {tcp.flow_id}
