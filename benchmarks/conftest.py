@@ -6,83 +6,19 @@ micro-timings), prints the same rows/series the paper reports, saves them
 under ``benchmarks/results/`` and asserts the paper's *shape*: who wins,
 by roughly what factor, where the crossovers are.
 
-Every run also records per-figure wall-clock into
-``benchmarks/results/BENCH_runtime.json`` (merge-updated, so partial
-runs refresh only the figures they executed).  That file is the bench
-trajectory's data source: compare it across commits to see which
-artefacts got faster or slower.
+Wall-clock is not recorded here: the runtime ledger
+(``benchmarks/results/BENCH_runtime.json``) has one producer,
+``repro-udt sweep``, which times each experiment at a named scale
+(docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
-import time
 
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-RUNTIME_PATH = RESULTS_DIR / "BENCH_runtime.json"
-RUNTIME_SCHEMA = 1
-
-#: figure/table id -> {"seconds": float, "test": nodeid}; flushed at
-#: session end, merged over whatever a previous (possibly partial) run
-#: recorded.
-_runtimes: dict = {}
-
-
-def _figure_id(nodeid: str) -> str:
-    """``benchmarks/test_bench_fig02_fairness.py::test_x`` -> ``fig02_fairness``."""
-    module = nodeid.split("::", 1)[0]
-    stem = pathlib.Path(module).stem
-    prefix = "test_bench_"
-    return stem[len(prefix):] if stem.startswith(prefix) else stem
-
-
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_call(item):
-    t0 = time.perf_counter()
-    yield
-    seconds = time.perf_counter() - t0
-    fig = _figure_id(item.nodeid)
-    prev = _runtimes.get(fig)
-    # A figure spread over several tests (parametrised variants) records
-    # the total.
-    if prev is None:
-        _runtimes[fig] = {"seconds": seconds, "test": item.nodeid}
-    else:
-        prev["seconds"] += seconds
-
-
-def pytest_sessionfinish(session, exitstatus):
-    if not _runtimes:
-        return
-    RESULTS_DIR.mkdir(exist_ok=True)
-    # Merge over the existing ledger: only "runtimes" keys this run
-    # produced are replaced.  Foreign top-level keys — notably the
-    # "sweeps" section repro-udt sweep maintains — pass through verbatim.
-    data = {"schema": RUNTIME_SCHEMA, "kind": "bench.runtime", "runtimes": {}}
-    if RUNTIME_PATH.exists():
-        try:
-            old = json.loads(RUNTIME_PATH.read_text())
-            if old.get("schema") == RUNTIME_SCHEMA:
-                data.update(old)
-                data["runtimes"] = dict(old.get("runtimes", {}))
-        except (ValueError, OSError):
-            pass  # corrupt/legacy file: rewrite from this run only
-    for fig, rec in _runtimes.items():
-        data["runtimes"][fig] = {"seconds": round(rec["seconds"], 3), "test": rec["test"]}
-    # Bounded per-run history rides along for the dashboard's runtime
-    # trends; the latest values above stay authoritative for the gate.
-    try:
-        from repro.runner.sweep import append_history, git_sha
-
-        sha = git_sha()
-        for fig, rec in _runtimes.items():
-            append_history(data, fig, rec["seconds"], source="bench", sha=sha)
-    except ImportError:
-        pass  # repro not importable (bare pytest without PYTHONPATH=src)
-    RUNTIME_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 @pytest.fixture

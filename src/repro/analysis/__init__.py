@@ -3,10 +3,10 @@
 The invariants this reproduction leans on — 31-bit wrap-around sequence
 arithmetic, a sans-IO protocol core, a machine-checked telemetry schema,
 reproducible discrete-event runs — were conventions until this package;
-now they are enforced properties.  Six checkers run over ``src/repro``
+now they are enforced properties.  Five checkers run over ``src/repro``
 through a small driver (:mod:`repro.analysis.core`); the dataflow tier
-(``seqno-taint``/``units``/``thread-shared-state``) is built on the CFG +
-taint framework in :mod:`repro.analysis.flow`:
+(``seqno-taint``/``units``) is built on the CFG + taint framework in
+:mod:`repro.analysis.flow`:
 
 =================== ========================================================
 rule                what it enforces
@@ -17,8 +17,6 @@ rule                what it enforces
                     syntactic ``seqno-arith`` of PR 3)
 ``units``           dimensional consistency (s/us/bytes/pkts/pps/bps),
                     seeded from udt/params.py and sim/engine.py
-``thread-shared-state`` the progress daemon thread reads only declared
-                    allowlisted attributes; no cross-thread mutation
 ``sansio-purity``   no wall clocks, unseeded RNG, sockets or threads in
                     ``repro/udt/`` and ``repro/sim/``
 ``event-schema``    every ``bus.emit`` payload and consumer key access
@@ -58,7 +56,6 @@ from repro.analysis.core import (
 from repro.analysis.event_schema import EventSchemaChecker
 from repro.analysis.sansio import SansioPurityChecker
 from repro.analysis.seqno_taint import SeqnoTaintChecker
-from repro.analysis.threads import ThreadSharedStateChecker
 from repro.analysis.units import UnitsChecker
 from repro.analysis.vtime import VtimeDeterminismChecker
 
@@ -68,7 +65,6 @@ def all_checkers() -> List[Checker]:
     return [
         SeqnoTaintChecker(),
         UnitsChecker(),
-        ThreadSharedStateChecker(),
         SansioPurityChecker(),
         EventSchemaChecker(),
         VtimeDeterminismChecker(),

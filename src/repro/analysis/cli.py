@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.analysis.core import default_root, repo_root
+from repro.obs.export import TRACE_FORMATS
 
 #: merge-updated status file consumed by the dashboard's code-health card.
 STATUS_RELPATH = "analysis/.lintstatus.json"
@@ -92,7 +93,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--sanitize-format",
-        choices=("jsonl", "jsonl.gz", "rtrc"),
+        choices=TRACE_FORMATS,
         default="jsonl",
         help="trace format the --sanitize runs record and diff "
         "(default: jsonl)",

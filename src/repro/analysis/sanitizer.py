@@ -39,6 +39,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.export import TRACE_FORMATS
+
 #: (tie_break, PYTHONHASHSEED) for the two perturbed runs.
 PERTURBATIONS: Tuple[Tuple[str, str], ...] = (("fifo", "1"), ("lifo", "2"))
 
@@ -307,8 +309,6 @@ class DeterminismSanitizer:
         format the perturbed runs record and the diff streams over.
     """
 
-    TRACE_FORMATS = ("jsonl", "jsonl.gz", "rtrc")
-
     def __init__(
         self,
         exp_id: str,
@@ -318,9 +318,9 @@ class DeterminismSanitizer:
         timeout: float = 900.0,
         trace_format: str = "jsonl",
     ):
-        if trace_format not in self.TRACE_FORMATS:
+        if trace_format not in TRACE_FORMATS:
             raise ValueError(
-                f"trace_format must be one of {self.TRACE_FORMATS}, "
+                f"trace_format must be one of {TRACE_FORMATS}, "
                 f"got {trace_format!r}"
             )
         self.exp_id = exp_id

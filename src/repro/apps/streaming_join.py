@@ -86,8 +86,10 @@ class PacedSource:
 
     §2.1's streams are *generated* in real time; a transport that cannot
     sustain the generation rate falls behind and its records miss the
-    join window.  Works with an ``app_driven`` UdtFlow (feeds
-    ``sender.send``) or a TcpFlow (feeds ``sender.push_app_data``).
+    join window.  Works with any flow exposing ``offer(nbytes) -> int``
+    (an ``app_driven`` UdtFlow, whose bounded send buffer may accept only
+    part, or a TcpFlow, which takes everything); what the flow does not
+    accept stays in the source's backlog.
     """
 
     TICK = 0.01
@@ -103,12 +105,7 @@ class PacedSource:
 
     def _tick(self) -> None:
         self._backlog += self.chunk
-        if hasattr(self.flow, "receiver"):  # UdtFlow
-            accepted = self.flow.sender.send(self._backlog)
-            self._backlog -= accepted
-        else:  # TcpFlow
-            self.flow.sender.push_app_data(self._backlog)
-            self._backlog = 0
+        self._backlog -= self.flow.offer(self._backlog)
         self.net.sim.schedule(self.TICK, self._tick)
 
 
@@ -123,9 +120,10 @@ def run_streaming_join(
     """Drive the Figure 1 experiment with any transport.
 
     ``flow_factory(net, src, dst, flow_id)`` must return a flow object
-    whose receiver delivers through ``net.monitor`` (both UdtFlow and
-    TcpFlow qualify); this function additionally taps deliveries into the
-    join operator.  With ``source_rate_bps`` set, both sources generate
+    whose receiver delivers through ``net.monitor`` and that exposes
+    ``add_delivery_tap(cb)`` (both UdtFlow and TcpFlow qualify); this
+    function taps deliveries into the join operator.  With
+    ``source_rate_bps`` set, both sources generate
     records in real time at that rate (each), the paper's workload;
     otherwise both transports run as bulk sources.
     """
@@ -136,31 +134,8 @@ def run_streaming_join(
     if source_rate_bps is not None:
         PacedSource(net, flow_a, source_rate_bps)
         PacedSource(net, flow_b, source_rate_bps)
-    _tap(flow_a, lambda n: join.on_bytes("a", n))
-    _tap(flow_b, lambda n: join.on_bytes("b", n))
+    flow_a.add_delivery_tap(lambda n: join.on_bytes("a", n))
+    flow_b.add_delivery_tap(lambda n: join.on_bytes("b", n))
     net.run(until=duration)
     return join, flow_a, flow_b
 
-
-def _tap(flow: object, cb: Callable[[int], None]) -> None:
-    """Attach a delivery callback to a UdtFlow or TcpFlow."""
-    if hasattr(flow, "receiver"):  # UdtFlow
-        inner = flow.receiver.rcv_buffer._deliver
-
-        def wrapped(size: int, data: Optional[bytes]) -> None:
-            if inner is not None:
-                inner(size, data)
-            cb(size)
-
-        flow.receiver.rcv_buffer._deliver = wrapped
-    elif hasattr(flow, "sink"):  # TcpFlow
-        inner_t = flow.sink._deliver
-
-        def wrapped_t(size: int) -> None:
-            if inner_t is not None:
-                inner_t(size)
-            cb(size)
-
-        flow.sink._deliver = wrapped_t
-    else:
-        raise TypeError(f"unsupported flow type {type(flow)!r}")

@@ -59,6 +59,7 @@ from typing import List, Optional
 
 from repro.experiments import get_experiment, list_experiments
 from repro.experiments.common import traced
+from repro.obs.export import TRACE_FORMATS
 
 
 def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -153,36 +154,6 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             report, Path(args.bench) if args.bench else None
         )
         print(f"[sweep timings merged into {path}]")
-    if args.html:
-        from repro.obs.html import build_dashboard, collect_inputs
-
-        traces = {}
-        if args.trace_dir:
-            trace_dir = Path(args.trace_dir)
-            for exp_id in report.experiments:
-                trace = trace_dir / f"{exp_id}.{args.trace_format}"
-                if trace.exists():
-                    traces[exp_id] = trace
-        progress_path = None
-        if args.progress or args.progress_file:
-            from repro.runner.progress import default_progress_path
-
-            progress_path = (
-                Path(args.progress_file)
-                if args.progress_file
-                else default_progress_path(
-                    Path(args.cache_dir) if args.cache_dir else None
-                )
-            )
-        inputs = collect_inputs(
-            cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-            bench_path=Path(args.bench) if args.bench else None,
-            traces=traces,
-            only=report.experiments if only else None,
-            sweep_summary=report.to_text(),
-            progress_path=progress_path,
-        )
-        build_dashboard(Path(args.html), inputs, emit=print)
     return 0 if report.ok else 1
 
 
@@ -378,7 +349,7 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
     )
     sweepp.add_argument(
         "--trace-format",
-        choices=["jsonl", "jsonl.gz", "rtrc"],
+        choices=TRACE_FORMATS,
         default="jsonl",
         help="with --trace-dir, the trace format workers record "
         "(default jsonl; rtrc is the indexed binary store, ~10x smaller)",
@@ -408,13 +379,6 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
         "--no-bench",
         action="store_true",
         help="do not touch the runtime ledger",
-    )
-    sweepp.add_argument(
-        "--html",
-        metavar="OUT_DIR",
-        default=None,
-        help="after the sweep, build the static HTML dashboard under "
-        "OUT_DIR from the swept results (see 'repro-udt report --html')",
     )
     sweepp.add_argument(
         "--fidelity",

@@ -1,4 +1,4 @@
-"""Unified telemetry: event bus, CC timelines, metrics, JSONL export.
+"""Unified telemetry: event bus, CC timelines, JSONL export.
 
 ``repro.obs`` is the observability substrate shared by the simulator,
 the UDT protocol core, and the host cost models.  Design rules:
@@ -55,7 +55,6 @@ from repro.obs.export import (
 )
 from repro.obs.figspec import FigureSpec, MetricSpec, ResultTable, get_spec
 from repro.obs.prof import SimProfiler, profile_simulators
-from repro.obs.registry import MetricsRegistry
 from repro.obs.report import render_report, report_dict, summary_only_hint
 from repro.obs.spans import PacketSpan, SpanBuilder, SpanSet, build_spans
 from repro.obs.timeline import CcSample, TimelineRecorder
@@ -91,7 +90,6 @@ __all__ = [
     "read_events",
     "trace_session",
     "trace_to_file",
-    "MetricsRegistry",
     "TimelineRecorder",
     "CcSample",
     "SimProfiler",

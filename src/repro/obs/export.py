@@ -38,6 +38,11 @@ from repro.obs.bus import CC_SAMPLE, Event, EventBus, Subscription, default_bus
 
 SCHEMA_VERSION = 1
 
+#: The trace formats a run can be asked to record, each named by the file
+#: suffix that selects it (``sweep --trace-format``, ``lint
+#: --sanitize-format``, the determinism sanitizer's ``trace_format``).
+TRACE_FORMATS = ("jsonl", "jsonl.gz", "rtrc")
+
 
 def is_rtrc_path(path: Any) -> bool:
     """True when ``path`` names an ``.rtrc`` binary trace container."""

@@ -10,7 +10,7 @@ ledger (``benchmarks/results/BENCH_fidelity.json``) snapshots and what
 ``python -m repro.obs.figures --gate`` drift-checks, so a behavioural
 regression shows up the same way a runtime regression already does.
 
-Specs are declarative and renderer-agnostic: :mod:`repro.obs.figures`
+Specs are declarative and renderer-agnostic: :mod:`repro.obs.svg`
 turns (spec, table) into inline SVG, :mod:`repro.obs.html` embeds the
 SVG in the static dashboard, and the gate only ever consumes
 :func:`compute_metrics` output.  Experiments without a spec still appear

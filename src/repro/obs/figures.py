@@ -1,570 +1,78 @@
-"""Figure rendering and the fidelity ledger (``python -m repro.obs.figures``).
+"""The fidelity ledger and its CLI (``python -m repro.obs.figures``).
 
-Two jobs, one module:
+``benchmarks/results/BENCH_fidelity.json`` is a committed snapshot of
+each figure's headline metrics with tolerance bands.  ``python -m
+repro.obs.figures --gate`` recomputes the metrics from results that
+already exist and fails on drift beyond tolerance — behavioural
+regressions gate the same way runtime regressions do (``python -m
+repro.runner --gate``).  ``--update`` re-snapshots the ledger and
+``--render`` writes the figures as SVG (:mod:`repro.obs.svg` draws).
 
-* **Rendering** — turn a :class:`~repro.obs.figspec.FigureSpec` plus an
-  experiment's result table (and, for time series, a
-  :class:`~repro.obs.timeline.TimelineRecorder`) into a self-contained
-  inline-SVG figure.  Zero dependencies: the renderer is hand-rolled SVG
-  string generation, styled after the repo's qlog-inspired tooling.
-  Every series group carries machine-readable ``data-x``/``data-y``
-  attributes holding the *raw* values, so tests (and curious readers)
-  can round-trip the plotted data out of the picture.
-
-* **Fidelity ledger** — ``benchmarks/results/BENCH_fidelity.json`` is a
-  committed snapshot of each figure's headline metrics with tolerance
-  bands.  ``python -m repro.obs.figures --gate`` recomputes the metrics
-  (from a results dir, the sweep result cache, or by running the
-  experiment in-process at the ledger's scale) and fails on drift beyond
-  tolerance — behavioural regressions gate the same way runtime
-  regressions do (``python -m repro.runner --gate``).
-
-Current results are resolved in order: ``--results DIR`` entry files,
-then the digest-keyed sweep cache, then (unless ``--no-run``) an
-in-process run at the entry's recorded scale.
+Nothing here runs an experiment.  Current results are looked up in
+order: ``--results DIR`` entry files, then the digest-keyed sweep cache.
+The sweep worker is the only producer of both, so a miss fails with the
+exact ``repro-udt sweep`` line that would fill it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
-import time
-from html import escape
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.figspec import (
     FigureSpec,
-    MetricSpec,
     ResultTable,
     SPECS,
     compute_metrics,
     get_spec,
+    hybrid_tolerances,
     tolerances,
+)
+from repro.obs.svg import render_figure
+from repro.runner.cache import (
+    ResultCache,
+    default_cache_dir,
+    read_json_object,
+    write_json_atomic,
 )
 
 FIDELITY_SCHEMA = 1
 DEFAULT_LEDGER = Path("benchmarks/results/BENCH_fidelity.json")
-
-# -- chart chrome (dataviz reference palette, light mode) -------------------
-#: Categorical series slots, assigned in fixed order, never cycled.  The
-#: first three validate all-pairs for colour-vision deficiency; figures
-#: here never exceed three series.
-SERIES_COLORS = ("#2a78d6", "#eb6834", "#1baf7a")
-SURFACE = "#fcfcfb"
-GRID = "#e1e0d9"
-AXIS = "#c3c2b7"
-MUTED = "#898781"
-INK = "#0b0b0b"
-INK2 = "#52514e"
-#: Status colours for annotations (reserved; never used as series hues).
-LOSS_MARK = "#ec835a"  # serious: receiver loss / NAK marks
-EXP_MARK = "#d03b3b"  # critical: EXP timeout marks
-FONT = "system-ui, -apple-system, 'Segoe UI', sans-serif"
-
-
-# -- scales and ticks -------------------------------------------------------
-
-
-def _nice_ticks(lo: float, hi: float, n: int = 5) -> List[float]:
-    """~n round tick values covering [lo, hi] (1/2/5 ladder)."""
-    if hi <= lo:
-        hi = lo + (abs(lo) or 1.0)
-    span = hi - lo
-    raw = span / max(1, n)
-    mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        step = mult * mag
-        if span / step <= n:
-            break
-    first = math.floor(lo / step) * step
-    ticks = []
-    v = first
-    while v <= hi + step * 1e-9:
-        if v >= lo - step * 1e-9:
-            ticks.append(0.0 if abs(v) < step * 1e-9 else v)
-        v += step
-    return ticks or [lo, hi]
-
-
-def _log_ticks(lo: float, hi: float) -> List[float]:
-    """Powers of 10 spanning [lo, hi] (log-scale tick values)."""
-    lo = max(lo, 1e-12)
-    hi = max(hi, lo * 10)
-    ticks = [
-        10.0 ** e
-        for e in range(math.floor(math.log10(lo)), math.ceil(math.log10(hi)) + 1)
-    ]
-    return ticks
-
-
-def _fmt_num(v: float) -> str:
-    """Compact tick/tooltip number formatting."""
-    if v == 0:
-        return "0"
-    a = abs(v)
-    if a >= 1e6 or a < 1e-3:
-        return f"{v:.0e}".replace("e+0", "e").replace("e-0", "e-")
-    if a >= 100:
-        return f"{v:.0f}"
-    if a >= 1:
-        s = f"{v:.2f}"
-    else:
-        s = f"{v:.4f}"
-    return s.rstrip("0").rstrip(".")
-
-
-class _Scale:
-    """Maps data values to pixel positions, linear or log10."""
-
-    def __init__(self, lo: float, hi: float, p0: float, p1: float, log: bool = False):
-        self.log = log
-        if log:
-            lo = max(lo, 1e-12)
-            hi = max(hi, lo * 1.0000001)
-            self.lo, self.hi = math.log10(lo), math.log10(hi)
-        else:
-            if hi <= lo:
-                hi = lo + (abs(lo) or 1.0)
-            self.lo, self.hi = lo, hi
-        self.p0, self.p1 = p0, p1
-
-    def __call__(self, v: float) -> float:
-        x = math.log10(max(v, 1e-12)) if self.log else v
-        frac = (x - self.lo) / (self.hi - self.lo)
-        return self.p0 + frac * (self.p1 - self.p0)
-
-
-# -- SVG assembly -----------------------------------------------------------
-
-
-def _attr(v: Any) -> str:
-    return escape(str(v), quote=True)
-
-
-def _data_attr(values: Sequence[Any]) -> str:
-    """JSON-encode a value list for a ``data-*`` attribute."""
-    return _attr(json.dumps(list(values)))
-
-
-class _Svg:
-    """Tiny append-only SVG builder."""
-
-    def __init__(self, width: int, height: int):
-        self.width = width
-        self.height = height
-        self.parts: List[str] = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
-            f'width="{width}" height="{height}" role="img" '
-            f'font-family="{_attr(FONT)}">'
-        ]
-
-    def add(self, fragment: str) -> None:
-        self.parts.append(fragment)
-
-    def text(
-        self,
-        x: float,
-        y: float,
-        s: str,
-        size: int = 12,
-        fill: str = MUTED,
-        anchor: str = "start",
-        weight: str = "normal",
-    ) -> None:
-        self.add(
-            f'<text x="{x:.1f}" y="{y:.1f}" font-size="{size}" fill="{fill}" '
-            f'text-anchor="{anchor}" font-weight="{weight}">{escape(s)}</text>'
-        )
-
-    def line(self, x1, y1, x2, y2, stroke, width=1.0) -> None:
-        self.add(
-            f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
-            f'stroke="{stroke}" stroke-width="{width}"/>'
-        )
-
-    def finish(self) -> str:
-        return "".join(self.parts) + "</svg>"
-
-
-class _Frame:
-    """Shared plot frame: margins, scales, grid, axes, title, legend."""
-
-    def __init__(
-        self,
-        svg: _Svg,
-        title: str,
-        x_ticks: List[float],
-        y_ticks: List[float],
-        x_scale: _Scale,
-        y_scale: _Scale,
-        x_label: str = "",
-        y_label: str = "",
-    ):
-        self.svg = svg
-        self.xs = x_scale
-        self.ys = y_scale
-        svg.add(
-            f'<rect x="0" y="0" width="{svg.width}" height="{svg.height}" '
-            f'fill="{SURFACE}"/>'
-        )
-        if title:
-            svg.text(16, 22, title, size=14, fill=INK, weight="600")
-        # horizontal hairlines + y tick labels
-        for t in y_ticks:
-            y = y_scale(t)
-            svg.line(x_scale.p0, y, x_scale.p1, y, GRID, 1)
-            svg.text(x_scale.p0 - 8, y + 4, _fmt_num(t), size=11, anchor="end")
-        # x ticks
-        base_y = y_scale.p0  # pixel y of the value axis floor
-        for t in x_ticks:
-            x = x_scale(t)
-            svg.line(x, base_y, x, base_y + 4, AXIS, 1)
-            svg.text(x, base_y + 17, _fmt_num(t), size=11, anchor="middle")
-        # baseline
-        svg.line(x_scale.p0, base_y, x_scale.p1, base_y, AXIS, 1)
-        if x_label:
-            svg.text(
-                (x_scale.p0 + x_scale.p1) / 2, svg.height - 8, x_label,
-                size=11, fill=INK2, anchor="middle",
-            )
-        if y_label:
-            cx, cy = 14, (y_scale.p0 + y_scale.p1) / 2
-            self.svg.add(
-                f'<text x="{cx}" y="{cy:.1f}" font-size="11" fill="{INK2}" '
-                f'text-anchor="middle" transform="rotate(-90 {cx} {cy:.1f})">'
-                f"{escape(y_label)}</text>"
-            )
-
-    def legend(self, entries: List[Tuple[str, str]], extra: str = "") -> None:
-        """One row of chip+label pairs under the title (≥2 series only)."""
-        x = 16.0
-        y = 38.0
-        for color, label in entries:
-            self.svg.add(
-                f'<rect x="{x:.1f}" y="{y - 9:.1f}" width="10" height="10" '
-                f'rx="2" fill="{color}"/>'
-            )
-            self.svg.text(x + 15, y, label, size=12, fill=INK2)
-            x += 15 + 7 * len(label) + 22
-        if extra:
-            self.svg.text(x, y, extra, size=11, fill=MUTED)
-
-
-_MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 20, 50, 46
-
-
-def _frame_box(width: int, height: int) -> Tuple[float, float, float, float]:
-    """(x0, x1, y_floor, y_ceiling) pixel bounds of the plot area."""
-    return (
-        float(_MARGIN_L),
-        float(width - _MARGIN_R),
-        float(height - _MARGIN_B),
-        float(_MARGIN_T),
-    )
-
-
-def _pad_domain(vals: Sequence[float], zero_floor: bool) -> Tuple[float, float]:
-    lo, hi = min(vals), max(vals)
-    if zero_floor and lo > 0:
-        lo = 0.0
-    span = (hi - lo) or (abs(hi) or 1.0)
-    pad = span * 0.06
-    return (lo if (zero_floor and lo == 0.0) else lo - pad), hi + pad
-
-
-def render_figure(
-    spec: FigureSpec,
-    table: ResultTable,
-    width: int = 720,
-    height: int = 400,
-) -> str:
-    """Render one experiment result as a self-contained SVG figure."""
-    if spec.kind == "bar":
-        return _render_bar(spec, table, width, height)
-    return _render_line(spec, table, width, height)
-
-
-def _render_line(
-    spec: FigureSpec, table: ResultTable, width: int, height: int
-) -> str:
-    xs = table.numeric_column(spec.x)
-    series = [(name, table.numeric_column(name)) for name in spec.series]
-    svg = _Svg(width, height)
-    x0, x1, yf, yc = _frame_box(width, height)
-    if spec.x_log:
-        x_ticks = _log_ticks(min(xs), max(xs))
-        x_scale = _Scale(min(min(xs), x_ticks[0]), max(max(xs), x_ticks[-1]), x0, x1, log=True)
-    else:
-        x_ticks = _nice_ticks(min(xs), max(xs))
-        x_scale = _Scale(min(min(xs), x_ticks[0]), max(max(xs), x_ticks[-1]), x0, x1)
-    all_y = [v for _, ys in series for v in ys]
-    lo, hi = _pad_domain(all_y, zero_floor=min(all_y) > 0 and min(all_y) < 0.4 * max(all_y))
-    y_ticks = _nice_ticks(lo, hi)
-    y_scale = _Scale(min(lo, y_ticks[0]), max(hi, y_ticks[-1]), yf, yc)
-    frame = _Frame(
-        svg, table.title, x_ticks, y_ticks, x_scale, y_scale,
-        x_label=spec.x, y_label=spec.y_label,
-    )
-    if len(series) >= 2:
-        frame.legend(
-            [(SERIES_COLORS[i], name) for i, (name, _) in enumerate(series)]
-        )
-    for i, (name, ys) in enumerate(series):
-        color = SERIES_COLORS[i]
-        pts = " ".join(
-            f"{x_scale(x):.1f},{y_scale(y):.1f}" for x, y in zip(xs, ys)
-        )
-        svg.add(
-            f'<g class="series" data-label="{_attr(name)}" '
-            f'data-x="{_data_attr(xs)}" data-y="{_data_attr(ys)}">'
-        )
-        svg.add(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="2" stroke-linejoin="round" stroke-linecap="round"/>'
-        )
-        for x, y in zip(xs, ys):
-            svg.add(
-                f'<circle cx="{x_scale(x):.1f}" cy="{y_scale(y):.1f}" r="3.5" '
-                f'fill="{color}" stroke="{SURFACE}" stroke-width="1.5">'
-                f"<title>{escape(name)}: {_fmt_num(y)} at {spec.x} {_fmt_num(x)}"
-                f"</title></circle>"
-            )
-        # direct label at the line's end, in ink (colour never carries text)
-        svg.text(
-            min(x_scale(xs[-1]) + 8, width - 4),
-            y_scale(ys[-1]) + 4,
-            name,
-            size=11,
-            fill=INK2,
-        )
-        svg.add("</g>")
-    return svg.finish()
-
-
-def _bar_path(x: float, y_top: float, w: float, y_base: float, r: float = 3.0) -> str:
-    """A bar with rounded top corners, square on the baseline."""
-    r = min(r, w / 2, abs(y_base - y_top))
-    return (
-        f"M{x:.1f},{y_base:.1f} L{x:.1f},{y_top + r:.1f} "
-        f"Q{x:.1f},{y_top:.1f} {x + r:.1f},{y_top:.1f} "
-        f"L{x + w - r:.1f},{y_top:.1f} "
-        f"Q{x + w:.1f},{y_top:.1f} {x + w:.1f},{y_top + r:.1f} "
-        f"L{x + w:.1f},{y_base:.1f} Z"
-    )
-
-
-def _render_bar(
-    spec: FigureSpec, table: ResultTable, width: int, height: int
-) -> str:
-    labels = [str(v) for v in table.column(spec.x)]
-    series = [(name, table.numeric_column(name)) for name in spec.series]
-    svg = _Svg(width, height)
-    x0, x1, yf, yc = _frame_box(width, height)
-    all_y = [v for _, ys in series for v in ys]
-    hi = max(all_y + [0.0]) * 1.08 or 1.0
-    y_ticks = _nice_ticks(0.0, hi)
-    y_scale = _Scale(0.0, max(hi, y_ticks[-1]), yf, yc)
-    frame = _Frame(svg, table.title, [], y_ticks, _Scale(0, 1, x0, x1), y_scale,
-                   x_label=spec.x, y_label=spec.y_label)
-    if len(series) >= 2:
-        frame.legend(
-            [(SERIES_COLORS[i], name) for i, (name, _) in enumerate(series)]
-        )
-    n_groups = max(1, len(labels))
-    group_w = (x1 - x0) / n_groups
-    bar_gap = 2.0  # surface gap between adjacent bars
-    bar_w = max(
-        2.0, min(48.0, (group_w * 0.72 - bar_gap * (len(series) - 1)) / len(series))
-    )
-    show_values = n_groups * len(series) <= 10
-    for i, (name, ys) in enumerate(series):
-        color = SERIES_COLORS[i]
-        svg.add(
-            f'<g class="series" data-label="{_attr(name)}" '
-            f'data-x="{_data_attr(labels)}" data-y="{_data_attr(ys)}">'
-        )
-        for g, y in enumerate(ys):
-            cx = x0 + (g + 0.5) * group_w
-            total_w = len(series) * bar_w + (len(series) - 1) * bar_gap
-            bx = cx - total_w / 2 + i * (bar_w + bar_gap)
-            y_top = y_scale(y)
-            svg.add(
-                f'<path d="{_bar_path(bx, y_top, bar_w, yf)}" fill="{color}">'
-                f"<title>{escape(name)} — {escape(labels[g])}: {_fmt_num(y)}"
-                f"</title></path>"
-            )
-            if show_values:
-                svg.text(
-                    bx + bar_w / 2, y_top - 5, _fmt_num(y),
-                    size=11, fill=INK2, anchor="middle",
-                )
-        svg.add("</g>")
-    for g, label in enumerate(labels):
-        # truncate long categorical labels rather than colliding
-        shown = label if len(label) <= 14 else label[:13] + "…"
-        svg.text(
-            x0 + (g + 0.5) * group_w, yf + 17, shown, size=11, anchor="middle"
-        )
-    return svg.finish()
-
-
-def render_timeline(
-    recorder: Any,
-    conns: Optional[Sequence[str]] = None,
-    title: str = "sending rate over time",
-    width: int = 720,
-    height: int = 400,
-    max_conns: int = 3,
-    max_points: int = 400,
-) -> Optional[str]:
-    """Render per-connection CC rate trajectories with loss/EXP marks.
-
-    ``recorder`` is a :class:`~repro.obs.timeline.TimelineRecorder` (live
-    or rebuilt via ``from_jsonl``).  Returns None when it holds no
-    samples.  At most ``max_conns`` series are drawn (the busiest
-    first); each series is uniformly downsampled to ``max_points``.
-    Loss marks (NAK/hole events) and EXP-timeout marks are drawn as
-    status-coloured ticks along the baseline.
-    """
-    all_conns = conns if conns is not None else recorder.connections()
-    ranked = sorted(all_conns, key=lambda c: -len(recorder.series(c)))
-    picked = [c for c in ranked if recorder.series(c)][:max_conns]
-    if not picked:
-        return None
-    picked.sort()
-    svg = _Svg(width, height)
-    x0, x1, yf, yc = _frame_box(width, height)
-    t_hi = max(s.t for c in picked for s in recorder.series(c))
-    t_lo = min(s.t for c in picked for s in recorder.series(c))
-    x_ticks = _nice_ticks(t_lo, t_hi)
-    x_scale = _Scale(min(t_lo, x_ticks[0]), max(t_hi, x_ticks[-1]), x0, x1)
-    rate_hi = max(s.rate_bps for c in picked for s in recorder.series(c)) / 1e6
-    y_ticks = _nice_ticks(0.0, rate_hi * 1.08 or 1.0)
-    y_scale = _Scale(0.0, max(y_ticks[-1], rate_hi * 1.08 or 1.0), yf, yc)
-    frame = _Frame(
-        svg, title, x_ticks, y_ticks, x_scale, y_scale,
-        x_label="virtual time (s)", y_label="sending rate (Mb/s)",
-    )
-    entries = [(SERIES_COLORS[i], c) for i, c in enumerate(picked)]
-    extra = ""
-    omitted = len([c for c in all_conns if recorder.series(c)]) - len(picked)
-    if omitted > 0:
-        extra = f"(+{omitted} more connection(s) not drawn)"
-    loss_any = any(recorder.loss_times(c) for c in picked)
-    exp_any = any(recorder.exp_times(c) for c in picked)
-    if len(entries) >= 2 or extra or loss_any or exp_any:
-        marks = []
-        if loss_any:
-            marks.append((LOSS_MARK, "loss/NAK"))
-        if exp_any:
-            marks.append((EXP_MARK, "EXP timeout"))
-        frame.legend(entries + marks, extra=extra)
-    for i, conn in enumerate(picked):
-        color = SERIES_COLORS[i]
-        samples = recorder.series(conn)
-        stride = max(1, len(samples) // max_points)
-        kept = samples[::stride]
-        if samples[-1].t != kept[-1].t:
-            kept.append(samples[-1])
-        ts = [s.t for s in kept]
-        ys = [s.rate_bps / 1e6 for s in kept]
-        pts = " ".join(
-            f"{x_scale(t):.1f},{y_scale(y):.1f}" for t, y in zip(ts, ys)
-        )
-        svg.add(
-            f'<g class="series" data-label="{_attr(conn)}" data-stride="{stride}" '
-            f'data-x="{_data_attr(ts)}" data-y="{_data_attr(ys)}">'
-        )
-        svg.add(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="2" stroke-linejoin="round" stroke-linecap="round">'
-            f"<title>{escape(conn)}: {len(samples)} CC samples</title></polyline>"
-        )
-        svg.text(
-            min(x_scale(ts[-1]) + 8, width - 4), y_scale(ys[-1]) + 4,
-            conn, size=11, fill=INK2,
-        )
-        svg.add("</g>")
-        # annotation ticks along the baseline (loss below, EXP above)
-        losses = recorder.loss_times(conn)
-        exps = recorder.exp_times(conn)
-        if losses:
-            svg.add(
-                f'<g class="marks" data-kind="loss" data-conn="{_attr(conn)}" '
-                f'data-x="{_data_attr(losses)}">'
-            )
-            for t in losses:
-                x = x_scale(t)
-                svg.line(x, yf + 1, x, yf + 7, LOSS_MARK, 1.5)
-            svg.add("</g>")
-        if exps:
-            svg.add(
-                f'<g class="marks" data-kind="exp" data-conn="{_attr(conn)}" '
-                f'data-x="{_data_attr(exps)}">'
-            )
-            for t in exps:
-                x = x_scale(t)
-                svg.line(x, yf - 8, x, yf, EXP_MARK, 1.5)
-            svg.add("</g>")
-    return svg.finish()
 
 
 # -- fidelity ledger --------------------------------------------------------
 
 
 def read_ledger(path: Path) -> Dict[str, Any]:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f)
-        if not isinstance(data, dict):
-            data = {}
-    except (FileNotFoundError, json.JSONDecodeError):
-        data = {}
+    data = read_json_object(path)
     data.setdefault("schema", FIDELITY_SCHEMA)
     data.setdefault("kind", "bench.fidelity")
     data.setdefault("figures", {})
     return data
 
 
-def write_ledger(data: Dict[str, Any], path: Path) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(data, f, indent=2, sort_keys=True)
-        f.write("\n")
-    os.replace(tmp, path)
-    return path
+def _snapshot_metrics(spec: FigureSpec, table: ResultTable) -> Dict[str, float]:
+    return {k: round(v, 6) for k, v in compute_metrics(spec, table).items()}
 
 
-def ledger_entry(spec: FigureSpec, table: ResultTable, scale: float) -> Dict[str, Any]:
-    """One committed snapshot: metrics + the spec's tolerance bands."""
-    return {
-        "scale": scale,
-        "metrics": {k: round(v, 6) for k, v in compute_metrics(spec, table).items()},
-        "tolerances": tolerances(spec),
-    }
-
-
-def hybrid_ledger_section(
-    spec: FigureSpec, table: ResultTable, scale: float
+def ledger_entry(
+    spec: FigureSpec, table: ResultTable, scale: float, tols: Any = tolerances
 ) -> Dict[str, Any]:
-    """A figure entry's ``hybrid`` section: the hybrid-tier snapshot.
+    """One committed snapshot: metrics + the spec's tolerance bands.
 
-    Holds the hybrid run's metrics and the (wider) hybrid tolerance
-    bands from the fidelity contract; only hybrid-defined metrics get a
-    band.  The caller adds ``packet_metrics`` when a same-scale packet
-    reference is available (docs/SIMULATION.md).
+    With ``tols=hybrid_tolerances`` it is a figure entry's ``hybrid``
+    section: the hybrid run's metrics and the (wider) hybrid bands from
+    the fidelity contract, where only hybrid-defined metrics get a band.
+    The caller adds ``packet_metrics`` when a same-scale packet reference
+    is available (docs/SIMULATION.md).
     """
-    from repro.obs.figspec import hybrid_tolerances
-
     return {
         "scale": scale,
-        "metrics": {k: round(v, 6) for k, v in compute_metrics(spec, table).items()},
-        "tolerances": hybrid_tolerances(spec),
+        "metrics": _snapshot_metrics(spec, table),
+        "tolerances": tols(spec),
     }
 
 
@@ -672,76 +180,38 @@ def _table_from_entry(entry: Dict[str, Any]) -> ResultTable:
 def resolve_result(
     exp_id: str,
     scale: float,
-    cache: Optional[Any] = None,
+    cache: ResultCache,
     results_dir: Optional[Path] = None,
-    allow_run: bool = True,
-    emit: Optional[Any] = None,
     fidelity: str = "packet",
 ) -> Tuple[Optional[ResultTable], str]:
-    """Find (or produce) the experiment's result table at ``scale``.
+    """Look up the experiment's result table at ``scale``.
 
-    Tries, in order: a ``<exp_id>.json`` entry under ``results_dir``, the
-    digest-keyed sweep cache, then an in-process run (stored back into
-    the cache so the dashboard and later gates reuse it).  Returns
-    ``(table, source)`` with source in {"results-dir", "cache", "run"},
-    or ``(None, reason)``.
-
-    ``fidelity`` selects the simulation tier (docs/SIMULATION.md); it is
-    part of the cache digest, and an in-process run sets
-    ``REPRO_FIDELITY`` for its duration.
+    Tries a ``<exp_id>.json`` entry under ``results_dir``, then the
+    digest-keyed sweep cache (``fidelity`` is part of the digest).
+    Returns ``(table, source)`` with source in {"results-dir", "cache"},
+    or ``(None, reason)`` where the reason ends in the sweep command
+    that produces the missing entry.
     """
-    say = emit if emit is not None else (lambda s: None)
     if results_dir is not None:
         p = Path(results_dir) / f"{exp_id}.json"
         if p.exists():
             with open(p, "r", encoding="utf-8") as f:
                 return _table_from_entry(json.load(f)), "results-dir"
-    digest = None
-    if cache is not None:
-        from repro.runner.digest import experiment_digest
+    from repro.runner.digest import experiment_digest
 
-        digest, _ = experiment_digest(exp_id, scale, fidelity=fidelity)
-        entry = cache.load(digest)
-        if entry is not None:
-            return _table_from_entry(entry), "cache"
-    if not allow_run:
-        return None, "not cached and --no-run given"
-    from dataclasses import asdict
-
-    from repro.experiments import get_experiment
-    from repro.sim.fluid import FIDELITY_ENV
-
-    say(f"[figures] running {exp_id} at scale={scale:g} ({fidelity}) ...")
-    old = os.environ.get("REPRO_SCALE")
-    old_fid = os.environ.get(FIDELITY_ENV)
-    os.environ["REPRO_SCALE"] = format(scale, "g")
-    os.environ[FIDELITY_ENV] = fidelity
-    try:
-        t0 = time.perf_counter()
-        result = get_experiment(exp_id).runner()
-        seconds = time.perf_counter() - t0
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_SCALE", None)
-        else:
-            os.environ["REPRO_SCALE"] = old
-        if old_fid is None:
-            os.environ.pop(FIDELITY_ENV, None)
-        else:
-            os.environ[FIDELITY_ENV] = old_fid
-    say(f"[figures] {exp_id} finished in {seconds:.1f}s")
-    if cache is not None and digest is not None:
-        cache.store(
-            digest,
-            {
-                "exp_id": exp_id,
-                "scale": scale,
-                "fidelity": fidelity,
-                "seconds": seconds,
-                "result": asdict(result),
-            },
-        )
-    return ResultTable(result), "run"
+    digest, _ = experiment_digest(exp_id, scale, fidelity=fidelity)
+    entry = cache.load(digest)
+    if entry is not None:
+        return _table_from_entry(entry), "cache"
+    cmd = f"repro-udt sweep --only {exp_id} --scale {scale:g}"
+    if fidelity != "packet":
+        cmd += f" --fidelity {fidelity}"
+    if cache.root != default_cache_dir():
+        cmd += f" --cache-dir {cache.root}"
+    return None, (
+        f"no {fidelity} result at scale={scale:g} in {cache.root} "
+        f"(digest {digest[:12]}); run: {cmd}"
+    )
 
 
 # -- CLI --------------------------------------------------------------------
@@ -753,20 +223,14 @@ def _parse_only(raw: Optional[str]) -> Optional[List[str]]:
     return [s for s in raw.replace(" ", "").split(",") if s]
 
 
-def _cli_cache(args: argparse.Namespace) -> Any:
-    from repro.runner.cache import ResultCache
-
-    return ResultCache(Path(args.cache_dir) if args.cache_dir else None)
-
-
 def _gather(
     fig_ids: Iterable[str],
     scales: Dict[str, float],
     args: argparse.Namespace,
+    cache: ResultCache,
     fidelity: str = "packet",
 ) -> Tuple[Dict[str, ResultTable], List[str]]:
     """Resolve result tables for ``fig_ids``; returns (tables, problems)."""
-    cache = _cli_cache(args)
     results_dir = Path(args.results) if args.results else None
     tables: Dict[str, ResultTable] = {}
     problems: List[str] = []
@@ -777,10 +241,8 @@ def _gather(
         table, source = resolve_result(
             fig_id,
             scales[fig_id],
-            cache=cache,
+            cache,
             results_dir=results_dir,
-            allow_run=not args.no_run,
-            emit=print,
             fidelity=fidelity,
         )
         if table is None:
@@ -835,7 +297,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=float,
         default=None,
         metavar="S",
-        help="REPRO_SCALE for resolving results (default: each ledger "
+        help="REPRO_SCALE the results were swept at (default: each ledger "
         "entry's recorded scale; falls back to the environment)",
     )
     parser.add_argument(
@@ -850,7 +312,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="DIR",
         default=None,
         help="sweep result cache to resolve results from (default "
-        "$REPRO_CACHE_DIR or .repro-cache)",
+        "$REPRO_CACHE_DIR or .repro-cache); a figure found in neither "
+        "place fails with the 'repro-udt sweep' line that produces it",
     )
     parser.add_argument(
         "--fidelity",
@@ -860,12 +323,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "hybrid compares against each entry's 'hybrid' section using "
         "the wider hybrid tolerance bands; metrics the fidelity "
         "contract leaves undefined in hybrid are skipped",
-    )
-    parser.add_argument(
-        "--no-run",
-        action="store_true",
-        help="never run experiments in-process; a figure whose result "
-        "cannot be found fails instead",
     )
     parser.add_argument(
         "--json",
@@ -878,6 +335,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     ledger_path = Path(args.ledger) if args.ledger else DEFAULT_LEDGER
     ledger = read_ledger(ledger_path)
     only = _parse_only(args.only)
+    cache = ResultCache(Path(args.cache_dir) if args.cache_dir else None)
 
     def env_scale() -> float:
         from repro.experiments.common import scale as _s
@@ -903,60 +361,44 @@ def main(argv: Optional[List[str]] = None) -> int:
                 scales[fig_id] = float(entry["hybrid"]["scale"])
             else:
                 scales[fig_id] = float(entry.get("scale", env_scale()))
-        tables, problems = _gather(fig_ids, scales, args, fidelity=args.fidelity)
-        if args.update and hybrid:
-            # Hybrid sections are additive: the packet entry (metrics,
-            # tolerances, scale) stays authoritative for the packet gate.
-            cache = _cli_cache(args)
-            results_dir = None  # --results entries are hybrid results here
-            for fig_id, table in tables.items():
-                spec = get_spec(fig_id)
-                section = hybrid_ledger_section(spec, table, scales[fig_id])
-                # packet reference at the same scale, cache-only: a run
-                # at paper scale can take hours, so "where feasible"
-                # means "already swept" (docs/SIMULATION.md)
-                p_table, p_source = resolve_result(
-                    fig_id,
-                    scales[fig_id],
-                    cache=cache,
-                    results_dir=results_dir,
-                    allow_run=False,
-                    emit=print,
-                    fidelity="packet",
-                )
-                if p_table is not None:
-                    section["packet_metrics"] = {
-                        k: round(v, 6)
-                        for k, v in compute_metrics(spec, p_table).items()
-                    }
-                    print(
-                        f"[figures] {fig_id}: packet reference from {p_source}"
-                    )
-                else:
-                    print(
-                        f"[figures] {fig_id}: no same-scale packet reference "
-                        "cached; hybrid gate will drift-check against the "
-                        "hybrid snapshot itself"
-                    )
-                entry = ledger["figures"].setdefault(fig_id, {})
-                entry["hybrid"] = section
-                print(f"[figures] {fig_id}: hybrid ledger section updated")
-            for p in problems:
-                print(f"[figures] WARNING: {p}", file=sys.stderr)
-            write_ledger(ledger, ledger_path)
-            print(f"[figures] ledger -> {ledger_path}")
-            return 0 if not problems else 1
+        tables, problems = _gather(
+            fig_ids, scales, args, cache, fidelity=args.fidelity
+        )
         if args.update:
             for fig_id, table in tables.items():
                 spec = get_spec(fig_id)
-                hybrid_section = ledger["figures"].get(fig_id, {}).get("hybrid")
-                ledger["figures"][fig_id] = ledger_entry(spec, table, scales[fig_id])
-                if hybrid_section is not None:
-                    ledger["figures"][fig_id]["hybrid"] = hybrid_section
-                print(f"[figures] {fig_id}: ledger entry updated")
+                old = ledger["figures"].get(fig_id, {})
+                if hybrid:
+                    # Hybrid sections are additive: the packet entry (metrics,
+                    # tolerances, scale) stays authoritative for the packet gate.
+                    section = ledger_entry(
+                        spec, table, scales[fig_id], tols=hybrid_tolerances
+                    )
+                    # packet reference at the same scale: a run at paper
+                    # scale can take hours, so "where feasible" means
+                    # "already swept" (docs/SIMULATION.md); --results
+                    # entries are hybrid results here, so cache only
+                    p_table, _ = resolve_result(fig_id, scales[fig_id], cache)
+                    if p_table is not None:
+                        section["packet_metrics"] = _snapshot_metrics(spec, p_table)
+                        print(f"[figures] {fig_id}: packet reference from cache")
+                    else:
+                        print(
+                            f"[figures] {fig_id}: no same-scale packet reference "
+                            "cached; hybrid gate will drift-check against the "
+                            "hybrid snapshot itself"
+                        )
+                    ledger["figures"][fig_id] = {**old, "hybrid": section}
+                    print(f"[figures] {fig_id}: hybrid ledger section updated")
+                else:
+                    new = ledger_entry(spec, table, scales[fig_id])
+                    if "hybrid" in old:
+                        new["hybrid"] = old["hybrid"]
+                    ledger["figures"][fig_id] = new
+                    print(f"[figures] {fig_id}: ledger entry updated")
             for p in problems:
                 print(f"[figures] WARNING: {p}", file=sys.stderr)
-            write_ledger(ledger, ledger_path)
+            write_json_atomic(ledger_path, ledger)
             print(f"[figures] ledger -> {ledger_path}")
             return 0 if not problems else 1
         current = {
@@ -1008,7 +450,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         for fig_id in fig_ids
     }
-    tables, problems = _gather(fig_ids, scales, args, fidelity=args.fidelity)
+    tables, problems = _gather(fig_ids, scales, args, cache, fidelity=args.fidelity)
     out_dir.mkdir(parents=True, exist_ok=True)
     for fig_id, table in tables.items():
         svg = render_figure(get_spec(fig_id), table)

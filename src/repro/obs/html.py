@@ -1,9 +1,10 @@
 """Static HTML dashboard over figures, traces and bench history.
 
-``repro-udt report --html OUT_DIR`` (and ``repro-udt sweep --html``)
-render a self-contained multi-page site: an index with sweep status,
-per-figure runtime trends from the ``BENCH_runtime.json`` history and
-cache-hit stats, plus one page per experiment carrying its inline-SVG
+``repro-udt report --html OUT_DIR`` renders a self-contained
+multi-page site: an index with sweep status, each experiment's latest
+runtime (with its scale) and same-scale trend from the
+``BENCH_runtime.json`` history and cache-hit stats, plus one page per
+experiment carrying its inline-SVG
 figure, fidelity deltas against the committed ledger, a CC timeline (if
 a trace is at hand), the loss-forensics summary and the profiler
 category table.  Everything is hand-written HTML/SVG strings — no
@@ -27,6 +28,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import figures as figmod
 from repro.obs.figspec import ResultTable, compute_metrics, get_spec
+from repro.obs.svg import _fmt_num, render_figure, render_timeline
 
 Emit = Callable[[str], None]
 
@@ -76,7 +78,7 @@ def _fmt(v: Any) -> str:
         return _esc(v)
     if isinstance(v, int):
         return f"{v}"
-    return figmod._fmt_num(float(v))
+    return _fmt_num(float(v))
 
 
 def _html_table(
@@ -133,7 +135,7 @@ def _sparkline(values: Sequence[float], width: int = 150, height: int = 30) -> s
     return (
         f'<svg width="{width}" height="{height}" viewBox="0 0 {width} {height}" '
         f'role="img" aria-label="runtime trend, {len(vals)} runs">'
-        f'<title>{figmod._fmt_num(vals[0])}s → {figmod._fmt_num(vals[-1])}s '
+        f'<title>{_fmt_num(vals[0])}s → {_fmt_num(vals[-1])}s '
         f"over {len(vals)} runs</title>"
         f'<polyline points="{pts}" fill="none" stroke="#2a78d6" stroke-width="2" '
         f'stroke-linejoin="round" stroke-linecap="round"/>'
@@ -155,7 +157,6 @@ class DashboardInputs:
     bench: Dict[str, Any] = field(default_factory=dict)
     traces: Dict[str, Path] = field(default_factory=dict)
     profiles: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    sweep_summary: Optional[str] = None
     progress: Optional[Dict[str, Any]] = None
     lint_status: Optional[Dict[str, Any]] = None
 
@@ -171,21 +172,20 @@ def collect_inputs(
     ledger_path: Optional[Path] = None,
     traces: Optional[Dict[str, Path]] = None,
     only: Optional[Sequence[str]] = None,
-    sweep_summary: Optional[str] = None,
     progress_path: Optional[Path] = None,
 ) -> DashboardInputs:
     """Scan the cache / results dir / ledgers into dashboard inputs.
 
-    ``traces`` maps experiment id -> trace path (e.g. a sweep's
-    ``--trace-dir`` output, or the single trace handed to ``repro-udt
-    report``).  ``progress_path`` points at a ``sweep --progress`` feed
+    ``traces`` maps experiment id -> trace path (the single trace handed
+    to ``repro-udt report``).  ``progress_path`` points at a
+    ``sweep --progress`` feed
     (``progress.jsonl``); when it holds records, the index page gets a
     live-run card.  Nothing is executed; missing results stay missing.
     """
-    from repro.runner.cache import ResultCache
-    from repro.runner.sweep import DEFAULT_BENCH, _read_bench
+    from repro.runner.cache import ResultCache, read_json_object
+    from repro.runner.sweep import DEFAULT_BENCH
 
-    inputs = DashboardInputs(sweep_summary=sweep_summary)
+    inputs = DashboardInputs()
     if progress_path is not None:
         from repro.runner.progress import read_progress
 
@@ -193,7 +193,9 @@ def collect_inputs(
     inputs.ledger = figmod.read_ledger(
         Path(ledger_path) if ledger_path else figmod.DEFAULT_LEDGER
     )
-    inputs.bench = _read_bench(Path(bench_path) if bench_path else DEFAULT_BENCH)
+    inputs.bench = read_json_object(
+        Path(bench_path) if bench_path else DEFAULT_BENCH
+    )
 
     # code-health feed left behind by `repro-udt lint` / `conform`
     from repro.analysis.cli import STATUS_RELPATH
@@ -289,7 +291,7 @@ def _fidelity_rows(
                 ref,
                 current.get(name, "missing"),
                 "—" if delta is None else f"{delta:+.4g}",
-                f"±{figmod._fmt_num(allowed)}",
+                f"±{_fmt_num(allowed)}",
                 _badge(ok),
             ]
         )
@@ -308,7 +310,7 @@ def _forensics_fragment(exp_id: str, trace_path: Path) -> str:
     except (OSError, ValueError):
         recorder = None
     if recorder is not None:
-        svg = figmod.render_timeline(recorder, title="CC sending rate over time")
+        svg = render_timeline(recorder, title="CC sending rate over time")
         if svg:
             parts.append(f'<div class="card"><h2>CC timeline</h2>{svg}</div>')
     try:
@@ -479,7 +481,7 @@ def _experiment_page(exp_id: str, inputs: DashboardInputs) -> str:
     spec = get_spec(exp_id)
     if table is not None and spec is not None:
         try:
-            svg = figmod.render_figure(spec, table)
+            svg = render_figure(spec, table)
             body.append(f'<div class="card">{svg}</div>')
         except (KeyError, ValueError) as exc:
             body.append(
@@ -552,27 +554,30 @@ def _index_page(inputs: DashboardInputs, generated: str) -> str:
     ]
     if inputs.progress:
         body.append(_progress_card(inputs.progress))
-    if inputs.sweep_summary:
-        body.append(
-            f'<div class="card"><h2>This sweep</h2>'
-            f"<pre>{_esc(inputs.sweep_summary)}</pre></div>"
-        )
 
-    # experiments table with fidelity badge + runtime trend
-    runtimes = inputs.bench.get("runtimes", {})
+    # experiments table with fidelity badge + runtime trend; a runtime
+    # means nothing without its scale, so the latest history entry is
+    # shown as "seconds @ scale" and the trend keeps only that scale
     history = inputs.bench.get("history", {})
     rows: List[List[Any]] = []
     for exp_id in inputs.exp_ids():
         exp = REGISTRY.get(exp_id)
         _fid_rows, fid_ok = _fidelity_rows(exp_id, inputs)
-        latest = runtimes.get(exp_id, {}).get("seconds")
-        trend = [h.get("seconds") for h in history.get(exp_id, []) if "seconds" in h]
+        runs = [h for h in history.get(exp_id, []) if "seconds" in h]
+        latest = "—"
+        trend: List[float] = []
+        if runs:
+            scale = runs[-1].get("scale")
+            latest = f"{runs[-1]['seconds']:.1f}s @ " + (
+                "?" if scale is None else f"{scale:g}"
+            )
+            trend = [h["seconds"] for h in runs if h.get("scale") == scale]
         rows.append(
             [
                 _Raw(f'<a href="{_esc(exp_id)}.html">{_esc(exp_id)}</a>'),
                 "" if exp is None else exp.paper_artefact,
                 _Raw(_badge(fid_ok, bad_text="✗ drifted")),
-                "—" if latest is None else f"{latest:.1f}s",
+                latest,
                 _Raw(_sparkline(trend)),
             ]
         )
@@ -583,8 +588,9 @@ def _index_page(inputs: DashboardInputs, generated: str) -> str:
             rows,
             numeric_from=3,
         )
-        + '<p class="note">trend: per-run seconds from the '
-        "<code>BENCH_runtime.json</code> history (oldest → newest).</p></div>"
+        + '<p class="note">latest runtime: the newest entry of the '
+        "<code>BENCH_runtime.json</code> history, with the scale it ran at; "
+        "trend: earlier runs at that same scale (oldest → newest).</p></div>"
     )
 
     # sweep status + cache-hit stats from the runtime ledger

@@ -10,6 +10,9 @@ change to the experiment's config, scale or source closure simply misses
 Writes are atomic (tmp file + ``os.replace``) so a killed sweep never
 leaves a half-written entry; unreadable or schema-mismatched entries are
 deleted on load and counted in :attr:`ResultCache.corrupt_dropped`.
+
+The runtime and fidelity ledgers are JSON objects on disk too, and share
+this module's :func:`read_json_object` / :func:`write_json_atomic` pair.
 """
 
 from __future__ import annotations
@@ -23,6 +26,42 @@ from typing import Any, Dict, List, Optional
 CACHE_SCHEMA = 1
 
 _HEX = set("0123456789abcdef")
+
+
+def read_json_object(path: Path) -> Dict[str, Any]:
+    """The JSON object stored at ``path``, or ``{}``.
+
+    A missing, unparsable or non-object file reads as empty: the ledgers
+    are merge-updated, so "nothing there yet" and "nothing usable there"
+    start from the same place.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            data = json.load(f)
+    except (FileNotFoundError, json.JSONDecodeError):
+        return {}
+    return data if isinstance(data, dict) else {}
+
+
+def write_json_atomic(
+    path: Path, data: Dict[str, Any], indent: Optional[int] = 2
+) -> Path:
+    """Write ``data`` to ``path`` through a tmp file + ``os.replace``.
+
+    ``indent=2`` is the committed-ledger layout (reviewable diffs);
+    ``indent=None`` the compact one-line form cache entries use.  The tmp
+    name carries the pid so concurrent writers never share it.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(f".tmp.{os.getpid()}")
+    with open(tmp, "w", encoding="utf-8") as f:
+        json.dump(
+            data, f, indent=indent, sort_keys=True,
+            separators=None if indent else (",", ":"),
+        )
+        f.write("\n")
+    os.replace(tmp, path)
+    return path
 
 
 def default_cache_dir() -> Path:
@@ -73,14 +112,7 @@ class ResultCache:
         entry = dict(entry)
         entry["schema"] = CACHE_SCHEMA
         entry["digest"] = digest
-        path = self.path(digest)
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(entry, f, sort_keys=True, separators=(",", ":"))
-            f.write("\n")
-        os.replace(tmp, path)
-        return path
+        return write_json_atomic(self.path(digest), entry, indent=None)
 
     def entries(self) -> List[Dict[str, Any]]:
         """Every readable entry in the cache (dashboard/report scans).

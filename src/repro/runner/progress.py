@@ -13,7 +13,10 @@ module adds a side channel over the pipe the workers already have:
   stdout is otherwise unused, so the protocol needs no new file
   descriptors.  The live event count is the simulator's own
   ``events_processed``, which the dispatch loop writes per event; the
-  thread reads it and ``now`` and nothing else.
+  thread reads it and ``now`` on the live simulator and nothing else,
+  stores nothing and calls nothing — the lock-free bargain the engine
+  makes with this reader, pinned by a stand-in simulator that raises on
+  anything else (tests/test_runner_progress.py, docs/ANALYSIS.md).
 
 * **Parent side** — :class:`ProgressBoard` collects heartbeats (and
   start/done/failed lifecycle records) from all workers, renders
@@ -47,43 +50,6 @@ from repro.sim.engine import RunObserver, add_run_observer, remove_run_observer
 HEARTBEAT = "sweep.heartbeat"
 
 Emit = Callable[[str], None]
-
-# ---------------------------------------------------------------------------
-# Cross-thread contract, machine-checked by the ``thread-shared-state``
-# lint rule (repro.analysis.threads).  The ProgressReporter daemon thread
-# (_loop -> sample) may READ exactly these reporter attributes; everything
-# else it touches is a lint finding.  Keep these in sync when the sampler
-# grows: the point is that the diff to this list is the review surface for
-# new cross-thread traffic.
-# ---------------------------------------------------------------------------
-
-#: reporter attributes the daemon thread may read (shared with the main
-#: thread; scalar snapshots or intentionally thread-safe objects).
-THREAD_SHARED_READS = frozenset(
-    {
-        "exp_id",
-        "interval",
-        "_out",
-        "_lock",
-        "_cur_sim",
-        "_cur_until",
-        "_cur_base",
-        "_events_done",
-        "_t0",
-        "_stop",
-    }
-)
-
-#: attributes only the daemon thread itself touches (read *and* write).
-THREAD_OWNED = frozenset({"_last"})
-
-#: attributes holding live foreign objects (the running Simulator);
-#: locals aliasing them are dataflow-tracked by the rule.
-THREAD_SHARED_OBJECTS = frozenset({"_cur_sim"})
-
-#: the only attributes the thread may read on such a foreign object —
-#: plain number slots the dispatch loop writes per event, racy-read safe.
-THREAD_SHARED_OBJECT_READS = frozenset({"now", "events_processed"})
 
 
 def default_progress_path(cache_dir: Optional[Path] = None) -> Path:

@@ -10,11 +10,12 @@ belong to the run's own ``Simulator``/``Network`` — so results and traces
 are byte-identical whatever ``--jobs`` is.
 
 After the run the sweep merge-updates ``benchmarks/results/
-BENCH_runtime.json``: per-experiment wall times go under ``runtimes``
-(keyed by registry id) and the sweep itself under ``sweeps`` with its
-digest map, cache-hit count and per-experiment seconds — preserving every
-key the file already holds.  :func:`check_regressions` compares two such
-files and is the CI runtime-regression gate (docs/PERFORMANCE.md).
+BENCH_runtime.json``: the sweep goes under ``sweeps[<key>]`` with its
+digest map, cache-hit count and per-experiment seconds (what
+:func:`check_regressions`, the CI runtime-regression gate, compares
+between two such files — docs/PERFORMANCE.md), and every *executed*
+experiment appends one ``history[<exp>]`` entry with its scale (what the
+dashboard plots) — preserving every other key the file holds.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.runner.cache import ResultCache
+from repro.obs.export import TRACE_FORMATS
+from repro.runner.cache import ResultCache, read_json_object, write_json_atomic
 from repro.runner.digest import experiment_digest
 
 #: Default location of the merged runtime ledger, relative to the cwd.
@@ -107,10 +109,6 @@ def select_experiments(only: Optional[Sequence[str]]) -> Tuple[str, List[str]]:
         if exp_id not in ids:
             ids.append(exp_id)
     return ",".join(ids), ids
-
-
-#: Trace formats ``--trace-dir`` sweeps can record (file suffix = format).
-TRACE_FORMATS = ("jsonl", "jsonl.gz", "rtrc")
 
 
 def _worker_cmd(
@@ -235,7 +233,7 @@ def run_sweep(
     """Run (or cache-skip) every selected experiment; returns the report.
 
     ``trace_dir`` asks each worker to write ``<exp_id>.<trace_format>``
-    there (``trace_format`` one of ``jsonl``/``jsonl.gz``/``rtrc``); a
+    there (``trace_format`` one of :data:`~repro.obs.export.TRACE_FORMATS`); a
     trace run always executes (a cache hit has no trace to hand back),
     which is what makes ``--jobs 1`` vs ``--jobs N`` trace comparisons
     meaningful.  ``force`` ignores cache hits but still stores results.
@@ -397,10 +395,11 @@ def append_history(
 ) -> None:
     """Append one measured run to ``data["history"][exp_id]``, bounded.
 
-    The history list is what the dashboard plots as a runtime trend; the
-    top-level ``runtimes`` latest values stay authoritative for the
-    regression gate.  Entries are append-only up to ``limit``, then the
-    oldest fall off.
+    The history list is what the dashboard reads: its last entry is the
+    experiment's latest runtime (shown with its scale) and the same-scale
+    entries are the trend.  The regression gate reads none of it — it
+    compares ``sweeps[<key>].per_experiment``.  Entries are append-only
+    up to ``limit``, then the oldest fall off.
     """
     entry: Dict[str, Any] = {
         "ts": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -416,38 +415,24 @@ def append_history(
     del runs[:-limit]
 
 
-def _read_bench(path: Path) -> Dict[str, Any]:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f)
-        if not isinstance(data, dict):
-            data = {}
-    except (FileNotFoundError, json.JSONDecodeError):
-        data = {}
-    data.setdefault("schema", 1)
-    data.setdefault("kind", "bench.runtime")
-    return data
-
-
 def update_bench(report: SweepReport, bench_path: Optional[Path] = None) -> Path:
     """Merge this sweep's timings into the runtime ledger.
 
-    Only the keys this sweep owns are replaced; everything else in the
-    file (other sweeps, pytest-benchmark runtimes, foreign top-level
-    keys) is preserved verbatim.
+    Only what this sweep owns is replaced — its ``sweeps`` entry, plus
+    one appended ``history`` record per executed experiment; other
+    sweeps and foreign top-level keys are preserved verbatim.
     """
     path = Path(bench_path) if bench_path is not None else DEFAULT_BENCH
-    data = _read_bench(path)
-    runtimes = data.setdefault("runtimes", {})
+    data = read_json_object(path)
+    data.setdefault("schema", 1)
+    data.setdefault("kind", "bench.runtime")
+    # the scale-blind latest-value table older ledgers carry; nothing reads it
+    data.pop("runtimes", None)
     sha = git_sha()
-    # Hybrid timings live under "<exp>@hybrid" so the packet baseline
-    # the regression gate compares against is never overwritten.
+    # Hybrid timings live under "<exp>@hybrid" so a packet trend is never
+    # mixed with a hybrid one.
     suffix = "" if report.fidelity == "packet" else f"@{report.fidelity}"
     for exp_id in report.executed:
-        runtimes[exp_id + suffix] = {
-            "seconds": round(report.exp_seconds[exp_id], 3),
-            "test": "repro-udt sweep",
-        }
         # cache hits are skipped: they carry no fresh measurement
         append_history(
             data,
@@ -469,13 +454,7 @@ def update_bench(report: SweepReport, bench_path: Optional[Path] = None) -> Path
             k: round(v, 3) for k, v in sorted(report.exp_seconds.items())
         },
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(data, f, indent=2, sort_keys=True)
-        f.write("\n")
-    os.replace(tmp, path)
-    return path
+    return write_json_atomic(path, data)
 
 
 def check_regressions(
@@ -491,8 +470,8 @@ def check_regressions(
     the threshold is applied, so a uniformly slower machine (every figure
     2x) does not trip the gate while a single experiment regressing does.
     """
-    cur = _read_bench(Path(current_path)).get("sweeps", {})
-    base = _read_bench(Path(baseline_path)).get("sweeps", {})
+    cur = read_json_object(Path(current_path)).get("sweeps", {})
+    base = read_json_object(Path(baseline_path)).get("sweeps", {})
     keys = [key] if key else sorted(set(cur) & set(base))
     failures: List[str] = []
     lines: List[str] = []

@@ -501,6 +501,7 @@ class TcpFlow:
         if flow_id is None:
             flow_id = net.next_flow_id("tcp")
         self.flow_id = flow_id
+        self._taps: List[Callable[[int], None]] = []
         self.sink = TcpSink(dst, self.config, deliver=self._on_deliver, meter=meter_rcv)
         self.sender = TcpSender(
             src, self.sink.address, self.config, response, total_bytes=nbytes,
@@ -520,6 +521,17 @@ class TcpFlow:
 
     def _on_deliver(self, size: int) -> None:
         self.net.monitor.on_deliver(self.flow_id, size)
+        for tap in self._taps:
+            tap(size)
+
+    def offer(self, nbytes: int) -> int:
+        """Hand application bytes to the sender; it takes all of them."""
+        self.sender.push_app_data(nbytes)
+        return nbytes
+
+    def add_delivery_tap(self, cb: Callable[[int], None]) -> None:
+        """Call ``cb(size)`` after each in-order delivery's own bookkeeping."""
+        self._taps.append(cb)
 
     # -- experiment helpers -------------------------------------------------
     @property

@@ -8,7 +8,7 @@ goodput through the network's :class:`~repro.sim.monitor.FlowMonitor`.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.obs import bus as OB
 from repro.sim.engine import Event, Simulator
@@ -180,6 +180,7 @@ class UdtFlow:
         self.done = False
         self.finish_time: Optional[float] = None
         self._offered = 0  # bytes handed to the send buffer so far
+        self._taps: List[Callable[[int], None]] = []
 
         sched = SimScheduler(net.sim)
         self._src_ep = UdpEndpoint(src)
@@ -266,6 +267,16 @@ class UdtFlow:
                     bytes=self.receiver.delivered_bytes,
                     elapsed=self.finish_time - self.start_time,
                 )
+        for tap in self._taps:
+            tap(size)
+
+    def offer(self, nbytes: int) -> int:
+        """Hand application bytes to the sender; returns how many it took."""
+        return self.sender.send(nbytes)
+
+    def add_delivery_tap(self, cb: Callable[[int], None]) -> None:
+        """Call ``cb(size)`` after each in-order delivery's own bookkeeping."""
+        self._taps.append(cb)
 
     # -- experiment helpers ------------------------------------------------
     def throughput_bps(self, t0: float = 0.0, t1: Optional[float] = None) -> float:

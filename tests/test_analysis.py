@@ -10,7 +10,6 @@ from repro.analysis.event_schema import EventSchemaChecker
 from repro.analysis.sanitizer import Divergence, SanitizerResult, diff_traces
 from repro.analysis.sansio import SansioPurityChecker
 from repro.analysis.seqno_taint import SeqnoTaintChecker
-from repro.analysis.threads import ThreadSharedStateChecker
 from repro.analysis.units import UnitsChecker
 from repro.analysis.vtime import VtimeDeterminismChecker
 
@@ -49,7 +48,6 @@ def test_rule_ids_cover_all_checkers():
         "event-schema",
         "sansio-purity",
         "seqno-taint",
-        "thread-shared-state",
         "units",
         "vtime-determinism",
     ]
@@ -304,95 +302,6 @@ def test_units_flags_emit_payload_against_catalog(tmp_path):
     findings = run_checkers(root, [UnitsChecker()])
     assert _rules(findings) == ["units"]
     assert "declared [pkts]" in findings[0].message
-
-
-# -- thread-shared-state --------------------------------------------------
-
-_THREAD_DECLS = (
-    'THREAD_SHARED_READS = frozenset({"_interval", "_cur_sim"})\n'
-    'THREAD_OWNED = frozenset({"_last"})\n'
-    'THREAD_SHARED_OBJECTS = frozenset({"_cur_sim"})\n'
-    'THREAD_SHARED_OBJECT_READS = frozenset({"now"})\n'
-)
-
-
-def test_thread_missing_allowlist_is_a_finding(tmp_path):
-    root = _tree(
-        tmp_path,
-        {
-            "runner/x.py": (
-                "import threading\n"
-                "class R:\n"
-                "    def start(self):\n"
-                "        threading.Thread(target=self._run).start()\n"
-                "    def _run(self):\n"
-                "        pass\n"
-            )
-        },
-    )
-    findings = run_checkers(root, [ThreadSharedStateChecker()])
-    assert _rules(findings) == ["thread-shared-state"]
-    assert "THREAD_SHARED_READS" in findings[0].message
-
-
-def test_thread_undeclared_read_and_write(tmp_path):
-    root = _tree(
-        tmp_path,
-        {
-            "runner/x.py": (
-                "import threading\n" + _THREAD_DECLS + "class R:\n"
-                "    def start(self):\n"
-                "        threading.Thread(target=self._run).start()\n"
-                "    def _run(self):\n"
-                "        x = self._secret\n"
-                "        self._count = 1\n"
-                "        self._last = 2\n"
-            )
-        },
-    )
-    findings = run_checkers(root, [ThreadSharedStateChecker()])
-    msgs = " | ".join(f.message for f in findings)
-    assert len(findings) == 2
-    assert "self._secret" in msgs and "self._count" in msgs
-
-
-def test_thread_shared_object_alias_mutation(tmp_path):
-    # The alias is what the dataflow framework buys: `sim` is a plain
-    # local, but it carries the shared-object label from self._cur_sim.
-    root = _tree(
-        tmp_path,
-        {
-            "runner/x.py": (
-                "import threading\n" + _THREAD_DECLS + "class R:\n"
-                "    def start(self):\n"
-                "        threading.Thread(target=self._run).start()\n"
-                "    def _run(self):\n"
-                "        sim = self._cur_sim\n"
-                "        t = sim.now\n"
-                "        sim.step()\n"
-            )
-        },
-    )
-    findings = run_checkers(root, [ThreadSharedStateChecker()])
-    assert _rules(findings) == ["thread-shared-state"]
-    assert ".step" in findings[0].message
-
-
-def test_thread_main_thread_methods_unconstrained(tmp_path):
-    root = _tree(
-        tmp_path,
-        {
-            "runner/x.py": (
-                "import threading\n" + _THREAD_DECLS + "class R:\n"
-                "    def start(self):\n"
-                "        threading.Thread(target=self._run).start()\n"
-                "        self.anything = 1\n"
-                "    def _run(self):\n"
-                "        return self._interval\n"
-            )
-        },
-    )
-    assert run_checkers(root, [ThreadSharedStateChecker()]) == []
 
 
 # -- sansio-purity --------------------------------------------------------

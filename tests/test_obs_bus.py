@@ -1,4 +1,4 @@
-"""Event bus, metrics registry, and JSONL export unit tests."""
+"""Event bus and JSONL export unit tests."""
 
 import io
 import json
@@ -11,7 +11,6 @@ from repro.obs import (
     Event,
     EventBus,
     JsonlWriter,
-    MetricsRegistry,
     TraceSummary,
     default_bus,
     read_events,
@@ -161,62 +160,3 @@ class TestTraceSummary:
         text = s.to_text()
         assert "cc.sample" in text and "2.00 Mb/s" in text
 
-
-class TestMetricsRegistry:
-    def test_counter_get_or_create_and_labels(self):
-        reg = MetricsRegistry()
-        c1 = reg.counter("pkts", flow="a")
-        c2 = reg.counter("pkts", flow="a")
-        c3 = reg.counter("pkts", flow="b")
-        assert c1 is c2 and c1 is not c3
-        c1.inc(5)
-        assert reg.counter("pkts", flow="a").value == 5
-        with pytest.raises(ValueError):
-            c1.inc(-1)
-
-    def test_gauge_and_histogram(self):
-        reg = MetricsRegistry()
-        reg.gauge("depth", link="l").set(42.0)
-        h = reg.histogram("rtt", flow="f")
-        for v in (1.0, 2.0, 3.0, 4.0):
-            h.observe(v)
-        assert h.count == 4
-        assert h.mean == pytest.approx(2.5)
-        assert h.min == 1.0 and h.max == 4.0
-        assert h.percentile(0) == 1.0
-        assert h.percentile(100) == 4.0
-        rows = reg.collect()
-        assert {r["type"] for r in rows} == {"gauge", "histogram"}
-
-    def test_absorb_udt_stats(self):
-        from repro.sim.topology import path_topology
-        from repro.udt import start_udt_flow
-
-        top = path_topology(50e6, 0.02)
-        f = start_udt_flow(top.net, top.src, top.dst, flow_id="udt0")
-        top.net.run(until=2.0)
-        reg = MetricsRegistry()
-        reg.absorb_udt_stats(f.sender, flow="udt0")
-        reg.absorb_udt_stats(f.receiver, flow="udt0")
-        sent = reg.counter(
-            "udt.data_pkts_sent", flow="udt0", endpoint="udt0-snd"
-        ).value
-        assert sent == f.sender.stats.data_pkts_sent > 0
-        acks = reg.counter("udt.acks_sent", flow="udt0", endpoint="udt0-rcv").value
-        assert acks > 0
-        text = reg.to_text()
-        assert "udt.data_pkts_sent" in text and "endpoint=udt0-snd" in text
-
-    def test_absorb_link_includes_peaks(self):
-        from repro.sim.topology import path_topology
-        from repro.udt import start_udt_flow
-
-        top = path_topology(10e6, 0.02)
-        start_udt_flow(top.net, top.src, top.dst)
-        top.net.run(until=2.0)
-        reg = MetricsRegistry()
-        reg.absorb_link(top.bottleneck)
-        rows = {r["name"]: r for r in reg.collect()}
-        assert rows["link.pkts_sent"]["value"] > 0
-        assert rows["queue.peak_pkts"]["value"] >= 1
-        assert rows["queue.peak_pkts"]["value"] == top.bottleneck.queue.peak_pkts

@@ -18,10 +18,10 @@ from repro.obs.figures import (
     ledger_entry,
     main,
     read_ledger,
-    render_figure,
-    render_timeline,
-    write_ledger,
+    resolve_result,
 )
+from repro.obs.svg import render_figure, render_timeline
+from repro.runner.cache import ResultCache, write_json_atomic
 
 _SVG = "{http://www.w3.org/2000/svg}"
 
@@ -198,7 +198,7 @@ class TestFidelityGate:
             entry["metrics"][name] = ref + factor * allowed
         data = {"schema": 1, "kind": "bench.fidelity", "figures": {"fig08": entry}}
         path = tmp_path / "BENCH_fidelity.json"
-        write_ledger(data, path)
+        write_json_atomic(path, data)
         return path, data
 
     def test_entry_carries_metrics_and_tolerances(self):
@@ -267,7 +267,6 @@ class TestFidelityGate:
             str(path),
             "--results",
             str(rd),
-            "--no-run",
         ]
         assert main(argv) == 0
         assert "no drift beyond tolerance" in capsys.readouterr().out
@@ -288,7 +287,6 @@ class TestFidelityGate:
                 str(path),
                 "--results",
                 str(rd),
-                "--no-run",
             ]
         )
         assert rc == 0
@@ -297,10 +295,45 @@ class TestFidelityGate:
         # and the fresh ledger immediately gates green
         assert (
             main(
-                ["--gate", "--ledger", str(path), "--results", str(rd), "--no-run"]
+                ["--gate", "--ledger", str(path), "--results", str(rd)]
             )
             == 0
         )
+        capsys.readouterr()
+
+    def test_cli_update_hybrid_section_is_additive(self, tmp_path, capsys):
+        """One --update tail for both tiers: a hybrid update adds its
+        section (with the same-scale packet reference when one is
+        already swept) and leaves the packet entry alone; a packet update
+        re-snapshots the entry and keeps the hybrid section."""
+        from repro.runner.digest import experiment_digest
+
+        rd = self._results_dir(tmp_path)
+        path, data = self._ledger(tmp_path)
+        packet_entry = dict(data["figures"]["fig08"])
+        cache = ResultCache(tmp_path / "cache")
+        hybrid = ["--update", "--fidelity", "hybrid", "--only", "fig08",
+                  "--ledger", str(path), "--results", str(rd),
+                  "--cache-dir", str(cache.root)]
+        assert main(hybrid) == 0
+        fig08 = read_ledger(path)["figures"]["fig08"]
+        assert {k: v for k, v in fig08.items() if k != "hybrid"} == packet_entry
+        assert fig08["hybrid"]["scale"] == 0.05
+        assert "packet_metrics" not in fig08["hybrid"]  # nothing swept yet
+        assert "no same-scale packet reference" in capsys.readouterr().out
+
+        digest, _ = experiment_digest("fig08", 0.05, fidelity="packet")
+        cache.store(digest, json.loads((rd / "fig08.json").read_text()))
+        assert main(hybrid) == 0
+        section = read_ledger(path)["figures"]["fig08"]["hybrid"]
+        assert section["packet_metrics"] == packet_entry["metrics"]
+
+        packet = ["--update", "--only", "fig08", "--ledger", str(path),
+                  "--results", str(rd)]
+        assert main(packet) == 0
+        fig08 = read_ledger(path)["figures"]["fig08"]
+        assert fig08["hybrid"] == section
+        assert fig08["metrics"] == packet_entry["metrics"]
         capsys.readouterr()
 
     def test_cli_render_writes_svg(self, tmp_path, capsys):
@@ -314,13 +347,32 @@ class TestFidelityGate:
                 "fig08",
                 "--results",
                 str(rd),
-                "--no-run",
             ]
         )
         assert rc == 0
         svg = (out / "fig08.svg").read_text()
         assert _series_groups(svg)
         capsys.readouterr()
+
+    def test_miss_names_the_sweep_that_fills_it(self, tmp_path, capsys):
+        """Nothing here runs an experiment: a figure found in neither the
+        results dir nor the cache fails with the exact sweep line."""
+        cache = ResultCache(tmp_path / "cache")
+        table, reason = resolve_result("fig08", 0.05, cache)
+        assert table is None
+        assert reason.endswith(
+            f"run: repro-udt sweep --only fig08 --scale 0.05 "
+            f"--cache-dir {tmp_path / 'cache'}"
+        )
+        _, reason = resolve_result("fig08", 1.0, cache, fidelity="hybrid")
+        assert "sweep --only fig08 --scale 1 --fidelity hybrid" in reason
+        # and the gate turns that reason into a failure, not a run
+        path, _data = self._ledger(tmp_path)
+        argv = ["--gate", "--ledger", str(path), "--cache-dir", str(cache.root)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "[fidelity] FAIL: fig08: no packet result at scale=0.05" in err
+        assert "run: repro-udt sweep --only fig08 --scale 0.05" in err
 
     def test_committed_ledger_covers_acceptance_figures(self):
         from repro.obs.figures import DEFAULT_LEDGER

@@ -55,12 +55,21 @@ def populated(tmp_path):
             {
                 "schema": 1,
                 "kind": "bench.runtime",
-                "runtimes": {"fig08": {"seconds": 19.2, "test": "sweep"}},
+                # two scales interleaved: a paper-scale run between two
+                # smoke-scale ones must not join their trend line
                 "history": {
                     "fig08": [
-                        {"ts": "2026-08-01T00:00:00Z", "sha": "aaa", "seconds": 21.0},
-                        {"ts": "2026-08-02T00:00:00Z", "sha": "bbb", "seconds": 19.2},
-                    ]
+                        {"ts": "2026-08-01T00:00:00Z", "sha": "aaa",
+                         "seconds": 21.0, "scale": 0.05},
+                        {"ts": "2026-08-02T00:00:00Z", "sha": "bbb",
+                         "seconds": 236.5, "scale": 1.0},
+                        {"ts": "2026-08-03T00:00:00Z", "sha": "ccc",
+                         "seconds": 19.2, "scale": 0.05},
+                    ],
+                    "table1": [
+                        {"ts": "2026-08-02T00:00:00Z", "sha": "bbb",
+                         "seconds": 4.0, "scale": 1.0},
+                    ],
                 },
                 "sweeps": {
                     "all|scale=0.05|jobs=2": {
@@ -75,16 +84,17 @@ def populated(tmp_path):
     )
     ledger = tmp_path / "fidelity.json"
     from repro.obs.figspec import ResultTable, get_spec
-    from repro.obs.figures import ledger_entry, write_ledger
+    from repro.obs.figures import ledger_entry
+    from repro.runner.cache import write_json_atomic
 
     table = ResultTable(cache.load("ab" * 32)["result"])
-    write_ledger(
+    write_json_atomic(
+        ledger,
         {
             "schema": 1,
             "kind": "bench.fidelity",
             "figures": {"fig08": ledger_entry(get_spec("fig08"), table, 0.05)},
         },
-        ledger,
     )
     return {"cache_dir": cache_dir, "bench": bench, "ledger": ledger}
 
@@ -137,6 +147,26 @@ class TestDashboard:
         assert "runtime trend" in index  # history sparkline rendered
         assert "3/4" in index  # cache-hit stats from the sweeps section
         assert 'href="fig08.html"' in index
+
+    def test_latest_runtime_carries_its_scale_and_trend_keeps_it(
+        self, tmp_path, populated
+    ):
+        inputs = collect_inputs(
+            cache_dir=populated["cache_dir"],
+            bench_path=populated["bench"],
+            ledger_path=populated["ledger"],
+        )
+        out = tmp_path / "dash"
+        build_dashboard(out, inputs)
+        index = (out / "index.html").read_text()
+        # each cell names the scale of the run it reports
+        assert "19.2s @ 0.05" in index and "4.0s @ 1" in index
+        # fig08's trend is its two 0.05 runs; the 236.5 s paper-scale run
+        # in between is on neither end of the line nor in its span
+        assert "21s → 19.2s over 2 runs" in index
+        assert "236" not in index
+        # a single run at a scale has no trend to draw
+        assert index.count("runtime trend") == 1
 
     def test_only_filter(self, tmp_path, populated):
         inputs = collect_inputs(
@@ -329,8 +359,10 @@ class TestBenchHistory:
         report.exp_seconds["fig08"] = 20.1
         update_bench(report, bench)
         data = json.loads(bench.read_text())
-        # gate still reads a single latest value
-        assert data["runtimes"]["fig08"]["seconds"] == 20.1
+        # the gate reads the sweep's own per-experiment seconds
+        assert data["sweeps"]["fig08|scale=0.05|jobs=1"]["per_experiment"] == {
+            "fig08": 20.1
+        }
         # dashboard reads the appended trend
         secs = [h["seconds"] for h in data["history"]["fig08"]]
         assert secs == [19.2, 20.1]

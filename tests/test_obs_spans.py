@@ -217,7 +217,7 @@ class TestTruncatedTraces:
 
 class TestRoundTrip:
     """ISSUE satellite: traced fig08-style run -> spans must agree with the
-    simulator's own ground-truth counters (MetricsRegistry link absorption,
+    simulator's own ground-truth counters (link and queue drop counters,
     UdtStats, receiver loss events)."""
 
     @pytest.fixture(scope="class")
@@ -249,22 +249,19 @@ class TestRoundTrip:
         return path, top, flow
 
     def test_drops_match_metrics_registry(self, traced_run):
-        from repro.obs.registry import MetricsRegistry
-
+        """Per link, the drops the spans attribute to each cause equal the
+        link's own ``queue.drops`` / ``pkts_lost`` counters."""
         path, top, _ = traced_run
-        reg = MetricsRegistry()
-        for link in top.net.links.values():
-            reg.absorb_link(link)
         spanset = build_spans(path)
         totals = spanset.total_drops()
         for link in top.net.links.values():
             by_cause = totals.get(link.name, {})
-            assert by_cause.get("queue", 0) == reg.counter(
-                "queue.drops", link=link.name
-            ).value, f"queue drops disagree on {link.name}"
-            assert by_cause.get("loss", 0) == reg.counter(
-                "link.pkts_lost", link=link.name
-            ).value, f"random-loss drops disagree on {link.name}"
+            assert by_cause.get("queue", 0) == link.queue.drops, (
+                f"queue drops disagree on {link.name}"
+            )
+            assert by_cause.get("loss", 0) == link.pkts_lost, (
+                f"random-loss drops disagree on {link.name}"
+            )
         # the congested run must actually have exercised the drop path
         assert sum(n for bc in totals.values() for n in bc.values()) > 0
 

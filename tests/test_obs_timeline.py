@@ -111,13 +111,16 @@ class TestInstrumentedStack:
         assert CC_SAMPLE in kinds
         drop = next(e for e in events if e.kind == LINK_DROP)
         assert drop.fields["reason"] in ("queue", "loss")
-        # high-water marks are monotone per link
+        # high-water marks are monotone per link and end at the queue's
+        # own peak counter
+        by_name = {link.name: link for link in d.net.links.values()}
         for link in {e.src for e in events if e.kind == QUEUE_HIGHWATER}:
             marks = [
                 e.fields["pkts"] for e in events
                 if e.kind == QUEUE_HIGHWATER and e.src == link
             ]
             assert marks == sorted(marks)
+            assert marks[-1] == by_name[link].queue.peak_pkts >= 1
 
     def test_exp_timeout_event_on_dead_peer(self):
         """Kill the return path mid-flow: the sender's EXP timer events

@@ -116,23 +116,52 @@ class TestReporter:
         assert rep.sample()["events"] == sim.events_processed == 10_000
 
     def test_rate_and_eta_from_stub_sim(self):
-        class Stub:
-            now = 1.0
-            events_processed = 0
+        """The cross-thread contract, as a stand-in simulator: the
+        heartbeat thread reads ``now`` and ``events_processed`` on the
+        live simulator and nothing else, stores nothing, calls nothing.
+        The stand-in has exactly those two slots and refuses every store,
+        so any other read, any call and any store raises AttributeError
+        in the real thread, which then stops beating."""
 
-        rep = ProgressReporter("x", interval=10.0, out=io.StringIO())
-        rep._cur_sim = Stub()
-        rep._cur_until = 5.0
-        first = rep.sample()
-        assert first["vt"] == 1.0 and first["vt_end"] == 5.0
-        Stub.now = 2.0
-        rep._events_done = 50_000
-        time.sleep(0.1)  # a measurable wall delta
-        second = rep.sample()
-        assert second["eps"] > 0
-        # 3 virtual seconds left at 1 virtual second per wall interval
-        dw = second["wall"] - first["wall"]
-        assert second["eta"] == pytest.approx(3.0 * dw, abs=0.1)
+        class Stub:
+            __slots__ = ("now", "events_processed")
+
+            def __setattr__(self, name, value):
+                raise AttributeError(f"sim.{name} stored through the reporter")
+
+        def engine_writes(now, events):  # the dispatch loop's side
+            object.__setattr__(stub, "events_processed", events)
+            object.__setattr__(stub, "now", now)
+
+        def beats_until(done):
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                assert rep._thread.is_alive(), (
+                    "the heartbeat thread died on the stand-in simulator"
+                )
+                beats = [json.loads(l) for l in out.getvalue().splitlines()]
+                if done(beats):
+                    return beats
+                time.sleep(0.01)
+            raise AssertionError("no heartbeat within 10 s")
+
+        stub = Stub()
+        engine_writes(1.0, 0)
+        out = io.StringIO()
+        rep = ProgressReporter("x", interval=0.05, out=out)
+        with rep:
+            rep.run_begin(stub, 5.0)
+            first = beats_until(lambda beats: len(beats) >= 2)[0]
+            assert first["vt"] == 1.0 and first["vt_end"] == 5.0
+            engine_writes(2.0, 50_000)
+            beats = beats_until(lambda beats: any("eta" in b for b in beats))
+        assert any(b.get("eps", 0) > 0 for b in beats)
+        # the beat that saw vt move from 1 to 2: 3 virtual seconds left
+        # at 1 virtual second per that wall interval
+        moved = next(b for b in beats if b["vt"] == 2.0)
+        assert moved["events"] == 50_000
+        dw = moved["wall"] - beats[beats.index(moved) - 1]["wall"]
+        assert moved["eta"] == pytest.approx(3.0 * dw, abs=0.1)
 
     def test_heartbeat_thread_writes_json_lines(self):
         out = io.StringIO()

@@ -53,3 +53,38 @@ def test_join_with_paced_sources_balances():
     # Both streams sustain the source rate; nearly everything joins.
     assert join.stats.joined > 0
     assert join.stats.expired < join.stats.joined * 0.2
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda top: UdtFlow(top.net, top.src, top.dst, nbytes=200_000, flow_id="t"),
+        lambda top: TcpFlow(top.net, top.src, top.dst, nbytes=200_000, flow_id="t"),
+    ],
+    ids=["udt", "tcp"],
+)
+def test_delivery_taps_fire_after_the_flows_own_bookkeeping(make):
+    """Both flow types expose the same two calls the apps use; a tap
+    sees a delivery only once the flow's monitor accounting already
+    includes it, and every tap gets every delivery."""
+    top = path_topology(20e6, 0.01)
+    f = make(top)
+    seen, also = [], []
+    f.add_delivery_tap(lambda n: seen.append((n, top.net.monitor.total_bytes["t"])))
+    f.add_delivery_tap(also.append)
+    top.net.run(until=5.0)
+    assert sum(n for n, _ in seen) == f.delivered_bytes == 200_000
+    running = 0
+    for n, monitored in seen:
+        running += n
+        assert monitored == running
+    assert also == [n for n, _ in seen]
+
+
+def test_offer_returns_what_the_flow_accepted():
+    top = path_topology(20e6, 0.01)
+    tcp = TcpFlow(top.net, top.src, top.dst, flow_id="a")
+    assert tcp.offer(10**9) == 10**9  # unbounded backlog
+    udt = UdtFlow(top.net, top.src, top.dst, app_driven=True, flow_id="b")
+    top.net.run(until=0.5)  # connected; the send buffer is bounded
+    assert 0 < udt.offer(10**9) < 10**9
