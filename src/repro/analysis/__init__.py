@@ -29,13 +29,13 @@ The behavioural half: :mod:`repro.analysis.protomodel` statically
 extracts a per-flow event-order model from the ``udt/core.py`` handler
 structure (committed as ``analysis/protocol_model.json``) and
 :mod:`repro.analysis.conformance` checks recorded traces against it
-(``repro-udt conform TRACE`` / ``repro-udt lint --conformance TRACE``).
+(``repro-udt conform TRACE``).
 
 The runtime half, :class:`repro.analysis.sanitizer.DeterminismSanitizer`,
 runs an experiment twice with perturbed same-vtime tie-breaking and hash
-seeds and diffs the JSONL traces byte-for-byte.
+seeds and diffs the two traces byte-for-byte.
 
-Entry points: ``repro-udt lint`` and ``python -m repro.analysis``; the
+Entry point: ``repro-udt lint`` (``python -m repro lint``); the
 CI gate is zero findings (a deliberate exception is an inline
 ``# lint: disable=<rule>`` with its reason beside it).  See
 docs/ANALYSIS.md for the full rule catalog and suppression syntax.

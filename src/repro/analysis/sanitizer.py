@@ -24,8 +24,8 @@ surrounding context (the qlog-ish equivalent of a sanitizer stack
 trace).  A clean experiment produces identical streams.
 
 Each run is a subprocess because ``PYTHONHASHSEED`` is fixed at
-interpreter start.  The worker entry point is
-``python -m repro.analysis --worker <exp>`` (see ``__main__.py``).
+interpreter start; the worker is the ordinary CLI, ``python -m repro run
+<exp> --trace PATH [--trace-packets] --set k=v ...``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.export import TRACE_FORMATS
+from repro.obs.export import TRACE_FORMATS, open_trace
 
 #: (tie_break, PYTHONHASHSEED) for the two perturbed runs.
 PERTURBATIONS: Tuple[Tuple[str, str], ...] = (("fifo", "1"), ("lifo", "2"))
@@ -125,80 +125,6 @@ class SanitizerResult:
 _DIFF_CHUNK = 1 << 20
 
 
-def _read_exact(f: Any, n: int) -> bytes:
-    """Read exactly ``n`` bytes unless EOF (gzip streams may short-read)."""
-    buf = f.read(n)
-    if buf is None or len(buf) == n:
-        return buf or b""
-    parts = [buf]
-    got = len(buf)
-    while got < n:
-        chunk = f.read(n - got)
-        if not chunk:
-            break
-        parts.append(chunk)
-        got += len(chunk)
-    return b"".join(parts)
-
-
-def _event_byte_stream(path: Path) -> Any:
-    """Binary stream over a trace's post-``trace.meta`` payload.
-
-    For JSONL (plain or gzip) this is the decompressed byte stream after
-    the header line; for ``.rtrc`` it is the raw container bytes after
-    the meta frame (block framing and zlib are deterministic, so
-    identical event streams give identical container bytes).
-    """
-    p = str(path)
-    if p.endswith(".rtrc"):
-        from repro.obs.store import event_region_offset
-
-        f = open(p, "rb")
-        f.seek(event_region_offset(path))
-        return f
-    if p.endswith(".gz"):
-        import gzip
-
-        f = gzip.open(p, "rb")
-    else:
-        f = open(p, "rb")
-    first = f.readline()
-    if first and b'"trace.meta"' not in first:
-        f.close()
-        raise ValueError("trace does not start with a trace.meta header")
-    return f
-
-
-def _iter_event_lines(path: Path) -> Any:
-    """Canonical JSONL event strings of a trace, any format, streamed."""
-    p = str(path)
-    if p.endswith(".rtrc"):
-        from repro.obs.store import RtrcReader
-
-        with RtrcReader(p) as reader:
-            for line in reader.iter_jsonl():
-                yield line
-        return
-    from repro.obs.export import open_trace_text
-
-    with open_trace_text(p, "r") as f:
-        first = f.readline()
-        if first and '"trace.meta"' not in first:
-            raise ValueError("trace does not start with a trace.meta header")
-        for line in f:
-            yield line.rstrip("\n")
-
-
-def _count_events(path: Path, newline_count: int) -> int:
-    """Events in an equal-stream trace: index footer beats newline tally."""
-    if str(path).endswith(".rtrc"):
-        from repro.obs.store import RtrcReader
-
-        with RtrcReader(path) as reader:
-            return reader.events_total
-    return newline_count
-
-
 def diff_traces(
     path_a: Path, path_b: Path, context: int = 5
 ) -> Tuple[int, Optional[Divergence]]:
@@ -208,84 +134,50 @@ def diff_traces(
     run-specific metadata); every subsequent byte must match.  The
     comparison runs in fixed-size chunks with O(chunk) memory; only when
     the streams differ are the records re-walked to report the first
-    divergent event with its preceding context.  Works on ``.jsonl``,
-    ``.jsonl.gz`` and ``.rtrc`` traces (both sides must share a format).
+    divergent event with its preceding context.  Works on either trace
+    format (both sides must share one).
     Returns (events_compared, first_divergence_or_None).
     """
-    equal = True
-    newlines = 0
-    fa = _event_byte_stream(path_a)
-    try:
-        fb = _event_byte_stream(path_b)
-    except Exception:
-        fa.close()
-        raise
-    try:
-        while True:
-            ca = _read_exact(fa, _DIFF_CHUNK)
-            cb = _read_exact(fb, _DIFF_CHUNK)
-            if ca != cb:
-                equal = False
-                break
-            if not ca:
-                break
-            newlines += ca.count(b"\n")
-    finally:
-        fa.close()
-        fb.close()
-    if equal:
-        return _count_events(path_a, newlines), None
+    with open_trace(path_a) as ra, open_trace(path_b) as rb:
+        with ra.event_stream() as fa, rb.event_stream() as fb:
+            while True:
+                ca = fa.read(_DIFF_CHUNK)
+                if ca != fb.read(_DIFF_CHUNK):
+                    break
+                if not ca:
+                    return ra.events_total, None
 
-    # Byte mismatch: re-walk the records for the precise first divergence.
-    recent: List[str] = []
-    index = 0
-    ia = _iter_event_lines(path_a)
-    ib = _iter_event_lines(path_b)
-    while True:
-        la = next(ia, None)
-        lb = next(ib, None)
-        if la is None and lb is None:
-            # compressed bytes differed but the event streams agree
-            # (e.g. re-blocked .rtrc); that is still deterministic.
-            return index, None
-        if la != lb:
-            return index, Divergence(
-                index=index, line_a=la, line_b=lb, context=list(recent)
-            )
-        assert la is not None
-        recent.append(la)
-        if len(recent) > context:
-            recent.pop(0)
-        index += 1
+        # Byte mismatch: re-walk the records for the precise first divergence.
+        recent: List[str] = []
+        index = 0
+        ia, ib = ra.iter_jsonl(), rb.iter_jsonl()
+        while True:
+            la = next(ia, None)
+            lb = next(ib, None)
+            if la is None and lb is None:
+                # compressed bytes differed but the event streams agree
+                # (e.g. re-blocked .rtrc); that is still deterministic.
+                return index, None
+            if la != lb:
+                return index, Divergence(
+                    index=index, line_a=la, line_b=lb, context=list(recent)
+                )
+            assert la is not None
+            recent.append(la)
+            if len(recent) > context:
+                recent.pop(0)
+            index += 1
 
 
 def _worker_argv(
     exp_id: str, trace_path: Path, overrides: Dict[str, Any], packets: bool
 ) -> List[str]:
-    argv = [
-        sys.executable,
-        "-m",
-        "repro.analysis",
-        "--worker",
-        exp_id,
-        "--worker-trace",
-        str(trace_path),
-    ]
+    argv = [sys.executable, "-m", "repro", "run", exp_id, "--trace", str(trace_path)]
     if packets:
-        argv.append("--worker-packets")
+        argv.append("--trace-packets")
     for key, value in overrides.items():
         argv += ["--set", f"{key}={value!r}" if isinstance(value, str) else f"{key}={value}"]
     return argv
-
-
-def run_worker(exp_id: str, trace_path: str, overrides: Dict[str, Any], packets: bool) -> None:
-    """Subprocess body: run one experiment fully traced (no stdout noise)."""
-    from repro.experiments import get_experiment
-    from repro.experiments.common import traced
-
-    exp = get_experiment(exp_id)
-    with traced(trace_path, packets=packets, generator="sanitizer", experiments=[exp_id]):
-        exp.runner(**overrides)
 
 
 class DeterminismSanitizer:
@@ -305,8 +197,8 @@ class DeterminismSanitizer:
         Where to keep the two traces; a temp dir (deleted on success,
         kept on divergence for forensics) when omitted.
     trace_format:
-        ``jsonl`` (default), ``jsonl.gz`` or ``rtrc`` — the on-disk
-        format the perturbed runs record and the diff streams over.
+        ``jsonl`` (default) or ``rtrc`` — the on-disk format the
+        perturbed runs record and the diff streams over.
     """
 
     def __init__(

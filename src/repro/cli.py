@@ -27,12 +27,12 @@
     repro-udt trace query t.rtrc --kind link.drop --stats
                                     # indexed trace query: filter by
                                     # kind/src/time without a full scan
-    repro-udt trace convert t.rtrc t.jsonl.gz
+    repro-udt trace convert t.rtrc t.jsonl
                                     # re-encode between trace formats
     repro-udt report t.jsonl        # loss-forensics report from a trace
     repro-udt lint                  # protocol-invariant static analysis
                                     # over the repro tree (seqno-taint,
-                                    # sansio-purity, event-schema,
+                                    # units, sansio-purity, event-schema,
                                     # vtime-determinism); the gate is
                                     # zero findings
     repro-udt lint --sanitize fig02 --set duration=5
@@ -78,20 +78,11 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         if args.exp_id == "all"
         else [args.exp_id]
     )
-    sample = None
-    if getattr(args, "trace_sample", None):
-        from repro.obs.store import parse_sample_specs
-
-        try:
-            sample = parse_sample_specs(args.trace_sample)
-        except ValueError as exc:
-            parser.error(str(exc))
     profiling = args.profile or args.profile_json is not None
     with traced(
         args.trace,
         summary=args.summary,
         packets=args.trace_packets,
-        sample=sample,
         generator="repro-udt",
         experiments=ids,
     ) as session:
@@ -243,8 +234,8 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
         default=None,
         help="write a telemetry trace (CC-state timelines, loss/EXP "
         "events, link drops) of the whole run to PATH; the suffix picks "
-        "the format: .jsonl (text), .jsonl.gz (gzip), .rtrc (indexed "
-        "binary store, ~10x smaller, queryable with 'repro-udt trace')",
+        "the format: .jsonl (text) or .rtrc (indexed binary store, ~10x "
+        "smaller, queryable with 'repro-udt trace')",
     )
     runp.add_argument(
         "--trace-packets",
@@ -252,15 +243,6 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
         help="include per-packet lifecycle events (pkt.snd/pkt.rcv/"
         "link.enq/link.deq) in the trace so 'repro-udt report' can "
         "reconstruct packet spans; much larger traces",
-    )
-    runp.add_argument(
-        "--trace-sample",
-        action="append",
-        default=[],
-        metavar="KIND=POLICY",
-        help="per-kind trace sampling to bound volume, e.g. "
-        "--trace-sample pkt.snd=stride:100 --trace-sample "
-        "link.deq=head:1000 (repeatable; policy recorded in trace.meta)",
     )
     runp.add_argument(
         "--summary",
@@ -392,14 +374,14 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
 
     repp = sub.add_parser(
         "report",
-        help="packet-lifecycle loss forensics from a JSONL trace "
+        help="packet-lifecycle loss forensics from a trace, either format "
         "(record with: run ... --trace t.jsonl --trace-packets)",
     )
     repp.add_argument(
         "trace",
         nargs="?",
         default=None,
-        help="JSONL trace file from a traced run (optional with --html)",
+        help="trace file from a traced run (optional with --html)",
     )
     repp.add_argument(
         "--json",
@@ -458,9 +440,9 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
 
     tracep = sub.add_parser(
         "trace",
-        help="query, inspect and convert telemetry traces (.jsonl, "
-        ".jsonl.gz, .rtrc); .rtrc queries answer from the block index "
-        "without a full scan (see docs/OBSERVABILITY.md)",
+        help="query, inspect and convert telemetry traces (.jsonl, .rtrc); "
+        ".rtrc queries answer from the block index without a full scan "
+        "(see docs/OBSERVABILITY.md)",
     )
     from repro.obs.tracecli import add_trace_arguments
 
@@ -514,7 +496,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.cmd == "trace":
         from repro.obs.tracecli import run_trace
 
-        return run_trace(args, subs["trace"])
+        return run_trace(args)
     if args.cmd == "lint":
         from repro.analysis.cli import run_lint
 

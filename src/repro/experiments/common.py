@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Iterator, List, Optional, Sequence
 
 
 @dataclass
@@ -107,15 +107,14 @@ def traced(
     trace_path: Optional[str] = None,
     summary: bool = False,
     packets: bool = False,
-    sample: Optional[Dict[str, Any]] = None,
     **meta: Any,
 ) -> Iterator[Any]:
     """Run any experiment fully traced.
 
     Subscribes a trace writer (when ``trace_path`` is given; the suffix
-    selects JSONL, ``.jsonl.gz``, or the ``.rtrc`` binary store) and/or
-    a :class:`~repro.obs.export.TraceSummary` to the process default
-    bus, which wakes up every instrumentation point in the stack —
+    selects JSONL or the ``.rtrc`` binary store) and/or a
+    :class:`~repro.obs.export.TraceSummary` to the process default bus,
+    which wakes up every instrumentation point in the stack —
     protocol cores, links, meters — for the duration of the block::
 
         with traced("out.jsonl", summary=True) as session:
@@ -125,9 +124,7 @@ def traced(
     ``packets=True`` additionally records the per-packet detail tier
     (``pkt.snd``/``pkt.rcv``/``link.enq``/``link.deq``) so the trace can
     be span-reconstructed with ``repro-udt report`` /
-    :func:`repro.obs.spans.build_spans`.  ``sample`` applies a per-kind
-    sampling policy (``{kind: "stride:N" | "head:N"}``, recorded in
-    ``trace.meta``) to bound trace volume.
+    :func:`repro.obs.spans.build_spans`.
 
     With neither output requested the block runs untraced (the bus stays
     disabled, so the instrumented paths keep their near-zero idle cost).
@@ -135,9 +132,7 @@ def traced(
     """
     from repro.obs.export import trace_session
 
-    with trace_session(
-        trace_path, summary=summary, packets=packets, sample=sample, **meta
-    ) as session:
+    with trace_session(trace_path, summary=summary, packets=packets, **meta) as session:
         yield session
 
 

@@ -51,7 +51,6 @@ from repro.obs.export import (
     TruncatedTraceWarning,
     read_events,
     trace_session,
-    trace_to_file,
 )
 from repro.obs.figspec import FigureSpec, MetricSpec, ResultTable, get_spec
 from repro.obs.prof import SimProfiler, profile_simulators
@@ -89,7 +88,6 @@ __all__ = [
     "TruncatedTraceWarning",
     "read_events",
     "trace_session",
-    "trace_to_file",
     "TimelineRecorder",
     "CcSample",
     "SimProfiler",

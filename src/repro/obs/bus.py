@@ -23,49 +23,51 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
+#: Version of the flat record layout (:meth:`Event.to_dict`), stamped into
+#: every trace's ``trace.meta`` header by both trace writers.
+SCHEMA_VERSION = 1
+
 # ---------------------------------------------------------------------------
-# Event taxonomy.  The authoritative field lists live in
-# docs/OBSERVABILITY.md; constants here keep emit sites typo-proof.
+# Event taxonomy.  The authoritative payload schema (required / optional
+# keys, units) is repro/obs/catalog.py, which the ``event-schema`` lint
+# rule enforces; constants here keep emit sites typo-proof.
 # ---------------------------------------------------------------------------
-#: Handshake completed (src = endpoint): peer_seq, flow_window.
+#: Handshake completed (src = endpoint).
 CONN_CONNECTED = "conn.connected"
 #: Endpoint closed (src = endpoint).
 CONN_CLOSED = "conn.closed"
-#: Sender processed an ACK: seq, light.
+#: Sender processed an ACK.
 SND_ACK = "snd.ack"
-#: Sender processed a NAK: lost, ranges, froze.
+#: Sender processed a NAK.
 SND_NAK = "snd.nak"
 #: Congestion-control state snapshot after a CC update (the timeline
-#: sample): trigger, rate_bps, period, cwnd, flow_window, rtt, bw_est,
-#: recv_rate, loss_len, exp_count, slow_start.
+#: sample).
 CC_SAMPLE = "cc.sample"
-#: Controller left slow start: period, window.
+#: Controller left slow start.
 CC_SLOWSTART_EXIT = "cc.slowstart_exit"
-#: Controller applied a multiplicative decrease: trigger, period/window.
+#: Controller applied a multiplicative decrease.
 CC_DECREASE = "cc.decrease"
-#: Obsolete delay-trend design fired an early decrease: period.
+#: Obsolete delay-trend design fired an early decrease.
 CC_DELAY_WARNING = "cc.delay_warning"
-#: EXP (no-feedback) timer fired with data in flight: exp_count, unacked.
+#: EXP (no-feedback) timer fired with data in flight.
 EXP_TIMEOUT = "exp.timeout"
-#: Receiver detected a sequence hole: first, last, length.
+#: Receiver detected a sequence hole.
 RCV_LOSS = "rcv.loss"
 #: Receive buffer refused a DATA packet (drop invisible to the network —
-#: the peer sees it as loss): seq, size.
+#: the peer sees it as loss).
 RCV_BUFFER_DROP = "rcv.buffer_drop"
-#: A link dropped a packet: reason ("queue" | "loss"), size, flow.
+#: A link dropped a packet (queue overflow or random loss).
 LINK_DROP = "link.drop"
-#: A link's egress queue reached a new occupancy high-water mark:
-#: pkts, bytes.
+#: A link's egress queue reached a new occupancy high-water mark.
 QUEUE_HIGHWATER = "queue.highwater"
-#: Aggregated CPU cycle charges from a host meter: total_cycles, util.
+#: Aggregated CPU cycle charges from a host meter.
 CPU_CHARGE = "cpu.charge"
-#: A finite simulated flow delivered its last byte: bytes, elapsed.
+#: A finite simulated flow delivered its last byte.
 FLOW_DONE = "flow.done"
 #: Hybrid tier left the packet engine for an analytic fluid span
-#: (src = "fluid"): flows.
+#: (src = "fluid").
 FLUID_ENTER = "fluid.enter"
-#: Hybrid tier re-entered the packet engine (src = "fluid"):
-#: reason, span, ticks.
+#: Hybrid tier re-entered the packet engine (src = "fluid").
 FLUID_EXIT = "fluid.exit"
 
 # -- packet-level detail tier ----------------------------------------------
@@ -74,14 +76,13 @@ FLUID_EXIT = "fluid.exit"
 # ``bus.detail`` (set only when a subscriber passes ``detail=True``) and
 # a plain ``--trace`` stays cheap.  These are what the span reconstructor
 # (repro.obs.spans) rebuilds packet lifecycles from.
-#: Sender emitted a DATA packet (src = endpoint): seq, size, retx.
+#: Sender emitted a DATA packet (src = endpoint).
 PKT_SND = "pkt.snd"
-#: Receiver accepted a DATA packet (src = endpoint): seq, retx.
+#: Receiver accepted a DATA packet (src = endpoint).
 PKT_RCV = "pkt.rcv"
-#: A link accepted a packet for transmission (src = link name):
-#: uid, flow, seq (data packets only), qlen (0 = straight to the wire).
+#: A link accepted a packet for transmission (src = link name).
 LINK_ENQ = "link.enq"
-#: A link finished serialising a packet (src = link name): uid, flow, seq.
+#: A link finished serialising a packet (src = link name).
 LINK_DEQ = "link.deq"
 
 

@@ -1,206 +1,163 @@
-"""JSONL trace export and run summaries (qlog-inspired).
+"""Trace files: the two on-disk formats and the one seam in front of them.
 
-One event per line, flat JSON objects::
+A trace is a ``trace.meta`` header followed by flat event records with at
+least ``t``/``kind``/``src`` (qlog-inspired, but flat rather than nested).
+It is stored in one of two formats, named by the file suffix:
 
-    {"kind": "trace.meta", "schema": 1, "generator": "repro-udt", ...}
-    {"t": 0.1103, "kind": "cc.sample", "src": "udt0-snd", "rate_bps": ...}
-    {"t": 0.2150, "kind": "link.drop", "src": "1->2", "reason": "queue", ...}
+* ``*.jsonl`` — one JSON object per line::
 
-The first line is a metadata header (``kind == "trace.meta"``); every
-other line is an event with at least ``t``/``kind``/``src``.  Flat JSONL
-(rather than nested qlog) keeps the files greppable and streamable —
-``jq 'select(.kind=="cc.sample")'`` is the expected workflow — while the
-schema field leaves room to evolve.
+      {"kind": "trace.meta", "schema": 1, "generator": "repro-udt", ...}
+      {"t": 0.1103, "kind": "cc.sample", "src": "udt0-snd", "rate_bps": ...}
+      {"t": 0.2150, "kind": "link.drop", "src": "1->2", "reason": "queue", ...}
 
-Trace paths dispatch on suffix, everywhere a trace is read or written:
+  greppable and streamable (``jq 'select(.kind=="cc.sample")'`` is the
+  expected workflow), and the reference every round-trip test compares
+  against;
+* ``*.rtrc`` — the same stream in the compressed, indexed container of
+  :mod:`repro.obs.store`, the format for packet-tier and paper-scale
+  traces.
 
-* ``*.jsonl`` — plain text JSONL (the interchange format above);
-* ``*.jsonl.gz`` / ``*.gz`` — the same stream gzip-compressed (written
-  with a zeroed mtime so identical event streams stay byte-identical);
-* ``*.rtrc`` — the indexed binary store (``repro.obs.store``), the
-  format for packet-tier and paper-scale traces.
-
-``read_events`` yields the same flat dicts for all three, so every
-consumer (timelines, spans, reports, the sanitizer) is format-agnostic.
+This module is the only place that looks at a suffix.  Everything else
+goes through three functions: :func:`open_trace` returns a reader,
+:func:`make_trace_writer` a writer, :func:`convert_trace` feeds one into
+the other.  The two readers share one surface — ``meta``,
+``iter_events(kinds, srcs, t0, t1, include_meta)``, ``iter_jsonl``,
+``stats()``, ``event_stream()``, ``events_total``, ``truncated``,
+``scan_counters()`` — which the ``.rtrc`` reader answers from its block
+index and the JSONL reader by scanning; the two writers share
+``write_meta`` / ``on_event`` / ``feed`` / ``close`` /
+``events_written``.  :func:`read_events` is the function consumers call
+(timelines, spans, reports, conformance): the same flat dicts whatever
+the format.  :func:`trace_session` is the one place a writer is
+subscribed to a bus.
 """
 
 from __future__ import annotations
 
-import gzip
-import io
 import json
 import warnings
 from contextlib import contextmanager
 from collections import Counter as _Counter, defaultdict
-from typing import Any, Dict, Iterable, Iterator, List, Optional, TextIO, Union
+from pathlib import Path
+from typing import (
+    Any,
+    BinaryIO,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    TextIO,
+    Tuple,
+    Union,
+)
 
-from repro.obs.bus import CC_SAMPLE, Event, EventBus, Subscription, default_bus
-
-SCHEMA_VERSION = 1
+from repro.obs.bus import (
+    CC_SAMPLE,
+    SCHEMA_VERSION,
+    Event,
+    EventBus,
+    Subscription,
+    default_bus,
+)
+from repro.obs.store import (
+    DEFAULT_BLOCK_EVENTS,
+    RtrcReader,
+    RtrcWriter,
+    dump_record,
+)
 
 #: The trace formats a run can be asked to record, each named by the file
 #: suffix that selects it (``sweep --trace-format``, ``lint
 #: --sanitize-format``, the determinism sanitizer's ``trace_format``).
-TRACE_FORMATS = ("jsonl", "jsonl.gz", "rtrc")
+TRACE_FORMATS = ("jsonl", "rtrc")
 
 
-def is_rtrc_path(path: Any) -> bool:
-    """True when ``path`` names an ``.rtrc`` binary trace container."""
+def _is_rtrc(path: Any) -> bool:
     return str(path).endswith(".rtrc")
 
 
-class _DeterministicGzipFile(gzip.GzipFile):
-    """Writable GzipFile with zeroed mtime/name that owns its file.
-
-    The gzip header embeds a timestamp by default, which would break the
-    byte-identity guarantees the sweep runner and sanitizer rely on; a
-    fixed ``mtime=0`` keeps identical event streams byte-identical.
-    Closing also closes the underlying file (GzipFile alone does not
-    close a caller-provided fileobj).
-    """
-
-    def __init__(self, path: str):
-        self._raw = open(path, "wb")
-        super().__init__(filename="", mode="wb", fileobj=self._raw, mtime=0)
-
-    def close(self) -> None:
-        try:
-            super().close()
-        finally:
-            self._raw.close()
+class TruncatedTraceWarning(UserWarning):
+    """A trace was malformed or incomplete (usually a crash-truncated run)."""
 
 
-def open_trace_text(path: str, mode: str = "r") -> TextIO:
-    """Open a JSONL trace path for text I/O, gzip-transparent on suffix."""
-    p = str(path)
-    if p.endswith(".gz"):
-        if "r" in mode:
-            return io.TextIOWrapper(gzip.open(p, "rb"), encoding="utf-8")
-        return io.TextIOWrapper(
-            _DeterministicGzipFile(p), encoding="utf-8", newline="\n"
-        )
-    return open(p, mode)
+# ---------------------------------------------------------------------------
+# JSONL: writer and scanning reader
+# ---------------------------------------------------------------------------
 
 
 class JsonlWriter:
-    """Streams bus events to a text file as JSON lines.
+    """Streams bus events to a text file as JSON lines."""
 
-    ``sample`` takes the per-kind sampling spec of
-    :class:`repro.obs.store.Sampler` (``{kind: "stride:N" | "head:N"}``);
-    the policy is recorded in ``trace.meta`` so downstream consumers
-    know what was dropped.
-    """
-
-    def __init__(
-        self,
-        out: TextIO,
-        close_out: bool = False,
-        sample: Optional[Dict[str, Union[str, int]]] = None,
-    ):
+    def __init__(self, out: TextIO, close_out: bool = False):
         self._out = out
         self._close_out = close_out
         self.events_written = 0
-        self._bus: Optional[EventBus] = None
-        self._sub: Optional[Subscription] = None
-        if sample:
-            from repro.obs.store import Sampler
-
-            self.sampler: Optional[Any] = Sampler(sample)
-        else:
-            self.sampler = None
 
     def write_meta(self, **meta: Any) -> None:
         rec = {"kind": "trace.meta", "schema": SCHEMA_VERSION}
         rec.update(meta)
-        if self.sampler:
-            rec.setdefault("sampling", self.sampler.policy())
-        self._out.write(json.dumps(rec, separators=(",", ":"), default=str) + "\n")
+        self._out.write(dump_record(rec) + "\n")
 
     def on_event(self, ev: Event) -> None:
-        if self.sampler is not None and not self.sampler.admit(ev.kind):
-            return
-        self._out.write(
-            json.dumps(ev.to_dict(), separators=(",", ":"), default=str) + "\n"
-        )
+        self._out.write(dump_record(ev.to_dict()) + "\n")
         self.events_written += 1
 
-    # -- wiring ----------------------------------------------------------
-    def attach(
-        self,
-        bus: Optional[EventBus] = None,
-        kinds: Optional[Iterable[str]] = None,
-        detail: bool = False,
-    ) -> "JsonlWriter":
-        if self._sub is not None:
-            raise RuntimeError("writer already attached")
-        self._bus = bus if bus is not None else default_bus()
-        self._sub = self._bus.subscribe(self.on_event, kinds=kinds, detail=detail)
-        return self
-
-    def detach(self) -> None:
-        if self._bus is not None and self._sub is not None:
-            self._bus.unsubscribe(self._sub)
-        self._bus = self._sub = None
+    def feed(self, rec: Dict[str, Any]) -> None:
+        """Write an already-flat record verbatim (the conversion path)."""
+        self._out.write(dump_record(rec) + "\n")
+        if rec.get("kind") != "trace.meta":
+            self.events_written += 1
 
     def close(self) -> None:
-        self.detach()
         self._out.flush()
         if self._close_out:
             self._out.close()
 
 
-def make_trace_writer(
-    path: str, sample: Optional[Dict[str, Union[str, int]]] = None
-) -> Any:
-    """Create the writer matching ``path``'s trace format.
+class JsonlReader:
+    """The :class:`~repro.obs.store.RtrcReader` surface over a ``.jsonl`` file.
 
-    ``*.rtrc`` gets the indexed binary store writer; everything else
-    (``*.jsonl``, ``*.jsonl.gz``) a :class:`JsonlWriter`.  Both expose
-    the same ``write_meta``/``on_event``/``attach``/``detach``/``close``
-    surface, so callers never branch on format.
+    There is no index, so every query is a scan of the whole file (opened
+    afresh per scan; nothing is held open in between).  A trace from a
+    crashed or killed run usually ends mid-line: malformed lines are
+    skipped and counted in :attr:`skipped_lines` unless ``strict``, in
+    which case the scan raises at the first one.
     """
-    if is_rtrc_path(path):
-        from repro.obs.store import RtrcWriter
 
-        return RtrcWriter(path, sample=sample)
-    return JsonlWriter(open_trace_text(path, "w"), close_out=True, sample=sample)
-
-
-class TruncatedTraceWarning(UserWarning):
-    """A JSONL trace contained malformed (usually crash-truncated) lines."""
-
-
-def read_events(
-    path: str,
-    kinds: Optional[Iterable[str]] = None,
-    include_meta: bool = False,
-    strict: bool = False,
-    stats: Optional[Dict[str, int]] = None,
-) -> Iterator[Dict[str, Any]]:
-    """Yield event dicts from a trace (optionally filtered by kind).
-
-    Dispatches on suffix: ``*.rtrc`` routes to the indexed binary
-    reader, ``*.gz`` decompresses transparently, anything else is plain
-    JSONL — the yielded dicts are identical in all cases.
-
-    A trace from a crashed or killed run usually ends mid-line; by
-    default such malformed lines are skipped (and counted) instead of
-    raising, so forensics tooling still works on truncated traces.  One
-    :class:`TruncatedTraceWarning` summarises the skips when the reader
-    finishes.  Pass ``strict=True`` to re-raise instead, or a ``stats``
-    dict to receive the count under ``stats["skipped_lines"]``.
-    """
-    if is_rtrc_path(path):
-        from repro.obs.store import read_rtrc_events
-
-        yield from read_rtrc_events(
-            path, kinds=kinds, include_meta=include_meta, strict=strict, stats=stats
-        )
-        return
-    kindset = frozenset(kinds) if kinds is not None else None
-    skipped = 0
-    with open_trace_text(path, "r") as f:
+    def __init__(self, path: Union[str, Path], strict: bool = False):
+        self.path = Path(path)
+        self.strict = strict
+        self.skipped_lines = 0
+        with open(self.path, "r") as f:
+            first = f.readline()
         try:
+            rec = json.loads(first)
+        except ValueError:
+            rec = None
+        #: the ``trace.meta`` header record, ``{}`` for a header-less file
+        self.meta: Dict[str, Any] = (
+            rec if isinstance(rec, dict) and rec.get("kind") == "trace.meta" else {}
+        )
+
+    @property
+    def truncated(self) -> bool:
+        """True once a scan has met a malformed line."""
+        return self.skipped_lines > 0
+
+    def _scan(
+        self,
+        kinds: Optional[Iterable[str]] = None,
+        srcs: Optional[Iterable[str]] = None,
+        t0: Optional[float] = None,
+        t1: Optional[float] = None,
+        include_meta: bool = False,
+    ) -> Iterator[Tuple[str, Dict[str, Any]]]:
+        """(line as stored, parsed record) for every matching line."""
+        kindset = frozenset(kinds) if kinds is not None else None
+        srcset = frozenset(srcs) if srcs is not None else None
+        timed = t0 is not None or t1 is not None
+        with open(self.path, "r") as f:
             for line in f:
                 line = line.strip()
                 if not line:
@@ -208,61 +165,183 @@ def read_events(
                 try:
                     rec = json.loads(line)
                 except json.JSONDecodeError:
-                    if strict:
+                    if self.strict:
                         raise
-                    skipped += 1
+                    self.skipped_lines += 1
                     continue
                 if not isinstance(rec, dict):
-                    if strict:
+                    if self.strict:
                         raise ValueError(
                             f"trace line is not an object: {line[:80]!r}"
                         )
-                    skipped += 1
+                    self.skipped_lines += 1
                     continue
-                if rec.get("kind") == "trace.meta":
+                kind = rec.get("kind")
+                if kind == "trace.meta":
                     if include_meta:
-                        yield rec
+                        yield line, rec
                     continue
-                if kindset is None or rec.get("kind") in kindset:
-                    yield rec
-        except EOFError:
-            # gzip raises EOFError on a crash-truncated member; treat it
-            # like a malformed trailing JSONL line.
-            if strict:
-                raise
-            skipped += 1
-    if stats is not None:
-        stats["skipped_lines"] = stats.get("skipped_lines", 0) + skipped
-    if skipped:
+                if kindset is not None and kind not in kindset:
+                    continue
+                if srcset is not None and rec.get("src") not in srcset:
+                    continue
+                if timed:
+                    t = rec.get("t", 0.0)
+                    if t0 is not None and t < t0:
+                        continue
+                    if t1 is not None and t > t1:
+                        continue
+                yield line, rec
+
+    def iter_events(self, **query: Any) -> Iterator[Dict[str, Any]]:
+        """Yield the flat event dicts matching ``query`` (see :meth:`_scan`)."""
+        for _, rec in self._scan(**query):
+            yield rec
+
+    def iter_jsonl(self, **query: Any) -> Iterator[str]:
+        """Matching events as the lines the file stores (no trailing newline)."""
+        for line, _ in self._scan(**query):
+            yield line
+
+    def event_stream(self) -> BinaryIO:
+        """Binary stream over every byte after the ``trace.meta`` line."""
+        if not self.meta:
+            raise ValueError(
+                f"{self.path}: trace does not start with a trace.meta header"
+            )
+        f = open(self.path, "rb")
+        f.readline()
+        return f
+
+    @property
+    def events_total(self) -> int:
+        """Event lines after the header, counted without parsing them."""
+        with self.event_stream() as f:
+            return sum(
+                chunk.count(b"\n") for chunk in iter(lambda: f.read(1 << 20), b"")
+            )
+
+    def stats(self) -> Dict[str, Any]:
+        """Whole-trace summary (one full scan)."""
+        counts: _Counter = _Counter()
+        srcs: set = set()
+        t_lo = t_hi = None
+        for rec in self.iter_events():
+            counts[rec.get("kind", "?")] += 1
+            srcs.add(rec.get("src", ""))
+            t = rec.get("t", 0.0)
+            t_lo = t if t_lo is None else min(t_lo, t)
+            t_hi = t if t_hi is None else max(t_hi, t)
+        return {
+            "path": str(self.path),
+            "format": "jsonl",
+            "events": sum(counts.values()),
+            "t0": t_lo,
+            "t1": t_hi,
+            "kinds": dict(sorted(counts.items())),
+            "srcs": sorted(srcs),
+            "truncated": self.truncated,
+        }
+
+    def scan_counters(self) -> Dict[str, int]:
+        """What the scans so far had to skip."""
+        return {"skipped_lines": self.skipped_lines}
+
+    def close(self) -> None:
+        """Nothing to release: each scan closes the file it opened."""
+
+    def __enter__(self) -> "JsonlReader":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
+
+
+# ---------------------------------------------------------------------------
+# The seam: reader, writer, converter — the only suffix dispatch in the tree
+# ---------------------------------------------------------------------------
+
+
+def open_trace(
+    path: Union[str, Path], strict: bool = False
+) -> Union[RtrcReader, JsonlReader]:
+    """Open the reader matching ``path``'s trace format.
+
+    By default a damaged trace serves its complete records and reports
+    ``truncated``; ``strict=True`` raises instead.
+    """
+    return (RtrcReader if _is_rtrc(path) else JsonlReader)(path, strict=strict)
+
+
+def make_trace_writer(
+    path: Union[str, Path], block_events: int = DEFAULT_BLOCK_EVENTS
+) -> Union[RtrcWriter, JsonlWriter]:
+    """Create the writer matching ``path``'s trace format.
+
+    ``block_events`` sizes the ``.rtrc`` blocks (the text format has none).
+    """
+    if _is_rtrc(path):
+        return RtrcWriter(path, block_events=block_events)
+    return JsonlWriter(open(path, "w"), close_out=True)
+
+
+def _warn_if_truncated(reader: Union[RtrcReader, JsonlReader]) -> None:
+    if reader.truncated:
         warnings.warn(
-            f"{path}: skipped {skipped} malformed JSONL line(s) "
-            "(crash-truncated trace?)",
+            f"{reader.path}: truncated or malformed trace — served the "
+            "complete records only (crash-truncated run?)",
             TruncatedTraceWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
 
 
-@contextmanager
-def trace_to_file(
-    path: str,
-    bus: Optional[EventBus] = None,
+def read_events(
+    path: Union[str, Path],
     kinds: Optional[Iterable[str]] = None,
-    packets: bool = False,
-    sample: Optional[Dict[str, Union[str, int]]] = None,
-    **meta: Any,
-) -> Iterator[Any]:
-    """Write every event emitted inside the block to ``path``.
+    include_meta: bool = False,
+    strict: bool = False,
+    stats: Optional[Dict[str, Any]] = None,
+) -> Iterator[Dict[str, Any]]:
+    """Yield event dicts from a trace (optionally filtered by kind).
 
-    ``packets=True`` wakes the per-packet detail tier too.  The format
-    follows the suffix (see :func:`make_trace_writer`).
+    The yielded dicts are identical whatever the format.  A trace from a
+    crashed or killed run is served up to its last complete record (line
+    or block) and one :class:`TruncatedTraceWarning` is raised when the
+    reader finishes.  Pass ``strict=True`` to raise instead, or a
+    ``stats`` dict to receive ``skipped_lines`` and ``truncated`` plus
+    the reader's ``scan_counters()`` (the ``.rtrc`` block tally).
     """
-    writer = make_trace_writer(path, sample=sample)
-    writer.write_meta(packet_detail=packets, **meta)
-    writer.attach(bus, kinds=kinds, detail=packets)
-    try:
-        yield writer
-    finally:
-        writer.close()
+    with open_trace(path, strict=strict) as reader:
+        yield from reader.iter_events(kinds=kinds, include_meta=include_meta)
+        if stats is not None:
+            stats.update(
+                {"skipped_lines": 0, "truncated": reader.truncated},
+                **reader.scan_counters(),
+            )
+        _warn_if_truncated(reader)
+
+
+def convert_trace(
+    src: Union[str, Path],
+    dst: Union[str, Path],
+    block_events: int = DEFAULT_BLOCK_EVENTS,
+) -> int:
+    """Re-encode ``src`` as ``dst``, any format to any; returns events written.
+
+    The meta record and every event field are fed through verbatim, in
+    their original key order, so ``jsonl -> rtrc -> jsonl`` reproduces
+    the input byte for byte.  Damaged input converts up to its last
+    complete record, with a :class:`TruncatedTraceWarning`.
+    """
+    with open_trace(src) as reader:
+        writer = make_trace_writer(dst, block_events)
+        try:
+            for rec in reader.iter_events(include_meta=True):
+                writer.feed(rec)
+        finally:
+            writer.close()
+        _warn_if_truncated(reader)
+    return writer.events_written
 
 
 class TraceSummary:
@@ -308,7 +387,7 @@ class TraceSummary:
 
 
 class TraceSession:
-    """One observability session: optional JSONL writer + summary.
+    """One observability session: optional trace writer + summary.
 
     Created by :func:`trace_session`; the CLI and experiment helpers use
     it so a single object carries whatever telemetry the run asked for.
@@ -337,7 +416,6 @@ def trace_session(
     bus: Optional[EventBus] = None,
     kinds: Optional[Iterable[str]] = None,
     packets: bool = False,
-    sample: Optional[Dict[str, Union[str, int]]] = None,
     **meta: Any,
 ) -> Iterator[TraceSession]:
     """Subscribe a writer and/or summary to ``bus`` for the block's duration.
@@ -347,7 +425,8 @@ def trace_session(
     ``packets=True`` additionally wakes the per-packet detail tier
     (``pkt.snd``/``pkt.rcv``/``link.enq``/``link.deq``) so the trace can
     be span-reconstructed by ``repro-udt report``.  ``trace_path``'s
-    suffix selects the format (JSONL, ``.jsonl.gz``, or ``.rtrc``).
+    suffix selects the format (see :func:`make_trace_writer`).  This is
+    the only place a trace writer is subscribed to a bus.
     """
     bus = bus if bus is not None else default_bus()
     subs: List[Subscription] = []
@@ -355,7 +434,7 @@ def trace_session(
     summ: Optional[TraceSummary] = None
     try:
         if trace_path:
-            writer = make_trace_writer(trace_path, sample=sample)
+            writer = make_trace_writer(trace_path)
             writer.write_meta(packet_detail=packets, **meta)
             subs.append(bus.subscribe(writer.on_event, kinds=kinds, detail=packets))
         if summary:
@@ -366,5 +445,4 @@ def trace_session(
         for sub in subs:
             bus.unsubscribe(sub)
         if writer is not None:
-            writer._bus = writer._sub = None
             writer.close()

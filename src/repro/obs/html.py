@@ -158,7 +158,6 @@ class DashboardInputs:
     traces: Dict[str, Path] = field(default_factory=dict)
     profiles: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     progress: Optional[Dict[str, Any]] = None
-    lint_status: Optional[Dict[str, Any]] = None
 
     def exp_ids(self) -> List[str]:
         ids = set(self.tables) | set(self.ledger.get("figures", {})) | set(self.traces)
@@ -196,19 +195,6 @@ def collect_inputs(
     inputs.bench = read_json_object(
         Path(bench_path) if bench_path else DEFAULT_BENCH
     )
-
-    # code-health feed left behind by `repro-udt lint` / `conform`
-    from repro.analysis.cli import STATUS_RELPATH
-    from repro.analysis.core import repo_root
-
-    repo = repo_root()
-    if repo is not None:
-        try:
-            status = json.loads((repo / STATUS_RELPATH).read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            status = None
-        if isinstance(status, dict) and status.get("schema") == 1:
-            inputs.lint_status = status
 
     # newest cache entry per experiment; a results dir (explicit) wins
     cache = ResultCache(Path(cache_dir) if cache_dir else None)
@@ -409,63 +395,6 @@ def _progress_card(progress: Dict[str, Any]) -> str:
     return f'<div class="card">{"".join(card)}</div>'
 
 
-def _code_health_card(status: Dict[str, Any]) -> str:
-    """Lint + conformance card from ``analysis/.lintstatus.json``.
-
-    The status file is a side effect of the last ``repro-udt lint`` /
-    ``conform`` invocation in this checkout, so the card shows *last
-    recorded* health, not a fresh run — each section carries its own
-    timestamp to make the staleness visible.
-    """
-
-    def _when(section: Dict[str, Any]) -> str:
-        ts = section.get("updated")
-        if not isinstance(ts, (int, float)):
-            return ""
-        return time.strftime("%Y-%m-%d %H:%M UTC", time.gmtime(ts))
-
-    parts: List[str] = ["<h2>Code health</h2>"]
-    lint = status.get("lint")
-    if isinstance(lint, dict):
-        badge = _badge(bool(lint.get("gate_passed")), bad_text="✗ findings")
-        bits = [f"{lint.get('findings', 0)} finding(s)"]
-        elapsed = lint.get("elapsed_s")
-        if isinstance(elapsed, (int, float)):
-            bits.append(f"{elapsed:.2f}s")
-        parts.append(
-            f"<p>lint: {badge} · {_esc(' · '.join(bits))} "
-            f'<span class="dim">{_esc(_when(lint))}</span></p>'
-        )
-    conf = status.get("conformance")
-    if isinstance(conf, dict) and conf.get("traces"):
-        rows: List[List[Any]] = []
-        for rep in conf["traces"]:
-            if not isinstance(rep, dict):
-                continue
-            rows.append(
-                [
-                    Path(str(rep.get("trace", "?"))).name,
-                    rep.get("events_checked", 0),
-                    len(rep.get("srcs", [])),
-                    _Raw(_badge(bool(rep.get("ok")), bad_text="✗ violations")),
-                    len(rep.get("violations", [])),
-                ]
-            )
-        parts.append(
-            _html_table(
-                ["trace", "model events", "srcs", "conformance", "violations"],
-                rows,
-                numeric_from=4,
-            )
-            + f'<p class="note">checked against '
-            f"<code>analysis/protocol_model.json</code> "
-            f"{_esc(_when(conf))}</p>"
-        )
-    if len(parts) == 1:
-        parts.append('<p class="note">no lint / conformance run recorded.</p>')
-    return f'<div class="card">{"".join(parts)}</div>'
-
-
 def _experiment_page(exp_id: str, inputs: DashboardInputs) -> str:
     from repro.experiments import REGISTRY
 
@@ -611,8 +540,6 @@ def _index_page(inputs: DashboardInputs, generated: str) -> str:
             )
             + "</div>"
         )
-    if inputs.lint_status:
-        body.append(_code_health_card(inputs.lint_status))
     return _page("UDT repro dashboard", "".join(body))
 
 

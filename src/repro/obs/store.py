@@ -1,6 +1,6 @@
 """Compact, indexed, streaming binary trace store (``.rtrc``).
 
-Flat JSONL (``repro.obs.export``) is the right interchange format, but a
+Flat JSONL is the right interchange format, but a
 ``--trace-packets`` run of fig08 already emits a 7.1M-line file and
 paper-scale scenarios (400 flows x 100 s) would make plain text
 unwritable, undiffable and unqueryable.  ``.rtrc`` is the same event
@@ -17,11 +17,7 @@ stream in a framed, compressed, *indexed* container:
   time range, per-kind counts and src set.  Readers answer
   ``kind``/``src``/time-range queries by *skipping* blocks whose index
   entry cannot match — ``repro-udt trace query`` never inflates what it
-  does not need — and ``stats()`` comes from the index alone;
-* an optional **sampling tier** (per-kind stride / head policies)
-  bounds trace volume with an explicit budget; the policy is recorded
-  in ``trace.meta`` and the per-kind dropped counts in the footer, so
-  downstream consumers know exactly what is missing.
+  does not need — and ``stats()`` comes from the index alone.
 
 Everything is deterministic — block boundaries depend only on the event
 stream, compression is single-threaded zlib at a fixed level — so the
@@ -38,32 +34,36 @@ File layout::
 
 Block JSON: ``{"k": [kinds], "s": [srcs], "f": [field keys],
 "e": [[t, kind_i, src_i, key_i, value, ...], ...]}``.  Decoding a row
-rebuilds the flat event dict in its original key order, so
-``rtrc_to_jsonl(jsonl_to_rtrc(x)) == x`` byte for byte on traces written
-by :class:`~repro.obs.export.JsonlWriter`.
+rebuilds the flat event dict in its original key order, so converting
+JSONL to ``.rtrc`` and back is byte-exact on traces written by the
+JSONL writer.
+
+This module is the codec only, a leaf: it never looks at a file suffix
+and knows nothing of the module above it that picks the format and wraps
+the reader, writer and converter every consumer uses (CI greps for an
+import pointing that way).
 """
 
 from __future__ import annotations
 
 import json
 import struct
-import warnings
 import zlib
 from collections import Counter
 from pathlib import Path
 from typing import (
     Any,
     BinaryIO,
-    Callable,
     Dict,
     Iterable,
     Iterator,
     List,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
+
+from repro.obs.bus import SCHEMA_VERSION
 
 MAGIC = b"RTRC\x01\n"
 TRAILER_MAGIC = b"RTRCIDX\x01"
@@ -81,80 +81,13 @@ COMPRESSION_LEVEL = 6
 _dumps = json.dumps
 
 
+def dump_record(rec: Dict[str, Any]) -> str:
+    """One record as its canonical JSONL line (no trailing newline)."""
+    return _dumps(rec, separators=(",", ":"), default=str)
+
+
 class RtrcFormatError(ValueError):
     """The file is not a well-formed ``.rtrc`` container."""
-
-
-# ---------------------------------------------------------------------------
-# Sampling tier
-# ---------------------------------------------------------------------------
-
-
-class Sampler:
-    """Per-kind deterministic event sampling with an explicit budget.
-
-    Policies (per event kind; unlisted kinds are never dropped):
-
-    * ``"stride:N"`` (or a bare int ``N``) — keep the 1st of every N
-      events of that kind;
-    * ``"head:N"`` — keep only the first N events of that kind.
-
-    Sampling is counter-based, never randomised, so sampled traces stay
-    byte-deterministic across runs and ``--jobs``.  Dropped events are
-    counted per kind in :attr:`dropped` so the trace can record what it
-    does not contain.
-    """
-
-    def __init__(self, spec: Optional[Dict[str, Union[str, int]]] = None):
-        self._rules: Dict[str, Tuple[str, int]] = {}
-        for kind, raw in (spec or {}).items():
-            self._rules[kind] = _parse_policy(raw)
-        self._seen: Counter = Counter()
-        self.dropped: Counter = Counter()
-
-    def __bool__(self) -> bool:
-        return bool(self._rules)
-
-    def admit(self, kind: str) -> bool:
-        rule = self._rules.get(kind)
-        if rule is None:
-            return True
-        mode, n = rule
-        seen = self._seen[kind]
-        self._seen[kind] = seen + 1
-        keep = (seen % n == 0) if mode == "stride" else (seen < n)
-        if not keep:
-            self.dropped[kind] += 1
-        return keep
-
-    def policy(self) -> Dict[str, str]:
-        """Canonical ``{kind: "mode:N"}`` form (what trace.meta records)."""
-        return {k: f"{m}:{n}" for k, (m, n) in sorted(self._rules.items())}
-
-
-def _parse_policy(raw: Union[str, int]) -> Tuple[str, int]:
-    if isinstance(raw, int):
-        mode, n = "stride", raw
-    else:
-        mode, _, num = str(raw).partition(":")
-        if not num:
-            mode, num = "stride", mode
-        n = int(num)
-    if mode not in ("stride", "head") or n < 1:
-        raise ValueError(f"bad sampling policy {raw!r} (want stride:N or head:N)")
-    return mode, n
-
-
-def parse_sample_specs(items: Iterable[str]) -> Dict[str, str]:
-    """Parse CLI ``--trace-sample KIND=POLICY`` items into a spec dict."""
-    spec: Dict[str, str] = {}
-    for item in items:
-        if "=" not in item:
-            raise ValueError(f"--trace-sample expects KIND=POLICY, got {item!r}")
-        kind, _, raw = item.partition("=")
-        mode, n = _parse_policy(raw)  # validate early, error at the CLI
-        spec[kind] = f"{mode}:{n}"
-    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +98,9 @@ def parse_sample_specs(items: Iterable[str]) -> Dict[str, str]:
 class RtrcWriter:
     """Streams bus events into an ``.rtrc`` container.
 
-    Same subscriber surface as :class:`~repro.obs.export.JsonlWriter`
-    (``write_meta`` / ``on_event`` / ``attach`` / ``detach`` / ``close``
-    / ``events_written``), so ``trace_session`` and ``trace_to_file``
-    drive either writer interchangeably — the trace path's suffix picks
-    the format.
+    Same surface as the JSONL writer (``write_meta`` / ``on_event`` /
+    ``feed`` / ``close`` / ``events_written``), so ``trace_session`` and
+    ``convert_trace`` drive either writer interchangeably.
     """
 
     def __init__(
@@ -177,7 +108,6 @@ class RtrcWriter:
         path: Union[str, Path],
         block_events: int = DEFAULT_BLOCK_EVENTS,
         level: int = COMPRESSION_LEVEL,
-        sample: Optional[Dict[str, Union[str, int]]] = None,
     ):
         if block_events < 1:
             raise ValueError("block_events must be >= 1")
@@ -186,8 +116,6 @@ class RtrcWriter:
         self._out.write(MAGIC)
         self.block_events = block_events
         self.level = level
-        self.sampler = Sampler(sample)
-        self._sampling = bool(self.sampler)
         self.events_written = 0
         self._meta_written = False
         self._rows: List[list] = []
@@ -199,35 +127,25 @@ class RtrcWriter:
         self._fields: List[str] = []
         self._field_ids: Dict[str, int] = {}
         self._index: List[Dict[str, Any]] = []
-        self._bus = None
-        self._sub = None
         self._closed = False
 
     # -- meta ------------------------------------------------------------
     def write_meta(self, **meta: Any) -> None:
         """Write the ``trace.meta`` record (before any event)."""
-        if self._meta_written:
-            raise RuntimeError("trace.meta already written")
-        from repro.obs.export import SCHEMA_VERSION
-
         rec = {"kind": "trace.meta", "schema": SCHEMA_VERSION}
         rec.update(meta)
-        if self.sampler:
-            rec.setdefault("sampling", self.sampler.policy())
         self._write_meta_record(rec)
 
     def _write_meta_record(self, rec: Dict[str, Any]) -> None:
         """Store an already-shaped meta record verbatim (conversion path)."""
         if self._meta_written:
             raise RuntimeError("trace.meta already written")
-        self._write_frame(_TAG_META, _dumps(rec, separators=(",", ":"), default=str))
+        self._write_frame(_TAG_META, dump_record(rec))
         self._meta_written = True
 
     # -- event intake ----------------------------------------------------
     def on_event(self, ev: Any) -> None:
         """Bus subscriber entry point (takes a :class:`repro.obs.bus.Event`)."""
-        if self._sampling and not self.sampler.admit(ev.kind):
-            return
         self._append(ev.t, ev.kind, ev.src, ev.fields.items())
 
     def feed(self, rec: Dict[str, Any]) -> None:
@@ -239,12 +157,9 @@ class RtrcWriter:
         if rec.get("kind") == "trace.meta":
             self._write_meta_record(rec)
             return
-        kind = rec.get("kind", "")
-        if self._sampling and not self.sampler.admit(kind):
-            return
         self._append(
             rec.get("t", 0.0),
-            kind,
+            rec.get("kind", ""),
             rec.get("src", ""),
             ((k, v) for k, v in rec.items() if k not in ("t", "kind", "src")),
         )
@@ -314,25 +229,9 @@ class RtrcWriter:
         self._srcs, self._src_ids = [], {}
         self._fields, self._field_ids = [], {}
 
-    # -- wiring (JsonlWriter-compatible) ---------------------------------
-    def attach(self, bus=None, kinds=None, detail: bool = False) -> "RtrcWriter":
-        if self._sub is not None:
-            raise RuntimeError("writer already attached")
-        from repro.obs.bus import default_bus
-
-        self._bus = bus if bus is not None else default_bus()
-        self._sub = self._bus.subscribe(self.on_event, kinds=kinds, detail=detail)
-        return self
-
-    def detach(self) -> None:
-        if self._bus is not None and self._sub is not None:
-            self._bus.unsubscribe(self._sub)
-        self._bus = self._sub = None
-
     def close(self) -> None:
         if self._closed:
             return
-        self.detach()
         if not self._meta_written:
             self.write_meta()
         self._flush_block()
@@ -341,9 +240,6 @@ class RtrcWriter:
             "events": self.events_written,
             "blocks": self._index,
         }
-        if self.sampler:
-            footer["sampling"] = self.sampler.policy()
-            footer["dropped"] = dict(sorted(self.sampler.dropped.items()))
         offset = self._write_frame(
             _TAG_FOOTER, _dumps(footer, separators=(",", ":"))
         )
@@ -378,11 +274,12 @@ class RtrcReader:
     of the file was inflated, which is what the query CLI reports and
     the tests assert on.  A file with a missing or corrupt footer
     (crash-truncated run) degrades to a sequential frame scan over the
-    complete blocks, mirroring ``read_events``'s tolerance for truncated
-    JSONL; :attr:`truncated` reports that this happened.
+    complete blocks, mirroring the JSONL reader's tolerance for a
+    truncated last line; :attr:`truncated` reports that this happened
+    (``strict=True`` raises :class:`RtrcFormatError` instead).
     """
 
-    def __init__(self, path: Union[str, Path]):
+    def __init__(self, path: Union[str, Path], strict: bool = False):
         self.path = Path(path)
         self._f: BinaryIO = open(self.path, "rb")
         self.truncated = False
@@ -393,6 +290,11 @@ class RtrcReader:
             self._f.close()
             raise RtrcFormatError(f"{self.path}: not an .rtrc file (bad magic)")
         self.meta, self.index = self._load_index()
+        if strict and self.truncated:
+            self._f.close()
+            raise RtrcFormatError(
+                f"{self.path}: truncated .rtrc container (missing footer)"
+            )
 
     # -- layout ----------------------------------------------------------
     def _read_frame_at(self, offset: int, want_tag: bytes) -> bytes:
@@ -498,11 +400,6 @@ class RtrcReader:
     def events_total(self) -> int:
         return int(self.index.get("events", 0))
 
-    @property
-    def dropped(self) -> Dict[str, int]:
-        """Per-kind counts the sampling tier dropped (empty if unsampled)."""
-        return dict(self.index.get("dropped", {}))
-
     def kind_counts(self) -> Dict[str, int]:
         """Aggregate per-kind event counts, from the index alone."""
         total: Counter = Counter()
@@ -526,15 +423,22 @@ class RtrcReader:
         t0, t1 = self.time_range()
         return {
             "path": str(self.path),
+            "format": "rtrc",
             "events": self.events_total,
             "blocks": self.blocks_total,
             "t0": t0,
             "t1": t1,
             "kinds": self.kind_counts(),
             "srcs": self.srcs(),
-            "sampling": self.index.get("sampling", {}),
-            "dropped": self.dropped,
             "truncated": self.truncated,
+        }
+
+    def scan_counters(self) -> Dict[str, int]:
+        """How much of the file the queries so far inflated."""
+        return {
+            "blocks_read": self.blocks_read,
+            "blocks_skipped": self.blocks_skipped,
+            "blocks_total": self.blocks_total,
         }
 
     def _block_matches(
@@ -590,7 +494,20 @@ class RtrcReader:
     def iter_jsonl(self, **query: Any) -> Iterator[str]:
         """Matching events as canonical JSONL lines (no trailing newline)."""
         for rec in self.iter_events(**query):
-            yield _dumps(rec, separators=(",", ":"), default=str)
+            yield dump_record(rec)
+
+    def event_stream(self) -> BinaryIO:
+        """Binary stream from the first block frame to EOF.
+
+        Everything past the meta frame is a pure function of the event
+        stream (framing and zlib are deterministic), so two containers
+        with identical events are byte-identical from here on — which is
+        what the determinism sanitizer's streaming diff exploits.
+        """
+        self._read_frame_at(len(MAGIC), _TAG_META)  # leaves _f just past it
+        f = open(self.path, "rb")
+        f.seek(self._f.tell())
+        return f
 
     def close(self) -> None:
         self._f.close()
@@ -600,105 +517,3 @@ class RtrcReader:
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
-
-
-def read_rtrc_events(
-    path: Union[str, Path],
-    kinds: Optional[Iterable[str]] = None,
-    include_meta: bool = False,
-    strict: bool = False,
-    stats: Optional[Dict[str, Any]] = None,
-) -> Iterator[Dict[str, Any]]:
-    """``read_events``-contract generator over an ``.rtrc`` file.
-
-    The meta record is filtered out unless ``include_meta`` (matching
-    the JSONL reader); truncated containers yield every complete block
-    and warn with :class:`~repro.obs.export.TruncatedTraceWarning`
-    (``strict=True`` raises instead).
-    """
-    from repro.obs.export import TruncatedTraceWarning
-
-    with RtrcReader(path) as reader:
-        if reader.truncated:
-            if strict:
-                raise RtrcFormatError(
-                    f"{path}: truncated .rtrc container (missing footer)"
-                )
-            warnings.warn(
-                f"{path}: truncated .rtrc container — recovered "
-                f"{reader.events_total} events from complete blocks "
-                "(crash-truncated trace?)",
-                TruncatedTraceWarning,
-                stacklevel=2,
-            )
-        for rec in reader.iter_events(kinds=kinds, include_meta=include_meta):
-            yield rec
-        if stats is not None:
-            stats["skipped_lines"] = stats.get("skipped_lines", 0)
-            stats["blocks_read"] = reader.blocks_read
-            stats["blocks_skipped"] = reader.blocks_skipped
-            stats["truncated"] = reader.truncated
-
-
-def event_region_offset(path: Union[str, Path]) -> int:
-    """Byte offset of the first block frame (just past the meta frame).
-
-    Everything from this offset on is a pure function of the event
-    stream (framing and zlib are deterministic), so two containers with
-    identical events are byte-identical from here to EOF — which is what
-    the determinism sanitizer's streaming diff exploits.
-    """
-    with open(path, "rb") as f:
-        head = f.read(len(MAGIC))
-        if head != MAGIC:
-            raise RtrcFormatError(f"{path}: not an .rtrc file (bad magic)")
-        tag = f.read(1)
-        if tag != _TAG_META:
-            raise RtrcFormatError(f"{path}: expected meta frame, got {tag!r}")
-        raw_len = f.read(4)
-        if len(raw_len) != 4:
-            raise RtrcFormatError(f"{path}: truncated meta frame")
-        (clen,) = _LEN.unpack(raw_len)
-        return len(MAGIC) + 1 + 4 + clen
-
-
-# ---------------------------------------------------------------------------
-# Conversion
-# ---------------------------------------------------------------------------
-
-
-def jsonl_to_rtrc(
-    src: Union[str, Path],
-    dst: Union[str, Path],
-    block_events: int = DEFAULT_BLOCK_EVENTS,
-    sample: Optional[Dict[str, Union[str, int]]] = None,
-) -> int:
-    """Re-encode a JSONL trace as ``.rtrc``; returns events written.
-
-    The meta record and every event field are stored verbatim (in their
-    original key order), so converting back with :func:`rtrc_to_jsonl`
-    reproduces the input byte for byte (absent sampling).
-    """
-    from repro.obs.export import read_events
-
-    writer = RtrcWriter(dst, block_events=block_events, sample=sample)
-    try:
-        for rec in read_events(str(src), include_meta=True):
-            writer.feed(rec)
-    finally:
-        writer.close()
-    return writer.events_written
-
-
-def rtrc_to_jsonl(src: Union[str, Path], dst: Union[str, Path]) -> int:
-    """Expand an ``.rtrc`` container to flat JSONL; returns events written."""
-    from repro.obs.export import open_trace_text
-
-    n = 0
-    with RtrcReader(src) as reader, open_trace_text(str(dst), "w") as out:
-        if reader.meta:
-            out.write(_dumps(reader.meta, separators=(",", ":"), default=str) + "\n")
-        for line in reader.iter_jsonl():
-            out.write(line + "\n")
-            n += 1
-    return n

@@ -1,17 +1,17 @@
 """``repro-udt trace`` — query, inspect and convert telemetry traces.
 
-Three sub-commands over any trace format (``.jsonl``, ``.jsonl.gz``,
-``.rtrc``):
+Three sub-commands over either trace format (``.jsonl``, ``.rtrc``),
+each a thin wrapper over the reader / writer / converter of
+:mod:`repro.obs.export` — nothing here knows which format it is given:
 
 * ``query`` — filter by kind / src / time range and print matching
   events as JSONL.  On ``.rtrc`` traces the footer index is used to
-  *skip* blocks that cannot match; the block read/skip tally is printed
+  *skip* blocks that cannot match; the reader's scan tally is printed
   to stderr so you can see the index working.
-* ``info`` — trace summary (event counts per kind, srcs, time range,
-  sampling policy).  For ``.rtrc`` this comes from the index alone —
-  no event block is decompressed.
-* ``convert`` — re-encode between formats (``jsonl ↔ rtrc``, gzip
-  transparent), optionally applying a sampling policy on the way.
+* ``info`` — trace summary (event counts per kind, srcs, time range).
+  For ``.rtrc`` this comes from the index alone — no event block is
+  decompressed.
+* ``convert`` — re-encode a trace, any format to any.
 
 Typical forensics session::
 
@@ -21,7 +21,7 @@ Typical forensics session::
     repro-udt trace query t.rtrc --kind cc.sample --src udt0-snd \
         --t0 2.0 --t1 2.5
     repro-udt trace query t.rtrc --kind pkt.snd --tail 20
-    repro-udt trace convert t.rtrc t.jsonl.gz   # for jq and friends
+    repro-udt trace convert t.rtrc t.jsonl      # for jq and friends
 """
 
 from __future__ import annotations
@@ -30,9 +30,16 @@ import argparse
 import json
 import sys
 from collections import Counter, deque
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from itertools import islice
+from typing import Optional
 
-from repro.obs.export import is_rtrc_path, open_trace_text, read_events
+from repro.obs.export import (
+    DEFAULT_BLOCK_EVENTS,
+    convert_trace,
+    dump_record,
+    make_trace_writer,
+    open_trace,
+)
 
 
 def add_trace_arguments(parser: argparse.ArgumentParser) -> None:
@@ -43,7 +50,7 @@ def add_trace_arguments(parser: argparse.ArgumentParser) -> None:
         help="filter a trace by kind/src/time and print matching events "
         "as JSONL (uses the .rtrc block index to skip non-matching blocks)",
     )
-    q.add_argument("trace", help="trace file (.jsonl, .jsonl.gz or .rtrc)")
+    q.add_argument("trace", help="trace file (.jsonl or .rtrc)")
     q.add_argument(
         "--kind",
         action="append",
@@ -83,34 +90,26 @@ def add_trace_arguments(parser: argparse.ArgumentParser) -> None:
         "--to-jsonl",
         metavar="PATH",
         default=None,
-        help="write matching events to PATH (gzip on .gz suffix) instead "
-        "of stdout; the trace.meta header is carried over",
+        help="write matching events to PATH (a trace; the suffix selects "
+        "the format) instead of stdout; the trace.meta header is carried "
+        "over",
     )
 
     i = sub.add_parser(
         "info",
-        help="trace summary: events per kind, srcs, time range, sampling "
-        "policy (answered from the .rtrc index without reading blocks)",
+        help="trace summary: events per kind, srcs, time range (answered "
+        "from the .rtrc index without reading blocks)",
     )
-    i.add_argument("trace", help="trace file (.jsonl, .jsonl.gz or .rtrc)")
+    i.add_argument("trace", help="trace file (.jsonl or .rtrc)")
     i.add_argument("--json", action="store_true", help="machine-readable output")
 
     c = sub.add_parser(
         "convert",
         help="re-encode a trace between formats (suffix decides: "
-        ".jsonl/.jsonl.gz/.rtrc), optionally sampling on the way",
+        ".jsonl/.rtrc)",
     )
     c.add_argument("src", help="input trace")
     c.add_argument("dst", help="output trace; suffix selects the format")
-    c.add_argument(
-        "--sample",
-        action="append",
-        default=[],
-        metavar="KIND=POLICY",
-        help="per-kind sampling policy applied during conversion, e.g. "
-        "--sample pkt.snd=stride:100 --sample link.deq=head:1000 "
-        "(repeatable)",
-    )
     c.add_argument(
         "--block-events",
         type=int,
@@ -121,224 +120,85 @@ def add_trace_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _matching_events(
-    path: str,
-    kinds: Optional[List[str]],
-    srcs: Optional[List[str]],
-    t0: Optional[float],
-    t1: Optional[float],
-) -> Tuple[Iterator[Dict[str, Any]], Optional[Any]]:
-    """Iterator over matching events plus the RtrcReader (for counters)."""
-    if is_rtrc_path(path):
-        from repro.obs.store import RtrcReader
-
-        reader = RtrcReader(path)
-        return (
-            reader.iter_events(kinds=kinds, srcs=srcs, t0=t0, t1=t1),
-            reader,
-        )
-
-    def scan() -> Iterator[Dict[str, Any]]:
-        srcset = frozenset(srcs) if srcs else None
-        for rec in read_events(path, kinds=kinds):
-            if srcset is not None and rec.get("src") not in srcset:
-                continue
-            t = rec.get("t", 0.0)
-            if t0 is not None and t < t0:
-                continue
-            if t1 is not None and t > t1:
-                continue
-            yield rec
-
-    return scan(), None
-
-
-def _dump(rec: Dict[str, Any]) -> str:
-    return json.dumps(rec, separators=(",", ":"), default=str)
-
-
-def _read_meta(path: str) -> Optional[Dict[str, Any]]:
-    for rec in read_events(path, include_meta=True):
-        return rec if rec.get("kind") == "trace.meta" else None
-    return None
-
-
 def _cmd_query(args: argparse.Namespace) -> int:
-    events, reader = _matching_events(
-        args.trace, args.kind, args.src, args.t0, args.t1
-    )
-    matched = 0
     counts: Counter = Counter()
-    out = None
-    sink_writer = None
-    try:
+    sink = None
+    with open_trace(args.trace) as reader:
         if args.to_jsonl is not None and not args.stats:
-            if is_rtrc_path(args.to_jsonl):
-                from repro.obs.store import RtrcWriter
-
-                sink_writer = RtrcWriter(args.to_jsonl)
-            else:
-                out = open_trace_text(args.to_jsonl, "w")
-            meta = _read_meta(args.trace)
-            if meta is not None:
-                if sink_writer is not None:
-                    sink_writer.feed(meta)
-                else:
-                    out.write(_dump(meta) + "\n")
-
+            sink = make_trace_writer(args.to_jsonl)
+            if reader.meta:
+                sink.feed(reader.meta)
+        emit = sink.feed if sink is not None else (lambda rec: print(dump_record(rec)))
         tail: Optional[deque] = (
             deque(maxlen=args.tail) if args.tail is not None else None
         )
-        for rec in events:
-            matched += 1
-            counts[rec.get("kind", "?")] += 1
-            if args.stats:
-                pass
-            elif tail is not None:
-                tail.append(rec)
-            elif sink_writer is not None:
-                sink_writer.feed(rec)
-            elif out is not None:
-                out.write(_dump(rec) + "\n")
-            else:
-                print(_dump(rec))
-            if args.head is not None and matched >= args.head:
-                break
-        if tail is not None:
-            for rec in tail:
-                if sink_writer is not None:
-                    sink_writer.feed(rec)
-                elif out is not None:
-                    out.write(_dump(rec) + "\n")
+        events = reader.iter_events(
+            kinds=args.kind, srcs=args.src, t0=args.t0, t1=args.t1
+        )
+        try:
+            for rec in islice(events, args.head):
+                counts[rec.get("kind", "?")] += 1
+                if args.stats:
+                    continue
+                if tail is not None:
+                    tail.append(rec)
                 else:
-                    print(_dump(rec))
-    finally:
-        if out is not None:
-            out.close()
-        if sink_writer is not None:
-            sink_writer.close()
+                    emit(rec)
+            for rec in tail or ():
+                emit(rec)
+        finally:
+            if sink is not None:
+                sink.close()
+        tally = reader.scan_counters()
 
     if args.stats:
         for kind in sorted(counts):
             print(f"{kind:<20s} {counts[kind]}")
 
-    status = f"[query] {matched} matching event(s)"
-    if reader is not None:
-        status += (
-            f"; index: read {reader.blocks_read}/{reader.blocks_total} "
-            f"block(s), skipped {reader.blocks_skipped}"
-        )
-        reader.close()
-    if args.to_jsonl is not None and not args.stats:
+    status = f"[query] {sum(counts.values())} matching event(s); " + ", ".join(
+        f"{key.replace('_', ' ')} {n}" for key, n in tally.items()
+    )
+    if sink is not None:
         status += f" -> {args.to_jsonl}"
     print(status, file=sys.stderr)
     return 0
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    if is_rtrc_path(args.trace):
-        from repro.obs.store import RtrcReader
-
-        with RtrcReader(args.trace) as reader:
-            stats = reader.stats()
-            stats["meta"] = reader.meta
-            stats["format"] = "rtrc"
-    else:
-        counts: Counter = Counter()
-        srcs: set = set()
-        t_lo = t_hi = None
-        meta: Optional[Dict[str, Any]] = None
-        for rec in read_events(args.trace, include_meta=True):
-            if rec.get("kind") == "trace.meta":
-                meta = rec
-                continue
-            counts[rec.get("kind", "?")] += 1
-            srcs.add(rec.get("src", ""))
-            t = rec.get("t", 0.0)
-            t_lo = t if t_lo is None else min(t_lo, t)
-            t_hi = t if t_hi is None else max(t_hi, t)
-        stats = {
-            "path": args.trace,
-            "format": "jsonl",
-            "events": sum(counts.values()),
-            "t0": t_lo,
-            "t1": t_hi,
-            "kinds": dict(sorted(counts.items())),
-            "srcs": sorted(srcs),
-            "sampling": (meta or {}).get("sampling", {}),
-            "meta": meta,
-        }
+    with open_trace(args.trace) as reader:
+        stats = dict(reader.stats(), meta=reader.meta)
     if args.json:
         print(json.dumps(stats, indent=2, default=str))
         return 0
     print(f"== trace: {stats['path']} ({stats['format']}) ==")
-    if stats["format"] == "rtrc":
-        extra = " (truncated container)" if stats.get("truncated") else ""
-        print(f"{stats['events']} events in {stats['blocks']} block(s){extra}")
-    else:
-        print(f"{stats['events']} events")
-    if stats.get("t0") is not None:
+    blocks = f" in {stats['blocks']} block(s)" if "blocks" in stats else ""
+    extra = " (truncated)" if stats["truncated"] else ""
+    print(f"{stats['events']} events{blocks}{extra}")
+    if stats["t0"] is not None:
         print(f"t = [{stats['t0']:.6f}, {stats['t1']:.6f}]s virtual")
     for kind, n in stats["kinds"].items():
         print(f"  {kind:<20s} {n}")
-    if stats.get("sampling"):
-        print("sampling policy:")
-        for kind, pol in sorted(stats["sampling"].items()):
-            dropped = (stats.get("dropped") or {}).get(kind)
-            note = f"  ({dropped} dropped)" if dropped is not None else ""
-            print(f"  {kind:<20s} {pol}{note}")
-    srcs_list = stats.get("srcs") or []
-    preview = ", ".join(srcs_list[:8]) + (" ..." if len(srcs_list) > 8 else "")
-    print(f"{len(srcs_list)} src(s): {preview}")
+    srcs = stats["srcs"]
+    preview = ", ".join(srcs[:8]) + (" ..." if len(srcs) > 8 else "")
+    print(f"{len(srcs)} src(s): {preview}")
     return 0
 
 
-def _cmd_convert(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from repro.obs.store import (
-        DEFAULT_BLOCK_EVENTS,
-        jsonl_to_rtrc,
-        parse_sample_specs,
-        rtrc_to_jsonl,
+def _cmd_convert(args: argparse.Namespace) -> int:
+    n = convert_trace(
+        args.src, args.dst, block_events=args.block_events or DEFAULT_BLOCK_EVENTS
     )
-
-    try:
-        sample = parse_sample_specs(args.sample) or None
-    except ValueError as exc:
-        parser.error(str(exc))
-    block_events = args.block_events or DEFAULT_BLOCK_EVENTS
-    src_rtrc, dst_rtrc = is_rtrc_path(args.src), is_rtrc_path(args.dst)
-    if dst_rtrc:
-        # jsonl→rtrc and rtrc→rtrc (re-block / re-sample) both go through
-        # the writer's feed() path via read_events dispatch.
-        n = jsonl_to_rtrc(
-            args.src, args.dst, block_events=block_events, sample=sample
-        )
-    elif src_rtrc:
-        if sample:
-            parser.error("--sample is only applied when writing .rtrc")
-        n = rtrc_to_jsonl(args.src, args.dst)
-    else:
-        if sample:
-            parser.error("--sample is only applied when writing .rtrc")
-        n = 0
-        with open_trace_text(args.src, "r") as fin, open_trace_text(
-            args.dst, "w"
-        ) as fout:
-            for line in fin:
-                fout.write(line)
-                n += 1
-        n = max(0, n - 1)  # meta line is not an event
     print(f"[convert] {n} event(s) -> {args.dst}", file=sys.stderr)
     return 0
 
 
-def run_trace(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def run_trace(args: argparse.Namespace) -> int:
     try:
         if args.trace_cmd == "query":
             return _cmd_query(args)
         if args.trace_cmd == "info":
             return _cmd_info(args)
-        return _cmd_convert(args, parser)
+        return _cmd_convert(args)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

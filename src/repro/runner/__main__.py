@@ -91,7 +91,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--digest", default="", help="digest to echo into the entry")
     parser.add_argument("--out", help="where the worker writes its entry JSON")
     parser.add_argument(
-        "--trace", default=None, help="trace path (.jsonl/.jsonl.gz/.rtrc)"
+        "--trace", default=None, help="trace path (.jsonl/.rtrc)"
     )
     parser.add_argument("--trace-packets", action="store_true")
     parser.add_argument(

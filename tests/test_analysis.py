@@ -567,22 +567,6 @@ def _write_rtrc(path, lines):
     w.close()
 
 
-def test_diff_traces_streams_over_gzip(tmp_path):
-    import gzip
-
-    events = ['{"t": 0.0, "kind": "pkt.snd", "seq": %d}' % i for i in range(10)]
-    mutated = list(events)
-    mutated[4] = '{"t": 0.0, "kind": "pkt.snd", "seq": 444}'
-    a, b = tmp_path / "a.jsonl.gz", tmp_path / "b.jsonl.gz"
-    for path, lines in ((a, events), (b, mutated)):
-        with gzip.open(path, "wt") as f:
-            f.write("\n".join([_META] + lines) + "\n")
-    n, div = diff_traces(a, a)
-    assert n == 10 and div is None
-    _, div = diff_traces(a, b)
-    assert div is not None and div.index == 4 and '"seq": 444' in div.line_b
-
-
 def test_diff_traces_rtrc_identical_and_divergent(tmp_path):
     events = ['{"t": 0.0, "kind": "pkt.snd", "seq": %d}' % i for i in range(10)]
     mutated = list(events)
@@ -659,9 +643,9 @@ def test_sanitizer_result_json_shape(tmp_path):
 
 
 def test_cli_lint_json_roundtrip(tmp_path, capsys):
-    from repro.analysis.cli import main
+    from repro.cli import main
 
-    rc = main(["--json"])
+    rc = main(["lint", "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert payload["kind"] == "lint.report" and payload["schema"] == 1
@@ -670,32 +654,32 @@ def test_cli_lint_json_roundtrip(tmp_path, capsys):
 
 
 def test_cli_lint_detects_new_finding(tmp_path, capsys):
-    from repro.analysis.cli import main
+    from repro.cli import main
 
     _tree(
         tmp_path,
         {"udt/x.py": "def f(a_seq, b_seq):\n    return a_seq < b_seq\n"},
     )
-    rc = main(["--root", str(tmp_path)])
+    rc = main(["lint", "--root", str(tmp_path)])
     out = capsys.readouterr().out
     assert rc == 1 and "seqno-taint" in out and "1 finding(s)" in out
     # the JSON report carries the finding and a failed gate; the findings
     # parse back through the Finding codec
-    assert main(["--root", str(tmp_path), "--json"]) == 1
+    assert main(["lint", "--root", str(tmp_path), "--json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert not payload["gate_passed"]
     assert [Finding.from_dict(d).rule for d in payload["findings"]] == ["seqno-taint"]
     # a partial run exits on its raw findings and names its rules
-    assert main(["--root", str(tmp_path), "--rule", "units", "--json"]) == 0
+    assert main(["lint", "--root", str(tmp_path), "--rule", "units", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["rules"] == ["units"] and payload["findings"] == []
 
 
 def test_cli_unknown_rule_errors():
-    from repro.analysis.cli import main
+    from repro.cli import main
 
     with pytest.raises(SystemExit):
-        main(["--rule", "no-such-rule"])
+        main(["lint", "--rule", "no-such-rule"])
 
 
 def test_repro_udt_lint_subcommand(capsys):

@@ -108,8 +108,8 @@ class TestDocscheck:
     def test_flags_do_not_bleed_across_commands_on_one_line(self, tmp_path):
         # two commands quoted on one line: each owns only its own tail
         (tmp_path / "README.md").write_text(
-            "`repro-udt conform out.rtrc  # or: repro-udt lint "
-            "--conformance out.rtrc`\n",
+            "`repro-udt conform out.rtrc  # then: repro-udt lint "
+            "--sanitize fig02`\n",
             encoding="utf-8",
         )
         errors, _n = docscheck.run_checks(tmp_path, ["flags"])

@@ -3,8 +3,6 @@
 import io
 import json
 
-import pytest
-
 from repro.obs import (
     CC_SAMPLE,
     LINK_DROP,
@@ -14,7 +12,7 @@ from repro.obs import (
     TraceSummary,
     default_bus,
     read_events,
-    trace_to_file,
+    trace_session,
 )
 
 
@@ -101,7 +99,7 @@ class TestJsonlExport:
     def test_writer_round_trip(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
         bus = EventBus()
-        with trace_to_file(path, bus=bus, generator="test") as w:
+        with trace_session(path, bus=bus, generator="test") as w:
             bus.emit(CC_SAMPLE, 0.5, "udt0-snd", rate_bps=1e6, cwnd=16.0)
             bus.emit(LINK_DROP, 0.7, "1->2", reason="queue", size=1500)
         assert w.events_written == 2
@@ -132,19 +130,10 @@ class TestJsonlExport:
     def test_kind_filtered_writer(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
         bus = EventBus()
-        with trace_to_file(path, bus=bus, kinds=(CC_SAMPLE,)):
+        with trace_session(path, bus=bus, kinds=(CC_SAMPLE,)):
             bus.emit(CC_SAMPLE, 0.0, "s")
             bus.emit(LINK_DROP, 0.1, "l")
         assert [e["kind"] for e in read_events(path)] == [CC_SAMPLE]
-
-    def test_double_attach_raises(self):
-        w = JsonlWriter(io.StringIO())
-        bus = EventBus()
-        w.attach(bus)
-        with pytest.raises(RuntimeError):
-            w.attach(bus)
-        w.detach()
-        assert not bus.enabled
 
 
 class TestTraceSummary:

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from repro.obs import TimelineRecorder, trace_to_file
+from repro.obs import TimelineRecorder, trace_session
 from repro.obs.figspec import (
     SPECS,
     ResultTable,
@@ -147,7 +147,7 @@ class TestFig04TraceEquivalence:
         live = TimelineRecorder()
         live.attach()
         try:
-            with trace_to_file(path, generator="test", experiments=["fig04"]):
+            with trace_session(path, generator="test", experiments=["fig04"]):
                 fig04_stability.run(
                     n_flows=2, rate_bps=50e6, rtts=(0.02,), duration=6, seed=1
                 )

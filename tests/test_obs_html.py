@@ -264,12 +264,12 @@ class TestProgressCard:
 class TestReportCli:
     def _summary_trace(self, tmp_path):
         """A real summary-only (no packet detail) trace of a tiny run."""
-        from repro.obs import trace_to_file
+        from repro.obs import trace_session
         from repro.sim.topology import path_topology
         from repro.udt import start_udt_flow
 
         path = str(tmp_path / "summary.jsonl")
-        with trace_to_file(path, generator="test", experiments=["fig04"]):
+        with trace_session(path, generator="test", experiments=["fig04"]):
             top = path_topology(50e6, 0.02)
             start_udt_flow(top.net, top.src, top.dst)
             top.net.run(until=1.0)

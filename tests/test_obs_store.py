@@ -1,45 +1,41 @@
-"""The .rtrc binary trace store: round-trips, index queries, sampling.
+"""The two trace formats behind one seam: round-trips, parity, index queries.
 
 The contract under test is the one the trace pipeline stands on:
 
 * every consumer (``read_events``, ``TimelineRecorder.from_jsonl``,
   ``build_spans``, the report CLI) sees the *same* flat event dicts from
-  ``.jsonl``, ``.jsonl.gz`` and ``.rtrc`` traces of one run;
-* ``jsonl -> rtrc -> jsonl`` is byte-exact, and an ``.rtrc`` written
-  live off the bus is byte-identical to one converted from the JSONL of
-  the same run (deterministic blocks + fixed-level zlib);
+  the ``.jsonl`` and the ``.rtrc`` trace of one run, and the two readers
+  ``open_trace`` returns answer every query identically;
+* ``convert_trace`` covers all four format pairs, ``jsonl -> rtrc ->
+  jsonl`` is byte-exact, and an ``.rtrc`` written live off the bus is
+  byte-identical to one converted from the JSONL of the same run
+  (deterministic blocks + fixed-level zlib);
 * kind/src/time-range queries answer from the footer index, *skipping*
   blocks — asserted via the reader's block counters;
 * truncated containers degrade to the complete-block prefix with a
-  warning, like crash-truncated JSONL.
+  warning, like crash-truncated JSONL;
+* ``repro.obs.export`` is the only module that tests a trace suffix.
 
-The shared fixture records one packet-tier fig04 run once with all
-three writers attached to the same bus, so live-vs-file comparisons
-are exact (process-global packet uids make two *sequential* runs
-legitimately differ).
+The shared fixture records one packet-tier fig04 run once with both
+writers subscribed to the same bus, so live-vs-file comparisons are
+exact.
 """
 
-import gzip
 import json
+import re
+import warnings
+from itertools import zip_longest
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import repro
 from repro.experiments import get_experiment
-from repro.obs import TimelineRecorder, trace_to_file
-from repro.obs.export import open_trace_text, read_events
+from repro.obs import TimelineRecorder, TruncatedTraceWarning, trace_session
+from repro.obs.export import convert_trace, open_trace, read_events
 from repro.obs.spans import build_spans
-from repro.obs.store import (
-    RtrcFormatError,
-    RtrcReader,
-    RtrcWriter,
-    Sampler,
-    event_region_offset,
-    jsonl_to_rtrc,
-    parse_sample_specs,
-    read_rtrc_events,
-    rtrc_to_jsonl,
-)
+from repro.obs.store import MAGIC, RtrcFormatError, RtrcReader, RtrcWriter
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -48,19 +44,18 @@ RUN_KW = dict(n_flows=2, rate_bps=20e6, rtts=(0.01,), duration=3.0)
 
 @pytest.fixture(scope="module")
 def traced_run(tmp_path_factory):
-    """One packet-tier fig04 run recorded to all three formats at once."""
+    """One packet-tier fig04 run recorded to both formats at once."""
     d = tmp_path_factory.mktemp("traces")
-    jsonl, gz, rtrc = d / "t.jsonl", d / "t.jsonl.gz", d / "t.rtrc"
+    jsonl, rtrc = d / "t.jsonl", d / "t.rtrc"
     live = TimelineRecorder()
     live.attach()
     try:
-        with trace_to_file(str(jsonl), packets=True, generator="test"), \
-             trace_to_file(str(gz), packets=True, generator="test"), \
-             trace_to_file(str(rtrc), packets=True, generator="test"):
+        with trace_session(str(jsonl), packets=True, generator="test"), \
+             trace_session(str(rtrc), packets=True, generator="test"):
             get_experiment("fig04").runner(**RUN_KW)
     finally:
         live.detach()
-    return SimpleNamespace(dir=d, jsonl=jsonl, gz=gz, rtrc=rtrc, live=live)
+    return SimpleNamespace(dir=d, jsonl=jsonl, rtrc=rtrc, live=live)
 
 
 # -- byte-level round trips -------------------------------------------------
@@ -71,29 +66,31 @@ class TestRoundTrip:
         ratio = traced_run.rtrc.stat().st_size / traced_run.jsonl.stat().st_size
         assert ratio <= 0.25, f".rtrc is {ratio:.1%} of the JSONL size"
 
-    def test_gz_stream_equals_plain_jsonl(self, traced_run):
-        with gzip.open(traced_run.gz, "rb") as f:
-            assert f.read() == traced_run.jsonl.read_bytes()
-
     def test_live_rtrc_equals_converted_rtrc(self, traced_run, tmp_path):
         """Bus -> .rtrc and bus -> .jsonl -> .rtrc give identical bytes."""
         conv = tmp_path / "conv.rtrc"
-        n = jsonl_to_rtrc(traced_run.jsonl, conv)
+        n = convert_trace(traced_run.jsonl, conv)
         assert n > 1000
         assert conv.read_bytes() == traced_run.rtrc.read_bytes()
 
     def test_rtrc_to_jsonl_is_byte_exact(self, traced_run, tmp_path):
         back = tmp_path / "back.jsonl"
-        n = rtrc_to_jsonl(traced_run.rtrc, back)
+        n = convert_trace(traced_run.rtrc, back)
         assert back.read_bytes() == traced_run.jsonl.read_bytes()
         with RtrcReader(traced_run.rtrc) as reader:
             assert n == reader.events_total
 
-    def test_gz_to_rtrc_matches_plain_to_rtrc(self, traced_run, tmp_path):
-        a, b = tmp_path / "a.rtrc", tmp_path / "b.rtrc"
-        jsonl_to_rtrc(traced_run.jsonl, a)
-        jsonl_to_rtrc(traced_run.gz, b)
-        assert a.read_bytes() == b.read_bytes()
+    def test_converter_matrix(self, traced_run, tmp_path):
+        """One converter, all four (src, dst) pairs, same bytes and count."""
+        by_suffix = {".jsonl": traced_run.jsonl, ".rtrc": traced_run.rtrc}
+        counts = set()
+        for src in by_suffix.values():
+            for suffix, same_format in by_suffix.items():
+                dst = tmp_path / f"from-{src.suffix[1:]}{suffix}"
+                counts.add(convert_trace(src, dst))
+                assert dst.read_bytes() == same_format.read_bytes(), dst.name
+        with open_trace(traced_run.jsonl) as reader:
+            assert counts == {reader.events_total}
 
 
 # -- consumer equivalence across formats ------------------------------------
@@ -102,10 +99,9 @@ class TestRoundTrip:
 class TestConsumerEquivalence:
     def test_read_events_yields_identical_dicts(self, traced_run):
         ja = list(read_events(str(traced_run.jsonl), include_meta=True))
-        gb = list(read_events(str(traced_run.gz), include_meta=True))
         rb = list(read_events(str(traced_run.rtrc), include_meta=True))
         assert len(ja) > 10_000
-        assert ja == gb == rb
+        assert ja == rb
 
     def test_timeline_rebuild_matches_live(self, traced_run):
         from_jsonl = TimelineRecorder.from_jsonl(str(traced_run.jsonl))
@@ -135,7 +131,7 @@ class TestConsumerEquivalence:
 def indexed(traced_run, tmp_path_factory):
     """The run's trace re-blocked small, so index skipping is visible."""
     path = tmp_path_factory.mktemp("indexed") / "small-blocks.rtrc"
-    jsonl_to_rtrc(traced_run.jsonl, path, block_events=512)
+    convert_trace(traced_run.jsonl, path, block_events=512)
     return path
 
 
@@ -205,6 +201,73 @@ class TestIndexQueries:
         assert stats["skipped_lines"] == 0
 
 
+class TestReaderParity:
+    """``open_trace`` hands out two readers with one surface and one answer."""
+
+    def test_every_query_yields_identical_records(self, traced_run, indexed):
+        """The kinds / srcs / t0 / t1 combinations of TestIndexQueries."""
+        with open_trace(traced_run.jsonl) as scan, open_trace(indexed) as index:
+            assert scan.meta == index.meta
+            assert scan.meta["kind"] == "trace.meta"
+            stats = index.stats()
+            rare = min(stats["kinds"], key=stats["kinds"].get)
+            lo, hi = stats["t0"], stats["t1"]
+            window = {"t0": lo + (hi - lo) * 0.4, "t1": lo + (hi - lo) * 0.45}
+            for query in (
+                {"include_meta": True},
+                {"kinds": [rare]},
+                window,
+                {"srcs": [stats["srcs"][0]]},
+                dict(window, kinds=["pkt.snd"], srcs=["f0-snd"]),
+            ):
+                n = 0
+                for a, b in zip_longest(
+                    scan.iter_events(**query), index.iter_events(**query)
+                ):
+                    assert a == b, (query, n)
+                    n += 1
+                assert n > 0, query
+            assert list(scan.iter_jsonl(kinds=[rare])) == list(
+                index.iter_jsonl(kinds=[rare])
+            )
+
+    def test_shared_stats_keys_agree(self, traced_run):
+        with open_trace(traced_run.jsonl) as scan, open_trace(traced_run.rtrc) as index:
+            a, b = scan.stats(), index.stats()
+            assert scan.events_total == index.events_total == a["events"]
+            assert not scan.truncated and not index.truncated
+        shared = set(a) & set(b)
+        assert shared >= {"events", "t0", "t1", "kinds", "srcs", "truncated"}
+        assert set(a) - shared == set() and set(b) - shared == {"blocks"}
+        for key in shared - {"path", "format"}:
+            assert a[key] == b[key], key
+        assert (a["format"], b["format"]) == ("jsonl", "rtrc")
+
+    def test_event_streams_start_after_the_meta_record(self, traced_run):
+        with open_trace(traced_run.jsonl) as scan, scan.event_stream() as f:
+            first = f.readline()
+        assert b'"trace.meta"' not in first and json.loads(first)["t"] >= 0.0
+        with open_trace(traced_run.rtrc) as index, index.event_stream() as f:
+            assert f.read(1) == b"B"
+
+
+def test_only_export_tests_a_trace_suffix():
+    """The on-disk format is one module's decision (CI greps the same)."""
+    suffix_test = re.compile(
+        r"""is_rtrc_path|(endswith\(|suffix(es)?\s*(==|!=|in)\s*)\(?["']\.?(rtrc|jsonl|gz)"""
+    )
+    root = Path(repro.__file__).parent
+    hits = [
+        f"{path.relative_to(root)}:{n}"
+        for path in sorted(root.rglob("*.py"))
+        if path.relative_to(root) != Path("obs/export.py")
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if suffix_test.search(line)
+    ]
+    assert hits == []
+    assert "obs.export" not in (root / "obs" / "store.py").read_text()
+
+
 # -- truncation recovery ----------------------------------------------------
 
 
@@ -229,8 +292,8 @@ class TestTruncation:
     def test_mid_block_truncation_yields_complete_prefix(self, tmp_path):
         p = _tiny_rtrc(tmp_path / "t.rtrc")
         p.write_bytes(p.read_bytes()[: p.stat().st_size // 2])
-        with pytest.warns(UserWarning, match="truncated"):
-            events = list(read_rtrc_events(p))
+        with pytest.warns(TruncatedTraceWarning, match="truncated"):
+            events = list(read_events(p))
         assert events
         assert len(events) % 100 == 0  # whole blocks only
         assert len(events) < 1000
@@ -240,7 +303,7 @@ class TestTruncation:
         p = _tiny_rtrc(tmp_path / "t.rtrc")
         p.write_bytes(p.read_bytes()[: p.stat().st_size // 2])
         with pytest.raises(RtrcFormatError):
-            list(read_rtrc_events(p, strict=True))
+            list(read_events(p, strict=True))
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.rtrc"
@@ -249,89 +312,26 @@ class TestTruncation:
             RtrcReader(p)
 
 
-# -- sampling tier ----------------------------------------------------------
-
-
-class TestSampling:
-    def test_stride_and_head_policies(self):
-        s = Sampler({"a": "stride:3", "b": "head:2"})
-        kept_a = [s.admit("a") for _ in range(7)]
-        kept_b = [s.admit("b") for _ in range(4)]
-        assert kept_a == [True, False, False, True, False, False, True]
-        assert kept_b == [True, True, False, False]
-        assert s.admit("unlisted") is True
-        assert s.dropped == {"a": 4, "b": 2}
-        assert s.policy() == {"a": "stride:3", "b": "head:2"}
-
-    def test_bare_int_means_stride(self):
-        s = Sampler({"a": 2})
-        assert [s.admit("a") for _ in range(4)] == [True, False, True, False]
-
-    def test_parse_sample_specs_validates(self):
-        assert parse_sample_specs(["pkt.snd=stride:10", "x=head:5"]) == {
-            "pkt.snd": "stride:10",
-            "x": "head:5",
-        }
-        assert parse_sample_specs(["pkt.snd=100"]) == {"pkt.snd": "stride:100"}
-        with pytest.raises(ValueError):
-            parse_sample_specs(["no-equals"])
-        with pytest.raises(ValueError):
-            parse_sample_specs(["k=bogus:1"])
-        with pytest.raises(ValueError):
-            parse_sample_specs(["k=stride:0"])
-
-    def test_sampled_conversion_records_budget(self, traced_run, tmp_path):
-        full = {}
-        for rec in read_events(str(traced_run.jsonl)):
-            full[rec["kind"]] = full.get(rec["kind"], 0) + 1
-        out = tmp_path / "sampled.rtrc"
-        jsonl_to_rtrc(traced_run.jsonl, out, sample={"pkt.snd": "stride:10"})
-        with RtrcReader(out) as reader:
-            counts = reader.kind_counts()
-            kept = counts["pkt.snd"]
-            assert kept == (full["pkt.snd"] + 9) // 10
-            assert reader.dropped == {"pkt.snd": full["pkt.snd"] - kept}
-            assert reader.stats()["sampling"] == {"pkt.snd": "stride:10"}
-            # unlisted kinds are untouched
-            for kind, n in counts.items():
-                if kind != "pkt.snd":
-                    assert n == full[kind]
-
-    def test_live_sampling_lands_in_trace_meta(self, tmp_path):
-        from repro.sim.topology import path_topology
-        from repro.udt import start_udt_flow
-
-        path = tmp_path / "sampled.jsonl"
-        with trace_to_file(
-            str(path), generator="test", sample={"cc.sample": "head:5"}
-        ):
-            top = path_topology(20e6, 0.01)
-            start_udt_flow(top.net, top.src, top.dst)
-            top.net.run(until=2.0)
-        meta = next(read_events(str(path), include_meta=True))
-        assert meta["sampling"] == {"cc.sample": "head:5"}
-        n_cc = sum(
-            1 for r in read_events(str(path)) if r["kind"] == "cc.sample"
-        )
-        assert n_cc == 5
-
-
 # -- container layout -------------------------------------------------------
 
 
 class TestLayout:
     def test_event_region_offset_lands_on_first_block(self, tmp_path):
         p = _tiny_rtrc(tmp_path / "t.rtrc")
-        off = event_region_offset(p)
-        with open(p, "rb") as f:
-            f.seek(off)
+        with open_trace(p) as reader, reader.event_stream() as f:
             assert f.read(1) == b"B"
+            rest = f.read()
+        assert p.read_bytes().endswith(b"B" + rest)
 
     def test_event_region_offset_rejects_non_rtrc(self, tmp_path):
         p = tmp_path / "x.rtrc"
         p.write_bytes(b"junk")
         with pytest.raises(RtrcFormatError):
-            event_region_offset(p)
+            open_trace(p)
+        p.write_bytes(MAGIC + b"junk")
+        with open_trace(p) as reader:  # right magic, no meta frame behind it
+            with pytest.raises(RtrcFormatError):
+                reader.event_stream()
 
     def test_block_events_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError):
@@ -346,7 +346,7 @@ class TestLayout:
             assert reader.events_total == 0
             assert reader.blocks_total == 0
             assert reader.meta["generator"] == "test"
-        assert list(read_rtrc_events(p)) == []
+        assert list(read_events(p)) == []
 
 
 # -- the trace CLI ----------------------------------------------------------
@@ -406,42 +406,28 @@ class TestTraceCli:
         capsys.readouterr()
         assert back.read_bytes() == traced_run.jsonl.read_bytes()
 
+    def test_convert_counts_events_not_lines(self, tmp_path, capsys):
+        """A header-less JSONL has as many events as lines (was lines - 1)."""
+        src, dst = tmp_path / "bare.jsonl", tmp_path / "out.jsonl"
+        rows = [{"t": i * 0.5, "kind": "x", "src": "s", "i": i} for i in range(3)]
+        src.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        assert self._main("trace", "convert", str(src), str(dst)) == 0
+        assert "[convert] 3 event(s)" in capsys.readouterr().err
+        assert [json.loads(l) for l in dst.read_text().splitlines()] == rows
+
+    def test_convert_drops_a_truncated_last_line(self, traced_run, tmp_path, capsys):
+        """A crash-truncated tail is skipped with the readers' warning."""
+        lines = traced_run.jsonl.read_text().splitlines()[:50]
+        src, dst = tmp_path / "cut.jsonl", tmp_path / "out.jsonl"
+        src.write_text("\n".join(lines) + "\n" + lines[-1][:17])
+        with pytest.warns(TruncatedTraceWarning):
+            assert self._main("trace", "convert", str(src), str(dst)) == 0
+        assert "[convert] 49 event(s)" in capsys.readouterr().err
+        assert dst.read_text() == "\n".join(lines) + "\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncatedTraceWarning)
+            assert len(list(read_events(dst))) == 49
+
     def test_missing_file_exits_2(self, capsys):
         assert self._main("trace", "info", "/no/such/trace.rtrc") == 2
         assert "error" in capsys.readouterr().err
-
-
-# -- gzip traces end-to-end from the run CLI --------------------------------
-
-
-class TestGzipCli:
-    def test_run_writes_gz_trace(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = tmp_path / "run.jsonl.gz"
-        rc = main(
-            [
-                "run", "fig09", "--trace", str(path),
-                "--set", "n_events=20", "--set", "max_burst=50",
-            ]
-        )
-        capsys.readouterr()
-        assert rc == 0
-        assert path.exists()
-        meta = next(read_events(str(path), include_meta=True))
-        assert meta["kind"] == "trace.meta"
-
-    def test_truncated_gz_is_tolerated(self, traced_run, tmp_path):
-        cut = tmp_path / "cut.jsonl.gz"
-        cut.write_bytes(traced_run.gz.read_bytes()[: traced_run.gz.stat().st_size // 2])
-        with pytest.warns(UserWarning, match="malformed"):
-            events = list(read_events(str(cut)))
-        assert events  # complete prefix still served
-
-    def test_open_trace_text_gz_roundtrip_is_deterministic(self, tmp_path):
-        a, b = tmp_path / "a.jsonl.gz", tmp_path / "b.jsonl.gz"
-        for p in (a, b):
-            with open_trace_text(str(p), "w") as f:
-                f.write('{"kind":"trace.meta","schema":1}\n')
-                f.write('{"t":0.1,"kind":"x","src":"s"}\n')
-        assert a.read_bytes() == b.read_bytes()  # zeroed mtime

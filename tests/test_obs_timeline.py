@@ -14,7 +14,7 @@ from repro.obs import (
     EventBus,
     TimelineRecorder,
     default_bus,
-    trace_to_file,
+    trace_session,
 )
 from repro.sim.topology import dumbbell, path_topology
 from repro.udt import start_udt_flow
@@ -27,7 +27,7 @@ def _traced_lossy_run(recorder=None, trace_path=None):
         recorder.attach()
     try:
         if trace_path is not None:
-            ctx = trace_to_file(trace_path, generator="test")
+            ctx = trace_session(trace_path, generator="test")
             ctx.__enter__()
             ctxs.append(ctx)
         top = path_topology(100e6, 0.02, loss_rate=0.001)

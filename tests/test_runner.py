@@ -205,7 +205,7 @@ class TestSweepEndToEnd:
         takes no ``--set``, so the one-virtual-second cells (blast burst
         and NAK recovery included) are spawned directly in the sweep's
         worker environment; CI's trace-smoke runs the long form."""
-        from repro.obs.store import rtrc_to_jsonl
+        from repro.obs.export import convert_trace
         from repro.runner.sweep import _worker_env
 
         traces = [tmp_path / f"tr{jobs}" / "fig08.rtrc" for jobs in (1, 4)]
@@ -221,7 +221,7 @@ class TestSweepEndToEnd:
         rtrc = traces[0]
         assert rtrc.read_bytes() == traces[1].read_bytes()
         back = tmp_path / "fig08.jsonl"
-        n = rtrc_to_jsonl(rtrc, back)
+        n = convert_trace(rtrc, back)
         assert n > 20_000  # the packet tier was actually recorded
         assert rtrc.stat().st_size <= 0.25 * back.stat().st_size
 
