@@ -16,7 +16,8 @@ unit label drawn from ``{s, us, bytes, bits, pkts, pps, bps}``:
   suffix heuristics (``*_us`` -> us, ``*_bps`` -> bps, ``*period`` -> s,
   ``*window`` -> pkts, ...), and the scheduling-API annotations in
   :data:`repro.sim.engine.API_UNITS` (``now()`` returns seconds;
-  ``call_at``/``schedule_at``/``post_at`` take seconds).
+  ``call_at``/``schedule_at``/``post_at`` take seconds first,
+  ``post_fifo`` second, after its stream).
 * **algebra** — add/sub/compare of two *known, different* units is
   flagged (the result otherwise keeps the common unit); multiply/divide
   resolve through a small dimensional table (pps x s -> pkts,
@@ -327,16 +328,19 @@ class UnitsChecker(Checker):
         elif isinstance(node.func, ast.Attribute):
             fname = node.func.attr
         # Scheduler-API argument units.
-        spec = self._api.get(fname) if fname is not None else None
-        if spec is not None and "arg0" in spec and node.args:
-            unit = _single(tracker.eval_expr(node.args[0], state))
-            want = spec["arg0"]
+        for key, want in self._api.get(fname, {}).items():
+            if not key.startswith("arg"):
+                continue
+            pos = int(key[3:])
+            if pos >= len(node.args):
+                continue
+            unit = _single(tracker.eval_expr(node.args[pos], state))
             if unit is not None and unit != want:
                 findings.append(
                     ctx.finding(
                         RULE,
                         node,
-                        f"{fname}() expects [{want}] as its first argument, "
+                        f"{fname}() expects [{want}] as argument {pos + 1}, "
                         f"got [{unit}]",
                     )
                 )

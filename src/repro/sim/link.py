@@ -80,6 +80,8 @@ class Link:
         # (virtual time); a single pending drain event services the queue.
         self._busy_until = 0.0
         self._drain_pending = False
+        # Packets in flight, in arrival order (Simulator.post_fifo).
+        self._pipe = sim.fifo_stream()
         # stats
         self.bytes_sent = 0
         self.pkts_sent = 0
@@ -115,6 +117,13 @@ class Link:
     # costs exactly ONE simulator event (its delivery at the far end);
     # only packets that actually queue pay for a drain event.  At sweep
     # scale this halves the event count on every uncongested hop.
+    #
+    # Deliveries go through the link's own FIFO stream (``_pipe``): the
+    # wire serialises one packet at a time and jitter perturbs
+    # transmission, not propagation, so arrivals are in posting order and
+    # only the next one has to sit in the event heap.  Should an arrival
+    # ever not be strictly later than the one before it (``delay`` lowered
+    # mid-run), the engine posts it the ordinary way.
     def send(self, pkt: Packet) -> bool:
         """Hand a packet to this link's egress; False if the queue drops it."""
         sim = self.sim
@@ -123,8 +132,6 @@ class Link:
         if sim.now >= self._busy_until and not self.queue.bytes:
             # Idle wire: serialisation starts immediately.
             if self.bus.detail:
-                # Traced: emit the enqueue, then share _transmit with the
-                # drain path.  Same RNG draw sites either way.
                 self.bus.emit(
                     OB.LINK_ENQ,
                     sim.now,
@@ -134,43 +141,7 @@ class Link:
                     seq=getattr(pkt.payload, "seq", None),
                     qlen=0,
                 )
-                self._transmit(pkt)
-                return True
-            # Untraced fast path — the hottest lines in the simulator;
-            # _transmit is inlined to drop a frame per packet-hop.
-            now = sim.now
-            size = pkt.size
-            mtu = self.mtu
-            if mtu is None or size <= mtu:
-                nfrag = 1
-                wire = size
-            else:
-                nfrag = -(-size // mtu)
-                wire = size + (nfrag - 1) * FRAG_HEADER
-            tx = wire * 8.0 / self.rate_bps
-            if self.jitter:
-                tx *= 1.0 + self.jitter * (sim.rng.random() - 0.5)
-            self._busy_until = now + tx
-            self.bytes_sent += wire
-            self.pkts_sent += 1
-            if self.loss_rate > 0.0 and sim.rng.random() >= (
-                (1.0 - self.loss_rate) ** nfrag
-            ):
-                self.pkts_lost += 1
-                if self.bus.enabled:
-                    self.bus.emit(
-                        OB.LINK_DROP,
-                        now,
-                        self.name,
-                        reason="loss",
-                        size=size,
-                        flow=pkt.flow,
-                        uid=pkt.uid,
-                        seq=getattr(pkt.payload, "seq", None),
-                    )
-            else:
-                pkt.hops += 1
-                sim.post(tx + self.delay, self.dst.receive, pkt)
+            self._transmit(pkt)
             return True
         ok = self.queue.push(pkt)
         bus = self.bus
@@ -265,7 +236,7 @@ class Link:
                 )
         else:
             pkt.hops += 1
-            sim.post(tx + self.delay, self.dst.receive, pkt)
+            sim.post_fifo(self._pipe, tx + self.delay, self.dst.receive, pkt)
 
     def _drain(self) -> None:
         """Serialise the next queued packet (fires at ``_busy_until``)."""

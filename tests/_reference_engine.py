@@ -1,3 +1,9 @@
+# FROZEN ORACLE — not product code.  Everything below the divider is
+# ``repro.sim.engine`` exactly as it stood before FIFO streams
+# (``Simulator.fifo_stream`` / ``post_fifo``): every pending entry its own
+# heap entry.  tests/test_engine_differential.py drives the live engine
+# against it; never "fix" or speed this file up.
+# ---------------------------------------------------------------------------
 """Discrete-event engine.
 
 A single-threaded event loop over a binary heap.  Events scheduled for the
@@ -18,7 +24,6 @@ import heapq
 import itertools
 import os
 import random
-from collections import deque
 from math import inf
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -87,18 +92,16 @@ class Event:
 
 
 #: Scheduling-API units, machine-read by the ``units`` lint rule
-#: (repro.analysis.units): method name -> {"returns": unit, "arg<N>": unit}.
+#: (repro.analysis.units): method name -> {"returns": unit, "arg0": unit}.
 #: ``now`` — whether the Simulator attribute or the Scheduler-protocol
 #: method — is virtual seconds; the ``*_at`` forms take an absolute
-#: virtual time in seconds, the relative forms a delay in seconds
-#: (``post_fifo`` takes its stream first, so its delay is ``arg1``).
+#: virtual time in seconds, the relative forms a delay in seconds.
 API_UNITS = {
     "now": {"returns": "s"},
     "schedule": {"arg0": "s"},
     "schedule_at": {"arg0": "s"},
     "post": {"arg0": "s"},
     "post_at": {"arg0": "s"},
-    "post_fifo": {"arg1": "s"},
     "call_at": {"arg0": "s"},
 }
 
@@ -175,17 +178,12 @@ class Simulator:
         # FIFO pushes (time, +seq, ev); LIFO negates the tie counter so
         # equal-time events pop in reverse scheduling order.
         self._tie_sign = 1 if tie_break == "fifo" else -1
-        # Heap entries come in three shapes, distinguished by length:
-        #   (time, seq, Event)             — cancellable, schedule()/schedule_at()
-        #   (time, seq, fn, args)          — fire-and-forget, post()/post_at()
-        #   (time, seq, fn, args, stream)  — the head of a FIFO stream, post_fifo()
+        # Heap entries come in two shapes, distinguished by length:
+        #   (time, seq, Event)      — cancellable, from schedule()/schedule_at()
+        #   (time, seq, fn, args)   — fire-and-forget, from post()/post_at()
         # Ordering never has to look past (time, seq) — seq is unique — so
-        # comparisons stay in C for all of them.
+        # comparisons stay in C for both shapes.
         self._heap: list[tuple] = []
-        # FIFO streams handed out by fifo_stream().  A stream is a deque
-        # of its undispatched entries, oldest first; it is non-empty
-        # exactly while its head — the same tuple — sits in the heap.
-        self._streams: List[deque] = []
         self._counter = itertools.count()
         self._running = False
         self.rng = random.Random(seed)
@@ -235,41 +233,6 @@ class Simulator:
             self._heap, (time, self._tie_sign * next(self._counter), fn, args)
         )
 
-    def fifo_stream(self) -> deque:
-        """A new stream for :meth:`post_fifo`; its owner only passes it back."""
-        stream: deque = deque()
-        self._streams.append(stream)
-        return stream
-
-    def post_fifo(self, stream: deque, delay: float, fn: Callable, *args: Any) -> None:
-        """:meth:`post` for a source whose entries fire in posting order.
-
-        A link delivers in the order it serialised, so of all its packets
-        in flight only the next to arrive has to compete in the heap: the
-        rest wait in ``stream`` (from :meth:`fifo_stream`) and the
-        dispatch loop promotes one when it pops its predecessor — a k-way
-        merge of sorted streams.  Every entry carries exactly the
-        ``(time, seq)`` key ``post`` would have pushed, drawn from the
-        same counter at the same moment, so dispatch order is that of
-        ``post`` under either tie-break; the heap is as deep as there are
-        sources, not packets in flight.
-
-        Fails closed: an entry that would not fire *strictly after* the
-        stream's tail goes on the heap alone, as ``post`` would have put
-        it (strictly, because under the LIFO tie-break a same-instant
-        entry fires *before* the one posted ahead of it).
-        """
-        time = self.now + delay
-        seq = self._tie_sign * next(self._counter)
-        if not stream:
-            entry = (time, seq, fn, args, stream)
-            stream.append(entry)
-            heapq.heappush(self._heap, entry)
-        elif time > stream[-1][0]:
-            stream.append((time, seq, fn, args, stream))
-        else:
-            heapq.heappush(self._heap, (time, seq, fn, args))
-
     # -- execution -----------------------------------------------------
     def run(self, until: Optional[float] = None) -> None:
         """Run until the heap drains or virtual time reaches ``until``.
@@ -288,14 +251,9 @@ class Simulator:
         charged to the wrapped callback, not to ``Timer._fire``) — one
         ``acc is None`` test per event otherwise.  ``events_processed``
         is written per event, so another thread may sample it mid-run.
-        A stream head (:meth:`post_fifo`) hands its heap slot to the
-        stream's next entry *before* its handler runs, so ``until``,
-        :meth:`stop` and a raising handler all leave every non-empty
-        stream with its head in the heap.
         """
         heap = self._heap
         pop = heapq.heappop
-        replace = heapq.heapreplace
         timer_fire = Timer._fire
         limit = inf if until is None else until
         observers = run_observers()
@@ -312,22 +270,11 @@ class Simulator:
                 time = entry[0]
                 if time > limit:
                     break
-                shape = len(entry)
-                if shape == 5:  # stream head: its successor takes its place
-                    stream = entry[4]
-                    stream.popleft()
-                    if stream:
-                        replace(heap, stream[0])
-                    else:
-                        pop(heap)
-                    fn = entry[2]
-                    args = entry[3]
-                elif shape == 4:  # fire-and-forget
-                    pop(heap)
+                entry = pop(heap)
+                if len(entry) == 4:  # fire-and-forget
                     fn = entry[2]
                     args = entry[3]
                 else:
-                    pop(heap)
                     ev = entry[2]
                     if ev.cancelled:
                         continue
@@ -368,13 +315,12 @@ class Simulator:
         return format_vtime(self.now)
 
     def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued, in the heap
-        or parked in a FIFO stream behind their stream's head."""
+        """Number of live (non-cancelled) events still queued."""
         return sum(
             1
             for entry in self._heap
-            if len(entry) != 3 or not entry[2].cancelled
-        ) + sum(len(stream) - 1 for stream in self._streams if stream)
+            if len(entry) == 4 or not entry[2].cancelled
+        )
 
 
 class Timer:

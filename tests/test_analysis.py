@@ -286,6 +286,23 @@ def test_units_flags_scheduler_arg(tmp_path):
     assert "call_at() expects [s]" in findings[0].message
 
 
+def test_units_flags_scheduler_arg_by_position(tmp_path):
+    # post_fifo(stream, delay, fn, *args): API_UNITS names the delay "arg1".
+    root = _tree(
+        tmp_path,
+        {
+            "udt/x.py": (
+                "def f(sim, pipe, rtt_us, syn_period):\n"
+                "    sim.post_fifo(pipe, syn_period, f)\n"
+                "    sim.post_fifo(pipe, rtt_us, f)\n"
+            )
+        },
+    )
+    findings = run_checkers(root, [UnitsChecker()])
+    assert [(f.rule, f.line) for f in findings] == [("units", 3)]
+    assert "post_fifo() expects [s] as argument 2, got [us]" in findings[0].message
+
+
 def test_units_flags_emit_payload_against_catalog(tmp_path):
     # cc.decrease declares window:pkts in the catalog; a bytes-typed
     # expression in that slot is the cross-check's finding.
