@@ -6,9 +6,10 @@ paper-scale scenarios (400 flows x 100 s) would make plain text
 unwritable, undiffable and unqueryable.  ``.rtrc`` is the same event
 stream in a framed, compressed, *indexed* container:
 
-* events are buffered into **blocks** (default 4096 events); inside a
-  block the kind/src/field-key strings are interned into per-block
-  tables and each event becomes a small JSON row, so the block
+* events are buffered into **blocks** (default 4096 events); a block
+  stores its timestamps as a binary float64 column and everything else
+  as one small JSON row per event, with the kind, src and field-key
+  tuple ("shape") strings interned into per-block tables, so the block
   compresses to a few percent of its JSONL equivalent;
 * every block is **framed** (tag byte + length + zlib payload), so a
   crash-truncated file is recoverable up to the last complete block —
@@ -20,23 +21,38 @@ stream in a framed, compressed, *indexed* container:
   does not need — and ``stats()`` comes from the index alone.
 
 Everything is deterministic — block boundaries depend only on the event
-stream, compression is single-threaded zlib at a fixed level — so the
-byte-identity guarantees the sweep runner and determinism sanitizer make
-for JSONL traces carry over to ``.rtrc`` unchanged.
+stream, the time column is little-endian on every host, compression is
+single-threaded zlib at a fixed level — so the byte-identity guarantees
+the sweep runner and determinism sanitizer make for JSONL traces carry
+over to ``.rtrc`` unchanged.
 
-File layout::
+File layout (container version 2; the version is the fifth magic byte,
+and a file of any other version is refused before a block is decoded)::
 
-    magic   b"RTRC\\x01\\n"
+    magic   b"RTRC\\x02\\n"
     frame   b"M" | u32 len | zlib(trace.meta JSON)      (exactly one)
-    frame   b"B" | u32 len | zlib(block JSON)           (zero or more)
+    frame   b"B" | u32 len | zlib(block payload)        (zero or more)
     frame   b"F" | u32 len | zlib(footer-index JSON)    (exactly one)
-    trailer u64 footer-frame offset | b"RTRCIDX\\x01"
+    trailer u64 footer-frame offset | b"RTRCIDX\\x02"
 
-Block JSON: ``{"k": [kinds], "s": [srcs], "f": [field keys],
-"e": [[t, kind_i, src_i, key_i, value, ...], ...]}``.  Decoding a row
-rebuilds the flat event dict in its original key order, so converting
-JSONL to ``.rtrc`` and back is byte-exact on traces written by the
-JSONL writer.
+Block payload: ``u32 head_len | JSON head | float64[n]``, all
+little-endian.  The head is ``{"k": [kinds], "s": [srcs], "f": [[field
+key, ...], ...], "e": [[kind_i, src_i, shape_i, value, ...], ...]}``:
+row ``i`` carries one value per key of shape ``f[shape_i]`` and its
+timestamp is element ``i`` of the column — a simulated time is a sum of
+jittered serialisation times, 17.8 characters as text against 8 bytes
+here.  A ``t`` the column cannot hold exactly (anything but a ``float``:
+``Simulator.run(until=5)`` leaves the clock an ``int``; a hand-made
+JSONL can carry a string, or no ``t`` at all) stays JSON in the head's
+sparse ``"t"`` list, ``[row, value]`` or ``[row]`` for "absent"; the key
+is there only when a block has such a row.  Decoding a row rebuilds the
+flat event dict in its original key order, so converting JSONL to
+``.rtrc`` and back is byte-exact on traces written by the JSONL writer.
+
+Damage is reported one way: a file that is not a version-2 container
+raises :class:`RtrcFormatError` on opening; a frame that fails to
+inflate, parse or add up ends the stream at the last good block with
+``truncated`` set, or raises :class:`RtrcFormatError` under ``strict``.
 
 This module is the codec only, a leaf: it never looks at a file suffix
 and knows nothing of the module above it that picks the format and wraps
@@ -50,6 +66,7 @@ import json
 import struct
 import zlib
 from collections import Counter
+from operator import itemgetter
 from pathlib import Path
 from typing import (
     Any,
@@ -63,12 +80,13 @@ from typing import (
     Union,
 )
 
-from repro.obs.bus import SCHEMA_VERSION
+from repro.obs.bus import SCHEMA_VERSION, Event
 
-MAGIC = b"RTRC\x01\n"
-TRAILER_MAGIC = b"RTRCIDX\x01"
 #: Container layout version (independent of the event schema version).
-STORE_VERSION = 1
+STORE_VERSION = 2
+_MAGIC_HEAD, _MAGIC_TAIL = b"RTRC", b"\n"
+MAGIC = _MAGIC_HEAD + bytes([STORE_VERSION]) + _MAGIC_TAIL
+TRAILER_MAGIC = b"RTRCIDX" + bytes([STORE_VERSION])
 #: Frame tags.
 _TAG_META, _TAG_BLOCK, _TAG_FOOTER = b"M", b"B", b"F"
 _LEN = struct.Struct("<I")
@@ -76,9 +94,28 @@ _OFF = struct.Struct("<Q")
 #: Events buffered per block before compression.
 DEFAULT_BLOCK_EVENTS = 4096
 #: zlib level; fixed so identical event streams give identical bytes.
-COMPRESSION_LEVEL = 6
+#: Chosen by rule from a measured table: the cheapest level whose file is no
+#: larger than container version 1 (timestamps as text, level 6) wrote for
+#: the same stream, on both streams below.  zlib seconds are medians of 15
+#: interleaved passes over the 102 block payloads of the ``udt_traced``
+#: stream (benchmarks/perf, seed 1: 414 948 events, 14 376 503 payload
+#: bytes); bytes are whole files, ``udt_traced`` / CI's fig02 packet cell
+#: (854 405 events).  docs/PERFORMANCE.md, "Trace writer", has the rest.
+#:
+#:     level   zlib s   udt_traced B   fig02 cell B
+#:     v1 @ 6   0.72      4 437 067      8 598 648     (the bound)
+#:         1    0.14      4 327 196      8 599 363     larger on fig02
+#:         2    0.16      4 242 214      8 251 755     <- chosen
+#:         3    0.21      4 175 064      8 003 200
+#:         4    0.19      3 844 545      7 379 884
+#:         5    0.26      3 719 748      7 097 111
+#:         6    0.45      3 687 398      7 006 480
+COMPRESSION_LEVEL = 2
 
 _dumps = json.dumps
+_row_kind = itemgetter(0)
+#: ``feed``'s marker for a record that has no ``t`` key.
+_ABSENT = object()
 
 
 def dump_record(rec: Dict[str, Any]) -> str:
@@ -86,8 +123,24 @@ def dump_record(rec: Dict[str, Any]) -> str:
     return _dumps(rec, separators=(",", ":"), default=str)
 
 
+def _index_time(t: Any = None) -> Any:
+    """What a block's ``t0``/``t1`` count a record's time as.
+
+    A number counts as itself; anything else, a missing ``t`` included,
+    as 0.0 — the value both readers' time filters give a record without one.
+    """
+    return t if isinstance(t, (int, float)) else 0.0
+
+
 class RtrcFormatError(ValueError):
     """The file is not a well-formed ``.rtrc`` container."""
+
+
+#: What parsing and decoding a damaged frame's payload can raise
+#: (``RtrcFormatError``, ``JSONDecodeError`` and ``UnicodeDecodeError`` are
+#: ``ValueError``s); the reader lets none of it out as anything but
+#: :class:`RtrcFormatError` or ``truncated``.
+_DAMAGE = (struct.error, ValueError, LookupError, TypeError)
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +157,7 @@ class RtrcWriter:
     """
 
     def __init__(
-        self,
-        path: Union[str, Path],
-        block_events: int = DEFAULT_BLOCK_EVENTS,
-        level: int = COMPRESSION_LEVEL,
+        self, path: Union[str, Path], block_events: int = DEFAULT_BLOCK_EVENTS
     ):
         if block_events < 1:
             raise ValueError("block_events must be >= 1")
@@ -115,19 +165,24 @@ class RtrcWriter:
         self._out: BinaryIO = open(self.path, "wb")
         self._out.write(MAGIC)
         self.block_events = block_events
-        self.level = level
         self.events_written = 0
         self._meta_written = False
+        self._index: List[Dict[str, Any]] = []
+        self._closed = False
+        self._new_block()
+
+    def _new_block(self) -> None:
+        """Empty rows, time column and interning tables for the next block."""
         self._rows: List[list] = []
-        # per-pending-block interning state
+        self._times: List[float] = []
+        #: ``[row, t]`` / ``[row]`` for every ``t`` the column cannot hold
+        self._odd_times: List[list] = []
         self._kinds: List[str] = []
         self._kind_ids: Dict[str, int] = {}
         self._srcs: List[str] = []
         self._src_ids: Dict[str, int] = {}
-        self._fields: List[str] = []
-        self._field_ids: Dict[str, int] = {}
-        self._index: List[Dict[str, Any]] = []
-        self._closed = False
+        self._shapes: List[Tuple[str, ...]] = []
+        self._shape_ids: Dict[Tuple[str, ...], int] = {}
 
     # -- meta ------------------------------------------------------------
     def write_meta(self, **meta: Any) -> None:
@@ -140,13 +195,38 @@ class RtrcWriter:
         """Store an already-shaped meta record verbatim (conversion path)."""
         if self._meta_written:
             raise RuntimeError("trace.meta already written")
-        self._write_frame(_TAG_META, dump_record(rec))
+        self._write_frame(_TAG_META, dump_record(rec).encode("utf-8"))
         self._meta_written = True
 
     # -- event intake ----------------------------------------------------
-    def on_event(self, ev: Any) -> None:
-        """Bus subscriber entry point (takes a :class:`repro.obs.bus.Event`)."""
-        self._append(ev.t, ev.kind, ev.src, ev.fields.items())
+    def on_event(self, ev: Event) -> None:
+        """Bus subscriber entry point: intern one event into the pending block."""
+        if not self._meta_written:
+            self.write_meta()
+        kind, src, fields = ev.kind, ev.src, ev.fields
+        ki = self._kind_ids.get(kind)
+        if ki is None:
+            ki = self._kind_ids[kind] = len(self._kinds)
+            self._kinds.append(kind)
+        si = self._src_ids.get(src)
+        if si is None:
+            si = self._src_ids[src] = len(self._srcs)
+            self._srcs.append(src)
+        shape = tuple(fields)
+        fi = self._shape_ids.get(shape)
+        if fi is None:
+            fi = self._shape_ids[shape] = len(self._shapes)
+            self._shapes.append(shape)
+        rows, t = self._rows, ev.t
+        if isinstance(t, float):
+            self._times.append(t)
+        else:
+            self._odd_times.append([len(rows)] if t is _ABSENT else [len(rows), t])
+            self._times.append(0.0)
+        rows.append([ki, si, fi, *fields.values()])
+        self.events_written += 1
+        if len(rows) >= self.block_events:
+            self._flush_block()
 
     def feed(self, rec: Dict[str, Any]) -> None:
         """Ingest a flat JSONL-shaped record (the conversion path).
@@ -157,45 +237,21 @@ class RtrcWriter:
         if rec.get("kind") == "trace.meta":
             self._write_meta_record(rec)
             return
-        self._append(
-            rec.get("t", 0.0),
-            rec.get("kind", ""),
-            rec.get("src", ""),
-            ((k, v) for k, v in rec.items() if k not in ("t", "kind", "src")),
+        fields = dict(rec)
+        self.on_event(
+            Event(
+                fields.pop("t", _ABSENT),
+                fields.pop("kind", ""),
+                fields.pop("src", ""),
+                fields,
+            )
         )
 
-    def _append(
-        self, t: float, kind: str, src: str, fields: Iterable[Tuple[str, Any]]
-    ) -> None:
-        if not self._meta_written:
-            self.write_meta()
-        ki = self._kind_ids.get(kind)
-        if ki is None:
-            ki = self._kind_ids[kind] = len(self._kinds)
-            self._kinds.append(kind)
-        si = self._src_ids.get(src)
-        if si is None:
-            si = self._src_ids[src] = len(self._srcs)
-            self._srcs.append(src)
-        row: list = [t, ki, si]
-        field_ids = self._field_ids
-        for key, value in fields:
-            fi = field_ids.get(key)
-            if fi is None:
-                fi = field_ids[key] = len(self._fields)
-                self._fields.append(key)
-            row.append(fi)
-            row.append(value)
-        self._rows.append(row)
-        self.events_written += 1
-        if len(self._rows) >= self.block_events:
-            self._flush_block()
-
     # -- framing ---------------------------------------------------------
-    def _write_frame(self, tag: bytes, payload: str) -> int:
+    def _write_frame(self, tag: bytes, payload: bytes) -> int:
         """Compress + frame one payload; returns the frame's offset."""
         offset = self._out.tell()
-        data = zlib.compress(payload.encode("utf-8"), self.level)
+        data = zlib.compress(payload, COMPRESSION_LEVEL)
         self._out.write(tag)
         self._out.write(_LEN.pack(len(data)))
         self._out.write(data)
@@ -204,30 +260,33 @@ class RtrcWriter:
     def _flush_block(self) -> None:
         if not self._rows:
             return
-        rows, kinds = self._rows, self._kinds
-        payload = _dumps(
-            {"k": kinds, "s": self._srcs, "f": self._fields, "e": rows},
-            separators=(",", ":"),
-            default=str,
+        rows, kinds, times = self._rows, self._kinds, self._times
+        column = struct.pack(f"<{len(times)}d", *times)
+        head = {"k": kinds, "s": self._srcs, "f": self._shapes, "e": rows}
+        if self._odd_times:
+            head["t"] = self._odd_times
+            # ``times`` only feeds the index from here on: what the index
+            # counts such a row's time as replaces the column's placeholder.
+            for i, *value in self._odd_times:
+                times[i] = _index_time(*value)
+        head_json = _dumps(head, separators=(",", ":"), default=str).encode("utf-8")
+        offset = self._write_frame(
+            _TAG_BLOCK, _LEN.pack(len(head_json)) + head_json + column
         )
-        offset = self._write_frame(_TAG_BLOCK, payload)
         # Block stats are derived here, once per block, rather than
         # maintained per event — the append path stays lean.
-        counts = Counter(kinds[r[1]] for r in rows)
+        counts = Counter(map(_row_kind, rows))
         self._index.append(
             {
                 "o": offset,
                 "n": len(rows),
-                "t0": min(r[0] for r in rows),
-                "t1": max(r[0] for r in rows),
-                "k": dict(sorted(counts.items())),
+                "t0": min(times),
+                "t1": max(times),
+                "k": dict(sorted((kinds[i], n) for i, n in counts.items())),
                 "s": sorted(self._srcs),
             }
         )
-        self._rows = []
-        self._kinds, self._kind_ids = [], {}
-        self._srcs, self._src_ids = [], {}
-        self._fields, self._field_ids = [], {}
+        self._new_block()
 
     def close(self) -> None:
         if self._closed:
@@ -241,7 +300,7 @@ class RtrcWriter:
             "blocks": self._index,
         }
         offset = self._write_frame(
-            _TAG_FOOTER, _dumps(footer, separators=(",", ":"))
+            _TAG_FOOTER, _dumps(footer, separators=(",", ":")).encode("utf-8")
         )
         self._out.write(_OFF.pack(offset))
         self._out.write(TRAILER_MAGIC)
@@ -254,15 +313,25 @@ class RtrcWriter:
 # ---------------------------------------------------------------------------
 
 
-def _decode_block(payload: bytes) -> Iterator[Dict[str, Any]]:
-    """Yield flat event dicts from one decompressed block payload."""
-    block = json.loads(payload)
-    kinds, srcs, fields, rows = block["k"], block["s"], block["f"], block["e"]
-    for row in rows:
-        rec = {"t": row[0], "kind": kinds[row[1]], "src": srcs[row[2]]}
-        for i in range(3, len(row), 2):
-            rec[fields[row[i]]] = row[i + 1]
-        yield rec
+def _decode_block(payload: bytes) -> List[Dict[str, Any]]:
+    """The flat event dicts of one decompressed block payload."""
+    (head_len,) = _LEN.unpack_from(payload)
+    column_at = _LEN.size + head_len
+    head = json.loads(payload[_LEN.size:column_at])
+    kinds, srcs, shapes, rows = head["k"], head["s"], head["f"], head["e"]
+    # struct.error unless the column is exactly one double per row
+    times = struct.unpack(f"<{len(rows)}d", payload[column_at:])
+    recs = []
+    for t, row in zip(times, rows):
+        rec = {"t": t, "kind": kinds[row[0]], "src": srcs[row[1]]}
+        rec.update(zip(shapes[row[2]], row[3:]))
+        recs.append(rec)
+    for i, *value in head.get("t", ()):
+        if value:
+            recs[i]["t"] = value[0]
+        else:
+            del recs[i]["t"]
+    return recs
 
 
 class RtrcReader:
@@ -275,19 +344,27 @@ class RtrcReader:
     the tests assert on.  A file with a missing or corrupt footer
     (crash-truncated run) degrades to a sequential frame scan over the
     complete blocks, mirroring the JSONL reader's tolerance for a
-    truncated last line; :attr:`truncated` reports that this happened
-    (``strict=True`` raises :class:`RtrcFormatError` instead).
+    truncated last line, and a block that turns out damaged when a query
+    reaches it ends that query at the block before; :attr:`truncated`
+    reports that either happened (``strict=True`` raises
+    :class:`RtrcFormatError` instead).
     """
 
     def __init__(self, path: Union[str, Path], strict: bool = False):
         self.path = Path(path)
         self._f: BinaryIO = open(self.path, "rb")
+        self.strict = strict
         self.truncated = False
         self.blocks_read = 0
         self.blocks_skipped = 0
         head = self._f.read(len(MAGIC))
         if head != MAGIC:
             self._f.close()
+            if head[:4] == _MAGIC_HEAD and head[5:] == _MAGIC_TAIL:
+                raise RtrcFormatError(
+                    f"{self.path}: container version {head[4]}, this reader "
+                    f"reads {STORE_VERSION} — re-record the trace"
+                )
             raise RtrcFormatError(f"{self.path}: not an .rtrc file (bad magic)")
         self.meta, self.index = self._load_index()
         if strict and self.truncated:
@@ -297,23 +374,36 @@ class RtrcReader:
             )
 
     # -- layout ----------------------------------------------------------
+    def _read_frame(self, offset: int) -> Tuple[bytes, bytes]:
+        """(tag, inflated payload) of the frame at ``offset``; ``b""`` at EOF."""
+        try:
+            self._f.seek(offset)
+            tag = self._f.read(1)
+            if not tag:
+                return tag, b""
+            (clen,) = _LEN.unpack(self._f.read(_LEN.size))
+            data = self._f.read(clen)
+            if len(data) != clen:
+                raise RtrcFormatError("frame runs past the end of the file")
+            return tag, zlib.decompress(data)
+        except (zlib.error, struct.error, ValueError, OSError) as exc:
+            # ValueError / OSError: an offset no file position can hold
+            raise RtrcFormatError(
+                f"{self.path}: damaged frame at offset {offset}: {exc}"
+            ) from exc
+
     def _read_frame_at(self, offset: int, want_tag: bytes) -> bytes:
-        self._f.seek(offset)
-        tag = self._f.read(1)
+        tag, payload = self._read_frame(offset)
         if tag != want_tag:
             raise RtrcFormatError(
                 f"{self.path}: expected {want_tag!r} frame at {offset}, got {tag!r}"
             )
-        (clen,) = _LEN.unpack(self._f.read(4))
-        data = self._f.read(clen)
-        if len(data) != clen:
-            raise RtrcFormatError(f"{self.path}: truncated frame at {offset}")
-        return zlib.decompress(data)
+        return payload
 
     def _load_index(self) -> Tuple[Dict[str, Any], Dict[str, Any]]:
         try:
             return self._load_index_from_trailer()
-        except (RtrcFormatError, OSError, struct.error, zlib.error, ValueError):
+        except ValueError:  # RtrcFormatError or a footer/meta that is not JSON
             return self._recover_by_scan()
 
     def _load_index_from_trailer(self) -> Tuple[Dict[str, Any], Dict[str, Any]]:
@@ -338,57 +428,37 @@ class RtrcReader:
         blocks: List[Dict[str, Any]] = []
         events = 0
         offset = len(MAGIC)
-        self._f.seek(offset)
-        while True:
-            tag = self._f.read(1)
-            if not tag:
-                break
-            raw_len = self._f.read(4)
-            if len(raw_len) != 4:
-                break
-            (clen,) = _LEN.unpack(raw_len)
-            data = self._f.read(clen)
-            if len(data) != clen:
-                break
-            try:
-                payload = zlib.decompress(data)
-            except zlib.error:
-                break
-            if tag == _TAG_META:
-                try:
+        try:
+            while True:
+                tag, payload = self._read_frame(offset)
+                if tag == _TAG_META:
                     meta = json.loads(payload)
-                except ValueError:
-                    break
-            elif tag == _TAG_BLOCK:
-                try:
-                    recs = list(_decode_block(payload))
-                except (ValueError, KeyError, IndexError, TypeError):
-                    break
-                ts = [r["t"] for r in recs]
-                kc: Counter = Counter(r["kind"] for r in recs)
-                blocks.append(
-                    {
-                        "o": offset,
-                        "n": len(recs),
-                        "t0": min(ts) if ts else None,
-                        "t1": max(ts) if ts else None,
-                        "k": dict(sorted(kc.items())),
-                        "s": sorted({r["src"] for r in recs}),
-                    }
-                )
-                events += len(recs)
-            elif tag == _TAG_FOOTER:
-                # complete footer found mid-scan: the trailer alone was
-                # damaged; trust the footer.
-                try:
+                elif tag == _TAG_BLOCK:
+                    recs = _decode_block(payload)
+                    ts = [_index_time(r.get("t")) for r in recs]
+                    kc: Counter = Counter(r["kind"] for r in recs)
+                    blocks.append(
+                        {
+                            "o": offset,
+                            "n": len(recs),
+                            "t0": min(ts) if ts else None,
+                            "t1": max(ts) if ts else None,
+                            "k": dict(sorted(kc.items())),
+                            "s": sorted({r["src"] for r in recs}),
+                        }
+                    )
+                    events += len(recs)
+                elif tag == _TAG_FOOTER:
+                    # complete footer found mid-scan: the trailer alone
+                    # was damaged; trust the footer.
                     footer = json.loads(payload)
                     self.truncated = False
                     return meta, footer
-                except ValueError:
+                else:
                     break
-            else:
-                break
-            offset = self._f.tell()
+                offset = self._f.tell()
+        except _DAMAGE:
+            pass  # the scan ends at the last frame that read and decoded
         return meta, {"store": STORE_VERSION, "events": events, "blocks": blocks}
 
     # -- queries ---------------------------------------------------------
@@ -477,14 +547,22 @@ class RtrcReader:
             if not self._block_matches(blk, kindset, srcset, t0, t1):
                 self.blocks_skipped += 1
                 continue
-            payload = self._read_frame_at(blk["o"], _TAG_BLOCK)
+            try:
+                recs = _decode_block(self._read_frame_at(blk["o"], _TAG_BLOCK))
+            except _DAMAGE as exc:
+                self.truncated = True
+                if self.strict:
+                    raise RtrcFormatError(
+                        f"{self.path}: damaged block at offset {blk['o']}: {exc}"
+                    ) from exc
+                return
             self.blocks_read += 1
-            for rec in _decode_block(payload):
+            for rec in recs:
                 if kindset is not None and rec["kind"] not in kindset:
                     continue
                 if srcset is not None and rec["src"] not in srcset:
                     continue
-                t = rec["t"]
+                t = rec.get("t", 0.0)  # as the JSONL reader counts a missing t
                 if t0 is not None and t < t0:
                     continue
                 if t1 is not None and t > t1:

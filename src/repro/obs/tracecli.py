@@ -40,6 +40,7 @@ from repro.obs.export import (
     make_trace_writer,
     open_trace,
 )
+from repro.obs.store import RtrcFormatError
 
 
 def add_trace_arguments(parser: argparse.ArgumentParser) -> None:
@@ -199,6 +200,7 @@ def run_trace(args: argparse.Namespace) -> int:
         if args.trace_cmd == "info":
             return _cmd_info(args)
         return _cmd_convert(args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, RtrcFormatError) as exc:
+        # a missing file, or one that is not a container this reader reads
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,8 +12,11 @@ The contract under test is the one the trace pipeline stands on:
   (deterministic blocks + fixed-level zlib);
 * kind/src/time-range queries answer from the footer index, *skipping*
   blocks — asserted via the reader's block counters;
-* truncated containers degrade to the complete-block prefix with a
-  warning, like crash-truncated JSONL;
+* truncated or damaged containers degrade to the complete-block prefix
+  with a warning, like crash-truncated JSONL, and nothing but
+  ``RtrcFormatError`` ever comes out of the codec;
+* timestamps live in a binary float64 column, and whatever else a ``t``
+  can be round-trips all the same;
 * ``repro.obs.export`` is the only module that tests a trace suffix.
 
 The shared fixture records one packet-tier fig04 run once with both
@@ -22,20 +25,36 @@ exact.
 """
 
 import json
+import math
 import re
+import struct
 import warnings
+import zlib
 from itertools import zip_longest
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import repro
 from repro.experiments import get_experiment
 from repro.obs import TimelineRecorder, TruncatedTraceWarning, trace_session
-from repro.obs.export import convert_trace, open_trace, read_events
+from repro.obs.export import (
+    convert_trace,
+    make_trace_writer,
+    open_trace,
+    read_events,
+)
 from repro.obs.spans import build_spans
-from repro.obs.store import MAGIC, RtrcFormatError, RtrcReader, RtrcWriter
+from repro.obs.store import (
+    MAGIC,
+    STORE_VERSION,
+    TRAILER_MAGIC,
+    RtrcFormatError,
+    RtrcReader,
+    RtrcWriter,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -91,6 +110,71 @@ class TestRoundTrip:
                 assert dst.read_bytes() == same_format.read_bytes(), dst.name
         with open_trace(traced_run.jsonl) as reader:
             assert counts == {reader.events_total}
+
+
+# -- timestamps: a float64 column, and everything a double cannot hold ------
+
+_NO_T = object()
+_TIMES = st.one_of(
+    st.floats(),  # nan, the infinities, -0.0 and subnormals included
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308,
+                     math.inf, -math.inf, math.nan, 0.1 + 0.2]),
+    st.integers(),  # Simulator.run(until=5) leaves the clock an int
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+    st.just(_NO_T),
+)
+
+
+def _plain_number(t):
+    """A ``t`` both readers order the same way (nan has no order)."""
+    return t is _NO_T or (isinstance(t, (int, float)) and t == t)
+
+
+class TestTimestampExactness:
+    @settings(max_examples=60, deadline=None)
+    @given(times=st.lists(_TIMES, max_size=12))
+    @example(times=[-0.0, 5e-324, 1e308, math.inf, math.nan, 5, True, "5", None, _NO_T])
+    @example(times=[2.5, 2**70, False, _NO_T, -math.inf])  # every t a plain number
+    def test_any_t_round_trips_and_indexes(self, times, tmp_path_factory):
+        d = tmp_path_factory.mktemp("t")
+        src = d / "src.jsonl"
+        writer = make_trace_writer(src)
+        writer.write_meta(generator="test")
+        for i, t in enumerate(times):
+            rec = {"kind": "k%d" % (i % 2), "src": "s", "i": i}
+            writer.feed(rec if t is _NO_T else dict({"t": t}, **rec))
+        writer.close()
+        with open_trace(src) as scan:
+            want = scan.stats() if all(map(_plain_number, times)) else None
+        for block_events in (1, 3, 4096):
+            rtrc, back = d / f"b{block_events}.rtrc", d / f"b{block_events}.jsonl"
+            assert convert_trace(src, rtrc, block_events=block_events) == len(times)
+            convert_trace(rtrc, back)
+            assert back.read_bytes() == src.read_bytes(), block_events
+            if want is not None:
+                with RtrcReader(rtrc) as reader:
+                    got = reader.stats()
+                assert (got["t0"], got["t1"]) == (want["t0"], want["t1"])
+
+    def test_int_clock_event_survives_a_live_write(self, tmp_path):
+        """``run(until=5)`` then ``close()``: ``conn.closed`` carries ``t=5``."""
+        from repro.obs.bus import CONN_CLOSED, EventBus
+
+        bus = EventBus()
+        paths = [tmp_path / "live.jsonl", tmp_path / "live.rtrc"]
+        with trace_session(str(paths[0]), bus=bus), \
+             trace_session(str(paths[1]), bus=bus):
+            bus.emit("cc.sample", 4.75, "f0-snd", cwnd=16.0)
+            bus.emit(CONN_CLOSED, 5, "f0-snd")
+        assert '"t":5,' in paths[0].read_text()
+        back = tmp_path / "back.jsonl"
+        convert_trace(paths[1], back)
+        assert back.read_bytes() == paths[0].read_bytes()
+        with RtrcReader(paths[1]) as reader:
+            assert reader.time_range() == (4.75, 5)
+            assert [e["kind"] for e in reader.iter_events(t0=5)] == [CONN_CLOSED]
 
 
 # -- consumer equivalence across formats ------------------------------------
@@ -311,11 +395,102 @@ class TestTruncation:
         with pytest.raises(RtrcFormatError):
             RtrcReader(p)
 
+    def test_version_1_container_is_refused_by_name(self, tmp_path):
+        """No second decoder: an old file is told apart by its magic."""
+        assert STORE_VERSION == 2 and MAGIC[4] == TRAILER_MAGIC[-1] == 2
+        p = tmp_path / "old.rtrc"
+        p.write_bytes(b"RTRC\x01\n" + b"M\x00\x00\x00\x00" + b"RTRCIDX\x01")
+        with pytest.raises(RtrcFormatError, match=r"version 1\b.* reads 2\b"):
+            open_trace(p)
+
+    def test_every_prefix_and_byte_flip_fails_one_way(self, tmp_path):
+        """Damage anywhere: a prefix of the events, or ``RtrcFormatError``.
+
+        Never ``zlib.error`` / ``JSONDecodeError`` / ``struct.error`` /
+        ``KeyError``, never a wrong event, never a short list without the
+        warning, and never a short list at all under ``strict``.
+        """
+        good = _tiny_rtrc(tmp_path / "good.rtrc", n=200, block_events=50)
+        data = good.read_bytes()
+        assert 1000 < len(data) < 4000
+        original = list(read_events(good))
+        assert len(original) == 200
+        p = tmp_path / "damaged.rtrc"
+
+        def served(strict):
+            """The events read, whether the warning came; None if refused."""
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    events = list(read_events(p, strict=strict))
+                except RtrcFormatError:
+                    return None, False
+            assert all(w.category is TruncatedTraceWarning for w in caught)
+            return events, bool(caught)
+
+        variants = [data[:n] for n in range(len(data))] + [
+            data[:i] + bytes([data[i] ^ 0x55]) + data[i + 1:] for i in range(len(data))
+        ]
+        tally = {"refused": 0, "short": 0, "full": 0}
+        for damaged in variants:
+            p.write_bytes(damaged)
+            events, warned = served(strict=False)
+            if events is None:
+                tally["refused"] += 1
+            else:
+                assert events == original[: len(events)]
+                assert warned or len(events) == len(original)
+                tally["short" if len(events) < len(original) else "full"] += 1
+            events, _ = served(strict=True)
+            assert events is None or events == original
+        # most damage costs a tail of the trace, not the trace
+        assert tally["short"] > tally["refused"] > 0 and tally["full"] > 0, tally
+
 
 # -- container layout -------------------------------------------------------
 
 
+def _frames(path):
+    """(tag, inflated payload) per frame, walked by the documented layout."""
+    data = Path(path).read_bytes()
+    end = len(data) - 8 - len(TRAILER_MAGIC)
+    offset = len(MAGIC)
+    while offset < end:
+        (clen,) = struct.unpack_from("<I", data, offset + 1)
+        body = offset + 5
+        yield data[offset:offset + 1], zlib.decompress(data[body:body + clen])
+        offset = body + clen
+
+
 class TestLayout:
+    def test_timestamps_and_key_ids_are_out_of_the_json(self, traced_run):
+        """The structural gate: what a block holds, counted in bytes.
+
+        Version 1 printed every timestamp as a 17-digit decimal and
+        repeated a key id per value: 47.9 B/event on this run, 32.1 now.
+        """
+        tags, events, payload_bytes, first_t = "", 0, 0, None
+        for tag, payload in _frames(traced_run.rtrc):
+            tags += tag.decode()
+            if tag != b"B":
+                continue
+            payload_bytes += len(payload)
+            (head_len,) = struct.unpack_from("<I", payload)
+            head = json.loads(payload[4:4 + head_len])
+            column = payload[4 + head_len:]
+            assert set(head) == {"k", "s", "f", "e"}  # no "t": every t a float
+            assert len(column) == 8 * len(head["e"])
+            for row in head["e"]:
+                assert len(row) == 3 + len(head["f"][row[2]])
+            if first_t is None:
+                (first_t,) = struct.unpack_from("<d", column)  # little-endian
+            events += len(head["e"])
+        assert re.fullmatch("MB+F", tags)
+        with RtrcReader(traced_run.rtrc) as reader:
+            assert events == reader.events_total
+            assert next(reader.iter_events())["t"] == first_t
+        assert payload_bytes / events < 36.0, payload_bytes / events
+
     def test_event_region_offset_lands_on_first_block(self, tmp_path):
         p = _tiny_rtrc(tmp_path / "t.rtrc")
         with open_trace(p) as reader, reader.event_stream() as f:
@@ -431,3 +606,18 @@ class TestTraceCli:
     def test_missing_file_exits_2(self, capsys):
         assert self._main("trace", "info", "/no/such/trace.rtrc") == 2
         assert "error" in capsys.readouterr().err
+
+    def test_foreign_container_exits_2_with_one_line(self, tmp_path, capsys):
+        """Every sub-command says why in a line instead of a traceback."""
+        old, junk = tmp_path / "old.rtrc", tmp_path / "junk.rtrc"
+        old.write_bytes(b"RTRC\x01\n" + b"\0" * 32)
+        junk.write_bytes(b"PK\x03\x04 not a trace")
+        for argv, reason in (
+            (("info", str(old)), "container version 1, this reader reads 2"),
+            (("query", str(old), "--kind", "cc.sample"), "re-record the trace"),
+            (("convert", str(junk), str(tmp_path / "out.jsonl")), "bad magic"),
+        ):
+            assert self._main("trace", *argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and reason in err
+            assert len(err.splitlines()) == 1
