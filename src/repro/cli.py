@@ -52,9 +52,11 @@ for the paper's published durations.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
+from contextlib import nullcontext
 from typing import List, Optional
 
 from repro.experiments import get_experiment, list_experiments
@@ -63,49 +65,59 @@ from repro.obs.export import TRACE_FORMATS
 
 
 def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if getattr(args, "fidelity", None):
+    from repro.analysis.cli import parse_overrides
+
+    # Usage errors leave before anything is opened: entering traced()
+    # truncates the --trace file.
+    kwargs = parse_overrides(args.overrides, parser)
+    profiling = args.profile or args.profile_json is not None
+    if args.exp_id == "all":
+        if args.profile_json is not None:
+            parser.error(
+                "--profile-json PATH with 'all': every experiment would "
+                "overwrite PATH; use --profile (one BENCH_profile_<exp>.json each)"
+            )
+        exps, kwargs = list_experiments(), {}
+    else:
+        try:
+            exps = [get_experiment(args.exp_id)]
+        except KeyError as exc:
+            parser.error(exc.args[0])
+        accepted = inspect.signature(exps[0].runner).parameters
+        unknown = sorted(set(kwargs) - set(accepted))
+        if unknown:
+            parser.error(
+                f"{args.exp_id} takes no keyword {', '.join(unknown)}; "
+                f"accepted: {', '.join(accepted)}"
+            )
+    if args.fidelity:
         import os
 
         from repro.sim.fluid import FIDELITY_ENV
 
         os.environ[FIDELITY_ENV] = args.fidelity
-    from repro.analysis.cli import parse_overrides
+    if profiling:
+        from repro.obs.prof import SimProfiler
 
-    kwargs = parse_overrides(getattr(args, "overrides", []), parser)
-
-    ids = (
-        [e.exp_id for e in list_experiments()]
-        if args.exp_id == "all"
-        else [args.exp_id]
-    )
-    profiling = args.profile or args.profile_json is not None
     with traced(
         args.trace,
         summary=args.summary,
         packets=args.trace_packets,
         generator="repro-udt",
-        experiments=ids,
+        experiments=[exp.exp_id for exp in exps],
     ) as session:
-        for exp_id in ids:
-            exp = get_experiment(exp_id)
-            profiler = None
-            if profiling:
-                from repro.obs.prof import SimProfiler
-
-                profiler = SimProfiler().install()
+        for exp in exps:
+            prof = SimProfiler() if profiling else None
             t0 = time.perf_counter()
-            try:
-                result = exp.runner(**(kwargs if args.exp_id != "all" else {}))
-            finally:
-                if profiler is not None:
-                    profiler.uninstall()
+            with prof.activate() if prof is not None else nullcontext():
+                result = exp.runner(**kwargs)
             dt = time.perf_counter() - t0
             result.print()
-            print(f"[{exp_id} finished in {dt:.1f}s wall]\n")
-            if profiler is not None:
-                print(profiler.to_text(top_n=args.profile_top) + "\n")
-                path = args.profile_json or f"BENCH_profile_{exp_id}.json"
-                profiler.write_json(path, exp_id=exp_id, total_wall_seconds=dt)
+            print(f"[{exp.exp_id} finished in {dt:.1f}s wall]\n")
+            if prof is not None:
+                print(prof.to_text(top_n=args.profile_top) + "\n")
+                path = args.profile_json or f"BENCH_profile_{exp.exp_id}.json"
+                prof.write_json(path, exp_id=exp.exp_id, total_wall_seconds=dt)
                 print(f"[profile -> {path}]\n")
     if args.trace:
         print(f"[trace: {session.events_written} events -> {args.trace}]")

@@ -134,20 +134,3 @@ def traced(
 
     with trace_session(trace_path, summary=summary, packets=packets, **meta) as session:
         yield session
-
-
-@contextmanager
-def profiled() -> Iterator[Any]:
-    """Profile every simulator an experiment creates inside the block.
-
-    Yields a :class:`~repro.obs.prof.SimProfiler`; after the block its
-    ``to_text()`` / ``write_json()`` carry the hot-path breakdown::
-
-        with profiled() as prof:
-            get_experiment("fig02").runner()
-        prof.write_json("BENCH_profile_fig02.json", exp_id="fig02")
-    """
-    from repro.obs.prof import profile_simulators
-
-    with profile_simulators() as prof:
-        yield prof

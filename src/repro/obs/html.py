@@ -180,6 +180,9 @@ def collect_inputs(
     ``sweep --progress`` feed
     (``progress.jsonl``); when it holds records, the index page gets a
     live-run card.  Nothing is executed; missing results stay missing.
+    Where the cache holds several entries for one experiment (a re-keyed
+    sweep leaves the stale one beside the current one) the most recently
+    written is shown.
     """
     from repro.runner.cache import ResultCache, read_json_object
     from repro.runner.sweep import DEFAULT_BENCH
@@ -196,7 +199,8 @@ def collect_inputs(
         Path(bench_path) if bench_path else DEFAULT_BENCH
     )
 
-    # newest cache entry per experiment; a results dir (explicit) wins
+    # newest cache entry per experiment (entries() is oldest -> newest,
+    # later ones overwrite); a results dir (explicit) wins
     cache = ResultCache(Path(cache_dir) if cache_dir else None)
     for entry in cache.entries():
         exp_id = entry.get("exp_id")

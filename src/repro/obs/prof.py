@@ -20,9 +20,9 @@ Design:
   ``getattr`` per event); mapping functions to human categories happens
   once, at report time.
 * **Experiments construct their own simulators**, so registration is
-  process-wide (:meth:`install`, or the :func:`profile_simulators`
-  context manager): every ``Simulator`` run while installed feeds the
-  same accumulator.
+  process-wide (:meth:`SimProfiler.install`, or the
+  :meth:`SimProfiler.activate` context manager): every ``Simulator`` run
+  while installed feeds the same accumulator.
 
 Usage::
 
@@ -227,11 +227,3 @@ class SimProfiler(RunObserver):
         if omitted > 0:
             lines.append(f"... {omitted} cooler categories omitted (top {top_n})")
         return "\n".join(lines)
-
-
-@contextmanager
-def profile_simulators() -> Iterator[SimProfiler]:
-    """Profile every :class:`Simulator` created or run inside the block."""
-    prof = SimProfiler()
-    with prof.activate():
-        yield prof

@@ -16,18 +16,7 @@ repeatable, cacheable batch workload (see docs/PERFORMANCE.md):
   byte-identical for any ``--jobs`` value), cache hits are skipped, and
   the sweep's timings merge-update ``benchmarks/results/BENCH_runtime.json``.
 
-Worker processes re-enter through ``python -m repro.runner --worker``.
+Worker processes re-enter through ``python -m repro.runner --worker``;
+a worker needs none of the orchestrator, so this file imports nothing
+and every caller names the submodule it uses.
 """
-
-from repro.runner.cache import ResultCache, default_cache_dir
-from repro.runner.digest import experiment_digest, import_closure
-from repro.runner.sweep import SweepReport, run_sweep
-
-__all__ = [
-    "ResultCache",
-    "default_cache_dir",
-    "experiment_digest",
-    "import_closure",
-    "run_sweep",
-    "SweepReport",
-]

@@ -118,12 +118,14 @@ class ResultCache:
         """Every readable entry in the cache (dashboard/report scans).
 
         Corrupt files are dropped exactly as :meth:`load` would; order is
-        deterministic (by filename, i.e. by digest).
+        oldest to newest by modification time (ties by file name), so a
+        scan that keeps the last entry per experiment keeps the newest.
         """
         if not self.root.is_dir():
             return []
         out: List[Dict[str, Any]] = []
-        for path in sorted(self.root.glob("*.json")):
+        paths = self.root.glob("*.json")
+        for path in sorted(paths, key=lambda p: (p.stat().st_mtime_ns, p.name)):
             try:
                 entry = self.load(path.stem)
             except ValueError:  # not a digest-named file; leave it alone

@@ -7,8 +7,9 @@ experiment's output has changed.  The digest therefore covers:
 * the duration scale (``REPRO_SCALE`` / ``--scale``), and
 * the *content* of every source file the run can execute.
 
-Source relevance is computed statically: starting from the experiment's
-runner module, the AST import graph is walked and every reachable module
+Source relevance is computed statically: starting from the module the
+registry names for the experiment (no experiment is imported to compute
+a digest), the AST import graph is walked and every reachable module
 inside the ``repro`` package is hashed.  The walk is conservative — it
 follows ``import``/``from ... import`` statements anywhere in a file
 (including function bodies, so lazy imports count) — which makes the key
@@ -153,9 +154,7 @@ def experiment_digest(
     """
     from repro.experiments import get_experiment
 
-    exp = get_experiment(exp_id)
-    roots = [exp.runner.__module__, *extra_roots]
-    files = import_closure(roots)
+    files = import_closure([get_experiment(exp_id).module, *extra_roots])
     file_hashes = {
         str(p.relative_to(SRC_ROOT)): file_sha256(p) for p in files
     }

@@ -69,6 +69,15 @@ class TestRegistry:
     def test_list(self):
         assert len(list_experiments()) == len(REGISTRY)
 
+    @pytest.mark.parametrize("exp_id", sorted(REGISTRY))
+    def test_entry_resolves_to_its_runner(self, exp_id):
+        """A typo in a ``module``/``func`` string fails here, not in a sweep."""
+        exp = REGISTRY[exp_id]
+        assert exp.exp_id == exp_id
+        assert callable(exp.runner)
+        assert exp.runner.__module__ == exp.module
+        assert exp.runner.__name__ == exp.func
+
 
 class TestFastRunners:
     def test_table1_exact(self):
@@ -101,9 +110,11 @@ class TestCli:
         assert "increase parameter" in out
         assert "finished in" in out
 
-    def test_run_unknown(self):
-        with pytest.raises(KeyError):
+    def test_run_unknown(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             cli_main(["run", "nope"])
+        assert exc.value.code == 2
+        assert "known: " in capsys.readouterr().err
 
     def test_run_with_set_override(self, capsys):
         assert cli_main(["run", "table1", "--set", "mss=750"]) == 0
@@ -113,3 +124,26 @@ class TestCli:
     def test_bad_set_syntax_errors(self):
         with pytest.raises(SystemExit):
             cli_main(["run", "table1", "--set", "nonsense"])
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".rtrc"])
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["nosuch"], "known: "),
+            (["table1", "--set", "bogus=1"], "accepted: mss"),
+            (["all", "--profile-json", "p.json"], "--profile-json"),
+        ],
+    )
+    def test_usage_errors_leave_before_the_trace_is_opened(
+        self, tmp_path, monkeypatch, capsys, argv, names, suffix
+    ):
+        """Entering ``traced`` truncates the file, so it comes last."""
+        monkeypatch.chdir(tmp_path)
+        trace = tmp_path / f"t{suffix}"
+        trace.write_bytes(b"an earlier run's trace\n")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", *argv, "--trace", str(trace)])
+        assert exc.value.code == 2
+        assert names in capsys.readouterr().err
+        assert trace.read_bytes() == b"an earlier run's trace\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [trace.name]

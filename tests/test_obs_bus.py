@@ -3,17 +3,8 @@
 import io
 import json
 
-from repro.obs import (
-    CC_SAMPLE,
-    LINK_DROP,
-    Event,
-    EventBus,
-    JsonlWriter,
-    TraceSummary,
-    default_bus,
-    read_events,
-    trace_session,
-)
+from repro.obs.bus import CC_SAMPLE, LINK_DROP, Event, EventBus, default_bus
+from repro.obs.export import JsonlWriter, TraceSummary, read_events, trace_session
 
 
 class TestEventBus:

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from repro.obs import TimelineRecorder, trace_session
+from repro.obs.export import trace_session
 from repro.obs.figspec import (
     SPECS,
     ResultTable,
@@ -21,6 +21,7 @@ from repro.obs.figures import (
     resolve_result,
 )
 from repro.obs.svg import render_figure, render_timeline
+from repro.obs.timeline import TimelineRecorder
 from repro.runner.cache import ResultCache, write_json_atomic
 
 _SVG = "{http://www.w3.org/2000/svg}"

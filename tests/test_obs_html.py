@@ -1,6 +1,7 @@
 """Static HTML dashboard, report CLI guards, and bench history."""
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -168,6 +169,26 @@ class TestDashboard:
         # a single run at a scale has no trend to draw
         assert index.count("runtime trend") == 1
 
+    def test_newest_cache_entry_wins_whatever_its_digest(self, tmp_path):
+        """Two fig08 entries whose digest order is the reverse of their
+        age — what every cache directory holds after a re-keying change."""
+        cache = ResultCache(tmp_path / "cache")
+        stale, current = "ff" * 32, "00" * 32
+        _store_result(cache, "fig08", ["loss event #", "lost packets"],
+                      [[1, 111]], stale)
+        _store_result(cache, "fig08", ["loss event #", "lost packets"],
+                      [[1, 222]], current)
+        os.utime(cache.path(stale), ns=(10**18, 10**18))
+        os.utime(cache.path(current), ns=(2 * 10**18, 2 * 10**18))
+        assert [e["digest"] for e in cache.entries()] == [stale, current]
+        inputs = collect_inputs(
+            cache_dir=cache.root,
+            bench_path=tmp_path / "no-bench.json",
+            ledger_path=tmp_path / "no-ledger.json",
+        )
+        assert inputs.tables["fig08"].rows == [[1, 222]]
+        assert current[:12] in inputs.sources["fig08"]
+
     def test_only_filter(self, tmp_path, populated):
         inputs = collect_inputs(
             cache_dir=populated["cache_dir"],
@@ -264,7 +285,7 @@ class TestProgressCard:
 class TestReportCli:
     def _summary_trace(self, tmp_path):
         """A real summary-only (no packet detail) trace of a tiny run."""
-        from repro.obs import trace_session
+        from repro.obs.export import trace_session
         from repro.sim.topology import path_topology
         from repro.udt import start_udt_flow
 

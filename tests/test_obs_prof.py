@@ -11,7 +11,6 @@ from repro.obs.prof import (
     PROFILE_SCHEMA,
     SimProfiler,
     categorize,
-    profile_simulators,
 )
 from repro.sim.engine import (
     RunObserver,
@@ -147,7 +146,7 @@ class TestSimProfiler:
         assert run_observers() == ()
 
     def test_class_install_is_exclusive(self):
-        with profile_simulators() as prof:
+        with SimProfiler().activate() as prof:
             with pytest.raises(RuntimeError):
                 SimProfiler().install()
             assert prof.install() is prof  # re-installing oneself is a no-op
@@ -156,7 +155,7 @@ class TestSimProfiler:
 
     def test_uninstall_restores_after_exception(self):
         with pytest.raises(ValueError):
-            with profile_simulators():
+            with SimProfiler().activate():
                 raise ValueError("boom")
         assert run_observers() == ()
 

@@ -39,12 +39,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import repro
 from repro.experiments import get_experiment
-from repro.obs import TimelineRecorder, TruncatedTraceWarning, trace_session
 from repro.obs.export import (
+    TruncatedTraceWarning,
     convert_trace,
     make_trace_writer,
     open_trace,
     read_events,
+    trace_session,
 )
 from repro.obs.spans import build_spans
 from repro.obs.store import (
@@ -55,6 +56,7 @@ from repro.obs.store import (
     RtrcReader,
     RtrcWriter,
 )
+from repro.obs.timeline import TimelineRecorder
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 

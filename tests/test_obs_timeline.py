@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import (
+from repro.obs.bus import (
     CC_SAMPLE,
     EXP_TIMEOUT,
     LINK_DROP,
@@ -12,10 +12,10 @@ from repro.obs import (
     RCV_LOSS,
     SND_NAK,
     EventBus,
-    TimelineRecorder,
     default_bus,
-    trace_session,
 )
+from repro.obs.export import trace_session
+from repro.obs.timeline import TimelineRecorder
 from repro.sim.topology import dumbbell, path_topology
 from repro.udt import start_udt_flow
 
@@ -158,7 +158,7 @@ class TestInstrumentedStack:
 
     def test_cpu_meter_emits_aggregated_charges(self):
         from repro.hostmodel.cpu import UDT_SENDER_COSTS, CpuMeter
-        from repro.obs import CPU_CHARGE
+        from repro.obs.bus import CPU_CHARGE
 
         bus = EventBus()
         events = []
@@ -179,7 +179,7 @@ class TestInstrumentedStack:
 
 class TestCcEvents:
     def test_slow_start_exit_and_decrease_events(self):
-        from repro.obs import CC_DECREASE, CC_SLOWSTART_EXIT
+        from repro.obs.bus import CC_DECREASE, CC_SLOWSTART_EXIT
 
         bus = EventBus()
         events = []
@@ -195,7 +195,7 @@ class TestCcEvents:
         assert dec.src.endswith("-snd")
 
     def test_delay_warning_event(self):
-        from repro.obs import CC_DELAY_WARNING
+        from repro.obs.bus import CC_DELAY_WARNING
         from repro.udt.delaycc import DelayWarningCC
         from repro.udt.params import UdtConfig
 

@@ -29,6 +29,12 @@ from repro.runner.sweep import (
 
 SCALE = 0.05
 
+#: Consumers of the bus and of result tables: nothing a run executes.
+PRESENTATION = [
+    f"repro/obs/{name}.py"
+    for name in ("figspec", "report", "spans", "timeline", "prof")
+]
+
 
 class TestDigest:
     def test_stable_within_process(self):
@@ -79,6 +85,11 @@ class TestDigest:
         assert "repro/sim/link.py" in files
         assert "repro/udt/core.py" in files
         assert "repro/experiments/fig09_losslist.py" not in files
+        # the core's one instrumentation seam is in; what reads the bus
+        # from outside (figures, reports, the profiler) is not
+        assert "repro/obs/bus.py" in files
+        for tool in PRESENTATION:
+            assert tool not in files
 
     def test_source_change_invalidates(self, monkeypatch):
         """A changed content hash for any closure file changes the digest."""
@@ -97,6 +108,84 @@ class TestDigest:
         monkeypatch.setattr(digest_mod, "file_sha256", tweaked)
         changed, _ = experiment_digest("fig02", SCALE)
         assert changed != base
+
+    def test_no_key_covers_a_presentation_module(self, monkeypatch):
+        """Editing a figure tolerance re-keys nothing."""
+        import repro.runner.digest as digest_mod
+        from repro.experiments import REGISTRY
+
+        for exp_id in REGISTRY:
+            _, files = experiment_digest(exp_id, SCALE)
+            assert not set(PRESENTATION) & set(files), exp_id
+
+        base, _ = experiment_digest("table1", SCALE)
+        real = digest_mod.file_sha256
+
+        def tweaked(path):
+            h = real(path)
+            if path.relative_to(SRC_ROOT).as_posix() == "repro/obs/figspec.py":
+                return h[::-1]
+            return h
+
+        monkeypatch.setattr(digest_mod, "file_sha256", tweaked)
+        assert experiment_digest("table1", SCALE)[0] == base
+
+
+def _repro_modules_after(code: str, *argv: str) -> set:
+    """The ``repro.*`` modules a fresh interpreter holds after ``code``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC_ROOT) + os.pathsep + env.get("PYTHONPATH", "")
+    code += "\nimport sys; print(*sorted(m for m in sys.modules if m.startswith('repro.')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    return set(out.stdout.splitlines()[-1].split())
+
+
+class TestImportDirection:
+    """DESIGN.md, "Dependency direction": core -> obs.bus, tools -> core,
+    and a registry lookup imports no experiment."""
+
+    def test_the_core_loads_the_bus_and_none_of_its_tooling(self):
+        loaded = _repro_modules_after("import repro.sim, repro.udt, repro.tcp")
+        assert {m for m in loaded if m.startswith("repro.obs.")} == {"repro.obs.bus"}
+        layers = {m.split(".")[1] for m in loaded}
+        assert not layers & {"analysis", "runner", "experiments", "cli"}, loaded
+
+    def test_a_digest_imports_no_experiment_and_a_runner_exactly_one(self):
+        keep = {"repro.experiments.common", "repro.experiments.registry"}
+        loaded = _repro_modules_after(
+            "import repro.experiments\n"
+            "from repro.runner.digest import experiment_digest\n"
+            f"experiment_digest('fig02', {SCALE})"
+        )
+        assert {m for m in loaded if m.startswith("repro.experiments.")} == keep
+        loaded = _repro_modules_after(
+            "from repro.experiments import get_experiment\n"
+            "get_experiment('fig02').runner"
+        )
+        assert {m for m in loaded if m.startswith("repro.experiments.")} == keep | {
+            "repro.experiments.fig02_fairness"
+        }
+
+    def test_a_worker_never_loads_the_orchestrator(self, tmp_path):
+        out = tmp_path / "entry.json"
+        loaded = _repro_modules_after(
+            "import runpy\n"
+            "try:\n"
+            "    runpy.run_module('repro.runner', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code",
+            "--worker", "table1", "--out", str(out),
+        )
+        assert json.loads(out.read_text())["exp_id"] == "table1"
+        assert "repro.runner.sweep" not in loaded
+        assert {m for m in loaded if m.startswith("repro.experiments.")} == {
+            "repro.experiments.common",
+            "repro.experiments.registry",
+            "repro.experiments.table1_increase",
+        }
 
 
 class TestCache:
