@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from math import inf
 from typing import Callable, List, Optional, Tuple
 
@@ -41,10 +42,6 @@ class TcpData:
         self.size = size
         self.fin = fin
 
-    @property
-    def wire_size(self) -> int:
-        return TCP_IP_HEADER + self.size
-
 
 class TcpAck:
     __slots__ = ("cum", "sack", "rwnd")
@@ -55,10 +52,6 @@ class TcpAck:
         self.sack = sack
         self.rwnd = rwnd
 
-    @property
-    def wire_size(self) -> int:
-        return ACK_BASE_SIZE + 8 * len(self.sack)
-
 
 class _Port:
     """Minimal host port binding for TCP messages (sizes are explicit)."""
@@ -67,23 +60,26 @@ class _Port:
         self.host = host
         self.sim = host.sim
         self.port = port if port is not None else host.next_free_port()
+        self.address = (host.id, self.port)
         host.bind(self.port, self._on_packet)
         self.handler: Optional[Callable] = None
         #: Stamped on every packet sent, so link telemetry names the flow.
         self.flow: Optional[object] = None
 
-    @property
-    def address(self):
-        return (self.host.id, self.port)
-
-    def send(self, msg, dst) -> None:
+    def send(self, msg, wire_size: int, dst) -> None:
         sim = self.sim
-        self.host.send(
-            Packet(
-                msg.wire_size, self.address, dst, msg, self.flow, sim.now,
-                next(sim.packet_uids),
-            )
+        pkt = Packet(
+            wire_size, self.address, dst, msg, self.flow, sim.now,
+            next(sim.packet_uids),
         )
+        host = self.host
+        # Routes never name the node itself, so a hit is a remote
+        # destination and Node.send would only repeat this lookup.
+        link = host.routes.get(dst[0])
+        if link is not None:
+            link.send(pkt)
+        else:
+            host.send(pkt)  # loopback delivery, unroutable accounting
 
     def _on_packet(self, pkt: Packet) -> None:
         if self.handler is not None:
@@ -121,7 +117,7 @@ class TcpSender:
         self.meter = meter
         self.stats = TcpStats()
 
-        payload = self.config.payload_size
+        payload = self._payload = self.config.payload_size
         if total_bytes is None:
             self.total_pkts: Optional[int] = None
             self.last_size = payload
@@ -145,7 +141,8 @@ class TcpSender:
         # NewReno "recover" guard: no new cwnd reduction until the
         # cumulative ACK passes the point where the last one happened.
         self.recover_point = -1
-        self.board = Scoreboard(self.config.dupthresh)
+        self._dupthresh = self.config.dupthresh
+        self.board = Scoreboard(self._dupthresh)
 
         # RTT / RTO (RFC 6298)
         self.srtt: Optional[float] = None
@@ -179,63 +176,64 @@ class TcpSender:
         self.port.close()
 
     # -- sending ------------------------------------------------------------
-    def _window(self) -> float:
-        return min(self.cwnd, self.rwnd)
-
     def push_app_data(self, nbytes: int) -> None:
         """App-limited mode: make ``nbytes`` more available for sending."""
         self.app_limited = True
         self._offered_bytes += nbytes
         self._try_send()
 
-    def _has_new_data(self) -> bool:
-        if self.app_limited:
-            return self.snd_nxt < self._offered_bytes // self.config.payload_size
-        if self.total_pkts is None:
-            return True
-        return self.snd_nxt < self.total_pkts
-
-    def _size_of(self, seq: int) -> int:
-        if self.total_pkts is not None and seq == self.total_pkts - 1:
-            return self.last_size
-        return self.config.payload_size
-
     def _try_send(self) -> None:
         if self.done:
             return
-        window = self._window()
+        now = self.sim.now
+        rwnd = self.rwnd
+        window = min(self.cwnd, rwnd)
         board = self.board
+        stats = self.stats
+        snd_una = self.snd_una
+        snd_nxt = self.snd_nxt
+        payload = self._payload
+        total = self.total_pkts
+        fin_seq = -1 if total is None else total - 1
         while True:
-            pipe = board.pipe(self.snd_una, self.snd_nxt)
-            if pipe >= window:
+            # RFC 6675 pipe, as Scoreboard.pipe computes it; retransmitting
+            # moves its second count, so it is read again every round.
+            pipe = snd_nxt - snd_una - board._sacked - board._lost_not_retx
+            if (pipe if pipe > 0 else 0) >= window:
                 break
-            seq = board.next_lost_to_retransmit(self.snd_una)
+            # An empty candidate heap means there is nothing to retransmit.
+            seq = (
+                board.next_lost_to_retransmit(snd_una) if board._retx_heap else None
+            )
             if seq is not None:
                 board.on_retransmit(seq)
-                self._retx_fack.append((seq, self.snd_nxt))
+                self._retx_fack.append((seq, snd_nxt))
                 self._send_times.pop(seq, None)  # Karn: no sample from retx
-                self.stats.retransmits += 1
-                self._emit(seq)
-                continue
-            if not self._has_new_data():
-                break
-            # New data additionally honours the classic flight bound so a
-            # wedged cumulative ACK can never balloon the outstanding data.
-            if self.snd_nxt - self.snd_una >= self.rwnd:
-                break
-            seq = self.snd_nxt
-            self.snd_nxt += 1
-            self._send_times[seq] = self.sim.now
-            self._emit(seq)
-        if self.snd_nxt > self.snd_una:
+                stats.retransmits += 1
+            else:
+                if self.app_limited:
+                    if snd_nxt >= self._offered_bytes // payload:
+                        break
+                elif total is not None and snd_nxt >= total:
+                    break
+                # New data additionally honours the classic flight bound so
+                # a wedged cumulative ACK can never balloon the outstanding
+                # data.
+                if snd_nxt - snd_una >= rwnd:
+                    break
+                seq = snd_nxt
+                self.snd_nxt = snd_nxt = seq + 1
+                self._send_times[seq] = now
+            stats.segs_sent += 1
+            if seq == fin_seq:
+                size, fin = self.last_size, True
+            else:
+                size, fin = payload, False
+            if self.meter is not None:
+                self.meter.on_data_sent(size)
+            self.port.send(TcpData(seq, size, fin), TCP_IP_HEADER + size, self.dst)
+        if self._rto_deadline is None and snd_nxt > snd_una:
             self._arm_rto()
-
-    def _emit(self, seq: int) -> None:
-        self.stats.segs_sent += 1
-        if self.meter is not None:
-            self.meter.on_data_sent(self._size_of(seq))
-        fin = self.total_pkts is not None and seq == self.total_pkts - 1
-        self.port.send(TcpData(seq, self._size_of(seq), fin), self.dst)
 
     # -- receiving ACKs ---------------------------------------------------
     def _on_ack(self, ack: TcpAck) -> None:
@@ -247,48 +245,56 @@ class TcpSender:
         now = self.sim.now
         self.rwnd = float(ack.rwnd)
         board = self.board
-        newly_acked = ack.cum - self.snd_una
-        self.response.on_ack_arrival(max(newly_acked, 0), now)
+        cum = ack.cum
+        newly_acked = cum - self.snd_una
+        self.response.on_ack_arrival(newly_acked if newly_acked > 0 else 0, now)
 
         if newly_acked > 0:
             # RTT sample from the newest cumulatively-acked segment that
             # was never retransmitted.
-            sample_t = None
-            for s in range(ack.cum - 1, self.snd_una - 1, -1):
-                t = self._send_times.pop(s, None)
-                if t is not None and sample_t is None:
-                    sample_t = t
+            send_times = self._send_times
+            sample_t = send_times.pop(cum - 1, None)
+            if newly_acked > 1:
+                for s in range(cum - 2, self.snd_una - 1, -1):
+                    t = send_times.pop(s, None)
+                    if sample_t is None:
+                        sample_t = t
             if sample_t is not None:
                 self._rtt_update(now - sample_t)
-            self.snd_una = ack.cum
-            board.ack_upto(ack.cum)
+            self.snd_una = cum
+            board.ack_upto(cum)
             self.dupacks = 0
-            self._arm_rto(restart=True)
+            # _arm_rto(restart=True), once per ACK: move the deadline.
+            deadline = self._rto_deadline = now + self.rto
+            if deadline < self._rto_tick_at:
+                self._post_rto_tick(deadline)
         else:
             self.dupacks += 1
 
         for a, b in ack.sack:
             board.add_sack(a, b)
-        board.update_lost(self.snd_una)
+        # With nothing SACKed there is no highest SACK: no loss to infer
+        # from it and no retransmission it can have overtaken.
+        if board._sacked:
+            board.update_lost(self.snd_una)
 
-        # Detect lost retransmissions (FACK on retransmit order): if the
-        # highest SACK has moved dupthresh past where a retransmission was
-        # sent and it is still unacked, the retransmission died too.
-        hs = board.highest_sacked()
-        fack = self._retx_fack
-        if hs is not None and fack:
-            reach = hs - self.config.dupthresh
-            while fack and fack[0][1] <= reach:
-                s, _ = fack.popleft()
-                if s >= self.snd_una and s in board.retransmitted:
-                    board.re_mark_lost(s)
+            # Detect lost retransmissions (FACK on retransmit order): if the
+            # highest SACK has moved dupthresh past where a retransmission
+            # was sent and it is still unacked, the retransmission died too.
+            fack = self._retx_fack
+            if fack:
+                reach = board.highest_sacked() - self._dupthresh
+                while fack and fack[0][1] <= reach:
+                    s, _ = fack.popleft()
+                    if s >= self.snd_una and s in board.retransmitted:
+                        board.re_mark_lost(s)
 
         if self.in_recovery:
             if self.snd_una >= self.recover_point:
                 self.in_recovery = False
                 self.cwnd = max(self.ssthresh, 2.0)
         elif (
-            board._lost_not_retx > 0 or self.dupacks >= self.config.dupthresh
+            board._lost_not_retx > 0 or self.dupacks >= self._dupthresh
         ) and self.snd_una > self.recover_point:
             self._enter_recovery()
 
@@ -403,6 +409,7 @@ class TcpSink:
         self.sim = host.sim
         self.meter = meter
         self._deliver = deliver
+        self._rwnd_open = max(self.config.rwnd_pkts, 1)
         self.next_expected = 0
         # Out-of-order segments as sorted disjoint ranges + per-seq sizes.
         self._ranges = _RangeList()
@@ -441,24 +448,37 @@ class TcpSink:
         if seg.fin:
             self.fin_seen = True
         seq = seg.seq
+        ranges = self._ranges
         if seq == self.next_expected:
+            size = seg.size
             if self.arrival_cb is not None:
-                self.arrival_cb(seg.size)
-            self._deliver_one(seg.size)
+                self.arrival_cb(size)
+            self.delivered_bytes += size
+            self.delivered_packets += 1
+            if self._deliver is not None:
+                self._deliver(size)
             self.next_expected = seq + 1
-            self._drain()
+            if ranges.count:
+                self._drain()
             self._last_arrival = None
-        elif seq > self.next_expected and not self._ranges.contains(seq):
+        elif seq > self.next_expected and not ranges.contains(seq):
             if self.arrival_cb is not None:
                 self.arrival_cb(seg.size)
-            self._ranges.insert(seq, seq)
+            ranges.insert(seq, seq)
             self._sizes[seq] = seg.size
             self._last_arrival = seq
-        rwnd = max(self.config.rwnd_pkts - len(self._ranges), 1)
-        ack = TcpAck(self.next_expected, self._sack_blocks(), rwnd)
+        held = ranges.count
+        if held:
+            sack = self._sack_blocks()
+            rwnd = max(self.config.rwnd_pkts - held, 1)
+            wire_size = ACK_BASE_SIZE + 8 * len(sack)
+        else:  # nothing out of order: no SACK option, the whole window
+            sack, rwnd, wire_size = (), self._rwnd_open, ACK_BASE_SIZE
         # Reply to the sender's data port.
         if self.src_addr is not None:
-            self.port.send(ack, self.src_addr)
+            self.port.send(
+                TcpAck(self.next_expected, sack, rwnd), wire_size, self.src_addr
+            )
 
     def _drain(self) -> None:
         first = self._ranges.first()
@@ -502,16 +522,19 @@ class TcpFlow:
             flow_id = net.next_flow_id("tcp")
         self.flow_id = flow_id
         self._taps: List[Callable[[int], None]] = []
-        self.sink = TcpSink(dst, self.config, deliver=self._on_deliver, meter=meter_rcv)
+        # The sink books deliveries with the monitor itself; _on_deliver
+        # steps in between once a tap is registered.
+        self.sink = TcpSink(
+            dst, self.config, deliver=partial(net.monitor.on_deliver, flow_id),
+            meter=meter_rcv,
+        )
         self.sender = TcpSender(
             src, self.sink.address, self.config, response, total_bytes=nbytes,
             meter=meter_snd,
         )
         self.sink.src_addr = self.sender.port.address
         self.sender.port.flow = self.sink.port.flow = flow_id
-        self.sink.arrival_cb = lambda size: net.monitor.on_deliver(
-            (self.flow_id, "arr"), size
-        )
+        self.sink.arrival_cb = partial(net.monitor.on_deliver, self.arrival_flow_id)
         net.sim.schedule_at(max(start, net.sim.now), self.sender.start)
         # TCP has no fluid model: an active TCP flow vetoes the hybrid
         # tier's analytic spans on this network.
@@ -532,6 +555,7 @@ class TcpFlow:
     def add_delivery_tap(self, cb: Callable[[int], None]) -> None:
         """Call ``cb(size)`` after each in-order delivery's own bookkeeping."""
         self._taps.append(cb)
+        self.sink._deliver = self._on_deliver
 
     # -- experiment helpers -------------------------------------------------
     @property

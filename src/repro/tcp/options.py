@@ -8,13 +8,16 @@ from dataclasses import dataclass
 TCP_IP_HEADER = 40
 
 
-@dataclass
+@dataclass(frozen=True)
 class TcpConfig:
     """Knobs of one TCP connection.
 
     The paper stipulates "the TCP buffer size is set to at least the BDP"
     in every comparison, so ``rwnd_pkts`` defaults high; experiments that
     want buffer-limited TCP set it explicitly.
+
+    Frozen: sender and sink read the per-connection constants (payload
+    size, ``dupthresh``, ``rwnd_pkts``) once at construction.
     """
 
     #: Total on-wire segment size in bytes (headers included), like the
@@ -38,10 +41,6 @@ class TcpConfig:
     min_rto: float = 0.2
 
     max_rto: float = 60.0
-
-    #: Delayed ACKs (one ACK per two segments).  NS-2's comparison agents
-    #: default to immediate ACKs; keep that for the paper experiments.
-    delayed_ack: bool = False
 
     #: Maximum SACK blocks carried per ACK.
     max_sack_blocks: int = 3

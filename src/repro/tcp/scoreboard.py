@@ -33,6 +33,12 @@ class Scoreboard:
     * no member of ``lost`` or ``retransmitted`` lies below ``_floor``
       (the highest cumulative ACK seen, lowered again if a caller marks
       beneath it), so ``ack_upto`` walks just the sequences it passes.
+
+    ``TcpSender`` reads three fields directly on its per-ACK path instead
+    of calling through: ``_sacked`` (zero exactly when no range is stored)
+    and ``_lost_not_retx`` (``|lost - retransmitted|``) are :meth:`pipe`'s
+    two terms, and an empty ``_retx_heap`` is
+    :meth:`next_lost_to_retransmit` answering ``None``.
     """
 
     def __init__(self, dupthresh: int = 3):
@@ -177,6 +183,13 @@ class Scoreboard:
     def ack_upto(self, snd_una: int) -> None:
         """Cumulative ACK advanced: forget everything below ``snd_una``."""
         starts, ends = self._starts, self._ends
+        if not (starts or self.lost or self.retransmitted):
+            # No range and no mark to forget: only the two bounds move.
+            if snd_una > self._floor:
+                self._floor = snd_una
+            if snd_una > self._loss_frontier:
+                self._loss_frontier = snd_una
+            return
         i = bisect_right(ends, snd_una - 1)
         if i:
             self._sacked -= sum(ends[j] - starts[j] + 1 for j in range(i))

@@ -1,5 +1,7 @@
 """Focused unit tests for TCP sender mechanics (RTO, Karn, app-limited)."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +18,17 @@ def make_sender(rate=10e6, rtt=0.02, **cfg):
     snd = TcpSender(top.src, sink.address, TcpConfig(**cfg))
     sink.src_addr = snd.port.address
     return top, snd, sink
+
+
+def test_config_is_frozen_and_still_validated():
+    """Sender and sink hold values read from it once."""
+    cfg = TcpConfig(rwnd_pkts=16)
+    with pytest.raises(FrozenInstanceError):
+        cfg.rwnd_pkts = 32
+    with pytest.raises(ValueError, match="mss"):
+        TcpConfig(mss=40)
+    with pytest.raises(ValueError, match="dupthresh"):
+        TcpConfig(dupthresh=0)
 
 
 class TestRto:

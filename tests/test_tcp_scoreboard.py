@@ -210,6 +210,10 @@ class ScoreboardVsReference(RuleBasedStateMachine):
         new = self.new
         assert not any(new.is_sacked(s) for s in new.lost)
         assert all(s >= new._floor for s in new.lost | new.retransmitted)
+        # The counts the sender's straight path reads instead of calling
+        # pipe / highest_sacked (DESIGN.md, "The TCP baseline").
+        assert new._lost_not_retx == len(new.lost - new.retransmitted)
+        assert (new._sacked == 0) == (new.highest_sacked() is None)
 
 
 ScoreboardVsReference.TestCase.settings = settings(
