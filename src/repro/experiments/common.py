@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 
 @dataclass
@@ -18,6 +18,10 @@ class ExperimentResult:
     rows: List[Sequence[Any]] = field(default_factory=list)
     notes: str = ""
     paper_reference: str = ""
+    #: named numbers that belong to the result but are no cell of the
+    #: table (fig07's retransmission counts); kept by ``asdict``, so a
+    #: cache entry carries them as data
+    scalars: Dict[str, float] = field(default_factory=dict)
 
     def add(self, *row: Any) -> None:
         if len(row) != len(self.columns):
@@ -66,7 +70,7 @@ def _fmt(v: Any) -> str:
 def scale() -> float:
     """Global duration/size multiplier.
 
-    Benchmarks run at the default reduced scale so a full sweep finishes
+    Experiments run at the default reduced scale so a full sweep finishes
     in minutes of wall time on CPython; set ``REPRO_SCALE=1`` to run every
     experiment at the paper's published durations (much slower).  Scaling
     shortens *time*, never link rates or RTTs, so the control dynamics

@@ -61,8 +61,8 @@ def run(
         stats[label] = f.sender.stats
     for (t, w), (_, wo) in zip(series["with"], series["without"]):
         res.add(t, mbps(w), mbps(wo))
-    res.retransmissions = {
-        k: v.retransmitted_pkts for k, v in stats.items()
+    res.scalars = {
+        f"retx_{k}_fc": v.retransmitted_pkts for k, v in stats.items()
     }
     res.notes += (
         f"; retransmissions with FC: {stats['with'].retransmitted_pkts}, "

@@ -1,11 +1,21 @@
-"""The fidelity ledger and its CLI (``python -m repro.obs.figures``).
+"""The fidelity gate and its ledgers (``python -m repro.obs.figures``).
 
-``benchmarks/results/BENCH_fidelity.json`` is a committed snapshot of
-each figure's headline metrics with tolerance bands.  ``python -m
-repro.obs.figures --gate`` recomputes the metrics from results that
-already exist and fails on drift beyond tolerance — behavioural
-regressions gate the same way runtime regressions do (``python -m
-repro.runner --gate``).  ``--update`` re-snapshots the ledger and
+Fidelity is checked two ways, from results that already exist:
+
+* **to the paper** — ``--gate`` evaluates every claim of
+  :mod:`repro.obs.claims` on the experiment's rows: ``pass`` inside the
+  paper's band, ``deviates (reason)`` inside the band the reproduction
+  holds itself to, ``FAIL`` otherwise — of the rows swept at one scale,
+  ``--scale`` or else ``REPRO_SCALE`` as the sweep reads it.  ``--json``
+  writes the verdict table; ``benchmarks/results/BENCH_claims.json`` is
+  the committed one.
+* **to the last accepted run** — ``benchmarks/results/BENCH_fidelity.json``
+  is a committed snapshot of each figure's headline metrics with
+  tolerance bands; ``--gate`` recomputes them — at the scale each entry
+  was snapshotted at, unless ``--scale`` says otherwise — and fails on
+  drift beyond tolerance, the way ``python -m repro.runner --gate`` does
+  for runtimes.  ``--update`` re-snapshots the ledger.
+
 ``--render`` writes the figures as SVG (:mod:`repro.obs.svg` draws).
 
 Nothing here runs an experiment.  Current results are looked up in
@@ -20,8 +30,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Container, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.obs.claims import METRICS, evaluate
 from repro.obs.figspec import (
     FigureSpec,
     ResultTable,
@@ -40,6 +51,7 @@ from repro.runner.cache import (
 )
 
 FIDELITY_SCHEMA = 1
+CLAIMS_SCHEMA = 1
 DEFAULT_LEDGER = Path("benchmarks/results/BENCH_fidelity.json")
 
 
@@ -167,13 +179,56 @@ def check_fidelity(
     return failures, lines
 
 
+def _band_text(band: Sequence[Optional[float]]) -> str:
+    lo, hi = band
+    lo_text = "-inf" if lo is None else f"{lo:g}"
+    hi_text = "inf" if hi is None else f"{hi:g}"
+    return f"[{lo_text}, {hi_text}]"
+
+
+def check_claims(
+    tables: Dict[str, ResultTable], scale: float
+) -> Tuple[List[Dict[str, Any]], List[str], List[str]]:
+    """Evaluate the claims of every experiment in ``tables`` (rows swept
+    at ``scale``).
+
+    Returns ``(verdict rows, failures, lines)``: the rows are what
+    ``--json`` writes (claim, value, band, verdict, scale, digest), a
+    failure names the claim and quotes the paper sentence it encodes.
+    """
+    rows: List[Dict[str, Any]] = []
+    failures: List[str] = []
+    lines: List[str] = []
+    for exp_id, table in tables.items():
+        says = {m.name: m.says for m in METRICS[exp_id]}
+        verdicts = evaluate(exp_id, table)
+        lines.append(f"[claims] {exp_id} (scale={scale:g}): {len(verdicts)} claim(s)")
+        for row in verdicts:
+            row.update(scale=scale, digest=table.digest)
+            text = f"{row['claim']} = {row['value']} vs {_band_text(row['band'])}"
+            if "held" in row:
+                text += f", held {_band_text(row['held'])}"
+            mark = row["verdict"]
+            if mark == "deviates":
+                mark += f" ({row['reason']})"
+            lines.append(f"[claims]   {text}: {mark}")
+            if row["verdict"] == "FAIL":
+                failures.append(
+                    f"{exp_id}: claim {text} — \"{says[row['claim']]}\""
+                )
+        rows.extend(verdicts)
+    return rows, failures, lines
+
+
 # -- result sourcing --------------------------------------------------------
 
 
 def _table_from_entry(entry: Dict[str, Any]) -> ResultTable:
     """Accept a worker/cache entry ({... 'result': {...}}) or a bare result."""
     if "result" in entry and isinstance(entry["result"], dict):
-        return ResultTable(entry["result"])
+        table = ResultTable(entry["result"])
+        table.digest = entry.get("digest", "")
+        return table
     return ResultTable(entry)
 
 
@@ -228,15 +283,18 @@ def _gather(
     scales: Dict[str, float],
     args: argparse.Namespace,
     cache: ResultCache,
+    known: Container[str],
+    what: str,
     fidelity: str = "packet",
 ) -> Tuple[Dict[str, ResultTable], List[str]]:
-    """Resolve result tables for ``fig_ids``; returns (tables, problems)."""
+    """Resolve result tables for ``fig_ids``; returns (tables, problems).
+    An id ``known`` lacks is a problem: "no ``what`` registered"."""
     results_dir = Path(args.results) if args.results else None
     tables: Dict[str, ResultTable] = {}
     problems: List[str] = []
     for fig_id in fig_ids:
-        if get_spec(fig_id) is None:
-            problems.append(f"{fig_id}: no figure spec registered")
+        if fig_id not in known:
+            problems.append(f"{fig_id}: no {what} registered")
             continue
         table, source = resolve_result(
             fig_id,
@@ -256,16 +314,18 @@ def _gather(
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.figures",
-        description="Render paper figures as SVG and drift-gate their "
-        "headline metrics against the committed fidelity ledger "
-        "(benchmarks/results/BENCH_fidelity.json).",
+        description="Gate swept results against the paper's claims "
+        "(repro.obs.claims) and the figures' headline metrics against the "
+        "committed fidelity ledger (benchmarks/results/BENCH_fidelity.json); "
+        "render paper figures as SVG.",
     )
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument(
         "--gate",
         action="store_true",
-        help="recompute headline metrics and fail on drift beyond the "
-        "ledger's tolerance bands",
+        help="evaluate every claim of the experiments asked for (pass / "
+        "deviates (reason) / FAIL) and, for those with a figure spec, fail "
+        "on headline-metric drift beyond the ledger's tolerance bands",
     )
     mode.add_argument(
         "--update",
@@ -289,7 +349,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--only",
         metavar="FIG,...",
         default=None,
-        help="restrict to these figure ids (default: every ledger entry; "
+        help="restrict to these experiment ids (default: --gate every "
+        "registered experiment, otherwise every ledger entry; "
         "--update/--render with no ledger require --only)",
     )
     parser.add_argument(
@@ -297,8 +358,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=float,
         default=None,
         metavar="S",
-        help="REPRO_SCALE the results were swept at (default: each ledger "
-        "entry's recorded scale; falls back to the environment)",
+        help="REPRO_SCALE the results were swept at (default: the "
+        "environment's, as for the sweep — for claims; each ledger entry's "
+        "recorded scale for drift, --update and --render)",
     )
     parser.add_argument(
         "--results",
@@ -322,13 +384,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="simulation tier to gate/update (docs/SIMULATION.md): "
         "hybrid compares against each entry's 'hybrid' section using "
         "the wider hybrid tolerance bands; metrics the fidelity "
-        "contract leaves undefined in hybrid are skipped",
+        "contract leaves undefined in hybrid are skipped, and claims are "
+        "a packet-level matter",
     )
     parser.add_argument(
         "--json",
         metavar="PATH",
         default=None,
-        help="with --gate, also write the comparison as JSON to PATH",
+        help="with --gate, also write the verdict table (one row per "
+        "claim, plus the drift-checked metrics; a hybrid gate has only the "
+        "latter) as JSON to PATH",
     )
     args = parser.parse_args(argv)
 
@@ -336,15 +401,82 @@ def main(argv: Optional[List[str]] = None) -> int:
     ledger = read_ledger(ledger_path)
     only = _parse_only(args.only)
     cache = ResultCache(Path(args.cache_dir) if args.cache_dir else None)
-
-    def env_scale() -> float:
-        from repro.experiments.common import scale as _s
-
-        return _s()
-
     hybrid = args.fidelity == "hybrid"
-    if args.gate or args.update:
-        fig_ids = only if only else sorted(ledger["figures"])
+    if args.scale is not None:
+        scale = args.scale
+    else:
+        from repro.experiments.common import scale as env_scale
+
+        scale = env_scale()
+
+    def snapshot_scales(fig_ids: Iterable[str]) -> Dict[str, float]:
+        """``--scale``, else the scale each figure's ledger entry (its
+        hybrid section, for a hybrid run) was snapshotted at."""
+        if args.scale is not None:
+            return dict.fromkeys(fig_ids, scale)
+        scales = {}
+        for fig_id in fig_ids:
+            entry = ledger["figures"].get(fig_id, {})
+            if hybrid:
+                entry = {**entry, **entry.get("hybrid", {})}
+            scales[fig_id] = float(entry.get("scale", scale))
+        return scales
+
+    if args.render is not None:
+        out_dir = Path(args.render)
+        fig_ids = only if only else (sorted(ledger["figures"]) or sorted(SPECS))
+        tables, problems = _gather(
+            fig_ids, snapshot_scales(fig_ids), args, cache, SPECS, "figure spec",
+            fidelity=args.fidelity,
+        )
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for fig_id, table in tables.items():
+            svg = render_figure(get_spec(fig_id), table)
+            path = out_dir / f"{fig_id}.svg"
+            path.write_text(svg, encoding="utf-8")
+            print(f"[figures] {fig_id} -> {path}")
+        for p in problems:
+            print(f"[figures] WARNING: {p}", file=sys.stderr)
+        return 0 if not problems else 1
+
+    verdicts: List[Dict[str, Any]] = []
+    if args.gate and not hybrid:
+        # Two questions, two scales.  Do the rows match the paper?  Asked of
+        # the rows swept at one scale (--scale, else REPRO_SCALE, the sweep's
+        # own default), whatever any ledger says.  Do they match the last
+        # accepted run?  Asked at the scale that run was snapshotted at.
+        if only:
+            fig_ids = only
+        else:
+            from repro.experiments import REGISTRY
+
+            fig_ids = list(REGISTRY)
+        tables, problems = _gather(
+            fig_ids, dict.fromkeys(fig_ids, scale), args, cache, METRICS, "claims"
+        )
+        verdicts, failures, lines = check_claims(tables, scale)
+        at = snapshot_scales(f for f in fig_ids if f in SPECS)
+        elsewhere, missing = _gather(
+            [f for f in at if at[f] != scale], at, args, cache, SPECS, "figure spec"
+        )
+        problems += missing
+        snapshots = {f: tables[f] for f in at if at[f] == scale and f in tables}
+        current = {
+            fig_id: compute_metrics(get_spec(fig_id), table)
+            for fig_id, table in {**snapshots, **elsewhere}.items()
+        }
+        if current:  # a miss is reported once, by its sweep line
+            drifted, drift_lines = check_fidelity(current, ledger, only=sorted(current))
+            failures.extend(drifted)
+            lines.extend(drift_lines)
+        document = {"kind": "bench.claims", "claims": verdicts, "drift": current}
+    else:
+        if only:
+            fig_ids = only
+        else:
+            fig_ids = sorted(ledger["figures"])
+            if hybrid:  # the figures that have a hybrid contract
+                fig_ids = [f for f in fig_ids if "hybrid" in ledger["figures"][f]]
         if not fig_ids:
             print(
                 f"[figures] {ledger_path} has no entries; use "
@@ -352,17 +484,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
             return 1
-        scales = {}
-        for fig_id in fig_ids:
-            entry = ledger["figures"].get(fig_id, {})
-            if args.scale is not None:
-                scales[fig_id] = args.scale
-            elif hybrid and "scale" in entry.get("hybrid", {}):
-                scales[fig_id] = float(entry["hybrid"]["scale"])
-            else:
-                scales[fig_id] = float(entry.get("scale", env_scale()))
+        scales = snapshot_scales(fig_ids)
         tables, problems = _gather(
-            fig_ids, scales, args, cache, fidelity=args.fidelity
+            fig_ids, scales, args, cache, SPECS, "figure spec", fidelity=args.fidelity
         )
         if args.update:
             for fig_id, table in tables.items():
@@ -405,61 +529,32 @@ def main(argv: Optional[List[str]] = None) -> int:
             fig_id: compute_metrics(get_spec(fig_id), table)
             for fig_id, table in tables.items()
         }
-        if hybrid:
-            reference, ref_problems = hybrid_reference_ledger(ledger, fig_ids)
-            failures, lines = check_fidelity(
-                current, reference, only=sorted(reference["figures"])
-            )
-            failures.extend(ref_problems)
-        else:
-            failures, lines = check_fidelity(current, ledger, only=fig_ids)
-        failures.extend(problems)
-        for line in lines:
-            print(line)
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as f:
-                json.dump(
-                    {
-                        "schema": FIDELITY_SCHEMA,
-                        "kind": "fidelity.gate",
-                        "ledger": str(ledger_path),
-                        "current": current,
-                        "failures": failures,
-                        "passed": not failures,
-                    },
-                    f,
-                    indent=2,
-                    sort_keys=True,
-                )
-                f.write("\n")
-        for failure in failures:
-            print(f"[fidelity] FAIL: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print(f"[fidelity] no drift beyond tolerance ({len(current)} figure(s))")
-        return 0
-
-    # --render
-    out_dir = Path(args.render)
-    fig_ids = only if only else (sorted(ledger["figures"]) or sorted(SPECS))
-    scales = {
-        fig_id: (
-            args.scale
-            if args.scale is not None
-            else float(ledger["figures"].get(fig_id, {}).get("scale", env_scale()))
+        reference, ref_problems = hybrid_reference_ledger(ledger, fig_ids)
+        failures, lines = check_fidelity(
+            current, reference, only=sorted(reference["figures"])
         )
-        for fig_id in fig_ids
-    }
-    tables, problems = _gather(fig_ids, scales, args, cache, fidelity=args.fidelity)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for fig_id, table in tables.items():
-        svg = render_figure(get_spec(fig_id), table)
-        path = out_dir / f"{fig_id}.svg"
-        path.write_text(svg, encoding="utf-8")
-        print(f"[figures] {fig_id} -> {path}")
-    for p in problems:
-        print(f"[figures] WARNING: {p}", file=sys.stderr)
-    return 0 if not problems else 1
+        failures.extend(ref_problems)
+        document = {"kind": "bench.drift", "drift": current}
+
+    failures.extend(problems)
+    for line in lines:
+        print(line)
+    if args.json:
+        document.update(schema=CLAIMS_SCHEMA, failures=failures, passed=not failures)
+        write_json_atomic(Path(args.json), document)
+    for failure in failures:
+        print(f"[fidelity] FAIL: {failure}", file=sys.stderr)
+    if failures:
+        return 1
+    if verdicts:
+        deviating = sum(r["verdict"] == "deviates" for r in verdicts)
+        print(
+            f"[fidelity] {len(tables)} experiment(s): "
+            f"{len(verdicts) - deviating} claim(s) pass, {deviating} deviate "
+            "with a written reason, none FAIL"
+        )
+    print(f"[fidelity] no drift beyond tolerance ({len(current)} figure(s))")
+    return 0
 
 
 if __name__ == "__main__":

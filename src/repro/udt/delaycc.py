@@ -9,7 +9,8 @@ records that the design was "friendlier to TCP, but may lead to poor
 throughputs on certain systems".
 
 This module reproduces that obsolete design so the tradeoff can be
-measured (see ``benchmarks/test_bench_delay_ablation.py``):
+measured (the ``ablation-delay`` experiment; its claims are in
+:mod:`repro.obs.claims`):
 
 * the receiver tracks one-way-delay samples (sender timestamp vs arrival
   time) per SYN epoch;

@@ -32,7 +32,9 @@ SCALE = 0.05
 #: Consumers of the bus and of result tables: nothing a run executes.
 PRESENTATION = [
     f"repro/obs/{name}.py"
-    for name in ("figspec", "report", "spans", "timeline", "prof")
+    for name in (
+        "claims", "figspec", "figures", "report", "spans", "timeline", "prof"
+    )
 ]
 
 
@@ -110,7 +112,7 @@ class TestDigest:
         assert changed != base
 
     def test_no_key_covers_a_presentation_module(self, monkeypatch):
-        """Editing a figure tolerance re-keys nothing."""
+        """Editing a claim band or a figure tolerance re-keys nothing."""
         import repro.runner.digest as digest_mod
         from repro.experiments import REGISTRY
 
@@ -123,7 +125,7 @@ class TestDigest:
 
         def tweaked(path):
             h = real(path)
-            if path.relative_to(SRC_ROOT).as_posix() == "repro/obs/figspec.py":
+            if path.relative_to(SRC_ROOT).as_posix() == "repro/obs/claims.py":
                 return h[::-1]
             return h
 
