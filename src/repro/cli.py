@@ -202,7 +202,6 @@ def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             only = [s for s in args.only.replace(" ", "").split(",") if s]
         inputs = collect_inputs(
             cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-            results_dir=Path(args.results) if args.results else None,
             bench_path=Path(args.bench) if args.bench else None,
             ledger_path=Path(args.ledger) if args.ledger else None,
             traces=traces,
@@ -406,9 +405,9 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
         metavar="OUT_DIR",
         default=None,
         help="build the static HTML dashboard (index + one page per "
-        "experiment with inline SVG figures, fidelity deltas, forensics "
+        "experiment with inline SVG figures, the fidelity gate's rows, forensics "
         "and runtime trends) under OUT_DIR; results come from the sweep "
-        "cache, never from running experiments",
+        "cache at the fidelity ledger's scale, never from running experiments",
     )
     repp.add_argument(
         "--cache-dir",
@@ -416,12 +415,6 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
         default=None,
         help="sweep result cache the dashboard reads results from "
         "(default $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    repp.add_argument(
-        "--results",
-        metavar="DIR",
-        default=None,
-        help="directory of <exp>.json result entries preferred over the cache",
     )
     repp.add_argument(
         "--bench",

@@ -162,6 +162,10 @@ class LiveUdtEndpoint:
             with self._lock:
                 if self.peer is None:
                     self.peer = addr
+                elif addr != self.peer:
+                    # a stray sender's Shutdown must not close the connection;
+                    # a source-address check, not authentication
+                    continue
                 self.core.on_datagram(msg, len(datagram))
 
     # -- application API ----------------------------------------------------
@@ -170,7 +174,9 @@ class LiveUdtEndpoint:
             self.core.listen()
 
     def connect(self, peer: Tuple[str, int], timeout: float = 5.0) -> None:
-        self.peer = peer
+        # the address recvfrom reports, so the receive loop's source check
+        # matches the peer's datagrams when it is named by host name
+        self.peer = (socket.gethostbyname(peer[0]), peer[1])
         with self._lock:
             self.core.connect()
         deadline = time.perf_counter() + timeout

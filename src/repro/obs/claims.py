@@ -1,4 +1,4 @@
-"""The paper's claims, and the headline metrics the fidelity ledger tracks.
+"""The paper's claims and the drift bands: every band the gate applies.
 
 One :class:`Metric` is one named number of an experiment's result table
 — an extractor — and what is asked of it:
@@ -8,19 +8,21 @@ One :class:`Metric` is one named number of an experiment's result table
   reproduction knowingly differs, ``held`` is the band it holds itself
   to instead and ``expected_deviation`` says why — in place of a
   silently softened threshold;
-* a **drift band** (``tolerance`` set): the number is snapshotted in
-  ``benchmarks/results/BENCH_fidelity.json`` and may move that far from
-  the snapshot (absolute, or a fraction of it when ``relative``).
+* a **drift band** (``tolerance`` set): how far the number may move
+  from the value ``benchmarks/results/BENCH_fidelity.json`` recorded
+  (absolute, or a fraction of it when ``relative``).
   ``hybrid`` / ``hybrid_tolerance`` are its contract under the hybrid
   simulation tier (docs/SIMULATION.md): ``hybrid=False`` marks a number
   the analytic spans smooth away (skipped by the hybrid gate),
   ``hybrid_tolerance`` the wider band a hybrid run gets against a packet
   reference (``None`` reuses ``tolerance``).
 
-A number can carry both, from the one extractor.  ``python -m
-repro.obs.figures --gate`` evaluates every claim on rows the sweep
-already produced (:func:`evaluate`) and drift-checks the figures;
-nothing here runs an experiment or is part of one's cache key.
+A number can carry both, from the one extractor.  The ledger records
+every metric's value and nothing else: the bands live here only, and
+:func:`evaluate` — the one comparison the gate (``python -m
+repro.obs.figures --gate``) and the dashboard both call — computes the
+verdicts from them.  Nothing here runs an experiment or is part of one's
+cache key.
 """
 
 from __future__ import annotations
@@ -53,10 +55,26 @@ class Metric:
     def is_claim(self) -> bool:
         return self.lo is not None or self.hi is not None
 
+    def drift_band(self, reference: float, hybrid: bool = False) -> float:
+        """How far a run may move from ``reference``: the tolerance (the
+        hybrid one, for a hybrid run against a packet reference), taken
+        as a fraction of the reference when ``relative``."""
+        tol = self.tolerance
+        if hybrid and self.hybrid_tolerance is not None:
+            tol = self.hybrid_tolerance
+        return tol * abs(reference) if self.relative else tol
+
 
 def _inside(band: Band, value: float) -> bool:
     lo, hi = band
     return (lo is None or value >= lo) and (hi is None or value <= hi)
+
+
+def band_text(band: Sequence[Optional[float]]) -> str:
+    lo, hi = band
+    lo_text = "-inf" if lo is None else f"{lo:g}"
+    hi_text = "inf" if hi is None else f"{hi:g}"
+    return f"[{lo_text}, {hi_text}]"
 
 
 def verdict(m: Metric, value: float) -> str:
@@ -69,27 +87,68 @@ def verdict(m: Metric, value: float) -> str:
     return "FAIL"
 
 
-def evaluate(exp_id: str, table: Any) -> List[Dict[str, Any]]:
-    """One verdict row per claim of ``exp_id``, in registry order."""
-    rows = []
-    for m in METRICS.get(exp_id, ()):
-        if not m.is_claim:
-            continue
+def asked(exp_id: str, hybrid: bool = False) -> List[Metric]:
+    """The metrics a gate asks about: all of them, or for a hybrid run
+    only the drift metrics its contract defines (claims are a
+    packet-level matter)."""
+    metrics = METRICS[exp_id]
+    if hybrid:
+        return [m for m in metrics if m.tolerance is not None and m.hybrid]
+    return list(metrics)
+
+
+def measure(exp_id: str, table: Any, hybrid: bool = False) -> Dict[str, float]:
+    """The value of every metric :func:`asked` about, in registry order;
+    NaN where the table lacks the rows a metric reads."""
+    values = {}
+    for m in asked(exp_id, hybrid):
         try:
-            value = float(m.fn(table))
+            values[m.name] = float(m.fn(table))
         except (KeyError, ValueError, IndexError):
-            value = math.nan  # a table without the rows a claim reads fails it
-        row: Dict[str, Any] = {
-            "exp": exp_id,
-            "claim": m.name,
-            "value": round(value, 6) if math.isfinite(value) else None,
-            "band": [m.lo, m.hi],
-            "verdict": verdict(m, value),
-        }
-        if m.held is not None:
-            row["held"] = list(m.held)
-        if row["verdict"] == "deviates":
-            row["reason"] = m.expected_deviation
+            values[m.name] = math.nan
+    return values
+
+
+def rounded(value: float) -> Optional[float]:
+    """A value as the ledger and the gate's JSON hold it (NaN as null)."""
+    return round(value, 6) if math.isfinite(value) else None
+
+
+def evaluate(
+    exp_id: str,
+    table: Any,
+    recorded: Optional[Dict[str, Optional[float]]] = None,
+    hybrid: bool = False,
+) -> List[Dict[str, Any]]:
+    """The gate's rows for one experiment, one per metric :func:`asked`
+    about, in registry order.
+
+    A claim's row carries the paper's ``band`` (and ``held`` band) and its
+    ``verdict`` (with the ``reason`` when it deviates).  Given the
+    ``recorded`` values, a drift metric's row carries the one it was
+    compared with, the ``allowed`` distance and whether it ``drifted``; a
+    metric the record lacks has drifted.
+    """
+    rows = []
+    for m, value in zip(asked(exp_id, hybrid), measure(exp_id, table, hybrid).values()):
+        claim = m.is_claim and not hybrid
+        drift = m.tolerance is not None and recorded is not None
+        if not (claim or drift):
+            continue
+        row: Dict[str, Any] = {"exp": exp_id, "metric": m.name, "value": rounded(value)}
+        if claim:
+            row.update(band=[m.lo, m.hi], verdict=verdict(m, value))
+            if m.held is not None:
+                row["held"] = list(m.held)
+            if row["verdict"] == "deviates":
+                row["reason"] = m.expected_deviation
+        if drift:
+            ref = row["recorded"] = recorded.get(m.name)
+            if ref is None:
+                row["drifted"] = True
+            else:
+                row["allowed"] = m.drift_band(ref, hybrid)
+                row["drifted"] = not abs(value - ref) <= row["allowed"]
         rows.append(row)
     return rows
 
@@ -291,7 +350,7 @@ _X1, _X4, _X16, _UDT1 = (
 _SMALLQ, _BDPQ = "DropTail 0.05xBDP", "DropTail 1.00xBDP"
 
 #: exp_id -> its metrics: every registered experiment has at least one
-#: claim; the ones with a ``tolerance`` are a FigureSpec's ledger metrics.
+#: claim; the ones with a ``tolerance`` are also drift-checked.
 METRICS: Dict[str, Tuple[Metric, ...]] = {
     "table1": (
         Metric("bands_matching",

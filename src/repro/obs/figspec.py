@@ -3,18 +3,13 @@
 The experiments emit :class:`~repro.experiments.common.ExperimentResult`
 tables — the *data* behind the paper's figures.  A :class:`FigureSpec`
 declares, per experiment id, how that table is drawn (which column is
-the x axis, which columns are series, line vs bar, log scales).  What
-is *asked* of the table lives in :mod:`repro.obs.claims`: the paper's
-claims and the **headline metrics** (mean Jain index, loss-event counts,
-throughput means) the fidelity ledger
-(``benchmarks/results/BENCH_fidelity.json``) snapshots and ``python -m
-repro.obs.figures --gate`` drift-checks — a spec's ``metrics`` are its
-experiment's ledger-tracked numbers from that registry.
+the x axis, which columns are series, line vs bar, log scales).  That is
+all this module knows: what is *asked* of a table — the paper's claims
+and the drift bands — lives in :mod:`repro.obs.claims`.
 
 Specs are declarative and renderer-agnostic: :mod:`repro.obs.svg`
-turns (spec, table) into inline SVG, :mod:`repro.obs.html` embeds the
-SVG in the static dashboard, and the gate only ever consumes
-:func:`compute_metrics` output.  Experiments without a spec still appear
+turns (spec, table) into inline SVG and :mod:`repro.obs.html` embeds the
+SVG in the static dashboard.  Experiments without a spec still appear
 in the dashboard as plain tables.
 """
 
@@ -22,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-from repro.obs.claims import METRICS, Metric
 
 
 class ResultTable:
@@ -93,18 +86,11 @@ class FigureSpec:
     x_log: bool = False
     y_label: str = ""
 
-    @property
-    def metrics(self) -> Tuple[Metric, ...]:
-        """The figure's headline metrics: its ledger-tracked numbers."""
-        return tuple(
-            m for m in METRICS.get(self.fig_id, ()) if m.tolerance is not None
-        )
-
 
 # -- the registry -----------------------------------------------------------
 
 #: exp_id -> FigureSpec.  Experiments not listed here render as plain
-#: tables in the dashboard and cannot carry fidelity-ledger entries.
+#: tables in the dashboard.
 SPECS: Dict[str, FigureSpec] = {}
 
 
@@ -251,33 +237,3 @@ _spec(
 
 def get_spec(fig_id: str) -> Optional[FigureSpec]:
     return SPECS.get(fig_id)
-
-
-def compute_metrics(spec: FigureSpec, table: ResultTable) -> Dict[str, float]:
-    """Evaluate every headline metric of ``spec`` against ``table``."""
-    return {m.name: float(m.fn(table)) for m in spec.metrics}
-
-
-def tolerances(spec: FigureSpec) -> Dict[str, Dict[str, Any]]:
-    """The spec's tolerance bands in ledger form (JSON-stable)."""
-    return {
-        m.name: {"tolerance": m.tolerance, "relative": m.relative}
-        for m in spec.metrics
-    }
-
-
-def hybrid_tolerances(spec: FigureSpec) -> Dict[str, Dict[str, Any]]:
-    """Hybrid-tier bands (docs/SIMULATION.md): only hybrid-defined
-    metrics appear, each with its (usually wider) hybrid band."""
-    return {
-        m.name: {
-            "tolerance": (
-                m.hybrid_tolerance
-                if m.hybrid_tolerance is not None
-                else m.tolerance
-            ),
-            "relative": m.relative,
-        }
-        for m in spec.metrics
-        if m.hybrid
-    }

@@ -4,17 +4,17 @@
 multi-page site: an index with sweep status, each experiment's latest
 runtime (with its scale) and same-scale trend from the
 ``BENCH_runtime.json`` history and cache-hit stats, plus one page per
-experiment carrying its inline-SVG
-figure, fidelity deltas against the committed ledger, a CC timeline (if
-a trace is at hand), the loss-forensics summary and the profiler
-category table.  Everything is hand-written HTML/SVG strings — no
-template engine, no JavaScript, no external assets — so a page works
+experiment carrying its inline-SVG figure, the fidelity gate's rows for
+it (claim verdicts and drift against the committed ledger), a CC
+timeline (if a trace is at hand), the loss-forensics summary and the
+profiler category table.  Everything is hand-written HTML/SVG strings —
+no template engine, no JavaScript, no external assets — so a page works
 from ``file://``, a CI artifact zip, or an air-gapped review laptop.
 
 Nothing here *runs* experiments: results come from a sweep's digest
-cache, a ``--results`` directory, or the ledger; a figure with no
-resolvable result simply renders as "no result available" with the
-command that would produce one.
+cache at the fidelity ledger's scale, the lookup the gate makes; a figure
+with no result there renders as "no result available" with the command
+that would produce one.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ import time
 from dataclasses import dataclass, field
 from html import escape
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.obs import figures as figmod
-from repro.obs.figspec import ResultTable, compute_metrics, get_spec
+from repro.obs.claims import band_text, evaluate
+from repro.obs.figspec import ResultTable, get_spec
 from repro.obs.svg import _fmt_num, render_figure, render_timeline
 
 Emit = Callable[[str], None]
@@ -152,7 +153,10 @@ class DashboardInputs:
     """Everything :func:`build_dashboard` renders, pre-resolved."""
 
     tables: Dict[str, ResultTable] = field(default_factory=dict)
+    #: exp_id -> where its result came from, or why there is none
     sources: Dict[str, str] = field(default_factory=dict)
+    #: exp_id -> the fidelity gate's own rows for it (repro.obs.claims.evaluate)
+    gate_rows: Dict[str, List[Dict[str, Any]]] = field(default_factory=dict)
     ledger: Dict[str, Any] = field(default_factory=dict)
     bench: Dict[str, Any] = field(default_factory=dict)
     traces: Dict[str, Path] = field(default_factory=dict)
@@ -160,30 +164,30 @@ class DashboardInputs:
     progress: Optional[Dict[str, Any]] = None
 
     def exp_ids(self) -> List[str]:
-        ids = set(self.tables) | set(self.ledger.get("figures", {})) | set(self.traces)
-        return sorted(ids)
+        recorded = self.ledger.get("experiments", {})
+        return sorted(set(self.tables) | set(recorded) | set(self.traces))
 
 
 def collect_inputs(
     cache_dir: Optional[Path] = None,
-    results_dir: Optional[Path] = None,
     bench_path: Optional[Path] = None,
     ledger_path: Optional[Path] = None,
     traces: Optional[Dict[str, Path]] = None,
     only: Optional[Sequence[str]] = None,
     progress_path: Optional[Path] = None,
 ) -> DashboardInputs:
-    """Scan the cache / results dir / ledgers into dashboard inputs.
+    """Look the cache / ledgers up into dashboard inputs.
 
-    ``traces`` maps experiment id -> trace path (the single trace handed
-    to ``repro-udt report``).  ``progress_path`` points at a
-    ``sweep --progress`` feed
+    Rows are found the one way the fidelity gate finds them: by digest in
+    the sweep cache, at the fidelity ledger's scale, and each experiment
+    that has rows gets the gate's own rows for them.  ``traces`` maps
+    experiment id -> trace path (the single trace handed to ``repro-udt
+    report``).  ``progress_path`` points at a ``sweep --progress`` feed
     (``progress.jsonl``); when it holds records, the index page gets a
-    live-run card.  Nothing is executed; missing results stay missing.
-    Where the cache holds several entries for one experiment (a re-keyed
-    sweep leaves the stale one beside the current one) the most recently
-    written is shown.
+    live-run card.  Nothing is executed; a missing result says which
+    sweep would produce it.
     """
+    from repro.experiments import REGISTRY
     from repro.runner.cache import ResultCache, read_json_object
     from repro.runner.sweep import DEFAULT_BENCH
 
@@ -192,37 +196,21 @@ def collect_inputs(
         from repro.runner.progress import read_progress
 
         inputs.progress = read_progress(Path(progress_path))
-    inputs.ledger = figmod.read_ledger(
+    ledger = inputs.ledger = figmod.read_ledger(
         Path(ledger_path) if ledger_path else figmod.DEFAULT_LEDGER
     )
     inputs.bench = read_json_object(
         Path(bench_path) if bench_path else DEFAULT_BENCH
     )
 
-    # newest cache entry per experiment (entries() is oldest -> newest,
-    # later ones overwrite); a results dir (explicit) wins
+    scale = figmod.section_scale(ledger)
+    wanted = [e for e in (only or REGISTRY) if e in REGISTRY]
     cache = ResultCache(Path(cache_dir) if cache_dir else None)
-    for entry in cache.entries():
-        exp_id = entry.get("exp_id")
-        result = entry.get("result")
-        if not exp_id or not isinstance(result, dict):
-            continue
-        inputs.tables[exp_id] = ResultTable(result)
-        inputs.sources[exp_id] = (
-            f"cache (scale={entry.get('scale', '?')}, digest "
-            f"{str(entry.get('digest', ''))[:12]})"
-        )
-    if results_dir is not None:
-        for path in sorted(Path(results_dir).glob("*.json")):
-            try:
-                with open(path, "r", encoding="utf-8") as f:
-                    entry = json.load(f)
-            except (json.JSONDecodeError, OSError):
-                continue
-            table = figmod._table_from_entry(entry)
-            if table.exp_id:
-                inputs.tables[table.exp_id] = table
-                inputs.sources[table.exp_id] = f"results dir ({path.name})"
+    inputs.tables, inputs.sources = figmod.resolve_tables(wanted, scale, cache)
+    for exp_id, table in inputs.tables.items():
+        inputs.sources[exp_id] = f"cache (scale={scale:g}, digest {table.digest[:12]})"
+        recorded = figmod.recorded(ledger, exp_id)
+        inputs.gate_rows[exp_id] = evaluate(exp_id, table, recorded)
 
     for exp_id, path in (traces or {}).items():
         inputs.traces[exp_id] = Path(path)
@@ -239,11 +227,9 @@ def collect_inputs(
 
     if only:
         keep = set(only)
-        inputs.tables = {k: v for k, v in inputs.tables.items() if k in keep}
         inputs.traces = {k: v for k, v in inputs.traces.items() if k in keep}
-        inputs.ledger = dict(inputs.ledger)
-        inputs.ledger["figures"] = {
-            k: v for k, v in inputs.ledger.get("figures", {}).items() if k in keep
+        ledger["experiments"] = {
+            k: v for k, v in ledger["experiments"].items() if k in keep
         }
     return inputs
 
@@ -251,41 +237,41 @@ def collect_inputs(
 # -- fidelity + forensics fragments -----------------------------------------
 
 
-def _fidelity_rows(
-    exp_id: str, inputs: DashboardInputs
-) -> Tuple[Optional[List[List[Any]]], Optional[bool]]:
-    """(rows for the delta table, all-ok flag); (None, None) if n/a."""
-    entry = inputs.ledger.get("figures", {}).get(exp_id)
-    spec = get_spec(exp_id)
-    table = inputs.tables.get(exp_id)
-    if not entry or spec is None or table is None:
-        return None, None
-    try:
-        current = compute_metrics(spec, table)
-    except (KeyError, ValueError):
-        return None, None
-    rows: List[List[Any]] = []
-    all_ok = True
-    for name, ref in sorted(entry.get("metrics", {}).items()):
-        tol = entry.get("tolerances", {}).get(name, {})
-        allowed = figmod._allowed_delta(tol, ref)
-        if name in current:
-            delta = current[name] - ref
-            ok = abs(delta) <= allowed
-        else:
-            delta, ok = None, False
-        all_ok = all_ok and ok
-        rows.append(
-            [
-                name,
-                ref,
-                current.get(name, "missing"),
-                "—" if delta is None else f"{delta:+.4g}",
-                f"±{_fmt_num(allowed)}",
-                _badge(ok),
-            ]
-        )
-    return rows, all_ok
+def _fidelity_ok(rows: Sequence[Dict[str, Any]]) -> Optional[bool]:
+    """No claim FAILs and nothing drifted; None when nothing was gated."""
+    if not rows:
+        return None
+    return not any(r.get("verdict") == "FAIL" or r.get("drifted") for r in rows)
+
+
+_VERDICT = {"pass": ("ok", "✓ pass"), "deviates": ("dim", "~ deviates"),
+            "FAIL": ("bad", "✗ FAIL")}
+
+
+def _fidelity_table(rows: Sequence[Dict[str, Any]]) -> str:
+    """The gate's rows as a table: the claim's band and verdict (a
+    deviation's reason as its tooltip), the recorded value and the drift."""
+    cells: List[List[Any]] = []
+    for r in rows:
+        claim: Any = "—"
+        if "verdict" in r:
+            band = band_text(r["band"])
+            if "held" in r:
+                band += f", held {band_text(r['held'])}"
+            cls, text = _VERDICT[r["verdict"]]
+            claim = _Raw(
+                f'{_esc(band)} <span class="{cls}" '
+                f'title="{_esc(r.get("reason", ""))}">{text}</span>'
+            )
+        recorded: Any = "—"
+        drift: Any = "—"
+        if "drifted" in r:
+            recorded = "not recorded" if r["recorded"] is None else r["recorded"]
+            band = f"±{_fmt_num(r['allowed'])} " if "allowed" in r else ""
+            drift = _Raw(_esc(band) + _badge(not r["drifted"]))
+        value = "nan" if r["value"] is None else r["value"]
+        cells.append([r["metric"], value, claim, recorded, drift])
+    return _html_table(["metric", "value", "paper's band", "ledger", "drift"], cells)
 
 
 def _forensics_fragment(exp_id: str, trace_path: Path) -> str:
@@ -422,26 +408,19 @@ def _experiment_page(exp_id: str, inputs: DashboardInputs) -> str:
                 f"{_esc(exc)}</p></div>"
             )
     elif table is None:
+        miss = inputs.sources.get(exp_id, f"run: repro-udt sweep --only {exp_id}")
         body.append(
-            f'<div class="card"><p class="note">no result available — run '
-            f"<code>repro-udt sweep --only {_esc(exp_id)}</code> to populate "
-            f"the cache.</p></div>"
+            f'<div class="card"><p class="note">no result available — '
+            f"{_esc(miss)}</p></div>"
         )
 
-    fid_rows, _fid_ok = _fidelity_rows(exp_id, inputs)
-    if fid_rows is not None:
+    gate_rows = inputs.gate_rows.get(exp_id)
+    if gate_rows:
         body.append(
-            '<div class="card"><h2>Fidelity vs committed ledger</h2>'
-            + _html_table(
-                ["metric", "ledger", "current", "Δ", "band", "status"], fid_rows
-            )
-            + "</div>"
-        )
-    elif inputs.ledger.get("figures", {}).get(exp_id):
-        body.append(
-            '<div class="card"><h2>Fidelity vs committed ledger</h2>'
-            '<p class="note">ledger entry exists but no current result to '
-            "compare.</p></div>"
+            '<div class="card"><h2>Claims and drift vs committed ledger</h2>'
+            + _fidelity_table(gate_rows)
+            + '<p class="note">the rows <code>python -m repro.obs.figures '
+            "--gate</code> reports for this result.</p></div>"
         )
 
     if exp_id in inputs.traces:
@@ -495,7 +474,7 @@ def _index_page(inputs: DashboardInputs, generated: str) -> str:
     rows: List[List[Any]] = []
     for exp_id in inputs.exp_ids():
         exp = REGISTRY.get(exp_id)
-        _fid_rows, fid_ok = _fidelity_rows(exp_id, inputs)
+        fid_ok = _fidelity_ok(inputs.gate_rows.get(exp_id, ()))
         runs = [h for h in history.get(exp_id, []) if "seconds" in h]
         latest = "—"
         trend: List[float] = []
@@ -509,7 +488,7 @@ def _index_page(inputs: DashboardInputs, generated: str) -> str:
             [
                 _Raw(f'<a href="{_esc(exp_id)}.html">{_esc(exp_id)}</a>'),
                 "" if exp is None else exp.paper_artefact,
-                _Raw(_badge(fid_ok, bad_text="✗ drifted")),
+                _Raw(_badge(fid_ok, bad_text="✗ FAIL or drift")),
                 latest,
                 _Raw(_sparkline(trend)),
             ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 #: Entry layout version; bump when the stored shape changes.
 CACHE_SCHEMA = 1
@@ -113,26 +113,6 @@ class ResultCache:
         entry["schema"] = CACHE_SCHEMA
         entry["digest"] = digest
         return write_json_atomic(self.path(digest), entry, indent=None)
-
-    def entries(self) -> List[Dict[str, Any]]:
-        """Every readable entry in the cache (dashboard/report scans).
-
-        Corrupt files are dropped exactly as :meth:`load` would; order is
-        oldest to newest by modification time (ties by file name), so a
-        scan that keeps the last entry per experiment keeps the newest.
-        """
-        if not self.root.is_dir():
-            return []
-        out: List[Dict[str, Any]] = []
-        paths = self.root.glob("*.json")
-        for path in sorted(paths, key=lambda p: (p.stat().st_mtime_ns, p.name)):
-            try:
-                entry = self.load(path.stem)
-            except ValueError:  # not a digest-named file; leave it alone
-                continue
-            if entry is not None:
-                out.append(entry)
-        return out
 
     def _drop(self, path: Path) -> None:
         try:

@@ -43,6 +43,10 @@ SRC_ROOT = PKG_ROOT.parent  # .../src
 #: (path, mtime_ns, size) -> sha256 hex; an in-process cache so a 25-way
 #: sweep hashes each shared file once, not 25 times.
 _file_hash_cache: Dict[Tuple[str, int, int], str] = {}
+#: (path, mtime_ns, size, module) -> the names it imports; the same for
+#: the AST walk, so a gate or dashboard looking 25 experiments up parses
+#: each shared file once.
+_imports_cache: Dict[Tuple[str, int, int, str], Set[str]] = {}
 
 
 def module_file(modname: str) -> Optional[Path]:
@@ -61,6 +65,15 @@ def module_file(modname: str) -> Optional[Path]:
 
 
 def _imported_names(path: Path, modname: str) -> Set[str]:
+    """Every dotted name a file imports (memoised per process on (mtime, size))."""
+    st = path.stat()
+    key = (str(path), st.st_mtime_ns, st.st_size, modname)
+    if key not in _imports_cache:
+        _imports_cache[key] = _parse_imports(path, modname)
+    return _imports_cache[key]
+
+
+def _parse_imports(path: Path, modname: str) -> Set[str]:
     """Every dotted name a file imports (absolute and resolved-relative)."""
     try:
         tree = ast.parse(path.read_bytes(), filename=str(path))

@@ -205,7 +205,11 @@ class Shutdown(ControlPacket):
 
 
 def decode(datagram: bytes) -> object:
-    """Parse a wire datagram into the matching message object."""
+    """Parse a wire datagram into the matching message object.
+
+    Every malformed datagram raises :class:`ValueError`, whatever is
+    wrong with it, so a socket reader needs to catch that one type only.
+    """
     if len(datagram) < UDT_HEADER:
         raise ValueError(f"short datagram ({len(datagram)} bytes)")
     w0, info, ts, dst_id = _HDR.unpack_from(datagram)
@@ -221,20 +225,23 @@ def decode(datagram: bytes) -> object:
         )
         return pkt
     ctype = (w0 >> 16) & 0x7FFF
-    if ctype == HANDSHAKE:
-        v, iseq, mss, fw, req, sid = Handshake._FMT.unpack(body)
-        return Handshake(ts, dst_id, v, iseq, mss, fw, req, sid)
-    if ctype == ACK:
-        if len(body) == 4:
-            (recv_seq,) = struct.unpack("!I", body)
-            return Ack(ts, dst_id, ack_no=info, recv_seq=recv_seq, light=True)
-        rs, rtt, var, buf, spd, cap = Ack._FMT.unpack(body)
-        return Ack(ts, dst_id, info, rs, rtt, var, buf, spd, cap)
+    try:
+        if ctype == HANDSHAKE:
+            v, iseq, mss, fw, req, sid = Handshake._FMT.unpack(body)
+            return Handshake(ts, dst_id, v, iseq, mss, fw, req, sid)
+        if ctype == ACK:
+            if len(body) == 4:
+                (recv_seq,) = struct.unpack("!I", body)
+                return Ack(ts, dst_id, ack_no=info, recv_seq=recv_seq, light=True)
+            rs, rtt, var, buf, spd, cap = Ack._FMT.unpack(body)
+            return Ack(ts, dst_id, info, rs, rtt, var, buf, spd, cap)
+        if ctype == NAK:
+            n = len(body) // 4
+            return Nak(ts, dst_id, list(struct.unpack(f"!{n}I", body)))
+    except struct.error as exc:  # a control body of the wrong length
+        raise ValueError(f"malformed control type {ctype}: {exc}") from None
     if ctype == ACK2:
         return Ack2(ts, dst_id, ack_no=info)
-    if ctype == NAK:
-        n = len(body) // 4
-        return Nak(ts, dst_id, list(struct.unpack(f"!{n}I", body)))
     if ctype == KEEPALIVE:
         return KeepAlive(ts, dst_id)
     if ctype == SHUTDOWN:

@@ -4,8 +4,8 @@ Covers the satellite checklist for the hybrid tier: fidelity selection
 and plumbing, max-min share math, fluid-span boundary behaviour (source
 ON/OFF epochs, flow joins), byte-counter conservation, digest/sweep key
 separation between fidelity tiers, and hybrid≡packet metric equivalence
-on reduced fig02/fig06 runs judged against the ledger's hybrid
-tolerance bands.
+on reduced fig02/fig06 runs judged in the hybrid tolerance bands of
+repro.obs.claims.
 """
 
 import math
@@ -300,17 +300,10 @@ class TestCacheKeySeparation:
 class TestHybridEquivalence:
     """Reduced fig02/fig06 runs: hybrid within the ledger's hybrid bands."""
 
-    def _delta_ok(self, name, band, packet_value, hybrid_value):
-        tol = band["tolerance"]
-        allowed = tol * abs(packet_value) if band["relative"] else tol
-        assert abs(hybrid_value - packet_value) <= allowed, (
-            f"{name}: |{hybrid_value} - {packet_value}| > {allowed}"
-        )
-
     def test_fig02_jain_within_hybrid_band(self, monkeypatch):
         from repro.experiments.fig02_fairness import _run_flows
         from repro.metrics import jain_index
-        from repro.obs.figspec import get_spec, hybrid_tolerances
+        from repro.obs.claims import asked
 
         def jain(fidelity):
             monkeypatch.setenv(FIDELITY_ENV, fidelity)
@@ -321,30 +314,29 @@ class TestHybridEquivalence:
         _none, packet = jain("packet")
         ctrl, hybrid = jain("hybrid")
         assert ctrl.spans >= 1
-        bands = hybrid_tolerances(get_spec("fig02"))
         # one RTT point: the sweep mean and min both reduce to the index
-        self._delta_ok("udt_jain_mean", bands["udt_jain_mean"], packet, hybrid)
-        self._delta_ok("udt_jain_min", bands["udt_jain_min"], packet, hybrid)
+        bands = {m.name: m for m in asked("fig02", hybrid=True)}
+        for name in ("udt_jain_mean", "udt_jain_min"):
+            allowed = bands[name].drift_band(packet, hybrid=True)
+            assert abs(hybrid - packet) <= allowed, (
+                f"{name}: |{hybrid} - {packet}| > {allowed}"
+            )
 
     def test_fig06_metrics_within_hybrid_bands(self, monkeypatch,
                                                fluid_events):
+        """The hybrid gate's own comparison: hybrid rows against the packet
+        reference in the Metric.hybrid_tolerance bands."""
         from repro.experiments.fig06_rtt_fairness import run
-        from repro.obs.figspec import (
-            ResultTable,
-            compute_metrics,
-            get_spec,
-            hybrid_tolerances,
-        )
+        from repro.obs.claims import evaluate, measure
+        from repro.obs.figspec import ResultTable
 
-        def metrics(fidelity):
+        def table(fidelity):
             monkeypatch.setenv(FIDELITY_ENV, fidelity)
-            res = run(rate_bps=50e6, rtts=(0.02,), duration=20.0, seed=0)
-            spec = get_spec("fig06")
-            return compute_metrics(spec, ResultTable(res))
+            return ResultTable(run(rate_bps=50e6, rtts=(0.02,), duration=20.0, seed=0))
 
-        packet = metrics("packet")
-        hybrid = metrics("hybrid")
+        reference = measure("fig06", table("packet"), hybrid=True)
+        rows = evaluate("fig06", table("hybrid"), reference, hybrid=True)
         assert any(e.kind == OB.FLUID_ENTER for e in fluid_events)
-        bands = hybrid_tolerances(get_spec("fig06"))
-        for name, band in bands.items():
-            self._delta_ok(name, band, packet[name], hybrid[name])
+        assert [r["metric"] for r in rows] == [
+            "ref_flow_mean_mbps", "var_flow_mean_mbps"]
+        assert not [r for r in rows if r["drifted"]], rows

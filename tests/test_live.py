@@ -9,6 +9,7 @@ import pytest
 
 from repro.live import LiveUdtEndpoint, SpinClock, loopback_transfer, wait_until
 from repro.udt import UdtConfig
+from repro.udt import packets as P
 
 
 class TestSpinClock:
@@ -110,3 +111,48 @@ class TestLoopback:
         finally:
             client.close()
             server.close()
+
+    def _transfer_survives(self, disturb):
+        """Connect, let ``disturb(server, client)`` act, then move 300 kB."""
+        server = LiveUdtEndpoint(("127.0.0.1", 0))
+        client = LiveUdtEndpoint(("127.0.0.1", 0))
+        try:
+            server.listen()
+            client.connect(server.local_addr)
+            disturb(server, client)
+            time.sleep(0.1)  # both receive threads have read it by now
+            payload = os.urandom(300_000)
+            t = threading.Thread(target=client.send, args=(payload,))
+            t.start()
+            assert server.recv_exactly(len(payload), timeout=15.0) == payload
+            t.join(timeout=15.0)
+            assert not t.is_alive()
+        finally:
+            client.close()
+            server.close()
+
+    def test_truncated_ack_does_not_stop_the_receive_thread(self):
+        """A 24-byte ACK (a 40-byte one cut short), from each peer's own
+        address: decode refuses it and the receive loop carries on."""
+        truncated = P.Ack(ack_no=1, recv_seq=1).encode()[:24]
+
+        def disturb(server, client):
+            client.sock.sendto(truncated, server.local_addr)
+            server.sock.sendto(truncated, client.local_addr)
+
+        self._transfer_survives(disturb)
+
+    def test_a_third_sockets_shutdown_leaves_the_transfer_intact(self):
+        """Only the peer's datagrams reach the core (a source check, not
+        authentication)."""
+        stranger = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        stranger.bind(("127.0.0.1", 0))
+
+        def disturb(server, client):
+            for end in (server, client):
+                stranger.sendto(P.Shutdown().encode(), end.local_addr)
+
+        try:
+            self._transfer_survives(disturb)
+        finally:
+            stranger.close()

@@ -16,22 +16,27 @@ from hypothesis.errors import NoSuchExample
 
 from repro.experiments import REGISTRY
 from repro.obs.claims import METRICS, Metric, _inside, evaluate, verdict
-from repro.obs.figspec import SPECS, ResultTable
-from repro.obs.figures import main
-from repro.runner.cache import ResultCache
-from repro.runner.digest import experiment_digest
+from repro.obs.figspec import ResultTable
+from repro.obs.figures import DEFAULT_LEDGER, main, read_ledger
+from tests._cache import seed_cache
 
 ROOT = Path(__file__).resolve().parent.parent
 ROWS = json.loads((Path(__file__).parent / "data" / "claims_rows.json").read_text())
-COMMITTED = json.loads(
-    (ROOT / "benchmarks" / "results" / "BENCH_claims.json").read_text()
-)
+COMMITTED = read_ledger(ROOT / DEFAULT_LEDGER)
 CLAIMS = [(exp, m) for exp, ms in METRICS.items() for m in ms if m.is_claim]
 
 
 def _verdict_on(exp_id, result, name):
-    (row,) = [r for r in evaluate(exp_id, ResultTable(result)) if r["claim"] == name]
+    (row,) = [r for r in evaluate(exp_id, ResultTable(result)) if r["metric"] == name]
     return row["verdict"]
+
+
+def _committed_verdicts():
+    """(exp, claim) -> the verdict the code's bands give the ledger's value."""
+    return {
+        (exp_id, m.name): verdict(m, COMMITTED["experiments"][exp_id]["metrics"][m.name])
+        for exp_id, m in CLAIMS
+    }
 
 
 class TestRegistry:
@@ -55,7 +60,7 @@ class TestRegistry:
             for m in metrics:
                 assert m.is_claim or m.tolerance is not None, (exp_id, m.name)
                 if m.tolerance is not None:
-                    assert exp_id in SPECS and m.tolerance > 0, (exp_id, m.name)
+                    assert m.tolerance > 0, (exp_id, m.name)
 
     def test_verdicts(self):
         m = Metric("x", lambda t: 0.0, 0.9, None, says="§1: x", held=(0.5, None),
@@ -135,21 +140,22 @@ def test_a_table_without_rows_fails_every_claim(exp_id):
 
 class TestCommittedVerdicts:
     def test_one_row_per_registered_claim_and_no_fail(self):
-        assert COMMITTED["kind"] == "bench.claims" and COMMITTED["passed"]
-        got = [(r["exp"], r["claim"]) for r in COMMITTED["claims"]]
-        assert sorted(got) == sorted((exp, m.name) for exp, m in CLAIMS)
-        for r in COMMITTED["claims"]:
-            assert r["verdict"] in ("pass", "deviates"), r
-            assert (r["verdict"] == "deviates") == bool(r.get("reason")), r
-            assert r["scale"] == 0.05 and len(r["digest"]) == 64, r
-        assert set(COMMITTED["drift"]) == set(SPECS)
+        """The ledger records a value per claim; the code's bands give the
+        verdicts, and a deviation is never without its reason."""
+        verdicts = _committed_verdicts()
+        assert set(verdicts.values()) == {"pass", "deviates"}
+        assert list(verdicts.values()).count("deviates") == 10
+        for exp_id, m in CLAIMS:
+            if verdicts[exp_id, m.name] == "deviates":
+                assert m.expected_deviation, (exp_id, m.name)
 
     def test_experiments_md_claims_column_matches(self):
-        """EXPERIMENTS.md's index table is read off the verdict table."""
+        """EXPERIMENTS.md's index table is the tally of the ledger's values
+        under the code's bands."""
         want = {}
-        for r in COMMITTED["claims"]:
-            tally = want.setdefault(r["exp"], {"pass": 0, "deviates": 0})
-            tally[r["verdict"]] += 1
+        for (exp_id, _name), v in _committed_verdicts().items():
+            tally = want.setdefault(exp_id, {"pass": 0, "deviates": 0})
+            tally[v] += 1
         text = (ROOT / "EXPERIMENTS.md").read_text()
         got = {
             m.group(1): {"pass": int(m.group(2)), "deviates": int(m.group(3))}
@@ -162,44 +168,38 @@ class TestCommittedVerdicts:
 
 
 class TestGate:
-    def _results_dir(self, tmp_path, **perturb):
-        rd = tmp_path / "results"
-        rd.mkdir(exist_ok=True)
-        for exp_id in ("table1", "fig06"):
+    def _seed(self, tmp_path, *exp_ids, **perturb):
+        for exp_id in exp_ids:
             result = ROWS[exp_id]
             if exp_id in perturb:
                 result = _perturbed(result, *perturb[exp_id])
-            (rd / f"{exp_id}.json").write_text(
-                json.dumps({"exp_id": exp_id, "digest": "d" * 64, "result": result})
-            )
-        return rd
+            seed_cache(tmp_path / "cache", exp_id, result)
+        return ["--cache-dir", str(tmp_path / "cache")]
 
     def test_claims_without_a_figure_spec(self, tmp_path, capsys):
         """table1 has claims and no FigureSpec: the gate takes it."""
-        rd = self._results_dir(tmp_path)
-        out_json = tmp_path / "claims.json"
-        argv = ["--gate", "--only", "table1", "--results", str(rd),
-                "--scale", "0.05", "--json", str(out_json)]
+        out_json = tmp_path / "gate.json"
+        argv = ["--gate", "--only", "table1", *self._seed(tmp_path, "table1"),
+                "--json", str(out_json)]
         assert main(argv) == 0
         doc = json.loads(out_json.read_text())
-        assert [r["claim"] for r in doc["claims"]] == ["bands_matching"]
-        assert doc["claims"][0]["digest"] == "d" * 64
-        assert doc["drift"] == {} and doc["passed"]
+        assert doc["kind"] == "fidelity.gate" and doc["passed"] and doc["scale"] == 0.05
+        assert [(r["metric"], r["verdict"]) for r in doc["rows"]] == [
+            ("bands_matching", "pass")]
         assert "1 claim(s) pass" in capsys.readouterr().out
 
     def test_deviates_exits_0_and_fail_exits_1(self, tmp_path, capsys):
-        assert "fig06" in SPECS
         ledger = tmp_path / "ledger.json"
-        rd = self._results_dir(tmp_path)
-        base = ["--only", "fig06", "--results", str(rd), "--scale", "0.05",
+        base = ["--only", "fig06", *self._seed(tmp_path, "fig06"),
                 "--ledger", str(ledger)]
+        ledger.write_text('{"scale": 0.05}')
         assert main(["--update", *base]) == 0
         assert main(["--gate", *base]) == 0
         out = capsys.readouterr().out
         assert re.search(r"ratio_max_abs_err = \S+ vs \[-inf, 0.1\], held "
                          r"\[-inf, 0.55\]: deviates \(at 500-1000 ms", out)
         # the ratio column pushed out of the held band: drift and the claim
-        self._results_dir(tmp_path, fig06=(1, ("scale", 0.1), None))
+        self._seed(tmp_path, "fig06", fig06=(1, ("scale", 0.1), None))
         assert main(["--gate", *base]) == 1
         err = capsys.readouterr().err
         assert "[fidelity] FAIL: fig06: claim ratio_max_abs_err = 0.9449" in err
@@ -207,7 +207,7 @@ class TestGate:
         assert "fig06: ratio_max_abs_err drifted" in err
 
     def test_empty_cache_names_one_sweep_per_experiment(self, tmp_path, capsys):
-        argv = ["--gate", "--scale", "0.05", "--cache-dir", str(tmp_path / "cache")]
+        argv = ["--gate", "--cache-dir", str(tmp_path / "cache")]
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == len(REGISTRY)
@@ -215,46 +215,29 @@ class TestGate:
             assert line.startswith(f"[fidelity] FAIL: {exp_id}: no packet result")
             assert line.count(f"run: repro-udt sweep --only {exp_id} --scale 0.05") == 1
 
-    def test_claims_scale_is_the_sweeps_not_the_ledgers(self, tmp_path, capsys,
-                                                        monkeypatch):
-        """Without --scale every id's claims are looked up at REPRO_SCALE,
-        as `repro-udt sweep` would have swept them - with or without a
-        figure spec, whatever scale the drift ledger was snapshotted at."""
-        cache = ResultCache(tmp_path / "cache")
-        for exp_id in ("table1", "fig06"):
-            digest, _ = experiment_digest(exp_id, 0.05)
-            cache.store(digest, {"exp_id": exp_id, "result": ROWS[exp_id]})
-        where = ["--cache-dir", str(cache.root), "--ledger", str(tmp_path / "l.json")]
-        assert main(["--update", "--only", "fig06", "--scale", "0.05", *where]) == 0
-        gate = ["--gate", "--only", "table1,fig06", *where]
-        monkeypatch.setenv("REPRO_SCALE", "0.05")
-        assert main([*gate, "--json", str(tmp_path / "claims.json")]) == 0
-        doc = json.loads((tmp_path / "claims.json").read_text())
-        assert {(r["exp"], r["scale"]) for r in doc["claims"]} == {
-            ("table1", 0.05), ("fig06", 0.05)}
-        assert set(doc["drift"]) == {"fig06"}
-        capsys.readouterr()
-        # swept at another scale than the snapshot: both ids' claims miss at
-        # the one scale asked, the drift check still finds its 0.05 rows
-        monkeypatch.delenv("REPRO_SCALE")
-        assert main(gate) == 1
-        captured = capsys.readouterr()
-        assert [
-            re.sub(r".*FAIL: (\S+): no packet result at scale=(\S+) .*", r"\1 \2", l)
-            for l in captured.err.splitlines()
-        ] == ["table1 0.3", "fig06 0.3"]
-        assert "[fidelity] fig06 (scale=0.05): 3 metric(s)" in captured.out
+    def test_every_row_is_read_at_the_ledgers_scale(self, tmp_path, capsys,
+                                                   monkeypatch):
+        """A bare gate against a cache swept at the committed ledger's
+        scale passes whatever REPRO_SCALE says: claims and drift, with a
+        figure spec or without, are read at the one scale the ledger
+        records."""
+        ids = ("table1", "fig09", "fig06")
+        where = self._seed(tmp_path, *ids)
+        monkeypatch.setenv("REPRO_SCALE", "0.3")
+        out_json = tmp_path / "gate.json"
+        assert main(["--gate", "--only", ",".join(ids), *where,
+                     "--json", str(out_json)]) == 0
+        doc = json.loads(out_json.read_text())
+        assert doc["scale"] == 0.05 and doc["passed"]
+        assert {r["exp"] for r in doc["rows"] if "verdict" in r} == set(ids)
+        assert {r["exp"] for r in doc["rows"] if "drifted" in r} == {"fig06"}
+        assert "[fidelity] fig06 (scale=0.05): 2 claim(s), 3 drift metric(s)" in (
+            capsys.readouterr().out)
 
     def test_perturbed_cache_row_fails_by_name(self, tmp_path, capsys):
-        cache = ResultCache(tmp_path / "cache")
-        digest, _ = experiment_digest("table1", 0.05)
-        entry = {"exp_id": "table1", "scale": 0.05, "result": ROWS["table1"]}
-        cache.store(digest, entry)
-        argv = ["--gate", "--only", "table1", "--scale", "0.05",
-                "--cache-dir", str(cache.root)]
+        argv = ["--gate", "--only", "table1", *self._seed(tmp_path, "table1")]
         assert main(argv) == 0
-        entry["result"] = _perturbed(ROWS["table1"], 3, ("scale", 1.0), 2)
-        cache.store(digest, entry)
+        self._seed(tmp_path, "table1", table1=(3, ("scale", 1.0), 2))
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert "table1: claim bands_matching = 0.833333 vs [1, 1]" in err

@@ -5,39 +5,39 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from repro.obs.claims import METRICS, asked, evaluate
 from repro.obs.export import trace_session
-from repro.obs.figspec import (
-    SPECS,
-    ResultTable,
-    compute_metrics,
-    get_spec,
-    tolerances,
-)
+from repro.obs.figspec import SPECS, ResultTable, get_spec
 from repro.obs.figures import (
-    check_fidelity,
+    FIDELITY_SCHEMA,
     ledger_entry,
     main,
     read_ledger,
+    recorded,
+    report,
     resolve_result,
 )
 from repro.obs.svg import render_figure, render_timeline
 from repro.obs.timeline import TimelineRecorder
 from repro.runner.cache import ResultCache, write_json_atomic
+from tests._cache import seed_cache
 
 _SVG = "{http://www.w3.org/2000/svg}"
 
 
+def _result(exp_id, columns, rows, title="synthetic"):
+    return {
+        "exp_id": exp_id,
+        "title": title,
+        "columns": columns,
+        "rows": rows,
+        "notes": "",
+        "paper_reference": "",
+    }
+
+
 def _table(exp_id, columns, rows, title="synthetic"):
-    return ResultTable(
-        {
-            "exp_id": exp_id,
-            "title": title,
-            "columns": columns,
-            "rows": rows,
-            "notes": "",
-            "paper_reference": "",
-        }
-    )
+    return ResultTable(_result(exp_id, columns, rows, title))
 
 
 def _series_groups(svg_text):
@@ -71,19 +71,19 @@ FIG02_TABLE = _table(
     [[1, 0.99, 0.97], [10, 0.98, 0.90], [100, 0.99, 0.70], [1000, 0.97, 0.40]],
 )
 
-FIG08_TABLE = _table(  # a dozen events, so fig08's claims hold on it too
+FIG08_RESULT = _result(  # a dozen events, so fig08's claims hold on it too
     "fig08",
     ["loss event #", "lost packets"],
     [[i + 1, n] for i, n in enumerate([400, 900, 150, 720] * 3)],
 )
+FIG08_TABLE = ResultTable(FIG08_RESULT)
 
 
 class TestSpecRegistry:
     def test_acceptance_figures_have_specs_with_metrics(self):
         for fig_id in ("fig02", "fig04", "fig06", "fig08"):
-            spec = get_spec(fig_id)
-            assert spec is not None, fig_id
-            assert spec.metrics, fig_id
+            assert get_spec(fig_id) is not None, fig_id
+            assert asked(fig_id, hybrid=True), fig_id
 
     def test_every_spec_names_a_registered_experiment(self):
         from repro.experiments import REGISTRY
@@ -95,12 +95,6 @@ class TestSpecRegistry:
             assert spec.fig_id == fig_id
             assert spec.kind in ("line", "bar")
             assert spec.series, fig_id
-            names = [m.name for m in spec.metrics]
-            assert len(names) == len(set(names)), fig_id
-            # fig09's numbers are host timings: its claims bound them, no
-            # ledger snapshots them (a drift band there gates the machine)
-            assert names or fig_id == "fig09", fig_id
-            assert all(m.tolerance > 0 for m in spec.metrics), fig_id
 
     def test_unknown_spec_is_none(self):
         assert get_spec("nope") is None
@@ -191,181 +185,161 @@ class TestFig04TraceEquivalence:
         assert render_timeline(TimelineRecorder()) is None
 
 
+def _metric(exp_id, name):
+    (m,) = [m for m in METRICS[exp_id] if m.name == name]
+    return m
+
+
 class TestFidelityGate:
     def _ledger(self, tmp_path, perturb=None):
-        spec = get_spec("fig08")
-        entry = ledger_entry(spec, FIG08_TABLE, scale=0.05)
+        entry = ledger_entry("fig08", FIG08_TABLE)
         if perturb:
             name, factor = perturb
             ref = entry["metrics"][name]
-            allowed = entry["tolerances"][name]["tolerance"] * abs(ref)
-            entry["metrics"][name] = ref + factor * allowed
-        data = {"schema": 1, "kind": "bench.fidelity", "figures": {"fig08": entry}}
+            band = _metric("fig08", name).drift_band(ref)
+            entry["metrics"][name] = ref + factor * band
+        data = {"schema": FIDELITY_SCHEMA, "kind": "bench.fidelity", "scale": 0.05,
+                "experiments": {"fig08": entry}}
         path = tmp_path / "BENCH_fidelity.json"
         write_json_atomic(path, data)
         return path, data
 
-    def test_entry_carries_metrics_and_tolerances(self):
-        spec = get_spec("fig08")
-        entry = ledger_entry(spec, FIG08_TABLE, scale=0.05)
-        assert entry["scale"] == 0.05
+    def _drift(self, data, table=FIG08_TABLE):
+        rows = evaluate("fig08", table, recorded(data, "fig08"))
+        return {r["metric"]: r for r in rows if "drifted" in r}
+
+    def test_entry_records_every_metric_and_no_band(self):
+        entry = ledger_entry("fig08", FIG08_TABLE)
+        assert set(entry) == {"digest", "metrics"}
+        # claims and drift metrics alike; the bands stay in the code
+        assert list(entry["metrics"]) == [m.name for m in METRICS["fig08"]]
         assert entry["metrics"]["loss_events"] == 12
         assert entry["metrics"]["loss_max_pkts"] == 900
-        assert entry["tolerances"] == tolerances(spec)
+        # a hybrid section's entry: the packet reference of what it compares
+        hybrid = ledger_entry("fig08", FIG08_TABLE, hybrid=True)
+        assert hybrid == {"metrics": {
+            k: entry["metrics"][k]
+            for k in ("loss_events", "loss_max_pkts", "loss_mean_pkts")
+        }}
 
     def test_check_passes_within_tolerance(self, tmp_path):
-        path, data = self._ledger(tmp_path)
-        current = {"fig08": compute_metrics(get_spec("fig08"), FIG08_TABLE)}
-        failures, lines = check_fidelity(current, data)
-        assert failures == []
-        assert any("ok" in line for line in lines)
+        _path, data = self._ledger(tmp_path)
+        drift = self._drift(data)
+        assert set(drift) == {"loss_events", "loss_max_pkts", "loss_mean_pkts"}
+        assert not any(r["drifted"] for r in drift.values())
+        lines, failures = report(list(drift.values()), 0.05)
+        assert failures == [] and any(line.endswith(" ok") for line in lines)
 
     def test_check_fails_beyond_tolerance(self, tmp_path):
         # ledger value pushed 2 bands away: the same table must now drift
-        path, data = self._ledger(tmp_path, perturb=("loss_max_pkts", 2.0))
-        current = {"fig08": compute_metrics(get_spec("fig08"), FIG08_TABLE)}
-        failures, _ = check_fidelity(current, data)
-        assert failures and "loss_max_pkts" in failures[0]
+        _path, data = self._ledger(tmp_path, perturb=("loss_max_pkts", 2.0))
+        drift = self._drift(data)
+        assert [k for k, r in drift.items() if r["drifted"]] == ["loss_max_pkts"]
+        _lines, failures = report(list(drift.values()), 0.05)
+        assert failures and "loss_max_pkts drifted" in failures[0]
 
     def test_check_stays_ok_within_band(self, tmp_path):
-        path, data = self._ledger(tmp_path, perturb=("loss_max_pkts", 0.5))
-        current = {"fig08": compute_metrics(get_spec("fig08"), FIG08_TABLE)}
-        failures, _ = check_fidelity(current, data)
-        assert failures == []
+        _path, data = self._ledger(tmp_path, perturb=("loss_max_pkts", 0.5))
+        assert not any(r["drifted"] for r in self._drift(data).values())
 
     def test_missing_current_figure_fails(self, tmp_path):
+        """A result without the rows a metric reads is NaN: drifted."""
         _path, data = self._ledger(tmp_path)
-        failures, _ = check_fidelity({}, data)
-        assert any("no current metrics" in f for f in failures)
+        empty = ResultTable({**FIG08_RESULT, "rows": []})
+        drift = self._drift(data, empty)
+        assert drift and all(r["drifted"] for r in drift.values())
+        assert drift["loss_mean_pkts"]["value"] is None
+        _lines, failures = report(list(drift.values()), 0.05)
+        assert "fig08: loss_mean_pkts drifted +nan beyond" in failures[-1]
 
     def test_empty_ledger_fails(self):
-        failures, _ = check_fidelity({}, {"figures": {}})
-        assert failures
-
-    def _results_dir(self, tmp_path):
-        rd = tmp_path / "results"
-        rd.mkdir()
-        (rd / "fig08.json").write_text(
-            json.dumps(
-                {
-                    "exp_id": "fig08",
-                    "result": {
-                        "exp_id": "fig08",
-                        "title": "synthetic",
-                        "columns": FIG08_TABLE.columns,
-                        "rows": FIG08_TABLE.rows,
-                        "notes": "",
-                        "paper_reference": "",
-                    },
-                }
-            )
-        )
-        return rd
+        rows = [r for r in evaluate("fig08", FIG08_TABLE, {}) if "drifted" in r]
+        assert rows and all(r["drifted"] and r["recorded"] is None for r in rows)
+        _lines, failures = report(rows, 0.05)
+        assert failures[0] == "fig08: loss_events has no ledger value (run --update)"
 
     def test_cli_gate_passes_then_fails_on_perturbation(self, tmp_path, capsys):
-        rd = self._results_dir(tmp_path)
+        cache = tmp_path / "cache"
+        seed_cache(cache, "fig08", FIG08_RESULT)
         path, _data = self._ledger(tmp_path)
-        argv = [
-            "--gate",
-            "--only",
-            "fig08",
-            "--ledger",
-            str(path),
-            "--results",
-            str(rd),
-        ]
+        argv = ["--gate", "--only", "fig08", "--ledger", str(path),
+                "--cache-dir", str(cache)]
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "no drift beyond tolerance" in out
+        assert "no drift beyond tolerance (3 metric(s))" in out
         assert "loss_max_pkts = 900.0 vs [1000, inf], held [150, inf]: deviates" in out
 
         path, _data = self._ledger(tmp_path, perturb=("loss_mean_pkts", 3.0))
         assert main(argv) == 1
         assert "loss_mean_pkts" in capsys.readouterr().err
 
-    def test_cli_update_writes_ledger(self, tmp_path, capsys):
-        rd = self._results_dir(tmp_path)
+    def test_cli_update_writes_ledger(self, tmp_path, capsys, monkeypatch):
+        """A ledger with no scale yet takes REPRO_SCALE, as the sweep does,
+        and records it."""
+        digest = seed_cache(tmp_path / "cache", "fig08", FIG08_RESULT)
         path = tmp_path / "ledger.json"
-        rc = main(
-            [
-                "--update",
-                "--only",
-                "fig08",
-                "--ledger",
-                str(path),
-                "--results",
-                str(rd),
-            ]
-        )
-        assert rc == 0
+        where = ["--only", "fig08", "--ledger", str(path),
+                 "--cache-dir", str(tmp_path / "cache")]
+        monkeypatch.setenv("REPRO_SCALE", "0.05")
+        assert main(["--update", *where]) == 0
         data = read_ledger(path)
-        assert data["figures"]["fig08"]["metrics"]["loss_events"] == 12
-        # and the fresh ledger immediately gates green
-        assert (
-            main(
-                ["--gate", "--only", "fig08", "--ledger", str(path),
-                 "--results", str(rd)]
-            )
-            == 0
-        )
+        assert data["scale"] == 0.05
+        assert data["experiments"]["fig08"]["digest"] == digest
+        assert data["experiments"]["fig08"]["metrics"]["loss_events"] == 12
+        # and the fresh ledger immediately gates green, at its own scale
+        monkeypatch.setenv("REPRO_SCALE", "0.3")
+        assert main(["--gate", *where]) == 0
         capsys.readouterr()
 
-    def test_cli_update_hybrid_section_is_additive(self, tmp_path, capsys):
-        """One --update tail for both tiers: a hybrid update adds its
-        section (with the same-scale packet reference when one is
-        already swept) and leaves the packet entry alone; a packet update
-        re-snapshots the entry and keeps the hybrid section."""
-        from repro.runner.digest import experiment_digest
-
-        rd = self._results_dir(tmp_path)
+    def test_cli_update_hybrid_section_is_additive(self, tmp_path, capsys, monkeypatch):
+        """One --update for both tiers: a hybrid update records the
+        same-scale packet reference in its own section and leaves the
+        packet record alone; a packet update keeps the hybrid section.
+        The hybrid gate then compares hybrid rows with that reference."""
         path, data = self._ledger(tmp_path)
-        packet_entry = dict(data["figures"]["fig08"])
-        cache = ResultCache(tmp_path / "cache")
-        hybrid = ["--update", "--fidelity", "hybrid", "--only", "fig08",
-                  "--ledger", str(path), "--results", str(rd),
-                  "--cache-dir", str(cache.root)]
-        assert main(hybrid) == 0
-        fig08 = read_ledger(path)["figures"]["fig08"]
-        assert {k: v for k, v in fig08.items() if k != "hybrid"} == packet_entry
-        assert fig08["hybrid"]["scale"] == 0.05
-        assert "packet_metrics" not in fig08["hybrid"]  # nothing swept yet
-        assert "no same-scale packet reference" in capsys.readouterr().out
+        cache = tmp_path / "cache"
+        where = ["--only", "fig08", "--ledger", str(path), "--cache-dir", str(cache)]
+        hybrid = ["--update", "--fidelity", "hybrid", *where]
+        monkeypatch.setenv("REPRO_SCALE", "1")  # the hybrid section has no scale yet
+        assert main(hybrid) == 1  # no packet reference swept yet
+        assert "sweep --only fig08 --scale 1 --cache-dir" in capsys.readouterr().err
 
-        digest, _ = experiment_digest("fig08", 0.05, fidelity="packet")
-        cache.store(digest, json.loads((rd / "fig08.json").read_text()))
+        seed_cache(cache, "fig08", FIG08_RESULT, scale=1.0)
         assert main(hybrid) == 0
-        section = read_ledger(path)["figures"]["fig08"]["hybrid"]
-        assert section["packet_metrics"] == packet_entry["metrics"]
+        ledger = read_ledger(path)
+        assert ledger["experiments"] == data["experiments"]
+        section = ledger["hybrid"]
+        assert section == {"scale": 1.0, "experiments": {
+            "fig08": ledger_entry("fig08", FIG08_TABLE, hybrid=True)}}
 
-        packet = ["--update", "--only", "fig08", "--ledger", str(path),
-                  "--results", str(rd)]
-        assert main(packet) == 0
-        fig08 = read_ledger(path)["figures"]["fig08"]
-        assert fig08["hybrid"] == section
-        assert fig08["metrics"] == packet_entry["metrics"]
-        capsys.readouterr()
+        seed_cache(cache, "fig08", FIG08_RESULT)
+        assert main(["--update", *where]) == 0
+        assert read_ledger(path)["hybrid"] == section
+
+        gate = ["--gate", "--fidelity", "hybrid", *where]
+        seed_cache(cache, "fig08", FIG08_RESULT, scale=1.0, fidelity="hybrid")
+        assert main(gate) == 0
+        fewer = {**FIG08_RESULT, "rows": FIG08_RESULT["rows"][:4]}  # 12 -> 4 events
+        seed_cache(cache, "fig08", fewer, scale=1.0, fidelity="hybrid")
+        assert main(gate) == 1
+        err = capsys.readouterr().err
+        assert "fig08: loss_events drifted -8 beyond ±7.2" in err
+        assert "claim" not in err  # claims are a packet-level matter
 
     def test_cli_render_writes_svg(self, tmp_path, capsys):
-        rd = self._results_dir(tmp_path)
+        seed_cache(tmp_path / "cache", "fig08", FIG08_RESULT)
+        path, _data = self._ledger(tmp_path)
         out = tmp_path / "figs"
-        rc = main(
-            [
-                "--render",
-                str(out),
-                "--only",
-                "fig08",
-                "--results",
-                str(rd),
-            ]
-        )
+        rc = main(["--render", str(out), "--only", "fig08", "--ledger", str(path),
+                   "--cache-dir", str(tmp_path / "cache")])
         assert rc == 0
         svg = (out / "fig08.svg").read_text()
         assert _series_groups(svg)
         capsys.readouterr()
 
     def test_miss_names_the_sweep_that_fills_it(self, tmp_path, capsys):
-        """Nothing here runs an experiment: a figure found in neither the
-        results dir nor the cache fails with the exact sweep line."""
+        """Nothing here runs an experiment: a figure the cache lacks fails
+        with the exact sweep line."""
         cache = ResultCache(tmp_path / "cache")
         table, reason = resolve_result("fig08", 0.05, cache)
         assert table is None
@@ -385,11 +359,24 @@ class TestFidelityGate:
         assert "run: repro-udt sweep --only fig08 --scale 0.05" in err
 
     def test_committed_ledger_covers_acceptance_figures(self):
+        """One record at one scale: every experiment's digest and every
+        metric's value; the hybrid section only the packet reference its
+        gate compares against.  No band, tolerance or verdict is stored."""
+        from repro.experiments import REGISTRY
         from repro.obs.figures import DEFAULT_LEDGER
 
         data = read_ledger(DEFAULT_LEDGER)
-        assert set(data["figures"]) == set(SPECS)
-        for fig_id, spec in SPECS.items():
-            entry = data["figures"][fig_id]
-            assert set(entry["metrics"]) == {m.name for m in spec.metrics}, fig_id
-            assert entry["tolerances"] == tolerances(spec), fig_id
+        assert data["schema"] == FIDELITY_SCHEMA and data["scale"] == 0.05
+        assert set(data["experiments"]) == set(REGISTRY)
+        for exp_id, entry in data["experiments"].items():
+            assert set(entry) == {"digest", "metrics"} and len(entry["digest"]) == 64
+            assert set(entry["metrics"]) == {m.name for m in METRICS[exp_id]}, exp_id
+        hybrid = data["hybrid"]
+        assert set(hybrid) == {"scale", "experiments"}
+        assert set(hybrid["experiments"]) == {"fig02", "fig04", "fig06", "fig08"}
+        for fig_id, entry in hybrid["experiments"].items():
+            assert set(entry) == {"metrics"}
+            assert set(entry["metrics"]) == {m.name for m in asked(fig_id, hybrid=True)}
+        text = DEFAULT_LEDGER.read_text()
+        for word in ("tolerance", "band", "held", "verdict", "relative"):
+            assert f'"{word}"' not in text, word

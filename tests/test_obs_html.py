@@ -7,49 +7,37 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as cli_main
-from repro.obs.html import DashboardInputs, build_dashboard, collect_inputs
-from repro.runner.cache import ResultCache
+from repro.obs.figspec import ResultTable
+from repro.obs.figures import FIDELITY_SCHEMA, ledger_entry
+from repro.obs.html import build_dashboard, collect_inputs
+from repro.runner.cache import ResultCache, write_json_atomic
 from repro.runner.sweep import SweepReport, append_history, update_bench
+from tests._cache import seed_cache
 
 
-def _store_result(cache, exp_id, columns, rows, digest):
-    cache.store(
-        digest,
-        {
-            "exp_id": exp_id,
-            "scale": 0.05,
-            "seconds": 1.5,
-            "result": {
-                "exp_id": exp_id,
-                "title": f"{exp_id} synthetic",
-                "columns": columns,
-                "rows": rows,
-                "notes": "",
-                "paper_reference": "",
-            },
-        },
-    )
+def _result(exp_id, columns, rows):
+    return {
+        "exp_id": exp_id,
+        "title": f"{exp_id} synthetic",
+        "columns": columns,
+        "rows": rows,
+        "notes": "",
+        "paper_reference": "",
+    }
+
+
+FIG08 = _result(
+    "fig08", ["loss event #", "lost packets"], [[1, 400], [2, 900], [3, 150]]
+)
 
 
 @pytest.fixture
 def populated(tmp_path):
     """A cache with fig08 + table1 results, a bench file with history."""
     cache_dir = tmp_path / "cache"
-    cache = ResultCache(cache_dir)
-    _store_result(
-        cache,
-        "fig08",
-        ["loss event #", "lost packets"],
-        [[1, 400], [2, 900], [3, 150]],
-        "ab" * 32,
-    )
-    _store_result(
-        cache,
-        "table1",
-        ["B (Mb/s)", "inc (pkts/SYN)"],
-        [[1, 0.15], [10, 1.5]],
-        "cd" * 32,
-    )
+    seed_cache(cache_dir, "fig08", FIG08)
+    seed_cache(cache_dir, "table1",
+               _result("table1", ["B (Mb/s)", "inc (pkts/SYN)"], [[1, 0.15], [10, 1.5]]))
     bench = tmp_path / "bench.json"
     bench.write_text(
         json.dumps(
@@ -84,17 +72,13 @@ def populated(tmp_path):
         )
     )
     ledger = tmp_path / "fidelity.json"
-    from repro.obs.figspec import ResultTable, get_spec
-    from repro.obs.figures import ledger_entry
-    from repro.runner.cache import write_json_atomic
-
-    table = ResultTable(cache.load("ab" * 32)["result"])
     write_json_atomic(
         ledger,
         {
-            "schema": 1,
+            "schema": FIDELITY_SCHEMA,
             "kind": "bench.fidelity",
-            "figures": {"fig08": ledger_entry(get_spec("fig08"), table, 0.05)},
+            "scale": 0.05,
+            "experiments": {"fig08": ledger_entry("fig08", ResultTable(FIG08))},
         },
     )
     return {"cache_dir": cache_dir, "bench": bench, "ledger": ledger}
@@ -128,8 +112,9 @@ class TestDashboard:
         build_dashboard(out, inputs)
         fig08 = (out / "fig08.html").read_text()
         assert 'class="series"' in fig08  # the SVG figure
-        assert "Fidelity vs committed ledger" in fig08
-        assert "✓ ok" in fig08
+        assert "Claims and drift vs committed ledger" in fig08
+        assert "✓ ok" in fig08  # drift: the rows the ledger recorded
+        assert "[11, inf] <span class=\"bad\"" in fig08  # three loss events FAIL
         assert "Result table" in fig08
         # table1 has no figure spec: renders as a plain table, no crash
         table1 = (out / "table1.html").read_text()
@@ -169,25 +154,40 @@ class TestDashboard:
         # a single run at a scale has no trend to draw
         assert index.count("runtime trend") == 1
 
-    def test_newest_cache_entry_wins_whatever_its_digest(self, tmp_path):
-        """Two fig08 entries whose digest order is the reverse of their
-        age — what every cache directory holds after a re-keying change."""
-        cache = ResultCache(tmp_path / "cache")
-        stale, current = "ff" * 32, "00" * 32
-        _store_result(cache, "fig08", ["loss event #", "lost packets"],
-                      [[1, 111]], stale)
-        _store_result(cache, "fig08", ["loss event #", "lost packets"],
-                      [[1, 222]], current)
-        os.utime(cache.path(stale), ns=(10**18, 10**18))
-        os.utime(cache.path(current), ns=(2 * 10**18, 2 * 10**18))
-        assert [e["digest"] for e in cache.entries()] == [stale, current]
+    def test_rows_come_from_the_ledgers_scale_not_the_newest_entry(
+        self, tmp_path, populated
+    ):
+        """A newer fig08 entry at another scale is not compared with the
+        ledger's scale=0.05 values: the dashboard looks rows up the one
+        way the gate does."""
+        digest = seed_cache(populated["cache_dir"], "fig08",
+                            {**FIG08, "rows": [[1, 4000], [2, 9000]]}, scale=0.3)
+        os.utime(ResultCache(populated["cache_dir"]).path(digest),
+                 ns=(2 * 10**18, 2 * 10**18))
         inputs = collect_inputs(
-            cache_dir=cache.root,
-            bench_path=tmp_path / "no-bench.json",
-            ledger_path=tmp_path / "no-ledger.json",
+            cache_dir=populated["cache_dir"],
+            bench_path=populated["bench"],
+            ledger_path=populated["ledger"],
         )
-        assert inputs.tables["fig08"].rows == [[1, 222]]
-        assert current[:12] in inputs.sources["fig08"]
+        assert inputs.tables["fig08"].rows == FIG08["rows"]
+        assert "scale=0.05" in inputs.sources["fig08"]
+        out = tmp_path / "dash"
+        build_dashboard(out, inputs)
+        fig08 = (out / "fig08.html").read_text()
+        assert "✓ ok" in fig08 and "✗ drifted" not in fig08
+
+    def test_a_missing_result_names_its_sweep(self, tmp_path, populated):
+        empty = tmp_path / "empty-cache"
+        inputs = collect_inputs(
+            cache_dir=empty,
+            bench_path=populated["bench"],
+            ledger_path=populated["ledger"],
+        )
+        out = tmp_path / "dash"
+        build_dashboard(out, inputs)
+        fig08 = (out / "fig08.html").read_text()
+        assert "no result available — no packet result at scale=0.05" in fig08
+        assert f"sweep --only fig08 --scale 0.05 --cache-dir {empty}" in fig08
 
     def test_only_filter(self, tmp_path, populated):
         inputs = collect_inputs(
@@ -203,7 +203,7 @@ class TestDashboard:
 
     def test_fidelity_badge_drifts_when_ledger_perturbed(self, tmp_path, populated):
         data = json.loads(populated["ledger"].read_text())
-        m = data["figures"]["fig08"]["metrics"]
+        m = data["experiments"]["fig08"]["metrics"]
         m["loss_max_pkts"] = m["loss_max_pkts"] * 2.0
         populated["ledger"].write_text(json.dumps(data))
         inputs = collect_inputs(

@@ -117,3 +117,36 @@ def test_control_vs_data_discrimination():
     # A data packet whose seq has the top bit clear must never parse as control.
     data = P.DataPacket(seq=MAX_SEQ_NO - 1, size=1, data=b"z")
     assert isinstance(P.decode(data.encode()), P.DataPacket)
+
+
+_EVERY_TYPE = {
+    "data": P.DataPacket(seq=12345, size=4, ts=999, dst_id=7, data=b"abcd"),
+    "handshake": P.Handshake(ts=1, init_seq=77, mss=9000, flow_window=4096,
+                             req_type=-1, socket_id=3),
+    "ack": P.Ack(ack_no=9, recv_seq=100, rtt_us=110_000, rtt_var_us=5_000,
+                 buf_avail=512, recv_speed=8000, capacity=83000),
+    "light-ack": P.Ack(ack_no=3, recv_seq=50, light=True),
+    "nak": P.Nak(loss=nak_encode([(3, 6), (9, 9)])),
+    "ack2": P.Ack2(ack_no=4),
+    "keepalive": P.KeepAlive(),
+    "shutdown": P.Shutdown(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EVERY_TYPE))
+def test_every_prefix_and_byte_flip_fails_one_way(name):
+    """Damage anywhere: a message, or ``ValueError`` — the one type a
+    socket reader (``repro.live``) catches; never ``struct.error``."""
+    data = _EVERY_TYPE[name].encode()
+    variants = [data[:n] for n in range(len(data))] + [
+        data[:i] + bytes([data[i] ^ mask]) + data[i + 1:]
+        for i in range(len(data))
+        for mask in range(1, 256)
+    ]
+    refused = 0
+    for damaged in variants:
+        try:
+            P.decode(damaged)
+        except ValueError:
+            refused += 1
+    assert refused >= UDT_HEADER  # at least every prefix short of a header
