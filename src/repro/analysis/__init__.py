@@ -3,27 +3,24 @@
 The invariants this reproduction leans on — 31-bit wrap-around sequence
 arithmetic, a sans-IO protocol core, a machine-checked telemetry schema,
 reproducible discrete-event runs — were conventions until this package;
-now they are enforced properties.  Five checkers run over ``src/repro``
-through a small driver (:mod:`repro.analysis.core`); the dataflow tier
-(``seqno-taint``/``units``) is built on the CFG + taint framework in
-:mod:`repro.analysis.flow`:
+now they are enforced properties.  Three checkers run over ``src/repro``
+through a small driver (:mod:`repro.analysis.core`); ``seqno-taint`` is
+built on the CFG + taint framework in :mod:`repro.analysis.flow`:
 
 =================== ========================================================
 rule                what it enforces
 =================== ========================================================
 ``seqno-taint``     no raw ``<``/``>``/``+``/``-``/``==`` on values
                     *derived from* wrap-around sequence numbers, tracked
-                    through locals/attributes/returns (supersedes the
-                    syntactic ``seqno-arith`` of PR 3)
-``units``           dimensional consistency (s/us/bytes/pkts/pps/bps),
-                    seeded from udt/params.py and sim/engine.py
+                    through locals/attributes/returns
 ``sansio-purity``   no wall clocks, unseeded RNG, sockets or threads in
                     ``repro/udt/`` and ``repro/sim/``
 ``event-schema``    every ``bus.emit`` payload and consumer key access
                     matches ``repro/obs/catalog.py``
-``vtime-determinism`` no float ``==`` between virtual times; no
-                    scheduling out of unordered iteration
 =================== ========================================================
+
+Unit mix-ups and seed nondeterminism are caught at run time instead: by
+tier-1 tests on the protocol's own numbers, and by the sanitizer below.
 
 The behavioural half: :mod:`repro.analysis.protomodel` statically
 extracts a per-flow event-order model from the ``udt/core.py`` handler
@@ -56,19 +53,11 @@ from repro.analysis.core import (
 from repro.analysis.event_schema import EventSchemaChecker
 from repro.analysis.sansio import SansioPurityChecker
 from repro.analysis.seqno_taint import SeqnoTaintChecker
-from repro.analysis.units import UnitsChecker
-from repro.analysis.vtime import VtimeDeterminismChecker
 
 
 def all_checkers() -> List[Checker]:
     """Fresh instances of every registered checker, in rule order."""
-    return [
-        SeqnoTaintChecker(),
-        UnitsChecker(),
-        SansioPurityChecker(),
-        EventSchemaChecker(),
-        VtimeDeterminismChecker(),
-    ]
+    return [SeqnoTaintChecker(), SansioPurityChecker(), EventSchemaChecker()]
 
 
 def rule_ids() -> List[str]:

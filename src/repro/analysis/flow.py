@@ -11,8 +11,8 @@ infrastructure that lets rules follow values *across* statements:
   every handler).
 * :func:`run_forward` is a classic worklist fixpoint over that CFG for
   any monotone transfer function.
-* :class:`TaintTracker` is the forward taint instantiation both
-  ``seqno-taint`` and ``units`` build on: the abstract state maps
+* :class:`TaintTracker` is the forward taint instantiation
+  ``seqno-taint`` builds on: the abstract state maps
   variable keys (locals and ``self.attr`` pseudo-locals) to frozensets
   of labels, joined by union.  Rules override the two *semantic* hooks —
   :meth:`TaintTracker.atom_labels` (what does a fresh name/attribute

@@ -21,7 +21,8 @@ fixed-size chunks — a packet-tier fig08 trace is 7M+ events, and
 paper-scale traces will not fit in memory — and only on a byte mismatch
 re-walks the records to pinpoint the first divergent event with its
 surrounding context (the qlog-ish equivalent of a sanitizer stack
-trace).  A clean experiment produces identical streams.
+trace).  A clean experiment produces identical streams; two empty
+streams are a failure, since they compared nothing.
 
 Each run is a subprocess because ``PYTHONHASHSEED`` is fixed at
 interpreter start; the worker is the ordinary CLI, ``python -m repro run
@@ -114,7 +115,11 @@ class SanitizerResult:
                 f"{self.events} events byte-identical across "
                 "fifo/lifo tie-break and differing hash seeds"
             )
-        assert self.divergence is not None
+        if self.divergence is None:
+            return (
+                f"determinism sanitizer: {self.exp_id} FAILED — the runs "
+                "traced no events, so nothing was compared"
+            )
         return (
             f"determinism sanitizer: {self.exp_id} DIVERGED\n"
             + self.divergence.format()
@@ -264,7 +269,9 @@ class DeterminismSanitizer:
         events, divergence = diff_traces(paths[0], paths[1])
         result = SanitizerResult(
             exp_id=self.exp_id,
-            deterministic=divergence is None,
+            # Two empty traces agree vacuously: an experiment that builds
+            # no simulator (fig09) checks nothing and must not read as OK.
+            deterministic=divergence is None and events > 0,
             events=events,
             divergence=divergence,
             runs=runs,

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.experiments.common import flow_start
 from repro.sim.node import Host
-from repro.sim.topology import Network
+from repro.sim.topology import Network, flow_start
 from repro.tcp import TcpConfig, TcpFlow
 from repro.tcp.responses import Response
 

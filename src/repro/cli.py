@@ -32,9 +32,8 @@
     repro-udt report t.jsonl        # loss-forensics report from a trace
     repro-udt lint                  # protocol-invariant static analysis
                                     # over the repro tree (seqno-taint,
-                                    # units, sansio-purity, event-schema,
-                                    # vtime-determinism); the gate is
-                                    # zero findings
+                                    # sansio-purity, event-schema); the
+                                    # gate is zero findings
     repro-udt lint --sanitize fig02 --set duration=5
                                     # + determinism sanitizer: the
                                     # experiment runs twice with perturbed

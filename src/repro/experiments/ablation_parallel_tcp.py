@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.apps.parallel_tcp import ParallelTcpTransfer
-from repro.experiments.common import ExperimentResult, flow_start, mbps, scaled
-from repro.sim.topology import dumbbell, path_topology
+from repro.experiments.common import ExperimentResult, mbps, scaled
+from repro.sim.topology import dumbbell, flow_start, path_topology
 from repro.tcp import start_tcp_flow
 from repro.udt import UdtConfig, start_udt_flow
 

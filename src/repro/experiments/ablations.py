@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.experiments.common import ExperimentResult, flow_start, mbps, scaled
+from repro.experiments.common import ExperimentResult, mbps, scaled
 from repro.metrics import jain_index
 from repro.sabul import start_sabul_flow
-from repro.sim.topology import dumbbell, multi_bottleneck, path_topology
+from repro.sim.topology import dumbbell, flow_start, multi_bottleneck, path_topology
 from repro.tcp import start_tcp_flow
 from repro.udt import FixedAimdCC, UdtConfig, start_udt_flow
 

@@ -7,6 +7,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
+# flow_start lives in repro.sim.topology; benchmarks/perf/workloads.py
+# imports it from here, so the name stays importable.
+from repro.sim.topology import flow_start  # noqa: F401
+
 
 @dataclass
 class ExperimentResult:
@@ -85,25 +89,6 @@ def scaled(seconds: float, minimum: float = 2.0) -> float:
 
 def mbps(bps: float) -> float:
     return bps / 1e6
-
-
-#: Deterministic spacing between "concurrent" flow starts.  Flows that
-#: all start at exactly t=0 leave their handshakes tied in virtual time,
-#: making run order depend on the engine's same-instant tie-break — the
-#: determinism sanitizer (docs/ANALYSIS.md) flags that.  ~10 µs is far
-#: below any RTT or rate-control period, so staggered flows are still
-#: concurrent for every experiment's purposes.  The extra 2.13 ns pushes
-#: the stagger off the decimal float grid: handshake delays and pacing
-#: periods are round decimals, so an exactly-10 µs offset can re-align
-#: two flows' timer grids later in the run (observed in
-#: ablation-control-channel, where flow B's conn.connected tied with
-#: flow A's paced send 0.1 s in).
-FLOW_START_STAGGER = 1.000000213e-5
-
-
-def flow_start(i: int) -> float:
-    """Start time for the i-th concurrent flow of an experiment."""
-    return i * FLOW_START_STAGGER
 
 
 @contextmanager

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.experiments.common import ExperimentResult, flow_start, scaled
+from repro.experiments.common import ExperimentResult, scaled
 from repro.metrics import jain_index
-from repro.sim.topology import dumbbell
+from repro.sim.topology import dumbbell, flow_start
 from repro.tcp import start_tcp_flow
 from repro.udt import start_udt_flow
 

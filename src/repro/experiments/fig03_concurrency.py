@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from repro.experiments.common import ExperimentResult, flow_start, mbps, scaled
-from repro.sim.topology import dumbbell
+from repro.experiments.common import ExperimentResult, mbps, scaled
+from repro.sim.topology import dumbbell, flow_start
 from repro.udt import start_udt_flow
 
 DEFAULT_COUNTS = (2, 8, 32, 96)

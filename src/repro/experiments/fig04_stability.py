@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.experiments.common import ExperimentResult, flow_start, scaled
+from repro.experiments.common import ExperimentResult, scaled
 from repro.metrics import stability_index
-from repro.sim.topology import dumbbell
+from repro.sim.topology import dumbbell, flow_start
 from repro.tcp import start_tcp_flow
 from repro.udt import start_udt_flow
 
@@ -45,7 +45,7 @@ def run(
             flows = [
                 # Staggered starts: t=0 handshake ties would make run
                 # order depend on the engine tie-break (see
-                # common.flow_start / the determinism sanitizer).
+                # topology.flow_start / the determinism sanitizer).
                 starter(
                     d.net,
                     d.sources[i],

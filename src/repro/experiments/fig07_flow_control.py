@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.apps.bulk import UdpBlast
-from repro.experiments.common import ExperimentResult, flow_start, mbps, scaled
-from repro.sim.topology import bdp_packets, path_topology
+from repro.experiments.common import ExperimentResult, mbps, scaled
+from repro.sim.topology import bdp_packets, flow_start, path_topology
 from repro.sim.udp import UdpEndpoint
 from repro.udt import UdtConfig, start_udt_flow
 

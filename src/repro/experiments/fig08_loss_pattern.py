@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.apps.bulk import UdpBlast
-from repro.experiments.common import ExperimentResult, flow_start, scaled
-from repro.sim.topology import path_topology
+from repro.experiments.common import ExperimentResult, scaled
+from repro.sim.topology import flow_start, path_topology
 from repro.sim.udp import UdpEndpoint
 from repro.udt import UdtConfig, start_udt_flow
 

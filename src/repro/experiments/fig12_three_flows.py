@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.experiments.common import ExperimentResult, flow_start, mbps, scaled
-from repro.sim.topology import Network, paper_queue_size
+from repro.experiments.common import ExperimentResult, mbps, scaled
+from repro.sim.topology import Network, flow_start, paper_queue_size
 from repro.tcp import start_tcp_flow
 from repro.udt import UdtConfig, start_udt_flow
 

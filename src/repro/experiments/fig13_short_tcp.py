@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.experiments.common import ExperimentResult, flow_start, mbps, scaled
-from repro.sim.topology import dumbbell
+from repro.experiments.common import ExperimentResult, mbps, scaled
+from repro.sim.topology import dumbbell, flow_start
 from repro.tcp import start_tcp_flow
 from repro.udt import UdtConfig, start_udt_flow
 

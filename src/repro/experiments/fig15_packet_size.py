@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.experiments.common import ExperimentResult, flow_start, mbps, scaled
-from repro.sim.topology import path_topology
+from repro.experiments.common import ExperimentResult, mbps, scaled
+from repro.sim.topology import flow_start, path_topology
 from repro.udt import UdtConfig, start_udt_flow
 
 DEFAULT_SIZES = (576, 1000, 1500, 2000, 3000, 6000)

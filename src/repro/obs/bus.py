@@ -29,8 +29,8 @@ SCHEMA_VERSION = 1
 
 # ---------------------------------------------------------------------------
 # Event taxonomy.  The authoritative payload schema (required / optional
-# keys, units) is repro/obs/catalog.py, which the ``event-schema`` lint
-# rule enforces; constants here keep emit sites typo-proof.
+# keys) is repro/obs/catalog.py, which the ``event-schema`` lint rule
+# enforces; constants here keep emit sites typo-proof.
 # ---------------------------------------------------------------------------
 #: Handshake completed (src = endpoint).
 CONN_CONNECTED = "conn.connected"

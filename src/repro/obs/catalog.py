@@ -25,7 +25,7 @@ per-packet detail tier (see :mod:`repro.obs.bus`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet
 
 from repro.obs import bus as OB
@@ -38,12 +38,7 @@ class EventSpec:
     Beyond the keys listed here every event record also carries the
     base envelope ``t`` / ``kind`` / ``src`` added by the bus and the
     JSONL writer; those are implicit and never declared per-kind.
-
-    ``units`` annotates the physical dimension of payload keys
-    (``s``/``us``/``bytes``/``bits``/``pkts``/``pps``/``bps``); the
-    ``units`` lint rule (repro.analysis.units) cross-checks every emit
-    site's keyword expressions against it.  Unannotated keys are
-    dimensionless or free-form and are never checked.
+    docs/OBSERVABILITY.md's event table gives each key's unit.
     """
 
     kind: str
@@ -52,7 +47,6 @@ class EventSpec:
     optional: FrozenSet[str] = frozenset()
     detail: bool = False
     virtual: bool = False
-    units: Dict[str, str] = field(default_factory=dict)
 
     @property
     def keys(self) -> FrozenSet[str]:
@@ -66,7 +60,6 @@ def _spec(
     optional: str = "",
     detail: bool = False,
     virtual: bool = False,
-    units: str = "",
 ) -> EventSpec:
     return EventSpec(
         kind=kind,
@@ -75,11 +68,6 @@ def _spec(
         optional=frozenset(optional.split()) if optional else frozenset(),
         detail=detail,
         virtual=virtual,
-        units=dict(
-            pair.split(":", 1) for pair in units.split()  # "key:unit" pairs
-        )
-        if units
-        else {},
     )
 
 
@@ -98,20 +86,17 @@ CATALOG: Dict[str, EventSpec] = {
             OB.CONN_CONNECTED,
             "handshake completed (src = endpoint)",
             required="peer_seq flow_window initiator",
-            units="flow_window:pkts",
         ),
         _spec(
             OB.CONN_CLOSED,
             "endpoint closed (src = endpoint)",
             required="data_pkts_sent data_pkts_received",
-            units="data_pkts_sent:pkts data_pkts_received:pkts",
         ),
         _spec(OB.SND_ACK, "sender processed an ACK", required="seq light"),
         _spec(
             OB.SND_NAK,
             "sender processed a NAK",
             required="lost ranges froze",
-            units="lost:pkts",
         ),
         _spec(
             OB.CC_SAMPLE,
@@ -120,60 +105,48 @@ CATALOG: Dict[str, EventSpec] = {
                 "trigger rate_bps period cwnd flow_window rtt bw_est "
                 "recv_rate loss_len exp_count slow_start"
             ),
-            units=(
-                "rate_bps:bps period:s cwnd:pkts flow_window:pkts rtt:s "
-                "bw_est:pps recv_rate:pps loss_len:pkts"
-            ),
         ),
         _spec(
             OB.CC_SLOWSTART_EXIT,
             "controller left slow start",
             required="period window",
-            units="period:s window:pkts",
         ),
         _spec(
             OB.CC_DECREASE,
             "controller applied a multiplicative decrease",
             required="trigger",
             optional="period window",
-            units="period:s window:pkts",
         ),
         _spec(
             OB.CC_DELAY_WARNING,
             "obsolete delay-trend design fired an early decrease",
             required="period",
-            units="period:s",
         ),
         _spec(
             OB.EXP_TIMEOUT,
             "EXP (no-feedback) timer fired with data in flight",
             required="exp_count unacked",
-            units="unacked:pkts",
         ),
         _spec(
             OB.RCV_LOSS,
             "receiver detected a sequence hole",
             required="first last length",
-            units="length:pkts",
         ),
         _spec(
             OB.RCV_BUFFER_DROP,
             "receive buffer refused a DATA packet",
             required="seq size",
-            units="size:bytes",
         ),
         _spec(
             OB.LINK_DROP,
             "a link dropped a packet ('queue' at enqueue, 'loss' on the wire)",
             required="reason size flow uid seq",
             optional="qlen",
-            units="size:bytes qlen:pkts",
         ),
         _spec(
             OB.QUEUE_HIGHWATER,
             "egress queue reached a new occupancy high-water mark",
             required="pkts bytes",
-            units="pkts:pkts bytes:bytes",
         ),
         _spec(
             OB.CPU_CHARGE,
@@ -184,7 +157,6 @@ CATALOG: Dict[str, EventSpec] = {
             OB.FLOW_DONE,
             "a finite simulated flow delivered its last byte",
             required="bytes elapsed",
-            units="bytes:bytes elapsed:s",
         ),
         _spec(
             OB.FLUID_ENTER,
@@ -195,14 +167,12 @@ CATALOG: Dict[str, EventSpec] = {
             OB.FLUID_EXIT,
             "hybrid tier re-entered the packet engine at a CC boundary",
             required="reason span ticks",
-            units="span:s",
         ),
         _spec(
             OB.PKT_SND,
             "sender emitted a DATA packet",
             required="seq size retx",
             detail=True,
-            units="size:bytes",
         ),
         _spec(
             OB.PKT_RCV,

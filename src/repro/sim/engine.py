@@ -86,23 +86,6 @@ class Event:
         return f"<Event t={t} seq={self.seq} pending {name}>"
 
 
-#: Scheduling-API units, machine-read by the ``units`` lint rule
-#: (repro.analysis.units): method name -> {"returns": unit, "arg<N>": unit}.
-#: ``now`` — whether the Simulator attribute or the Scheduler-protocol
-#: method — is virtual seconds; the ``*_at`` forms take an absolute
-#: virtual time in seconds, the relative forms a delay in seconds
-#: (``post_fifo`` takes its stream first, so its delay is ``arg1``).
-API_UNITS = {
-    "now": {"returns": "s"},
-    "schedule": {"arg0": "s"},
-    "schedule_at": {"arg0": "s"},
-    "post": {"arg0": "s"},
-    "post_at": {"arg0": "s"},
-    "post_fifo": {"arg1": "s"},
-    "call_at": {"arg0": "s"},
-}
-
-
 class RunObserver:
     """The engine's one seam for tooling: registered, never patched in.
 

@@ -37,6 +37,25 @@ def paper_queue_size(rate_bps: float, rtt: float, mss: int = 1500) -> int:
     return max(DEFAULT_QUEUE_PKTS, bdp_packets(rate_bps, rtt, mss))
 
 
+#: Deterministic spacing between "concurrent" flow starts.  Flows that
+#: all start at exactly t=0 leave their handshakes tied in virtual time,
+#: making run order depend on the engine's same-instant tie-break — the
+#: determinism sanitizer (docs/ANALYSIS.md) flags that.  ~10 µs is far
+#: below any RTT or rate-control period, so staggered flows are still
+#: concurrent for every experiment's purposes.  The extra 2.13 ns pushes
+#: the stagger off the decimal float grid: handshake delays and pacing
+#: periods are round decimals, so an exactly-10 µs offset can re-align
+#: two flows' timer grids later in the run (observed in
+#: ablation-control-channel, where flow B's conn.connected tied with
+#: flow A's paced send 0.1 s in).
+FLOW_START_STAGGER = 1.000000213e-5
+
+
+def flow_start(i: int) -> float:
+    """Start time for the i-th concurrent flow of a scenario."""
+    return i * FLOW_START_STAGGER
+
+
 class Network:
     """A simulator plus its nodes and links.
 

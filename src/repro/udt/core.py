@@ -552,19 +552,30 @@ class UdtCore:
             return  # corrupt report: ignore; the receiver will re-send it
         biggest = None
         lost = 0
+        accepted = []
+        top = self.max_seq_sent
         for a, b in ranges:
+            # Only [snd_last_ack, max_seq_sent] can be lost: anything
+            # below is acknowledged, anything above was never sent.
+            if seq_cmp(a, top) > 0:
+                continue
+            if seq_cmp(b, top) > 0:
+                b = top
             if seq_cmp(a, self.snd_last_ack) < 0:
                 if seq_cmp(b, self.snd_last_ack) < 0:
                     continue
                 a = self.snd_last_ack
             self.snd_loss.insert(a, b)
+            accepted.append((a, b))
             lost += seq_off(a, b) + 1
             if biggest is None or seq_cmp(b, biggest) > 0:
                 biggest = b
         if biggest is None:
             return
         self.stats.loss_reported += lost
-        self.cc.on_loss(LossEvent(ranges=ranges, biggest_seq=biggest, lost_packets=lost))
+        self.cc.on_loss(
+            LossEvent(ranges=accepted, biggest_seq=biggest, lost_packets=lost)
+        )
         froze = False
         if self.cc.freeze_requested:
             self.cc.freeze_requested = False

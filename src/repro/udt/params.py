@@ -30,30 +30,6 @@ PKT_PAIR_INTERVAL = 16
 ARRIVAL_WINDOW = 16
 PROBE_WINDOW = 16
 
-#: Physical units of the constants and :class:`UdtConfig` fields above,
-#: machine-read by the ``units`` lint rule (repro.analysis.units) as its
-#: exact-name seed table: any identifier or attribute with one of these
-#: names carries the declared unit wherever it appears in ``udt/`` and
-#: ``sabul/``.  Units: ``s`` (seconds), ``us`` (microseconds), ``bytes``,
-#: ``bits``, ``pkts`` (packets), ``pps`` (packets/s), ``bps`` (bits/s).
-PARAM_UNITS = {
-    "SYN": "s",
-    "syn": "s",
-    "UDT_HEADER": "bytes",
-    "PKT_PAIR_INTERVAL": "pkts",
-    "ARRIVAL_WINDOW": "pkts",
-    "PROBE_WINDOW": "pkts",
-    "mss": "bytes",
-    "payload_size": "bytes",
-    "max_flow_window": "pkts",
-    "rcv_buffer_pkts": "pkts",
-    "snd_buffer_pkts": "pkts",
-    "initial_period": "s",
-    "probe_interval": "pkts",
-    "_probe_interval": "pkts",  # UdtCore's hot-path cache of the above
-    "min_exp_timeout": "s",
-}
-
 
 @dataclass
 class UdtConfig:

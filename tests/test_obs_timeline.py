@@ -16,7 +16,7 @@ from repro.obs.bus import (
 )
 from repro.obs.export import trace_session
 from repro.obs.timeline import TimelineRecorder
-from repro.sim.topology import dumbbell, path_topology
+from repro.sim.topology import dumbbell, flow_start, path_topology
 from repro.udt import start_udt_flow
 
 
@@ -179,20 +179,44 @@ class TestInstrumentedStack:
 
 class TestCcEvents:
     def test_slow_start_exit_and_decrease_events(self):
+        """Each slow-start exit and decrease is followed, at the same ``t``
+        and ``src``, by the ``cc.sample`` of the same CC update.  Its
+        ``window`` is the sample's ``cwnd`` (packets) and the update's last
+        ``period`` is the sample's ``period`` (seconds), so swapped or
+        mis-scaled payload keys show up as a mismatch."""
         from repro.obs.bus import CC_DECREASE, CC_SLOWSTART_EXIT
 
         bus = EventBus()
         events = []
-        bus.subscribe(events.append, kinds=(CC_SLOWSTART_EXIT, CC_DECREASE))
-        top = path_topology(10e6, 0.02)  # tight link -> guaranteed loss
-        start_udt_flow(top.net, top.src, top.dst, bus=bus)
-        top.net.run(until=10.0)
-        kinds = [e.kind for e in events]
-        assert CC_SLOWSTART_EXIT in kinds
-        assert CC_DECREASE in kinds
-        dec = next(e for e in events if e.kind == CC_DECREASE)
-        assert dec.fields["trigger"] in ("loss", "timeout")
-        assert dec.src.endswith("-snd")
+        bus.subscribe(
+            events.append, kinds=(CC_SLOWSTART_EXIT, CC_DECREASE, CC_SAMPLE)
+        )
+        d = dumbbell(2, 10e6, 0.02, seed=1)  # tight shared link -> losses
+        for i in range(2):
+            start_udt_flow(
+                d.net, d.sources[i], d.sinks[i], start=flow_start(i), bus=bus
+            )
+        d.net.run(until=6.0)
+        checked = {CC_SLOWSTART_EXIT: 0, CC_DECREASE: 0}
+        update = []  # CC events since the last sample
+        for e in events:
+            if e.kind != CC_SAMPLE:
+                assert e.src.endswith("-snd"), e
+                update.append(e)
+                continue
+            for ev in update:
+                assert (ev.t, ev.src) == (e.t, e.src), ev
+                if "window" in ev.fields:
+                    assert ev.fields["window"] == e.fields["cwnd"], ev
+                checked[ev.kind] += 1
+            if update:
+                assert update[-1].fields["period"] == e.fields["period"], update
+            update = []
+        assert not update, "CC events with no sample after them"
+        assert checked[CC_SLOWSTART_EXIT] == 2 and checked[CC_DECREASE] > 2
+        assert {e.fields["trigger"] for e in events if e.kind == CC_DECREASE} == {
+            "loss"
+        }
 
     def test_delay_warning_event(self):
         from repro.obs.bus import CC_DELAY_WARNING

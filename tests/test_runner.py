@@ -150,7 +150,10 @@ class TestImportDirection:
     and a registry lookup imports no experiment."""
 
     def test_the_core_loads_the_bus_and_none_of_its_tooling(self):
-        loaded = _repro_modules_after("import repro.sim, repro.udt, repro.tcp")
+        loaded = _repro_modules_after(
+            "import repro.sim, repro.udt, repro.tcp\n"
+            "import repro.apps, repro.apps.parallel_tcp"
+        )
         assert {m for m in loaded if m.startswith("repro.obs.")} == {"repro.obs.bus"}
         layers = {m.split(".")[1] for m in loaded}
         assert not layers & {"analysis", "runner", "experiments", "cli"}, loaded

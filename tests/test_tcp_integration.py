@@ -4,8 +4,7 @@ import sys
 
 import pytest
 
-from repro.experiments.common import flow_start
-from repro.sim.topology import dumbbell, path_topology
+from repro.sim.topology import dumbbell, flow_start, path_topology
 from repro.hostmodel import TCP_RECEIVER_COSTS, TCP_SENDER_COSTS, CpuMeter
 from repro.tcp import (
     BicResponse,

@@ -187,6 +187,36 @@ class TestLossRecovery:
         assert 5 in b.loss_events
 
 
+class TestHostileNak:
+    """A NAK may only report sequence numbers the sender has sent and not
+    yet had acknowledged; the rest of a range is dropped."""
+
+    def _sender(self):
+        # ACKs are dropped, so the 16-packet initial window stays unacked.
+        sched, a, b, pump = make_pair(loss=lambda m: m.type_name == "ack")
+        b.listen()
+        a.connect()
+        pump()
+        a.send(16 * 1456)
+        step(sched, pump, 0.5)
+        assert a.max_seq_sent == 15 and a.snd_last_ack == 0
+        return a
+
+    def test_range_beyond_max_seq_sent_is_dropped(self):
+        a = self._sender()
+        period = a.cc.period
+        a.on_datagram(P.Nak(loss=[0x80000000 | 100, 2_000_000]), 24)
+        assert len(a.snd_loss) == 0 and a.stats.loss_reported == 0
+        assert a.cc.period == period and a.stats.freezes == 0
+
+    def test_range_straddling_max_seq_sent_is_clamped(self):
+        a = self._sender()
+        a.on_datagram(P.Nak(loss=[0x80000000 | 10, 2_000_000]), 24)
+        assert len(a.snd_loss) == 6 and a.stats.loss_reported == 6
+        a.on_datagram(P.Nak(loss=[2_000_000]), 24)
+        assert len(a.snd_loss) == 6 and a.stats.loss_reported == 6
+
+
 class TestProbePairs:
     def test_pair_sent_back_to_back(self):
         sched, a, b, pump = make_pair()

@@ -20,9 +20,8 @@ import sys
 import pytest
 
 from repro.apps.bulk import UdpBlast
-from repro.experiments.common import flow_start
 from repro.obs.prof import SimProfiler
-from repro.sim.topology import dumbbell, path_topology
+from repro.sim.topology import dumbbell, flow_start, path_topology
 from repro.sim.udp import UdpEndpoint
 from repro.udt import UdtConfig, start_udt_flow
 
