@@ -26,8 +26,9 @@ from repro.udt.params import UdtConfig
 class _ThreadScheduler:
     """Scheduler-protocol implementation backed by a timer thread."""
 
-    def __init__(self, lock: threading.RLock):
+    def __init__(self, lock: threading.RLock, on_error: Callable[[Exception], None]):
         self._lock = lock
+        self._on_error = on_error  # told, under the lock, what a callback raised
         self._cond = threading.Condition(lock)
         self._heap: list = []
         self._counter = itertools.count()
@@ -79,7 +80,11 @@ class _ThreadScheduler:
                 else:
                     entry = heapq.heappop(self._heap)
                     if not entry[3] and entry[2] is not None:
-                        entry[2]()  # run under the lock, like sim events
+                        try:
+                            entry[2]()  # run under the lock, like sim events
+                        except Exception as exc:
+                            self._on_error(exc)
+                            return
                     continue
             # busy-wait outside the lock for sub-threshold delays
             while True:
@@ -115,7 +120,7 @@ class LiveUdtEndpoint:
         self.local_addr = self.sock.getsockname()
         self.peer: Optional[Tuple[str, int]] = None
         self._lock = threading.RLock()
-        self._sched = _ThreadScheduler(self._lock)
+        self._sched = _ThreadScheduler(self._lock, self._fail)
         self._deliver_cb = deliver
         self.received = bytearray()
         self._recv_cond = threading.Condition(self._lock)
@@ -128,6 +133,8 @@ class LiveUdtEndpoint:
         )
         self._rx_thread = threading.Thread(target=self._rx_loop, daemon=True)
         self._closed = False
+        #: what the core raised on the receive or the timer thread; both stop
+        self._error: Optional[Exception] = None
         self._sched.start()
         self._rx_thread.start()
 
@@ -166,7 +173,24 @@ class LiveUdtEndpoint:
                     # a stray sender's Shutdown must not close the connection;
                     # a source-address check, not authentication
                     continue
-                self.core.on_datagram(msg, len(datagram))
+                try:
+                    self.core.on_datagram(msg, len(datagram))
+                except Exception as exc:
+                    self._fail(exc)
+        if self._error is not None:
+            self._sched.stop()
+            self.sock.close()
+
+    def _fail(self, exc: Exception) -> None:
+        """The core raised (called under the lock): its state is unknown now,
+        so the endpoint closes and every blocked caller is woken to raise."""
+        self._error = exc
+        self._closed = True
+        self._recv_cond.notify_all()
+
+    def _raise_if_failed(self) -> None:
+        if self._error is not None:
+            raise ConnectionError(f"the core raised {self._error!r}") from self._error
 
     # -- application API ----------------------------------------------------
     def listen(self) -> None:
@@ -198,6 +222,7 @@ class LiveUdtEndpoint:
         deadline = time.perf_counter() + timeout
         while sent < len(data):
             with self._lock:
+                self._raise_if_failed()
                 sent += self.core.send(len(data) - sent, data[sent:])
             if sent < len(data):
                 if time.perf_counter() > deadline:
@@ -210,6 +235,7 @@ class LiveUdtEndpoint:
         deadline = time.monotonic() + timeout
         with self._recv_cond:
             while len(self.received) < nbytes:
+                self._raise_if_failed()
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise TimeoutError(

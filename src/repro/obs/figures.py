@@ -13,7 +13,8 @@ hybrid gate compares against.  Bands and tolerances live in
   inside the band the reproduction holds itself to, ``FAIL``), each drift
   metric against its recorded value.  ``--fidelity hybrid`` compares
   hybrid rows with the packet reference, in the wider hybrid bands.
-* ``--update`` records the values anew; it is the ledger's only writer.
+* ``--update`` records the values anew (but for the host wall-clock
+  timings of :data:`HOST_TIMED`); it is the ledger's only writer.
 * ``--render`` writes the figures as SVG (:mod:`repro.obs.svg` draws).
 
 Nothing here runs an experiment.  Every row is looked up one way: in the
@@ -42,6 +43,10 @@ from repro.runner.cache import (
 
 FIDELITY_SCHEMA = 2
 DEFAULT_LEDGER = Path("benchmarks/results/BENCH_fidelity.json")
+#: Experiments whose values are host wall-clock timings, which move run to
+#: run: ``--update`` keeps the values recorded for them (delete an entry to
+#: record it anew).
+HOST_TIMED = frozenset({"fig09"})
 
 
 # -- fidelity ledger --------------------------------------------------------
@@ -306,7 +311,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.update:
         section["scale"] = scale
         for exp_id, table in tables.items():
-            section["experiments"][exp_id] = ledger_entry(exp_id, table, hybrid)
+            entry = ledger_entry(exp_id, table, hybrid)
+            if exp_id in HOST_TIMED:
+                old = recorded(section, exp_id)
+                entry["metrics"] = {k: old.get(k, v) for k, v in entry["metrics"].items()}
+            section["experiments"][exp_id] = entry
             print(f"[figures] {exp_id}: ledger entry updated (scale={scale:g})")
         write_json_atomic(ledger_path, ledger)
         print(f"[figures] ledger -> {ledger_path}")

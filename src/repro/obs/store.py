@@ -8,8 +8,8 @@ stream in a framed, compressed, *indexed* container:
 
 * events are buffered into **blocks** (default 4096 events); a block
   stores its timestamps as a binary float64 column and everything else
-  as one small JSON row per event, with the kind, src and field-key
-  tuple ("shape") strings interned into per-block tables, so the block
+  as columns too: one entry per distinct (kind, src, field names) key,
+  a key index per event and one value column per key, so the block
   compresses to a few percent of its JSONL equivalent;
 * every block is **framed** (tag byte + length + zlib payload), so a
   crash-truncated file is recoverable up to the last complete block —
@@ -26,30 +26,34 @@ single-threaded zlib at a fixed level — so the byte-identity guarantees
 the sweep runner and determinism sanitizer make for JSONL traces carry
 over to ``.rtrc`` unchanged.
 
-File layout (container version 2; the version is the fifth magic byte,
+File layout (container version 3; the version is the fifth magic byte,
 and a file of any other version is refused before a block is decoded)::
 
-    magic   b"RTRC\\x02\\n"
+    magic   b"RTRC\\x03\\n"
     frame   b"M" | u32 len | zlib(trace.meta JSON)      (exactly one)
     frame   b"B" | u32 len | zlib(block payload)        (zero or more)
     frame   b"F" | u32 len | zlib(footer-index JSON)    (exactly one)
-    trailer u64 footer-frame offset | b"RTRCIDX\\x02"
+    trailer u64 footer-frame offset | b"RTRCIDX\\x03"
 
 Block payload: ``u32 head_len | JSON head | float64[n]``, all
-little-endian.  The head is ``{"k": [kinds], "s": [srcs], "f": [[field
-key, ...], ...], "e": [[kind_i, src_i, shape_i, value, ...], ...]}``:
-row ``i`` carries one value per key of shape ``f[shape_i]`` and its
-timestamp is element ``i`` of the column — a simulated time is a sum of
-jittered serialisation times, 17.8 characters as text against 8 bytes
-here.  A ``t`` the column cannot hold exactly (anything but a ``float``:
+little-endian.  The head is ``{"h": [[kind, src, [field, ...]], ...],
+"r": [key index per event], "v": [[values of key 0], ...]}``: event
+``i`` is of key ``r[i]``, its timestamp is element ``i`` of the column,
+and its values are the next ``len(fields)`` of its key's value column,
+which holds its events' values event after event.  Work per event is one
+dictionary lookup, two appends and an ``extend``; a key is interned the
+first time a block sees it (7 to 39 keys a block on the ``udt_traced``
+stream).  A simulated time is a sum of jittered serialisation times,
+17.8 characters as text against 8 bytes here.  A ``t`` the column
+cannot hold exactly (anything but a ``float``:
 ``Simulator.run(until=5)`` leaves the clock an ``int``; a hand-made
 JSONL can carry a string, or no ``t`` at all) stays JSON in the head's
 sparse ``"t"`` list, ``[row, value]`` or ``[row]`` for "absent"; the key
-is there only when a block has such a row.  Decoding a row rebuilds the
-flat event dict in its original key order, so converting JSONL to
-``.rtrc`` and back is byte-exact on traces written by the JSONL writer.
+is there only when a block has such a row.  Decoding rebuilds each flat
+event dict in its original key order, so converting JSONL to ``.rtrc``
+and back is byte-exact on traces written by the JSONL writer.
 
-Damage is reported one way: a file that is not a version-2 container
+Damage is reported one way: a file that is not a version-3 container
 raises :class:`RtrcFormatError` on opening; a frame that fails to
 inflate, parse or add up ends the stream at the last good block with
 ``truncated`` set, or raises :class:`RtrcFormatError` under ``strict``.
@@ -66,7 +70,6 @@ import json
 import struct
 import zlib
 from collections import Counter
-from operator import itemgetter
 from pathlib import Path
 from typing import (
     Any,
@@ -83,7 +86,7 @@ from typing import (
 from repro.obs.bus import SCHEMA_VERSION, Event
 
 #: Container layout version (independent of the event schema version).
-STORE_VERSION = 2
+STORE_VERSION = 3
 _MAGIC_HEAD, _MAGIC_TAIL = b"RTRC", b"\n"
 MAGIC = _MAGIC_HEAD + bytes([STORE_VERSION]) + _MAGIC_TAIL
 TRAILER_MAGIC = b"RTRCIDX" + bytes([STORE_VERSION])
@@ -94,13 +97,15 @@ _OFF = struct.Struct("<Q")
 #: Events buffered per block before compression.
 DEFAULT_BLOCK_EVENTS = 4096
 #: zlib level; fixed so identical event streams give identical bytes.
-#: Chosen by rule from a measured table: the cheapest level whose file is no
-#: larger than container version 1 (timestamps as text, level 6) wrote for
-#: the same stream, on both streams below.  zlib seconds are medians of 15
-#: interleaved passes over the 102 block payloads of the ``udt_traced``
-#: stream (benchmarks/perf, seed 1: 414 948 events, 14 376 503 payload
-#: bytes); bytes are whole files, ``udt_traced`` / CI's fig02 packet cell
-#: (854 405 events).  docs/PERFORMANCE.md, "Trace writer", has the rest.
+#: Chosen on container version 2 by rule from a measured table: the cheapest
+#: level whose file is no larger than container version 1 (timestamps as
+#: text, level 6) wrote for the same stream, on both streams below.  zlib
+#: seconds are medians of 15 interleaved passes over the 102 block payloads
+#: of the ``udt_traced`` stream (benchmarks/perf, seed 1: 414 948 events,
+#: 14 376 503 payload bytes); bytes are whole version-2 files, ``udt_traced``
+#: / CI's fig02 packet cell (854 405 events).  The rule was not re-checked on
+#: version 3, whose level-2 files are 3 976 020 / 7 039 890 bytes.
+#: docs/PERFORMANCE.md, "Trace writer", has the rest.
 #:
 #:     level   zlib s   udt_traced B   fig02 cell B
 #:     v1 @ 6   0.72      4 437 067      8 598 648     (the bound)
@@ -113,7 +118,6 @@ DEFAULT_BLOCK_EVENTS = 4096
 COMPRESSION_LEVEL = 2
 
 _dumps = json.dumps
-_row_kind = itemgetter(0)
 #: ``feed``'s marker for a record that has no ``t`` key.
 _ABSENT = object()
 
@@ -165,24 +169,26 @@ class RtrcWriter:
         self._out: BinaryIO = open(self.path, "wb")
         self._out.write(MAGIC)
         self.block_events = block_events
-        self.events_written = 0
+        self._flushed = 0
         self._meta_written = False
         self._index: List[Dict[str, Any]] = []
         self._closed = False
         self._new_block()
 
+    @property
+    def events_written(self) -> int:
+        return self._flushed + len(self._rows)
+
     def _new_block(self) -> None:
-        """Empty rows, time column and interning tables for the next block."""
-        self._rows: List[list] = []
+        """Empty key table, key column, value columns and time column."""
+        #: ``(kind, src, *field names)`` -> its index in ``_heads``
+        self._key_ids: Dict[tuple, int] = {}
+        self._heads: List[list] = []  # [kind, src, [field, ...]] per key
+        self._values: List[list] = []  # per key, its events' values in order
+        self._rows: List[int] = []  # per event, its key's index
         self._times: List[float] = []
         #: ``[row, t]`` / ``[row]`` for every ``t`` the column cannot hold
         self._odd_times: List[list] = []
-        self._kinds: List[str] = []
-        self._kind_ids: Dict[str, int] = {}
-        self._srcs: List[str] = []
-        self._src_ids: Dict[str, int] = {}
-        self._shapes: List[Tuple[str, ...]] = []
-        self._shape_ids: Dict[Tuple[str, ...], int] = {}
 
     # -- meta ------------------------------------------------------------
     def write_meta(self, **meta: Any) -> None:
@@ -200,31 +206,24 @@ class RtrcWriter:
 
     # -- event intake ----------------------------------------------------
     def on_event(self, ev: Event) -> None:
-        """Bus subscriber entry point: intern one event into the pending block."""
+        """Bus subscriber entry point: file one event under its key."""
         if not self._meta_written:
             self.write_meta()
-        kind, src, fields = ev.kind, ev.src, ev.fields
-        ki = self._kind_ids.get(kind)
+        fields = ev.fields
+        key = (ev.kind, ev.src, *fields)
+        ki = self._key_ids.get(key)
         if ki is None:
-            ki = self._kind_ids[kind] = len(self._kinds)
-            self._kinds.append(kind)
-        si = self._src_ids.get(src)
-        if si is None:
-            si = self._src_ids[src] = len(self._srcs)
-            self._srcs.append(src)
-        shape = tuple(fields)
-        fi = self._shape_ids.get(shape)
-        if fi is None:
-            fi = self._shape_ids[shape] = len(self._shapes)
-            self._shapes.append(shape)
+            ki = self._key_ids[key] = len(self._heads)
+            self._heads.append([ev.kind, ev.src, list(fields)])
+            self._values.append([])
+        self._values[ki].extend(fields.values())
         rows, t = self._rows, ev.t
         if isinstance(t, float):
             self._times.append(t)
         else:
             self._odd_times.append([len(rows)] if t is _ABSENT else [len(rows), t])
             self._times.append(0.0)
-        rows.append([ki, si, fi, *fields.values()])
-        self.events_written += 1
+        rows.append(ki)
         if len(rows) >= self.block_events:
             self._flush_block()
 
@@ -260,9 +259,9 @@ class RtrcWriter:
     def _flush_block(self) -> None:
         if not self._rows:
             return
-        rows, kinds, times = self._rows, self._kinds, self._times
+        rows, heads, times = self._rows, self._heads, self._times
         column = struct.pack(f"<{len(times)}d", *times)
-        head = {"k": kinds, "s": self._srcs, "f": self._shapes, "e": rows}
+        head = {"h": heads, "r": rows, "v": self._values}
         if self._odd_times:
             head["t"] = self._odd_times
             # ``times`` only feeds the index from here on: what the index
@@ -275,17 +274,20 @@ class RtrcWriter:
         )
         # Block stats are derived here, once per block, rather than
         # maintained per event — the append path stays lean.
-        counts = Counter(map(_row_kind, rows))
+        counts: Counter = Counter()
+        for ki, n in Counter(rows).items():
+            counts[heads[ki][0]] += n
         self._index.append(
             {
                 "o": offset,
                 "n": len(rows),
                 "t0": min(times),
                 "t1": max(times),
-                "k": dict(sorted((kinds[i], n) for i, n in counts.items())),
-                "s": sorted(self._srcs),
+                "k": dict(sorted(counts.items())),
+                "s": sorted({src for _, src, _ in heads}),
             }
         )
+        self._flushed += len(rows)
         self._new_block()
 
     def close(self) -> None:
@@ -318,13 +320,26 @@ def _decode_block(payload: bytes) -> List[Dict[str, Any]]:
     (head_len,) = _LEN.unpack_from(payload)
     column_at = _LEN.size + head_len
     head = json.loads(payload[_LEN.size:column_at])
-    kinds, srcs, shapes, rows = head["k"], head["s"], head["f"], head["e"]
+    heads, columns, rows = head["h"], head["v"], head["r"]
     # struct.error unless the column is exactly one double per row
     times = struct.unpack(f"<{len(rows)}d", payload[column_at:])
+    # every key index names a key, and every value column holds exactly
+    # the values its key's events need
+    filed = Counter(rows)
+    if (len(columns) != len(heads) or not filed.keys() <= set(range(len(heads)))
+            or [len(v) for v in columns]
+            != [filed[ki] * len(f) for ki, (_, _, f) in enumerate(heads)]):
+        raise ValueError("the block's columns do not add up")
+    # per key: a record to copy (every key in place, so filling it never
+    # grows the dict), its field names and a cursor into its value column
+    keys = [({"t": 0.0, "kind": k, "src": s, **dict.fromkeys(f)}, f, iter(v))
+            for (k, s, f), v in zip(heads, columns)]
     recs = []
-    for t, row in zip(times, rows):
-        rec = {"t": t, "kind": kinds[row[0]], "src": srcs[row[1]]}
-        rec.update(zip(shapes[row[2]], row[3:]))
+    for t, ki in zip(times, rows):
+        blank, fields, values = keys[ki]
+        rec = blank.copy()
+        rec["t"] = t
+        rec.update(zip(fields, values))
         recs.append(rec)
     for i, *value in head.get("t", ()):
         if value:

@@ -142,6 +142,43 @@ class TestLoopback:
 
         self._transfer_survives(disturb)
 
+    @pytest.mark.parametrize("thread", ["receive", "timer"])
+    def test_a_core_exception_fails_the_endpoint_loudly(self, thread):
+        """The thread the core raised on keeps the exception; the blocked
+        reader gets it as a ``ConnectionError`` at once, not a 10 s
+        ``TimeoutError``.  The receive thread fails on the server's first
+        DATA packet, the timer thread on the client's first send tick."""
+        server = LiveUdtEndpoint(("127.0.0.1", 0))
+        client = LiveUdtEndpoint(("127.0.0.1", 0))
+        failing = server if thread == "receive" else client
+        on_datagram = server.core.on_datagram
+
+        def faulty(*args):
+            if thread == "timer" or isinstance(args[0], P.DataPacket):
+                raise RuntimeError("core fault")
+            on_datagram(*args)
+
+        if thread == "receive":
+            server.core.on_datagram = faulty
+        else:
+            client.core._on_send_timer = faulty
+        try:
+            server.listen()
+            client.connect(server.local_addr)
+            t = threading.Thread(target=client.send, args=(os.urandom(10_000),))
+            t.start()
+            t0 = time.monotonic()
+            with pytest.raises(ConnectionError) as info:
+                failing.recv_exactly(10_000, timeout=10)
+            assert time.monotonic() - t0 < 1.5
+            assert str(info.value.__cause__) == "core fault"
+            with pytest.raises(ConnectionError):
+                failing.send(b"x")
+            t.join(timeout=5.0)
+        finally:
+            client.close()
+            server.close()
+
     def test_a_third_sockets_shutdown_leaves_the_transfer_intact(self):
         """Only the peer's datagrams reach the core (a source check, not
         authentication)."""

@@ -326,6 +326,37 @@ class TestFidelityGate:
         assert "fig08: loss_events drifted -8 beyond ±7.2" in err
         assert "claim" not in err  # claims are a packet-level matter
 
+    def test_cli_update_keeps_host_timed_values(self, tmp_path, capsys):
+        """fig09's values are host wall-clock: a re-sweep's new timings do
+        not rewrite them, while fig08's values and fig09's digest follow."""
+        cache, path = tmp_path / "cache", tmp_path / "ledger.json"
+        where = ["--only", "fig08,fig09", "--ledger", str(path),
+                 "--cache-dir", str(cache)]
+        columns = ["structure", "insert mean", "insert max", "query mean",
+                   "delete mean"]
+
+        def sweep(us, lost):
+            seed_cache(cache, "fig09", _result("fig09", columns, [
+                ["range list (UDT)", us, 9.0, us, us],
+                ["naive per-packet", 100 * us, 900.0, us, us],
+            ]))
+            rows = [[i + 1, n] for i, n in enumerate([lost, 900, 150, 720] * 3)]
+            return seed_cache(cache, "fig08", _result("fig08", FIG08_RESULT["columns"], rows))
+
+        sweep(1.71, 400)
+        write_json_atomic(path, {"schema": FIDELITY_SCHEMA, "scale": 0.05,
+                                 "experiments": {}})
+        assert main(["--update", *where]) == 0
+        before = read_ledger(path)["experiments"]
+        assert before["fig09"]["metrics"]["range_insert_mean_us"] == 1.71
+        fig08_digest = sweep(1.42, 500)
+        assert main(["--update", *where]) == 0
+        after = read_ledger(path)["experiments"]
+        assert after["fig09"]["metrics"] == before["fig09"]["metrics"]
+        assert after["fig08"]["digest"] == fig08_digest
+        assert after["fig08"]["metrics"] != before["fig08"]["metrics"]
+        capsys.readouterr()
+
     def test_cli_render_writes_svg(self, tmp_path, capsys):
         seed_cache(tmp_path / "cache", "fig08", FIG08_RESULT)
         path, _data = self._ledger(tmp_path)

@@ -30,6 +30,7 @@ import re
 import struct
 import warnings
 import zlib
+from collections import Counter
 from itertools import zip_longest
 from pathlib import Path
 from types import SimpleNamespace
@@ -399,11 +400,15 @@ class TestTruncation:
 
     def test_version_1_container_is_refused_by_name(self, tmp_path):
         """No second decoder: an old file is told apart by its magic."""
-        assert STORE_VERSION == 2 and MAGIC[4] == TRAILER_MAGIC[-1] == 2
+        assert STORE_VERSION == 3 and MAGIC[4] == TRAILER_MAGIC[-1] == 3
         p = tmp_path / "old.rtrc"
-        p.write_bytes(b"RTRC\x01\n" + b"M\x00\x00\x00\x00" + b"RTRCIDX\x01")
-        with pytest.raises(RtrcFormatError, match=r"version 1\b.* reads 2\b"):
-            open_trace(p)
+        for old in (1, 2):
+            v = bytes([old])
+            p.write_bytes(b"RTRC" + v + b"\n" + b"M\x00\x00\x00\x00" + b"RTRCIDX" + v)
+            with pytest.raises(
+                RtrcFormatError, match=rf"version {old}\b.* reads 3\b.*re-record"
+            ):
+                open_trace(p)
 
     def test_every_prefix_and_byte_flip_fails_one_way(self, tmp_path):
         """Damage anywhere: a prefix of the events, or ``RtrcFormatError``.
@@ -448,6 +453,30 @@ class TestTruncation:
         # most damage costs a tail of the trace, not the trace
         assert tally["short"] > tally["refused"] > 0 and tally["full"] > 0, tally
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda head: head["v"][0].pop(),
+            lambda head: head["v"][0].append(0),
+            lambda head: head["r"].__setitem__(-1, -1),
+            lambda head: head["r"].__setitem__(-1, len(head["h"])),
+            lambda head: head["v"].append([]),
+        ],
+        ids=["value-short", "value-over", "key-negative", "key-past-end", "no-key"],
+    )
+    def test_a_block_whose_columns_do_not_add_up_is_damage(self, tmp_path, edit):
+        """A well-framed block is still refused when its head's columns do
+        not match: no event is made up from a neighbour's values or a blank."""
+        p = _tiny_rtrc(tmp_path / "t.rtrc", n=10, block_events=10)
+        original = list(read_events(p))
+        _rewrite_block_head(p, lambda head: None)
+        assert list(read_events(p, strict=True)) == original
+        _rewrite_block_head(p, edit)
+        with pytest.raises(RtrcFormatError, match="columns do not add up"):
+            list(read_events(p, strict=True))
+        with pytest.warns(TruncatedTraceWarning):
+            assert list(read_events(p)) == []
+
 
 # -- container layout -------------------------------------------------------
 
@@ -464,12 +493,30 @@ def _frames(path):
         offset = body + clen
 
 
+def _rewrite_block_head(path, edit):
+    """Rebuild a one-block container with ``edit`` applied to its block's head."""
+    (_, block), (_, footer) = [f for f in _frames(path) if f[0] != b"M"]
+    (head_len,) = struct.unpack_from("<I", block)
+    head = json.loads(block[4:4 + head_len])
+    edit(head)
+    head_json = json.dumps(head).encode()
+    payload = zlib.compress(struct.pack("<I", len(head_json)) + head_json
+                            + block[4 + head_len:])
+    body = path.read_bytes()[:json.loads(footer)["blocks"][0]["o"]]
+    body += b"B" + struct.pack("<I", len(payload)) + payload
+    footer = zlib.compress(footer)
+    path.write_bytes(body + b"F" + struct.pack("<I", len(footer)) + footer
+                     + struct.pack("<Q", len(body)) + TRAILER_MAGIC)
+
+
 class TestLayout:
     def test_timestamps_and_key_ids_are_out_of_the_json(self, traced_run):
         """The structural gate: what a block holds, counted in bytes.
 
         Version 1 printed every timestamp as a 17-digit decimal and
-        repeated a key id per value: 47.9 B/event on this run, 32.1 now.
+        repeated a key id per value: 47.9 B/event on this run.  Version 2
+        wrote one JSON row per event (32.1); version 3 one value column
+        per distinct (kind, src, field names) key, 26.8.
         """
         tags, events, payload_bytes, first_t = "", 0, 0, None
         for tag, payload in _frames(traced_run.rtrc):
@@ -480,18 +527,46 @@ class TestLayout:
             (head_len,) = struct.unpack_from("<I", payload)
             head = json.loads(payload[4:4 + head_len])
             column = payload[4 + head_len:]
-            assert set(head) == {"k", "s", "f", "e"}  # no "t": every t a float
-            assert len(column) == 8 * len(head["e"])
-            for row in head["e"]:
-                assert len(row) == 3 + len(head["f"][row[2]])
+            assert set(head) == {"h", "r", "v"}  # no "t": every t a float
+            assert len(column) == 8 * len(head["r"])
+            assert len(head["h"]) == len(head["v"]) < 100  # keys, not rows
+            filed = Counter(head["r"])
+            for ki, (_kind, _src, fields) in enumerate(head["h"]):
+                assert len(head["v"][ki]) == filed[ki] * len(fields)
             if first_t is None:
                 (first_t,) = struct.unpack_from("<d", column)  # little-endian
-            events += len(head["e"])
+            events += len(head["r"])
         assert re.fullmatch("MB+F", tags)
         with RtrcReader(traced_run.rtrc) as reader:
             assert events == reader.events_total
             assert next(reader.iter_events())["t"] == first_t
-        assert payload_bytes / events < 36.0, payload_bytes / events
+        assert payload_bytes / events < 29.0, payload_bytes / events
+
+    def test_one_kind_and_src_with_two_field_sets(self, tmp_path):
+        """Two keys share (kind, src); each event gets its own values back."""
+        recs = [
+            {"t": 0.5, "kind": "k", "src": "s", "a": 1},
+            {"t": 1.5, "kind": "k", "src": "s", "a": 2, "b": "x"},
+            {"t": 2.5, "kind": "k", "src": "s", "b": "y", "a": 3},
+            {"t": 3.5, "kind": "k", "src": "s", "a": 4},
+            {"t": 4.5, "kind": "k", "src": "s", "a": 5, "b": "z"},
+        ]
+        p = tmp_path / "two.rtrc"
+        w = RtrcWriter(p)
+        for rec in recs:
+            w.feed(rec)
+        assert w.events_written == len(recs)
+        w.close()
+        (payload,) = [body for tag, body in _frames(p) if tag == b"B"]
+        (head_len,) = struct.unpack_from("<I", payload)
+        head = json.loads(payload[4:4 + head_len])
+        assert head["h"] == [["k", "s", ["a"]], ["k", "s", ["a", "b"]],
+                             ["k", "s", ["b", "a"]]]
+        assert head["r"] == [0, 1, 2, 0, 1]
+        assert head["v"] == [[1, 4], [2, "x", 5, "z"], ["y", 3]]
+        got = list(read_events(p))
+        assert got == recs
+        assert [list(r) for r in got] == [list(r) for r in recs]  # key order
 
     def test_event_region_offset_lands_on_first_block(self, tmp_path):
         p = _tiny_rtrc(tmp_path / "t.rtrc")
@@ -615,7 +690,7 @@ class TestTraceCli:
         old.write_bytes(b"RTRC\x01\n" + b"\0" * 32)
         junk.write_bytes(b"PK\x03\x04 not a trace")
         for argv, reason in (
-            (("info", str(old)), "container version 1, this reader reads 2"),
+            (("info", str(old)), "container version 1, this reader reads 3"),
             (("query", str(old), "--kind", "cc.sample"), "re-record the trace"),
             (("convert", str(junk), str(tmp_path / "out.jsonl")), "bad magic"),
         ):

@@ -261,24 +261,25 @@ class TestSweepEndToEnd:
         traces1 = tmp_path / "tr-jobs1"
         traces4 = tmp_path / "tr-jobs4"
 
-        cold = run_sweep(only=self.ONLY, jobs=1, scale=SCALE, cache_dir=cache_dir)
+        # Trace runs execute (never served from cache) so traces exist to
+        # compare, and still store their entry: the traced jobs=1 pass is
+        # the cold pass that fills the cache.
+        cold = run_sweep(
+            only=self.ONLY, jobs=1, scale=SCALE, cache_dir=cache_dir,
+            trace_dir=traces1,
+        )
         assert cold.ok and cold.executed == self.ONLY and not cold.cached
 
         warm = run_sweep(only=self.ONLY, jobs=1, scale=SCALE, cache_dir=cache_dir)
         assert warm.ok and warm.cached == self.ONLY and not warm.executed
         assert warm.digests == cold.digests
 
-        # Trace runs execute (never served from cache) so traces exist to
-        # compare; jobs must not affect a single byte of them.
-        t1 = run_sweep(
-            only=self.ONLY, jobs=1, scale=SCALE, cache_dir=cache_dir,
-            trace_dir=traces1,
-        )
+        # jobs must not affect a single byte of the traces.
         t4 = run_sweep(
             only=self.ONLY, jobs=4, scale=SCALE, cache_dir=cache_dir,
             trace_dir=traces4,
         )
-        assert t1.ok and t4.ok
+        assert t4.ok and t4.executed == self.ONLY
         for exp_id in self.ONLY:
             a = (traces1 / f"{exp_id}.jsonl").read_bytes()
             b = (traces4 / f"{exp_id}.jsonl").read_bytes()
