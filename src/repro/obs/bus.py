@@ -7,15 +7,19 @@ A bus is a list of subscribers plus one ``enabled`` boolean maintained as
     if bus.enabled:
         bus.emit(KIND, t, src, field=value, ...)
 
-so the disabled path costs one attribute load and a branch — no event
-object, no keyword dict, no call.  That is what makes it safe to leave
-the instrumentation compiled into the protocol hot paths (the Narses
-lesson: telemetry nobody can afford to turn on never gets used).
+so the disabled path costs one attribute load and a branch — no keyword
+dict, no call.  That is what makes it safe to leave the instrumentation
+compiled into the protocol hot paths (the Narses lesson: telemetry nobody
+can afford to turn on never gets used).
 
 Events are typed by dotted-string kind (constants below), timestamped in
 the emitting component's virtual time, and carry a ``src`` naming the
-emitting component (a connection endpoint, a link, a meter).  Subscribers
-may filter by kind at subscription time; filtering happens inside
+emitting component (a connection endpoint, a link, a meter).  An event
+is a call, not an object: every subscriber is called as
+``fn(kind, t, src, fields)``, where ``fields`` is the emit call's own
+keyword dict, shared by every subscriber and read-only by convention (a
+subscriber that keeps it past the call copies it).  Subscribers may
+filter by kind at subscription time; filtering happens inside
 :meth:`EventBus.emit` so uninterested subscribers never run.
 """
 
@@ -23,8 +27,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
-#: Version of the flat record layout (:meth:`Event.to_dict`), stamped into
-#: every trace's ``trace.meta`` header by both trace writers.
+#: Version of the flat record layout (``{"t", "kind", "src", **fields}``),
+#: stamped into every trace's ``trace.meta`` header by both trace writers.
 SCHEMA_VERSION = 1
 
 # ---------------------------------------------------------------------------
@@ -87,7 +91,9 @@ LINK_DEQ = "link.deq"
 
 
 class Event:
-    """One telemetry event: ``(t, kind, src)`` plus free-form fields."""
+    """One event held as a value: what :meth:`RtrcWriter.on_event
+    <repro.obs.store.RtrcWriter.on_event>` takes.  The bus never builds
+    one; it calls its subscribers with the four parts instead."""
 
     __slots__ = ("t", "kind", "src", "fields")
 
@@ -97,14 +103,9 @@ class Event:
         self.src = src
         self.fields = fields
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Flat dict form — the JSONL record layout."""
-        d = {"t": self.t, "kind": self.kind, "src": self.src}
-        d.update(self.fields)
-        return d
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Event {self.kind} t={self.t:.6f} src={self.src} {self.fields}>"
+#: A subscriber: ``fn(kind, t, src, fields)``.
+Subscriber = Callable[[str, float, str, Dict[str, Any]], None]
 
 
 class Subscription:
@@ -114,7 +115,7 @@ class Subscription:
 
     def __init__(
         self,
-        fn: Callable[[Event], None],
+        fn: Subscriber,
         kinds: Optional[frozenset],
         detail: bool = False,
     ):
@@ -142,11 +143,12 @@ class EventBus:
     # -- subscription ----------------------------------------------------
     def subscribe(
         self,
-        fn: Callable[[Event], None],
+        fn: Subscriber,
         kinds: Optional[Iterable[str]] = None,
         detail: bool = False,
     ) -> Subscription:
-        """Attach ``fn``; it receives every event (or only ``kinds``).
+        """Attach ``fn``; it is called as ``fn(kind, t, src, fields)`` for
+        every event (or only ``kinds``).
 
         ``detail=True`` additionally wakes the packet-level emit sites;
         without it they stay dormant even while the bus is enabled.
@@ -169,19 +171,15 @@ class EventBus:
         return len(self._subs)
 
     # -- emission --------------------------------------------------------
-    def emit(self, kind: str, t: float, src: str, **fields: Any) -> Optional[Event]:
+    def emit(self, kind: str, t: float, src: str, **fields: Any) -> None:
         """Deliver one event to every matching subscriber.
 
         Callers should only reach this when :attr:`enabled` is True, but
-        emitting on a disabled bus is harmless (returns None).
+        emitting on a disabled bus is harmless.
         """
-        if not self._subs:
-            return None
-        ev = Event(t, kind, src, fields)
         for sub in self._subs:
             if sub.kinds is None or kind in sub.kinds:
-                sub.fn(ev)
-        return ev
+                sub.fn(kind, t, src, fields)
 
 
 #: The process-wide bus components fall back to when none is passed in.

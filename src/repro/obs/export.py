@@ -25,8 +25,9 @@ the other.  The two readers share one surface — ``meta``,
 ``stats()``, ``event_stream()``, ``events_total``, ``truncated``,
 ``scan_counters()`` — which the ``.rtrc`` reader answers from its block
 index and the JSONL reader by scanning; the two writers share
-``write_meta`` / ``on_event`` / ``feed`` / ``close`` /
-``events_written``.  :func:`read_events` is the function consumers call
+``write_meta`` / ``record`` / ``feed`` / ``close`` /
+``events_written``, where ``record(kind, t, src, fields)`` is a bus
+subscriber.  :func:`read_events` is the function consumers call
 (timelines, spans, reports, conformance): the same flat dicts whatever
 the format.  :func:`trace_session` is the one place a writer is
 subscribed to a bus.
@@ -55,7 +56,6 @@ from typing import (
 from repro.obs.bus import (
     CC_SAMPLE,
     SCHEMA_VERSION,
-    Event,
     EventBus,
     Subscription,
     default_bus,
@@ -99,8 +99,9 @@ class JsonlWriter:
         rec.update(meta)
         self._out.write(dump_record(rec) + "\n")
 
-    def on_event(self, ev: Event) -> None:
-        self._out.write(dump_record(ev.to_dict()) + "\n")
+    def record(self, kind: str, t: float, src: str, fields: Dict[str, Any]) -> None:
+        """Bus subscriber entry point: one flat record, one line."""
+        self._out.write(dump_record({"t": t, "kind": kind, "src": src, **fields}) + "\n")
         self.events_written += 1
 
     def feed(self, rec: Dict[str, Any]) -> None:
@@ -354,15 +355,16 @@ class TraceSummary:
         self.t_min: Optional[float] = None
         self.t_max: Optional[float] = None
 
-    def on_event(self, ev: Event) -> None:
-        self.counts[ev.kind] += 1
-        self.by_src[ev.src][ev.kind] += 1
-        if self.t_min is None or ev.t < self.t_min:
-            self.t_min = ev.t
-        if self.t_max is None or ev.t > self.t_max:
-            self.t_max = ev.t
-        if ev.kind == CC_SAMPLE:
-            self.last_cc[ev.src] = dict(ev.fields, t=ev.t)
+    def record(self, kind: str, t: float, src: str, fields: Dict[str, Any]) -> None:
+        """Bus subscriber entry point."""
+        self.counts[kind] += 1
+        self.by_src[src][kind] += 1
+        if self.t_min is None or t < self.t_min:
+            self.t_min = t
+        if self.t_max is None or t > self.t_max:
+            self.t_max = t
+        if kind == CC_SAMPLE:
+            self.last_cc[src] = dict(fields, t=t)
 
     @property
     def total_events(self) -> int:
@@ -436,10 +438,10 @@ def trace_session(
         if trace_path:
             writer = make_trace_writer(trace_path)
             writer.write_meta(packet_detail=packets, **meta)
-            subs.append(bus.subscribe(writer.on_event, kinds=kinds, detail=packets))
+            subs.append(bus.subscribe(writer.record, kinds=kinds, detail=packets))
         if summary:
             summ = TraceSummary()
-            subs.append(bus.subscribe(summ.on_event, kinds=kinds))
+            subs.append(bus.subscribe(summ.record, kinds=kinds))
         yield TraceSession(writer, summ)
     finally:
         for sub in subs:

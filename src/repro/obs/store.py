@@ -22,7 +22,8 @@ stream in a framed, compressed, *indexed* container:
 
 Everything is deterministic — block boundaries depend only on the event
 stream, the time column is little-endian on every host, compression is
-single-threaded zlib at a fixed level — so the byte-identity guarantees
+zlib at a fixed level, and the one writer thread writes frames in the
+order they are handed to it — so the byte-identity guarantees
 the sweep runner and determinism sanitizer make for JSONL traces carry
 over to ``.rtrc`` unchanged.
 
@@ -67,7 +68,9 @@ import pointing that way).
 from __future__ import annotations
 
 import json
+import queue
 import struct
+import threading
 import zlib
 from collections import Counter
 from pathlib import Path
@@ -152,12 +155,53 @@ _DAMAGE = (struct.error, ValueError, LookupError, TypeError)
 # ---------------------------------------------------------------------------
 
 
+def _write_frame(out: BinaryIO, tag: bytes, payload: bytes) -> int:
+    """Compress + frame one payload at the end of ``out``; returns its offset."""
+    offset = out.tell()
+    data = zlib.compress(payload, COMPRESSION_LEVEL)
+    out.write(tag)
+    out.write(_LEN.pack(len(data)))
+    out.write(data)
+    return offset
+
+
+def _frame_writer(jobs: queue.Queue, out: BinaryIO, failed: List[Exception]) -> None:
+    """The writer thread: frames ``(tag, payload, index entry)`` jobs in
+    order until ``None``, setting each block entry's ``"o"`` to where its
+    frame landed.  After a failure it only drains, so the caller never
+    blocks on a full queue; the caller re-raises ``failed[0]``."""
+    while True:
+        job = jobs.get()
+        if job is None:
+            return
+        if failed:
+            continue
+        tag, payload, entry = job
+        try:
+            offset = _write_frame(out, tag, payload)
+        except Exception as exc:  # re-raised on the caller's thread
+            failed.append(exc)
+        else:
+            if entry is not None:
+                entry["o"] = offset
+
+
 class RtrcWriter:
     """Streams bus events into an ``.rtrc`` container.
 
-    Same surface as the JSONL writer (``write_meta`` / ``on_event`` /
+    Same surface as the JSONL writer (``write_meta`` / ``record`` /
     ``feed`` / ``close`` / ``events_written``), so ``trace_session`` and
     ``convert_trace`` drive either writer interchangeably.
+
+    Events are filed and blocks JSON-encoded on the caller's thread;
+    compressing and writing the frames happens on one ``rtrc-writer``
+    thread, started here and joined by :meth:`close` (zlib and file
+    writes release the interpreter lock, so on a free second core they
+    overlap the caller's work).  At most two blocks are handed over and
+    not yet written; an error the thread met re-raises from the next
+    block flush or from :meth:`close`.  Frames are written in the order
+    they are handed over, so the bytes are those of a writer without the
+    thread.
     """
 
     def __init__(
@@ -173,6 +217,16 @@ class RtrcWriter:
         self._meta_written = False
         self._index: List[Dict[str, Any]] = []
         self._closed = False
+        # one block queued, one being written
+        self._jobs: queue.Queue = queue.Queue(maxsize=1)
+        self._failed: List[Exception] = []
+        self._worker = threading.Thread(
+            target=_frame_writer,
+            args=(self._jobs, self._out, self._failed),
+            name="rtrc-writer",
+            daemon=True,
+        )
+        self._worker.start()
         self._new_block()
 
     @property
@@ -201,23 +255,22 @@ class RtrcWriter:
         """Store an already-shaped meta record verbatim (conversion path)."""
         if self._meta_written:
             raise RuntimeError("trace.meta already written")
-        self._write_frame(_TAG_META, dump_record(rec).encode("utf-8"))
+        self._submit(_TAG_META, dump_record(rec).encode("utf-8"))
         self._meta_written = True
 
     # -- event intake ----------------------------------------------------
-    def on_event(self, ev: Event) -> None:
+    def record(self, kind: str, t: Any, src: str, fields: Dict[str, Any]) -> None:
         """Bus subscriber entry point: file one event under its key."""
         if not self._meta_written:
             self.write_meta()
-        fields = ev.fields
-        key = (ev.kind, ev.src, *fields)
+        key = (kind, src, *fields)
         ki = self._key_ids.get(key)
         if ki is None:
             ki = self._key_ids[key] = len(self._heads)
-            self._heads.append([ev.kind, ev.src, list(fields)])
+            self._heads.append([kind, src, list(fields)])
             self._values.append([])
         self._values[ki].extend(fields.values())
-        rows, t = self._rows, ev.t
+        rows = self._rows
         if isinstance(t, float):
             self._times.append(t)
         else:
@@ -226,6 +279,10 @@ class RtrcWriter:
         rows.append(ki)
         if len(rows) >= self.block_events:
             self._flush_block()
+
+    def on_event(self, ev: Event) -> None:
+        """:meth:`record` for an event held as a value."""
+        self.record(ev.kind, ev.t, ev.src, ev.fields)
 
     def feed(self, rec: Dict[str, Any]) -> None:
         """Ingest a flat JSONL-shaped record (the conversion path).
@@ -237,24 +294,19 @@ class RtrcWriter:
             self._write_meta_record(rec)
             return
         fields = dict(rec)
-        self.on_event(
-            Event(
-                fields.pop("t", _ABSENT),
-                fields.pop("kind", ""),
-                fields.pop("src", ""),
-                fields,
-            )
-        )
+        t = fields.pop("t", _ABSENT)
+        self.record(fields.pop("kind", ""), t, fields.pop("src", ""), fields)
 
     # -- framing ---------------------------------------------------------
-    def _write_frame(self, tag: bytes, payload: bytes) -> int:
-        """Compress + frame one payload; returns the frame's offset."""
-        offset = self._out.tell()
-        data = zlib.compress(payload, COMPRESSION_LEVEL)
-        self._out.write(tag)
-        self._out.write(_LEN.pack(len(data)))
-        self._out.write(data)
-        return offset
+    def _submit(
+        self, tag: bytes, payload: bytes, entry: Optional[Dict[str, Any]] = None
+    ) -> None:
+        """Hand one frame to the writer thread, first re-raising its error."""
+        if self._failed:
+            raise self._failed[0]
+        if self._closed:
+            raise ValueError(f"{self.path}: the trace writer is closed")
+        self._jobs.put((tag, payload, entry))
 
     def _flush_block(self) -> None:
         if not self._rows:
@@ -269,45 +321,54 @@ class RtrcWriter:
             for i, *value in self._odd_times:
                 times[i] = _index_time(*value)
         head_json = _dumps(head, separators=(",", ":"), default=str).encode("utf-8")
-        offset = self._write_frame(
-            _TAG_BLOCK, _LEN.pack(len(head_json)) + head_json + column
-        )
         # Block stats are derived here, once per block, rather than
-        # maintained per event — the append path stays lean.
+        # maintained per event — the append path stays lean.  The writer
+        # thread fills in ``"o"`` once the frame has an offset.
         counts: Counter = Counter()
         for ki, n in Counter(rows).items():
             counts[heads[ki][0]] += n
-        self._index.append(
-            {
-                "o": offset,
-                "n": len(rows),
-                "t0": min(times),
-                "t1": max(times),
-                "k": dict(sorted(counts.items())),
-                "s": sorted({src for _, src, _ in heads}),
-            }
-        )
+        entry = {
+            "o": None,
+            "n": len(rows),
+            "t0": min(times),
+            "t1": max(times),
+            "k": dict(sorted(counts.items())),
+            "s": sorted({src for _, src, _ in heads}),
+        }
+        self._submit(_TAG_BLOCK, _LEN.pack(len(head_json)) + head_json + column, entry)
+        self._index.append(entry)
         self._flushed += len(rows)
         self._new_block()
 
     def close(self) -> None:
+        """Flush, join the writer thread, write the footer and trailer."""
         if self._closed:
             return
-        if not self._meta_written:
-            self.write_meta()
-        self._flush_block()
-        footer = {
-            "store": STORE_VERSION,
-            "events": self.events_written,
-            "blocks": self._index,
-        }
-        offset = self._write_frame(
-            _TAG_FOOTER, _dumps(footer, separators=(",", ":")).encode("utf-8")
-        )
-        self._out.write(_OFF.pack(offset))
-        self._out.write(TRAILER_MAGIC)
-        self._out.close()
-        self._closed = True
+        try:
+            try:
+                if not self._meta_written:
+                    self.write_meta()
+                self._flush_block()
+            finally:
+                self._closed = True
+                self._jobs.put(None)
+                self._worker.join()
+            if self._failed:
+                raise self._failed[0]
+            footer = {
+                "store": STORE_VERSION,
+                "events": self.events_written,
+                "blocks": self._index,
+            }
+            offset = _write_frame(
+                self._out,
+                _TAG_FOOTER,
+                _dumps(footer, separators=(",", ":")).encode("utf-8"),
+            )
+            self._out.write(_OFF.pack(offset))
+            self._out.write(TRAILER_MAGIC)
+        finally:
+            self._out.close()
 
 
 # ---------------------------------------------------------------------------

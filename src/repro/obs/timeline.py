@@ -17,7 +17,7 @@ re-plottable "from the trace alone".
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.obs.bus import (
     CC_SAMPLE,
@@ -25,7 +25,6 @@ from repro.obs.bus import (
     EventBus,
     RCV_LOSS,
     SND_NAK,
-    Event,
     Subscription,
     default_bus,
 )
@@ -65,7 +64,7 @@ class TimelineRecorder:
         if self._sub is not None:
             raise RuntimeError("recorder already attached")
         self._bus = bus if bus is not None else default_bus()
-        self._sub = self._bus.subscribe(self.on_event, kinds=TIMELINE_KINDS)
+        self._sub = self._bus.subscribe(self.record, kinds=TIMELINE_KINDS)
         return self
 
     def detach(self) -> None:
@@ -82,25 +81,25 @@ class TimelineRecorder:
         self.detach()
 
     # -- ingestion -------------------------------------------------------
-    def on_event(self, ev: Event) -> None:
-        if ev.kind == CC_SAMPLE:
-            series = self.samples[ev.src]
+    def record(self, kind: str, t: float, src: str, fields: Dict[str, Any]) -> None:
+        """Bus subscriber entry point."""
+        if kind == CC_SAMPLE:
+            series = self.samples[src]
             if len(series) < self.max_samples_per_conn:
-                f = ev.fields
                 series.append(
                     CcSample(
-                        t=ev.t,
-                        rate_bps=f.get("rate_bps", 0.0),
-                        cwnd=f.get("cwnd", 0.0),
-                        flow_window=f.get("flow_window", 0.0),
-                        rtt=f.get("rtt", 0.0),
-                        bw_est=f.get("bw_est", 0.0),
-                        loss_len=int(f.get("loss_len", 0)),
-                        exp_count=int(f.get("exp_count", 0)),
+                        t=t,
+                        rate_bps=fields.get("rate_bps", 0.0),
+                        cwnd=fields.get("cwnd", 0.0),
+                        flow_window=fields.get("flow_window", 0.0),
+                        rtt=fields.get("rtt", 0.0),
+                        bw_est=fields.get("bw_est", 0.0),
+                        loss_len=int(fields.get("loss_len", 0)),
+                        exp_count=int(fields.get("exp_count", 0)),
                     )
                 )
         else:
-            self.marks[ev.src].append((ev.t, ev.kind, dict(ev.fields)))
+            self.marks[src].append((t, kind, dict(fields)))
 
     @classmethod
     def from_jsonl(cls, path: str) -> "TimelineRecorder":
@@ -109,10 +108,8 @@ class TimelineRecorder:
 
         rec = cls()
         for d in read_events(path, kinds=TIMELINE_KINDS):
-            fields = {
-                k: v for k, v in d.items() if k not in ("t", "kind", "src")
-            }
-            rec.on_event(Event(d["t"], d["kind"], d.get("src", ""), fields))
+            # each record is a fresh dict: what is left of it is the fields
+            rec.record(d.pop("kind"), d.pop("t"), d.pop("src", ""), d)
         return rec
 
     # -- queries ---------------------------------------------------------

@@ -289,7 +289,10 @@ class UdtCore:
             self._on_ack2(msg)
         elif kind == "handshake":
             self._on_handshake(msg)
-        elif kind == "shutdown":
+        elif kind == "shutdown" and self.connected:
+            # A Shutdown before the handshake completes cannot end a
+            # connection that does not exist yet; obeying it would close a
+            # listening or handshaking endpoint for good.
             self.closed = True
             self.connected = False
         # keepalive needs no action beyond the EXP reset above

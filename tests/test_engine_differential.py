@@ -212,7 +212,7 @@ def test_hybrid_spans_start_with_empty_pipes_and_the_frozen_pending(monkeypatch)
         sim = net.sim
         in_flight_at_enter = []
         sub = OB.default_bus().subscribe(
-            lambda e: in_flight_at_enter.append(
+            lambda *_: in_flight_at_enter.append(
                 sum(len(link._pipe) for link in net.links.values())
             ),
             kinds=(OB.FLUID_ENTER,),

@@ -23,14 +23,15 @@ from repro.sim.fluid import (
 from repro.sim.monitor import FlowMonitor
 from repro.sim.topology import Network, dumbbell, path_topology
 from repro.udt import start_udt_flow
+from tests._collect import Collector
 
 
 @pytest.fixture
 def fluid_events():
     """Collect fluid.enter/fluid.exit events from the default bus."""
-    events = []
+    events = Collector()
     bus = OB.default_bus()
-    sub = bus.subscribe(events.append, kinds=(OB.FLUID_ENTER, OB.FLUID_EXIT))
+    sub = bus.subscribe(events, kinds=(OB.FLUID_ENTER, OB.FLUID_EXIT))
     try:
         yield events
     finally:

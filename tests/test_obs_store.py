@@ -24,10 +24,13 @@ writers subscribed to the same bus, so live-vs-file comparisons are
 exact.
 """
 
+import errno
 import json
 import math
 import re
 import struct
+import sys
+import threading
 import warnings
 import zlib
 from collections import Counter
@@ -50,6 +53,7 @@ from repro.obs.export import (
 )
 from repro.obs.spans import build_spans
 from repro.obs.store import (
+    DEFAULT_BLOCK_EVENTS,
     MAGIC,
     STORE_VERSION,
     TRAILER_MAGIC,
@@ -599,6 +603,106 @@ class TestLayout:
             assert reader.blocks_total == 0
             assert reader.meta["generator"] == "test"
         assert list(read_events(p)) == []
+
+
+# -- the writer thread ------------------------------------------------------
+
+
+def _writer_threads():
+    return {t for t in threading.enumerate() if t.name == "rtrc-writer"}
+
+
+class _FullDisk:
+    """A file whose writes fail with ENOSPC on the writer thread only."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def write(self, data):
+        if threading.current_thread().name == "rtrc-writer":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._f.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+
+class TestWriterThread:
+    def test_a_raising_handler_leaves_a_readable_trace(self, tmp_path):
+        """The session closes the writer on the way out: every block is
+        in the file, the footer too, and the thread is gone."""
+        from repro.obs.bus import EventBus
+
+        before = _writer_threads()
+        bus = EventBus()
+        path = tmp_path / "t.rtrc"
+        n = 2 * DEFAULT_BLOCK_EVENTS + 5
+        with pytest.raises(RuntimeError, match="handler failed"):
+            with trace_session(str(path), bus=bus, generator="test"):
+                assert len(_writer_threads() - before) == 1
+                for i in range(n):
+                    bus.emit("cc.sample", i * 1e-3, "s", seq=i)
+                raise RuntimeError("handler failed")
+        assert not _writer_threads() - before
+        with RtrcReader(path, strict=True) as reader:
+            assert reader.blocks_total == 3
+            assert [e["seq"] for e in reader.iter_events()] == list(range(n))
+
+    @pytest.mark.parametrize("n", [5, 1000])
+    def test_a_write_error_on_the_writer_thread_surfaces(self, tmp_path, monkeypatch, n):
+        """With 100 flushes the error surfaces from a flush, and again from
+        ``close``; with none it surfaces from ``close``."""
+        import repro.obs.store as store
+
+        before = _writer_threads()
+        monkeypatch.setattr(
+            store, "open", lambda p, mode: _FullDisk(open(p, mode)), raising=False
+        )
+        w = RtrcWriter(tmp_path / "full.rtrc", block_events=10)
+        raised = []
+        try:
+            w.write_meta(generator="test")
+            for i in range(n):
+                w.feed({"t": i * 0.001, "kind": "cc.sample", "src": "s", "seq": i})
+        except OSError as exc:
+            raised.append(exc)
+        assert len(raised) == (n >= 100)
+        with pytest.raises(OSError) as closing:
+            w.close()
+        assert closing.value.errno == errno.ENOSPC
+        assert all(exc is closing.value for exc in raised)
+        w.close()  # closed for good: nothing left to raise
+        assert not _writer_threads() - before
+
+    def test_frames_land_in_order_under_a_short_switch_interval(self, tmp_path):
+        """Four writers fed from four threads (eight threads on the lock)
+        with one-block-per-7-events flushes: a frame out of order or an
+        offset lost between the threads would make the files differ or
+        fail a strict read."""
+        n, paths = 3000, [tmp_path / f"w{i}.rtrc" for i in range(4)]
+
+        def feed(path):
+            w = RtrcWriter(path, block_events=7)
+            w.write_meta(generator="test")
+            for i in range(n):
+                w.record("cc.sample", i * 1e-3, f"s{i % 3}", {"seq": i})
+            w.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            feeders = [threading.Thread(target=feed, args=(p,)) for p in paths]
+            for t in feeders:
+                t.start()
+            for t in feeders:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in feeders)
+        assert len({p.read_bytes() for p in paths}) == 1
+        with RtrcReader(paths[0], strict=True) as reader:
+            assert reader.blocks_total == -(-n // 7)
+            assert [e["seq"] for e in reader.iter_events()] == list(range(n))
 
 
 # -- the trace CLI ----------------------------------------------------------

@@ -18,6 +18,7 @@ from repro.obs.export import trace_session
 from repro.obs.timeline import TimelineRecorder
 from repro.sim.topology import dumbbell, flow_start, path_topology
 from repro.udt import start_udt_flow
+from tests._collect import Collector
 
 
 def _traced_lossy_run(recorder=None, trace_path=None):
@@ -94,8 +95,8 @@ class TestInstrumentedStack:
         """Two flows into one 10 Mb/s bottleneck must overflow the queue:
         the trace shows queue drops, receiver holes and sender NAKs."""
         bus = default_bus()
-        events = []
-        sub = bus.subscribe(events.append)
+        events = Collector()
+        sub = bus.subscribe(events)
         try:
             d = dumbbell(2, 10e6, 0.02, seed=1)
             for i in range(2):
@@ -126,8 +127,8 @@ class TestInstrumentedStack:
         """Kill the return path mid-flow: the sender's EXP timer events
         appear on the bus with escalating counts."""
         bus = EventBus()
-        events = []
-        bus.subscribe(events.append, kinds=(EXP_TIMEOUT,))
+        events = Collector()
+        bus.subscribe(events, kinds=(EXP_TIMEOUT,))
         top = path_topology(50e6, 0.02)
         flow = start_udt_flow(top.net, top.src, top.dst, bus=bus)
         top.net.run(until=2.0)
@@ -143,9 +144,9 @@ class TestInstrumentedStack:
 
     def test_private_bus_does_not_leak_to_default(self):
         bus = EventBus()
-        mine, everyone = [], []
-        bus.subscribe(mine.append)
-        sub = default_bus().subscribe(everyone.append)
+        mine, everyone = Collector(), Collector()
+        bus.subscribe(mine)
+        sub = default_bus().subscribe(everyone)
         try:
             top = path_topology(50e6, 0.02)
             start_udt_flow(top.net, top.src, top.dst, bus=bus)
@@ -161,8 +162,8 @@ class TestInstrumentedStack:
         from repro.obs.bus import CPU_CHARGE
 
         bus = EventBus()
-        events = []
-        bus.subscribe(events.append, kinds=(CPU_CHARGE,))
+        events = Collector()
+        bus.subscribe(events, kinds=(CPU_CHARGE,))
         clock = [0.0]
         meter = CpuMeter(
             UDT_SENDER_COSTS, lambda: clock[0], bus=bus, name="m", emit_every=10
@@ -187,9 +188,9 @@ class TestCcEvents:
         from repro.obs.bus import CC_DECREASE, CC_SLOWSTART_EXIT
 
         bus = EventBus()
-        events = []
+        events = Collector()
         bus.subscribe(
-            events.append, kinds=(CC_SLOWSTART_EXIT, CC_DECREASE, CC_SAMPLE)
+            events, kinds=(CC_SLOWSTART_EXIT, CC_DECREASE, CC_SAMPLE)
         )
         d = dumbbell(2, 10e6, 0.02, seed=1)  # tight shared link -> losses
         for i in range(2):
@@ -224,8 +225,8 @@ class TestCcEvents:
         from repro.udt.params import UdtConfig
 
         bus = EventBus()
-        events = []
-        bus.subscribe(events.append, kinds=(CC_DELAY_WARNING,))
+        events = Collector()
+        bus.subscribe(events, kinds=(CC_DELAY_WARNING,))
         cc = DelayWarningCC(UdtConfig())
 
         class Ctx:

@@ -17,6 +17,7 @@ from repro.sim.topology import dumbbell, path_topology
 from repro.sim.udp import UdpEndpoint
 from repro.tcp import start_tcp_flow
 from repro.udt import start_udt_flow
+from tests._collect import Collector
 
 PACKET_KINDS = (OB.LINK_ENQ, OB.LINK_DEQ, OB.LINK_DROP)
 
@@ -32,11 +33,11 @@ def wire():
     subs = []
 
     def watch(link=None):
-        events = []
+        events = Collector()
 
-        def on_event(ev):
-            if link is None or ev.src == link.name:
-                events.append(ev)
+        def on_event(kind, t, src, fields):
+            if link is None or src == link.name:
+                events(kind, t, src, fields)
 
         subs.append(bus.subscribe(on_event, kinds=PACKET_KINDS, detail=True))
         return events
@@ -156,9 +157,9 @@ class TestQueueSampler:
         """Packets that find the wire idle never stand in the queue."""
         top = path_topology(10e6, 0.01)
         events = wire(top.bottleneck)
-        highwater = []
+        highwater = Collector()
         sub = top.bottleneck.bus.subscribe(
-            highwater.append, kinds=[OB.QUEUE_HIGHWATER]
+            highwater, kinds=[OB.QUEUE_HIGHWATER]
         )
         wire.subs.append(sub)
         a, b = _udp_pair(top)

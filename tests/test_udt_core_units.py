@@ -105,6 +105,32 @@ class TestHandshake:
         assert a.flow_window == 77.0
         assert a.cc.max_cwnd == 77.0
 
+    def test_shutdown_before_the_handshake_is_ignored(self):
+        """A stray Shutdown reaching a listener, and one reaching the
+        initiator mid-handshake, close nothing: the handshake still
+        completes and data is delivered."""
+        sched, a, b, pump = make_pair()
+        shutdown = P.Shutdown()
+        b.listen()
+        b.on_datagram(shutdown, shutdown.wire_size)
+        a.connect()
+        a.on_datagram(shutdown, shutdown.wire_size)
+        assert not (a.closed or b.closed)
+        pump()
+        assert a.connected and b.connected
+        a.send(20 * 1456)
+        step(sched, pump, 0.5)
+        assert b.rcv_buffer.delivered_packets == 20
+
+    def test_shutdown_closes_a_connected_core(self):
+        sched, a, b, pump = make_pair()
+        b.listen()
+        a.connect()
+        pump()
+        a.close()
+        pump()
+        assert b.closed and not b.connected
+
 
 class TestAckCadence:
     def test_one_ack_per_syn_not_per_packet(self):
