@@ -1,23 +1,9 @@
 """UDT — UDP-based Data Transport (SC '04) reproduction.
 
-Top-level convenience exports; see README.md for the tour and
-``python -m repro list`` for the experiment catalogue.
+Importing ``repro`` loads nothing else: the simulator, the two
+transports and the tooling each load when named (``repro.sim``,
+``repro.udt``, ``repro.tcp``; see docs/API.md).  README.md has the tour
+and ``python -m repro list`` the experiment catalogue.
 """
 
 __version__ = "1.0.0"
-
-from repro.sim.topology import Network, dumbbell, join_topology, path_topology
-from repro.tcp import TcpConfig, start_tcp_flow
-from repro.udt import UdtConfig, start_udt_flow
-
-__all__ = [
-    "__version__",
-    "Network",
-    "path_topology",
-    "dumbbell",
-    "join_topology",
-    "UdtConfig",
-    "start_udt_flow",
-    "TcpConfig",
-    "start_tcp_flow",
-]

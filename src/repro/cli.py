@@ -92,7 +92,7 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.fidelity:
         import os
 
-        from repro.sim.fluid import FIDELITY_ENV
+        from repro.sim.topology import FIDELITY_ENV
 
         os.environ[FIDELITY_ENV] = args.fidelity
     if profiling:

@@ -31,6 +31,10 @@ subscriber.  :func:`read_events` is the function consumers call
 (timelines, spans, reports, conformance): the same flat dicts whatever
 the format.  :func:`trace_session` is the one place a writer is
 subscribed to a bus.
+
+The ``.rtrc`` codec loads only inside the functions that open, write or
+convert an ``.rtrc`` (the JSONL writer takes its line encoder from it
+too), so an untraced run never compiles it.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from contextlib import contextmanager
 from collections import Counter as _Counter, defaultdict
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Any,
     BinaryIO,
     Dict,
@@ -60,12 +65,9 @@ from repro.obs.bus import (
     Subscription,
     default_bus,
 )
-from repro.obs.store import (
-    DEFAULT_BLOCK_EVENTS,
-    RtrcReader,
-    RtrcWriter,
-    dump_record,
-)
+
+if TYPE_CHECKING:
+    from repro.obs.store import RtrcReader, RtrcWriter
 
 #: The trace formats a run can be asked to record, each named by the file
 #: suffix that selects it (``sweep --trace-format``, ``lint
@@ -90,6 +92,9 @@ class JsonlWriter:
     """Streams bus events to a text file as JSON lines."""
 
     def __init__(self, out: TextIO, close_out: bool = False):
+        from repro.obs.store import dump_record
+
+        self._dump = dump_record
         self._out = out
         self._close_out = close_out
         self.events_written = 0
@@ -97,16 +102,16 @@ class JsonlWriter:
     def write_meta(self, **meta: Any) -> None:
         rec = {"kind": "trace.meta", "schema": SCHEMA_VERSION}
         rec.update(meta)
-        self._out.write(dump_record(rec) + "\n")
+        self._out.write(self._dump(rec) + "\n")
 
     def record(self, kind: str, t: float, src: str, fields: Dict[str, Any]) -> None:
         """Bus subscriber entry point: one flat record, one line."""
-        self._out.write(dump_record({"t": t, "kind": kind, "src": src, **fields}) + "\n")
+        self._out.write(self._dump({"t": t, "kind": kind, "src": src, **fields}) + "\n")
         self.events_written += 1
 
     def feed(self, rec: Dict[str, Any]) -> None:
         """Write an already-flat record verbatim (the conversion path)."""
-        self._out.write(dump_record(rec) + "\n")
+        self._out.write(self._dump(rec) + "\n")
         if rec.get("kind") != "trace.meta":
             self.events_written += 1
 
@@ -271,17 +276,26 @@ def open_trace(
     By default a damaged trace serves its complete records and reports
     ``truncated``; ``strict=True`` raises instead.
     """
-    return (RtrcReader if _is_rtrc(path) else JsonlReader)(path, strict=strict)
+    if _is_rtrc(path):
+        from repro.obs.store import RtrcReader
+
+        return RtrcReader(path, strict=strict)
+    return JsonlReader(path, strict=strict)
 
 
 def make_trace_writer(
-    path: Union[str, Path], block_events: int = DEFAULT_BLOCK_EVENTS
+    path: Union[str, Path], block_events: Optional[int] = None
 ) -> Union[RtrcWriter, JsonlWriter]:
     """Create the writer matching ``path``'s trace format.
 
-    ``block_events`` sizes the ``.rtrc`` blocks (the text format has none).
+    ``block_events`` sizes the ``.rtrc`` blocks (``None``: the store's
+    ``DEFAULT_BLOCK_EVENTS``; the text format has none).
     """
     if _is_rtrc(path):
+        from repro.obs.store import DEFAULT_BLOCK_EVENTS, RtrcWriter
+
+        if block_events is None:
+            block_events = DEFAULT_BLOCK_EVENTS
         return RtrcWriter(path, block_events=block_events)
     return JsonlWriter(open(path, "w"), close_out=True)
 
@@ -325,7 +339,7 @@ def read_events(
 def convert_trace(
     src: Union[str, Path],
     dst: Union[str, Path],
-    block_events: int = DEFAULT_BLOCK_EVENTS,
+    block_events: Optional[int] = None,
 ) -> int:
     """Re-encode ``src`` as ``dst``, any format to any; returns events written.
 

@@ -64,7 +64,7 @@ CATEGORY_MAP: Dict[tuple, str] = {
     ("repro.udt.core", "UdtCore._on_send_timer"): "cc.send_timer",
     ("repro.udt.core", "UdtCore._on_syn_timer"): "cc.syn_timer",
     ("repro.udt.core", "UdtCore._on_exp_timer"): "cc.exp_timer",
-    ("repro.udt.core", "UdtCore._handshake_retry"): "udt.handshake",
+    ("repro.udt.core", "UdtCore._request_handshake"): "udt.handshake",
     ("repro.udt.sim_adapter", "UdtFlow._push_app_data"): "app.source",
     ("repro.udt.sim_adapter", "UdtFlow._begin"): "app.source",
     ("repro.apps.fileio", "DiskTransfer._pump"): "hostmodel.disk",

@@ -33,14 +33,8 @@ from collections import Counter, deque
 from itertools import islice
 from typing import Optional
 
-from repro.obs.export import (
-    DEFAULT_BLOCK_EVENTS,
-    convert_trace,
-    dump_record,
-    make_trace_writer,
-    open_trace,
-)
-from repro.obs.store import RtrcFormatError
+from repro.obs.export import convert_trace, make_trace_writer, open_trace
+from repro.obs.store import DEFAULT_BLOCK_EVENTS, RtrcFormatError, dump_record
 
 
 def add_trace_arguments(parser: argparse.ArgumentParser) -> None:

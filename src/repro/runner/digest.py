@@ -111,7 +111,9 @@ def import_closure(roots: Iterable[str]) -> List[Path]:
 
     ``roots`` are dotted module names (e.g. ``repro.experiments.fig02_fairness``).
     Returns sorted, de-duplicated paths.  Importing a package pulls in its
-    ``__init__.py``; attribute imports of submodules are followed too.
+    ``__init__.py``, and so does importing anything beneath it (Python
+    runs every ancestor package's ``__init__.py`` first); attribute
+    imports of submodules are followed too.
     """
     seen: Dict[str, Path] = {}
     stack = [r for r in roots]
@@ -126,6 +128,7 @@ def import_closure(roots: Iterable[str]) -> List[Path]:
             continue
         if name not in seen:
             seen[name] = path
+            stack.append(name.rpartition(".")[0])
             for imported in _imported_names(path, name):
                 if imported.startswith(PKG_NAME):
                     stack.append(imported)

@@ -141,7 +141,7 @@ def _worker_cmd(
 
 def _worker_env(scale: float, fidelity: str = "packet") -> Dict[str, str]:
     import repro
-    from repro.sim.fluid import FIDELITY_ENV
+    from repro.sim.topology import FIDELITY_ENV
 
     src_dir = str(Path(repro.__file__).resolve().parent.parent)
     env = dict(os.environ)
@@ -250,7 +250,7 @@ def run_sweep(
     when not packet, suffixes the sweep's ledger key.
     """
     from repro.experiments.common import scale as env_scale
-    from repro.sim.fluid import FIDELITIES, ambient_fidelity
+    from repro.sim.topology import FIDELITIES, ambient_fidelity
 
     say: Emit = emit if emit is not None else (lambda s: None)
     if jobs < 1:

@@ -37,26 +37,9 @@ ordering).
 
 from __future__ import annotations
 
-import os
 from typing import Callable, List, Optional, Tuple
 
 from repro.obs import bus as OB
-
-#: Environment variable selecting the simulation fidelity tier.
-FIDELITY_ENV = "REPRO_FIDELITY"
-
-#: Recognised fidelity tiers: pure packet-level, or packet + fluid spans.
-FIDELITIES = ("packet", "hybrid")
-
-
-def ambient_fidelity() -> str:
-    """The fidelity tier selected by ``REPRO_FIDELITY`` (default packet)."""
-    fid = os.environ.get(FIDELITY_ENV, "packet")
-    if fid not in FIDELITIES:
-        raise ValueError(
-            f"{FIDELITY_ENV} must be one of {FIDELITIES}, got {fid!r}"
-        )
-    return fid
 
 
 class FluidController:

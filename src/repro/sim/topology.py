@@ -12,16 +12,19 @@ canonical topologies of the paper:
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.sim.engine import Simulator
-from repro.sim.fluid import FluidController, ambient_fidelity
 from repro.sim.link import Link
 from repro.sim.monitor import FlowMonitor
 from repro.sim.node import Host, Node, Router
 from repro.sim.queues import DropTailQueue
 from repro.sim.routing import compute_routes
+
+if TYPE_CHECKING:
+    from repro.sim.fluid import FluidController
 
 #: Paper default: DropTail with queue size max(100, BDP in packets).
 DEFAULT_QUEUE_PKTS = 100
@@ -56,6 +59,23 @@ def flow_start(i: int) -> float:
     return i * FLOW_START_STAGGER
 
 
+#: Environment variable selecting the simulation fidelity tier.
+FIDELITY_ENV = "REPRO_FIDELITY"
+
+#: Recognised fidelity tiers: pure packet-level, or packet + fluid spans.
+FIDELITIES = ("packet", "hybrid")
+
+
+def ambient_fidelity() -> str:
+    """The fidelity tier selected by ``REPRO_FIDELITY`` (default packet)."""
+    fid = os.environ.get(FIDELITY_ENV, "packet")
+    if fid not in FIDELITIES:
+        raise ValueError(
+            f"{FIDELITY_ENV} must be one of {FIDELITIES}, got {fid!r}"
+        )
+    return fid
+
+
 class Network:
     """A simulator plus its nodes and links.
 
@@ -85,9 +105,12 @@ class Network:
         self.monitor = FlowMonitor(self.sim)
         self.default_jitter = default_jitter
         self.fidelity = fidelity if fidelity is not None else ambient_fidelity()
-        self.fluid: Optional[FluidController] = (
-            FluidController(self) if self.fidelity == "hybrid" else None
-        )
+        self.fluid: Optional[FluidController] = None
+        if self.fidelity == "hybrid":
+            # Only a hybrid network loads the fluid tier.
+            from repro.sim.fluid import FluidController
+
+            self.fluid = FluidController(self)
         self._next_id = 0
         self._flow_counts: Dict[str, int] = {}
 

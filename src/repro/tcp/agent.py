@@ -21,13 +21,13 @@ from functools import partial
 from math import inf
 from typing import Callable, List, Optional, Tuple
 
+from repro.ranges import RangeList
 from repro.sim.node import Host
 from repro.sim.packet import Packet
 from repro.sim.topology import Network
 from repro.tcp.options import TCP_IP_HEADER, TcpConfig
 from repro.tcp.responses import Response
 from repro.tcp.scoreboard import Scoreboard
-from repro.udt.losslist import _RangeList
 
 #: ACK segment bytes: TCP/IP headers + 8 per SACK block.
 ACK_BASE_SIZE = TCP_IP_HEADER
@@ -412,7 +412,7 @@ class TcpSink:
         self._rwnd_open = max(self.config.rwnd_pkts, 1)
         self.next_expected = 0
         # Out-of-order segments as sorted disjoint ranges + per-seq sizes.
-        self._ranges = _RangeList()
+        self._ranges = RangeList()
         self._sizes: dict[int, int] = {}
         self._last_arrival: Optional[int] = None
         self.delivered_bytes = 0

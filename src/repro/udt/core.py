@@ -48,6 +48,15 @@ class Scheduler(Protocol):
 TransmitFn = Callable[[Any, int], None]  # (message, wire size in bytes)
 DeliverFn = Callable[[int, Optional[bytes]], None]
 
+#: Seconds between handshake requests while the peer has not answered.
+HANDSHAKE_RETRY_S = 0.25
+#: Handshake requests an initiator sends, the first included, before it
+#: gives up and closes: a connect timeout of 10 s.  A peer that never
+#: answers (gone, or closed by a Shutdown that beat its handshake
+#: response) then costs 40 datagrams, not one every 0.25 s for the rest
+#: of the run.
+HANDSHAKE_BUDGET = 40
+
 
 @dataclass
 class UdtStats:
@@ -104,6 +113,7 @@ class UdtCore:
         self.closed = False
         self._start_time = scheduler.now()
         self._hs_timer: Any = None
+        self._hs_sent = 0  # handshake requests sent (initiator)
         self._is_initiator = False
         self.peer_mss: Optional[int] = None
 
@@ -172,20 +182,24 @@ class UdtCore:
     def connect(self) -> None:
         """Initiate the handshake (client side)."""
         self._is_initiator = True
-        self._send_handshake(req_type=1)
-        self._hs_timer = self.sched.call_at(
-            self.sched.now() + 0.25, self._handshake_retry
-        )
+        self._request_handshake()
 
     def listen(self) -> None:
         """Passively wait for a handshake (server side)."""
 
-    def _handshake_retry(self) -> None:
+    def _request_handshake(self) -> None:
+        """Send a handshake request and arm its resend, or close once
+        :data:`HANDSHAKE_BUDGET` requests have gone unanswered."""
         if self.connected or self.closed:
             return
+        if self._hs_sent == HANDSHAKE_BUDGET:
+            self._hs_timer = None  # the timer that is firing now
+            self.close()
+            return
+        self._hs_sent += 1
         self._send_handshake(req_type=1)
         self._hs_timer = self.sched.call_at(
-            self.sched.now() + 0.25, self._handshake_retry
+            self.sched.now() + HANDSHAKE_RETRY_S, self._request_handshake
         )
 
     def _send_handshake(self, req_type: int) -> None:

@@ -14,14 +14,16 @@ import pytest
 
 from repro.obs import bus as OB
 from repro.sim.engine import Simulator
-from repro.sim.fluid import (
+from repro.sim.fluid import FluidController
+from repro.sim.monitor import FlowMonitor
+from repro.sim.topology import (
     FIDELITIES,
     FIDELITY_ENV,
-    FluidController,
+    Network,
     ambient_fidelity,
+    dumbbell,
+    path_topology,
 )
-from repro.sim.monitor import FlowMonitor
-from repro.sim.topology import Network, dumbbell, path_topology
 from repro.udt import start_udt_flow
 from tests._collect import Collector
 

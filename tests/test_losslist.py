@@ -2,12 +2,8 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.udt.losslist import (
-    NaiveLossList,
-    ReceiverLossList,
-    SenderLossList,
-    _RangeList,
-)
+from repro.ranges import RangeList
+from repro.udt.losslist import NaiveLossList, ReceiverLossList, SenderLossList
 from repro.udt.params import MAX_SEQ_NO
 from repro.udt.seqno import seq_inc
 
@@ -15,7 +11,7 @@ from repro.udt.seqno import seq_inc
 class TestRangeList:
     def test_paper_appendix_example(self):
         # Figure 16: losses 3, 4, 5 and 7 -> nodes (3,5) and (7,7).
-        rl = _RangeList()
+        rl = RangeList()
         rl.insert(3, 5)
         rl.insert(7, 7)
         assert list(rl.ranges()) == [(3, 5), (7, 7)]
@@ -23,55 +19,55 @@ class TestRangeList:
         assert rl.events() == 2
 
     def test_adjacent_ranges_coalesce(self):
-        rl = _RangeList()
+        rl = RangeList()
         rl.insert(3, 5)
         rl.insert(6, 8)
         assert list(rl.ranges()) == [(3, 8)]
         assert rl.events() == 1
 
     def test_overlapping_insert_counts_only_new(self):
-        rl = _RangeList()
+        rl = RangeList()
         assert rl.insert(3, 10) == 8
         assert rl.insert(5, 12) == 2
         assert list(rl.ranges()) == [(3, 12)]
 
     def test_insert_bridging_many_nodes(self):
-        rl = _RangeList()
+        rl = RangeList()
         for start in (0, 10, 20, 30):
             rl.insert(start, start + 2)
         rl.insert(1, 31)
         assert list(rl.ranges()) == [(0, 32)]
 
     def test_remove_one_splits(self):
-        rl = _RangeList()
+        rl = RangeList()
         rl.insert(3, 7)
         assert rl.remove_one(5)
         assert list(rl.ranges()) == [(3, 4), (6, 7)]
         assert not rl.remove_one(5)  # already gone
 
     def test_remove_one_edges(self):
-        rl = _RangeList()
+        rl = RangeList()
         rl.insert(3, 7)
         rl.remove_one(3)
         rl.remove_one(7)
         assert list(rl.ranges()) == [(4, 6)]
 
     def test_remove_upto(self):
-        rl = _RangeList()
+        rl = RangeList()
         rl.insert(3, 7)
         rl.insert(10, 12)
         assert rl.remove_upto(10) == 6
         assert list(rl.ranges()) == [(11, 12)]
 
     def test_pop_first(self):
-        rl = _RangeList()
+        rl = RangeList()
         rl.insert(3, 4)
         assert rl.pop_first() == 3
         assert rl.pop_first() == 4
         assert rl.pop_first() is None
 
     def test_contains(self):
-        rl = _RangeList()
+        rl = RangeList()
         rl.insert(3, 7)
         assert rl.contains(3) and rl.contains(7) and rl.contains(5)
         assert not rl.contains(2) and not rl.contains(8)
@@ -100,7 +96,7 @@ def op_sequences(draw):
 @settings(max_examples=200)
 def test_rangelist_matches_set_model(ops):
     """The range list behaves exactly like a plain set of integers."""
-    rl = _RangeList()
+    rl = RangeList()
     model = set()
     for op in ops:
         if op[0] == "insert":

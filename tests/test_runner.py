@@ -133,6 +133,49 @@ class TestDigest:
         assert experiment_digest("table1", SCALE)[0] == base
 
 
+#: Runner keywords that shrink an experiment to a second or two of work.
+TINY = {
+    "table1": {},
+    "fig09": {"n_events": 20},
+    "fig02": {"duration": 2.0, "rtts": (0.01,), "n_flows": 2},
+}
+
+
+@pytest.mark.parametrize("exp_id", sorted(TINY))
+def test_a_key_covers_every_file_its_worker_loads(exp_id, tmp_path):
+    """Python runs a package's ``__init__.py`` before any module beneath
+    it, so the key must hold those too: every ``repro`` file a cold worker
+    loaded, other than the runner itself, is in the experiment's digest."""
+    from repro.experiments import get_experiment
+
+    exp = get_experiment(exp_id)
+    code = (
+        "import functools, runpy, sys\n"
+        f"import {exp.module} as exp_mod\n"
+        f"exp_mod.{exp.func} = functools.partial(exp_mod.{exp.func}, **{TINY[exp_id]!r})\n"
+        "try:\n"
+        "    runpy.run_module('repro.runner', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(*(mod.__file__ for name, mod in list(sys.modules.items())\n"
+        "        if name.split('.')[0] == 'repro'))"
+    )
+    env = dict(os.environ, REPRO_SCALE=str(SCALE))
+    env["PYTHONPATH"] = str(SRC_ROOT) + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", code, "--worker", exp_id, "--out", str(tmp_path / "e.json")],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    loaded = {
+        Path(f).resolve().relative_to(SRC_ROOT).as_posix()
+        for f in out.stdout.splitlines()[-1].split()
+    }
+    loaded = {f for f in loaded if not f.startswith("repro/runner/")}
+    assert "repro/__init__.py" in loaded
+    _, files = experiment_digest(exp_id, SCALE)
+    assert sorted(loaded - set(files)) == []
+
+
 def _repro_modules_after(code: str, *argv: str) -> set:
     """The ``repro.*`` modules a fresh interpreter holds after ``code``."""
     env = dict(os.environ)
@@ -157,6 +200,28 @@ class TestImportDirection:
         assert {m for m in loaded if m.startswith("repro.obs.")} == {"repro.obs.bus"}
         layers = {m.split(".")[1] for m in loaded}
         assert not layers & {"analysis", "runner", "experiments", "cli"}, loaded
+
+    def test_a_process_loads_only_the_layers_it_runs(self):
+        """``import repro`` loads nothing more, the TCP baseline no UDT, a
+        packet-tier network no fluid tier, an untraced run no .rtrc codec."""
+        assert _repro_modules_after("import repro") == set()
+        loaded = _repro_modules_after("import repro.tcp")
+        assert "repro.tcp.agent" in loaded
+        assert not {m for m in loaded if m.startswith("repro.udt")}, loaded
+        loaded = _repro_modules_after(
+            "import os\n"
+            "os.environ['REPRO_FIDELITY'] = 'packet'\n"
+            "from repro.sim.topology import dumbbell\n"
+            "assert dumbbell(2, 1e6, 0.01).net.fluid is None"
+        )
+        assert "repro.sim.fluid" not in loaded
+        loaded = _repro_modules_after(
+            "from repro.experiments.common import traced\n"
+            "with traced(None):\n"
+            "    pass"
+        )
+        assert "repro.obs.export" in loaded
+        assert "repro.obs.store" not in loaded
 
     def test_a_digest_imports_no_experiment_and_a_runner_exactly_one(self):
         keep = {"repro.experiments.common", "repro.experiments.registry"}

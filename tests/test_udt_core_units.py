@@ -11,7 +11,7 @@ import itertools
 import pytest
 
 from repro.udt import packets as P
-from repro.udt.core import UdtCore
+from repro.udt.core import HANDSHAKE_BUDGET, UdtCore
 from repro.udt.params import UdtConfig
 
 
@@ -121,6 +121,19 @@ class TestHandshake:
         a.send(20 * 1456)
         step(sched, pump, 0.5)
         assert b.rcv_buffer.delivered_packets == 20
+
+    def test_an_unanswered_handshake_gives_up_after_its_budget(self):
+        """A peer that never answers costs exactly the budgeted requests:
+        the initiator then closes and leaves no handshake timer behind."""
+        sched = ManualScheduler()
+        sent = []
+        a = UdtCore(UdtConfig(), sched, lambda m, s: sent.append(m), name="a")
+        a.connect()
+        sched.advance(60.0)
+        assert [m.type_name for m in sent] == ["handshake"] * HANDSHAKE_BUDGET
+        assert a.closed and not a.connected
+        assert a._hs_timer is None
+        assert all(cancelled for *_, cancelled in sched._heap)
 
     def test_shutdown_closes_a_connected_core(self):
         sched, a, b, pump = make_pair()
