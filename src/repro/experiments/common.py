@@ -102,8 +102,8 @@ def traced(
 
     Subscribes a trace writer (when ``trace_path`` is given; the suffix
     selects JSONL or the ``.rtrc`` binary store) and/or a
-    :class:`~repro.obs.export.TraceSummary` to the process default bus,
-    which wakes up every instrumentation point in the stack —
+    :class:`~repro.obs.export.TraceSummary` to the bus of each simulation
+    run inside the block, which wakes up every instrumentation point —
     protocol cores, links, meters — for the duration of the block::
 
         with traced("out.jsonl", summary=True) as session:
@@ -115,7 +115,7 @@ def traced(
     be span-reconstructed with ``repro-udt report`` /
     :func:`repro.obs.spans.build_spans`.
 
-    With neither output requested the block runs untraced (the bus stays
+    With neither output requested the block runs untraced (every bus stays
     disabled, so the instrumented paths keep their near-zero idle cost).
     Yields a :class:`~repro.obs.export.TraceSession`.
     """

@@ -45,8 +45,8 @@ def run(
     # UDT
     top = path_topology(rate_bps, rtt, seed=seed)
     clock = lambda: top.net.sim.now  # noqa: E731
-    ms = CpuMeter(UDT_SENDER_COSTS, clock)
-    mr = CpuMeter(UDT_RECEIVER_COSTS, clock)
+    ms = CpuMeter(UDT_SENDER_COSTS, clock, bus=top.net.sim.bus)
+    mr = CpuMeter(UDT_RECEIVER_COSTS, clock, bus=top.net.sim.bus)
     cfg = UdtConfig(rcv_buffer_pkts=20000, snd_buffer_pkts=20000)
     f = UdtFlow(top.net, top.src, top.dst, config=cfg, meter_snd=ms, meter_rcv=mr)
     top.net.run(until=duration)
@@ -61,8 +61,8 @@ def run(
     # TCP
     top2 = path_topology(rate_bps, rtt, seed=seed)
     clock2 = lambda: top2.net.sim.now  # noqa: E731
-    ts = CpuMeter(TCP_SENDER_COSTS, clock2)
-    tr = CpuMeter(TCP_RECEIVER_COSTS, clock2)
+    ts = CpuMeter(TCP_SENDER_COSTS, clock2, bus=top2.net.sim.bus)
+    tr = CpuMeter(TCP_RECEIVER_COSTS, clock2, bus=top2.net.sim.bus)
     f2 = TcpFlow(top2.net, top2.src, top2.dst, meter_snd=ts, meter_rcv=tr)
     top2.net.run(until=duration)
     res.add(

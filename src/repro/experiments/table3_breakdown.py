@@ -45,8 +45,8 @@ def run(
         duration = scaled(15.0, minimum=5.0)
     top = path_topology(rate_bps, rtt, seed=seed)
     clock = lambda: top.net.sim.now  # noqa: E731
-    ms = CpuMeter(UDT_SENDER_COSTS, clock)
-    mr = CpuMeter(UDT_RECEIVER_COSTS, clock)
+    ms = CpuMeter(UDT_SENDER_COSTS, clock, bus=top.net.sim.bus)
+    mr = CpuMeter(UDT_RECEIVER_COSTS, clock, bus=top.net.sim.bus)
     cfg = UdtConfig(rcv_buffer_pkts=20000, snd_buffer_pkts=20000)
     UdtFlow(top.net, top.src, top.dst, config=cfg, meter_snd=ms, meter_rcv=mr)
     top.net.run(until=duration)

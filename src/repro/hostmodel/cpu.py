@@ -155,8 +155,8 @@ class CpuMeter:
         self.cpu_hz = cpu_hz
         #: telemetry: one aggregated ``cpu.charge`` event per
         #: ``emit_every`` data packets (per-packet events would dominate
-        #: any trace); dormant while the bus has no subscriber.
-        self.bus = bus if bus is not None else OB.default_bus()
+        #: any trace) on ``bus``, the simulator's when it is to be traced.
+        self.bus = bus if bus is not None else OB.EventBus()
         self.name = name if name is not None else costs.name
         self.emit_every = emit_every
         self._since_emit = 0

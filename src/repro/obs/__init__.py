@@ -7,11 +7,11 @@ the UDT protocol core, and the host cost models.  Design rules:
   in hot code is guarded by ``bus.enabled`` (a plain attribute) so that
   with no subscriber attached the only cost is one attribute load and a
   branch — cheap enough to leave compiled in everywhere (Narses-style).
-* **One process-wide default bus.**  Components constructed without an
-  explicit bus fall back to :func:`repro.obs.bus.default_bus`, so a CLI
-  flag (or a test) can subscribe once and observe every connection,
-  link and meter in the process without plumbing a bus through each
-  constructor.
+* **One bus per simulation.**  A ``Simulator`` owns the bus everything
+  built on it emits on (a ``repro.live`` endpoint's core owns its own).
+  A trace session joins each run's bus through the engine's
+  ``RunObserver`` seam, the one process-wide hook, so it records every
+  simulation in its block and two simulations never share a stream.
 * **Typed, timestamped events.**  Event kinds are dotted strings
   (``cc.sample``, ``link.drop``, ...; see :mod:`repro.obs.bus`), each
   with a documented field set (docs/OBSERVABILITY.md).

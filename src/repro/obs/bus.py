@@ -181,11 +181,3 @@ class EventBus:
             if sub.kinds is None or kind in sub.kinds:
                 sub.fn(kind, t, src, fields)
 
-
-#: The process-wide bus components fall back to when none is passed in.
-_DEFAULT_BUS = EventBus()
-
-
-def default_bus() -> EventBus:
-    """The shared default bus (disabled until someone subscribes)."""
-    return _DEFAULT_BUS

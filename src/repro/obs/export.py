@@ -48,6 +48,7 @@ from typing import (
     TYPE_CHECKING,
     Any,
     BinaryIO,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -58,13 +59,7 @@ from typing import (
     Union,
 )
 
-from repro.obs.bus import (
-    CC_SAMPLE,
-    SCHEMA_VERSION,
-    EventBus,
-    Subscription,
-    default_bus,
-)
+from repro.obs.bus import CC_SAMPLE, SCHEMA_VERSION, EventBus, Subscription
 
 if TYPE_CHECKING:
     from repro.obs.store import RtrcReader, RtrcWriter
@@ -434,31 +429,66 @@ def trace_session(
     packets: bool = False,
     **meta: Any,
 ) -> Iterator[TraceSession]:
-    """Subscribe a writer and/or summary to ``bus`` for the block's duration.
+    """Subscribe a writer and/or summary for the block's duration.
+
+    To ``bus`` when given; otherwise, through one engine ``RunObserver``,
+    to each simulator's own bus the first time that simulator runs inside
+    the block, whenever it was built.  On exit it leaves every bus.
 
     With neither ``trace_path`` nor ``summary`` requested this is a
-    no-op context (the bus stays disabled and emit sites stay dormant).
+    no-op context (every bus stays disabled and emit sites stay dormant).
     ``packets=True`` additionally wakes the per-packet detail tier
     (``pkt.snd``/``pkt.rcv``/``link.enq``/``link.deq``) so the trace can
     be span-reconstructed by ``repro-udt report``.  ``trace_path``'s
     suffix selects the format (see :func:`make_trace_writer`).  This is
     the only place a trace writer is subscribed to a bus.
     """
-    bus = bus if bus is not None else default_bus()
-    subs: List[Subscription] = []
     writer: Optional[Any] = None
     summ: Optional[TraceSummary] = None
+    subscribers: List[Tuple[Any, bool]] = []  # (fn, detail)
+    joined: Dict[EventBus, List[Subscription]] = {}
+    joiner: Optional[_RunJoiner] = None
+
+    def join(bus: EventBus) -> None:
+        if bus not in joined:
+            joined[bus] = [bus.subscribe(fn, kinds=kinds, detail=d) for fn, d in subscribers]
+
     try:
         if trace_path:
             writer = make_trace_writer(trace_path)
             writer.write_meta(packet_detail=packets, **meta)
-            subs.append(bus.subscribe(writer.record, kinds=kinds, detail=packets))
+            subscribers.append((writer.record, packets))
         if summary:
             summ = TraceSummary()
-            subs.append(bus.subscribe(summ.record, kinds=kinds))
+            subscribers.append((summ.record, False))
+        if bus is not None:
+            join(bus)
+        elif subscribers:
+            from repro.sim.engine import add_run_observer, remove_run_observer
+
+            joiner = _RunJoiner(join)
+            add_run_observer(joiner)
         yield TraceSession(writer, summ)
     finally:
-        for sub in subs:
-            bus.unsubscribe(sub)
+        if joiner is not None:
+            remove_run_observer(joiner)
+        for b, subs in joined.items():
+            for sub in subs:
+                b.unsubscribe(sub)
         if writer is not None:
             writer.close()
+
+
+class _RunJoiner:
+    """A :class:`~repro.sim.engine.RunObserver` that hands each running
+    simulator's bus to ``join``.  It misses only what a simulation emits
+    before its first run in the block; its components emit from events."""
+
+    def __init__(self, join: Callable[[EventBus], None]):
+        self.join = join
+
+    def run_begin(self, sim: Any, until: Optional[float]) -> None:
+        self.join(sim.bus)
+
+    def run_end(self, sim: Any, until: Optional[float]) -> None:
+        pass

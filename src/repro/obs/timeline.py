@@ -8,7 +8,8 @@ exactly the data behind the paper's Figure 4/6/7-style plots: sending
 rate, congestion window, flow window, RTT and bandwidth estimates over
 time, annotated with loss and EXP events.
 
-Timelines can be captured live (subscribe to a bus during a run) or
+Timelines can be captured live (subscribe :meth:`TimelineRecorder.record`
+to a run's bus, ``net.sim.bus``) or
 rebuilt offline from a JSONL trace file via :meth:`TimelineRecorder.from_jsonl`
 — the two forms are equivalent, which is what makes traced runs
 re-plottable "from the trace alone".
@@ -17,17 +18,9 @@ re-plottable "from the trace alone".
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Tuple
 
-from repro.obs.bus import (
-    CC_SAMPLE,
-    EXP_TIMEOUT,
-    EventBus,
-    RCV_LOSS,
-    SND_NAK,
-    Subscription,
-    default_bus,
-)
+from repro.obs.bus import CC_SAMPLE, EXP_TIMEOUT, RCV_LOSS, SND_NAK
 
 
 class CcSample(NamedTuple):
@@ -55,34 +48,11 @@ class TimelineRecorder:
         self.samples: Dict[str, List[CcSample]] = defaultdict(list)
         #: (t, kind, fields) marks per source: NAKs, detected holes, EXPs.
         self.marks: Dict[str, List[Tuple[float, str, dict]]] = defaultdict(list)
-        self._bus: Optional[EventBus] = None
-        self._sub: Optional[Subscription] = None
-
-    # -- wiring ----------------------------------------------------------
-    def attach(self, bus: Optional[EventBus] = None) -> "TimelineRecorder":
-        """Subscribe to ``bus`` (the default bus when omitted)."""
-        if self._sub is not None:
-            raise RuntimeError("recorder already attached")
-        self._bus = bus if bus is not None else default_bus()
-        self._sub = self._bus.subscribe(self.record, kinds=TIMELINE_KINDS)
-        return self
-
-    def detach(self) -> None:
-        if self._bus is not None and self._sub is not None:
-            self._bus.unsubscribe(self._sub)
-        self._bus = self._sub = None
-
-    def __enter__(self) -> "TimelineRecorder":
-        if self._sub is None:
-            self.attach()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.detach()
 
     # -- ingestion -------------------------------------------------------
     def record(self, kind: str, t: float, src: str, fields: Dict[str, Any]) -> None:
-        """Bus subscriber entry point."""
+        """Bus subscriber entry point: ``bus.subscribe(rec.record,
+        kinds=TIMELINE_KINDS)`` on a run's bus (``net.sim.bus``)."""
         if kind == CC_SAMPLE:
             series = self.samples[src]
             if len(series) < self.max_samples_per_conn:

@@ -100,7 +100,7 @@ class FluidController:
     def __init__(self, net: object):
         self.net = net
         self.sim = net.sim  # type: ignore[attr-defined]
-        self.bus = OB.default_bus()
+        self.bus = self.sim.bus
         self.flows: List[object] = []
         self.sources: List[object] = []
         self.blockers: List[Callable[[], bool]] = []

@@ -90,7 +90,7 @@ class Link:
         # high-water marks go out while it is enabled, every enqueue and
         # dequeue while a subscriber asked for the detail tier; dormant,
         # each guard is one attribute load.
-        self.bus = OB.default_bus()
+        self.bus = sim.bus
         self._q_highwater = 0
 
     # -- helpers --------------------------------------------------------

@@ -98,9 +98,9 @@ class UdtCore:
         self._transmit = transmit
         self.name = name
         self.meter = meter  # hostmodel CPU meter; charged when present
-        #: telemetry bus; the process default when not given.  Emit sites
-        #: are guarded by ``bus.enabled`` so an idle bus costs one branch.
-        self.bus = bus if bus is not None else OB.default_bus()
+        #: telemetry bus, its own when not given.  Emit sites are guarded
+        #: by ``bus.enabled`` so an idle bus costs one branch.
+        self.bus = bus if bus is not None else OB.EventBus()
         self.stats = UdtStats()
 
         self.cc = cc if cc is not None else UdtNativeCC(config)
@@ -521,10 +521,14 @@ class UdtCore:
         # model prove every SND_ACK/CC_SAMPLE emit happens connected.
         if not self.connected:
             return
+        seq = ack.recv_seq
+        # An ACK beyond the next new sequence number claims data never
+        # sent: drop it before it touches any state, as a NAK's range.
+        if seq_cmp(seq, self.curr_seq) > 0:
+            return
         self.stats.acks_received += 1
         if self.meter is not None:
             self.meter.on_ctrl("ack")
-        seq = ack.recv_seq
         if seq_cmp(seq, self.snd_last_ack) > 0:
             self.snd_last_ack = seq
             self.snd_buffer.ack_upto(seq)

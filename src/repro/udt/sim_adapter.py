@@ -166,10 +166,9 @@ class UdtFlow:
         meter_snd: Optional[Any] = None,
         meter_rcv: Optional[Any] = None,
         app_driven: bool = False,
-        bus: Optional[OB.EventBus] = None,
     ):
         self.net = net
-        self.bus = bus if bus is not None else OB.default_bus()
+        self.bus = net.sim.bus
         self.config = config if config is not None else UdtConfig()
         if flow_id is None:
             flow_id = net.next_flow_id("udt")
@@ -310,7 +309,6 @@ def start_udt_flow(
     config: Optional[UdtConfig] = None,
     cc_factory: Callable[[UdtConfig], CongestionControl] = UdtNativeCC,
     flow_id: Optional[object] = None,
-    bus: Optional[OB.EventBus] = None,
 ) -> UdtFlow:
     """Convenience wrapper used throughout the experiments."""
     return UdtFlow(
@@ -322,5 +320,4 @@ def start_udt_flow(
         nbytes=nbytes,
         start=start,
         flow_id=flow_id,
-        bus=bus,
     )

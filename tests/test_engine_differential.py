@@ -197,6 +197,10 @@ def test_hybrid_spans_start_with_empty_pipes_and_the_frozen_pending(monkeypatch)
     ``fluid.enter``."""
 
     class FrozenSimulator(frozen.Simulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.bus = OB.EventBus()
+
         def fifo_stream(self):
             return ()
 
@@ -211,20 +215,17 @@ def test_hybrid_spans_start_with_empty_pipes_and_the_frozen_pending(monkeypatch)
         net, _ = _clean(seed=1)
         sim = net.sim
         in_flight_at_enter = []
-        sub = OB.default_bus().subscribe(
+        sim.bus.subscribe(
             lambda *_: in_flight_at_enter.append(
                 sum(len(link._pipe) for link in net.links.values())
             ),
             kinds=(OB.FLUID_ENTER,),
         )
-        try:
-            net.fluid.on_run(duration)
-            seen = []
-            for k in range(1, slices + 1):
-                sim.run(until=duration * k / slices)
-                seen.append((sim.now, sim.events_processed, sim.pending()))
-        finally:
-            OB.default_bus().unsubscribe(sub)
+        net.fluid.on_run(duration)
+        seen = []
+        for k in range(1, slices + 1):
+            sim.run(until=duration * k / slices)
+            seen.append((sim.now, sim.events_processed, sim.pending()))
         return seen, net.fluid.spans, in_flight_at_enter
 
     got = observe(live.Simulator)

@@ -25,19 +25,16 @@ from repro.sim.topology import (
     path_topology,
 )
 from repro.udt import start_udt_flow
-from tests._collect import Collector
+from tests._collect import Collector, every_run
 
 
 @pytest.fixture
 def fluid_events():
-    """Collect fluid.enter/fluid.exit events from the default bus."""
+    """Collect fluid.enter/fluid.exit events from every simulation the
+    test runs, including those an experiment runner builds."""
     events = Collector()
-    bus = OB.default_bus()
-    sub = bus.subscribe(events, kinds=(OB.FLUID_ENTER, OB.FLUID_EXIT))
-    try:
+    with every_run(events, kinds=(OB.FLUID_ENTER, OB.FLUID_EXIT)):
         yield events
-    finally:
-        bus.unsubscribe(sub)
 
 
 def _spans(events):

@@ -10,6 +10,7 @@ import pytest
 from repro.live import LiveUdtEndpoint, SpinClock, loopback_transfer, wait_until
 from repro.udt import UdtConfig
 from repro.udt import packets as P
+from tests._collect import Collector
 
 # A thread that dies on an exception nobody caught fails its test.
 pytestmark = pytest.mark.filterwarnings(
@@ -66,6 +67,23 @@ class TestLoopback:
             client.close()
             server.close()
         assert client.core.closed
+
+    def test_each_endpoint_owns_its_bus(self):
+        """A subscriber on one endpoint's ``core.bus`` hears that endpoint's
+        handshake and nothing of its peer's."""
+        server = LiveUdtEndpoint(("127.0.0.1", 0))
+        client = LiveUdtEndpoint(("127.0.0.1", 0))
+        heard = Collector()
+        try:
+            assert client.core.bus is not server.core.bus
+            client.core.bus.subscribe(heard)
+            server.listen()
+            client.connect(server.local_addr)
+        finally:
+            client.close()
+            server.close()
+        assert ("conn.connected", client.core.name) in {(e.kind, e.src) for e in heard}
+        assert {e.src for e in heard} == {client.core.name}
 
     def test_recv_exactly_blocks_until_complete(self):
         server = LiveUdtEndpoint(("127.0.0.1", 0))

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.obs.bus import CC_SAMPLE, LINK_DROP, EventBus, default_bus
+from repro.obs.bus import CC_SAMPLE, LINK_DROP, EventBus
 from repro.obs.export import JsonlWriter, TraceSummary, read_events, trace_session
 from tests._collect import Collector, Seen
 
@@ -67,9 +67,12 @@ class TestEventBus:
         bus = EventBus()
         assert bus.emit("k", 0.0, "s", a=1) is None
 
-    def test_default_bus_is_shared_and_initially_disabled(self):
-        assert default_bus() is default_bus()
-        assert not default_bus().enabled  # no leftover subscribers in tests
+    def test_a_new_simulators_bus_is_its_own_and_dormant(self):
+        from repro.sim.engine import Simulator
+
+        a, b = Simulator(), Simulator()
+        assert isinstance(a.bus, EventBus) and a.bus is not b.bus
+        assert not a.bus.enabled and not a.bus.detail
 
     def test_disabled_bus_overhead_path(self):
         """The emit-site pattern: a disabled bus means no keyword dict and

@@ -18,9 +18,10 @@ from repro.obs.figures import (
     resolve_result,
 )
 from repro.obs.svg import render_figure, render_timeline
-from repro.obs.timeline import TimelineRecorder
+from repro.obs.timeline import TIMELINE_KINDS, TimelineRecorder
 from repro.runner.cache import ResultCache, write_json_atomic
 from tests._cache import seed_cache
+from tests._collect import every_run
 
 _SVG = "{http://www.w3.org/2000/svg}"
 
@@ -143,14 +144,11 @@ class TestFig04TraceEquivalence:
 
         path = str(tmp_path_factory.mktemp("trace") / "fig04.jsonl")
         live = TimelineRecorder()
-        live.attach()
-        try:
-            with trace_session(path, generator="test", experiments=["fig04"]):
-                fig04_stability.run(
-                    n_flows=2, rate_bps=50e6, rtts=(0.02,), duration=6, seed=1
-                )
-        finally:
-            live.detach()
+        with every_run(live.record, kinds=TIMELINE_KINDS), \
+             trace_session(path, generator="test", experiments=["fig04"]):
+            fig04_stability.run(
+                n_flows=2, rate_bps=50e6, rtts=(0.02,), duration=6, seed=1
+            )
         return live, path
 
     def test_replay_matches_live(self, traced_fig04):

@@ -61,7 +61,8 @@ from repro.obs.store import (
     RtrcReader,
     RtrcWriter,
 )
-from repro.obs.timeline import TimelineRecorder
+from repro.obs.timeline import TIMELINE_KINDS, TimelineRecorder
+from tests._collect import every_run
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -74,13 +75,10 @@ def traced_run(tmp_path_factory):
     d = tmp_path_factory.mktemp("traces")
     jsonl, rtrc = d / "t.jsonl", d / "t.rtrc"
     live = TimelineRecorder()
-    live.attach()
-    try:
-        with trace_session(str(jsonl), packets=True, generator="test"), \
-             trace_session(str(rtrc), packets=True, generator="test"):
-            get_experiment("fig04").runner(**RUN_KW)
-    finally:
-        live.detach()
+    with every_run(live.record, kinds=TIMELINE_KINDS), \
+         trace_session(str(jsonl), packets=True, generator="test"), \
+         trace_session(str(rtrc), packets=True, generator="test"):
+        get_experiment("fig04").runner(**RUN_KW)
     return SimpleNamespace(dir=d, jsonl=jsonl, rtrc=rtrc, live=live)
 
 

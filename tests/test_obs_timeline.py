@@ -12,42 +12,29 @@ from repro.obs.bus import (
     RCV_LOSS,
     SND_NAK,
     EventBus,
-    default_bus,
 )
 from repro.obs.export import trace_session
-from repro.obs.timeline import TimelineRecorder
+from repro.obs.timeline import TIMELINE_KINDS, TimelineRecorder
 from repro.sim.topology import dumbbell, flow_start, path_topology
 from repro.udt import start_udt_flow
 from tests._collect import Collector
 
 
-def _traced_lossy_run(recorder=None, trace_path=None):
+def _traced_lossy_run(recorder, trace_path=None):
     """One UDT flow over a lossy 100 Mb/s path, fully instrumented."""
-    ctxs = []
-    if recorder is not None:
-        recorder.attach()
-    try:
-        if trace_path is not None:
-            ctx = trace_session(trace_path, generator="test")
-            ctx.__enter__()
-            ctxs.append(ctx)
-        top = path_topology(100e6, 0.02, loss_rate=0.001)
-        flow = start_udt_flow(top.net, top.src, top.dst)
+    top = path_topology(100e6, 0.02, loss_rate=0.001)
+    flow = start_udt_flow(top.net, top.src, top.dst)
+    top.net.sim.bus.subscribe(recorder.record, kinds=TIMELINE_KINDS)
+    with trace_session(trace_path, generator="test"):
         top.net.run(until=5.0)
-        return flow
-    finally:
-        for ctx in ctxs:
-            ctx.__exit__(None, None, None)
-        if recorder is not None:
-            recorder.detach()
+    return flow
 
 
 class TestTimelineRecorder:
     def test_live_capture_has_cc_trajectory(self):
         rec = TimelineRecorder()
-        flow = _traced_lossy_run(recorder=rec)
+        flow = _traced_lossy_run(rec)
         snd, rcv = flow.sender.name, flow.receiver.name
-        assert not default_bus().enabled  # detached cleanly
         assert snd in rec.connections()
         series = rec.series(snd)
         assert len(series) > 100  # ~1 sample per SYN over 5 s
@@ -63,30 +50,22 @@ class TestTimelineRecorder:
 
     def test_windows_series(self):
         rec = TimelineRecorder()
-        flow = _traced_lossy_run(recorder=rec)
+        flow = _traced_lossy_run(rec)
         w = rec.windows(flow.sender.name)
         assert w and all(len(row) == 3 for row in w)
 
     def test_jsonl_rebuild_matches_live(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
         live = TimelineRecorder()
-        flow = _traced_lossy_run(recorder=live, trace_path=path)
+        flow = _traced_lossy_run(live, trace_path=path)
         rebuilt = TimelineRecorder.from_jsonl(path)
         assert rebuilt.connections() == live.connections()
         assert rebuilt.series(flow.sender.name) == live.series(flow.sender.name)
         assert rebuilt.marks == live.marks
 
-    def test_context_manager_and_double_attach(self):
-        rec = TimelineRecorder()
-        with rec:
-            assert default_bus().enabled
-            with pytest.raises(RuntimeError):
-                rec.attach()
-        assert not default_bus().enabled
-
     def test_max_samples_cap(self):
         rec = TimelineRecorder(max_samples_per_conn=10)
-        flow = _traced_lossy_run(recorder=rec)
+        flow = _traced_lossy_run(rec)
         assert len(rec.series(flow.sender.name)) == 10
 
 
@@ -94,16 +73,12 @@ class TestInstrumentedStack:
     def test_congested_run_emits_drop_and_highwater(self):
         """Two flows into one 10 Mb/s bottleneck must overflow the queue:
         the trace shows queue drops, receiver holes and sender NAKs."""
-        bus = default_bus()
         events = Collector()
-        sub = bus.subscribe(events)
-        try:
-            d = dumbbell(2, 10e6, 0.02, seed=1)
-            for i in range(2):
-                start_udt_flow(d.net, d.sources[i], d.sinks[i], flow_id=f"f{i}")
-            d.net.run(until=8.0)
-        finally:
-            bus.unsubscribe(sub)
+        d = dumbbell(2, 10e6, 0.02, seed=1)
+        d.net.sim.bus.subscribe(events)
+        for i in range(2):
+            start_udt_flow(d.net, d.sources[i], d.sinks[i], flow_id=f"f{i}")
+        d.net.run(until=8.0)
         kinds = {e.kind for e in events}
         assert QUEUE_HIGHWATER in kinds
         assert LINK_DROP in kinds
@@ -126,11 +101,10 @@ class TestInstrumentedStack:
     def test_exp_timeout_event_on_dead_peer(self):
         """Kill the return path mid-flow: the sender's EXP timer events
         appear on the bus with escalating counts."""
-        bus = EventBus()
         events = Collector()
-        bus.subscribe(events, kinds=(EXP_TIMEOUT,))
         top = path_topology(50e6, 0.02)
-        flow = start_udt_flow(top.net, top.src, top.dst, bus=bus)
+        top.net.sim.bus.subscribe(events, kinds=(EXP_TIMEOUT,))
+        flow = start_udt_flow(top.net, top.src, top.dst)
         top.net.run(until=2.0)
         # Silent death: no Shutdown packet reaches the sender (close()
         # would announce itself), so its EXP timer must escalate.
@@ -142,20 +116,20 @@ class TestInstrumentedStack:
         assert counts == sorted(counts)
         assert all(e.fields["unacked"] > 0 for e in events)
 
-    def test_private_bus_does_not_leak_to_default(self):
-        bus = EventBus()
-        mine, everyone = Collector(), Collector()
-        bus.subscribe(mine)
-        sub = default_bus().subscribe(everyone)
-        try:
-            top = path_topology(50e6, 0.02)
-            start_udt_flow(top.net, top.src, top.dst, bus=bus)
-            top.net.run(until=1.0)
-        finally:
-            default_bus().unsubscribe(sub)
-        assert any(e.kind == CC_SAMPLE for e in mine)
-        # links still use the default bus, but core events stayed private
-        assert not any(e.kind == CC_SAMPLE for e in everyone)
+    def test_a_simulations_bus_hears_only_that_simulation(self):
+        mine, theirs = Collector(), Collector()
+        tops = [path_topology(50e6, 0.02), path_topology(50e6, 0.02)]
+        for top, events in zip(tops, (mine, theirs)):
+            top.net.sim.bus.subscribe(events)
+        flow = start_udt_flow(tops[0].net, tops[0].src, tops[0].dst)
+        tops[0].net.run(until=1.0)
+        tops[1].net.run(until=1.0)
+        # every component of the flow's network emitted on its bus ...
+        assert {e.src for e in mine} >= {
+            flow.sender.name, flow.receiver.name, tops[0].bottleneck.name
+        }
+        # ... and the other simulation, idle, heard none of it
+        assert mine and not theirs
 
     def test_cpu_meter_emits_aggregated_charges(self):
         from repro.hostmodel.cpu import UDT_SENDER_COSTS, CpuMeter
@@ -187,16 +161,13 @@ class TestCcEvents:
         mis-scaled payload keys show up as a mismatch."""
         from repro.obs.bus import CC_DECREASE, CC_SLOWSTART_EXIT
 
-        bus = EventBus()
         events = Collector()
-        bus.subscribe(
+        d = dumbbell(2, 10e6, 0.02, seed=1)  # tight shared link -> losses
+        d.net.sim.bus.subscribe(
             events, kinds=(CC_SLOWSTART_EXIT, CC_DECREASE, CC_SAMPLE)
         )
-        d = dumbbell(2, 10e6, 0.02, seed=1)  # tight shared link -> losses
         for i in range(2):
-            start_udt_flow(
-                d.net, d.sources[i], d.sinks[i], start=flow_start(i), bus=bus
-            )
+            start_udt_flow(d.net, d.sources[i], d.sinks[i], start=flow_start(i))
         d.net.run(until=6.0)
         checked = {CC_SLOWSTART_EXIT: 0, CC_DECREASE: 0}
         update = []  # CC events since the last sample

@@ -12,7 +12,7 @@ import pytest
 from repro.apps.bulk import UdpBlast
 from repro.experiments.common import traced
 from repro.obs import bus as OB
-from repro.obs.export import read_events
+from repro.obs.export import read_events, trace_session
 from repro.sim.topology import dumbbell, path_topology
 from repro.sim.udp import UdpEndpoint
 from repro.tcp import start_tcp_flow
@@ -24,28 +24,27 @@ PACKET_KINDS = (OB.LINK_ENQ, OB.LINK_DEQ, OB.LINK_DROP)
 
 @pytest.fixture
 def wire():
-    """``wire(link)`` -> the list that link's packet events collect in.
+    """``wire(link)`` -> the list that link's packet events collect in;
+    ``wire(net=net)`` -> every link's.
 
-    Links share the process-wide bus and name themselves in ``src``; every
-    subscription is dropped again after the test.
+    Links emit on their simulation's bus and name themselves in ``src``;
+    ``wire.subs`` holds the subscriptions, newest last.
     """
-    bus = OB.default_bus()
     subs = []
 
-    def watch(link=None):
+    def watch(link=None, net=None):
         events = Collector()
 
         def on_event(kind, t, src, fields):
             if link is None or src == link.name:
                 events(kind, t, src, fields)
 
+        bus = (link if link is not None else net).sim.bus
         subs.append(bus.subscribe(on_event, kinds=PACKET_KINDS, detail=True))
         return events
 
     watch.subs = subs
-    yield watch
-    for sub in subs:
-        bus.unsubscribe(sub)
+    return watch
 
 
 def _kind(events, kind):
@@ -136,14 +135,14 @@ def test_detach_all_with_multiple_links(wire):
     top = path_topology(10e6, 0.01)
     names = {l.name for l in top.net.links.values()}
     a, b = _udp_pair(top)
-    events = wire()
+    events = wire(net=top.net)
     a.sendto("x", 500, b.address)
     top.net.run(until=0.5)
     forward = {e.src for e in _kind(events, OB.LINK_DEQ)}
     assert top.bottleneck.name in forward and len(forward) > 1
     assert forward <= names
     seen = len(events)
-    OB.default_bus().unsubscribe(wire.subs.pop())
+    top.net.sim.bus.unsubscribe(wire.subs.pop())
     a.sendto("y", 500, b.address)
     top.net.run(until=1.0)
     assert len(events) == seen
@@ -158,10 +157,7 @@ class TestQueueSampler:
         top = path_topology(10e6, 0.01)
         events = wire(top.bottleneck)
         highwater = Collector()
-        sub = top.bottleneck.bus.subscribe(
-            highwater, kinds=[OB.QUEUE_HIGHWATER]
-        )
-        wire.subs.append(sub)
+        top.bottleneck.bus.subscribe(highwater, kinds=[OB.QUEUE_HIGHWATER])
         a, b = _udp_pair(top)
         for i in range(10):
             top.net.sim.schedule(i * 0.1, a.sendto, i, 1000, b.address)
@@ -190,18 +186,24 @@ class TestQueueSampler:
 # -- nothing outlives a run -------------------------------------------------
 
 
-def _mixed_dumbbell(path):
+def _mixed(rate_bps=20e6):
     """UDT + TCP + an ON/OFF UDP blast through one small bottleneck queue,
-    default flow ids, packet-detail trace to ``path``; returns the two
-    flow ids and the bottleneck's ``link.enq`` records."""
+    default flow ids; returns the dumbbell and the two flows."""
+    d = dumbbell(3, rate_bps, 0.02, queue_pkts=20, seed=3)
+    udt = start_udt_flow(d.net, d.sources[0], d.sinks[0])
+    tcp = start_tcp_flow(d.net, d.sources[1], d.sinks[1], start=0.01)
+    UdpBlast(
+        d.net, d.sources[2], (d.sinks[2].id, 9), 15e6,
+        on_time=0.05, off_time=0.1, start=0.2,
+    )
+    return d, udt, tcp
+
+
+def _mixed_dumbbell(path):
+    """:func:`_mixed` run for 1 s with a packet-detail trace to ``path``;
+    returns the two flow ids and the bottleneck's ``link.enq`` records."""
     with traced(str(path), packets=True):
-        d = dumbbell(3, 20e6, 0.02, queue_pkts=20, seed=3)
-        udt = start_udt_flow(d.net, d.sources[0], d.sinks[0])
-        tcp = start_tcp_flow(d.net, d.sources[1], d.sinks[1], start=0.01)
-        UdpBlast(
-            d.net, d.sources[2], (d.sinks[2].id, 9), 15e6,
-            on_time=0.05, off_time=0.1, start=0.2,
-        )
+        d, udt, tcp = _mixed()
         d.net.run(until=1.0)
     enq = [
         r for r in read_events(str(path))
@@ -230,3 +232,42 @@ def test_tcp_segment_drop_names_its_flow(wire):
     drops = _kind(events, OB.LINK_DROP)
     assert drops and {e.fields["flow"] for e in drops} == {tcp.flow_id}
     assert {e.fields["flow"] for e in _kind(events, OB.LINK_ENQ)} == {tcp.flow_id}
+
+
+# -- one bus per simulation -------------------------------------------------
+
+
+def test_two_simulations_in_one_process_keep_their_own_traces(tmp_path):
+    """Two networks traced side by side, their runs interleaved slice by
+    slice: each trace holds its own simulation's events and no other's,
+    byte for byte what the same run writes traced alone."""
+    rates = (20e6, 30e6)
+    alone = []
+    for i, rate in enumerate(rates):
+        d = _mixed(rate)[0]
+        with trace_session(str(tmp_path / f"alone{i}.jsonl"), packets=True, bus=d.sim.bus):
+            d.net.run(until=1.0)
+        alone.append((tmp_path / f"alone{i}.jsonl").read_bytes())
+    nets = [_mixed(rate)[0].net for rate in rates]
+    paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+    with trace_session(str(paths[0]), packets=True, bus=nets[0].sim.bus), \
+         trace_session(str(paths[1]), packets=True, bus=nets[1].sim.bus):
+        for k in range(1, 21):
+            for net in nets:
+                net.run(until=k / 20)
+    assert alone[0] != alone[1]
+    assert [p.read_bytes() for p in paths] == alone
+
+
+def test_a_session_entered_after_the_build_records_the_run(tmp_path):
+    """The benchmark's order — build the network, enter ``traced()``, run —
+    records what entering first does, and the session leaves the bus
+    dormant again on exit."""
+    first, after = tmp_path / "first.jsonl", tmp_path / "after.jsonl"
+    _mixed_dumbbell(first)
+    d = _mixed()[0]
+    with traced(str(after), packets=True):
+        d.net.run(until=1.0)
+    assert not d.sim.bus.enabled
+    assert sum(1 for _ in read_events(str(after))) > 1000
+    assert after.read_bytes() == first.read_bytes()

@@ -13,6 +13,7 @@ import pytest
 from repro.udt import packets as P
 from repro.udt.core import HANDSHAKE_BUDGET, UdtCore
 from repro.udt.params import UdtConfig
+from repro.udt.seqno import seq_cmp
 
 
 class ManualScheduler:
@@ -254,6 +255,55 @@ class TestHostileNak:
         assert len(a.snd_loss) == 6 and a.stats.loss_reported == 6
         a.on_datagram(P.Nak(loss=[2_000_000]), 24)
         assert len(a.snd_loss) == 6 and a.stats.loss_reported == 6
+
+
+class TestHostileAck:
+    """An ACK may acknowledge only what the sender has sent: one beyond the
+    next new sequence number is ignored before it touches any state."""
+
+    FORGED = P.Ack(ack_no=7, recv_seq=1_000_000, light=True)
+
+    def _pair(self):
+        """64 packets queued; ACKs dropped until ``acks[0]`` is set and the
+        first transmission of packets 5-7 lost."""
+        acks, lost = [False], {5, 6, 7}
+
+        def loss(m):
+            if m.type_name == "ack":
+                return not acks[0]
+            if m.type_name == "data" and m.seq in lost:
+                lost.discard(m.seq)
+                return True
+            return False
+
+        sched, a, b, pump = make_pair(loss=loss)
+        b.listen()
+        a.connect()
+        pump()
+        a.send(64 * 1456)
+        step(sched, pump, 0.5)
+        assert a.snd_last_ack == 0 and seq_cmp(a.curr_seq, 8) > 0
+        return sched, a, b, pump, acks
+
+    def test_ack_beyond_curr_seq_changes_nothing(self):
+        _, a, _, _, _ = self._pair()
+        state = lambda: (  # noqa: E731
+            a.snd_last_ack, a.snd_buffer.inflight_packets, len(a.snd_loss), a.stats.acks_received,
+            a.stats.ack2_sent, a.cc.period, a.flow_window, a.rtt, a.bandwidth,
+        )
+        before = state()
+        a.on_datagram(self.FORGED, 24)
+        full = P.Ack(ack_no=8, recv_seq=1_000_000, rtt_us=1, buf_avail=1, capacity=9)
+        a.on_datagram(full, 40)
+        assert state() == before
+
+    def test_transfer_completes_after_a_forged_ack(self):
+        sched, a, b, pump, acks = self._pair()
+        a.on_datagram(self.FORGED, 24)
+        acks[0] = True
+        step(sched, pump, 30.0, dt=0.01)
+        assert b.delivered_bytes == 64 * 1456
+        assert a.snd_buffer.inflight_packets == 0 and a.snd_last_ack == a.curr_seq
 
 
 class TestProbePairs:
