@@ -56,6 +56,7 @@ class _ThreadScheduler:
     def stop(self) -> None:
         with self._cond:
             self._stop = True
+            self._on_error = None  # the endpoint: no reference cycle once closed
             self._cond.notify()
         if self._thread.is_alive() and threading.current_thread() is not self._thread:
             self._thread.join(timeout=2.0)
@@ -122,7 +123,14 @@ class LiveUdtEndpoint:
         self._lock = threading.RLock()
         self._sched = _ThreadScheduler(self._lock, self._fail)
         self._deliver_cb = deliver
+        #: in-order data no read has claimed yet
         self.received = bytearray()
+        #: §4.3 overlapped IO: the buffer a blocked ``recv_exactly`` posted,
+        #: which the receive thread fills straight from each payload
+        self._posted: Optional[memoryview] = None
+        self._filled = 0
+        #: the one buffer the receive thread reads every datagram into
+        self._rx_buf = bytearray(65536)
         self._recv_cond = threading.Condition(self._lock)
         self.core = UdtCore(
             self.config,
@@ -147,23 +155,33 @@ class LiveUdtEndpoint:
         except OSError:
             pass  # socket closed under us during shutdown
 
-    def _on_deliver(self, size: int, data: Optional[bytes]) -> None:
-        if data is not None:
+    def _on_deliver(self, size: int, data: bytes) -> None:
+        posted = self._posted
+        if posted is None:
             self.received.extend(data)
-        if self._deliver_cb is not None and data is not None:
+        else:
+            start = self._filled
+            n = min(len(data), len(posted) - start)
+            posted[start:start + n] = memoryview(data)[:n]
+            self._filled = start + n
+            if n < len(data):
+                self.received.extend(memoryview(data)[n:])
+            if self._filled == len(posted):
+                self._recv_cond.notify_all()  # wakes the reader once
+        if self._deliver_cb is not None:
             self._deliver_cb(data)
-        self._recv_cond.notify_all()
 
     def _rx_loop(self) -> None:
+        buf = memoryview(self._rx_buf)
         while not self._closed:
             try:
-                datagram, addr = self.sock.recvfrom(65536)
+                nbytes, addr = self.sock.recvfrom_into(buf)
             except socket.timeout:
                 continue
             except OSError:
                 return
             try:
-                msg = P.decode(datagram)
+                msg = P.decode(buf[:nbytes])  # owns its payload: buf is reused
             except ValueError:
                 continue
             with self._lock:
@@ -173,10 +191,13 @@ class LiveUdtEndpoint:
                     # a stray sender's Shutdown must not close the connection;
                     # a source-address check, not authentication
                     continue
+                was_connected = self.core.connected
                 try:
-                    self.core.on_datagram(msg, len(datagram))
+                    self.core.on_datagram(msg, nbytes)
                 except Exception as exc:
                     self._fail(exc)
+                if self.core.connected and not was_connected:
+                    self._recv_cond.notify_all()  # wakes connect()
         if self._error is not None:
             self._sched.stop()
             self.sock.close()
@@ -201,15 +222,15 @@ class LiveUdtEndpoint:
         # the address recvfrom reports, so the receive loop's source check
         # matches the peer's datagrams when it is named by host name
         self.peer = (socket.gethostbyname(peer[0]), peer[1])
-        with self._lock:
-            self.core.connect()
         deadline = time.perf_counter() + timeout
-        while time.perf_counter() < deadline:
-            with self._lock:
-                if self.core.connected:
-                    return
-            time.sleep(0.005)
-        raise TimeoutError(f"UDT handshake with {peer} timed out")
+        with self._recv_cond:
+            self.core.connect()
+            while not self.core.connected:
+                self._raise_if_failed()
+                remaining = deadline - time.perf_counter()
+                if remaining <= 0:
+                    raise TimeoutError(f"UDT handshake with {peer} timed out")
+                self._recv_cond.wait(timeout=remaining)
 
     @property
     def connected(self) -> bool:
@@ -217,34 +238,57 @@ class LiveUdtEndpoint:
             return self.core.connected
 
     def send(self, data: bytes, timeout: float = 30.0) -> int:
-        """Queue application bytes, blocking while the send buffer is full."""
+        """Queue application bytes, blocking while the send buffer is full.
+
+        ``data`` may be any bytes-like object.  ``bytes`` is queued as a
+        view, without a copy; anything else is copied once, here, so the
+        caller may reuse its buffer as soon as this returns.
+        """
+        view = memoryview(data if isinstance(data, bytes) else bytes(data))
+        total = len(view)
         sent = 0
         deadline = time.perf_counter() + timeout
-        while sent < len(data):
+        while sent < total:
             with self._lock:
                 self._raise_if_failed()
-                sent += self.core.send(len(data) - sent, data[sent:])
-            if sent < len(data):
+                sent += self.core.send(total - sent, view[sent:])
+            if sent < total:
                 if time.perf_counter() > deadline:
                     raise TimeoutError("send buffer stayed full")
                 time.sleep(0.002)
         return sent
 
     def recv_exactly(self, nbytes: int, timeout: float = 30.0) -> bytes:
-        """Block until ``nbytes`` of in-order data have been delivered."""
+        """Block until ``nbytes`` of in-order data have been delivered.
+
+        §4.3's overlapped IO: the call posts a buffer of its own, which
+        takes what ``received`` holds and then, on the receive thread,
+        each arriving payload.  On a timeout or a failure the bytes it
+        got go back to the front of ``received``.  One reader at a time.
+        """
         deadline = time.monotonic() + timeout
+        out = bytearray(nbytes)
         with self._recv_cond:
-            while len(self.received) < nbytes:
-                self._raise_if_failed()
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TimeoutError(
-                        f"received {len(self.received)}/{nbytes} bytes"
-                    )
-                self._recv_cond.wait(timeout=min(remaining, 0.1))
-            out = bytes(self.received[:nbytes])
-            del self.received[:nbytes]
-            return out
+            if self._posted is not None:
+                raise RuntimeError("another recv_exactly is in progress")
+            take = min(len(self.received), nbytes)
+            with memoryview(self.received) as held:
+                out[:take] = held[:take]
+            del self.received[:take]
+            self._posted, self._filled = memoryview(out), take
+            try:
+                while self._filled < nbytes:
+                    self._raise_if_failed()
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise TimeoutError(f"received {self._filled}/{nbytes} bytes")
+                    self._recv_cond.wait(timeout=min(remaining, 0.1))
+            finally:
+                if self._filled < nbytes:
+                    self.received[:0] = self._posted[:self._filled]
+                self._posted.release()
+                self._posted = None
+        return bytes(out)
 
     # -- §4.7's file-transfer extensions ---------------------------------
     def send_file(self, path: str, chunk: int = 1 << 16, timeout: float = 60.0) -> int:
@@ -269,11 +313,15 @@ class LiveUdtEndpoint:
         return nbytes
 
     def close(self) -> None:
-        if self._closed:
-            return
         with self._lock:
-            self.core.close()
-        self._closed = True
+            if not self._closed:
+                self.core.close()
+                self._closed = True
+            # Neither the core nor the scheduler (stop) refers back to this
+            # endpoint once closed, so reference counting frees it, a failed
+            # endpoint too.  The receive thread is not joined: it leaves
+            # within its 50 ms socket timeout.
+            self.core.detach()
         self._sched.stop()
         self.sock.close()
 

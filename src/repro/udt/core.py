@@ -260,6 +260,13 @@ class UdtCore:
                 self.sched.cancel(h)
         self._send_event = self._syn_timer = self._exp_timer = self._hs_timer = None
 
+    def detach(self) -> None:
+        """Drop the binding's transmit and deliver callbacks, so a closed
+        core no longer refers to the endpoint that drives it.  A detached
+        core sends and delivers nothing; ``stats`` stay readable."""
+        self._transmit = _discard
+        self.rcv_buffer._deliver = None
+
     # ------------------------------------------------------------------
     # application interface
     # ------------------------------------------------------------------
@@ -855,6 +862,10 @@ class UdtCore:
     @property
     def delivered_bytes(self) -> int:
         return self.rcv_buffer.delivered_bytes
+
+
+def _discard(msg: Any, size: int) -> None:
+    """The transmit callback of a detached core."""
 
 
 class _CcView:

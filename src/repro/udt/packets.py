@@ -207,23 +207,25 @@ class Shutdown(ControlPacket):
 def decode(datagram: bytes) -> object:
     """Parse a wire datagram into the matching message object.
 
-    Every malformed datagram raises :class:`ValueError`, whatever is
-    wrong with it, so a socket reader needs to catch that one type only.
+    ``datagram`` may be any bytes-like object.  A data packet's payload is
+    copied into bytes of its own, so a socket reader may reuse the buffer
+    it received into as soon as this returns.  Every malformed datagram
+    raises :class:`ValueError`, whatever is wrong with it, so a socket
+    reader needs to catch that one type only.
     """
     if len(datagram) < UDT_HEADER:
         raise ValueError(f"short datagram ({len(datagram)} bytes)")
     w0, info, ts, dst_id = _HDR.unpack_from(datagram)
     body = datagram[UDT_HEADER:]
     if not w0 & _CTRL_BIT:
-        pkt = DataPacket(
+        return DataPacket(
             seq=w0 & (MAX_SEQ_NO - 1),
             size=len(body),
             ts=ts,
             dst_id=dst_id,
-            data=body,
+            data=bytes(body),  # no copy when ``body`` is already bytes
             retransmitted=bool(info & 1),
         )
-        return pkt
     ctype = (w0 >> 16) & 0x7FFF
     try:
         if ctype == HANDSHAKE:

@@ -1,8 +1,11 @@
 """Unit + property tests for send/receive buffers and overlapped IO."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.udt import packets as P
 from repro.udt.buffers import ReceiveBuffer, SendBuffer
 from repro.udt.params import MAX_SEQ_NO
 from repro.udt.seqno import seq_inc
@@ -52,6 +55,26 @@ class TestSendBuffer:
         assert sizes == [4, 4, 2]
         data = b"".join(b.lookup(s)[1] for s in (0, 1, 2))
         assert data == payload
+
+    def test_packetising_one_large_add_copies_no_remainder(self):
+        """Each packet is a view of the caller's bytes: packetising one
+        4 MB ``add`` never holds more than a few packets' worth at once."""
+        payload = bytes(range(256)) * (4 << 12)
+        b = SendBuffer(4096, 1456)
+        tracemalloc.start()
+        try:
+            assert b.add(len(payload), payload) == len(payload)
+            seq = sent = 0
+            while (entry := b.next_packet(seq)) is not None:
+                assert entry[1] == payload[sent:sent + entry[0]]
+                sent += entry[0]
+                seq = seq_inc(seq)
+                b.ack_upto(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sent == len(payload)
+        assert peak < 8 * 1456
 
     def test_wraparound_ack(self):
         b = SendBuffer(8, 100)
@@ -132,6 +155,22 @@ class TestReceiveBuffer:
         rb.on_data(2, 100)
         assert rb.zero_copy_bytes == 200
         assert rb.copied_bytes == 100
+
+    def test_a_held_packet_keeps_its_bytes_when_the_datagram_buffer_is_reused(self):
+        """Decoded from a view of one reused socket buffer (``repro.live``),
+        an out-of-order packet still holds its own bytes on delivery."""
+        rb, delivered = self._buf()
+        buf = bytearray(64)
+
+        def arrive(seq, payload):
+            wire = P.DataPacket(seq=seq, size=len(payload), data=payload).encode()
+            buf[:len(wire)] = wire
+            pkt = P.decode(memoryview(buf)[:len(wire)])
+            rb.on_data(pkt.seq, pkt.size, pkt.data)
+
+        arrive(1, b"later")  # held: seq 0 is missing
+        arrive(0, b"first")  # written over the same buffer
+        assert delivered == [(5, b"first"), (5, b"later")]
 
     def test_not_started_raises(self):
         rb = ReceiveBuffer(4)
@@ -294,7 +333,7 @@ def test_send_buffer_matches_frozen_reference(capacity, payload_size, init_seq, 
             probe = seq_inc(first_unacked, op[1])
             assert new.lookup(probe) == ref.lookup(probe)
         assert new._pending_bytes == ref._pending_bytes
-        assert new._pending_data == ref._pending_data
+        assert list(new._pending_data) == ref._pending_data  # views == bytes
         assert new._inflight == ref._inflight
         assert list(new._order) == list(ref._order)
         assert new.free_packets() == ref.free_packets()

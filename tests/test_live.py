@@ -1,9 +1,11 @@
 """Integration tests for the real-UDP loopback runtime."""
 
+import gc
 import os
 import socket
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -85,6 +87,79 @@ class TestLoopback:
         assert ("conn.connected", client.core.name) in {(e.kind, e.src) for e in heard}
         assert {e.src for e in heard} == {client.core.name}
 
+    def test_connect_waits_on_a_condition_not_a_poll(self, monkeypatch):
+        """The receive thread wakes ``connect()`` when the handshake lands:
+        the calling thread never sleeps."""
+        caller = threading.current_thread()
+        real_sleep = time.sleep
+
+        def no_polling(seconds):
+            if threading.current_thread() is caller:
+                raise AssertionError("connect() polled")
+            real_sleep(seconds)
+
+        server = LiveUdtEndpoint(("127.0.0.1", 0))
+        client = LiveUdtEndpoint(("127.0.0.1", 0))
+        on_datagram = server.core.on_datagram
+
+        def slow_server(*args):
+            real_sleep(0.05)  # the handshake lands after connect() first looks
+            on_datagram(*args)
+
+        server.core.on_datagram = slow_server
+        try:
+            server.listen()
+            monkeypatch.setattr(time, "sleep", no_polling)
+            client.connect(server.local_addr)
+            monkeypatch.undo()
+            assert client.connected and server.connected
+        finally:
+            client.close()
+            server.close()
+
+    @pytest.mark.parametrize("wrap", [bytearray, lambda b: memoryview(bytearray(b))],
+                             ids=["bytearray", "memoryview"])
+    def test_a_buffer_reused_after_send_returns_goes_out_as_it_was(self, wrap):
+        """``send`` copies a mutable buffer once, at the call: what the
+        caller writes into it afterwards never reaches the wire."""
+        payload = os.urandom(300_000)
+        buf = wrap(payload)
+        server = LiveUdtEndpoint(("127.0.0.1", 0))
+        client = LiveUdtEndpoint(("127.0.0.1", 0))
+        try:
+            server.listen()
+            client.connect(server.local_addr)
+            assert client.send(buf) == len(payload)
+            buf[:] = bytes(len(payload))
+            assert server.recv_exactly(len(payload), timeout=15.0) == payload
+        finally:
+            client.close()
+            server.close()
+
+    def test_a_closed_endpoint_is_freed_by_reference_counting(self):
+        """Once closed, neither the core nor the timer thread refers back to
+        the endpoint: with the cyclic collector off, it goes as soon as its
+        receive thread has left."""
+        gc.disable()
+        try:
+            server = LiveUdtEndpoint(("127.0.0.1", 0))
+            client = LiveUdtEndpoint(("127.0.0.1", 0))
+            server.listen()
+            client.connect(server.local_addr)
+            client.send(b"x" * 10_000)
+            assert server.recv_exactly(10_000, timeout=15.0) == b"x" * 10_000
+            client.close()
+            server.close()
+            assert client.core.closed and client.core.stats.data_pkts_sent > 0
+            threads = [client._rx_thread, server._rx_thread]
+            refs = [weakref.ref(client), weakref.ref(server)]
+            del client, server
+            for t in threads:
+                t.join(timeout=2.0)
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
     def test_recv_exactly_blocks_until_complete(self):
         server = LiveUdtEndpoint(("127.0.0.1", 0))
         client = LiveUdtEndpoint(("127.0.0.1", 0))
@@ -104,6 +179,42 @@ class TestLoopback:
             assert got == payload
         finally:
             client.close()
+            server.close()
+
+    def test_reads_cut_the_stream_where_asked(self):
+        """Each read posts its own buffer (§4.3): a payload that straddles
+        its end goes on to the next read, a timed-out read gives back what
+        it got, and the byte stream comes out whole and in order."""
+        server = LiveUdtEndpoint(("127.0.0.1", 0))
+        client = LiveUdtEndpoint(("127.0.0.1", 0))
+        payload = os.urandom(100_000)
+        try:
+            server.listen()
+            client.connect(server.local_addr)
+            client.send(payload[:60_000])
+            got = [server.recv_exactly(n, timeout=15.0) for n in (1000, 1, 2455)]
+            with pytest.raises(TimeoutError, match=r"received \d+/60000 bytes"):
+                server.recv_exactly(60_000, timeout=1.0)
+            client.send(payload[60_000:])
+            got.append(server.recv_exactly(100_000 - 3456, timeout=15.0))
+            assert b"".join(got) == payload
+            assert server.received == bytearray()
+        finally:
+            client.close()
+            server.close()
+
+    def test_one_read_at_a_time(self):
+        server = LiveUdtEndpoint(("127.0.0.1", 0))
+        try:
+            reader = threading.Thread(target=lambda: pytest.raises(
+                TimeoutError, server.recv_exactly, 10, timeout=1.0))
+            reader.start()
+            while server._posted is None:  # until the reader has posted
+                time.sleep(0.005)
+            with pytest.raises(RuntimeError, match="another recv_exactly"):
+                server.recv_exactly(1, timeout=0.1)
+            reader.join()
+        finally:
             server.close()
 
     def test_recv_timeout_reports_progress(self):
