@@ -89,7 +89,7 @@ class UdpBlast:
             else:
                 self._start_burst()
             return
-        self.ep.sendto(("blast", self.pkts_sent), self.payload, self.dst)
+        self.ep.sendto(None, self.payload, self.dst)
         self.pkts_sent += 1
         # Fire-and-forget: a tick per packet, never cancelled.
         self._posts += 1

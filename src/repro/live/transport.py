@@ -132,6 +132,8 @@ class LiveUdtEndpoint:
         #: the one buffer the receive thread reads every datagram into
         self._rx_buf = bytearray(65536)
         self._recv_cond = threading.Condition(self._lock)
+        #: a ``send`` waits for the send buffer to free space
+        self._send_waiting = False
         self.core = UdtCore(
             self.config,
             self._sched,
@@ -198,6 +200,8 @@ class LiveUdtEndpoint:
                     self._fail(exc)
                 if self.core.connected and not was_connected:
                     self._recv_cond.notify_all()  # wakes connect()
+                elif self._send_waiting and self.core.snd_buffer.free_packets():
+                    self._recv_cond.notify_all()  # an ACK freed room: wakes send()
         if self._error is not None:
             self._sched.stop()
             self.sock.close()
@@ -248,14 +252,21 @@ class LiveUdtEndpoint:
         total = len(view)
         sent = 0
         deadline = time.perf_counter() + timeout
-        while sent < total:
-            with self._lock:
+        with self._recv_cond:
+            while sent < total:
                 self._raise_if_failed()
                 sent += self.core.send(total - sent, view[sent:])
-            if sent < total:
-                if time.perf_counter() > deadline:
-                    raise TimeoutError("send buffer stayed full")
-                time.sleep(0.002)
+                if sent < total:
+                    remaining = deadline - time.perf_counter()
+                    if remaining <= 0:
+                        raise TimeoutError("send buffer stayed full")
+                    # The receive thread wakes this once an ACK frees room;
+                    # the cap bounds how late a closed core is noticed.
+                    self._send_waiting = True
+                    try:
+                        self._recv_cond.wait(timeout=min(remaining, 0.1))
+                    finally:
+                        self._send_waiting = False
         return sent
 
     def recv_exactly(self, nbytes: int, timeout: float = 30.0) -> bytes:

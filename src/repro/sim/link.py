@@ -43,6 +43,10 @@ class Link:
         them with randomised processing overhead and this serves the same
         purpose.  Jitter perturbs transmission (not propagation) so FIFO
         ordering is preserved exactly.
+
+    The far end's ``receive`` is bound once, here, and every delivery
+    calls that one bound method: nothing rebinds ``Node.receive`` once
+    links exist.
     """
 
     def __init__(
@@ -82,6 +86,7 @@ class Link:
         self._drain_pending = False
         # Packets in flight, in arrival order (Simulator.post_fifo).
         self._pipe = sim.fifo_stream()
+        self._arrive = dst.receive
         # stats
         self.bytes_sent = 0
         self.pkts_sent = 0
@@ -236,7 +241,7 @@ class Link:
                 )
         else:
             pkt.hops += 1
-            sim.post_fifo(self._pipe, tx + self.delay, self.dst.receive, pkt)
+            sim.post_fifo(self._pipe, tx + self.delay, self._arrive, pkt)
 
     def _drain(self) -> None:
         """Serialise the next queued packet (fires at ``_busy_until``)."""

@@ -27,7 +27,6 @@ class Packet:
         "dst",
         "payload",
         "flow",
-        "created",
         "hops",
     )
 
@@ -38,7 +37,6 @@ class Packet:
         dst: Address,
         payload: Any = None,
         flow: Optional[int] = None,
-        created: float = 0.0,
         uid: Optional[int] = None,
     ):
         if size <= 0:
@@ -49,7 +47,6 @@ class Packet:
         self.dst = dst
         self.payload = payload
         self.flow = flow
-        self.created = created
         self.hops = 0
 
     @property

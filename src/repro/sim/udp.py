@@ -75,10 +75,7 @@ class UdpEndpoint:
         if self._closed:
             raise RuntimeError("endpoint is closed")
         wire = size + IP_UDP_HEADER
-        sim = self.sim
-        pkt = Packet(
-            wire, self._addr, dst, payload, flow, sim.now, next(sim.packet_uids)
-        )
+        pkt = Packet(wire, self._addr, dst, payload, flow, next(self.sim.packet_uids))
         self.bytes_sent += wire
         self.datagrams_sent += 1
         host = self.host

@@ -67,10 +67,8 @@ class _Port:
         self.flow: Optional[object] = None
 
     def send(self, msg, wire_size: int, dst) -> None:
-        sim = self.sim
         pkt = Packet(
-            wire_size, self.address, dst, msg, self.flow, sim.now,
-            next(sim.packet_uids),
+            wire_size, self.address, dst, msg, self.flow, next(self.sim.packet_uids)
         )
         host = self.host
         # Routes never name the node itself, so a hit is a remote

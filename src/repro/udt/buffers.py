@@ -20,14 +20,20 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.udt.seqno import seq_cmp, seq_inc, seq_off
+from repro.udt.seqno import seq_inc, seq_off
 
 
 class SendBuffer:
     """Application bytes queued for (re)transmission, packetised at MSS.
 
     Packets keep their payload until acknowledged so retransmissions can
-    look sizes (and live-mode data) back up by sequence number.
+    look sizes (and live-mode data) back up by sequence number.  The
+    unacknowledged packets are one deque of ``(size, data)`` entries
+    from ``_first``, the sequence number of its head: the sender binds
+    consecutive sequence numbers (``UdtCore`` always passes
+    ``curr_seq``), so a packet's place in the window is its offset from
+    ``_first`` and no map by sequence number is needed.  Every full-size
+    packet without payload (a simulated source) shares one entry.
     """
 
     def __init__(self, capacity_pkts: int, payload_size: int):
@@ -39,14 +45,14 @@ class SendBuffer:
         #: live mode only: views of the application's bytes, consumed
         #: from the front, so packetising never copies what is left
         self._pending_data: deque[memoryview] = deque()
-        self._inflight: Dict[int, Tuple[int, Optional[bytes]]] = {}
-        # Sequence numbers in packetisation order; ACKs release a strict
-        # prefix, so ack_upto is O(packets acked), never a full scan.
-        self._order: deque[int] = deque()
+        #: unacknowledged packets, oldest first; ACKs release a prefix
+        self._window: deque[Tuple[int, Optional[bytes]]] = deque()
+        self._first = 0  # sequence number of the window's head
+        self._full = (payload_size, None)
 
     # -- application side --------------------------------------------------
     def free_packets(self) -> int:
-        used = len(self._inflight) + self.queued_packets()
+        used = len(self._window) + self.queued_packets()
         return max(self.capacity_pkts - used, 0)
 
     def queued_packets(self) -> int:
@@ -79,17 +85,17 @@ class SendBuffer:
         The send tick's single call.  An unlimited source passes its
         top-up as ``refill``: with nothing pending, that many bytes are
         queued first, room permitting, as ``add(refill)`` would.  Returns
-        None when there is (still) nothing to send.
+        None when there is (still) nothing to send.  ``seq`` follows the
+        last packet bound; with no packet unacknowledged it may be any.
         """
         pending = self._pending_bytes
         if pending <= 0:
-            room = (self.capacity_pkts - len(self._inflight)) * self.payload_size
+            room = (self.capacity_pkts - len(self._window)) * self.payload_size
             pending = min(refill, room)
             if pending <= 0:
                 return None
         size = min(self.payload_size, pending)
         self._pending_bytes = pending - size
-        data: Optional[bytes] = None
         pending_data = self._pending_data
         if pending_data:  # live mode: real payload rides along
             # A view of the caller's bytes; only a packet that straddles
@@ -106,28 +112,38 @@ class SendBuffer:
                     pending_data[0] = head[need:]
                     need = 0
             data = chunks[0] if len(chunks) == 1 else b"".join(chunks)
-        entry = (size, data)
-        self._inflight[seq] = entry
-        self._order.append(seq)
+            entry = (size, data)
+        elif size == self.payload_size:
+            entry = self._full
+        else:
+            entry = (size, None)
+        window = self._window
+        if not window:
+            self._first = seq
+        window.append(entry)
         return entry
 
     def lookup(self, seq: int) -> Optional[Tuple[int, Optional[bytes]]]:
-        """Payload (size, data) for a retransmission, None if already acked."""
-        return self._inflight.get(seq)
+        """Payload (size, data) for a retransmission, None if not in flight."""
+        off = seq_off(self._first, seq)
+        if 0 <= off < len(self._window):
+            return self._window[off]
+        return None
 
     def ack_upto(self, seq: int) -> int:
         """Release every packet strictly before ``seq``; returns count freed."""
-        freed = 0
-        order = self._order
-        inflight = self._inflight
-        while order and seq_cmp(order[0], seq) < 0:
-            del inflight[order.popleft()]
-            freed += 1
+        window = self._window
+        freed = min(max(seq_off(self._first, seq), 0), len(window))
+        if freed:
+            self._first = seq_inc(self._first, freed)
+            popleft = window.popleft
+            for _ in range(freed):
+                popleft()
         return freed
 
     @property
     def inflight_packets(self) -> int:
-        return len(self._inflight)
+        return len(self._window)
 
 
 class ReceiveBuffer:

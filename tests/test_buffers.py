@@ -76,6 +76,28 @@ class TestSendBuffer:
         assert sent == len(payload)
         assert peak < 8 * 1456
 
+    def test_unacknowledged_packets_cost_a_deque_slot_each(self):
+        """The window is one deque, and every full-size packet without
+        payload shares one entry: 10 000 unacknowledged packets across
+        the sequence wrap cost at most 16 B each (a map by sequence
+        number, with a tuple per packet, cost 125 B)."""
+        n = 10_000
+        b = SendBuffer(n, 1456)
+        seq = MAX_SEQ_NO - n // 2
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(n):
+                assert b.next_packet(seq, 1456) == (1456, None)
+                seq = seq_inc(seq)
+            per_packet = (tracemalloc.get_traced_memory()[0] - base) / n
+        finally:
+            tracemalloc.stop()
+        assert b.inflight_packets == n
+        assert b.lookup(MAX_SEQ_NO - 1) == b.lookup(0) == (1456, None)
+        assert b.lookup(seq) is None
+        assert per_packet <= 16, per_packet
+
     def test_wraparound_ack(self):
         b = SendBuffer(8, 100)
         top = MAX_SEQ_NO - 2
@@ -279,7 +301,9 @@ _snd_ops = st.one_of(
     ),
     st.tuples(st.just("tick"), st.booleans()),  # the send tick; unlimited source?
     st.tuples(st.just("packetise")),
-    st.tuples(st.just("ack"), st.integers(0, 5)),
+    # an ACK up to that many packets past the first unacknowledged one;
+    # negative: a stale ACK, that many behind it
+    st.tuples(st.just("ack"), st.integers(-3, 5)),
     st.tuples(st.just("lookup"), st.integers(-2, 6)),
 )
 
@@ -325,6 +349,9 @@ def test_send_buffer_matches_frozen_reference(capacity, payload_size, init_seq, 
             assert got == ref.packetise(seq)
             if got is not None:
                 seq = seq_inc(seq)
+        elif op[0] == "ack" and op[1] < 0:
+            stale = seq_inc(first_unacked, op[1])
+            assert new.ack_upto(stale) == ref.ack_upto(stale) == 0
         elif op[0] == "ack":
             upto = seq_inc(first_unacked, min(op[1], ref.inflight_packets))
             assert new.ack_upto(upto) == ref.ack_upto(upto)
@@ -334,7 +361,8 @@ def test_send_buffer_matches_frozen_reference(capacity, payload_size, init_seq, 
             assert new.lookup(probe) == ref.lookup(probe)
         assert new._pending_bytes == ref._pending_bytes
         assert list(new._pending_data) == ref._pending_data  # views == bytes
-        assert new._inflight == ref._inflight
-        assert list(new._order) == list(ref._order)
+        assert [new.lookup(q) for q in ref._order] == [
+            ref._inflight[q] for q in ref._order
+        ]
         assert new.free_packets() == ref.free_packets()
         assert new.inflight_packets == ref.inflight_packets

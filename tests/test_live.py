@@ -117,6 +117,53 @@ class TestLoopback:
             client.close()
             server.close()
 
+    def test_send_waits_on_a_condition_not_a_poll(self, monkeypatch):
+        """A send 500 times the send buffer blocks until ACKs free room:
+        the receive thread wakes it, the calling thread never sleeps."""
+        caller = threading.current_thread()
+        real_sleep = time.sleep
+
+        def no_polling(seconds):
+            if threading.current_thread() is caller:
+                raise AssertionError("send() polled")
+            real_sleep(seconds)
+
+        payload = os.urandom(2 << 20)
+        config = UdtConfig(correct_sending_rate=True, snd_buffer_pkts=64)
+        server = LiveUdtEndpoint(("127.0.0.1", 0))
+        client = LiveUdtEndpoint(("127.0.0.1", 0), config=config)
+        try:
+            server.listen()
+            client.connect(server.local_addr)
+            monkeypatch.setattr(time, "sleep", no_polling)
+            assert client.send(payload) == len(payload)
+            monkeypatch.undo()
+            assert server.recv_exactly(len(payload)) == payload
+        finally:
+            client.close()
+            server.close()
+
+    def test_a_send_blocked_on_a_full_buffer_raises_once_the_endpoint_closes(self):
+        """The peer stops acknowledging; closing the endpoint from another
+        thread ends the blocked ``send`` at once, not at its timeout."""
+        config = UdtConfig(correct_sending_rate=True, snd_buffer_pkts=8)
+        server = LiveUdtEndpoint(("127.0.0.1", 0))
+        client = LiveUdtEndpoint(("127.0.0.1", 0), config=config)
+        try:
+            server.listen()
+            client.connect(server.local_addr)
+            server.core.on_datagram = lambda *args: None  # deaf from now on
+            closer = threading.Timer(0.2, client.close)
+            closer.start()
+            t0 = time.monotonic()
+            with pytest.raises(RuntimeError, match="closed"):
+                client.send(os.urandom(100_000), timeout=30.0)
+            assert time.monotonic() - t0 < 5.0
+            closer.join()
+        finally:
+            client.close()
+            server.close()
+
     @pytest.mark.parametrize("wrap", [bytearray, lambda b: memoryview(bytearray(b))],
                              ids=["bytearray", "memoryview"])
     def test_a_buffer_reused_after_send_returns_goes_out_as_it_was(self, wrap):

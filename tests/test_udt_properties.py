@@ -9,7 +9,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.sim.topology import path_topology
 from repro.udt import UdtConfig, start_udt_flow
-from repro.udt.seqno import seq_off
+from repro.udt import packets as P
+from repro.udt.core import UdtCore
+from repro.udt.nakcodec import encode as nak_encode
+from repro.udt.params import MAX_SEQ_NO
+from repro.udt.seqno import seq_inc, seq_off
+from tests.test_udt_core_units import ManualScheduler
 
 
 @settings(
@@ -78,3 +83,65 @@ def test_any_mss_transfers_exactly(mss, seed):
     top.net.run(until=60.0)
     assert f.done
     assert f.delivered_bytes == 200_000
+
+
+# A hostile peer, between the sender's send ticks: ACKs at an offset from
+# snd_last_ack (negative: stale; zero: repeated; past curr_seq: claiming
+# data never sent) or anywhere in the sequence space, a replay of the last
+# ACK, and NAK ranges from snd_last_ack or from just before the wrap.
+_hostile = st.one_of(
+    st.tuples(st.just("ack"), st.integers(-8, 40), st.booleans(), st.integers(0, 99)),
+    st.tuples(st.just("ack_anywhere"), st.integers(0, MAX_SEQ_NO - 1)),
+    st.tuples(st.just("replay")),
+    st.tuples(st.just("nak"), st.booleans(), st.integers(-30, 90), st.integers(0, 60)),
+    st.tuples(st.just("tick"), st.integers(1, 20)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(capacity=st.integers(8, 64), ops=st.lists(_hostile, max_size=40))
+def test_hostile_acks_leave_the_send_window_whole(capacity, ops):
+    """Whatever ACKs and NAKs arrive, a sender across the sequence wrap
+    keeps exactly [snd_last_ack, curr_seq) unacknowledged: bounded by its
+    buffer, every packet in it retrievable, the loss list inside it."""
+    sched = ManualScheduler()
+    wire = []
+    cfg = UdtConfig(snd_buffer_pkts=capacity)
+    a = UdtCore(cfg, sched, lambda m, s: wire.append((m, s)),
+                init_seq=MAX_SEQ_NO - 8, name="a")
+    b = UdtCore(cfg, sched, lambda m, s: a.on_datagram(m, s), name="b")
+    b.listen()
+    a.connect()
+    while wire:
+        b.on_datagram(*wire.pop(0))  # the handshake; b hears nothing more
+    assert a.connected
+    a.send_forever()
+    sched.advance(0.001)
+    wire.clear()
+    last_ack = P.Ack(ack_no=1, recv_seq=a.snd_last_ack, light=True)
+    for n, op in enumerate(ops):
+        if op[0] == "ack":
+            last_ack = P.Ack(ack_no=n, recv_seq=seq_inc(a.snd_last_ack, op[1]),
+                             rtt_us=1000, buf_avail=op[3], light=op[2])
+            a.on_datagram(last_ack, 40)
+        elif op[0] == "ack_anywhere":
+            last_ack = P.Ack(ack_no=n, recv_seq=op[1], light=True)
+            a.on_datagram(last_ack, 24)
+        elif op[0] == "replay":
+            a.on_datagram(last_ack, 40)
+        elif op[0] == "nak":
+            base = MAX_SEQ_NO - 10 if op[1] else a.snd_last_ack
+            first = seq_inc(base, op[2])
+            a.on_datagram(P.Nak(loss=nak_encode([(first, seq_inc(first, op[3]))])), 24)
+        else:
+            sched.advance(sched.t + op[1] / 1000)
+        wire.clear()  # the data is lost: only the forged control input arrives
+        buf = a.snd_buffer
+        outstanding = seq_off(a.snd_last_ack, a.curr_seq)
+        assert buf.inflight_packets == outstanding <= capacity
+        assert len(a.snd_loss) <= outstanding
+        assert all(
+            buf.lookup(seq_inc(a.snd_last_ack, i)) is not None
+            for i in range(outstanding)
+        )
+        assert buf.lookup(a.curr_seq) is None
