@@ -55,6 +55,8 @@ def run(
                 )
                 for i in range(n_flows)
             ]
+            for f in flows:
+                f.record_arrivals()
             d.net.run(until=duration)
             # Sample sink *arrival* rate (NS-2 style): in-order goodput
             # stalls during hole repair and would conflate reordering

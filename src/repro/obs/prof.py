@@ -58,6 +58,8 @@ PROFILE_SCHEMA = 1
 #: silently lumped together.
 CATEGORY_MAP: Dict[tuple, str] = {
     ("repro.sim.link", "Link._drain"): "link.transmit",
+    # an arrival at a router is dispatched as the next link's send
+    ("repro.sim.link", "Link.send"): "net.receive",
     ("repro.sim.node", "Node.receive"): "net.receive",
     ("repro.sim.node", "Host.receive"): "net.receive",
     ("repro.sim.node", "Router.receive"): "net.receive",

@@ -8,7 +8,7 @@ loss of *any* fragment loses the whole transport packet — the
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Dict, Optional
 
 from repro.obs import bus as OB
 from repro.sim.engine import Simulator
@@ -46,7 +46,12 @@ class Link:
 
     The far end's ``receive`` is bound once, here, and every delivery
     calls that one bound method: nothing rebinds ``Node.receive`` once
-    links exist.
+    links exist.  A link into a router carries that router's next hops
+    (``next_hop``, filled by :meth:`Network.finalize
+    <repro.sim.topology.Network.finalize>`): a packet passing through is
+    handed straight to the next link's ``send`` at its arrival time, and
+    only a packet the table does not name — one addressed to the router,
+    an unroutable one — reaches ``Router.receive``.
     """
 
     def __init__(
@@ -87,6 +92,8 @@ class Link:
         # Packets in flight, in arrival order (Simulator.post_fifo).
         self._pipe = sim.fifo_stream()
         self._arrive = dst.receive
+        #: Destination node id -> the next link's ``send`` (see above).
+        self.next_hop: Dict[int, Callable[[Packet], bool]] = {}
         # stats
         self.bytes_sent = 0
         self.pkts_sent = 0
@@ -241,7 +248,12 @@ class Link:
                 )
         else:
             pkt.hops += 1
-            sim.post_fifo(self._pipe, tx + self.delay, self._arrive, pkt)
+            sim.post_fifo(
+                self._pipe,
+                tx + self.delay,
+                self.next_hop.get(pkt.dst[0], self._arrive),
+                pkt,
+            )
 
     def _drain(self) -> None:
         """Serialise the next queued packet (fires at ``_busy_until``)."""

@@ -2,6 +2,9 @@
 
 Forwarding is by destination node id through a static routing table
 (``routes[dst_node] -> Link``) installed by :class:`repro.sim.topology.Network`.
+A link into a router carries a copy of the router's table and hands a
+passing packet to the next link itself (``Link.next_hop``), so
+``Router.receive`` runs only for packets that table does not name.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ class Node:
         "id",
         "name",
         "routes",
-        "pkts_forwarded",
-        "pkts_delivered",
         "pkts_unroutable",
     )
 
@@ -29,8 +30,6 @@ class Node:
         self.id = node_id
         self.name = name or f"n{node_id}"
         self.routes: Dict[int, Link] = {}
-        self.pkts_forwarded = 0
-        self.pkts_delivered = 0
         self.pkts_unroutable = 0
 
     # receive() runs once per packet per hop — the single hottest call in
@@ -38,7 +37,6 @@ class Node:
     # (no receive->deliver/forward call chain, no dst_node property).
     def receive(self, pkt: Packet) -> None:
         if pkt.dst[0] == self.id:
-            self.pkts_delivered += 1
             self.deliver(pkt)
         else:
             self.forward(pkt)
@@ -48,7 +46,6 @@ class Node:
         if link is None:
             self.pkts_unroutable += 1
             return
-        self.pkts_forwarded += 1
         link.send(pkt)
 
     def deliver(self, pkt: Packet) -> None:
@@ -79,14 +76,12 @@ class Router(Node):
     def receive(self, pkt: Packet) -> None:
         dst_node = pkt.dst[0]
         if dst_node == self.id:
-            self.pkts_delivered += 1
             self.deliver(pkt)
             return
         link = self.routes.get(dst_node)
         if link is None:
             self.pkts_unroutable += 1
             return
-        self.pkts_forwarded += 1
         link.send(pkt)
 
     def deliver(self, pkt: Packet) -> None:
@@ -119,7 +114,6 @@ class Host(Node):
     def receive(self, pkt: Packet) -> None:
         dst = pkt.dst
         if dst[0] == self.id:
-            self.pkts_delivered += 1
             handler = self._ports.get(dst[1])
             if handler is not None:
                 handler(pkt)
@@ -133,7 +127,6 @@ class Host(Node):
         if link is None:
             self.pkts_unroutable += 1
             return
-        self.pkts_forwarded += 1
         link.send(pkt)
 
     def deliver(self, pkt: Packet) -> None:

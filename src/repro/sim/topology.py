@@ -163,8 +163,21 @@ class Network:
         return fwd, rev
 
     def finalize(self) -> "Network":
-        """Compute static routes.  Call after topology construction."""
+        """Compute static routes.  Call after topology construction.
+
+        Routes are static from here to the next ``finalize()``.  Every
+        link into a router gets that router's routes as its next-hop
+        table, so forwarding costs no ``Router.receive`` call; calling
+        ``finalize()`` again (after ``add_link``) rebuilds both.
+        """
         compute_routes(self.nodes, self.links)
+        for link in self.links.values():
+            far = link.dst
+            link.next_hop = (
+                {dst: nxt.send for dst, nxt in far.routes.items()}
+                if isinstance(far, Router)
+                else {}
+            )
         return self
 
     def run(self, until: float) -> None:

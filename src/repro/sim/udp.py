@@ -1,9 +1,10 @@
 """Unreliable datagram service — the substrate UDT rides on.
 
 ``UdpEndpoint`` mirrors the sockets API shape the paper's implementation
-uses: bind to a host/port, ``sendto`` best-effort datagrams, receive via a
-callback.  On-wire size = payload size + 28 bytes of IP/UDP headers; the
-simulator applies queueing, loss and delay; there is no reliability,
+uses: bind to a host/port, ``sendto`` best-effort datagrams (or
+``connect`` to one peer and ``send``), receive via a callback.  On-wire
+size = payload size + 28 bytes of IP/UDP headers; the simulator applies
+queueing, loss and delay; there is no reliability,
 ordering, or congestion control here — exactly UDP's contract.
 """
 
@@ -27,6 +28,10 @@ class UdpEndpoint:
         "_datagram_handler",
         "_closed",
         "_addr",
+        "_peer",
+        "_flow",
+        "_last_size",
+        "_last_wire",
         "bytes_sent",
         "datagrams_sent",
         "datagrams_received",
@@ -43,6 +48,12 @@ class UdpEndpoint:
         host.bind(port, self._on_packet)
         self._closed = False
         self._addr: Address = (host.id, port)
+        self._peer: Optional[Address] = None
+        self._flow: object = None
+        # The last (payload size, wire size) pair ``send`` used: a bulk
+        # transfer's full-size datagrams all share one wire-size int.
+        self._last_size = 0
+        self._last_wire = IP_UDP_HEADER
         self.bytes_sent = 0
         self.datagrams_sent = 0
         self.datagrams_received = 0
@@ -86,10 +97,39 @@ class UdpEndpoint:
             return link.send(pkt)
         return host.send(pkt)  # loopback delivery, unroutable accounting
 
+    def connect(self, dst: Address, flow: object = None) -> None:
+        """Fix the peer, and the flow id its packets carry, for :meth:`send`:
+        a connected socket, whose datagrams name neither."""
+        if self._closed:
+            raise RuntimeError("endpoint is closed")
+        self._peer = dst
+        self._flow = flow
+
+    def send(self, payload: Any, size: int) -> bool:
+        """Send a ``size``-byte datagram to the connected peer."""
+        dst = self._peer
+        if dst is None:
+            raise RuntimeError(
+                "endpoint is closed" if self._closed else "endpoint is not connected"
+            )
+        if size != self._last_size:
+            self._last_size = size
+            self._last_wire = size + IP_UDP_HEADER
+        wire = self._last_wire
+        pkt = Packet(wire, self._addr, dst, payload, self._flow, next(self.sim.packet_uids))
+        self.bytes_sent += wire
+        self.datagrams_sent += 1
+        host = self.host
+        link = host.routes.get(dst[0])  # as in sendto
+        if link is not None:
+            return link.send(pkt)
+        return host.send(pkt)
+
     def close(self) -> None:
         if not self._closed:
             self.host.unbind(self.port)
             self._closed = True
+            self._peer = None
 
     def _on_packet(self, pkt: Packet) -> None:
         self.datagrams_received += 1

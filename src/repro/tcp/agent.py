@@ -532,7 +532,6 @@ class TcpFlow:
         )
         self.sink.src_addr = self.sender.port.address
         self.sender.port.flow = self.sink.port.flow = flow_id
-        self.sink.arrival_cb = partial(net.monitor.on_deliver, self.arrival_flow_id)
         net.sim.schedule_at(max(start, net.sim.now), self.sender.start)
         # TCP has no fluid model: an active TCP flow vetoes the hybrid
         # tier's analytic spans on this network.
@@ -574,9 +573,22 @@ class TcpFlow:
     def series(self, interval: float, t0: float = 0.0, t1: Optional[float] = None):
         return self.net.monitor.series(self.flow_id, interval, t0, t1)
 
+    def record_arrivals(self) -> None:
+        """Book every segment the sink accepts, in or out of order, under
+        :attr:`arrival_flow_id`.  Call it before the run."""
+        self.sink.arrival_cb = partial(
+            self.net.monitor.on_deliver, (self.flow_id, "arr")
+        )
+
     @property
     def arrival_flow_id(self):
-        """Monitor key of the sink-arrival (vs in-order goodput) series."""
+        """Monitor key of the sink-arrival (vs in-order goodput) series;
+        raises unless :meth:`record_arrivals` was called."""
+        if self.sink.arrival_cb is None:
+            raise RuntimeError(
+                f"flow {self.flow_id!r} does not record arrivals: "
+                "call record_arrivals() before the run"
+            )
         return (self.flow_id, "arr")
 
     def close(self) -> None:

@@ -52,9 +52,9 @@ class _UdtFluidAdapter:
     :class:`repro.sim.fluid.FluidController`: eligibility/quiescence
     checks over both endpoint cores, freeze/resume delegation, the
     analytic rate from the sender's congestion controller, and byte
-    credits booked to the flow monitor under both the goodput key and
-    the sink-arrival key (delivery and arrival coincide in a loss-free
-    fluid span).
+    credits booked to the flow monitor under the goodput key and, for a
+    flow that records arrivals, the sink-arrival key too (delivery and
+    arrival coincide in a loss-free fluid span).
     """
 
     __slots__ = ("flow", "syn", "wire_bytes", "payload_bytes", "_links", "_accum", "_credited")
@@ -132,9 +132,11 @@ class _UdtFluidAdapter:
         if add <= 0:
             return
         self._credited = total
-        monitor = self.flow.net.monitor
-        monitor.credit_span(self.flow.flow_id, t0, t1, add)
-        monitor.credit_span(self.flow.arrival_flow_id, t0, t1, add)
+        flow = self.flow
+        monitor = flow.net.monitor
+        monitor.credit_span(flow.flow_id, t0, t1, add)
+        if flow.receiver.arrival_cb is not None:
+            monitor.credit_span(flow.arrival_flow_id, t0, t1, add)
 
 
 class UdtFlow:
@@ -186,24 +188,15 @@ class UdtFlow:
         self._dst_ep = UdpEndpoint(dst)
 
         # Wire packets carry the flow id so link-level telemetry (drops,
-        # queue events, ns-2 taps) is attributable to a connection.  The
-        # endpoints/addresses are pre-bound: transmit runs once per packet.
-        src_sendto = self._src_ep.sendto
-        dst_sendto = self._dst_ep.sendto
-        src_addr = self._src_ep.address
-        dst_addr = self._dst_ep.address
-        fid = self.flow_id
-
-        def snd_transmit(msg: Any, size: int) -> None:
-            src_sendto(msg, size, dst_addr, fid)
-
-        def rcv_transmit(msg: Any, size: int) -> None:
-            dst_sendto(msg, size, src_addr, fid)
+        # queue events, ns-2 taps) is attributable to a connection.  Each
+        # core transmits through its connected endpoint's own ``send``.
+        self._src_ep.connect(self._dst_ep.address, self.flow_id)
+        self._dst_ep.connect(self._src_ep.address, self.flow_id)
 
         self.sender = UdtCore(
             self.config,
             sched,
-            snd_transmit,
+            self._src_ep.send,
             cc=cc_factory(self.config),
             name=f"{flow_id}-snd",
             meter=meter_snd,
@@ -212,7 +205,7 @@ class UdtFlow:
         self.receiver = UdtCore(
             self.config,
             sched,
-            rcv_transmit,
+            self._dst_ep.send,
             deliver=self._on_deliver,
             name=f"{flow_id}-rcv",
             meter=meter_rcv,
@@ -220,8 +213,6 @@ class UdtFlow:
         )
         self._src_ep.on_datagram(self.sender.on_datagram)
         self._dst_ep.on_datagram(self.receiver.on_datagram)
-        # Arrival-rate series (sink-side, NS-2 style) under "<id>:arr".
-        self.receiver.arrival_cb = partial(net.monitor.on_deliver, self.arrival_flow_id)
 
         fluid = net.fluid
         if fluid is not None:
@@ -284,9 +275,23 @@ class UdtFlow:
     def series(self, interval: float, t0: float = 0.0, t1: Optional[float] = None):
         return self.net.monitor.series(self.flow_id, interval, t0, t1)
 
+    def record_arrivals(self) -> None:
+        """Book every packet the sink accepts, in or out of order, under
+        :attr:`arrival_flow_id` (NS-2-style arrival sampling).  Call it
+        before the run; a flow that does not books nothing per arrival."""
+        self.receiver.arrival_cb = partial(
+            self.net.monitor.on_deliver, (self.flow_id, "arr")
+        )
+
     @property
     def arrival_flow_id(self):
-        """Monitor key of the sink-arrival (vs in-order goodput) series."""
+        """Monitor key of the sink-arrival (vs in-order goodput) series;
+        raises unless :meth:`record_arrivals` was called."""
+        if self.receiver.arrival_cb is None:
+            raise RuntimeError(
+                f"flow {self.flow_id!r} does not record arrivals: "
+                "call record_arrivals() before the run"
+            )
         return (self.flow_id, "arr")
 
     @property

@@ -134,12 +134,21 @@ class TestByteConservation:
         top.net.fidelity = "hybrid"
         top.net.fluid = FluidController(top.net)
         f = start_udt_flow(top.net, top.src, top.dst)
+        f.record_arrivals()
         adapter = top.net.fluid.flows[0]
         adapter.credit(0.0, 1.0, 10.4)
         adapter.credit(1.0, 2.0, 10.4)
         assert adapter._credited == 20
         assert top.net.monitor.total_bytes[f.flow_id] == 20
         assert top.net.monitor.total_bytes[f.arrival_flow_id] == 20
+
+    def test_adapter_credits_no_arrivals_unless_recorded(self):
+        top = path_topology(50e6, 0.02, seed=1)
+        top.net.fidelity = "hybrid"
+        top.net.fluid = FluidController(top.net)
+        f = start_udt_flow(top.net, top.src, top.dst)
+        top.net.fluid.flows[0].credit(0.0, 1.0, 20.0)
+        assert dict(top.net.monitor.total_bytes) == {f.flow_id: 20}
 
     def test_hybrid_run_conserves_monitor_bytes(self):
         # monitor total == packet-level delivered bytes + analytic credit:

@@ -219,6 +219,83 @@ class TestNodesRouting:
         assert len(got) == 1
         assert got[0].hops == 3
 
+    def test_a_second_finalize_routes_over_a_new_link(self):
+        # a -> r1 -> b over a slow direct link; a faster r1 -> r2 -> b
+        # added later must carry traffic once finalize() has run again,
+        # which rebuilds the next-hop table of the a -> r1 link.
+        net = Network(default_jitter=0.0)
+        a = net.add_host("a")
+        r1 = net.add_router("r1")
+        b = net.add_host("b")
+        ar1, _ = net.add_link(a, r1, 1e9, 0.001)
+        slow, _ = net.add_link(r1, b, 1e9, 0.5)
+        net.finalize()
+        assert ar1.next_hop[b.id] == slow.send
+        got = []
+        b.bind(1, got.append)
+        a.send(Packet(100, (a.id, 0), (b.id, 1)))
+        net.run(until=1.0)
+        assert [p.hops for p in got] == [2]
+        r2 = net.add_router("r2")
+        fast, _ = net.add_link(r1, r2, 1e9, 0.001)
+        net.add_link(r2, b, 1e9, 0.001)
+        net.finalize()
+        assert ar1.next_hop[b.id] == fast.send
+        a.send(Packet(100, (a.id, 0), (b.id, 1)))
+        net.run(until=1.1)
+        assert [p.hops for p in got] == [2, 3]
+        assert (slow.pkts_sent, fast.pkts_sent) == (1, 1)
+
+    def test_a_packet_addressed_to_a_router_still_raises(self):
+        net = Network()
+        a = net.add_host("a")
+        r = net.add_router("r")
+        b = net.add_host("b")
+        net.add_link(a, r, 1e9, 0.001)
+        net.add_link(r, b, 1e9, 0.001)
+        net.finalize()
+        a.send(Packet(100, (a.id, 0), (r.id, 1)))
+        with pytest.raises(RuntimeError, match="addressed to router"):
+            net.run(until=1.0)
+
+    def test_an_unroutable_destination_is_counted_at_the_router(self):
+        net = Network()
+        a = net.add_host("a")
+        r = net.add_router("r")
+        b = net.add_host("b")
+        ar, _ = net.add_link(a, r, 1e9, 0.001)
+        net.add_link(r, b, 1e9, 0.001)
+        net.finalize()
+        ar.send(Packet(100, (a.id, 0), (99, 1)))  # no node 99 anywhere
+        net.run(until=1.0)
+        assert (a.pkts_unroutable, r.pkts_unroutable) == (0, 1)
+
+    def test_a_link_built_outside_a_network_delivers_through_receive(
+        self, monkeypatch
+    ):
+        seen = []
+        receive = Router.receive
+
+        def counting(router, pkt):
+            seen.append(pkt)
+            receive(router, pkt)
+
+        monkeypatch.setattr(Router, "receive", counting)
+        sim = Simulator()
+        a = Host(sim, 0)
+        r = Router(sim, 1)
+        b = _Sink(sim, 2)
+        ar = Link(sim, a, r, 8e6, 0.01)
+        rb = Link(sim, r, b, 8e6, 0.01)
+        a.routes[2] = ar
+        r.routes[2] = rb
+        pkt = Packet(100, (0, 1), (2, 7))
+        a.send(pkt)
+        sim.run()
+        assert ar.next_hop == {}
+        assert seen == [pkt]
+        assert [(p, p.hops) for _, p in b.got] == [(pkt, 2)]
+
     def test_loopback_delivery(self):
         net = Network()
         a = net.add_host("a")

@@ -60,6 +60,43 @@ class TestUdp:
         UdpEndpoint(a.host, port)  # port reusable
 
 
+class TestConnectedUdp:
+    def test_send_reaches_the_connected_peer(self):
+        net, a, b = make_pair()
+        got = []
+        b.on_receive(lambda p, addr, size: got.append((p, addr, size)))
+        a.connect(b.address, flow="f")
+        assert a.send({"k": 1}, 100)
+        net.run(until=1)
+        assert got == [({"k": 1}, a.address, 100)]
+        assert (a.bytes_sent, a.datagrams_sent) == (100 + IP_UDP_HEADER, 1)
+
+    def test_packets_carry_the_flow_id_and_share_a_full_size_wire_int(self):
+        net, a, b = make_pair()
+        got = []
+        b.host.bind(7000, got.append)  # the raw packets, not their payloads
+        a.connect((b.host.id, 7000), flow="f")
+        for size in (1456, 1456, 16, 1456):
+            a.send(None, size)
+        net.run(until=1)
+        assert [(p.size, p.flow) for p in got] == [
+            (1484, "f"), (1484, "f"), (16 + IP_UDP_HEADER, "f"), (1484, "f")
+        ]
+        # 1 484 is no cached small int: two sums would be two objects.
+        assert got[0].size is got[1].size
+
+    def test_send_needs_a_connection_and_an_open_endpoint(self):
+        net, a, b = make_pair()
+        with pytest.raises(RuntimeError, match="not connected"):
+            a.send(None, 10)
+        a.connect(b.address)
+        a.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            a.send(None, 10)
+        with pytest.raises(RuntimeError, match="closed"):
+            a.connect(b.address)
+
+
 class TestFlowMonitor:
     def test_total_and_average(self):
         sim = Simulator()
@@ -153,3 +190,45 @@ class TestFlowMonitorBinBoundaries:
         assert mon.throughput_bps("f", 0.32, 0.38) == pytest.approx(
             1000 * 8 / 0.06
         )
+
+
+class TestArrivalBins:
+    """Only a flow that records arrivals books the sink-arrival series."""
+
+    @staticmethod
+    def _flow(kind, record):
+        from repro.tcp import start_tcp_flow
+        from repro.udt import start_udt_flow
+
+        top = path_topology(rate_bps=20e6, rtt=0.02, loss_rate=0.002, seed=3)
+        start = start_udt_flow if kind == "udt" else start_tcp_flow
+        f = start(top.net, top.src, top.dst)
+        if record:
+            f.record_arrivals()
+        top.net.run(until=2.0)
+        return top.net, f
+
+    @pytest.mark.parametrize("kind", ["udt", "tcp"])
+    def test_arrival_flow_id_raises_unless_recorded(self, kind):
+        net, f = self._flow(kind, record=False)
+        with pytest.raises(RuntimeError, match="record_arrivals"):
+            f.arrival_flow_id
+        assert list(net.monitor.total_bytes) == [f.flow_id]
+
+    @pytest.mark.parametrize("kind", ["udt", "tcp"])
+    def test_recording_arrivals_moves_nothing_else(self, kind):
+        net0, f0 = self._flow(kind, record=False)
+        net1, f1 = self._flow(kind, record=True)
+        assert net1.sim.events_processed == net0.sim.events_processed
+        assert f1.delivered_bytes == f0.delivered_bytes > 0
+        totals = net1.monitor.total_bytes
+        assert totals[f1.flow_id] == net0.monitor.total_bytes[f0.flow_id]
+        # arrivals also count what waited out of order behind a loss
+        assert totals[f1.arrival_flow_id] >= totals[f1.flow_id]
+
+    def test_reduced_fig04_rows_are_unchanged(self):
+        from repro.experiments import fig04_stability
+
+        res = fig04_stability.run(duration=4, rtts=(0.02,), n_flows=2)
+        # Captured on commit 977413f, where every flow booked arrivals.
+        assert res.rows == [(20.0, 0.0169, 0.1771)]
