@@ -1,6 +1,6 @@
-"""Docs lint: ``python -m repro.analysis.docscheck``.
+"""Docs lint: :func:`run_checks`, run by ``tests/test_docs_tools.py``.
 
-The fast docs CI job.  Three checks over the repo's markdown
+Three checks over the repo's markdown
 (README.md, DESIGN.md, EXPERIMENTS.md, ROADMAP.md, CHANGES.md and
 everything under docs/):
 
@@ -17,17 +17,15 @@ everything under docs/):
   :data:`repro.obs.catalog.CATALOG`; docs can't describe events the
   bus never emits.
 
-Checks are purely textual/static — no experiment runs — so the CI job
-finishes in seconds.
+Checks are purely textual/static — no experiment runs — so the tier-1
+test finishes in seconds.
 """
 
 from __future__ import annotations
 
-import argparse
 import re
-import sys
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 #: Markdown files the checks cover, relative to the repo root.
 DOC_FILES = (
@@ -226,50 +224,3 @@ def run_checks(root: Path, checks: Sequence[str]) -> Tuple[List[str], int]:
             errors.extend(check_events(doc, text, root))
     return errors, len(docs)
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.docscheck",
-        description="Lint the repo's markdown: relative links/anchors "
-        "resolve, quoted repro-udt flags exist, documented event kinds "
-        "are in the catalog.",
-    )
-    parser.add_argument(
-        "--root",
-        metavar="DIR",
-        default=None,
-        help="repo root holding the docs (default: auto-detected from "
-        "this file's location)",
-    )
-    parser.add_argument(
-        "--check",
-        action="append",
-        choices=["links", "flags", "events"],
-        default=None,
-        help="run only this check (repeatable; default: all three)",
-    )
-    args = parser.parse_args(argv)
-    root = (
-        Path(args.root).resolve()
-        if args.root
-        else Path(__file__).resolve().parents[3]
-    )
-    checks = args.check or ["links", "flags", "events"]
-    errors, n_docs = run_checks(root, checks)
-    for e in sorted(errors):
-        print(f"[docscheck] FAIL: {e}", file=sys.stderr)
-    if errors:
-        print(
-            f"[docscheck] {len(errors)} problem(s) across {n_docs} file(s)",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"[docscheck] {n_docs} file(s) clean "
-        f"({', '.join(checks)})"
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -446,28 +446,14 @@ def load_model(path: Optional[Path] = None) -> Dict:
 def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover - thin
     import argparse
 
-    parser = argparse.ArgumentParser(
+    argparse.ArgumentParser(
         prog="python -m repro.analysis.protomodel",
         description="Regenerate analysis/protocol_model.json from the AST.",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit 1 if the committed model is stale instead of rewriting",
-    )
-    args = parser.parse_args(argv)
-    model = extract_model()
-    text = render_model(model)
+    ).parse_args(argv)
+    text = render_model(extract_model())
     path = default_model_path()
     if path is None:
         print(text, end="")
-        return 0
-    if args.check:
-        committed = path.read_text(encoding="utf-8") if path.is_file() else ""
-        if committed != text:
-            print(f"{path} is stale; regenerate with python -m repro.analysis.protomodel")
-            return 1
-        print(f"{path} is up to date")
         return 0
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")

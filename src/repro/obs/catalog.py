@@ -198,8 +198,3 @@ CATALOG: Dict[str, EventSpec] = {
 
 #: Envelope keys present on every JSONL event record (bus + writer).
 BASE_KEYS = frozenset({"t", "kind", "src"})
-
-
-def spec_for(kind: str) -> EventSpec:
-    """Look up one kind; raises KeyError for undeclared kinds."""
-    return CATALOG[kind]

@@ -61,8 +61,9 @@ inflate, parse or add up ends the stream at the last good block with
 
 This module is the codec only, a leaf: it never looks at a file suffix
 and knows nothing of the module above it that picks the format and wraps
-the reader, writer and converter every consumer uses (CI greps for an
-import pointing that way).
+the reader, writer and converter every consumer uses
+(``test_only_export_tests_a_trace_suffix`` fails on an import pointing
+that way).
 """
 
 from __future__ import annotations

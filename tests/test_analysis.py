@@ -522,6 +522,7 @@ def test_cli_lint_json_roundtrip(tmp_path, capsys):
     assert payload["kind"] == "lint.report" and payload["schema"] == 1
     assert set(payload) == {"schema", "kind", "elapsed_s", "findings", "gate_passed"}
     assert payload["gate_passed"] and payload["findings"] == []
+    assert payload["elapsed_s"] < 15, f"lint too slow: {payload['elapsed_s']}s"
 
 
 def test_cli_lint_detects_new_finding(tmp_path, capsys):

@@ -9,7 +9,6 @@ from repro.analysis.protomodel import (
     default_model_path,
     extract_model,
     load_model,
-    main as protomodel_main,
     render_model,
 )
 
@@ -24,10 +23,6 @@ def test_committed_model_matches_extraction():
     and must never drift from what udt/core.py's guards actually imply."""
     committed = default_model_path().read_text(encoding="utf-8")
     assert committed == render_model(extract_model())
-
-
-def test_protomodel_check_cli():
-    assert protomodel_main(["--check"]) == 0
 
 
 def test_model_constraint_shapes():

@@ -1,9 +1,9 @@
 """Docs tooling tests: clidoc (CLI reference generation) and docscheck.
 
-These are the unit-level half of the docs CI job; the job itself runs
-``python -m repro.analysis.clidoc --check`` and
-``python -m repro.analysis.docscheck`` over the committed tree, and the
-drift tests here make ``pytest`` catch the same problems earlier.
+``test_committed_reference_is_current`` and
+``test_committed_docs_are_clean`` are the docs gate: they run both
+checks over the committed tree, so ``pytest`` alone catches a stale CLI
+reference, a broken link, an unknown flag or an undeclared event kind.
 """
 
 from pathlib import Path
@@ -32,8 +32,7 @@ class TestClidoc:
         assert "trace" not in flags
 
     def test_committed_reference_is_current(self):
-        # same check the docs CI job runs; regenerate with
-        #   python -m repro.analysis.clidoc --write
+        # regenerate with: python -m repro.analysis.clidoc
         assert clidoc.check_doc(REPO_ROOT / "docs" / "API.md") == []
 
     def test_check_detects_stale_block(self, tmp_path):

@@ -341,7 +341,9 @@ class TestReaderParity:
 
 
 def test_only_export_tests_a_trace_suffix():
-    """The on-disk format is one module's decision (CI greps the same)."""
+    """The on-disk format is one module's decision (DESIGN.md, "The
+    evidence pipeline"): no other module tests a trace suffix, and the
+    .rtrc codec never imports the seam above it."""
     suffix_test = re.compile(
         r"""is_rtrc_path|(endswith\(|suffix(es)?\s*(==|!=|in)\s*)\(?["']\.?(rtrc|jsonl|gz)"""
     )
