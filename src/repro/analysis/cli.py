@@ -125,11 +125,13 @@ def run_lint(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     sanitize_result = None
     if args.sanitize and not rules:
         from repro.analysis.sanitizer import DeterminismSanitizer
+        from repro.experiments.common import parse_run_args
 
         sanitizer = DeterminismSanitizer(
             args.sanitize,
             overrides=parse_overrides(args.overrides, parser),
             trace_format=args.sanitize_format,
+            run_args=parse_run_args(args, parser),
         )
         sanitize_result = sanitizer.run()
         payload["sanitize"] = sanitize_result.to_dict()

@@ -6,7 +6,7 @@ experiment twice, each run in a fresh subprocess with the perturbations
 that flush out hidden ordering dependence:
 
 * **reversed same-vtime tie-breaking** — run A uses the engine's FIFO
-  order for equal-time events, run B LIFO (``REPRO_TIE_BREAK=lifo``).
+  order for equal-time events, run B LIFO (``--tie-break lifo``).
   Causally unrelated events that happen to share a float timestamp must
   commute; if any component secretly depends on their interleaving, the
   runs diverge.
@@ -25,14 +25,13 @@ trace).  A clean experiment produces identical streams; two empty
 streams are a failure, since they compared nothing.
 
 Each run is a subprocess because ``PYTHONHASHSEED`` is fixed at
-interpreter start; the worker is the ordinary CLI, ``python -m repro run
-<exp> --trace PATH [--trace-packets] --set k=v ...``.
+interpreter start; the worker is the ordinary CLI, ``python -m repro run``
+(:meth:`DeterminismSanitizer.worker_argv`).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 import tempfile
@@ -40,7 +39,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments.common import RunArgs
 from repro.obs.export import TRACE_FORMATS, open_trace
+from repro.runner.sweep import worker_env
 
 #: (tie_break, PYTHONHASHSEED) for the two perturbed runs.
 PERTURBATIONS: Tuple[Tuple[str, str], ...] = (("fifo", "1"), ("lifo", "2"))
@@ -174,17 +175,6 @@ def diff_traces(
             index += 1
 
 
-def _worker_argv(
-    exp_id: str, trace_path: Path, overrides: Dict[str, Any], packets: bool
-) -> List[str]:
-    argv = [sys.executable, "-m", "repro", "run", exp_id, "--trace", str(trace_path)]
-    if packets:
-        argv.append("--trace-packets")
-    for key, value in overrides.items():
-        argv += ["--set", f"{key}={value!r}" if isinstance(value, str) else f"{key}={value}"]
-    return argv
-
-
 class DeterminismSanitizer:
     """Run an experiment under both perturbations and diff the traces.
 
@@ -204,6 +194,8 @@ class DeterminismSanitizer:
     trace_format:
         ``jsonl`` (default) or ``rtrc`` — the on-disk format the
         perturbed runs record and the diff streams over.
+    run_args:
+        Scale and fidelity of both runs (each sets its own tie-break).
     """
 
     def __init__(
@@ -214,6 +206,7 @@ class DeterminismSanitizer:
         workdir: Optional[str] = None,
         timeout: float = 900.0,
         trace_format: str = "jsonl",
+        run_args: RunArgs = RunArgs(),
     ):
         if trace_format not in TRACE_FORMATS:
             raise ValueError(
@@ -226,19 +219,24 @@ class DeterminismSanitizer:
         self.workdir = workdir
         self.timeout = timeout
         self.trace_format = trace_format
+        self.run_args = run_args
+
+    def worker_argv(self, trace_path: Path, tie_break: str) -> List[str]:
+        """One run's ``repro run``: every value of the run is an argument."""
+        run = self.run_args
+        argv = [sys.executable, "-m", "repro", "run", self.exp_id, "--trace", str(trace_path)]
+        argv += ["--scale", repr(run.scale), "--fidelity", run.fidelity, "--tie-break", tie_break]
+        if self.packets:
+            argv.append("--trace-packets")
+        for key, value in self.overrides.items():
+            argv += ["--set", f"{key}={value!r}" if isinstance(value, str) else f"{key}={value}"]
+        return argv
 
     def _spawn(self, trace_path: Path, tie_break: str, hashseed: str) -> Dict[str, Any]:
-        env = dict(os.environ)
-        env["REPRO_TIE_BREAK"] = tie_break
+        env = worker_env()
         env["PYTHONHASHSEED"] = hashseed
-        # The worker must resolve the same repro package as this process.
-        pkg_root = Path(__file__).resolve().parent.parent.parent
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(pkg_root), env.get("PYTHONPATH")) if p
-        )
-        argv = _worker_argv(self.exp_id, trace_path, self.overrides, self.packets)
         proc = subprocess.run(
-            argv,
+            self.worker_argv(trace_path, tie_break),
             env=env,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,

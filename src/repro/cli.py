@@ -44,8 +44,8 @@
                                     # model statically extracted from
                                     # udt/core.py guard structure
 
-``REPRO_SCALE`` (default 0.3) scales experiment durations; set it to 1
-for the paper's published durations.
+``--scale`` (default 0.3) scales experiment durations; ``--scale 1``
+runs the paper's published durations.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from contextlib import nullcontext
 from typing import List, Optional
 
 from repro.experiments import get_experiment, list_experiments
-from repro.experiments.common import traced
+from repro.experiments.common import add_run_flags, parse_run_args, traced
 from repro.obs.export import TRACE_FORMATS
 
 
@@ -69,6 +69,7 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     # Usage errors leave before anything is opened: entering traced()
     # truncates the --trace file.
     kwargs = parse_overrides(args.overrides, parser)
+    run_args = parse_run_args(args, parser)
     profiling = args.profile or args.profile_json is not None
     if args.exp_id == "all":
         if args.profile_json is not None:
@@ -82,19 +83,13 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             exps = [get_experiment(args.exp_id)]
         except KeyError as exc:
             parser.error(exc.args[0])
-        accepted = inspect.signature(exps[0].runner).parameters
-        unknown = sorted(set(kwargs) - set(accepted))
+        accepted = set(inspect.signature(exps[0].runner).parameters) - {"run_args"}
+        unknown = sorted(set(kwargs) - accepted)
         if unknown:
             parser.error(
                 f"{args.exp_id} takes no keyword {', '.join(unknown)}; "
-                f"accepted: {', '.join(accepted)}"
+                f"accepted: {', '.join(sorted(accepted))}"
             )
-    if args.fidelity:
-        import os
-
-        from repro.sim.topology import FIDELITY_ENV
-
-        os.environ[FIDELITY_ENV] = args.fidelity
     if profiling:
         from repro.obs.prof import SimProfiler
 
@@ -109,7 +104,7 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             prof = SimProfiler() if profiling else None
             t0 = time.perf_counter()
             with prof.activate() if prof is not None else nullcontext():
-                result = exp.runner(**kwargs)
+                result = exp.runner(**kwargs, run_args=run_args)
             dt = time.perf_counter() - t0
             result.print()
             print(f"[{exp.exp_id} finished in {dt:.1f}s wall]\n")
@@ -280,21 +275,14 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
         metavar="N",
         help="how many categories the printed profile shows (default 10)",
     )
-    runp.add_argument(
-        "--fidelity",
-        choices=["packet", "hybrid"],
-        default=None,
-        help="simulation tier: 'packet' (every packet an event) or "
-        "'hybrid' (steady bulk-transfer stretches advanced analytically "
-        "by the fluid tier; see docs/SIMULATION.md). Default: inherit "
-        "REPRO_FIDELITY, falling back to packet",
-    )
+    add_run_flags(runp, tie_break=True)
 
     sweepp = sub.add_parser(
         "sweep",
         help="run every experiment in parallel worker processes with "
         "digest-keyed result caching; merges timings into "
-        "benchmarks/results/BENCH_runtime.json (see docs/PERFORMANCE.md)",
+        "benchmarks/results/BENCH_runtime.json (see docs/PERFORMANCE.md); "
+        "hybrid results cache and bench apart from packet ones",
     )
     sweepp.add_argument(
         "--jobs",
@@ -303,13 +291,7 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
         metavar="N",
         help="worker processes to keep in flight (default 1)",
     )
-    sweepp.add_argument(
-        "--scale",
-        type=float,
-        default=None,
-        metavar="S",
-        help="REPRO_SCALE for the workers (default: inherit, 0.3)",
-    )
+    add_run_flags(sweepp)
     sweepp.add_argument(
         "--only",
         default=None,
@@ -371,15 +353,6 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
         "--no-bench",
         action="store_true",
         help="do not touch the runtime ledger",
-    )
-    sweepp.add_argument(
-        "--fidelity",
-        choices=["packet", "hybrid"],
-        default=None,
-        help="simulation tier the workers run at (default: inherit "
-        "REPRO_FIDELITY, falling back to packet); hybrid results cache "
-        "under separate digest keys and bench under '<exp>@hybrid' "
-        "(see docs/SIMULATION.md)",
     )
 
     repp = sub.add_parser(
@@ -460,6 +433,7 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
     from repro.analysis.cli import add_conform_arguments, add_lint_arguments
 
     add_lint_arguments(lintp)
+    add_run_flags(lintp)
 
     confp = sub.add_parser(
         "conform",

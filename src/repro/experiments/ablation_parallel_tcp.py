@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.apps.parallel_tcp import ParallelTcpTransfer
-from repro.experiments.common import ExperimentResult, mbps, scaled
+from repro.experiments.common import ExperimentResult, RunArgs, mbps
 from repro.sim.topology import dumbbell, flow_start, path_topology
 from repro.tcp import start_tcp_flow
 from repro.udt import UdtConfig, start_udt_flow
@@ -28,9 +28,10 @@ def run(
     streams: Sequence[int] = DEFAULT_STREAMS,
     duration: Optional[float] = None,
     seed: int = 0,
+    run_args: RunArgs = RunArgs(),
 ) -> ExperimentResult:
     if duration is None:
-        duration = scaled(40.0, minimum=12.0)
+        duration = run_args.scaled(40.0, minimum=12.0)
     res = ExperimentResult(
         "ablation-parallel-tcp",
         "Parallel TCP striping vs one UDT flow",
@@ -44,7 +45,7 @@ def run(
 
     def coexistence(maker) -> float:
         """What a single standard TCP keeps next to the configuration."""
-        d = dumbbell(2, rate_bps, rtt, seed=seed)
+        d = dumbbell(2, rate_bps, rtt, seed=seed, **run_args.net)
         maker(d)
         # The striped transfer occupies the flow_start(0)-based slots;
         # its stream count is bounded by max(streams), so 64 clears them.
@@ -55,7 +56,9 @@ def run(
         return comp.throughput_bps(warm, duration)
 
     for n in streams:
-        top = path_topology(rate_bps, rtt, loss_rate=loss_rate, seed=seed)
+        top = path_topology(
+            rate_bps, rtt, loss_rate=loss_rate, seed=seed, **run_args.net
+        )
         p = ParallelTcpTransfer(top.net, top.src, top.dst, n_streams=n)
         top.net.run(until=duration)
         solo = p.throughput_bps(warm, duration)
@@ -67,7 +70,9 @@ def run(
         res.add(f"parallel TCP x{n}", mbps(solo), mbps(kept))
 
     cfg = UdtConfig(rcv_buffer_pkts=20000, snd_buffer_pkts=20000)
-    top = path_topology(rate_bps, rtt, loss_rate=loss_rate, seed=seed)
+    top = path_topology(
+        rate_bps, rtt, loss_rate=loss_rate, seed=seed, **run_args.net
+    )
     u = start_udt_flow(top.net, top.src, top.dst, config=cfg)
     top.net.run(until=duration)
     solo = u.throughput_bps(warm, duration)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import Optional, Sequence
 
-from repro.experiments.common import ExperimentResult, mbps, scaled
+from repro.experiments.common import ExperimentResult, RunArgs, mbps
 from repro.sim.queues import REDQueue
 from repro.sim.topology import Network, bdp_packets
 from repro.tcp import start_tcp_flow
@@ -20,8 +20,8 @@ from repro.udt import UdtConfig, start_udt_flow
 DEFAULT_FRACTIONS = (0.05, 0.25, 1.0)
 
 
-def _path(rate_bps, rtt, queue_pkts=None, red=False, seed=0):
-    net = Network(seed=seed)
+def _path(rate_bps, rtt, queue_pkts=None, red=False, seed=0, run_args=RunArgs()):
+    net = Network(seed=seed, **run_args.net)
     src = net.add_host("src")
     dst = net.add_host("dst")
     r1 = net.add_router("r1")
@@ -44,9 +44,10 @@ def run(
     fractions: Sequence[float] = DEFAULT_FRACTIONS,
     duration: Optional[float] = None,
     seed: int = 0,
+    run_args: RunArgs = RunArgs(),
 ) -> ExperimentResult:
     if duration is None:
-        duration = scaled(40.0, minimum=12.0)
+        duration = run_args.scaled(40.0, minimum=12.0)
     res = ExperimentResult(
         "ablation-queueing",
         "Single-flow throughput vs bottleneck queue provisioning",
@@ -63,7 +64,9 @@ def run(
     for label, q, red in cases:
         vals = {}
         for kind in ("udt", "tcp"):
-            net, src, dst = _path(rate_bps, rtt, queue_pkts=q, red=red, seed=seed)
+            net, src, dst = _path(
+                rate_bps, rtt, queue_pkts=q, red=red, seed=seed, run_args=run_args
+            )
             if kind == "udt":
                 f = start_udt_flow(net, src, dst, config=cfg)
             else:

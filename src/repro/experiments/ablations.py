@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.experiments.common import ExperimentResult, mbps, scaled
+from repro.experiments.common import ExperimentResult, RunArgs, mbps
 from repro.metrics import jain_index
 from repro.sabul import start_sabul_flow
 from repro.sim.topology import dumbbell, flow_start, multi_bottleneck, path_topology
@@ -26,10 +26,11 @@ def run_bwe(
     rtt: float = 0.1,
     duration: Optional[float] = None,
     seed: int = 0,
+    run_args: RunArgs = RunArgs(),
 ) -> ExperimentResult:
     """Formula (1) vs a fixed +1 packet/SYN increase."""
     if duration is None:
-        duration = scaled(40.0, minimum=12.0)
+        duration = run_args.scaled(40.0, minimum=12.0)
     res = ExperimentResult(
         "ablation-bwe",
         "Bandwidth-estimated vs fixed AIMD increase",
@@ -44,13 +45,13 @@ def run_bwe(
         ("fixed +1 pkt/SYN", lambda cfg: FixedAimdCC(cfg, 1.0)),
     ):
         kw = {} if cc_factory is None else {"cc_factory": cc_factory}
-        top = path_topology(rate_bps, rtt, loss_rate=1e-5, seed=seed)
+        top = path_topology(rate_bps, rtt, loss_rate=1e-5, seed=seed, **run_args.net)
         cfg = UdtConfig(rcv_buffer_pkts=20000, snd_buffer_pkts=20000)
         f = start_udt_flow(top.net, top.src, top.dst, config=cfg, **kw)
         top.net.run(until=duration)
         single = f.throughput_bps(warm, duration)
 
-        d = dumbbell(2, rate_bps, rtt, seed=seed)
+        d = dumbbell(2, rate_bps, rtt, seed=seed, **run_args.net)
         f1 = start_udt_flow(d.net, d.sources[0], d.sinks[0], config=cfg, **kw)
         f2 = start_udt_flow(
             d.net, d.sources[1], d.sinks[1], config=cfg, start=duration / 4, **kw
@@ -69,10 +70,11 @@ def run_syn(
     rtt: float = 0.1,
     duration: Optional[float] = None,
     seed: int = 0,
+    run_args: RunArgs = RunArgs(),
 ) -> ExperimentResult:
     """§3.7: smaller SYN -> more efficient, less TCP-friendly."""
     if duration is None:
-        duration = scaled(40.0, minimum=12.0)
+        duration = run_args.scaled(40.0, minimum=12.0)
     res = ExperimentResult(
         "ablation-syn",
         "SYN interval tradeoff: efficiency vs TCP share",
@@ -84,12 +86,12 @@ def run_syn(
     warm = duration / 3
     for syn in syn_values:
         cfg = UdtConfig(syn=syn, rcv_buffer_pkts=20000, snd_buffer_pkts=20000)
-        top = path_topology(rate_bps, rtt, loss_rate=1e-5, seed=seed)
+        top = path_topology(rate_bps, rtt, loss_rate=1e-5, seed=seed, **run_args.net)
         f = start_udt_flow(top.net, top.src, top.dst, config=cfg)
         top.net.run(until=duration)
         alone = f.throughput_bps(warm, duration)
 
-        d = dumbbell(2, rate_bps, rtt, seed=seed)
+        d = dumbbell(2, rate_bps, rtt, seed=seed, **run_args.net)
         start_udt_flow(d.net, d.sources[0], d.sinks[0], config=cfg, start=flow_start(0))
         tcp = start_tcp_flow(d.net, d.sources[1], d.sinks[1], start=flow_start(1))
         d.net.run(until=duration)
@@ -102,10 +104,11 @@ def run_sabul(
     rtt: float = 0.05,
     duration: Optional[float] = None,
     seed: int = 0,
+    run_args: RunArgs = RunArgs(),
 ) -> ExperimentResult:
     """UDT vs SABUL: fairness convergence after a staggered start."""
     if duration is None:
-        duration = scaled(90.0, minimum=45.0)
+        duration = run_args.scaled(90.0, minimum=45.0)
     res = ExperimentResult(
         "ablation-sabul",
         "UDT (AIMD + bw estimation) vs SABUL (MIMD): staggered-start fairness",
@@ -115,7 +118,7 @@ def run_sabul(
         notes=f"flow2 starts at t={duration/4:.0f}s; measured over the last third",
     )
     for name, starter in (("UDT", start_udt_flow), ("SABUL", start_sabul_flow)):
-        d = dumbbell(2, rate_bps, rtt, seed=seed)
+        d = dumbbell(2, rate_bps, rtt, seed=seed, **run_args.net)
         f1 = starter(d.net, d.sources[0], d.sinks[0], flow_id="f1")
         f2 = starter(d.net, d.sources[1], d.sinks[1], start=duration / 4, flow_id="f2")
         d.net.run(until=duration)
@@ -130,6 +133,7 @@ def run_delay(
     rtt: float = 0.05,
     duration: Optional[float] = None,
     seed: int = 4,
+    run_args: RunArgs = RunArgs(),
 ) -> ExperimentResult:
     """§6's obsolete design: PCT/PDT delay-trend congestion warnings.
 
@@ -141,7 +145,7 @@ def run_delay(
     from repro.udt.sim_adapter import UdtFlow
 
     if duration is None:
-        duration = scaled(60.0, minimum=20.0)
+        duration = run_args.scaled(60.0, minimum=20.0)
     res = ExperimentResult(
         "ablation-delay",
         "Loss-only vs delay-trend (PCT/PDT) congestion detection",
@@ -152,7 +156,7 @@ def run_delay(
     )
     warm = duration / 2
     for name, use_delay in (("loss-only (final UDT)", False), ("delay-trend", True)):
-        d = dumbbell(2, rate_bps, rtt, seed=seed)
+        d = dumbbell(2, rate_bps, rtt, seed=seed, **run_args.net)
         if use_delay:
             u = UdtFlow(
                 d.net, d.sources[0], d.sinks[0],
@@ -181,12 +185,13 @@ def run_control_channel(
     rtt: float = 0.05,
     duration: Optional[float] = None,
     seed: int = 9,
+    run_args: RunArgs = RunArgs(),
 ) -> ExperimentResult:
     """§2.3/§6: SABUL's TCP control channel vs UDT's UDP-only design."""
     from repro.sabul.control_channel import attach_tcp_control_channel
 
     if duration is None:
-        duration = scaled(50.0, minimum=20.0)
+        duration = run_args.scaled(50.0, minimum=20.0)
     res = ExperimentResult(
         "ablation-control-channel",
         "Control over UDP (UDT) vs over a TCP-like channel (SABUL legacy)",
@@ -198,7 +203,7 @@ def run_control_channel(
     )
     warm = duration * 0.4
     for label, tcp_ctrl in (("UDP (UDT)", False), ("TCP-like (SABUL)", True)):
-        d = dumbbell(2, rate_bps, rtt, queue_pkts=60, seed=seed)
+        d = dumbbell(2, rate_bps, rtt, queue_pkts=60, seed=seed, **run_args.net)
         f1 = start_udt_flow(
             d.net, d.sources[0], d.sinks[0], start=flow_start(0), flow_id="a"
         )
@@ -222,11 +227,12 @@ def run_multibottleneck(
     hop_rtt: float = 0.02,
     duration: Optional[float] = None,
     seed: int = 0,
+    run_args: RunArgs = RunArgs(),
 ) -> ExperimentResult:
     """§3.4 footnote: the long flow gets >= half its max-min share."""
     if duration is None:
-        duration = scaled(60.0, minimum=15.0)
-    m = multi_bottleneck(n_hops, rate_bps, hop_rtt, seed=seed)
+        duration = run_args.scaled(60.0, minimum=15.0)
+    m = multi_bottleneck(n_hops, rate_bps, hop_rtt, seed=seed, **run_args.net)
     cfg = UdtConfig(rcv_buffer_pkts=20000, snd_buffer_pkts=20000)
     long_flow = start_udt_flow(
         m.net, m.sources[0], m.sinks[0], config=cfg,

@@ -1,11 +1,15 @@
-"""Shared experiment plumbing: results, scaling, formatting, tracing."""
+"""Shared experiment plumbing: results, run arguments, formatting, tracing."""
 
 from __future__ import annotations
 
-import os
+import argparse
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence
+
+from repro.sim.engine import TIE_BREAKS
+from repro.sim.topology import FIDELITIES
 
 # flow_start lives in repro.sim.topology; benchmarks/perf/workloads.py
 # imports it from here, so the name stays importable.
@@ -71,20 +75,70 @@ def _fmt(v: Any) -> str:
     return str(v)
 
 
-def scale() -> float:
-    """Global duration/size multiplier.
+@dataclass(frozen=True)
+class RunArgs:
+    """What a run is besides its runner's keywords, passed to every runner.
 
-    Experiments run at the default reduced scale so a full sweep finishes
-    in minutes of wall time on CPython; set ``REPRO_SCALE=1`` to run every
-    experiment at the paper's published durations (much slower).  Scaling
-    shortens *time*, never link rates or RTTs, so the control dynamics
-    stay in the paper's operating regime.
+    ``scale`` multiplies durations and sizes: the default reduced scale
+    lets a full sweep finish in minutes of wall time on CPython, and
+    ``scale=1`` runs every experiment at the paper's published durations
+    (much slower).  Scaling shortens *time*, never link rates or RTTs, so
+    the control dynamics stay in the paper's operating regime.
+    ``fidelity`` and ``tie_break`` go to every network the runner builds
+    (``**run_args.net``).
     """
-    return float(os.environ.get("REPRO_SCALE", "0.3"))
+
+    scale: float = 0.3
+    fidelity: str = "packet"
+    tie_break: str = "fifo"
+
+    def __post_init__(self) -> None:
+        if not 0 < self.scale < math.inf:  # false for nan too
+            raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
+        for name, known in (("fidelity", FIDELITIES), ("tie_break", TIE_BREAKS)):
+            if getattr(self, name) not in known:
+                raise ValueError(
+                    f"{name} must be one of {known}, got {getattr(self, name)!r}"
+                )
+
+    @property
+    def net(self) -> Dict[str, str]:
+        """The keywords of ``Network`` and every topology builder."""
+        return {"fidelity": self.fidelity, "tie_break": self.tie_break}
+
+    def scaled(self, seconds: float, minimum: float = 2.0) -> float:
+        return max(seconds * self.scale, minimum)
 
 
-def scaled(seconds: float, minimum: float = 2.0) -> float:
-    return max(seconds * scale(), minimum)
+def add_run_flags(parser: argparse.ArgumentParser, tie_break: bool = False) -> None:
+    """The flags that set a :class:`RunArgs`, one per field, for every command."""
+    parser.add_argument(
+        "--scale", type=float, default=RunArgs.scale, metavar="S",
+        help="duration scale (default 0.3; 1 is the paper's published durations)",
+    )
+    parser.add_argument(
+        "--fidelity", choices=FIDELITIES, default=RunArgs.fidelity,
+        help="simulation tier: 'packet' (every packet an event) or 'hybrid' "
+        "(steady bulk-transfer stretches advanced analytically by the fluid "
+        "tier; see docs/SIMULATION.md)",
+    )
+    if tie_break:
+        parser.add_argument(
+            "--tie-break", choices=TIE_BREAKS, default=RunArgs.tie_break,
+            help="order of same-instant events ('lifo' is the determinism "
+            "sanitizer's perturbation)",
+        )
+
+
+def parse_run_args(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> RunArgs:
+    """The :class:`RunArgs` :func:`add_run_flags` parsed; a bad value exits 2."""
+    tie_break = getattr(args, "tie_break", RunArgs.tie_break)  # only ``run`` sets it
+    try:
+        return RunArgs(args.scale, args.fidelity, tie_break)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def mbps(bps: float) -> float:

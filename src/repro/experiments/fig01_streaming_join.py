@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.apps.streaming_join import run_streaming_join
-from repro.experiments.common import ExperimentResult, mbps, scaled
+from repro.experiments.common import ExperimentResult, RunArgs, mbps
 from repro.sim.topology import join_topology
 from repro.tcp import TcpFlow
 from repro.udt.sim_adapter import UdtFlow
@@ -25,9 +25,10 @@ def run(
     duration: Optional[float] = None,
     queue_pkts: int = 100,
     seed: int = 1,
+    run_args: RunArgs = RunArgs(),
 ) -> ExperimentResult:
     if duration is None:
-        duration = scaled(30.0, minimum=8.0)
+        duration = run_args.scaled(30.0, minimum=8.0)
     res = ExperimentResult(
         "fig01",
         "Streaming join: per-stream and join throughput (Mb/s)",
@@ -59,7 +60,7 @@ def run(
     ):
         top = join_topology(
             rate_bps=rate_bps, rtt_a=rtt_a, rtt_b=rtt_b,
-            queue_pkts=queue_pkts, seed=seed,
+            queue_pkts=queue_pkts, seed=seed, **run_args.net,
         )
         join, fa, fb = run_streaming_join(
             top, factory, duration=duration, source_rate_bps=src_rate

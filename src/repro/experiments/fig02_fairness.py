@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.experiments.common import ExperimentResult, scaled
+from repro.experiments.common import ExperimentResult, RunArgs
 from repro.metrics import jain_index
 from repro.sim.topology import dumbbell, flow_start
 from repro.tcp import start_tcp_flow
@@ -18,8 +18,11 @@ from repro.udt import start_udt_flow
 DEFAULT_RTTS = (0.001, 0.01, 0.1, 0.5)
 
 
-def _run_flows(kind: str, n: int, rate: float, rtt: float, duration: float, seed: int):
-    d = dumbbell(n, rate, rtt, seed=seed)
+def _run_flows(
+    kind: str, n: int, rate: float, rtt: float, duration: float, seed: int,
+    run_args: RunArgs = RunArgs(),
+):
+    d = dumbbell(n, rate, rtt, seed=seed, **run_args.net)
     flows = []
     for i in range(n):
         # Staggered, not simultaneous: t=0 handshake ties would make run
@@ -44,9 +47,10 @@ def run(
     rtts: Sequence[float] = DEFAULT_RTTS,
     duration: Optional[float] = None,
     seed: int = 0,
+    run_args: RunArgs = RunArgs(),
 ) -> ExperimentResult:
     if duration is None:
-        duration = scaled(100.0, minimum=20.0)
+        duration = run_args.scaled(100.0, minimum=20.0)
     res = ExperimentResult(
         "fig02",
         "Jain's fairness index vs RTT",
@@ -59,7 +63,9 @@ def run(
     for rtt in rtts:
         indices = {}
         for kind in ("udt", "tcp"):
-            d, flows = _run_flows(kind, n_flows, rate_bps, rtt, duration, seed)
+            d, flows = _run_flows(
+                kind, n_flows, rate_bps, rtt, duration, seed, run_args
+            )
             thr = [f.throughput_bps(warm, duration) for f in flows]
             indices[kind] = jain_index(thr)
         res.add(rtt * 1e3, round(indices["udt"], 4), round(indices["tcp"], 4))

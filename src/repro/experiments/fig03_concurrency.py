@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from repro.experiments.common import ExperimentResult, mbps, scaled
+from repro.experiments.common import ExperimentResult, RunArgs, mbps
 from repro.sim.topology import dumbbell, flow_start
 from repro.udt import start_udt_flow
 
@@ -24,9 +24,10 @@ def run(
     rtts: Sequence[float] = DEFAULT_RTTS,
     duration: Optional[float] = None,
     seed: int = 0,
+    run_args: RunArgs = RunArgs(),
 ) -> ExperimentResult:
     if duration is None:
-        duration = scaled(60.0, minimum=15.0)
+        duration = run_args.scaled(60.0, minimum=15.0)
     res = ExperimentResult(
         "fig03",
         "Per-flow throughput stddev and aggregate utilisation vs #flows",
@@ -39,7 +40,7 @@ def run(
     warm = duration / 3
     for rtt in rtts:
         for n in counts:
-            d = dumbbell(n, rate_bps, rtt, seed=seed)
+            d = dumbbell(n, rate_bps, rtt, seed=seed, **run_args.net)
             flows = [
                 start_udt_flow(
                     d.net, d.sources[i], d.sinks[i],

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.experiments.common import ExperimentResult, scaled
+from repro.experiments.common import ExperimentResult, RunArgs
 from repro.metrics import stability_index
 from repro.sim.topology import dumbbell, flow_start
 from repro.tcp import start_tcp_flow
@@ -26,9 +26,10 @@ def run(
     duration: Optional[float] = None,
     sample_interval: float = 1.0,
     seed: int = 0,
+    run_args: RunArgs = RunArgs(),
 ) -> ExperimentResult:
     if duration is None:
-        duration = scaled(100.0, minimum=20.0)
+        duration = run_args.scaled(100.0, minimum=20.0)
     res = ExperimentResult(
         "fig04",
         "Stability index vs RTT (lower is more stable)",
@@ -41,7 +42,7 @@ def run(
     for rtt in rtts:
         out = {}
         for kind, starter in (("udt", start_udt_flow), ("tcp", start_tcp_flow)):
-            d = dumbbell(n_flows, rate_bps, rtt, seed=seed)
+            d = dumbbell(n_flows, rate_bps, rtt, seed=seed, **run_args.net)
             flows = [
                 # Staggered starts: t=0 handshake ties would make run
                 # order depend on the engine tie-break (see

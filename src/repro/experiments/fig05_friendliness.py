@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.experiments.common import ExperimentResult, scaled
+from repro.experiments.common import ExperimentResult, RunArgs
 from repro.metrics import friendliness_index
 from repro.sim.topology import dumbbell, flow_start
 from repro.tcp import start_tcp_flow
@@ -27,9 +27,10 @@ def run(
     rtts: Sequence[float] = DEFAULT_RTTS,
     duration: Optional[float] = None,
     seed: int = 0,
+    run_args: RunArgs = RunArgs(),
 ) -> ExperimentResult:
     if duration is None:
-        duration = scaled(100.0, minimum=20.0)
+        duration = run_args.scaled(100.0, minimum=20.0)
     res = ExperimentResult(
         "fig05",
         "TCP friendliness index vs RTT (1 = ideal, <1 = UDT overruns TCP)",
@@ -43,7 +44,7 @@ def run(
     total = n_udt + n_tcp
     for rtt in rtts:
         # mixed run
-        d = dumbbell(total, rate_bps, rtt, seed=seed)
+        d = dumbbell(total, rate_bps, rtt, seed=seed, **run_args.net)
         tcp_flows = []
         for i in range(n_udt):
             start_udt_flow(
@@ -61,7 +62,7 @@ def run(
         with_udt = [f.throughput_bps(warm, duration) for f in tcp_flows]
 
         # all-TCP control
-        c = dumbbell(total, rate_bps, rtt, seed=seed + 1)
+        c = dumbbell(total, rate_bps, rtt, seed=seed + 1, **run_args.net)
         control = [
             start_tcp_flow(
                 c.net, c.sources[i], c.sinks[i],

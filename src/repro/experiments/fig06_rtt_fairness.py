@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from repro.experiments.common import ExperimentResult, scaled
+from repro.experiments.common import ExperimentResult, RunArgs
 from repro.metrics import rtt_fairness_ratio
 from repro.sim.topology import join_topology
 from repro.udt import UdtConfig
@@ -27,9 +27,10 @@ def run(
     duration: Optional[float] = None,
     seed: int = 0,
     cc_factory: Callable[[UdtConfig], CongestionControl] = UdtNativeCC,
+    run_args: RunArgs = RunArgs(),
 ) -> ExperimentResult:
     if duration is None:
-        duration = scaled(60.0, minimum=15.0)
+        duration = run_args.scaled(60.0, minimum=15.0)
     res = ExperimentResult(
         "fig06",
         "RTT fairness: throughput(variable-RTT flow) / throughput(100ms flow)",
@@ -43,7 +44,9 @@ def run(
         # the paper's claim is about steady state, not the ramp.
         dur = max(duration, rtt * 60.0)
         warm = dur / 2
-        top = join_topology(rate_bps=rate_bps, rtt_a=ref_rtt, rtt_b=rtt, seed=seed)
+        top = join_topology(
+            rate_bps=rate_bps, rtt_a=ref_rtt, rtt_b=rtt, seed=seed, **run_args.net
+        )
         f1 = UdtFlow(top.net, top.src_a, top.sink, flow_id="ref", cc_factory=cc_factory)
         f2 = UdtFlow(top.net, top.src_b, top.sink, flow_id="var", cc_factory=cc_factory)
         top.net.run(until=dur)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.apps.bulk import UdpBlast
-from repro.experiments.common import ExperimentResult, mbps, scaled
+from repro.experiments.common import ExperimentResult, RunArgs, mbps
 from repro.sim.topology import bdp_packets, flow_start, path_topology
 from repro.sim.udp import UdpEndpoint
 from repro.udt import UdtConfig, start_udt_flow
@@ -25,9 +25,10 @@ def run(
     duration: Optional[float] = None,
     sample_interval: float = 0.5,
     seed: int = 0,
+    run_args: RunArgs = RunArgs(),
 ) -> ExperimentResult:
     if duration is None:
-        duration = scaled(30.0, minimum=10.0)
+        duration = run_args.scaled(30.0, minimum=10.0)
     res = ExperimentResult(
         "fig07",
         "UDT throughput over time, with vs without flow control (Mb/s)",
@@ -40,7 +41,9 @@ def run(
     series = {}
     stats = {}
     for label, fc in (("with", True), ("without", False)):
-        top = path_topology(rate_bps, rtt, queue_pkts=q, seed=seed, cross_sources=1)
+        top = path_topology(
+            rate_bps, rtt, queue_pkts=q, seed=seed, cross_sources=1, **run_args.net
+        )
         cfg = UdtConfig(
             flow_control=fc,
             rcv_buffer_pkts=4 * q,

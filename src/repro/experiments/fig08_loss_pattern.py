@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.apps.bulk import UdpBlast
-from repro.experiments.common import ExperimentResult, scaled
+from repro.experiments.common import ExperimentResult, RunArgs
 from repro.sim.topology import flow_start, path_topology
 from repro.sim.udp import UdpEndpoint
 from repro.udt import UdtConfig, start_udt_flow
@@ -23,11 +23,12 @@ def collect_loss_events(
     duration: Optional[float] = None,
     blast_fraction: float = 9.5,
     seed: int = 0,
+    run_args: RunArgs = RunArgs(),
 ) -> List[int]:
     """Run the experiment and return per-event lost-packet counts."""
     if duration is None:
-        duration = scaled(30.0, minimum=12.0)
-    top = path_topology(rate_bps, rtt, seed=seed, cross_sources=1)
+        duration = run_args.scaled(30.0, minimum=12.0)
+    top = path_topology(rate_bps, rtt, seed=seed, cross_sources=1, **run_args.net)
     cfg = UdtConfig(rcv_buffer_pkts=20000, snd_buffer_pkts=20000)
     f = start_udt_flow(top.net, top.src, top.dst, config=cfg, start=flow_start(0))
     # Bursting UDP cross traffic straight into the bottleneck queue.
@@ -55,8 +56,9 @@ def run(
     rtt: float = 0.100,
     duration: Optional[float] = None,
     seed: int = 0,
+    run_args: RunArgs = RunArgs(),
 ) -> ExperimentResult:
-    events = collect_loss_events(rate_bps, rtt, duration, seed=seed)
+    events = collect_loss_events(rate_bps, rtt, duration, seed=seed, run_args=run_args)
     res = ExperimentResult(
         "fig08",
         "Lost packets per loss event during heavy congestion",

@@ -13,7 +13,7 @@ import random
 import time
 from typing import List, Optional, Tuple
 
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, RunArgs
 from repro.udt.losslist import NaiveLossList, ReceiverLossList
 
 
@@ -68,7 +68,8 @@ def time_structure(make, trace) -> dict:
 
 
 def run(
-    n_events: int = 300, max_burst: int = 3000, seed: int = 0
+    n_events: int = 300, max_burst: int = 3000, seed: int = 0,
+    run_args: RunArgs = RunArgs(),
 ) -> ExperimentResult:
     trace = synth_loss_trace(n_events, max_burst, seed)
     total_lost = sum(b - a + 1 for a, b in trace)

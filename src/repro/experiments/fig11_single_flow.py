@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.experiments.common import ExperimentResult, mbps, scaled
+from repro.experiments.common import ExperimentResult, RunArgs, mbps
 from repro.sim.topology import path_topology
 from repro.tcp import start_tcp_flow
 from repro.udt import UdtConfig, start_udt_flow
@@ -35,9 +35,10 @@ def run(
     duration: Optional[float] = None,
     loss_rate: float = LINK_LOSS,
     seed: int = 0,
+    run_args: RunArgs = RunArgs(),
 ) -> ExperimentResult:
     if duration is None:
-        duration = scaled(60.0, minimum=18.0)
+        duration = run_args.scaled(60.0, minimum=18.0)
     res = ExperimentResult(
         "fig11",
         "Single-flow throughput per path (Mb/s)",
@@ -51,7 +52,9 @@ def run(
     for name, rate, rtt in PATHS:
         vals = {}
         for kind in ("udt", "tcp"):
-            top = path_topology(rate, rtt, loss_rate=loss_rate, seed=seed)
+            top = path_topology(
+                rate, rtt, loss_rate=loss_rate, seed=seed, **run_args.net
+            )
             if kind == "udt":
                 cfg = UdtConfig(rcv_buffer_pkts=20000, snd_buffer_pkts=20000)
                 f = start_udt_flow(top.net, top.src, top.dst, config=cfg)

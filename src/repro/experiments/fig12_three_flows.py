@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.experiments.common import ExperimentResult, mbps, scaled
+from repro.experiments.common import ExperimentResult, RunArgs, mbps
 from repro.sim.topology import Network, flow_start, paper_queue_size
 from repro.tcp import start_tcp_flow
 from repro.udt import UdtConfig, start_udt_flow
@@ -23,9 +23,9 @@ DESTS = (
 )
 
 
-def build_star(seed: int = 0):
+def build_star(seed: int = 0, run_args: RunArgs = RunArgs()):
     """One source whose 1 Gb/s egress fans out to the three paths."""
-    net = Network(seed=seed)
+    net = Network(seed=seed, **run_args.net)
     src = net.add_host("chicago-src")
     egress = net.add_router("egress")
     q = paper_queue_size(1e9, 0.110)
@@ -39,9 +39,11 @@ def build_star(seed: int = 0):
     return net, src, sinks
 
 
-def run(duration: Optional[float] = None, seed: int = 0) -> ExperimentResult:
+def run(
+    duration: Optional[float] = None, seed: int = 0, run_args: RunArgs = RunArgs()
+) -> ExperimentResult:
     if duration is None:
-        duration = scaled(20.0, minimum=6.0)
+        duration = run_args.scaled(20.0, minimum=6.0)
     res = ExperimentResult(
         "fig12",
         "Three concurrent flows sharing one 1 Gb/s egress (Mb/s)",
@@ -52,7 +54,7 @@ def run(duration: Optional[float] = None, seed: int = 0) -> ExperimentResult:
     warm = duration / 3
     results = {}
     for kind in ("udt", "tcp"):
-        net, src, sinks = build_star(seed=seed)
+        net, src, sinks = build_star(seed=seed, run_args=run_args)
         flows = []
         for i, ((name, _, _), sink) in enumerate(zip(DESTS, sinks)):
             if kind == "udt":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.experiments.common import ExperimentResult, mbps, scaled
+from repro.experiments.common import ExperimentResult, RunArgs, mbps
 from repro.sim.topology import dumbbell, flow_start
 from repro.tcp import start_tcp_flow
 from repro.udt import UdtConfig, start_udt_flow
@@ -27,8 +27,11 @@ def _measure(
     xfer_bytes: int,
     concurrent_tcp: int,
     seed: int,
+    run_args: RunArgs,
 ) -> float:
-    d = dumbbell(concurrent_tcp + max(n_udt, 1), rate_bps, rtt, seed=seed)
+    d = dumbbell(
+        concurrent_tcp + max(n_udt, 1), rate_bps, rtt, seed=seed, **run_args.net
+    )
     for i in range(n_udt):
         cfg = UdtConfig(rcv_buffer_pkts=20000, snd_buffer_pkts=20000)
         start_udt_flow(
@@ -80,9 +83,10 @@ def run(
     xfer_bytes: int = 10_000_000,
     concurrent_tcp: int = 5,
     seed: int = 0,
+    run_args: RunArgs = RunArgs(),
 ) -> ExperimentResult:
     if duration is None:
-        duration = scaled(40.0, minimum=15.0)
+        duration = run_args.scaled(40.0, minimum=15.0)
     res = ExperimentResult(
         "fig13",
         "Aggregate short-TCP throughput vs number of background UDT flows",
@@ -95,7 +99,7 @@ def run(
     )
     for n in udt_counts:
         agg = _measure(
-            n, rate_bps, rtt, duration, xfer_bytes, concurrent_tcp, seed
+            n, rate_bps, rtt, duration, xfer_bytes, concurrent_tcp, seed, run_args
         )
         res.add(n, mbps(agg))
     return res

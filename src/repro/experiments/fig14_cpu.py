@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.experiments.common import ExperimentResult, mbps, scaled
+from repro.experiments.common import ExperimentResult, RunArgs, mbps
 from repro.hostmodel import (
     CpuMeter,
     TCP_RECEIVER_COSTS,
@@ -29,9 +29,10 @@ def run(
     rtt: float = 0.001,
     duration: Optional[float] = None,
     seed: int = 0,
+    run_args: RunArgs = RunArgs(),
 ) -> ExperimentResult:
     if duration is None:
-        duration = scaled(15.0, minimum=5.0)
+        duration = run_args.scaled(15.0, minimum=5.0)
     res = ExperimentResult(
         "fig14",
         "CPU utilisation for memory-memory transfer (%)",
@@ -43,7 +44,7 @@ def run(
     warm = duration / 3
 
     # UDT
-    top = path_topology(rate_bps, rtt, seed=seed)
+    top = path_topology(rate_bps, rtt, seed=seed, **run_args.net)
     clock = lambda: top.net.sim.now  # noqa: E731
     ms = CpuMeter(UDT_SENDER_COSTS, clock, bus=top.net.sim.bus)
     mr = CpuMeter(UDT_RECEIVER_COSTS, clock, bus=top.net.sim.bus)
@@ -59,7 +60,7 @@ def run(
     udt_meters = (ms, mr)
 
     # TCP
-    top2 = path_topology(rate_bps, rtt, seed=seed)
+    top2 = path_topology(rate_bps, rtt, seed=seed, **run_args.net)
     clock2 = lambda: top2.net.sim.now  # noqa: E731
     ts = CpuMeter(TCP_SENDER_COSTS, clock2, bus=top2.net.sim.bus)
     tr = CpuMeter(TCP_RECEIVER_COSTS, clock2, bus=top2.net.sim.bus)

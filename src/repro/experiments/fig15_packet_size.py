@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.experiments.common import ExperimentResult, mbps, scaled
+from repro.experiments.common import ExperimentResult, RunArgs, mbps
 from repro.sim.topology import flow_start, path_topology
 from repro.udt import UdtConfig, start_udt_flow
 
@@ -25,9 +25,10 @@ def run(
     loss_rate: float = 1e-4,
     duration: Optional[float] = None,
     seed: int = 0,
+    run_args: RunArgs = RunArgs(),
 ) -> ExperimentResult:
     if duration is None:
-        duration = scaled(15.0, minimum=5.0)
+        duration = run_args.scaled(15.0, minimum=5.0)
     res = ExperimentResult(
         "fig15",
         "UDT throughput vs packet size (MTU 1500)",
@@ -40,7 +41,7 @@ def run(
     warm = duration / 3
     for mss in sizes:
         top = path_topology(
-            rate_bps, rtt, mtu=mtu, loss_rate=loss_rate, seed=seed
+            rate_bps, rtt, mtu=mtu, loss_rate=loss_rate, seed=seed, **run_args.net
         )
         cfg = UdtConfig(mss=mss, rcv_buffer_pkts=40000, snd_buffer_pkts=40000)
         f = start_udt_flow(top.net, top.src, top.dst, config=cfg, start=flow_start(0))

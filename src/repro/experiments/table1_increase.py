@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, RunArgs
 from repro.udt.cc import increase_param
 
 #: The published table (B band in Mb/s -> inc in packets, MSS=1500).
@@ -16,7 +16,7 @@ PAPER_TABLE_1 = [
 ]
 
 
-def run(mss: int = 1500) -> ExperimentResult:
+def run(mss: int = 1500, run_args: RunArgs = RunArgs()) -> ExperimentResult:
     res = ExperimentResult(
         "table1",
         "UDT increase parameter vs estimated available bandwidth",

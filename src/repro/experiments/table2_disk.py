@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.apps.fileio import DiskTransfer
-from repro.experiments.common import ExperimentResult, mbps, scaled
+from repro.experiments.common import ExperimentResult, RunArgs, mbps
 from repro.hostmodel.disk import SITE_DISKS, disk_disk_limit
 from repro.sim.topology import path_topology
 
@@ -32,9 +32,10 @@ PATHS: Dict[Tuple[str, str], Tuple[float, float]] = {
 def run(
     nbytes: Optional[int] = None,
     seed: int = 0,
+    run_args: RunArgs = RunArgs(),
 ) -> ExperimentResult:
     if nbytes is None:
-        nbytes = int(scaled(400e6, minimum=120e6))
+        nbytes = int(run_args.scaled(400e6, minimum=120e6))
     res = ExperimentResult(
         "table2",
         "UDT disk-disk throughput matrix (Mb/s)",
@@ -49,7 +50,7 @@ def run(
         expected = []
         for dst_name in sites:
             rate, rtt = PATHS[(src_name, dst_name)]
-            top = path_topology(rate, rtt, seed=seed)
+            top = path_topology(rate, rtt, seed=seed, **run_args.net)
             xfer = DiskTransfer(
                 top.net,
                 top.src,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.experiments.common import ExperimentResult, scaled
+from repro.experiments.common import ExperimentResult, RunArgs
 from repro.hostmodel import CpuMeter, UDT_RECEIVER_COSTS, UDT_SENDER_COSTS
 from repro.hostmodel.cpu import UDT_RECEIVER_SHARES, UDT_SENDER_SHARES
 from repro.sim.topology import path_topology
@@ -40,10 +40,11 @@ def run(
     rtt: float = 0.001,
     duration: Optional[float] = None,
     seed: int = 0,
+    run_args: RunArgs = RunArgs(),
 ) -> ExperimentResult:
     if duration is None:
-        duration = scaled(15.0, minimum=5.0)
-    top = path_topology(rate_bps, rtt, seed=seed)
+        duration = run_args.scaled(15.0, minimum=5.0)
+    top = path_topology(rate_bps, rtt, seed=seed, **run_args.net)
     clock = lambda: top.net.sim.now  # noqa: E731
     ms = CpuMeter(UDT_SENDER_COSTS, clock, bus=top.net.sim.bus)
     mr = CpuMeter(UDT_RECEIVER_COSTS, clock, bus=top.net.sim.bus)

@@ -19,7 +19,7 @@ hybrid gate compares against.  Bands and tolerances live in
 
 Nothing here runs an experiment.  Every row is looked up one way: in the
 digest-keyed sweep cache, at the scale of the ledger section asked about
-(``REPRO_SCALE`` while it has none, as for the sweep).  A miss fails with
+(``--scale`` while it has none).  A miss fails with
 the exact ``repro-udt sweep`` line that fills it.
 """
 
@@ -60,14 +60,10 @@ def read_ledger(path: Path) -> Dict[str, Any]:
     return data
 
 
-def section_scale(section: Dict[str, Any]) -> float:
+def section_scale(section: Dict[str, Any], scale: float) -> float:
     """The one scale every row of a ledger section is read at: its own,
-    else ``REPRO_SCALE`` as ``repro-udt sweep`` reads it."""
-    if "scale" in section:
-        return float(section["scale"])
-    from repro.experiments.common import scale
-
-    return scale()
+    else ``scale``."""
+    return float(section.get("scale", scale))
 
 
 def recorded(section: Dict[str, Any], exp_id: str) -> Dict[str, Optional[float]]:
@@ -196,12 +192,19 @@ def _parse_only(raw: Optional[str]) -> Optional[List[str]]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.experiments import REGISTRY
+    from repro.experiments.common import add_run_flags, parse_run_args
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.figures",
         description="Gate swept results against the paper's claims and the "
         "values the committed fidelity ledger recorded "
         "(benchmarks/results/BENCH_fidelity.json), with the bands of "
-        "repro.obs.claims; re-record the ledger; render paper figures as SVG.",
+        "repro.obs.claims; re-record the ledger; render paper figures as SVG. "
+        "--fidelity hybrid gates hybrid rows against the hybrid section's "
+        "packet reference in the wider hybrid bands, skipping claims and the "
+        "metrics the fidelity contract leaves undefined; --update records "
+        "that reference.",
     )
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument(
@@ -228,7 +231,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="PATH",
         default=None,
         help=f"fidelity ledger path (default {DEFAULT_LEDGER}); its scale, "
-        "or REPRO_SCALE while it has none, is the scale every row is read at",
+        "or --scale while it has none, is the scale every row is read at",
     )
     parser.add_argument(
         "--only",
@@ -246,15 +249,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "$REPRO_CACHE_DIR or .repro-cache); a result it lacks fails with "
         "the 'repro-udt sweep' line that produces it",
     )
-    parser.add_argument(
-        "--fidelity",
-        choices=["packet", "hybrid"],
-        default="packet",
-        help="simulation tier (docs/SIMULATION.md): hybrid gates hybrid "
-        "rows against the hybrid section's packet reference in the wider "
-        "hybrid bands, skipping claims and the metrics the fidelity "
-        "contract leaves undefined; --update records that reference",
-    )
+    add_run_flags(parser)
     parser.add_argument(
         "--json",
         metavar="PATH",
@@ -263,15 +258,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         "claim verdicts and drift) as JSON to PATH",
     )
     args = parser.parse_args(argv)
-
-    from repro.experiments import REGISTRY
+    run_args = parse_run_args(args, parser)
 
     ledger_path = Path(args.ledger) if args.ledger else DEFAULT_LEDGER
     ledger = read_ledger(ledger_path)
-    hybrid = args.fidelity == "hybrid"
+    hybrid = run_args.fidelity == "hybrid"
     section = ledger.setdefault("hybrid", {}) if hybrid else ledger
     section.setdefault("experiments", {})
-    scale = section_scale(section)
+    scale = section_scale(section, run_args.scale)
     cache = ResultCache(Path(args.cache_dir) if args.cache_dir else None)
     if args.render is not None:
         default = sorted(SPECS)
@@ -297,7 +291,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         exp_ids = [e for e in exp_ids if e in SPECS]
     # the hybrid section records a packet reference: --update reads packet rows
     tables, misses = resolve_tables(
-        exp_ids, scale, cache, "packet" if args.update else args.fidelity
+        exp_ids, scale, cache, "packet" if args.update else run_args.fidelity
     )
     problems += [f"{exp_id}: {reason}" for exp_id, reason in misses.items()]
 
@@ -335,7 +329,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         write_json_atomic(Path(args.json), {
             "schema": FIDELITY_SCHEMA,
             "kind": "fidelity.gate",
-            "fidelity": args.fidelity,
+            "fidelity": run_args.fidelity,
             "scale": scale,
             "rows": rows,
             "failures": failures,

@@ -188,6 +188,7 @@ def collect_inputs(
     sweep would produce it.
     """
     from repro.experiments import REGISTRY
+    from repro.experiments.common import RunArgs
     from repro.runner.cache import ResultCache, read_json_object
     from repro.runner.sweep import DEFAULT_BENCH
 
@@ -203,7 +204,7 @@ def collect_inputs(
         Path(bench_path) if bench_path else DEFAULT_BENCH
     )
 
-    scale = figmod.section_scale(ledger)
+    scale = figmod.section_scale(ledger, RunArgs.scale)
     wanted = [e for e in (only or REGISTRY) if e in REGISTRY]
     cache = ResultCache(Path(cache_dir) if cache_dir else None)
     inputs.tables, inputs.sources = figmod.resolve_tables(wanted, scale, cache)

@@ -3,10 +3,9 @@
 Two modes, neither intended for direct human use (drive sweeps through
 ``repro-udt sweep``):
 
-* ``python -m repro.runner --worker EXP --digest D --out F``
+* ``python -m repro.runner --worker EXP --scale S --fidelity TIER --digest D --out F``
   runs one experiment in this (fresh) interpreter and writes its cache
-  entry JSON to ``F``.  ``REPRO_SCALE`` comes from the environment the
-  parent sweep set.
+  entry JSON to ``F``.
 * ``python -m repro.runner --gate CURRENT --baseline BASE [--key K]``
   the CI runtime-regression gate: compares per-experiment sweep timings
   between two ``BENCH_runtime.json`` ledgers (median-normalised; see
@@ -23,12 +22,13 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import List, Optional
 
+from repro.experiments.common import RunArgs, add_run_flags, parse_run_args, traced
 
-def _run_worker_mode(args: argparse.Namespace) -> int:
+
+def _run_worker_mode(args: argparse.Namespace, run_args: RunArgs) -> int:
     from contextlib import ExitStack
 
     from repro.experiments import get_experiment
-    from repro.experiments.common import scale, traced
 
     exp = get_experiment(args.worker)
     with ExitStack() as stack:
@@ -47,12 +47,12 @@ def _run_worker_mode(args: argparse.Namespace) -> int:
             )
         )
         t0 = time.perf_counter()
-        result = exp.runner()
+        result = exp.runner(run_args=run_args)
         seconds = time.perf_counter() - t0
     entry = {
         "exp_id": args.worker,
         "digest": args.digest,
-        "scale": scale(),
+        "scale": run_args.scale,
         "seconds": seconds,
         "result": asdict(result),
     }
@@ -88,6 +88,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     mode.add_argument(
         "--gate", metavar="CURRENT", help="regression-gate a runtime ledger"
     )
+    add_run_flags(parser)
     parser.add_argument("--digest", default="", help="digest to echo into the entry")
     parser.add_argument("--out", help="where the worker writes its entry JSON")
     parser.add_argument(
@@ -111,7 +112,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.worker:
         if not args.out:
             parser.error("--worker requires --out")
-        return _run_worker_mode(args)
+        return _run_worker_mode(args, parse_run_args(args, parser))
     if not args.baseline:
         parser.error("--gate requires --baseline")
     return _run_gate_mode(args)

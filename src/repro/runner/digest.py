@@ -4,7 +4,7 @@ A cached result may be reused only while nothing that could change the
 experiment's output has changed.  The digest therefore covers:
 
 * the experiment id and its runner keyword overrides,
-* the duration scale (``REPRO_SCALE`` / ``--scale``), and
+* the run's duration scale and fidelity tier (its ``RunArgs``), and
 * the *content* of every source file the run can execute.
 
 Source relevance is computed statically: starting from the module the

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments.common import RunArgs
 from repro.obs.export import TRACE_FORMATS
 from repro.runner.cache import ResultCache, read_json_object, write_json_atomic
 from repro.runner.digest import experiment_digest
@@ -114,6 +115,7 @@ def select_experiments(only: Optional[Sequence[str]]) -> Tuple[str, List[str]]:
 def _worker_cmd(
     exp_id: str,
     digest: str,
+    run_args: RunArgs,
     out_path: Path,
     trace_path: Optional[Path],
     trace_packets: bool,
@@ -125,6 +127,10 @@ def _worker_cmd(
         "repro.runner",
         "--worker",
         exp_id,
+        "--scale",
+        format(run_args.scale, "g"),
+        "--fidelity",
+        run_args.fidelity,
         "--digest",
         digest,
         "--out",
@@ -139,9 +145,10 @@ def _worker_cmd(
     return cmd
 
 
-def _worker_env(scale: float, fidelity: str = "packet") -> Dict[str, str]:
+def worker_env() -> Dict[str, str]:
+    """This environment, with the ``repro`` package this process runs first
+    on the path of a child interpreter (a sweep worker, a sanitizer run)."""
     import repro
-    from repro.sim.topology import FIDELITY_ENV
 
     src_dir = str(Path(repro.__file__).resolve().parent.parent)
     env = dict(os.environ)
@@ -149,21 +156,18 @@ def _worker_env(scale: float, fidelity: str = "packet") -> Dict[str, str]:
     env["PYTHONPATH"] = (
         src_dir if not existing else src_dir + os.pathsep + existing
     )
-    env["REPRO_SCALE"] = format(scale, "g")
-    env[FIDELITY_ENV] = fidelity
     return env
 
 
 def _run_worker(
     exp_id: str,
     digest: str,
-    scale: float,
+    run_args: RunArgs,
     tmp_dir: Path,
     trace_dir: Optional[Path],
     trace_packets: bool,
     trace_format: str = "jsonl",
     board: Optional[Any] = None,
-    fidelity: str = "packet",
 ) -> Dict[str, Any]:
     """Execute one experiment in a fresh interpreter; returns its entry.
 
@@ -177,7 +181,7 @@ def _run_worker(
         trace_dir / f"{exp_id}.{trace_format}" if trace_dir is not None else None
     )
     cmd = _worker_cmd(
-        exp_id, digest, out_path, trace_path, trace_packets,
+        exp_id, digest, run_args, out_path, trace_path, trace_packets,
         progress=board is not None,
     )
     if board is not None:
@@ -186,7 +190,7 @@ def _run_worker(
     with open(stderr_path, "w", encoding="utf-8") as err:
         proc = subprocess.Popen(
             cmd,
-            env=_worker_env(scale, fidelity),
+            env=worker_env(),
             stdout=subprocess.PIPE,
             stderr=err,
             text=True,
@@ -219,7 +223,7 @@ def _run_worker(
 def run_sweep(
     only: Optional[Sequence[str]] = None,
     jobs: int = 1,
-    scale: Optional[float] = None,
+    scale: float = RunArgs.scale,
     cache_dir: Optional[Path] = None,
     force: bool = False,
     trace_dir: Optional[Path] = None,
@@ -227,7 +231,7 @@ def run_sweep(
     trace_format: str = "jsonl",
     progress: bool = False,
     progress_path: Optional[Path] = None,
-    fidelity: Optional[str] = None,
+    fidelity: str = RunArgs.fidelity,
     emit: Optional[Emit] = None,
 ) -> SweepReport:
     """Run (or cache-skip) every selected experiment; returns the report.
@@ -243,29 +247,19 @@ def run_sweep(
     ``<cache>/progress.jsonl``), which the dashboard renders as a
     live-run card (docs/OBSERVABILITY.md).
 
-    ``fidelity`` selects the simulation tier every worker runs at
-    (``"packet"`` or ``"hybrid"``; docs/SIMULATION.md).  It defaults to
-    the ambient ``REPRO_FIDELITY``, is part of every experiment digest
-    (so hybrid and packet runs can never alias in the result cache) and,
-    when not packet, suffixes the sweep's ledger key.
+    ``scale`` and ``fidelity`` (``"packet"`` or ``"hybrid"``;
+    docs/SIMULATION.md) are every worker's :class:`RunArgs`.  Both are
+    part of every experiment digest, so hybrid and packet runs can never
+    alias in the result cache; a fidelity other than packet suffixes the
+    sweep's ledger key.  A bad value raises ``ValueError``.
     """
-    from repro.experiments.common import scale as env_scale
-    from repro.sim.topology import FIDELITIES, ambient_fidelity
-
+    run_args = RunArgs(scale, fidelity)
     say: Emit = emit if emit is not None else (lambda s: None)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     if trace_format not in TRACE_FORMATS:
         raise ValueError(
             f"trace_format must be one of {TRACE_FORMATS}, got {trace_format!r}"
-        )
-    if scale is None:
-        scale = env_scale()
-    if fidelity is None:
-        fidelity = ambient_fidelity()
-    if fidelity not in FIDELITIES:
-        raise ValueError(
-            f"fidelity must be one of {FIDELITIES}, got {fidelity!r}"
         )
     selector, ids = select_experiments(only)
     cache = ResultCache(cache_dir)
@@ -324,13 +318,12 @@ def run_sweep(
                     _run_worker,
                     exp_id,
                     report.digests[exp_id],
-                    scale,
+                    run_args,
                     tmp_dir,
                     trace_dir,
                     trace_packets,
                     trace_format,
                     board,
-                    fidelity,
                 ): exp_id
                 for exp_id in pending
             }

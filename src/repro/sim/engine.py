@@ -5,8 +5,8 @@ same instant fire in FIFO order (a monotone tie-break counter guarantees
 determinism), which the protocol agents rely on — e.g. an ACK that arrives
 at the same instant a retransmission timer expires must be processed first
 if it was scheduled first.  The tie-break order is perturbable
-(``tie_break="lifo"`` / ``REPRO_TIE_BREAK=lifo``) so the determinism
-sanitizer can verify that *causally unrelated* same-time events commute.
+(``tie_break="lifo"``) so the determinism sanitizer can verify that
+*causally unrelated* same-time events commute.
 
 The engine is the hot path of every experiment, so the inner loop avoids
 attribute lookups and allocates nothing beyond the events themselves.
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 import random
 from collections import deque
 from math import inf
@@ -32,11 +31,6 @@ from repro.obs.bus import EventBus
 #: orders: any outcome difference means some component depends on the
 #: incidental interleaving of *causally unrelated* same-time events.
 TIE_BREAKS = ("fifo", "lifo")
-
-#: Environment override consulted when Simulator(tie_break=None); lets
-#: the sanitizer perturb whole experiment runs without plumbing a flag
-#: through every topology/flow constructor.
-TIE_BREAK_ENV = "REPRO_TIE_BREAK"
 
 
 def format_vtime(t: float) -> str:
@@ -145,14 +139,10 @@ class Simulator:
     tie_break:
         Order for events scheduled at the same instant: ``"fifo"``
         (default) or ``"lifo"`` (reversed; used by the determinism
-        sanitizer to flush out hidden ordering dependence).  ``None``
-        reads the ``REPRO_TIE_BREAK`` environment variable, falling back
-        to FIFO.
+        sanitizer to flush out hidden ordering dependence).
     """
 
-    def __init__(self, seed: Optional[int] = 0, tie_break: Optional[str] = None):
-        if tie_break is None:
-            tie_break = os.environ.get(TIE_BREAK_ENV, "fifo")
+    def __init__(self, seed: Optional[int] = 0, tie_break: str = "fifo"):
         if tie_break not in TIE_BREAKS:
             raise ValueError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
         self.now: float = 0.0

@@ -8,6 +8,9 @@ canonical topologies of the paper:
   bottleneck into one sink (also used for RTT fairness, Figure 6).
 * ``path``       — a single source-to-sink path (Figures 8, 11, 15).
 * ``multi_bottleneck`` — parking-lot chain for the max-min footnote ablation.
+
+Every builder passes its ``seed``, ``fidelity`` and ``tie_break`` to the
+:class:`Network` it builds.
 """
 
 from __future__ import annotations
@@ -59,21 +62,8 @@ def flow_start(i: int) -> float:
     return i * FLOW_START_STAGGER
 
 
-#: Environment variable selecting the simulation fidelity tier.
-FIDELITY_ENV = "REPRO_FIDELITY"
-
 #: Recognised fidelity tiers: pure packet-level, or packet + fluid spans.
 FIDELITIES = ("packet", "hybrid")
-
-
-def ambient_fidelity() -> str:
-    """The fidelity tier selected by ``REPRO_FIDELITY`` (default packet)."""
-    fid = os.environ.get(FIDELITY_ENV, "packet")
-    if fid not in FIDELITIES:
-        raise ValueError(
-            f"{FIDELITY_ENV} must be one of {FIDELITIES}, got {fid!r}"
-        )
-    return fid
 
 
 class Network:
@@ -89,7 +79,8 @@ class Network:
     an event) or ``"hybrid"`` (steady bulk-transfer stretches advanced
     analytically by a :class:`~repro.sim.fluid.FluidController`; see
     docs/SIMULATION.md).  ``None`` reads ``REPRO_FIDELITY``, defaulting
-    to packet.
+    to packet: the benchmark harness picks its tier that way.
+    ``tie_break`` goes to the simulator built here (:class:`Simulator`).
     """
 
     def __init__(
@@ -98,13 +89,18 @@ class Network:
         seed: int = 0,
         default_jitter: float = 0.1,
         fidelity: Optional[str] = None,
+        tie_break: str = "fifo",
     ):
-        self.sim = sim if sim is not None else Simulator(seed=seed)
+        if fidelity is None:
+            fidelity = os.environ.get("REPRO_FIDELITY", "packet")
+        if fidelity not in FIDELITIES:
+            raise ValueError(f"fidelity must be one of {FIDELITIES}, got {fidelity!r}")
+        self.sim = sim if sim is not None else Simulator(seed=seed, tie_break=tie_break)
         self.nodes: Dict[int, Node] = {}
         self.links: Dict[Tuple[int, int], Link] = {}
         self.monitor = FlowMonitor(self.sim)
         self.default_jitter = default_jitter
-        self.fidelity = fidelity if fidelity is not None else ambient_fidelity()
+        self.fidelity = fidelity
         self.fluid: Optional[FluidController] = None
         if self.fidelity == "hybrid":
             # Only a hybrid network loads the fluid tier.
@@ -210,6 +206,8 @@ def dumbbell(
     seed: int = 0,
     mtu: Optional[int] = None,
     loss_rate: float = 0.0,
+    fidelity: Optional[str] = None,
+    tie_break: str = "fifo",
 ) -> Dumbbell:
     """Classic dumbbell with the RTT concentrated on the bottleneck.
 
@@ -218,7 +216,7 @@ def dumbbell(
     """
     if n_flows < 1:
         raise ValueError("need at least one flow")
-    net = Network(seed=seed)
+    net = Network(seed=seed, fidelity=fidelity, tie_break=tie_break)
     left = net.add_router("L")
     right = net.add_router("R")
     qsize = queue_pkts if queue_pkts is not None else paper_queue_size(rate_bps, rtt)
@@ -259,8 +257,10 @@ def join_topology(
     rtt_b: float = 0.001,
     queue_pkts: Optional[int] = None,
     seed: int = 0,
+    fidelity: Optional[str] = None,
+    tie_break: str = "fifo",
 ) -> JoinTopology:
-    net = Network(seed=seed)
+    net = Network(seed=seed, fidelity=fidelity, tie_break=tie_break)
     a = net.add_host("A")
     b = net.add_host("B")
     c = net.add_host("C")
@@ -294,13 +294,15 @@ def path_topology(
     loss_rate: float = 0.0,
     seed: int = 0,
     cross_sources: int = 0,
+    fidelity: Optional[str] = None,
+    tie_break: str = "fifo",
 ) -> PathTopology:
     """Single path src -> r1 -> r2 -> dst; bottleneck is r1->r2.
 
     ``cross_sources`` extra hosts are attached to r1 so experiments can
     inject cross traffic (Figure 8's bursting UDP flow).
     """
-    net = Network(seed=seed)
+    net = Network(seed=seed, fidelity=fidelity, tie_break=tie_break)
     src = net.add_host("src")
     dst = net.add_host("dst")
     r1 = net.add_router("r1")
@@ -334,12 +336,14 @@ def multi_bottleneck(
     hop_rtt: float,
     queue_pkts: Optional[int] = None,
     seed: int = 0,
+    fidelity: Optional[str] = None,
+    tie_break: str = "fifo",
 ) -> MultiBottleneck:
     """Parking-lot: one long flow crosses ``n_hops`` bottlenecks, each also
     carrying a one-hop cross flow (max-min fairness footnote, §3.4)."""
     if n_hops < 2:
         raise ValueError("parking lot needs >= 2 hops")
-    net = Network(seed=seed)
+    net = Network(seed=seed, fidelity=fidelity, tie_break=tie_break)
     routers = [net.add_router(f"r{i}") for i in range(n_hops + 1)]
     qsize = (
         queue_pkts

@@ -500,6 +500,32 @@ def test_sanitizer_fails_when_nothing_was_compared(tmp_path, monkeypatch, capsys
     assert "fig09 FAILED" in capsys.readouterr().out
 
 
+def test_sanitizer_runs_carry_their_values_as_arguments(tmp_path, monkeypatch):
+    """``lint --sanitize --fidelity F --scale S`` hands both to each run's
+    ``repro run`` argv beside that run's tie-break, so a hybrid check
+    cannot run at the packet tier and still pass."""
+    from repro.analysis.sanitizer import DeterminismSanitizer
+    from repro.cli import build_parser, main
+    from repro.experiments.common import RunArgs, parse_run_args
+
+    argvs = []
+
+    def spawn(self, trace_path, tie_break, hashseed):
+        argvs.append(self.worker_argv(trace_path, tie_break))
+        _write_trace(trace_path, [])
+        return {"tie_break": tie_break, "trace": str(trace_path)}
+
+    monkeypatch.setattr(DeterminismSanitizer, "_spawn", spawn)
+    assert main(["lint", "--sanitize", "fig02", "--fidelity", "hybrid",
+                 "--scale", "0.05", "--set", "duration=1"]) == 1
+    parser, _subs = build_parser()
+    got = []
+    for argv in argvs:
+        assert argv[1:4] == ["-m", "repro", "run"]
+        got.append(parse_run_args(parser.parse_args(argv[3:]), parser))
+    assert got == [RunArgs(0.05, "hybrid", "fifo"), RunArgs(0.05, "hybrid", "lifo")]
+
+
 def test_sanitizer_result_json_shape(tmp_path):
     div = Divergence(index=3, line_a="x", line_b="y", context=["c"])
     res = SanitizerResult("fig02", False, 3, divergence=div)

@@ -48,12 +48,30 @@ def test_the_results_directory_admits_two_records():
 
 def test_readers_of_the_evidence_pipeline_never_set_the_environment():
     """DESIGN.md, "The evidence pipeline": repro.obs looks results up;
-    only the sweep worker runs an experiment, in an environment its
-    parent built."""
+    only the sweep worker runs an experiment, with the arguments its
+    parent passed."""
     sets_env = re.compile(
         r"os\.environ\[[^]]*\]\s*=[^=]|os\.environ\.(update|setdefault|pop)\(|os\.putenv\("
     )
     assert _hits((SRC / "obs").rglob("*.py"), sets_env) == []
+
+
+def test_a_run_is_its_arguments():
+    """DESIGN.md, "A run is its arguments": scale, fidelity and tie-break
+    reach a run as arguments; the simulator and the experiments read no
+    environment, but for ``Network``'s one fallback for callers that pass
+    no tier."""
+    environ = re.compile(r"os\.environ|os\.getenv|os\.putenv")
+    paths = [*(SRC / "experiments").rglob("*.py"), *(SRC / "sim").rglob("*.py")]
+    hits = [
+        (path.relative_to(SRC).as_posix(), line.strip())
+        for path in sorted(paths)
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if environ.search(line)
+    ]
+    assert hits == [
+        ("sim/topology.py", 'fidelity = os.environ.get("REPRO_FIDELITY", "packet")')
+    ]
 
 
 def test_a_live_endpoint_reads_every_datagram_into_its_one_buffer():

@@ -229,13 +229,13 @@ def test_tie_break_lifo_reverses_equal_time_only():
     assert out == [4, 3, 2, 1, 0, 99]
 
 
-def test_tie_break_env_override(monkeypatch):
-    from repro.sim.engine import TIE_BREAK_ENV
+def test_tie_break_is_an_argument_of_every_builder():
+    from repro.sim.topology import Network, dumbbell, path_topology
 
-    monkeypatch.setenv(TIE_BREAK_ENV, "lifo")
-    assert Simulator().tie_break == "lifo"
-    # An explicit argument beats the environment.
-    assert Simulator(tie_break="fifo").tie_break == "fifo"
+    assert Simulator().tie_break == "fifo"
+    assert Network(tie_break="lifo").sim.tie_break == "lifo"
+    assert dumbbell(1, 1e6, 0.01, tie_break="lifo").net.sim.tie_break == "lifo"
+    assert path_topology(1e6, 0.01, tie_break="lifo").net.sim.tie_break == "lifo"
 
 
 def test_tie_break_rejects_unknown_order():

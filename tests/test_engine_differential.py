@@ -207,12 +207,11 @@ def test_hybrid_spans_start_with_empty_pipes_and_the_frozen_pending(monkeypatch)
         def post_fifo(self, stream, delay, fn, *args):
             self.post(delay, fn, *args)
 
-    monkeypatch.setenv("REPRO_FIDELITY", "hybrid")
     duration, slices = 12.0, 96
 
     def observe(simulator):
         monkeypatch.setattr("repro.sim.topology.Simulator", simulator)
-        net, _ = _clean(seed=1)
+        net, _ = _clean(seed=1, fidelity="hybrid")
         sim = net.sim
         in_flight_at_enter = []
         sim.bus.subscribe(

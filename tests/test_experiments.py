@@ -1,10 +1,20 @@
 """Tests for experiment plumbing, the registry and fast runners."""
 
+import json
+import math
+import subprocess
+import sys
+from dataclasses import asdict
+
 import pytest
 
 from repro.cli import main as cli_main
 from repro.experiments import REGISTRY, get_experiment, list_experiments
-from repro.experiments.common import ExperimentResult, mbps, scaled
+from repro.experiments.common import ExperimentResult, RunArgs, mbps
+from repro.obs import bus as OB
+from repro.runner.sweep import worker_env
+from repro.sim.engine import RunObserver, add_run_observer, remove_run_observer
+from tests._collect import Collector, every_run
 from repro.experiments.fig09_losslist import synth_loss_trace
 from repro.experiments.table1_increase import run as run_table1
 
@@ -37,16 +47,57 @@ class TestExperimentResult:
 
 
 class TestScaling:
-    def test_scale_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "0.5")
-        assert scaled(100.0) == 50.0
+    def test_scaled(self):
+        assert RunArgs(scale=0.5).scaled(100.0) == 50.0
 
-    def test_minimum_floor(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "0.001")
-        assert scaled(100.0, minimum=7.0) == 7.0
+    def test_minimum_floor(self):
+        assert RunArgs(scale=0.001).scaled(100.0, minimum=7.0) == 7.0
+
+    def test_defaults(self):
+        assert RunArgs() == RunArgs(0.3, "packet", "fifo")
+        assert RunArgs(tie_break="lifo").net == {"fidelity": "packet", "tie_break": "lifo"}
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_a_scale_that_is_not_positive_and_finite(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            RunArgs(scale=scale)
+
+    @pytest.mark.parametrize("field", ["fidelity", "tie_break"])
+    def test_rejects_an_unknown_tier_or_order(self, field):
+        with pytest.raises(ValueError, match="quantum"):
+            RunArgs(**{field: "quantum"})
 
     def test_mbps(self):
         assert mbps(1e6) == 1.0
+
+    def test_one_process_runs_two_fidelities_and_two_scales(self):
+        """A run is its arguments: the same rows in one process, cells
+        interleaved, as in a fresh interpreter per cell."""
+        kwargs = dict(rate_bps=20e6, rtts=(0.01,))
+        cells = [(0.05, "packet"), (0.4, "hybrid"), (0.05, "hybrid"), (0.4, "packet")]
+        runner = get_experiment("fig06").runner
+        here = [
+            asdict(runner(**kwargs, run_args=RunArgs(scale, fidelity)))["rows"]
+            for scale, fidelity in cells
+        ]
+        code = (
+            "import json, sys\n"
+            "from dataclasses import asdict\n"
+            "from repro.experiments import get_experiment\n"
+            "from repro.experiments.common import RunArgs\n"
+            "run_args = RunArgs(float(sys.argv[1]), sys.argv[2])\n"
+            f"result = get_experiment('fig06').runner(**{kwargs!r}, run_args=run_args)\n"
+            "print(json.dumps(asdict(result)['rows']))"
+        )
+        apart = [
+            json.loads(subprocess.run(
+                [sys.executable, "-c", code, str(scale), fidelity],
+                env=worker_env(), check=True, capture_output=True, text=True,
+            ).stdout)
+            for scale, fidelity in cells
+        ]
+        assert [json.loads(json.dumps(rows)) for rows in here] == apart
+        assert len({json.dumps(rows) for rows in apart}) == len(cells)
 
 
 class TestRegistry:
@@ -152,3 +203,44 @@ class TestCli:
         assert names in capsys.readouterr().err
         assert trace.read_bytes() == b"an earlier run's trace\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == [trace.name]
+
+
+class TestRunIsItsArguments:
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("cmd", ["run", "sweep"])
+    def test_a_scale_that_is_not_positive_and_finite_is_a_usage_error(
+        self, tmp_path, capsys, cmd, scale
+    ):
+        argv = ["run", "table1"] if cmd == "run" else [
+            "sweep", "--only", "table1", "--no-bench", "--cache-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            cli_main([*argv, "--scale", scale])
+        assert exc.value.code == 2
+        assert "scale must be positive and finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fidelity, spans", [("packet", False), ("hybrid", True)])
+    def test_run_builds_its_simulators_from_its_flags(self, capsys, fidelity, spans):
+        """``run --tie-break lifo --fidelity F`` reaches every simulator and
+        every network the runner builds, seen from outside the runner."""
+
+        class TieBreaks(RunObserver):
+            def __init__(self):
+                self.seen = []
+
+            def run_begin(self, sim, until):
+                self.seen.append(sim.tie_break)
+
+        ties, entered = TieBreaks(), Collector()
+        add_run_observer(ties)
+        try:
+            with every_run(entered, kinds=(OB.FLUID_ENTER,)):
+                assert cli_main([
+                    "run", "fig02", "--tie-break", "lifo", "--fidelity", fidelity,
+                    "--set", "duration=4", "--set", "rtts=(0.01,)", "--set", "n_flows=2",
+                ]) == 0
+        finally:
+            remove_run_observer(ties)
+        capsys.readouterr()
+        assert ties.seen and set(ties.seen) == {"lifo"}
+        assert bool(entered) == spans

@@ -16,14 +16,8 @@ from repro.obs import bus as OB
 from repro.sim.engine import Simulator
 from repro.sim.fluid import FluidController
 from repro.sim.monitor import FlowMonitor
-from repro.sim.topology import (
-    FIDELITIES,
-    FIDELITY_ENV,
-    Network,
-    ambient_fidelity,
-    dumbbell,
-    path_topology,
-)
+from repro.experiments.common import RunArgs
+from repro.sim.topology import FIDELITIES, Network, dumbbell, path_topology
 from repro.udt import start_udt_flow
 from tests._collect import Collector, every_run
 
@@ -51,35 +45,55 @@ def _spans(events):
 
 
 class TestAmbientFidelity:
+    """``Network(fidelity=None)`` reads ``REPRO_FIDELITY``: the one tier the
+    environment still sets, for callers that pass none.  The benchmark
+    harness builds ``udt_hybrid`` with ``dumbbell(...)`` alone, so a
+    builder defaulting to packet would turn that into a packet run."""
+
     def test_defaults_to_packet(self, monkeypatch):
-        monkeypatch.delenv(FIDELITY_ENV, raising=False)
-        assert ambient_fidelity() == "packet"
+        monkeypatch.delenv("REPRO_FIDELITY", raising=False)
+        assert Network().fidelity == "packet"
 
     def test_reads_env(self, monkeypatch):
-        monkeypatch.setenv(FIDELITY_ENV, "hybrid")
-        assert ambient_fidelity() == "hybrid"
+        monkeypatch.setenv("REPRO_FIDELITY", "hybrid")
+        assert Network().fidelity == "hybrid"
 
     def test_rejects_unknown_tier(self, monkeypatch):
-        monkeypatch.setenv(FIDELITY_ENV, "quantum")
         with pytest.raises(ValueError, match="quantum"):
-            ambient_fidelity()
+            Network(fidelity="quantum")
+        monkeypatch.setenv("REPRO_FIDELITY", "quantum")
+        with pytest.raises(ValueError, match="quantum"):
+            Network()
 
     def test_network_reads_ambient_fidelity(self, monkeypatch):
-        monkeypatch.setenv(FIDELITY_ENV, "hybrid")
+        monkeypatch.setenv("REPRO_FIDELITY", "hybrid")
         net = Network()
         assert net.fidelity == "hybrid"
         assert isinstance(net.fluid, FluidController)
 
     def test_explicit_fidelity_wins(self, monkeypatch):
-        monkeypatch.setenv(FIDELITY_ENV, "hybrid")
+        monkeypatch.setenv("REPRO_FIDELITY", "hybrid")
         net = Network(fidelity="packet")
         assert net.fidelity == "packet"
         assert net.fluid is None
+        monkeypatch.delenv("REPRO_FIDELITY")
+        assert isinstance(Network(fidelity="hybrid").fluid, FluidController)
 
     def test_packet_is_the_default_tier(self, monkeypatch):
-        monkeypatch.delenv(FIDELITY_ENV, raising=False)
+        monkeypatch.delenv("REPRO_FIDELITY", raising=False)
         assert Network().fluid is None
         assert FIDELITIES == ("packet", "hybrid")
+
+    @pytest.mark.parametrize("builder", ["dumbbell", "path_topology"])
+    def test_builders_without_a_tier_take_the_environments(self, monkeypatch, builder):
+        """Exactly as ``benchmarks/perf/workloads.py`` calls them."""
+        build = {
+            "dumbbell": lambda **kw: dumbbell(2, 1e9, 0.1, seed=1, **kw),
+            "path_topology": lambda **kw: path_topology(1e9, 0.1, seed=1, **kw),
+        }[builder]
+        monkeypatch.setenv("REPRO_FIDELITY", "hybrid")
+        assert build().net.fluid is not None
+        assert build(fidelity="packet").net.fluid is None
 
 
 class TestMaxMinShares:
@@ -167,11 +181,9 @@ class TestByteConservation:
 
 
 class TestHybridRun:
-    def test_single_flow_matches_packet_throughput(self, monkeypatch,
-                                                   fluid_events):
+    def test_single_flow_matches_packet_throughput(self, fluid_events):
         def goodput(fidelity):
-            monkeypatch.setenv(FIDELITY_ENV, fidelity)
-            top = path_topology(100e6, 0.02, seed=0)
+            top = path_topology(100e6, 0.02, seed=0, fidelity=fidelity)
             f = start_udt_flow(top.net, top.src, top.dst)
             top.net.run(until=6.0)
             return top.net.fluid, f.throughput_bps(3.0, 6.0)
@@ -187,12 +199,11 @@ class TestHybridRun:
         exits = [e for e in fluid_events if e.kind == OB.FLUID_EXIT]
         assert len(enters) == len(exits) == ctrl.spans
 
-    def test_spans_do_not_advance_sequence_numbers(self, monkeypatch):
+    def test_spans_do_not_advance_sequence_numbers(self):
         # The no-seqno-advance contract: analytic delivery is booked to
         # the monitor only; the receiver's packet-level byte counter
         # stays behind the monitor total by exactly the credited bytes.
-        monkeypatch.setenv(FIDELITY_ENV, "hybrid")
-        top = path_topology(50e6, 0.02, seed=0)
+        top = path_topology(50e6, 0.02, seed=0, fidelity="hybrid")
         f = start_udt_flow(top.net, top.src, top.dst)
         top.net.run(until=10.0)
         credited = top.net.fluid.flows[0]._credited
@@ -201,16 +212,14 @@ class TestHybridRun:
 
 
 class TestSpanBoundaries:
-    def test_spans_never_straddle_blast_epochs(self, monkeypatch,
-                                               fluid_events):
+    def test_spans_never_straddle_blast_epochs(self, fluid_events):
         # An ON/OFF UDP blast is a CC-relevant boundary: every fluid span
         # must end before the next burst starts, with the packet engine
         # awake for the burst itself.
         from repro.apps.bulk import UdpBlast
         from repro.sim.udp import UdpEndpoint
 
-        monkeypatch.setenv(FIDELITY_ENV, "hybrid")
-        top = path_topology(50e6, 0.02, seed=0, cross_sources=1)
+        top = path_topology(50e6, 0.02, seed=0, cross_sources=1, fidelity="hybrid")
         start_udt_flow(top.net, top.src, top.dst)
         cross = [n for n in top.net.nodes.values() if n.name == "cross0"][0]
         sink = UdpEndpoint(top.dst, 9999)
@@ -258,13 +267,11 @@ class TestSpanBoundaries:
             gap = min(upcoming)
             assert margin - 1e-9 <= gap <= margin + syn + 1e-9
 
-    def test_no_spans_before_late_flow_joins(self, monkeypatch,
-                                             fluid_events):
+    def test_no_spans_before_late_flow_joins(self, fluid_events):
         # A flow that has not yet connected blocks the tier: the packet
         # engine must witness the join (handshake, slow start) and fluid
         # spans only resume once every registered flow is steady.
-        monkeypatch.setenv(FIDELITY_ENV, "hybrid")
-        d = dumbbell(2, 40e6, 0.02, seed=0)
+        d = dumbbell(2, 40e6, 0.02, seed=0, fidelity="hybrid")
         start_udt_flow(d.net, d.sources[0], d.sinks[0], flow_id="early")
         start_udt_flow(d.net, d.sources[1], d.sinks[1], start=6.0,
                        flow_id="late")
@@ -273,11 +280,10 @@ class TestSpanBoundaries:
         enters = [e.t for e in fluid_events if e.kind == OB.FLUID_ENTER]
         assert enters and min(enters) > 6.0
 
-    def test_horizon_bounds_the_span(self, monkeypatch, fluid_events):
+    def test_horizon_bounds_the_span(self, fluid_events):
         # run(until=...) is a hard analytic bound: no span may extend
         # beyond the requested horizon.
-        monkeypatch.setenv(FIDELITY_ENV, "hybrid")
-        top = path_topology(50e6, 0.02, seed=0)
+        top = path_topology(50e6, 0.02, seed=0, fidelity="hybrid")
         start_udt_flow(top.net, top.src, top.dst)
         top.net.run(until=7.0)
         assert top.net.sim.now <= 7.0 + 1e-9
@@ -309,14 +315,15 @@ class TestCacheKeySeparation:
 class TestHybridEquivalence:
     """Reduced fig02/fig06 runs: hybrid within the ledger's hybrid bands."""
 
-    def test_fig02_jain_within_hybrid_band(self, monkeypatch):
+    def test_fig02_jain_within_hybrid_band(self):
         from repro.experiments.fig02_fairness import _run_flows
         from repro.metrics import jain_index
         from repro.obs.claims import asked
 
         def jain(fidelity):
-            monkeypatch.setenv(FIDELITY_ENV, fidelity)
-            d, flows = _run_flows("udt", 4, 40e6, 0.02, 24.0, seed=0)
+            d, flows = _run_flows(
+                "udt", 4, 40e6, 0.02, 24.0, seed=0, run_args=RunArgs(fidelity=fidelity)
+            )
             thr = [f.throughput_bps(6.0, 24.0) for f in flows]
             return d.net.fluid, jain_index(thr)
 
@@ -331,8 +338,7 @@ class TestHybridEquivalence:
                 f"{name}: |{hybrid} - {packet}| > {allowed}"
             )
 
-    def test_fig06_metrics_within_hybrid_bands(self, monkeypatch,
-                                               fluid_events):
+    def test_fig06_metrics_within_hybrid_bands(self, fluid_events):
         """The hybrid gate's own comparison: hybrid rows against the packet
         reference in the Metric.hybrid_tolerance bands."""
         from repro.experiments.fig06_rtt_fairness import run
@@ -340,8 +346,10 @@ class TestHybridEquivalence:
         from repro.obs.figspec import ResultTable
 
         def table(fidelity):
-            monkeypatch.setenv(FIDELITY_ENV, fidelity)
-            return ResultTable(run(rate_bps=50e6, rtts=(0.02,), duration=20.0, seed=0))
+            run_args = RunArgs(fidelity=fidelity)
+            return ResultTable(
+                run(rate_bps=50e6, rtts=(0.02,), duration=20.0, seed=0, run_args=run_args)
+            )
 
         reference = measure("fig06", table("packet"), hybrid=True)
         rows = evaluate("fig06", table("hybrid"), reference, hybrid=True)

@@ -215,17 +215,14 @@ class TestGate:
             assert line.startswith(f"[fidelity] FAIL: {exp_id}: no packet result")
             assert line.count(f"run: repro-udt sweep --only {exp_id} --scale 0.05") == 1
 
-    def test_every_row_is_read_at_the_ledgers_scale(self, tmp_path, capsys,
-                                                   monkeypatch):
-        """A bare gate against a cache swept at the committed ledger's
-        scale passes whatever REPRO_SCALE says: claims and drift, with a
-        figure spec or without, are read at the one scale the ledger
-        records."""
+    def test_every_row_is_read_at_the_ledgers_scale(self, tmp_path, capsys):
+        """A gate against a cache swept at the committed ledger's scale
+        passes whatever --scale says: claims and drift, with a figure spec
+        or without, are read at the one scale the ledger records."""
         ids = ("table1", "fig09", "fig06")
         where = self._seed(tmp_path, *ids)
-        monkeypatch.setenv("REPRO_SCALE", "0.3")
         out_json = tmp_path / "gate.json"
-        assert main(["--gate", "--only", ",".join(ids), *where,
+        assert main(["--gate", "--only", ",".join(ids), *where, "--scale", "0.3",
                      "--json", str(out_json)]) == 0
         doc = json.loads(out_json.read_text())
         assert doc["scale"] == 0.05 and doc["passed"]

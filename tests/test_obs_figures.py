@@ -271,25 +271,23 @@ class TestFidelityGate:
         assert main(argv) == 1
         assert "loss_mean_pkts" in capsys.readouterr().err
 
-    def test_cli_update_writes_ledger(self, tmp_path, capsys, monkeypatch):
-        """A ledger with no scale yet takes REPRO_SCALE, as the sweep does,
+    def test_cli_update_writes_ledger(self, tmp_path, capsys):
+        """A ledger with no scale yet takes --scale, as the sweep does,
         and records it."""
         digest = seed_cache(tmp_path / "cache", "fig08", FIG08_RESULT)
         path = tmp_path / "ledger.json"
         where = ["--only", "fig08", "--ledger", str(path),
                  "--cache-dir", str(tmp_path / "cache")]
-        monkeypatch.setenv("REPRO_SCALE", "0.05")
-        assert main(["--update", *where]) == 0
+        assert main(["--update", *where, "--scale", "0.05"]) == 0
         data = read_ledger(path)
         assert data["scale"] == 0.05
         assert data["experiments"]["fig08"]["digest"] == digest
         assert data["experiments"]["fig08"]["metrics"]["loss_events"] == 12
         # and the fresh ledger immediately gates green, at its own scale
-        monkeypatch.setenv("REPRO_SCALE", "0.3")
-        assert main(["--gate", *where]) == 0
+        assert main(["--gate", *where, "--scale", "0.3"]) == 0
         capsys.readouterr()
 
-    def test_cli_update_hybrid_section_is_additive(self, tmp_path, capsys, monkeypatch):
+    def test_cli_update_hybrid_section_is_additive(self, tmp_path, capsys):
         """One --update for both tiers: a hybrid update records the
         same-scale packet reference in its own section and leaves the
         packet record alone; a packet update keeps the hybrid section.
@@ -297,8 +295,8 @@ class TestFidelityGate:
         path, data = self._ledger(tmp_path)
         cache = tmp_path / "cache"
         where = ["--only", "fig08", "--ledger", str(path), "--cache-dir", str(cache)]
-        hybrid = ["--update", "--fidelity", "hybrid", *where]
-        monkeypatch.setenv("REPRO_SCALE", "1")  # the hybrid section has no scale yet
+        # the hybrid section has no scale yet
+        hybrid = ["--update", "--fidelity", "hybrid", "--scale", "1", *where]
         assert main(hybrid) == 1  # no packet reference swept yet
         assert "sweep --only fig08 --scale 1 --cache-dir" in capsys.readouterr().err
 

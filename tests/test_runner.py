@@ -160,10 +160,11 @@ def test_a_key_covers_every_file_its_worker_loads(exp_id, tmp_path):
         "print(*(mod.__file__ for name, mod in list(sys.modules.items())\n"
         "        if name.split('.')[0] == 'repro'))"
     )
-    env = dict(os.environ, REPRO_SCALE=str(SCALE))
+    env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_ROOT) + os.pathsep + env.get("PYTHONPATH", "")
     out = subprocess.run(
-        [sys.executable, "-c", code, "--worker", exp_id, "--out", str(tmp_path / "e.json")],
+        [sys.executable, "-c", code, "--worker", exp_id, "--scale", str(SCALE),
+         "--out", str(tmp_path / "e.json")],
         env=env, check=True, capture_output=True, text=True,
     )
     loaded = {
@@ -209,10 +210,8 @@ class TestImportDirection:
         assert "repro.tcp.agent" in loaded
         assert not {m for m in loaded if m.startswith("repro.udt")}, loaded
         loaded = _repro_modules_after(
-            "import os\n"
-            "os.environ['REPRO_FIDELITY'] = 'packet'\n"
             "from repro.sim.topology import dumbbell\n"
-            "assert dumbbell(2, 1e6, 0.01).net.fluid is None"
+            "assert dumbbell(2, 1e6, 0.01, fidelity='packet').net.fluid is None"
         )
         assert "repro.sim.fluid" not in loaded
         loaded = _repro_modules_after(
@@ -363,10 +362,11 @@ class TestSweepEndToEnd:
         two fresh interpreters running side by side — what ``--jobs``
         does to a cell — and a fraction of the JSONL size.  A sweep cell
         takes no ``--set``, so the one-virtual-second cells (blast burst
-        and NAK recovery included) are spawned directly in the sweep's
-        worker environment; CI's trace-smoke runs the long form."""
+        and NAK recovery included) are spawned directly, with the scale
+        and fidelity a sweep worker takes; CI's trace-smoke runs the long
+        form."""
         from repro.obs.export import convert_trace
-        from repro.runner.sweep import _worker_env
+        from repro.runner.sweep import worker_env
 
         traces = [tmp_path / f"tr{jobs}" / "fig08.rtrc" for jobs in (1, 4)]
         cells = []
@@ -374,8 +374,9 @@ class TestSweepEndToEnd:
             rtrc.parent.mkdir()
             cells.append(subprocess.Popen(
                 [sys.executable, "-m", "repro", "run", "fig08", "--trace",
-                 str(rtrc), "--trace-packets", "--set", "duration=1.0"],
-                env=_worker_env(SCALE), stdout=subprocess.DEVNULL,
+                 str(rtrc), "--trace-packets", "--scale", str(SCALE),
+                 "--fidelity", "packet", "--set", "duration=1.0"],
+                env=worker_env(), stdout=subprocess.DEVNULL,
             ))
         assert [cell.wait(timeout=120) for cell in cells] == [0, 0]
         rtrc = traces[0]

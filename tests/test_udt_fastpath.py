@@ -27,9 +27,9 @@ from repro.udt import UdtConfig, start_udt_flow
 from tests._frames import count_calls, top_calls
 
 
-def _clean(seed):
+def _clean(seed, fidelity="packet"):
     """Two bulk flows on a loss-free 1 Gb/s, 100 ms dumbbell."""
-    top = dumbbell(2, 1e9, 0.100, seed=seed)
+    top = dumbbell(2, 1e9, 0.100, seed=seed, fidelity=fidelity)
     flows = [
         start_udt_flow(top.net, top.sources[i], top.sinks[i], start=flow_start(i))
         for i in range(2)
@@ -37,10 +37,10 @@ def _clean(seed):
     return top.net, flows
 
 
-def _burstloss(seed):
+def _burstloss(seed, fidelity="packet"):
     """The fig08 regime: one flow under a 9.5x ON/OFF UDP blast from 0.7 s."""
     rate = 1e9
-    top = path_topology(rate, 0.100, seed=seed, cross_sources=1)
+    top = path_topology(rate, 0.100, seed=seed, cross_sources=1, fidelity=fidelity)
     cfg = UdtConfig(rcv_buffer_pkts=20000, snd_buffer_pkts=20000)
     flow = start_udt_flow(top.net, top.src, top.dst, config=cfg)
     cross = next(n for n in top.net.nodes.values() if n.name == "cross0")
@@ -90,10 +90,9 @@ GOLDEN = {
 }
 
 
-def _observe(scenario, monkeypatch):
+def _observe(scenario):
     shape, seed, duration = scenario
-    monkeypatch.setenv("REPRO_FIDELITY", "hybrid" if shape == "hybrid" else "packet")
-    net, flows = _BUILD[shape](seed)
+    net, flows = _BUILD[shape](seed, "hybrid" if shape == "hybrid" else "packet")
     net.run(until=duration)
     rows = []
     for f in flows:
@@ -112,18 +111,18 @@ def _observe(scenario, monkeypatch):
 
 
 @pytest.mark.parametrize("scenario", GOLDEN, ids=lambda s: f"{s[0]}-seed{s[1]}")
-def test_golden_per_flow_behaviour(scenario, monkeypatch):
-    assert _observe(scenario, monkeypatch) == GOLDEN[scenario]
+def test_golden_per_flow_behaviour(scenario):
+    assert _observe(scenario) == GOLDEN[scenario]
 
 
 @pytest.mark.parametrize(
     "scenario", [s for s in GOLDEN if s[1] == 1], ids=lambda s: s[0]
 )
-def test_golden_unmoved_by_the_profiler(scenario, monkeypatch):
+def test_golden_unmoved_by_the_profiler(scenario):
     """The timed branch of the dispatch loop dispatches the same stream:
     every handler counted once, nothing in the results moved."""
     with SimProfiler().activate() as prof:
-        got = _observe(scenario, monkeypatch)
+        got = _observe(scenario)
     assert got == GOLDEN[scenario]
     assert prof.events_total == got[1]
 
@@ -134,7 +133,7 @@ def test_golden_unmoved_by_the_profiler(scenario, monkeypatch):
 FRAMES_PER_PACKET = 36.63
 
 
-def test_frame_budget_per_data_packet(monkeypatch):
+def test_frame_budget_per_data_packet():
     """Calls per data packet stay at the straight path's figure.
 
     Virtual 1.0-1.2 s of the clean two-flow dumbbell (seed 1) under
@@ -164,7 +163,6 @@ def test_frame_budget_per_data_packet(monkeypatch):
     needs a reason and a new figure here; a failure prints the largest
     calls per packet.
     """
-    monkeypatch.setenv("REPRO_FIDELITY", "packet")
     net, flows = _clean(seed=1)
     net.run(until=1.0)
     sent_before = sum(f.sender.stats.data_pkts_sent for f in flows)
@@ -177,7 +175,7 @@ def test_frame_budget_per_data_packet(monkeypatch):
     )
 
 
-def test_heap_holds_one_entry_per_source(monkeypatch):
+def test_heap_holds_one_entry_per_source():
     """Packets in flight wait in their link's stream, not in the heap.
 
     The clean two-flow dumbbell at virtual 1.2 s has thousands of packets
@@ -185,7 +183,6 @@ def test_heap_holds_one_entry_per_source(monkeypatch):
     the heap, beside the few entries the flows and links keep for
     themselves (send tick, drain, ACK/NAK/EXP/SYN timers).
     """
-    monkeypatch.setenv("REPRO_FIDELITY", "packet")
     net, flows = _clean(seed=1)
     net.run(until=1.2)
     assert net.sim.pending() > 1000
@@ -200,7 +197,7 @@ def test_heap_holds_one_entry_per_source(monkeypatch):
 BYTES_PER_PENDING = 800
 
 
-def test_state_per_packet_in_flight(monkeypatch):
+def test_state_per_packet_in_flight():
     """What the clean dumbbell holds at virtual 1.2 s, per event pending.
 
     Thousands of packets sit in the 100 ms pipes and many more wait
@@ -208,7 +205,6 @@ def test_state_per_packet_in_flight(monkeypatch):
     the network was built and still alive counts against the pending
     entries (docs/PERFORMANCE.md, "Memory per packet in flight").
     """
-    monkeypatch.setenv("REPRO_FIDELITY", "packet")
     tracemalloc.start()
     try:
         net, flows = _clean(seed=1)
