@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.analysis.core import default_root
-from repro.obs.export import TRACE_FORMATS
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     """Register the ``lint`` subcommand options."""
@@ -59,13 +58,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         dest="overrides",
         help="runner keyword override for --sanitize (repeatable), "
         "e.g. --set duration=5",
-    )
-    parser.add_argument(
-        "--sanitize-format",
-        choices=TRACE_FORMATS,
-        default="jsonl",
-        help="trace format the --sanitize runs record and diff "
-        "(default: jsonl)",
     )
 
 
@@ -130,7 +122,6 @@ def run_lint(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         sanitizer = DeterminismSanitizer(
             args.sanitize,
             overrides=parse_overrides(args.overrides, parser),
-            trace_format=args.sanitize_format,
             run_args=parse_run_args(args, parser),
         )
         sanitize_result = sanitizer.run()
@@ -177,7 +168,7 @@ def add_conform_arguments(parser: argparse.ArgumentParser) -> None:
         "traces",
         nargs="+",
         metavar="TRACE",
-        help="trace file(s) (.rtrc/.jsonl) to check against the "
+        help="trace file(s) (.rtrc) to check against the "
         "protocol model",
     )
     parser.add_argument(
@@ -196,7 +187,13 @@ def add_conform_arguments(parser: argparse.ArgumentParser) -> None:
 
 def run_conform(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """Entry point for ``repro-udt conform``."""
-    reports = _run_conformance(args.traces, args.model, parser)
+    from repro.obs.store import RtrcFormatError
+
+    try:
+        reports = _run_conformance(args.traces, args.model, parser)
+    except RtrcFormatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         json.dump(
             {

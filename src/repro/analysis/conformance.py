@@ -1,7 +1,7 @@
 """Check recorded traces against the statically-extracted protocol model.
 
 Where the lint tier checks *source*, this checks *behaviour*: every
-``.rtrc`` / ``.jsonl`` trace the simulator writes must obey the event
+``.rtrc`` trace the simulator writes must obey the event
 ordering the endpoint's own guard structure promises
 (:mod:`repro.analysis.protomodel`):
 
@@ -16,7 +16,7 @@ exactly the class of bug neither unit tests (which assert on aggregates)
 nor the lint tier (which never runs the code) can see.
 
 Reading is routed through :func:`repro.obs.export.read_events` filtered
-to the model's kinds, so on ``.rtrc`` traces the indexed store skips
+to the model's kinds, so the indexed store skips
 whole blocks containing none of them (conn/cc/control kinds are a tiny
 fraction of a packet-detail trace).  Each violation carries the few
 preceding same-src model events as context, so the report reads like a

@@ -55,7 +55,7 @@ EVENT_FAMILIES = (
 
 #: Dotted tokens that look like event kinds but are not bus events.
 EVENT_ALLOWLIST = {
-    "trace.meta",  # JSONL header record, intentionally outside the catalog
+    "trace.meta",  # the trace header record, intentionally outside the catalog
     # attribute references, not kinds
     "pkt.size",
     "pkt.seq",
@@ -67,12 +67,10 @@ EVENT_ALLOWLIST = {
     "flow.throughput_bps",
     "cc.fluid_tick",
     "queue.drop_threshold",
-    # hot-path profiler categories (repro.obs.prof), not bus events
-    "cc.exp_timer",
+    # the profiler's categories before it filed by layer, named in
+    # recorded measurements; not bus events
     "cc.send_timer",
-    "cc.syn_timer",
     "link.transmit",
-    "link.drain",
 }
 
 #: Dotted suffixes that mark file/module mentions, never event kinds.

@@ -14,9 +14,9 @@ that flush out hidden ordering dependence:
   runs, so any iteration over a ``set`` (or other hash-ordered
   container) that leaks into scheduling or telemetry reorders.
 
-Both runs record a full telemetry trace (packet-detail tier included;
-JSONL or the ``.rtrc`` binary store), and the two traces are then
-compared **byte for byte**, event by event.  The comparison streams in
+Both runs record a full ``.rtrc`` telemetry trace (packet-detail tier
+included), and the two traces are then compared **byte for byte**,
+event by event.  The comparison streams in
 fixed-size chunks — a packet-tier fig08 trace is 7M+ events, and
 paper-scale traces will not fit in memory — and only on a byte mismatch
 re-walks the records to pinpoint the first divergent event with its
@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.common import RunArgs
-from repro.obs.export import TRACE_FORMATS, open_trace
+from repro.obs.store import RtrcReader, dump_record
 from repro.runner.sweep import worker_env
 
 #: (tie_break, PYTHONHASHSEED) for the two perturbed runs.
@@ -51,8 +51,8 @@ PERTURBATIONS: Tuple[Tuple[str, str], ...] = (("fifo", "1"), ("lifo", "2"))
 class Divergence:
     """First point where the two perturbed traces disagree."""
 
-    index: int  # 0-based event index (meta line excluded)
-    line_a: Optional[str]  # raw JSONL, None = stream A ended early
+    index: int  # 0-based event index (meta record excluded)
+    line_a: Optional[str]  # the event as a JSON line, None = stream A ended early
     line_b: Optional[str]
     context: List[str] = field(default_factory=list)  # events just before
 
@@ -140,11 +140,10 @@ def diff_traces(
     run-specific metadata); every subsequent byte must match.  The
     comparison runs in fixed-size chunks with O(chunk) memory; only when
     the streams differ are the records re-walked to report the first
-    divergent event with its preceding context.  Works on either trace
-    format (both sides must share one).
+    divergent event with its preceding context.
     Returns (events_compared, first_divergence_or_None).
     """
-    with open_trace(path_a) as ra, open_trace(path_b) as rb:
+    with RtrcReader(path_a) as ra, RtrcReader(path_b) as rb:
         with ra.event_stream() as fa, rb.event_stream() as fb:
             while True:
                 ca = fa.read(_DIFF_CHUNK)
@@ -156,13 +155,14 @@ def diff_traces(
         # Byte mismatch: re-walk the records for the precise first divergence.
         recent: List[str] = []
         index = 0
-        ia, ib = ra.iter_jsonl(), rb.iter_jsonl()
+        ia = map(dump_record, ra.iter_events())
+        ib = map(dump_record, rb.iter_events())
         while True:
             la = next(ia, None)
             lb = next(ib, None)
             if la is None and lb is None:
                 # compressed bytes differed but the event streams agree
-                # (e.g. re-blocked .rtrc); that is still deterministic.
+                # (e.g. re-blocked); that is still deterministic.
                 return index, None
             if la != lb:
                 return index, Divergence(
@@ -191,9 +191,6 @@ class DeterminismSanitizer:
     workdir:
         Where to keep the two traces; a temp dir (deleted on success,
         kept on divergence for forensics) when omitted.
-    trace_format:
-        ``jsonl`` (default) or ``rtrc`` — the on-disk format the
-        perturbed runs record and the diff streams over.
     run_args:
         Scale and fidelity of both runs (each sets its own tie-break).
     """
@@ -205,20 +202,13 @@ class DeterminismSanitizer:
         packets: bool = True,
         workdir: Optional[str] = None,
         timeout: float = 900.0,
-        trace_format: str = "jsonl",
         run_args: RunArgs = RunArgs(),
     ):
-        if trace_format not in TRACE_FORMATS:
-            raise ValueError(
-                f"trace_format must be one of {TRACE_FORMATS}, "
-                f"got {trace_format!r}"
-            )
         self.exp_id = exp_id
         self.overrides = dict(overrides or {})
         self.packets = packets
         self.workdir = workdir
         self.timeout = timeout
-        self.trace_format = trace_format
         self.run_args = run_args
 
     def worker_argv(self, trace_path: Path, tie_break: str) -> List[str]:
@@ -261,7 +251,7 @@ class DeterminismSanitizer:
         runs: List[Dict[str, Any]] = []
         paths: List[Path] = []
         for tie_break, hashseed in PERTURBATIONS:
-            trace_path = workdir / f"{self.exp_id}-{tie_break}.{self.trace_format}"
+            trace_path = workdir / f"{self.exp_id}-{tie_break}.rtrc"
             runs.append(self._spawn(trace_path, tie_break, hashseed))
             paths.append(trace_path)
         events, divergence = diff_traces(paths[0], paths[1])

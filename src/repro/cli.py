@@ -4,11 +4,11 @@
                                     # one-line description)
     repro-udt run fig02             # run one experiment, print its table
     repro-udt run all               # run everything (slow)
-    repro-udt run fig04 --trace out.jsonl --summary
-                                    # fully traced run: JSONL event trace
-                                    # (CC timelines, drops, EXP events)
-                                    # plus a telemetry summary
-    repro-udt run fig08 --trace t.jsonl --trace-packets
+    repro-udt run fig04 --trace out.rtrc --summary
+                                    # fully traced run: indexed binary
+                                    # event trace (CC timelines, drops,
+                                    # EXP events) plus a telemetry summary
+    repro-udt run fig08 --trace t.rtrc --trace-packets
                                     # + per-packet lifecycle events for
                                     # span reconstruction
     repro-udt run fig02 --profile   # hot-path profile: where the wall
@@ -21,15 +21,12 @@
                                     # merge into BENCH_runtime.json
     repro-udt sweep --only fig02,fig08 --scale 0.05 --force
                                     # re-run a subset at smoke scale
-    repro-udt run fig08 --trace t.rtrc --trace-packets
-                                    # indexed binary trace (~10x smaller
-                                    # than JSONL, block-skippable queries)
     repro-udt trace query t.rtrc --kind link.drop --stats
                                     # indexed trace query: filter by
                                     # kind/src/time without a full scan
-    repro-udt trace convert t.rtrc t.jsonl
-                                    # re-encode between trace formats
-    repro-udt report t.jsonl        # loss-forensics report from a trace
+    repro-udt trace query t.rtrc > t.jsonl
+                                    # the trace as JSON lines, for jq
+    repro-udt report t.rtrc         # loss-forensics report from a trace
     repro-udt lint                  # protocol-invariant static analysis
                                     # over the repro tree (seqno-taint,
                                     # sansio-purity, event-schema); the
@@ -60,7 +57,7 @@ from typing import List, Optional
 
 from repro.experiments import get_experiment, list_experiments
 from repro.experiments.common import add_run_flags, parse_run_args, traced
-from repro.obs.export import TRACE_FORMATS
+from repro.obs.export import check_trace_path
 
 
 def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -90,6 +87,12 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 f"{args.exp_id} takes no keyword {', '.join(unknown)}; "
                 f"accepted: {', '.join(sorted(accepted))}"
             )
+    if args.trace:
+        try:
+            check_trace_path(args.trace)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if profiling:
         from repro.obs.prof import SimProfiler
 
@@ -137,7 +140,6 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             force=args.force,
             trace_dir=Path(args.trace_dir) if args.trace_dir else None,
             trace_packets=args.trace_packets,
-            trace_format=args.trace_format,
             progress=args.progress,
             progress_path=Path(args.progress_file) if args.progress_file else None,
             fidelity=args.fidelity,
@@ -164,20 +166,19 @@ def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     if args.trace is not None:
         from repro.obs.report import render_report, report_dict, summary_only_hint
         from repro.obs.spans import build_spans
+        from repro.obs.store import RtrcFormatError
 
-        stats: dict = {}
-        spanset = build_spans(args.trace, stats=stats)
+        try:
+            spanset = build_spans(args.trace)
+        except (FileNotFoundError, RtrcFormatError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         hint = summary_only_hint(spanset)
         if hint:
             # summary-only trace: say how to get forensics, succeed anyway
             print(f"[report] {hint}")
         else:
             print(render_report(spanset))
-            if stats.get("skipped_lines"):
-                print(
-                    f"[warning: skipped {stats['skipped_lines']} malformed "
-                    "trace line(s)]"
-                )
             if args.json:
                 with open(args.json, "w") as f:
                     json.dump(report_dict(spanset), f, indent=2, default=str)
@@ -238,9 +239,9 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
         metavar="PATH",
         default=None,
         help="write a telemetry trace (CC-state timelines, loss/EXP "
-        "events, link drops) of the whole run to PATH; the suffix picks "
-        "the format: .jsonl (text) or .rtrc (indexed binary store, ~10x "
-        "smaller, queryable with 'repro-udt trace')",
+        "events, link drops) of the whole run to PATH, an .rtrc file "
+        "(indexed binary store; 'repro-udt trace query' prints it as "
+        "JSON lines)",
     )
     runp.add_argument(
         "--trace-packets",
@@ -258,7 +259,8 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
     runp.add_argument(
         "--profile",
         action="store_true",
-        help="profile the simulator hot path: per-category handler time, "
+        help="profile the simulator hot path: handler time per layer "
+        "(the module that defines the handler), "
         "printed top-N plus a BENCH_profile_<exp>.json snapshot",
     )
     runp.add_argument(
@@ -273,7 +275,7 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
         type=int,
         default=10,
         metavar="N",
-        help="how many categories the printed profile shows (default 10)",
+        help="how many layers the printed profile shows (default 10)",
     )
     add_run_flags(runp, tie_break=True)
 
@@ -313,20 +315,13 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
         "--trace-dir",
         default=None,
         metavar="DIR",
-        help="write per-experiment traces to DIR/<exp>.<trace-format> "
+        help="write per-experiment traces to DIR/<exp>.rtrc "
         "(implies execution: trace runs never reuse the cache)",
     )
     sweepp.add_argument(
         "--trace-packets",
         action="store_true",
         help="with --trace-dir, include per-packet lifecycle events",
-    )
-    sweepp.add_argument(
-        "--trace-format",
-        choices=TRACE_FORMATS,
-        default="jsonl",
-        help="with --trace-dir, the trace format workers record "
-        "(default jsonl; rtrc is the indexed binary store, ~10x smaller)",
     )
     sweepp.add_argument(
         "--progress",
@@ -357,8 +352,8 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
 
     repp = sub.add_parser(
         "report",
-        help="packet-lifecycle loss forensics from a trace, either format "
-        "(record with: run ... --trace t.jsonl --trace-packets)",
+        help="packet-lifecycle loss forensics from a trace "
+        "(record with: run ... --trace t.rtrc --trace-packets)",
     )
     repp.add_argument(
         "trace",
@@ -417,9 +412,9 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
 
     tracep = sub.add_parser(
         "trace",
-        help="query, inspect and convert telemetry traces (.jsonl, .rtrc); "
-        ".rtrc queries answer from the block index without a full scan "
-        "(see docs/OBSERVABILITY.md)",
+        help="query and inspect .rtrc telemetry traces; queries answer "
+        "from the block index without a full scan (see "
+        "docs/OBSERVABILITY.md)",
     )
     from repro.obs.tracecli import add_trace_arguments
 

@@ -154,13 +154,13 @@ def traced(
 ) -> Iterator[Any]:
     """Run any experiment fully traced.
 
-    Subscribes a trace writer (when ``trace_path`` is given; the suffix
-    selects JSONL or the ``.rtrc`` binary store) and/or a
+    Subscribes a trace writer (when ``trace_path`` is given, an ``.rtrc``
+    file) and/or a
     :class:`~repro.obs.export.TraceSummary` to the bus of each simulation
     run inside the block, which wakes up every instrumentation point —
     protocol cores, links, meters — for the duration of the block::
 
-        with traced("out.jsonl", summary=True) as session:
+        with traced("out.rtrc", summary=True) as session:
             result = get_experiment("fig04").runner()
         print(session.summary_text())
 

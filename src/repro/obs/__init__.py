@@ -1,4 +1,4 @@
-"""Unified telemetry: event bus, CC timelines, JSONL export.
+"""Unified telemetry: event bus, CC timelines, ``.rtrc`` traces.
 
 ``repro.obs`` is the observability substrate shared by the simulator,
 the UDT protocol core, and the host cost models.  Design rules:
@@ -15,7 +15,7 @@ the UDT protocol core, and the host cost models.  Design rules:
 * **Typed, timestamped events.**  Event kinds are dotted strings
   (``cc.sample``, ``link.drop``, ...; see :mod:`repro.obs.bus`), each
   with a documented field set (docs/OBSERVABILITY.md).
-* **Replayable.**  The qlog-inspired JSONL export round-trips: a
+* **Replayable.**  The qlog-inspired ``.rtrc`` trace round-trips: a
   :class:`~repro.obs.timeline.TimelineRecorder` rebuilt from a trace
   file reproduces the in-memory per-connection timelines exactly.
 * **Imports point one way.**  The simulator and protocol core load

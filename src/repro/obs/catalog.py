@@ -18,7 +18,7 @@ Workflow for changing an event payload:
 
 ``virtual=True`` marks records that appear in traces but are not
 produced through :meth:`repro.obs.bus.EventBus.emit` (the ``trace.meta``
-header written by :class:`repro.obs.export.JsonlWriter`); the checker
+header written by :meth:`repro.obs.store.RtrcWriter.write_meta`); the checker
 skips the produced-site checks for those.  ``detail=True`` marks the
 per-packet detail tier (see :mod:`repro.obs.bus`).
 """
@@ -37,7 +37,7 @@ class EventSpec:
 
     Beyond the keys listed here every event record also carries the
     base envelope ``t`` / ``kind`` / ``src`` added by the bus and the
-    JSONL writer; those are implicit and never declared per-kind.
+    trace writer; those are implicit and never declared per-kind.
     docs/OBSERVABILITY.md's event table gives each key's unit.
     """
 
@@ -77,7 +77,7 @@ CATALOG: Dict[str, EventSpec] = {
     for s in (
         _spec(
             "trace.meta",
-            "JSONL trace header written by JsonlWriter.write_meta",
+            "trace header written by RtrcWriter.write_meta",
             required="schema",
             optional="generator experiments packet_detail",
             virtual=True,
@@ -196,5 +196,5 @@ CATALOG: Dict[str, EventSpec] = {
     )
 }
 
-#: Envelope keys present on every JSONL event record (bus + writer).
+#: Envelope keys present on every trace event record (bus + writer).
 BASE_KEYS = frozenset({"t", "kind", "src"})

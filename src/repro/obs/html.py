@@ -283,7 +283,7 @@ def _forensics_fragment(exp_id: str, trace_path: Path) -> str:
 
     parts: List[str] = []
     try:
-        recorder = TimelineRecorder.from_jsonl(str(trace_path))
+        recorder = TimelineRecorder.from_trace(str(trace_path))
     except (OSError, ValueError):
         recorder = None
     if recorder is not None:

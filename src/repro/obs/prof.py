@@ -1,7 +1,7 @@
 """Simulator hot-path profiler.
 
-Attributes wall-clock time and event counts to *handler categories* —
-link transmit, CC/pacing timers, ACK/NAK processing, host-model ticks —
+Attributes wall-clock time and event counts to *layers* — the module
+that defines each handler (``sim.link``, ``udt.core``, ``apps.bulk``) —
 by timing every event the discrete-event engine dispatches.  The paper's
 figures take tens of seconds of wall time each to reproduce; this module
 answers "where do those seconds go" and snapshots the answer to
@@ -15,10 +15,10 @@ Design:
   the loop's timed branch.  Nothing is patched, so other observers (the
   sweep's progress reporter) may be active at the same time and leave
   in either order.
-* **Category attribution is lazy.**  The engine accumulates per-function
+* **Layer attribution is lazy.**  The engine accumulates per-function
   ``[count, seconds]`` pairs keyed by the raw function object (one
-  ``getattr`` per event); mapping functions to human categories happens
-  once, at report time.
+  ``getattr`` per event); mapping functions to layers happens once, at
+  report time (:func:`categorize`).
 * **Experiments construct their own simulators**, so registration is
   process-wide (:meth:`SimProfiler.install`, or the
   :meth:`SimProfiler.activate` context manager): every ``Simulator`` run
@@ -53,51 +53,15 @@ from repro.sim.engine import (
 #: Snapshot schema version for ``BENCH_profile_*.json``.
 PROFILE_SCHEMA = 1
 
-#: (module, qualname) -> stable category id.  Anything unlisted falls
-#: back to ``"<module tail>.<qualname>"`` so new handlers are never
-#: silently lumped together.
-CATEGORY_MAP: Dict[tuple, str] = {
-    ("repro.sim.link", "Link._drain"): "link.transmit",
-    # an arrival at a router is dispatched as the next link's send
-    ("repro.sim.link", "Link.send"): "net.receive",
-    ("repro.sim.node", "Node.receive"): "net.receive",
-    ("repro.sim.node", "Host.receive"): "net.receive",
-    ("repro.sim.node", "Router.receive"): "net.receive",
-    ("repro.udt.core", "UdtCore._on_send_timer"): "cc.send_timer",
-    ("repro.udt.core", "UdtCore._on_syn_timer"): "cc.syn_timer",
-    ("repro.udt.core", "UdtCore._on_exp_timer"): "cc.exp_timer",
-    ("repro.udt.core", "UdtCore._request_handshake"): "udt.handshake",
-    ("repro.udt.sim_adapter", "UdtFlow._push_app_data"): "app.source",
-    ("repro.udt.sim_adapter", "UdtFlow._begin"): "app.source",
-    ("repro.apps.fileio", "DiskTransfer._pump"): "hostmodel.disk",
-    ("repro.apps.fileio", "DiskTransfer._drain"): "hostmodel.disk",
-    ("repro.apps.bulk", "UdpBlast._start_burst"): "app.udp_blast",
-    ("repro.apps.bulk", "UdpBlast._tick"): "app.udp_blast",
-    ("repro.apps.streaming_join", "PacedSource._tick"): "app.streaming",
-}
-
-#: What each category covers — rendered in the text report and docs.
-CATEGORY_NOTES: Dict[str, str] = {
-    "link.transmit": "queue drain: next packet's serialisation start + loss draw",
-    "net.receive": "packet arrival: forwarding + UDP dispatch + ACK/NAK/data processing",
-    "cc.send_timer": "rate-controlled pacing tick: loss-list service + new data",
-    "cc.syn_timer": "10ms SYN tick: ACK generation + NAK retransmission",
-    "cc.exp_timer": "EXP (no-feedback) timeout checks",
-    "udt.handshake": "handshake (re)transmission",
-    "hostmodel.disk": "disk-bound app pump/drain ticks",
-    "app.source": "application data feed",
-}
-
-
 def categorize(fn: Callable) -> str:
-    """Stable category id for a scheduled handler function."""
-    mod = getattr(fn, "__module__", "") or ""
-    qual = getattr(fn, "__qualname__", None) or getattr(fn, "__name__", "?")
-    cat = CATEGORY_MAP.get((mod, qual))
-    if cat is not None:
-        return cat
-    tail = mod.rsplit(".", 1)[-1] if mod else "?"
-    return f"{tail}.{qual}"
+    """The layer a scheduled handler is filed under: the module that
+    defines it, without ``repro.``, and ``runner`` for every
+    ``repro.runner*`` module (``udt.core``, ``sim.link``, ...).  This is
+    how ``benchmarks/perf``'s tracer files its spans."""
+    mod = getattr(fn, "__module__", None) or "?"
+    if mod.startswith("repro.runner"):
+        return "runner"
+    return mod.removeprefix("repro.")
 
 
 class SimProfiler(RunObserver):
@@ -222,9 +186,6 @@ class SimProfiler(RunObserver):
                 f"{r['category']:<24s} {r['events']:>10d} "
                 f"{r['seconds']:>9.3f} {r['share']:>6.1%}"
             )
-            note = CATEGORY_NOTES.get(r["category"])
-            if note:
-                lines.append(f"    {note}")
         omitted = len(self.categories()) - len(rows)
         if omitted > 0:
             lines.append(f"... {omitted} cooler categories omitted (top {top_n})")

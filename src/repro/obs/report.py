@@ -1,6 +1,6 @@
-"""Loss-forensics report rendering (`repro-udt report <trace.jsonl>`).
+"""Loss-forensics report rendering (`repro-udt report <trace.rtrc>`).
 
-Takes a :class:`~repro.obs.spans.SpanSet` reconstructed from a JSONL
+Takes a :class:`~repro.obs.spans.SpanSet` reconstructed from a
 trace and renders per-connection forensics — drops by link and cause,
 retransmission chains, queue-wait percentiles, receiver loss events —
 as an aligned text report or a machine-readable dict.
@@ -46,7 +46,7 @@ def summary_only_hint(spanset: SpanSet) -> Optional[str]:
         return None
     return (
         "this trace has no packet-detail spans — re-record it with "
-        "--trace-packets (e.g. repro-udt run <exp> --trace t.jsonl "
+        "--trace-packets (e.g. repro-udt run <exp> --trace t.rtrc "
         "--trace-packets) to enable loss forensics"
     )
 

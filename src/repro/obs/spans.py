@@ -1,4 +1,4 @@
-"""Packet-lifecycle span reconstruction from JSONL traces.
+"""Packet-lifecycle span reconstruction from ``.rtrc`` traces.
 
 Rebuilds, from a trace written with the packet-level detail tier
 (``--trace ... --trace-packets``), the full lifecycle of every data
@@ -363,7 +363,7 @@ class SpanBuilder:
 
 
 def build_spans(path: str, **read_kw: Any) -> SpanSet:
-    """Reconstruct spans straight from a JSONL trace file."""
+    """Reconstruct spans straight from an ``.rtrc`` trace file."""
     from repro.obs.export import read_events
 
     read_kw.setdefault("include_meta", True)

@@ -1,19 +1,18 @@
 """Compact, indexed, streaming binary trace store (``.rtrc``).
 
-Flat JSONL is the right interchange format, but a
-``--trace-packets`` run of fig08 already emits a 7.1M-line file and
-paper-scale scenarios (400 flows x 100 s) would make plain text
-unwritable, undiffable and unqueryable.  ``.rtrc`` is the same event
-stream in a framed, compressed, *indexed* container:
+Every trace is stored in this container.  A ``--trace-packets`` run of
+fig08 emits 7.1M events, and paper-scale scenarios (400 flows x 100 s)
+would make a line per event as text unwritable, undiffable and
+unqueryable.  ``.rtrc`` holds the flat event stream in a framed,
+compressed, *indexed* container:
 
 * events are buffered into **blocks** (default 4096 events); a block
   stores its timestamps as a binary float64 column and everything else
   as columns too: one entry per distinct (kind, src, field names) key,
   a key index per event and one value column per key, so the block
-  compresses to a few percent of its JSONL equivalent;
+  compresses to a few percent of its JSON-lines rendering;
 * every block is **framed** (tag byte + length + zlib payload), so a
-  crash-truncated file is recoverable up to the last complete block —
-  the same contract ``read_events`` gives truncated JSONL;
+  crash-truncated file is recoverable up to the last complete block;
 * a **footer index** records, per block, the byte offset, event count,
   time range, per-kind counts and src set.  Readers answer
   ``kind``/``src``/time-range queries by *skipping* blocks whose index
@@ -23,9 +22,8 @@ stream in a framed, compressed, *indexed* container:
 Everything is deterministic — block boundaries depend only on the event
 stream, the time column is little-endian on every host, compression is
 zlib at a fixed level, and the one writer thread writes frames in the
-order they are handed to it — so the byte-identity guarantees
-the sweep runner and determinism sanitizer make for JSONL traces carry
-over to ``.rtrc`` unchanged.
+order they are handed to it — so the sweep runner and the determinism
+sanitizer can compare two traces byte for byte.
 
 File layout (container version 3; the version is the fifth magic byte,
 and a file of any other version is refused before a block is decoded)::
@@ -47,12 +45,11 @@ first time a block sees it (7 to 39 keys a block on the ``udt_traced``
 stream).  A simulated time is a sum of jittered serialisation times,
 17.8 characters as text against 8 bytes here.  A ``t`` the column
 cannot hold exactly (anything but a ``float``:
-``Simulator.run(until=5)`` leaves the clock an ``int``; a hand-made
-JSONL can carry a string, or no ``t`` at all) stays JSON in the head's
-sparse ``"t"`` list, ``[row, value]`` or ``[row]`` for "absent"; the key
-is there only when a block has such a row.  Decoding rebuilds each flat
-event dict in its original key order, so converting JSONL to ``.rtrc``
-and back is byte-exact on traces written by the JSONL writer.
+``Simulator.run(until=5)`` leaves the clock an ``int``) stays JSON in
+the head's sparse ``"t"`` list as ``[row, value]``; the key is there only
+when a block has such a row.  A ``[row]`` entry (no ``t`` at all) is
+read too: files that a converter wrote from hand-made JSON lines carry
+it.  Decoding rebuilds each flat event dict in its original key order.
 
 Damage is reported one way: a file that is not a version-3 container
 raises :class:`RtrcFormatError` on opening; a frame that fails to
@@ -60,8 +57,8 @@ inflate, parse or add up ends the stream at the last good block with
 ``truncated`` set, or raises :class:`RtrcFormatError` under ``strict``.
 
 This module is the codec only, a leaf: it never looks at a file suffix
-and knows nothing of the module above it that picks the format and wraps
-the reader, writer and converter every consumer uses
+and knows nothing of the module above it that checks the suffix and
+subscribes the writer to a bus
 (``test_only_export_tests_a_trace_suffix`` fails on an import pointing
 that way).
 """
@@ -122,12 +119,10 @@ DEFAULT_BLOCK_EVENTS = 4096
 COMPRESSION_LEVEL = 2
 
 _dumps = json.dumps
-#: ``feed``'s marker for a record that has no ``t`` key.
-_ABSENT = object()
 
 
 def dump_record(rec: Dict[str, Any]) -> str:
-    """One record as its canonical JSONL line (no trailing newline)."""
+    """One record as its canonical JSON line (no trailing newline)."""
     return _dumps(rec, separators=(",", ":"), default=str)
 
 
@@ -135,7 +130,7 @@ def _index_time(t: Any = None) -> Any:
     """What a block's ``t0``/``t1`` count a record's time as.
 
     A number counts as itself; anything else, a missing ``t`` included,
-    as 0.0 — the value both readers' time filters give a record without one.
+    as 0.0 — the value the reader's time filter gives a record without one.
     """
     return t if isinstance(t, (int, float)) else 0.0
 
@@ -190,9 +185,8 @@ def _frame_writer(jobs: queue.Queue, out: BinaryIO, failed: List[Exception]) -> 
 class RtrcWriter:
     """Streams bus events into an ``.rtrc`` container.
 
-    Same surface as the JSONL writer (``write_meta`` / ``record`` /
-    ``feed`` / ``close`` / ``events_written``), so ``trace_session`` and
-    ``convert_trace`` drive either writer interchangeably.
+    ``record(kind, t, src, fields)`` is the bus subscriber
+    ``trace_session`` hands to a bus; ``write_meta`` writes the header.
 
     Events are filed and blocks JSON-encoded on the caller's thread;
     compressing and writing the frames happens on one ``rtrc-writer``
@@ -242,20 +236,16 @@ class RtrcWriter:
         self._values: List[list] = []  # per key, its events' values in order
         self._rows: List[int] = []  # per event, its key's index
         self._times: List[float] = []
-        #: ``[row, t]`` / ``[row]`` for every ``t`` the column cannot hold
+        #: ``[row, t]`` for every ``t`` the column cannot hold
         self._odd_times: List[list] = []
 
     # -- meta ------------------------------------------------------------
     def write_meta(self, **meta: Any) -> None:
         """Write the ``trace.meta`` record (before any event)."""
-        rec = {"kind": "trace.meta", "schema": SCHEMA_VERSION}
-        rec.update(meta)
-        self._write_meta_record(rec)
-
-    def _write_meta_record(self, rec: Dict[str, Any]) -> None:
-        """Store an already-shaped meta record verbatim (conversion path)."""
         if self._meta_written:
             raise RuntimeError("trace.meta already written")
+        rec = {"kind": "trace.meta", "schema": SCHEMA_VERSION}
+        rec.update(meta)
         self._submit(_TAG_META, dump_record(rec).encode("utf-8"))
         self._meta_written = True
 
@@ -275,7 +265,7 @@ class RtrcWriter:
         if isinstance(t, float):
             self._times.append(t)
         else:
-            self._odd_times.append([len(rows)] if t is _ABSENT else [len(rows), t])
+            self._odd_times.append([len(rows), t])
             self._times.append(0.0)
         rows.append(ki)
         if len(rows) >= self.block_events:
@@ -284,19 +274,6 @@ class RtrcWriter:
     def on_event(self, ev: Event) -> None:
         """:meth:`record` for an event held as a value."""
         self.record(ev.kind, ev.t, ev.src, ev.fields)
-
-    def feed(self, rec: Dict[str, Any]) -> None:
-        """Ingest a flat JSONL-shaped record (the conversion path).
-
-        ``trace.meta`` records route to the meta frame; everything else
-        is stored as an event with its field order preserved.
-        """
-        if rec.get("kind") == "trace.meta":
-            self._write_meta_record(rec)
-            return
-        fields = dict(rec)
-        t = fields.pop("t", _ABSENT)
-        self.record(fields.pop("kind", ""), t, fields.pop("src", ""), fields)
 
     # -- framing ---------------------------------------------------------
     def _submit(
@@ -420,8 +397,7 @@ class RtrcReader:
     of the file was inflated, which is what the query CLI reports and
     the tests assert on.  A file with a missing or corrupt footer
     (crash-truncated run) degrades to a sequential frame scan over the
-    complete blocks, mirroring the JSONL reader's tolerance for a
-    truncated last line, and a block that turns out damaged when a query
+    complete blocks, and a block that turns out damaged when a query
     reaches it ends that query at the block before; :attr:`truncated`
     reports that either happened (``strict=True`` raises
     :class:`RtrcFormatError` instead).
@@ -639,17 +615,12 @@ class RtrcReader:
                     continue
                 if srcset is not None and rec["src"] not in srcset:
                     continue
-                t = rec.get("t", 0.0)  # as the JSONL reader counts a missing t
+                t = rec.get("t", 0.0)  # as the index counts a missing t
                 if t0 is not None and t < t0:
                     continue
                 if t1 is not None and t > t1:
                     continue
                 yield rec
-
-    def iter_jsonl(self, **query: Any) -> Iterator[str]:
-        """Matching events as canonical JSONL lines (no trailing newline)."""
-        for rec in self.iter_events(**query):
-            yield dump_record(rec)
 
     def event_stream(self) -> BinaryIO:
         """Binary stream from the first block frame to EOF.

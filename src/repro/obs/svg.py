@@ -398,7 +398,7 @@ def render_timeline(
     """Render per-connection CC rate trajectories with loss/EXP marks.
 
     ``recorder`` is a :class:`~repro.obs.timeline.TimelineRecorder` (live
-    or rebuilt via ``from_jsonl``).  Returns None when it holds no
+    or rebuilt via ``from_trace``).  Returns None when it holds no
     samples.  At most ``max_conns`` series are drawn (the busiest
     first); each series is uniformly downsampled to ``max_points``.
     Loss marks (NAK/hole events) and EXP-timeout marks are drawn as

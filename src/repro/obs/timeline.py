@@ -10,7 +10,7 @@ time, annotated with loss and EXP events.
 
 Timelines can be captured live (subscribe :meth:`TimelineRecorder.record`
 to a run's bus, ``net.sim.bus``) or
-rebuilt offline from a JSONL trace file via :meth:`TimelineRecorder.from_jsonl`
+rebuilt offline from a trace file via :meth:`TimelineRecorder.from_trace`
 — the two forms are equivalent, which is what makes traced runs
 re-plottable "from the trace alone".
 """
@@ -72,8 +72,8 @@ class TimelineRecorder:
             self.marks[src].append((t, kind, dict(fields)))
 
     @classmethod
-    def from_jsonl(cls, path: str) -> "TimelineRecorder":
-        """Rebuild timelines from a trace file written by JsonlWriter."""
+    def from_trace(cls, path: str) -> "TimelineRecorder":
+        """Rebuild timelines from an ``.rtrc`` trace file."""
         from repro.obs.export import read_events
 
         rec = cls()

@@ -177,7 +177,7 @@ def experiment_digest(
     payload = {
         "schema": DIGEST_SCHEMA,
         "exp_id": exp_id,
-        "scale": format(float(scale), "g"),
+        "scale": repr(float(scale)),
         "fidelity": str(fidelity),
         "overrides": _canon_overrides(overrides),
         "files": file_hashes,

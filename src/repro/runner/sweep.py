@@ -32,7 +32,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.common import RunArgs
-from repro.obs.export import TRACE_FORMATS
 from repro.runner.cache import ResultCache, read_json_object, write_json_atomic
 from repro.runner.digest import experiment_digest
 
@@ -66,7 +65,10 @@ class SweepReport:
         Packet-mode keys keep the historical ``selector|scale|jobs``
         shape (CI gate baselines reference them); hybrid sweeps get an
         explicit ``|fidelity=hybrid`` suffix so the two can never be
-        compared against each other by accident.
+        compared against each other by accident.  The scale is a ``:g``
+        label, six significant digits, because committed
+        ``BENCH_runtime.json`` keys such as ``scale=1`` name it that way;
+        the run and its cache key carry the exact value (``repr``).
         """
         base = f"{self.selector}|scale={self.scale:g}|jobs={self.jobs}"
         if self.fidelity != "packet":
@@ -128,7 +130,7 @@ def _worker_cmd(
         "--worker",
         exp_id,
         "--scale",
-        format(run_args.scale, "g"),
+        repr(run_args.scale),
         "--fidelity",
         run_args.fidelity,
         "--digest",
@@ -166,7 +168,6 @@ def _run_worker(
     tmp_dir: Path,
     trace_dir: Optional[Path],
     trace_packets: bool,
-    trace_format: str = "jsonl",
     board: Optional[Any] = None,
 ) -> Dict[str, Any]:
     """Execute one experiment in a fresh interpreter; returns its entry.
@@ -177,9 +178,7 @@ def _run_worker(
     so a chatty crash can never deadlock against the stdout reader.
     """
     out_path = tmp_dir / f"{exp_id}.json"
-    trace_path = (
-        trace_dir / f"{exp_id}.{trace_format}" if trace_dir is not None else None
-    )
+    trace_path = trace_dir / f"{exp_id}.rtrc" if trace_dir is not None else None
     cmd = _worker_cmd(
         exp_id, digest, run_args, out_path, trace_path, trace_packets,
         progress=board is not None,
@@ -228,7 +227,6 @@ def run_sweep(
     force: bool = False,
     trace_dir: Optional[Path] = None,
     trace_packets: bool = False,
-    trace_format: str = "jsonl",
     progress: bool = False,
     progress_path: Optional[Path] = None,
     fidelity: str = RunArgs.fidelity,
@@ -236,8 +234,7 @@ def run_sweep(
 ) -> SweepReport:
     """Run (or cache-skip) every selected experiment; returns the report.
 
-    ``trace_dir`` asks each worker to write ``<exp_id>.<trace_format>``
-    there (``trace_format`` one of :data:`~repro.obs.export.TRACE_FORMATS`); a
+    ``trace_dir`` asks each worker to write ``<exp_id>.rtrc`` there; a
     trace run always executes (a cache hit has no trace to hand back),
     which is what makes ``--jobs 1`` vs ``--jobs N`` trace comparisons
     meaningful.  ``force`` ignores cache hits but still stores results.
@@ -257,10 +254,6 @@ def run_sweep(
     say: Emit = emit if emit is not None else (lambda s: None)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if trace_format not in TRACE_FORMATS:
-        raise ValueError(
-            f"trace_format must be one of {TRACE_FORMATS}, got {trace_format!r}"
-        )
     selector, ids = select_experiments(only)
     cache = ResultCache(cache_dir)
     report = SweepReport(
@@ -322,7 +315,6 @@ def run_sweep(
                     tmp_dir,
                     trace_dir,
                     trace_packets,
-                    trace_format,
                     board,
                 ): exp_id
                 for exp_id in pending

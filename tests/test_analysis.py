@@ -358,40 +358,55 @@ def test_event_schema_flags_consumer_of_unproduced_key(tmp_path):
 
 # -- sanitizer trace diff -------------------------------------------------
 
-_META = '{"kind": "trace.meta", "schema": 1}'
+def _write_trace(path, lines, block_events=4096):
+    """An ``.rtrc`` holding ``lines``, each one event as a JSON object."""
+    from repro.obs.store import RtrcWriter
+
+    w = RtrcWriter(path, block_events=block_events)
+    w.write_meta()
+    for line in lines:
+        fields = json.loads(line)
+        w.record(fields.pop("kind"), fields.pop("t"), "s", fields)
+    w.close()
 
 
-def _write_trace(path, lines):
-    path.write_text("\n".join([_META] + lines) + "\n")
+def _write_rtrc(path, lines):
+    _write_trace(path, lines, block_events=4)
+
+
+def _seqs(n):
+    return ['{"t": 0.0, "kind": "pkt.snd", "seq": %d}' % i for i in range(n)]
 
 
 def test_diff_traces_identical(tmp_path):
-    events = ['{"t": 0.0, "kind": "pkt.snd", "seq": %d}' % i for i in range(10)]
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    _write_trace(a, events)
-    _write_trace(b, events)
+    a, b = tmp_path / "a.rtrc", tmp_path / "b.rtrc"
+    _write_trace(a, _seqs(10))
+    _write_trace(b, _seqs(10))
+    assert a.read_bytes() == b.read_bytes()
     n, div = diff_traces(a, b)
     assert n == 10 and div is None
 
 
 def test_diff_traces_reports_first_divergence_with_context(tmp_path):
-    events = ['{"t": 0.0, "kind": "pkt.snd", "seq": %d}' % i for i in range(10)]
+    events = _seqs(10)
     mutated = list(events)
     mutated[7] = '{"t": 0.0, "kind": "pkt.snd", "seq": 777}'
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    a, b = tmp_path / "a.rtrc", tmp_path / "b.rtrc"
     _write_trace(a, events)
     _write_trace(b, mutated)
     _, div = diff_traces(a, b)
     assert div is not None and div.index == 7
-    assert '"seq": 7' in div.line_a and '"seq": 777' in div.line_b
-    assert div.context == events[2:7]
+    assert '"seq":7}' in div.line_a and '"seq":777}' in div.line_b
+    assert div.context == [
+        '{"t":0.0,"kind":"pkt.snd","src":"s","seq":%d}' % i for i in range(2, 7)
+    ]
     text = div.format()
     assert "A(fifo)" in text and "seq=777" in text
 
 
 def test_diff_traces_length_mismatch(tmp_path):
-    events = ['{"t": 0.0, "kind": "pkt.snd", "seq": %d}' % i for i in range(3)]
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    events = _seqs(3)
+    a, b = tmp_path / "a.rtrc", tmp_path / "b.rtrc"
     _write_trace(a, events)
     _write_trace(b, events[:2])
     _, div = diff_traces(a, b)
@@ -400,24 +415,18 @@ def test_diff_traces_length_mismatch(tmp_path):
 
 
 def test_diff_traces_rejects_headerless_file(tmp_path):
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    a.write_text('{"t": 0.0}\n')
+    """A container with no ``trace.meta`` frame behind its magic."""
+    from repro.obs.store import MAGIC
+
+    a, b = tmp_path / "a.rtrc", tmp_path / "b.rtrc"
+    a.write_bytes(MAGIC + b"junk")
     _write_trace(b, [])
     with pytest.raises(ValueError):
         diff_traces(a, b)
 
 
-def _write_rtrc(path, lines):
-    from repro.obs.store import RtrcWriter
-
-    w = RtrcWriter(path, block_events=4)
-    for rec in [_META] + lines:
-        w.feed(json.loads(rec))
-    w.close()
-
-
 def test_diff_traces_rtrc_identical_and_divergent(tmp_path):
-    events = ['{"t": 0.0, "kind": "pkt.snd", "seq": %d}' % i for i in range(10)]
+    events = _seqs(10)
     mutated = list(events)
     mutated[7] = '{"t": 0.0, "kind": "pkt.snd", "seq": 777}'
     a, b = tmp_path / "a.rtrc", tmp_path / "b.rtrc"
@@ -427,12 +436,12 @@ def test_diff_traces_rtrc_identical_and_divergent(tmp_path):
     assert n == 10 and div is None
     _, div = diff_traces(a, b)
     assert div is not None and div.index == 7
-    assert '"seq":777' in div.line_b  # canonical JSONL from the store
+    assert '"seq":777' in div.line_b  # canonical JSON line from the store
     assert len(div.context) == 5
 
 
 def test_diff_traces_rtrc_length_mismatch(tmp_path):
-    events = ['{"t": 0.0, "kind": "pkt.snd", "seq": %d}' % i for i in range(6)]
+    events = _seqs(6)
     a, b = tmp_path / "a.rtrc", tmp_path / "b.rtrc"
     _write_rtrc(a, events)
     _write_rtrc(b, events[:3])
@@ -442,25 +451,13 @@ def test_diff_traces_rtrc_length_mismatch(tmp_path):
 
 def test_diff_traces_reblocked_rtrc_counts_as_equal(tmp_path):
     """Different block boundaries change the bytes but not the events."""
-    from repro.obs.store import RtrcWriter
-
-    events = ['{"t": 0.0, "kind": "pkt.snd", "seq": %d}' % i for i in range(10)]
+    events = _seqs(10)
     a, b = tmp_path / "a.rtrc", tmp_path / "b.rtrc"
     _write_rtrc(a, events)  # block_events=4
-    w = RtrcWriter(b, block_events=3)
-    for rec in [_META] + events:
-        w.feed(json.loads(rec))
-    w.close()
+    _write_trace(b, events, block_events=3)
     assert a.read_bytes() != b.read_bytes()
     n, div = diff_traces(a, b)
     assert n == 10 and div is None
-
-
-def test_sanitizer_rejects_unknown_format():
-    from repro.analysis.sanitizer import DeterminismSanitizer
-
-    with pytest.raises(ValueError):
-        DeterminismSanitizer("fig02", trace_format="csv")
 
 
 @pytest.mark.slow
@@ -475,7 +472,6 @@ def test_sanitizer_end_to_end_rtrc(tmp_path):
     result = DeterminismSanitizer(
         "fig02",
         overrides={"n_flows": 4, "duration": 1, "rtts": (0.01,)},
-        trace_format="rtrc",
         workdir=str(tmp_path),
     ).run()
     assert result.deterministic, result.format()

@@ -1,7 +1,5 @@
 """Tests for the protocol model extraction + trace conformance checker."""
 
-import json
-
 import pytest
 
 from repro.analysis.conformance import check_trace
@@ -11,8 +9,7 @@ from repro.analysis.protomodel import (
     load_model,
     render_model,
 )
-
-_META = {"kind": "trace.meta", "schema": 1}
+from repro.obs.store import RtrcWriter
 
 
 # -- model extraction -----------------------------------------------------
@@ -45,10 +42,13 @@ def test_model_constraint_shapes():
 # -- synthetic traces -----------------------------------------------------
 
 
-def _write_jsonl(path, events):
-    with open(path, "w", encoding="utf-8") as f:
-        for rec in [_META] + events:
-            f.write(json.dumps(rec) + "\n")
+def _write_trace(path, events):
+    w = RtrcWriter(path)
+    w.write_meta()
+    for rec in events:
+        fields = dict(rec)
+        w.record(fields.pop("kind"), fields.pop("t"), fields.pop("src"), fields)
+    w.close()
 
 
 def _evt(t, kind, src):
@@ -64,8 +64,8 @@ def test_requires_prior_violation_with_context():
     import tempfile, os
 
     with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "t.jsonl")
-        _write_jsonl(path, events)
+        path = os.path.join(d, "t.rtrc")
+        _write_trace(path, events)
         report = check_trace(path)
     assert not report.ok and len(report.violations) == 1
     v = report.violations[0]
@@ -80,8 +80,8 @@ def test_unique_and_terminal_violations(tmp_path):
         _evt(0.2, "conn.closed", "a"),
         _evt(0.3, "pkt.snd", "a"),  # after terminal close
     ]
-    path = tmp_path / "t.jsonl"
-    _write_jsonl(path, events)
+    path = tmp_path / "t.rtrc"
+    _write_trace(path, events)
     report = check_trace(str(path))
     assert [v.constraint for v in report.violations] == ["unique", "terminal"]
     assert [v.index for v in report.violations] == [1, 3]
@@ -93,16 +93,16 @@ def test_violation_cap_truncates(tmp_path):
     from repro.analysis.conformance import MAX_VIOLATIONS
 
     events = [_evt(i * 0.01, "pkt.snd", "a") for i in range(MAX_VIOLATIONS + 20)]
-    path = tmp_path / "t.jsonl"
-    _write_jsonl(path, events)
+    path = tmp_path / "t.rtrc"
+    _write_trace(path, events)
     report = check_trace(str(path))
     assert len(report.violations) == MAX_VIOLATIONS and report.truncated
     assert "suppressed" in report.format()
 
 
 def test_report_json_shape(tmp_path):
-    path = tmp_path / "t.jsonl"
-    _write_jsonl(path, [_evt(0.0, "pkt.snd", "a")])
+    path = tmp_path / "t.rtrc"
+    _write_trace(path, [_evt(0.0, "pkt.snd", "a")])
     d = check_trace(str(path)).to_dict()
     assert d["ok"] is False and d["violations"][0]["constraint"] == "requires_prior"
     assert d["events_checked"] == 1 and d["srcs"] == ["a"]
@@ -153,12 +153,12 @@ def test_fig02_mutation_flagged_at_exact_index(fig02_trace, tmp_path):
     mutated = [dict(rec) for rec in events]
     mutated[target]["kind"] = "pkt.rcv"  # the handshake record vanishes
 
-    clean_path = tmp_path / "clean.jsonl"
-    _write_jsonl(clean_path, events)
+    clean_path = tmp_path / "clean.rtrc"
+    _write_trace(clean_path, events)
     assert check_trace(str(clean_path)).ok  # rewrite alone is innocent
 
-    mut_path = tmp_path / "mutated.jsonl"
-    _write_jsonl(mut_path, mutated)
+    mut_path = tmp_path / "mutated.rtrc"
+    _write_trace(mut_path, mutated)
     report = check_trace(str(mut_path))
     assert not report.ok
     first = report.violations[0]
@@ -179,7 +179,7 @@ def test_cli_conform_subcommand(fig02_trace, tmp_path, capsys):
     assert main(["conform", str(fig02_trace)]) == 0
     assert "OK" in capsys.readouterr().out
 
-    bad = tmp_path / "bad.jsonl"
-    _write_jsonl(bad, [_evt(0.0, "pkt.snd", "x")])
+    bad = tmp_path / "bad.rtrc"
+    _write_trace(bad, [_evt(0.0, "pkt.snd", "x")])
     assert main(["conform", str(bad)]) == 1
     assert "before 'conn.connected'" in capsys.readouterr().out

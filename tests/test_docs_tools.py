@@ -18,7 +18,7 @@ class TestClidoc:
         # the flags whose omission motivated generating the reference
         ref = clidoc.generate_reference()
         assert "--progress-file" in ref
-        assert "--sanitize-format" in ref
+        assert "--sanitize" in ref
         assert "--fidelity" in ref
 
     def test_walk_recurses_into_nested_subcommands(self):
@@ -26,7 +26,7 @@ class TestClidoc:
         assert "sweep" in flags
         assert "--fidelity" in flags["sweep"]
         assert "--progress-file" in flags["sweep"]
-        assert "--sanitize-format" in flags["lint"]
+        assert "--sanitize" in flags["lint"]
         # nested leaves appear under their full path, not the group name
         assert "trace query" in flags
         assert "trace" not in flags

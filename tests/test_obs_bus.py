@@ -1,12 +1,12 @@
-"""Event bus and JSONL export unit tests."""
+"""Event bus and trace export unit tests."""
 
-import io
 import json
 
 import pytest
 
 from repro.obs.bus import CC_SAMPLE, LINK_DROP, EventBus
-from repro.obs.export import JsonlWriter, TraceSummary, read_events, trace_session
+from repro.obs.export import TraceSummary, read_events, trace_session
+from repro.obs.store import RtrcWriter
 from tests._collect import Collector, Seen
 
 
@@ -162,47 +162,56 @@ class TestDelivery:
 
 
 class TestJsonlExport:
-    def test_writer_round_trip(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
+    """A trace is stored as ``.rtrc``; ``trace query`` exports it as JSON lines."""
+
+    def _query(self, capsys, path, *argv):
+        from repro.cli import main
+
+        assert main(["trace", "query", path, *argv]) == 0
+        return capsys.readouterr().out
+
+    def test_writer_round_trip(self, tmp_path, capsys):
+        path = str(tmp_path / "t.rtrc")
         bus = EventBus()
         with trace_session(path, bus=bus, generator="test") as w:
             bus.emit(CC_SAMPLE, 0.5, "udt0-snd", rate_bps=1e6, cwnd=16.0)
             bus.emit(LINK_DROP, 0.7, "1->2", reason="queue", size=1500)
         assert w.events_written == 2
         assert not bus.enabled  # writer unsubscribed on exit
-        with open(path) as fh:
-            lines = [json.loads(l) for l in fh]
-        assert lines[0]["kind"] == "trace.meta"
-        assert lines[0]["schema"] == 1
-        assert lines[0]["generator"] == "test"
-        assert lines[1] == {
+        lines = [json.loads(l) for l in self._query(capsys, path).splitlines()]
+        assert lines[0] == {
             "t": 0.5,
             "kind": CC_SAMPLE,
             "src": "udt0-snd",
             "rate_bps": 1e6,
             "cwnd": 16.0,
         }
-        evs = list(read_events(path))
-        assert len(evs) == 2  # meta skipped
+        assert len(lines) == 2  # meta not printed
+        meta = list(read_events(path, include_meta=True))[0]
+        assert meta == {"kind": "trace.meta", "schema": 1,
+                        "packet_detail": False, "generator": "test"}
         assert list(read_events(path, kinds=(LINK_DROP,)))[0]["size"] == 1500
-        assert list(read_events(path, include_meta=True))[0]["kind"] == "trace.meta"
 
-    def test_record_is_flat(self):
-        buf = io.StringIO()
-        JsonlWriter(buf).record("cc.sample", 1.5, "udt0-snd", {"rate_bps": 2.0})
-        assert buf.getvalue() == (
+    def test_record_is_flat(self, tmp_path, capsys):
+        path = str(tmp_path / "t.rtrc")
+        w = RtrcWriter(path)
+        w.record("cc.sample", 1.5, "udt0-snd", {"rate_bps": 2.0})
+        w.close()
+        assert self._query(capsys, path) == (
             '{"t":1.5,"kind":"cc.sample","src":"udt0-snd","rate_bps":2.0}\n'
         )
 
-    def test_writer_serialises_non_json_fields_as_str(self):
-        buf = io.StringIO()
-        w = JsonlWriter(buf)
-        w.record("flow.done", 0.0, "f", {"flow": ("udt0", "arr")})
-        rec = json.loads(buf.getvalue())
+    def test_writer_serialises_non_json_fields_as_str(self, tmp_path, capsys):
+        path = str(tmp_path / "t.rtrc")
+        w = RtrcWriter(path)
+        w.record("flow.done", 0.0, "f", {"flow": ("udt0", "arr"), "at": object()})
+        w.close()
+        rec = json.loads(self._query(capsys, path))
         assert isinstance(rec["flow"], (str, list))
+        assert rec["at"].startswith("<object object")
 
     def test_kind_filtered_writer(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
+        path = str(tmp_path / "t.rtrc")
         bus = EventBus()
         with trace_session(path, bus=bus, kinds=(CC_SAMPLE,)):
             bus.emit(CC_SAMPLE, 0.0, "s")

@@ -136,13 +136,13 @@ class TestSvgRoundTrip:
 
 
 class TestFig04TraceEquivalence:
-    """Satellite: TimelineRecorder.from_jsonl ≡ live bus on a traced fig04."""
+    """Satellite: TimelineRecorder.from_trace ≡ live bus on a traced fig04."""
 
     @pytest.fixture(scope="class")
     def traced_fig04(self, tmp_path_factory):
         from repro.experiments import fig04_stability
 
-        path = str(tmp_path_factory.mktemp("trace") / "fig04.jsonl")
+        path = str(tmp_path_factory.mktemp("trace") / "fig04.rtrc")
         live = TimelineRecorder()
         with every_run(live.record, kinds=TIMELINE_KINDS), \
              trace_session(path, generator="test", experiments=["fig04"]):
@@ -153,7 +153,7 @@ class TestFig04TraceEquivalence:
 
     def test_replay_matches_live(self, traced_fig04):
         live, path = traced_fig04
-        rebuilt = TimelineRecorder.from_jsonl(path)
+        rebuilt = TimelineRecorder.from_trace(path)
         assert rebuilt.connections() == live.connections()
         for conn in live.connections():
             assert rebuilt.series(conn) == live.series(conn)
@@ -165,7 +165,7 @@ class TestFig04TraceEquivalence:
 
     def test_timeline_svg_matches_recorder(self, traced_fig04):
         _live, path = traced_fig04
-        rec = TimelineRecorder.from_jsonl(path)
+        rec = TimelineRecorder.from_trace(path)
         svg = render_timeline(rec, max_points=10**9)  # stride 1: exact data
         assert svg is not None
         groups = _series_groups(svg)

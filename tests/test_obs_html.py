@@ -289,7 +289,7 @@ class TestReportCli:
         from repro.sim.topology import path_topology
         from repro.udt import start_udt_flow
 
-        path = str(tmp_path / "summary.jsonl")
+        path = str(tmp_path / "summary.rtrc")
         with trace_session(path, generator="test", experiments=["fig04"]):
             top = path_topology(50e6, 0.02)
             start_udt_flow(top.net, top.src, top.dst)

@@ -6,12 +6,7 @@ import json
 
 import pytest
 
-from repro.obs.prof import (
-    CATEGORY_MAP,
-    PROFILE_SCHEMA,
-    SimProfiler,
-    categorize,
-)
+from repro.obs.prof import PROFILE_SCHEMA, SimProfiler, categorize
 from repro.sim.engine import (
     RunObserver,
     Simulator,
@@ -205,9 +200,9 @@ class TestSimProfiler:
         prof = SimProfiler()
         with prof.activate():
             sim = Simulator()
-            sim.schedule(0.1, list)
-            sim.schedule(0.2, dict)
-            sim.schedule(0.3, set)
+            sim.schedule(0.1, list)  # builtins
+            sim.schedule(0.2, json.JSONEncoder)  # json.encoder
+            sim.schedule(0.3, io.BytesIO)  # _io
             sim.run()
         assert len(prof.top(2)) == 2
         assert len(prof.categories()) == 3
@@ -241,28 +236,38 @@ class TestSimProfiler:
 
 class TestCategorize:
     def test_known_handlers_mapped(self):
+        """A handler is filed under the layer whose module defines it."""
+        from repro.runner.progress import ProgressReporter
         from repro.sim.link import Link
         from repro.udt.core import UdtCore
 
-        assert categorize(Link._drain) == "link.transmit"
-        assert categorize(UdtCore._on_send_timer) == "cc.send_timer"
-        assert categorize(UdtCore._on_syn_timer) == "cc.syn_timer"
+        assert categorize(Link._drain) == "sim.link"
+        assert categorize(Link.send) == "sim.link"
+        assert categorize(UdtCore._on_send_timer) == "udt.core"
+        assert categorize(UdtCore._on_syn_timer) == "udt.core"
+        assert categorize(ProgressReporter.run_begin) == "runner"
 
     def test_every_mapped_handler_exists(self):
-        """A renamed handler must not leave a dead key behind: its events
-        would silently fall out of their category."""
-        for module, qualname in CATEGORY_MAP:
-            obj = importlib.import_module(module)
-            for part in qualname.split("."):
-                obj = getattr(obj, part)
-            assert callable(obj), (module, qualname)
+        """Every layer a profiled run reports is a module of the package."""
+        from repro.sim.topology import path_topology
+        from repro.udt import start_udt_flow
 
-    def test_unknown_handler_falls_back_to_qualname(self):
+        prof = SimProfiler()
+        with prof.activate():
+            top = path_topology(50e6, 0.02, loss_rate=0.01, seed=7)
+            start_udt_flow(top.net, top.src, top.dst, flow_id="p")
+            top.net.run(until=1.0)
+        layers = {row["category"] for row in prof.categories()}
+        assert {"sim.link", "udt.core"} <= layers
+        for layer in layers:
+            assert importlib.import_module(f"repro.{layer}"), layer
+
+    def test_a_handler_outside_the_package_keeps_its_module(self):
         def my_fn():
             pass
 
-        cat = categorize(my_fn)
-        assert "my_fn" in cat
+        assert categorize(my_fn) == __name__
+        assert categorize(list) == "builtins"
 
 
 class TestProfiledExperiment:

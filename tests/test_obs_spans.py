@@ -7,6 +7,7 @@ import pytest
 from repro.obs.export import TruncatedTraceWarning, read_events, trace_session
 from repro.obs.report import render_report, report_dict
 from repro.obs.spans import SpanBuilder, build_spans
+from repro.obs.store import RtrcFormatError, RtrcReader, RtrcWriter
 
 
 def _ev(kind, t, src, **fields):
@@ -152,66 +153,56 @@ class TestReport:
         assert "--trace-packets" in text
 
     def test_report_dict_schema(self):
-        d = report_dict(self._spanset(), trace="t.jsonl")
+        d = report_dict(self._spanset(), trace="t.rtrc")
         assert d["schema"] == 1
         assert d["kind"] == "trace.report"
-        assert d["trace"] == "t.jsonl"
+        assert d["trace"] == "t.rtrc"
         assert d["connections"][0]["conn"] == "u0"
         json.dumps(d)  # must be JSON-serialisable as-is
 
 
 class TestTruncatedTraces:
-    def _write(self, tmp_path, lines):
-        p = tmp_path / "t.jsonl"
-        p.write_text("\n".join(lines) + "\n")
+    def _write(self, tmp_path, events, cut_last_block=False):
+        """An ``.rtrc`` of ``events`` in two-event blocks; optionally with
+        its last block cut short, as a killed run leaves it."""
+        p = tmp_path / "t.rtrc"
+        w = RtrcWriter(p, block_events=2)
+        w.write_meta()
+        for rec in events:
+            fields = dict(rec)
+            w.record(fields.pop("kind"), fields.pop("t"), fields.pop("src"), fields)
+        w.close()
+        if cut_last_block:
+            with RtrcReader(p) as reader:
+                last = reader.index["blocks"][-1]["o"]
+            p.write_bytes(p.read_bytes()[: last + 9])
         return str(p)
 
-    def test_partial_last_line_skipped_with_warning(self, tmp_path):
-        path = self._write(
-            tmp_path,
-            [
-                json.dumps({"kind": "trace.meta", "schema": 1}),
-                json.dumps({"t": 0.1, "kind": "pkt.snd", "src": "u0-snd", "seq": 0}),
-                '{"t": 0.2, "kind": "pkt.s',  # killed mid-write
-            ],
-        )
-        stats = {}
-        with pytest.warns(TruncatedTraceWarning):
-            events = list(read_events(path, stats=stats))
-        assert len(events) == 1
-        assert stats["skipped_lines"] == 1
-
-    def test_non_dict_line_skipped(self, tmp_path):
-        path = self._write(tmp_path, ["[1, 2, 3]", json.dumps({"kind": "x", "t": 0})])
-        stats = {}
-        with pytest.warns(TruncatedTraceWarning):
-            events = list(read_events(path, stats=stats))
-        assert len(events) == 1
-        assert stats["skipped_lines"] == 1
-
     def test_strict_mode_raises(self, tmp_path):
-        path = self._write(tmp_path, ['{"broken'])
-        with pytest.raises(json.JSONDecodeError):
+        path = self._write(tmp_path, [_ev("x", 0.0, "s")] * 3, cut_last_block=True)
+        with pytest.raises(RtrcFormatError):
             list(read_events(path, strict=True))
 
     def test_clean_file_emits_no_warning(self, tmp_path, recwarn):
-        path = self._write(tmp_path, [json.dumps({"kind": "x", "t": 0})])
+        path = self._write(tmp_path, [_ev("x", 0.0, "s")])
         stats = {}
         assert len(list(read_events(path, stats=stats))) == 1
-        assert stats["skipped_lines"] == 0
+        assert stats["truncated"] is False
         assert not [w for w in recwarn.list if w.category is TruncatedTraceWarning]
 
     def test_build_spans_survives_truncation(self, tmp_path):
         path = self._write(
             tmp_path,
             [
-                json.dumps({"t": 0.1, "kind": "pkt.snd", "src": "u0-snd",
-                            "seq": 0, "retx": False}),
-                '{"t": 0.2, "kind":',
+                _ev("pkt.snd", 0.1, "u0-snd", seq=0, retx=False),
+                _ev("pkt.snd", 0.15, "u0-snd", seq=1, retx=False),
+                _ev("pkt.snd", 0.2, "u0-snd", seq=2, retx=False),
             ],
+            cut_last_block=True,
         )
         with pytest.warns(TruncatedTraceWarning):
             ss = build_spans(path)
+        assert sorted(ss.spans["u0"]) == [0, 1]
         assert ss.spans["u0"][0].transmissions == 1
 
 
@@ -227,7 +218,7 @@ class TestRoundTrip:
         from repro.sim.udp import UdpEndpoint
         from repro.udt import UdtConfig, start_udt_flow
 
-        path = str(tmp_path_factory.mktemp("trace") / "fig08_small.jsonl")
+        path = str(tmp_path_factory.mktemp("trace") / "fig08_small.rtrc")
         with trace_session(path, packets=True, generator="test-roundtrip"):
             top = path_topology(100e6, 0.02, seed=3, cross_sources=1)
             cfg = UdtConfig(rcv_buffer_pkts=20000, snd_buffer_pkts=20000)

@@ -1,27 +1,27 @@
-"""The two trace formats behind one seam: round-trips, parity, index queries.
+"""The one stored trace format: round-trips, reference parity, index queries.
 
 The contract under test is the one the trace pipeline stands on:
 
-* every consumer (``read_events``, ``TimelineRecorder.from_jsonl``,
-  ``build_spans``, the report CLI) sees the *same* flat event dicts from
-  the ``.jsonl`` and the ``.rtrc`` trace of one run, and the two readers
-  ``open_trace`` returns answer every query identically;
-* ``convert_trace`` covers all four format pairs, ``jsonl -> rtrc ->
-  jsonl`` is byte-exact, and an ``.rtrc`` written live off the bus is
-  byte-identical to one converted from the JSONL of the same run
-  (deterministic blocks + fixed-level zlib);
+* every consumer (``read_events``, ``TimelineRecorder.from_trace``,
+  ``build_spans``, ``repro-udt trace query``) sees exactly the events
+  the bus handed its subscribers, and every kind/src/time query answers
+  what a plain Python filter over those events answers;
+* an ``.rtrc`` written live off the bus is byte-identical to one written
+  by replaying the same subscriber calls (deterministic blocks +
+  fixed-level zlib), and ``trace query`` prints them as JSON lines;
 * kind/src/time-range queries answer from the footer index, *skipping*
   blocks — asserted via the reader's block counters;
 * truncated or damaged containers degrade to the complete-block prefix
-  with a warning, like crash-truncated JSONL, and nothing but
-  ``RtrcFormatError`` ever comes out of the codec;
+  with a warning, and nothing but ``RtrcFormatError`` ever comes out of
+  the codec;
 * timestamps live in a binary float64 column, and whatever else a ``t``
   can be round-trips all the same;
-* ``repro.obs.export`` is the only module that tests a trace suffix.
+* ``repro.obs.export`` is the only module that tests a trace suffix, and
+  a path or file that is not ``.rtrc`` is a one-line usage error.
 
-The shared fixture records one packet-tier fig04 run once with both
-writers subscribed to the same bus, so live-vs-file comparisons are
-exact.
+The shared fixture records one packet-tier fig04 run to ``.rtrc`` and,
+in the same run, keeps the bus's own subscriber calls in a list: the
+reference every read is checked against.
 """
 
 import errno
@@ -43,15 +43,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import repro
 from repro.experiments import get_experiment
-from repro.obs.export import (
-    TruncatedTraceWarning,
-    convert_trace,
-    make_trace_writer,
-    open_trace,
-    read_events,
-    trace_session,
-)
-from repro.obs.spans import build_spans
+from repro.obs.export import TruncatedTraceWarning, read_events, trace_session
+from repro.obs.spans import SpanBuilder, build_spans
 from repro.obs.store import (
     DEFAULT_BLOCK_EVENTS,
     MAGIC,
@@ -60,6 +53,7 @@ from repro.obs.store import (
     RtrcFormatError,
     RtrcReader,
     RtrcWriter,
+    dump_record,
 )
 from repro.obs.timeline import TIMELINE_KINDS, TimelineRecorder
 from tests._collect import every_run
@@ -67,19 +61,47 @@ from tests._collect import every_run
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 RUN_KW = dict(n_flows=2, rate_bps=20e6, rtts=(0.01,), duration=3.0)
+META = dict(packet_detail=True, generator="test")
 
 
 @pytest.fixture(scope="module")
 def traced_run(tmp_path_factory):
-    """One packet-tier fig04 run recorded to both formats at once."""
+    """One packet-tier fig04 run recorded to ``.rtrc``, and the subscriber
+    calls of the same run kept in memory as flat records."""
     d = tmp_path_factory.mktemp("traces")
-    jsonl, rtrc = d / "t.jsonl", d / "t.rtrc"
-    live = TimelineRecorder()
-    with every_run(live.record, kinds=TIMELINE_KINDS), \
-         trace_session(str(jsonl), packets=True, generator="test"), \
-         trace_session(str(rtrc), packets=True, generator="test"):
+    rtrc = d / "t.rtrc"
+    calls = []
+    with trace_session(str(rtrc), packets=True, generator="test"), \
+         every_run(lambda kind, t, src, fields: calls.append((kind, t, src, dict(fields)))):
         get_experiment("fig04").runner(**RUN_KW)
-    return SimpleNamespace(dir=d, jsonl=jsonl, rtrc=rtrc, live=live)
+    events = [{"t": t, "kind": kind, "src": src, **fields} for kind, t, src, fields in calls]
+    meta = {"kind": "trace.meta", "schema": 1, **META}
+    return SimpleNamespace(dir=d, rtrc=rtrc, calls=calls, events=events, meta=meta)
+
+
+def _write(path, calls, block_events=DEFAULT_BLOCK_EVENTS):
+    """Replay subscriber calls into a fresh writer, as ``trace_session`` would."""
+    w = RtrcWriter(path, block_events=block_events)
+    w.write_meta(**META)
+    for call in calls:
+        w.record(*call)
+    w.close()
+    return path
+
+
+def _filter(events, kinds=None, srcs=None, t0=None, t1=None):
+    """A query, answered by a plain filter over the reference events."""
+    return [
+        rec for rec in events
+        if (kinds is None or rec["kind"] in kinds)
+        and (srcs is None or rec["src"] in srcs)
+        and (t0 is None or rec["t"] >= t0)
+        and (t1 is None or rec["t"] <= t1)
+    ]
+
+
+def _json_lines(events):
+    return "".join(dump_record(rec) + "\n" for rec in events)
 
 
 # -- byte-level round trips -------------------------------------------------
@@ -87,39 +109,29 @@ def traced_run(tmp_path_factory):
 
 class TestRoundTrip:
     def test_rtrc_is_much_smaller_than_jsonl(self, traced_run):
-        ratio = traced_run.rtrc.stat().st_size / traced_run.jsonl.stat().st_size
-        assert ratio <= 0.25, f".rtrc is {ratio:.1%} of the JSONL size"
+        """The container against the JSON lines ``trace query`` prints."""
+        text = len(_json_lines(traced_run.events).encode())
+        ratio = traced_run.rtrc.stat().st_size / text
+        assert ratio <= 0.25, f".rtrc is {ratio:.1%} of the JSON-lines size"
 
     def test_live_rtrc_equals_converted_rtrc(self, traced_run, tmp_path):
-        """Bus -> .rtrc and bus -> .jsonl -> .rtrc give identical bytes."""
-        conv = tmp_path / "conv.rtrc"
-        n = convert_trace(traced_run.jsonl, conv)
-        assert n > 1000
-        assert conv.read_bytes() == traced_run.rtrc.read_bytes()
+        """Bus -> .rtrc and the same calls replayed -> .rtrc give identical bytes."""
+        assert len(traced_run.calls) > 1000
+        replayed = _write(tmp_path / "replayed.rtrc", traced_run.calls)
+        assert replayed.read_bytes() == traced_run.rtrc.read_bytes()
 
-    def test_rtrc_to_jsonl_is_byte_exact(self, traced_run, tmp_path):
-        back = tmp_path / "back.jsonl"
-        n = convert_trace(traced_run.rtrc, back)
-        assert back.read_bytes() == traced_run.jsonl.read_bytes()
-        with RtrcReader(traced_run.rtrc) as reader:
-            assert n == reader.events_total
+    def test_rtrc_to_jsonl_is_byte_exact(self, traced_run, capsys):
+        """``trace query`` prints every event as its canonical JSON line."""
+        from repro.cli import main
 
-    def test_converter_matrix(self, traced_run, tmp_path):
-        """One converter, all four (src, dst) pairs, same bytes and count."""
-        by_suffix = {".jsonl": traced_run.jsonl, ".rtrc": traced_run.rtrc}
-        counts = set()
-        for src in by_suffix.values():
-            for suffix, same_format in by_suffix.items():
-                dst = tmp_path / f"from-{src.suffix[1:]}{suffix}"
-                counts.add(convert_trace(src, dst))
-                assert dst.read_bytes() == same_format.read_bytes(), dst.name
-        with open_trace(traced_run.jsonl) as reader:
-            assert counts == {reader.events_total}
+        assert main(["trace", "query", str(traced_run.rtrc)]) == 0
+        out, err = capsys.readouterr()
+        assert out == _json_lines(traced_run.events)
+        assert f"[query] {len(traced_run.events)} matching" in err
 
 
 # -- timestamps: a float64 column, and everything a double cannot hold ------
 
-_NO_T = object()
 _TIMES = st.one_of(
     st.floats(),  # nan, the infinities, -0.0 and subnormals included
     st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308,
@@ -128,89 +140,78 @@ _TIMES = st.one_of(
     st.booleans(),
     st.text(max_size=4),
     st.none(),
-    st.just(_NO_T),
 )
 
 
 def _plain_number(t):
-    """A ``t`` both readers order the same way (nan has no order)."""
-    return t is _NO_T or (isinstance(t, (int, float)) and t == t)
+    """A ``t`` the index orders (nan has no order)."""
+    return isinstance(t, (int, float)) and t == t
 
 
 class TestTimestampExactness:
     @settings(max_examples=60, deadline=None)
     @given(times=st.lists(_TIMES, max_size=12))
-    @example(times=[-0.0, 5e-324, 1e308, math.inf, math.nan, 5, True, "5", None, _NO_T])
-    @example(times=[2.5, 2**70, False, _NO_T, -math.inf])  # every t a plain number
+    @example(times=[-0.0, 5e-324, 1e308, math.inf, math.nan, 5, True, "5", None])
+    @example(times=[2.5, 2**70, False, -math.inf])  # every t a plain number
     def test_any_t_round_trips_and_indexes(self, times, tmp_path_factory):
         d = tmp_path_factory.mktemp("t")
-        src = d / "src.jsonl"
-        writer = make_trace_writer(src)
-        writer.write_meta(generator="test")
-        for i, t in enumerate(times):
-            rec = {"kind": "k%d" % (i % 2), "src": "s", "i": i}
-            writer.feed(rec if t is _NO_T else dict({"t": t}, **rec))
-        writer.close()
-        with open_trace(src) as scan:
-            want = scan.stats() if all(map(_plain_number, times)) else None
+        calls = [("k%d" % (i % 2), t, "s", {"i": i}) for i, t in enumerate(times)]
+        want = [{"t": t, "kind": k, "src": s, **f} for k, t, s, f in calls]
         for block_events in (1, 3, 4096):
-            rtrc, back = d / f"b{block_events}.rtrc", d / f"b{block_events}.jsonl"
-            assert convert_trace(src, rtrc, block_events=block_events) == len(times)
-            convert_trace(rtrc, back)
-            assert back.read_bytes() == src.read_bytes(), block_events
-            if want is not None:
-                with RtrcReader(rtrc) as reader:
-                    got = reader.stats()
-                assert (got["t0"], got["t1"]) == (want["t0"], want["t1"])
+            path = _write(d / f"b{block_events}.rtrc", calls, block_events)
+            got = list(read_events(path))
+            # as JSON lines: nan == nan, and key order and int/float/bool kept
+            assert _json_lines(got) == _json_lines(want), block_events
+            if times and all(map(_plain_number, times)):
+                with RtrcReader(path) as reader:
+                    assert reader.time_range() == (min(times), max(times))
 
-    def test_int_clock_event_survives_a_live_write(self, tmp_path):
+    def test_int_clock_event_survives_a_live_write(self, tmp_path, capsys):
         """``run(until=5)`` then ``close()``: ``conn.closed`` carries ``t=5``."""
+        from repro.cli import main
         from repro.obs.bus import CONN_CLOSED, EventBus
 
         bus = EventBus()
-        paths = [tmp_path / "live.jsonl", tmp_path / "live.rtrc"]
-        with trace_session(str(paths[0]), bus=bus), \
-             trace_session(str(paths[1]), bus=bus):
+        path = tmp_path / "live.rtrc"
+        with trace_session(str(path), bus=bus):
             bus.emit("cc.sample", 4.75, "f0-snd", cwnd=16.0)
             bus.emit(CONN_CLOSED, 5, "f0-snd")
-        assert '"t":5,' in paths[0].read_text()
-        back = tmp_path / "back.jsonl"
-        convert_trace(paths[1], back)
-        assert back.read_bytes() == paths[0].read_bytes()
-        with RtrcReader(paths[1]) as reader:
+        assert main(["trace", "query", str(path), "--kind", CONN_CLOSED]) == 0
+        assert capsys.readouterr().out == '{"t":5,"kind":"conn.closed","src":"f0-snd"}\n'
+        with RtrcReader(path) as reader:
             assert reader.time_range() == (4.75, 5)
             assert [e["kind"] for e in reader.iter_events(t0=5)] == [CONN_CLOSED]
 
 
-# -- consumer equivalence across formats ------------------------------------
+# -- consumers against the reference ----------------------------------------
 
 
 class TestConsumerEquivalence:
     def test_read_events_yields_identical_dicts(self, traced_run):
-        ja = list(read_events(str(traced_run.jsonl), include_meta=True))
-        rb = list(read_events(str(traced_run.rtrc), include_meta=True))
-        assert len(ja) > 10_000
-        assert ja == rb
+        got = list(read_events(str(traced_run.rtrc), include_meta=True))
+        assert len(got) > 10_000
+        assert got == [traced_run.meta] + traced_run.events
 
     def test_timeline_rebuild_matches_live(self, traced_run):
-        from_jsonl = TimelineRecorder.from_jsonl(str(traced_run.jsonl))
-        from_rtrc = TimelineRecorder.from_jsonl(str(traced_run.rtrc))
-        live = traced_run.live
-        assert from_jsonl.connections() == live.connections()
-        assert from_rtrc.connections() == live.connections()
+        rebuilt = TimelineRecorder.from_trace(str(traced_run.rtrc))
+        live = TimelineRecorder()
+        for kind, t, src, fields in traced_run.calls:
+            if kind in TIMELINE_KINDS:
+                live.record(kind, t, src, fields)
+        assert rebuilt.connections() == live.connections()
         for conn in live.connections():
-            assert from_jsonl.series(conn) == live.series(conn)
-            assert from_rtrc.series(conn) == live.series(conn)
-        assert from_jsonl.marks == live.marks
-        assert from_rtrc.marks == live.marks
+            assert rebuilt.series(conn) == live.series(conn)
+        assert rebuilt.marks == live.marks
 
     def test_spanset_identical_across_formats(self, traced_run):
-        sj = build_spans(str(traced_run.jsonl))
+        """The spans of the file and of the in-memory events agree."""
         sr = build_spans(str(traced_run.rtrc))
-        assert sj.events_consumed == sr.events_consumed > 10_000
-        assert sj.connections() == sr.connections()
-        for conn in sj.connections():
-            assert sj.forensics(conn) == sr.forensics(conn)
+        sl = SpanBuilder().feed_many([traced_run.meta] + traced_run.events).build()
+        assert sr.events_consumed == sl.events_consumed > 10_000
+        assert sr.meta == sl.meta
+        assert sr.connections() == sl.connections()
+        for conn in sr.connections():
+            assert sr.forensics(conn) == sl.forensics(conn)
 
 
 # -- index-based querying ---------------------------------------------------
@@ -218,24 +219,9 @@ class TestConsumerEquivalence:
 
 @pytest.fixture(scope="module")
 def indexed(traced_run, tmp_path_factory):
-    """The run's trace re-blocked small, so index skipping is visible."""
+    """The run's events written in small blocks, so index skipping is visible."""
     path = tmp_path_factory.mktemp("indexed") / "small-blocks.rtrc"
-    convert_trace(traced_run.jsonl, path, block_events=512)
-    return path
-
-
-def _scan(path, kinds=None, srcs=None, t0=None, t1=None):
-    out = []
-    for rec in read_events(str(path), kinds=kinds):
-        if srcs is not None and rec.get("src") not in srcs:
-            continue
-        t = rec.get("t", 0.0)
-        if t0 is not None and t < t0:
-            continue
-        if t1 is not None and t > t1:
-            continue
-        out.append(rec)
-    return out
+    return _write(path, traced_run.calls, block_events=512)
 
 
 class TestIndexQueries:
@@ -249,7 +235,7 @@ class TestIndexQueries:
             assert reader.blocks_read < reader.blocks_total
             assert reader.blocks_skipped > 0
             assert reader.blocks_read + reader.blocks_skipped == reader.blocks_total
-        assert got == _scan(traced_run.jsonl, kinds=[kind])
+        assert got == _filter(traced_run.events, kinds=[kind])
 
     def test_time_range_query_matches_scan_and_skips(self, traced_run, indexed):
         with RtrcReader(indexed) as reader:
@@ -258,24 +244,22 @@ class TestIndexQueries:
             t1 = lo + (hi - lo) * 0.45
             got = list(reader.iter_events(t0=t0, t1=t1))
             assert reader.blocks_skipped > 0
-        assert got == _scan(traced_run.jsonl, t0=t0, t1=t1)
+        assert got == _filter(traced_run.events, t0=t0, t1=t1)
 
     def test_src_query_matches_scan(self, traced_run, indexed):
         with RtrcReader(indexed) as reader:
             src = reader.srcs()[0]
             got = list(reader.iter_events(srcs=[src]))
-        assert got == _scan(traced_run.jsonl, srcs={src})
+        assert got == _filter(traced_run.events, srcs={src})
         assert got, "src filter matched nothing"
 
     def test_stats_come_from_index_alone(self, traced_run, indexed):
         with RtrcReader(indexed) as reader:
             stats = reader.stats()
             assert reader.blocks_read == 0  # nothing decompressed
-        expected = {}
-        for rec in read_events(str(traced_run.jsonl)):
-            expected[rec["kind"]] = expected.get(rec["kind"], 0) + 1
-        assert stats["kinds"] == expected
-        assert stats["events"] == sum(expected.values())
+        expected = Counter(rec["kind"] for rec in traced_run.events)
+        assert stats["kinds"] == dict(expected)
+        assert stats["events"] == len(traced_run.events)
         assert not stats["truncated"]
 
     def test_read_events_stats_carry_block_counters(self, indexed):
@@ -287,56 +271,53 @@ class TestIndexQueries:
         assert n == counts[kind]
         assert stats["blocks_read"] >= 1
         assert stats["blocks_skipped"] > 0
-        assert stats["skipped_lines"] == 0
+        assert stats["truncated"] is False
 
 
 class TestReaderParity:
-    """``open_trace`` hands out two readers with one surface and one answer."""
+    """The reader answers every query as a filter over the reference does."""
 
     def test_every_query_yields_identical_records(self, traced_run, indexed):
         """The kinds / srcs / t0 / t1 combinations of TestIndexQueries."""
-        with open_trace(traced_run.jsonl) as scan, open_trace(indexed) as index:
-            assert scan.meta == index.meta
-            assert scan.meta["kind"] == "trace.meta"
+        events = traced_run.events
+        with RtrcReader(indexed) as index:
+            assert index.meta == traced_run.meta
             stats = index.stats()
             rare = min(stats["kinds"], key=stats["kinds"].get)
             lo, hi = stats["t0"], stats["t1"]
             window = {"t0": lo + (hi - lo) * 0.4, "t1": lo + (hi - lo) * 0.45}
             for query in (
-                {"include_meta": True},
+                {},
                 {"kinds": [rare]},
                 window,
                 {"srcs": [stats["srcs"][0]]},
                 dict(window, kinds=["pkt.snd"], srcs=["f0-snd"]),
             ):
                 n = 0
-                for a, b in zip_longest(
-                    scan.iter_events(**query), index.iter_events(**query)
-                ):
+                for a, b in zip_longest(_filter(events, **query), index.iter_events(**query)):
                     assert a == b, (query, n)
                     n += 1
                 assert n > 0, query
-            assert list(scan.iter_jsonl(kinds=[rare])) == list(
-                index.iter_jsonl(kinds=[rare])
-            )
+            assert next(index.iter_events(include_meta=True)) == traced_run.meta
 
     def test_shared_stats_keys_agree(self, traced_run):
-        with open_trace(traced_run.jsonl) as scan, open_trace(traced_run.rtrc) as index:
-            a, b = scan.stats(), index.stats()
-            assert scan.events_total == index.events_total == a["events"]
-            assert not scan.truncated and not index.truncated
-        shared = set(a) & set(b)
-        assert shared >= {"events", "t0", "t1", "kinds", "srcs", "truncated"}
-        assert set(a) - shared == set() and set(b) - shared == {"blocks"}
-        for key in shared - {"path", "format"}:
-            assert a[key] == b[key], key
-        assert (a["format"], b["format"]) == ("jsonl", "rtrc")
+        """``stats()`` from the index says what the reference events say."""
+        events = traced_run.events
+        with RtrcReader(traced_run.rtrc) as index:
+            stats = index.stats()
+            assert index.events_total == len(events) and not index.truncated
+        assert set(stats) == {"path", "format", "events", "blocks", "t0", "t1",
+                              "kinds", "srcs", "truncated"}
+        assert stats["format"] == "rtrc" and stats["path"] == str(traced_run.rtrc)
+        assert stats["events"] == len(events)
+        assert stats["blocks"] == -(-len(events) // DEFAULT_BLOCK_EVENTS)
+        assert (stats["t0"], stats["t1"]) == (min(r["t"] for r in events),
+                                              max(r["t"] for r in events))
+        assert stats["kinds"] == dict(sorted(Counter(r["kind"] for r in events).items()))
+        assert stats["srcs"] == sorted({r["src"] for r in events})
 
     def test_event_streams_start_after_the_meta_record(self, traced_run):
-        with open_trace(traced_run.jsonl) as scan, scan.event_stream() as f:
-            first = f.readline()
-        assert b'"trace.meta"' not in first and json.loads(first)["t"] >= 0.0
-        with open_trace(traced_run.rtrc) as index, index.event_stream() as f:
+        with RtrcReader(traced_run.rtrc) as index, index.event_stream() as f:
             assert f.read(1) == b"B"
 
 
@@ -366,7 +347,7 @@ def _tiny_rtrc(path, n=1000, block_events=100):
     w = RtrcWriter(path, block_events=block_events)
     w.write_meta(generator="test")
     for i in range(n):
-        w.feed({"t": i * 0.001, "kind": "cc.sample", "src": "s", "seq": i})
+        w.record("cc.sample", i * 0.001, "s", {"seq": i})
     w.close()
     return path
 
@@ -412,7 +393,7 @@ class TestTruncation:
             with pytest.raises(
                 RtrcFormatError, match=rf"version {old}\b.* reads 3\b.*re-record"
             ):
-                open_trace(p)
+                RtrcReader(p)
 
     def test_every_prefix_and_byte_flip_fails_one_way(self, tmp_path):
         """Damage anywhere: a prefix of the events, or ``RtrcFormatError``.
@@ -558,7 +539,8 @@ class TestLayout:
         p = tmp_path / "two.rtrc"
         w = RtrcWriter(p)
         for rec in recs:
-            w.feed(rec)
+            fields = dict(rec)
+            w.record(fields.pop("kind"), fields.pop("t"), fields.pop("src"), fields)
         assert w.events_written == len(recs)
         w.close()
         (payload,) = [body for tag, body in _frames(p) if tag == b"B"]
@@ -574,7 +556,7 @@ class TestLayout:
 
     def test_event_region_offset_lands_on_first_block(self, tmp_path):
         p = _tiny_rtrc(tmp_path / "t.rtrc")
-        with open_trace(p) as reader, reader.event_stream() as f:
+        with RtrcReader(p) as reader, reader.event_stream() as f:
             assert f.read(1) == b"B"
             rest = f.read()
         assert p.read_bytes().endswith(b"B" + rest)
@@ -583,9 +565,9 @@ class TestLayout:
         p = tmp_path / "x.rtrc"
         p.write_bytes(b"junk")
         with pytest.raises(RtrcFormatError):
-            open_trace(p)
+            RtrcReader(p)
         p.write_bytes(MAGIC + b"junk")
-        with open_trace(p) as reader:  # right magic, no meta frame behind it
+        with RtrcReader(p) as reader:  # right magic, no meta frame behind it
             with pytest.raises(RtrcFormatError):
                 reader.event_stream()
 
@@ -663,7 +645,7 @@ class TestWriterThread:
         try:
             w.write_meta(generator="test")
             for i in range(n):
-                w.feed({"t": i * 0.001, "kind": "cc.sample", "src": "s", "seq": i})
+                w.record("cc.sample", i * 0.001, "s", {"seq": i})
         except OSError as exc:
             raised.append(exc)
         assert len(raised) == (n >= 100)
@@ -721,7 +703,7 @@ class TestTraceCli:
         assert self._main("trace", "query", str(indexed), "--kind", kind) == 0
         out, err = capsys.readouterr()
         rows = [json.loads(l) for l in out.splitlines()]
-        assert rows == _scan(traced_run.jsonl, kinds=[kind])
+        assert rows == _filter(traced_run.events, kinds=[kind])
         assert f"[query] {len(rows)} matching" in err
         assert "skipped" in err  # the index tally is reported
 
@@ -735,54 +717,12 @@ class TestTraceCli:
         out, _ = capsys.readouterr()
         assert len(out.splitlines()) == 3
 
-    def test_query_to_jsonl_carries_meta(self, indexed, tmp_path, capsys):
-        dst = tmp_path / "slice.jsonl"
-        assert self._main(
-            "trace", "query", str(indexed), "--kind", "cc.sample",
-            "--to-jsonl", str(dst),
-        ) == 0
-        capsys.readouterr()
-        first = dst.read_text().splitlines()[0]
-        assert '"trace.meta"' in first
-
     def test_info_json(self, indexed, capsys):
         assert self._main("trace", "info", str(indexed), "--json") == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["format"] == "rtrc"
         assert stats["events"] > 10_000
         assert stats["meta"]["kind"] == "trace.meta"
-
-    def test_convert_chain_via_cli(self, traced_run, tmp_path, capsys):
-        rtrc = tmp_path / "c.rtrc"
-        back = tmp_path / "c.jsonl"
-        assert self._main(
-            "trace", "convert", str(traced_run.jsonl), str(rtrc)
-        ) == 0
-        assert self._main("trace", "convert", str(rtrc), str(back)) == 0
-        capsys.readouterr()
-        assert back.read_bytes() == traced_run.jsonl.read_bytes()
-
-    def test_convert_counts_events_not_lines(self, tmp_path, capsys):
-        """A header-less JSONL has as many events as lines (was lines - 1)."""
-        src, dst = tmp_path / "bare.jsonl", tmp_path / "out.jsonl"
-        rows = [{"t": i * 0.5, "kind": "x", "src": "s", "i": i} for i in range(3)]
-        src.write_text("".join(json.dumps(r) + "\n" for r in rows))
-        assert self._main("trace", "convert", str(src), str(dst)) == 0
-        assert "[convert] 3 event(s)" in capsys.readouterr().err
-        assert [json.loads(l) for l in dst.read_text().splitlines()] == rows
-
-    def test_convert_drops_a_truncated_last_line(self, traced_run, tmp_path, capsys):
-        """A crash-truncated tail is skipped with the readers' warning."""
-        lines = traced_run.jsonl.read_text().splitlines()[:50]
-        src, dst = tmp_path / "cut.jsonl", tmp_path / "out.jsonl"
-        src.write_text("\n".join(lines) + "\n" + lines[-1][:17])
-        with pytest.warns(TruncatedTraceWarning):
-            assert self._main("trace", "convert", str(src), str(dst)) == 0
-        assert "[convert] 49 event(s)" in capsys.readouterr().err
-        assert dst.read_text() == "\n".join(lines) + "\n"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", TruncatedTraceWarning)
-            assert len(list(read_events(dst))) == 49
 
     def test_missing_file_exits_2(self, capsys):
         assert self._main("trace", "info", "/no/such/trace.rtrc") == 2
@@ -796,9 +736,38 @@ class TestTraceCli:
         for argv, reason in (
             (("info", str(old)), "container version 1, this reader reads 3"),
             (("query", str(old), "--kind", "cc.sample"), "re-record the trace"),
-            (("convert", str(junk), str(tmp_path / "out.jsonl")), "bad magic"),
+            (("query", str(junk)), "bad magic"),
         ):
             assert self._main("trace", *argv) == 2
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: ") and reason in err
             assert len(err.splitlines()) == 1
+
+    def test_a_json_lines_trace_exits_2_with_one_line(self, tmp_path, capsys):
+        """A trace an older tree wrote as JSON lines is a foreign file to
+        ``trace info``, ``report`` and ``conform`` alike."""
+        old = tmp_path / "t.jsonl"
+        old.write_text('{"kind":"trace.meta","schema":1}\n'
+                       '{"t":0.5,"kind":"cc.sample","src":"s"}\n')
+        for argv in (("trace", "info", str(old)), ("report", str(old)),
+                     ("conform", str(old))):
+            assert self._main(*argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and "bad magic" in err, argv
+            assert len(err.splitlines()) == 1, argv
+
+    def test_run_trace_that_is_not_rtrc_is_a_usage_error(self, tmp_path, capsys):
+        """Checked before the trace is opened: an existing file is untouched."""
+        out_jsonl = tmp_path / "out.jsonl"
+        out_jsonl.write_bytes(b"an earlier run's trace\n")
+        for path in (out_jsonl, tmp_path / "new.txt"):
+            assert self._main("run", "table1", "--trace", str(path)) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and len(err.splitlines()) == 1
+            assert err.startswith("error: ") and "'repro-udt trace query'" in err
+        assert out_jsonl.read_bytes() == b"an earlier run's trace\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
+        with pytest.raises(ValueError, match="trace query"):
+            with trace_session(str(tmp_path / "lib.jsonl")):
+                pass
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]

@@ -54,14 +54,22 @@ class TestTimelineRecorder:
         w = rec.windows(flow.sender.name)
         assert w and all(len(row) == 3 for row in w)
 
-    def test_jsonl_rebuild_matches_live(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
+    def test_jsonl_rebuild_matches_live(self, tmp_path, capsys):
+        """From the trace, and from the JSON lines ``trace query`` prints."""
+        from repro.cli import main
+
+        path = str(tmp_path / "t.rtrc")
         live = TimelineRecorder()
         flow = _traced_lossy_run(live, trace_path=path)
-        rebuilt = TimelineRecorder.from_jsonl(path)
-        assert rebuilt.connections() == live.connections()
-        assert rebuilt.series(flow.sender.name) == live.series(flow.sender.name)
-        assert rebuilt.marks == live.marks
+        assert main(["trace", "query", path, *(f"--kind={k}" for k in TIMELINE_KINDS)]) == 0
+        from_lines = TimelineRecorder()
+        for line in capsys.readouterr().out.splitlines():
+            rec = json.loads(line)
+            from_lines.record(rec.pop("kind"), rec.pop("t"), rec.pop("src"), rec)
+        for rebuilt in (TimelineRecorder.from_trace(path), from_lines):
+            assert rebuilt.connections() == live.connections()
+            assert rebuilt.series(flow.sender.name) == live.series(flow.sender.name)
+            assert rebuilt.marks == live.marks
 
     def test_max_samples_cap(self):
         rec = TimelineRecorder(max_samples_per_conn=10)

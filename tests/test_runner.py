@@ -75,6 +75,20 @@ class TestDigest:
         b, _ = experiment_digest("fig02", SCALE, {"n_flows": 4, "rtts": (0.01,)})
         assert a == b
 
+    def test_scale_is_keyed_at_full_precision(self):
+        """Two scales that agree to six digits are two cache entries."""
+        a, _ = experiment_digest("table1", 0.1234567)
+        b, _ = experiment_digest("table1", 0.1234568)
+        assert a != b
+
+    def test_a_worker_runs_the_scale_it_is_given(self, tmp_path):
+        from repro.experiments.common import RunArgs
+        from repro.runner.sweep import _worker_cmd
+
+        for scale in (0.1234567, 1 / 3, 0.05, 1.0):
+            cmd = _worker_cmd("table1", "d", RunArgs(scale), tmp_path / "o.json", None, False)
+            assert float(cmd[cmd.index("--scale") + 1]) == scale
+
     def test_experiments_differ(self):
         d1, _ = experiment_digest("fig02", SCALE)
         d2, _ = experiment_digest("fig09", SCALE)
@@ -345,8 +359,8 @@ class TestSweepEndToEnd:
         )
         assert t4.ok and t4.executed == self.ONLY
         for exp_id in self.ONLY:
-            a = (traces1 / f"{exp_id}.jsonl").read_bytes()
-            b = (traces4 / f"{exp_id}.jsonl").read_bytes()
+            a = (traces1 / f"{exp_id}.rtrc").read_bytes()
+            b = (traces4 / f"{exp_id}.rtrc").read_bytes()
             assert a == b, f"{exp_id}: trace differs between jobs=1 and jobs=4"
 
         # Cached results equal fresh results, modulo timing metadata.
@@ -360,12 +374,13 @@ class TestSweepEndToEnd:
     def test_fig08_rtrc_packet_trace_jobs_independent_and_compact(self, tmp_path):
         """A packet-tier fig08 traced to .rtrc is byte-identical between
         two fresh interpreters running side by side — what ``--jobs``
-        does to a cell — and a fraction of the JSONL size.  A sweep cell
+        does to a cell — and a fraction of its JSON-lines rendering.  A sweep cell
         takes no ``--set``, so the one-virtual-second cells (blast burst
         and NAK recovery included) are spawned directly, with the scale
         and fidelity a sweep worker takes; CI's trace-smoke runs the long
         form."""
-        from repro.obs.export import convert_trace
+        from repro.obs.export import read_events
+        from repro.obs.store import dump_record
         from repro.runner.sweep import worker_env
 
         traces = [tmp_path / f"tr{jobs}" / "fig08.rtrc" for jobs in (1, 4)]
@@ -381,10 +396,9 @@ class TestSweepEndToEnd:
         assert [cell.wait(timeout=120) for cell in cells] == [0, 0]
         rtrc = traces[0]
         assert rtrc.read_bytes() == traces[1].read_bytes()
-        back = tmp_path / "fig08.jsonl"
-        n = convert_trace(rtrc, back)
-        assert n > 20_000  # the packet tier was actually recorded
-        assert rtrc.stat().st_size <= 0.25 * back.stat().st_size
+        lines = [dump_record(rec) for rec in read_events(rtrc)]
+        assert len(lines) > 20_000  # the packet tier was actually recorded
+        assert rtrc.stat().st_size <= 0.25 * sum(len(line) + 1 for line in lines)
 
     def test_failure_is_reported_not_raised(self, tmp_path, monkeypatch):
         import repro.runner.sweep as sweep_mod

@@ -213,7 +213,7 @@ def _mixed_dumbbell(path):
 
 
 def test_same_scenario_twice_in_one_interpreter_is_byte_identical(tmp_path):
-    paths = [tmp_path / "first.jsonl", tmp_path / "second.jsonl"]
+    paths = [tmp_path / "first.rtrc", tmp_path / "second.rtrc"]
     for path in paths:
         flow_ids, enq = _mixed_dumbbell(path)
         assert flow_ids == ("udt0", "tcp0")
@@ -245,11 +245,11 @@ def test_two_simulations_in_one_process_keep_their_own_traces(tmp_path):
     alone = []
     for i, rate in enumerate(rates):
         d = _mixed(rate)[0]
-        with trace_session(str(tmp_path / f"alone{i}.jsonl"), packets=True, bus=d.sim.bus):
+        with trace_session(str(tmp_path / f"alone{i}.rtrc"), packets=True, bus=d.sim.bus):
             d.net.run(until=1.0)
-        alone.append((tmp_path / f"alone{i}.jsonl").read_bytes())
+        alone.append((tmp_path / f"alone{i}.rtrc").read_bytes())
     nets = [_mixed(rate)[0].net for rate in rates]
-    paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+    paths = [tmp_path / "a.rtrc", tmp_path / "b.rtrc"]
     with trace_session(str(paths[0]), packets=True, bus=nets[0].sim.bus), \
          trace_session(str(paths[1]), packets=True, bus=nets[1].sim.bus):
         for k in range(1, 21):
@@ -263,7 +263,7 @@ def test_a_session_entered_after_the_build_records_the_run(tmp_path):
     """The benchmark's order — build the network, enter ``traced()``, run —
     records what entering first does, and the session leaves the bus
     dormant again on exit."""
-    first, after = tmp_path / "first.jsonl", tmp_path / "after.jsonl"
+    first, after = tmp_path / "first.rtrc", tmp_path / "after.rtrc"
     _mixed_dumbbell(first)
     d = _mixed()[0]
     with traced(str(after), packets=True):
