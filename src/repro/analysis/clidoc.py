@@ -1,7 +1,7 @@
 """CLI reference generation: ``python -m repro.analysis.clidoc``.
 
-docs/API.md's CLI section used to be hand-written and drifted (flags
-like ``--progress-file`` were missing).  This
+docs/API.md's CLI section used to be hand-written and drifted (sweep
+flags were missing).  This
 module walks the *real* argparse tree (:func:`repro.cli.build_parser`)
 and renders the reference from it, so the docs are structurally unable
 to disagree with ``repro-udt --help``.  Running the module regenerates

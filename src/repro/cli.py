@@ -4,16 +4,21 @@
                                     # one-line description)
     repro-udt run fig02             # run one experiment, print its table
     repro-udt run all               # run everything (slow)
-    repro-udt run fig04 --trace out.rtrc --summary
+    repro-udt run fig04 --trace out.rtrc
                                     # fully traced run: indexed binary
                                     # event trace (CC timelines, drops,
-                                    # EXP events) plus a telemetry summary
+                                    # EXP events)
     repro-udt run fig08 --trace t.rtrc --trace-packets
                                     # + per-packet lifecycle events for
                                     # span reconstruction
     repro-udt run fig02 --profile   # hot-path profile: where the wall
                                     # clock goes, written to
                                     # BENCH_profile_fig02.json
+    repro-udt explain fig08 --scale 0.05
+                                    # one screen on one run: wall time,
+                                    # cache hit or why it missed, time by
+                                    # layer, events by kind, fidelity
+                                    # tiers, last CC state, past runtimes
     repro-udt sweep --jobs 8        # run every experiment in parallel
                                     # worker processes with digest-keyed
                                     # result caching (unchanged
@@ -56,37 +61,45 @@ from contextlib import nullcontext
 from typing import List, Optional
 
 from repro.experiments import get_experiment, list_experiments
-from repro.experiments.common import add_run_flags, parse_run_args, traced
+from repro.experiments.common import RunArgs, add_run_flags, parse_run_args, traced
 from repro.obs.export import check_trace_path
 
 
-def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _resolve_run(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> "tuple[list, dict, RunArgs]":
+    """The experiments, runner keywords and run arguments ``run`` and
+    ``explain`` were asked for.  A usage error (an unknown id, a ``--set``
+    key the runner does not take, a bad run flag) exits 2 here, before
+    anything is opened: entering ``traced()`` truncates its file."""
     from repro.analysis.cli import parse_overrides
 
-    # Usage errors leave before anything is opened: entering traced()
-    # truncates the --trace file.
     kwargs = parse_overrides(args.overrides, parser)
     run_args = parse_run_args(args, parser)
-    profiling = args.profile or args.profile_json is not None
     if args.exp_id == "all":
-        if args.profile_json is not None:
-            parser.error(
-                "--profile-json PATH with 'all': every experiment would "
-                "overwrite PATH; use --profile (one BENCH_profile_<exp>.json each)"
-            )
-        exps, kwargs = list_experiments(), {}
-    else:
-        try:
-            exps = [get_experiment(args.exp_id)]
-        except KeyError as exc:
-            parser.error(exc.args[0])
-        accepted = set(inspect.signature(exps[0].runner).parameters) - {"run_args"}
-        unknown = sorted(set(kwargs) - accepted)
-        if unknown:
-            parser.error(
-                f"{args.exp_id} takes no keyword {', '.join(unknown)}; "
-                f"accepted: {', '.join(sorted(accepted))}"
-            )
+        return list_experiments(), {}, run_args
+    try:
+        exp = get_experiment(args.exp_id)
+    except KeyError as exc:
+        parser.error(exc.args[0])
+    accepted = set(inspect.signature(exp.runner).parameters) - {"run_args"}
+    unknown = sorted(set(kwargs) - accepted)
+    if unknown:
+        parser.error(
+            f"{args.exp_id} takes no keyword {', '.join(unknown)}; "
+            f"accepted: {', '.join(sorted(accepted))}"
+        )
+    return [exp], kwargs, run_args
+
+
+def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    exps, kwargs, run_args = _resolve_run(args, parser)
+    profiling = args.profile or args.profile_json is not None
+    if args.profile_json is not None and len(exps) > 1:
+        parser.error(
+            "--profile-json PATH with 'all': every experiment would "
+            "overwrite PATH; use --profile (one BENCH_profile_<exp>.json each)"
+        )
     if args.trace:
         try:
             check_trace_path(args.trace)
@@ -98,7 +111,6 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
     with traced(
         args.trace,
-        summary=args.summary,
         packets=args.trace_packets,
         generator="repro-udt",
         experiments=[exp.exp_id for exp in exps],
@@ -118,8 +130,33 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 print(f"[profile -> {path}]\n")
     if args.trace:
         print(f"[trace: {session.events_written} events -> {args.trace}]")
-    if args.summary:
-        print(session.summary_text())
+    return 0
+
+
+def _cmd_explain(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """Run one experiment in process, profiled and traced to a temporary
+    ``.rtrc``, and print the one screen :mod:`repro.obs.explain` renders.
+    The cache is only looked at, never written, and the trace is deleted."""
+    import tempfile
+    from pathlib import Path
+
+    from repro.obs.explain import cache_status, render_explain
+    from repro.obs.prof import SimProfiler
+
+    if args.exp_id == "all":
+        parser.error("explain takes one experiment id, not 'all'")
+    (exp,), kwargs, run_args = _resolve_run(args, parser)
+    cache = cache_status(exp.exp_id, run_args, kwargs)
+    prof = SimProfiler()
+    with tempfile.TemporaryDirectory(prefix="repro-explain-") as tmp:
+        trace = Path(tmp) / f"{exp.exp_id}.rtrc"
+        t0 = time.perf_counter()
+        with prof.activate(), traced(
+            str(trace), generator="repro-udt explain", experiments=[exp.exp_id]
+        ):
+            exp.runner(**kwargs, run_args=run_args)
+        wall = time.perf_counter() - t0
+        print(render_explain(exp.exp_id, run_args, wall, cache, prof, trace))
     return 0
 
 
@@ -141,7 +178,6 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             trace_dir=Path(args.trace_dir) if args.trace_dir else None,
             trace_packets=args.trace_packets,
             progress=args.progress,
-            progress_path=Path(args.progress_file) if args.progress_file else None,
             fidelity=args.fidelity,
             emit=print,
         )
@@ -156,54 +192,27 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0 if report.ok else 1
 
 
-def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from pathlib import Path
+def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.obs.report import render_report, report_dict, summary_only_hint
+    from repro.obs.spans import build_spans
+    from repro.obs.store import RtrcFormatError
 
-    if args.trace is None and not args.html:
-        parser.error("report needs a trace file and/or --html OUT_DIR")
-
-    spanset = None
-    if args.trace is not None:
-        from repro.obs.report import render_report, report_dict, summary_only_hint
-        from repro.obs.spans import build_spans
-        from repro.obs.store import RtrcFormatError
-
-        try:
-            spanset = build_spans(args.trace)
-        except (FileNotFoundError, RtrcFormatError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        hint = summary_only_hint(spanset)
-        if hint:
-            # summary-only trace: say how to get forensics, succeed anyway
-            print(f"[report] {hint}")
-        else:
-            print(render_report(spanset))
-            if args.json:
-                with open(args.json, "w") as f:
-                    json.dump(report_dict(spanset), f, indent=2, default=str)
-                    f.write("\n")
-                print(f"[report JSON -> {args.json}]")
-
-    if args.html:
-        from repro.obs.html import build_dashboard, collect_inputs
-
-        traces = {}
-        if args.trace is not None and spanset is not None:
-            for exp_id in (spanset.meta or {}).get("experiments") or []:
-                traces[exp_id] = Path(args.trace)
-        only = None
-        if args.only:
-            only = [s for s in args.only.replace(" ", "").split(",") if s]
-        inputs = collect_inputs(
-            cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-            bench_path=Path(args.bench) if args.bench else None,
-            ledger_path=Path(args.ledger) if args.ledger else None,
-            traces=traces,
-            only=only,
-            progress_path=Path(args.progress_file) if args.progress_file else None,
-        )
-        build_dashboard(Path(args.html), inputs, emit=print)
+    try:
+        spanset = build_spans(args.trace)
+    except (FileNotFoundError, RtrcFormatError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    hint = summary_only_hint(spanset)
+    if hint:
+        # summary-only trace: say how to get forensics, succeed anyway
+        print(f"[report] {hint}")
+        return 0
+    print(render_report(spanset))
+    if args.json:
+        with open(args.json, "w") as f:
+            json.dump(report_dict(spanset), f, indent=2, default=str)
+            f.write("\n")
+        print(f"[report JSON -> {args.json}]")
     return 0
 
 
@@ -251,12 +260,6 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
         "reconstruct packet spans; much larger traces",
     )
     runp.add_argument(
-        "--summary",
-        action="store_true",
-        help="print a telemetry summary (event counts, last CC state per "
-        "connection) after the run",
-    )
-    runp.add_argument(
         "--profile",
         action="store_true",
         help="profile the simulator hot path: handler time per layer "
@@ -278,6 +281,23 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
         help="how many layers the printed profile shows (default 10)",
     )
     add_run_flags(runp, tie_break=True)
+
+    explainp = sub.add_parser(
+        "explain",
+        help="run one experiment profiled and traced, and print one screen: "
+        "wall time, cache hit or miss cause, time by layer, events by kind, "
+        "fidelity-tier residency, last CC state, recent runtimes",
+    )
+    explainp.add_argument("exp_id", help="experiment id from 'list'")
+    explainp.add_argument(
+        "--set",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        dest="overrides",
+        help="override a runner keyword, as for 'run' (repeatable)",
+    )
+    add_run_flags(explainp, tie_break=True)
 
     sweepp = sub.add_parser(
         "sweep",
@@ -327,15 +347,7 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
         "--progress",
         action="store_true",
         help="stream live per-worker progress (vtime frontier, events/s, "
-        "ETA) as status lines and into the progress feed the dashboard's "
-        "live-run card reads",
-    )
-    sweepp.add_argument(
-        "--progress-file",
-        metavar="PATH",
-        default=None,
-        help="where the progress feed is written (implies --progress "
-        "recording; default <cache-dir>/progress.jsonl)",
+        "ETA) as status lines and into <cache-dir>/progress.jsonl",
     )
     sweepp.add_argument(
         "--bench",
@@ -355,59 +367,12 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
         help="packet-lifecycle loss forensics from a trace "
         "(record with: run ... --trace t.rtrc --trace-packets)",
     )
-    repp.add_argument(
-        "trace",
-        nargs="?",
-        default=None,
-        help="trace file from a traced run (optional with --html)",
-    )
+    repp.add_argument("trace", help="trace file from a traced run")
     repp.add_argument(
         "--json",
         metavar="PATH",
         default=None,
         help="also write the full report as JSON to PATH",
-    )
-    repp.add_argument(
-        "--html",
-        metavar="OUT_DIR",
-        default=None,
-        help="build the static HTML dashboard (index + one page per "
-        "experiment with inline SVG figures, the fidelity gate's rows, forensics "
-        "and runtime trends) under OUT_DIR; results come from the sweep "
-        "cache at the fidelity ledger's scale, never from running experiments",
-    )
-    repp.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="sweep result cache the dashboard reads results from "
-        "(default $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    repp.add_argument(
-        "--bench",
-        metavar="PATH",
-        default=None,
-        help="runtime ledger for trends (default "
-        "benchmarks/results/BENCH_runtime.json)",
-    )
-    repp.add_argument(
-        "--ledger",
-        metavar="PATH",
-        default=None,
-        help="fidelity ledger (default benchmarks/results/BENCH_fidelity.json)",
-    )
-    repp.add_argument(
-        "--only",
-        metavar="EXP,...",
-        default=None,
-        help="restrict dashboard pages to these experiment ids",
-    )
-    repp.add_argument(
-        "--progress-file",
-        metavar="PATH",
-        default=None,
-        help="a 'sweep --progress' feed (progress.jsonl) to render as the "
-        "dashboard's live-run card",
     )
 
     tracep = sub.add_parser(
@@ -440,6 +405,7 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
     return parser, {
         "list": listp,
         "run": runp,
+        "explain": explainp,
         "sweep": sweepp,
         "report": repp,
         "trace": tracep,
@@ -465,7 +431,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.cmd == "sweep":
         return _cmd_sweep(args, parser)
     if args.cmd == "report":
-        return _cmd_report(args, parser)
+        return _cmd_report(args)
+    if args.cmd == "explain":
+        return _cmd_explain(args, parser)
     if args.cmd == "trace":
         from repro.obs.tracecli import run_trace
 

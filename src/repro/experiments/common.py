@@ -148,32 +148,30 @@ def mbps(bps: float) -> float:
 @contextmanager
 def traced(
     trace_path: Optional[str] = None,
-    summary: bool = False,
     packets: bool = False,
     **meta: Any,
 ) -> Iterator[Any]:
     """Run any experiment fully traced.
 
     Subscribes a trace writer (when ``trace_path`` is given, an ``.rtrc``
-    file) and/or a
-    :class:`~repro.obs.export.TraceSummary` to the bus of each simulation
-    run inside the block, which wakes up every instrumentation point —
-    protocol cores, links, meters — for the duration of the block::
+    file) to the bus of each simulation run inside the block, which wakes
+    up every instrumentation point — protocol cores, links, meters — for
+    the duration of the block::
 
-        with traced("out.rtrc", summary=True) as session:
+        with traced("out.rtrc") as session:
             result = get_experiment("fig04").runner()
-        print(session.summary_text())
+        print(session.events_written)
 
     ``packets=True`` additionally records the per-packet detail tier
     (``pkt.snd``/``pkt.rcv``/``link.enq``/``link.deq``) so the trace can
     be span-reconstructed with ``repro-udt report`` /
     :func:`repro.obs.spans.build_spans`.
 
-    With neither output requested the block runs untraced (every bus stays
+    Without a ``trace_path`` the block runs untraced (every bus stays
     disabled, so the instrumented paths keep their near-zero idle cost).
     Yields a :class:`~repro.obs.export.TraceSession`.
     """
     from repro.obs.export import trace_session
 
-    with trace_session(trace_path, summary=summary, packets=packets, **meta) as session:
+    with trace_session(trace_path, packets=packets, **meta) as session:
         yield session

@@ -20,7 +20,7 @@ the UDT protocol core, and the host cost models.  Design rules:
   file reproduces the in-memory per-connection timelines exactly.
 * **Imports point one way.**  The simulator and protocol core load
   :mod:`repro.obs.bus` and nothing else from here; every consumer
-  (export, store, timeline, spans, report, figures, profiler) attaches
-  from outside and is imported by its own module name.  This file
+  (export, store, timeline, spans, report, figures, profiler, explain)
+  attaches from outside and is imported by its own module name.  This file
   therefore imports nothing (DESIGN.md, "Dependency direction").
 """

@@ -19,9 +19,8 @@ One :class:`Metric` is one named number of an experiment's result table
 
 A number can carry both, from the one extractor.  The ledger records
 every metric's value and nothing else: the bands live here only, and
-:func:`evaluate` — the one comparison the gate (``python -m
-repro.obs.figures --gate``) and the dashboard both call — computes the
-verdicts from them.  Nothing here runs an experiment or is part of one's
+:func:`evaluate` — the one comparison, which the gate (``python -m
+repro.obs.figures --gate``) calls — computes the verdicts from them.  Nothing here runs an experiment or is part of one's
 cache key.
 """
 

@@ -8,9 +8,9 @@ all this module knows: what is *asked* of a table — the paper's claims
 and the drift bands — lives in :mod:`repro.obs.claims`.
 
 Specs are declarative and renderer-agnostic: :mod:`repro.obs.svg`
-turns (spec, table) into inline SVG and :mod:`repro.obs.html` embeds the
-SVG in the static dashboard.  Experiments without a spec still appear
-in the dashboard as plain tables.
+turns (spec, table) into inline SVG, which ``python -m
+repro.obs.figures --render`` writes out.  An experiment without a spec
+has no figure; its rows are still gated.
 """
 
 from __future__ import annotations
@@ -89,8 +89,7 @@ class FigureSpec:
 
 # -- the registry -----------------------------------------------------------
 
-#: exp_id -> FigureSpec.  Experiments not listed here render as plain
-#: tables in the dashboard.
+#: exp_id -> FigureSpec.  Experiments not listed here have no figure.
 SPECS: Dict[str, FigureSpec] = {}
 
 

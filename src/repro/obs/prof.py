@@ -74,8 +74,10 @@ class SimProfiler(RunObserver):
     def __init__(self) -> None:
         self._acc: Dict[Any, List] = {}  # fn -> [count, seconds]
         self.wall_seconds = 0.0  # total wall time inside run()
+        self.virtual_seconds = 0.0  # total simulated time those runs covered
         self.runs = 0
         self._run_t0 = 0.0
+        self._run_vt0 = 0.0
 
     # -- installation ----------------------------------------------------
     def install(self) -> "SimProfiler":
@@ -104,11 +106,13 @@ class SimProfiler(RunObserver):
     # -- the engine seam -------------------------------------------------
     def run_begin(self, sim: Simulator, until: Optional[float]) -> Dict[Any, List]:
         self.runs += 1
+        self._run_vt0 = sim.now
         self._run_t0 = perf_counter()
         return self._acc
 
     def run_end(self, sim: Simulator, until: Optional[float]) -> None:
         self.wall_seconds += perf_counter() - self._run_t0
+        self.virtual_seconds += sim.now - self._run_vt0
 
     # -- results ---------------------------------------------------------
     @property

@@ -47,9 +47,8 @@ stream).  A simulated time is a sum of jittered serialisation times,
 cannot hold exactly (anything but a ``float``:
 ``Simulator.run(until=5)`` leaves the clock an ``int``) stays JSON in
 the head's sparse ``"t"`` list as ``[row, value]``; the key is there only
-when a block has such a row.  A ``[row]`` entry (no ``t`` at all) is
-read too: files that a converter wrote from hand-made JSON lines carry
-it.  Decoding rebuilds each flat event dict in its original key order.
+when a block has such a row, and an entry of any other shape is damage.
+Decoding rebuilds each flat event dict in its original key order.
 
 Damage is reported one way: a file that is not a version-3 container
 raises :class:`RtrcFormatError` on opening; a frame that fails to
@@ -380,11 +379,8 @@ def _decode_block(payload: bytes) -> List[Dict[str, Any]]:
         rec["t"] = t
         rec.update(zip(fields, values))
         recs.append(rec)
-    for i, *value in head.get("t", ()):
-        if value:
-            recs[i]["t"] = value[0]
-        else:
-            del recs[i]["t"]
+    for i, t in head.get("t", ()):
+        recs[i]["t"] = t
     return recs
 
 
@@ -546,7 +542,6 @@ class RtrcReader:
         t0, t1 = self.time_range()
         return {
             "path": str(self.path),
-            "format": "rtrc",
             "events": self.events_total,
             "blocks": self.blocks_total,
             "t0": t0,

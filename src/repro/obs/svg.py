@@ -1,17 +1,14 @@
-"""Inline-SVG rendering of figures and CC timelines.
+"""Inline-SVG rendering of figures.
 
 Turns a :class:`~repro.obs.figspec.FigureSpec` plus an experiment's
-result table (and, for time series, a
-:class:`~repro.obs.timeline.TimelineRecorder`) into a self-contained
-inline-SVG figure.  Zero dependencies: the renderer is hand-rolled SVG
+result table into a self-contained inline-SVG figure.  Zero dependencies: the renderer is hand-rolled SVG
 string generation, styled after the repo's qlog-inspired tooling.
 Every series group carries machine-readable ``data-x``/``data-y``
 attributes holding the *raw* values, so tests (and curious readers)
 can round-trip the plotted data out of the picture.
 
 A leaf module: it reads no file, ledger or cache and knows nothing of
-the runner — :mod:`repro.obs.figures` (``--render``) and
-:mod:`repro.obs.html` (the dashboard) hand it tables and recorders.
+the runner — :mod:`repro.obs.figures` (``--render``) hands it tables.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from html import escape
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from repro.obs.figspec import FigureSpec, ResultTable
 
@@ -34,9 +31,6 @@ AXIS = "#c3c2b7"
 MUTED = "#898781"
 INK = "#0b0b0b"
 INK2 = "#52514e"
-#: Status colours for annotations (reserved; never used as series hues).
-LOSS_MARK = "#ec835a"  # serious: receiver loss / NAK marks
-EXP_MARK = "#d03b3b"  # critical: EXP timeout marks
 FONT = "system-ui, -apple-system, 'Segoe UI', sans-serif"
 
 
@@ -385,103 +379,3 @@ def _render_bar(
         )
     return svg.finish()
 
-
-def render_timeline(
-    recorder: Any,
-    conns: Optional[Sequence[str]] = None,
-    title: str = "sending rate over time",
-    width: int = 720,
-    height: int = 400,
-    max_conns: int = 3,
-    max_points: int = 400,
-) -> Optional[str]:
-    """Render per-connection CC rate trajectories with loss/EXP marks.
-
-    ``recorder`` is a :class:`~repro.obs.timeline.TimelineRecorder` (live
-    or rebuilt via ``from_trace``).  Returns None when it holds no
-    samples.  At most ``max_conns`` series are drawn (the busiest
-    first); each series is uniformly downsampled to ``max_points``.
-    Loss marks (NAK/hole events) and EXP-timeout marks are drawn as
-    status-coloured ticks along the baseline.
-    """
-    all_conns = conns if conns is not None else recorder.connections()
-    ranked = sorted(all_conns, key=lambda c: -len(recorder.series(c)))
-    picked = [c for c in ranked if recorder.series(c)][:max_conns]
-    if not picked:
-        return None
-    picked.sort()
-    svg = _Svg(width, height)
-    x0, x1, yf, yc = _frame_box(width, height)
-    t_hi = max(s.t for c in picked for s in recorder.series(c))
-    t_lo = min(s.t for c in picked for s in recorder.series(c))
-    x_ticks = _nice_ticks(t_lo, t_hi)
-    x_scale = _Scale(min(t_lo, x_ticks[0]), max(t_hi, x_ticks[-1]), x0, x1)
-    rate_hi = max(s.rate_bps for c in picked for s in recorder.series(c)) / 1e6
-    y_ticks = _nice_ticks(0.0, rate_hi * 1.08 or 1.0)
-    y_scale = _Scale(0.0, max(y_ticks[-1], rate_hi * 1.08 or 1.0), yf, yc)
-    frame = _Frame(
-        svg, title, x_ticks, y_ticks, x_scale, y_scale,
-        x_label="virtual time (s)", y_label="sending rate (Mb/s)",
-    )
-    entries = [(SERIES_COLORS[i], c) for i, c in enumerate(picked)]
-    extra = ""
-    omitted = len([c for c in all_conns if recorder.series(c)]) - len(picked)
-    if omitted > 0:
-        extra = f"(+{omitted} more connection(s) not drawn)"
-    loss_any = any(recorder.loss_times(c) for c in picked)
-    exp_any = any(recorder.exp_times(c) for c in picked)
-    if len(entries) >= 2 or extra or loss_any or exp_any:
-        marks = []
-        if loss_any:
-            marks.append((LOSS_MARK, "loss/NAK"))
-        if exp_any:
-            marks.append((EXP_MARK, "EXP timeout"))
-        frame.legend(entries + marks, extra=extra)
-    for i, conn in enumerate(picked):
-        color = SERIES_COLORS[i]
-        samples = recorder.series(conn)
-        stride = max(1, len(samples) // max_points)
-        kept = samples[::stride]
-        if samples[-1].t != kept[-1].t:
-            kept.append(samples[-1])
-        ts = [s.t for s in kept]
-        ys = [s.rate_bps / 1e6 for s in kept]
-        pts = " ".join(
-            f"{x_scale(t):.1f},{y_scale(y):.1f}" for t, y in zip(ts, ys)
-        )
-        svg.add(
-            f'<g class="series" data-label="{_attr(conn)}" data-stride="{stride}" '
-            f'data-x="{_data_attr(ts)}" data-y="{_data_attr(ys)}">'
-        )
-        svg.add(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="2" stroke-linejoin="round" stroke-linecap="round">'
-            f"<title>{escape(conn)}: {len(samples)} CC samples</title></polyline>"
-        )
-        svg.text(
-            min(x_scale(ts[-1]) + 8, width - 4), y_scale(ys[-1]) + 4,
-            conn, size=11, fill=INK2,
-        )
-        svg.add("</g>")
-        # annotation ticks along the baseline (loss below, EXP above)
-        losses = recorder.loss_times(conn)
-        exps = recorder.exp_times(conn)
-        if losses:
-            svg.add(
-                f'<g class="marks" data-kind="loss" data-conn="{_attr(conn)}" '
-                f'data-x="{_data_attr(losses)}">'
-            )
-            for t in losses:
-                x = x_scale(t)
-                svg.line(x, yf + 1, x, yf + 7, LOSS_MARK, 1.5)
-            svg.add("</g>")
-        if exps:
-            svg.add(
-                f'<g class="marks" data-kind="exp" data-conn="{_attr(conn)}" '
-                f'data-x="{_data_attr(exps)}">'
-            )
-            for t in exps:
-                x = x_scale(t)
-                svg.line(x, yf - 8, x, yf, EXP_MARK, 1.5)
-            svg.add("</g>")
-    return svg.finish()

@@ -126,7 +126,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(stats, indent=2, default=str))
         return 0
-    print(f"== trace: {stats['path']} ({stats['format']}) ==")
+    print(f"== trace: {stats['path']} ==")
     blocks = f" in {stats['blocks']} block(s)"
     extra = " (truncated)" if stats["truncated"] else ""
     print(f"{stats['events']} events{blocks}{extra}")

@@ -107,6 +107,23 @@ class ResultCache:
             return None
         return entry
 
+    def newest(self, exp_id: str, scale: float, fidelity: str) -> Optional[Dict[str, Any]]:
+        """The most recently written entry of ``exp_id`` at ``scale`` and
+        ``fidelity``, whatever its digest, or None: what a miss is
+        compared with.  An entry that records no fidelity is packet."""
+        paths = sorted(
+            self.root.glob("*.json"), key=lambda p: p.stat().st_mtime_ns, reverse=True
+        )
+        for path in paths:
+            entry = read_json_object(path)
+            if (
+                entry.get("exp_id") == exp_id
+                and entry.get("scale") == scale
+                and entry.get("fidelity", "packet") == fidelity
+            ):
+                return entry
+        return None
+
     def store(self, digest: str, entry: Dict[str, Any]) -> Path:
         """Atomically write ``entry`` under ``digest``; returns the path."""
         entry = dict(entry)

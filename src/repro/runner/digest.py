@@ -27,7 +27,7 @@ import ast
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 #: Digest payload schema; bump to invalidate every existing cache entry.
 #: v2: the fidelity tier (packet vs hybrid, docs/SIMULATION.md) joined
@@ -44,7 +44,7 @@ SRC_ROOT = PKG_ROOT.parent  # .../src
 #: sweep hashes each shared file once, not 25 times.
 _file_hash_cache: Dict[Tuple[str, int, int], str] = {}
 #: (path, mtime_ns, size, module) -> the names it imports; the same for
-#: the AST walk, so a gate or dashboard looking 25 experiments up parses
+#: the AST walk, so a gate looking 25 experiments up parses
 #: each shared file once.
 _imports_cache: Dict[Tuple[str, int, int, str], Set[str]] = {}
 
@@ -158,7 +158,6 @@ def experiment_digest(
     exp_id: str,
     scale: float,
     overrides: Optional[dict] = None,
-    extra_roots: Sequence[str] = (),
     fidelity: str = "packet",
 ) -> Tuple[str, Dict[str, str]]:
     """Digest for one experiment run.
@@ -170,7 +169,7 @@ def experiment_digest(
     """
     from repro.experiments import get_experiment
 
-    files = import_closure([get_experiment(exp_id).module, *extra_roots])
+    files = import_closure([get_experiment(exp_id).module])
     file_hashes = {
         str(p.relative_to(SRC_ROOT)): file_sha256(p) for p in files
     }

@@ -21,8 +21,8 @@ module adds a side channel over the pipe the workers already have:
 * **Parent side** — :class:`ProgressBoard` collects heartbeats (and
   start/done/failed lifecycle records) from all workers, renders
   per-worker status lines (vtime frontier, events/s, ETA), and appends
-  every record to ``progress.jsonl`` — which the HTML dashboard renders
-  as a live-run card.
+  every record to ``<cache>/progress.jsonl``, an append-only feed a
+  reader may follow while the sweep runs.
 
 Heartbeat record::
 
@@ -188,8 +188,7 @@ class ProgressBoard:
     ``progress.jsonl`` and, when ``emit`` is given, renders per-worker
     status lines, rate-limited per experiment so a many-worker sweep
     stays readable.  The file is truncated at ``sweep_begin`` — it
-    describes the *current* (or most recent) sweep, which is exactly
-    what the dashboard's live-run card wants.
+    describes the *current* (or most recent) sweep.
     """
 
     def __init__(
@@ -290,55 +289,3 @@ class ProgressBoard:
         parts.append(f"wall {rec.get('wall', 0.0):.1f}s")
         return "  ".join(parts)
 
-
-def read_progress(path: Path) -> Optional[Dict[str, Any]]:
-    """Fold a ``progress.jsonl`` feed into the dashboard's live-run view.
-
-    Returns ``None`` when the file is missing/empty, else::
-
-        {"begin": {...}, "end": {...} | None, "workers":
-            {exp: {"status": "running|done|failed",
-                   "last": <latest heartbeat or lifecycle rec>,
-                   "seconds": ..., "error": ...}},
-         "ts": <latest record ts>}
-    """
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except (FileNotFoundError, OSError):
-        return None
-    begin: Optional[Dict[str, Any]] = None
-    end: Optional[Dict[str, Any]] = None
-    workers: Dict[str, Dict[str, Any]] = {}
-    latest_ts: Optional[float] = None
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except ValueError:
-            continue  # mid-write truncation: the feed is live by design
-        if not isinstance(rec, dict):
-            continue
-        ts = rec.get("ts")
-        if isinstance(ts, (int, float)):
-            latest_ts = ts if latest_ts is None else max(latest_ts, ts)
-        kind = rec.get("kind")
-        exp = rec.get("exp")
-        if kind == "sweep.begin":
-            begin = rec
-        elif kind == "sweep.end":
-            end = rec
-        elif exp:
-            w = workers.setdefault(exp, {"status": "running"})
-            if kind == "sweep.worker_done":
-                w["status"] = "done"
-                w["seconds"] = rec.get("seconds")
-            elif kind == "sweep.worker_failed":
-                w["status"] = "failed"
-                w["error"] = rec.get("error")
-            elif kind == HEARTBEAT:
-                w["last"] = rec
-    if begin is None and not workers:
-        return None
-    return {"begin": begin, "end": end, "workers": workers, "ts": latest_ts}

@@ -14,8 +14,9 @@ BENCH_runtime.json``: the sweep goes under ``sweeps[<key>]`` with its
 digest map, cache-hit count and per-experiment seconds (what
 :func:`check_regressions`, the CI runtime-regression gate, compares
 between two such files — docs/PERFORMANCE.md), and every *executed*
-experiment appends one ``history[<exp>]`` entry with its scale (what the
-dashboard plots) — preserving every other key the file holds.
+experiment appends one ``history[<exp>]`` entry with its scale (the
+recent runtimes ``repro-udt explain`` lists) — preserving every other key
+the file holds.
 """
 
 from __future__ import annotations
@@ -228,7 +229,6 @@ def run_sweep(
     trace_dir: Optional[Path] = None,
     trace_packets: bool = False,
     progress: bool = False,
-    progress_path: Optional[Path] = None,
     fidelity: str = RunArgs.fidelity,
     emit: Optional[Emit] = None,
 ) -> SweepReport:
@@ -240,9 +240,12 @@ def run_sweep(
     meaningful.  ``force`` ignores cache hits but still stores results.
 
     ``progress`` streams worker heartbeats into per-experiment status
-    lines and appends every record to ``progress_path`` (default
-    ``<cache>/progress.jsonl``), which the dashboard renders as a
-    live-run card (docs/OBSERVABILITY.md).
+    lines and appends every record to ``<cache>/progress.jsonl``
+    (docs/OBSERVABILITY.md).
+
+    Each stored entry carries, beside the worker's result, its fidelity
+    and the ``files`` map its digest hashed, so a later miss can name the
+    files that changed (:func:`repro.obs.explain.miss_cause`).
 
     ``scale`` and ``fidelity`` (``"packet"`` or ``"hybrid"``;
     docs/SIMULATION.md) are every worker's :class:`RunArgs`.  Both are
@@ -265,22 +268,16 @@ def run_sweep(
     )
 
     board = None
-    if progress or progress_path is not None:
+    if progress:
         from repro.runner.progress import ProgressBoard, default_progress_path
 
-        board = ProgressBoard(
-            path=(
-                Path(progress_path)
-                if progress_path is not None
-                else default_progress_path(cache_dir)
-            ),
-            emit=say if progress else None,
-        )
+        board = ProgressBoard(path=default_progress_path(cache_dir), emit=say)
 
     t0 = time.perf_counter()
     pending: List[str] = []
+    files: Dict[str, Dict[str, str]] = {}
     for exp_id in ids:
-        digest, _files = experiment_digest(exp_id, scale, fidelity=fidelity)
+        digest, files[exp_id] = experiment_digest(exp_id, scale, fidelity=fidelity)
         report.digests[exp_id] = digest
         entry = None if (force or trace_dir is not None) else cache.load(digest)
         if entry is not None:
@@ -332,7 +329,10 @@ def run_sweep(
                 report.executed.append(exp_id)
                 sec = float(entry.get("seconds", 0.0))
                 report.exp_seconds[exp_id] = sec
-                cache.store(report.digests[exp_id], entry)
+                cache.store(
+                    report.digests[exp_id],
+                    dict(entry, fidelity=fidelity, files=files[exp_id]),
+                )
                 if board is not None:
                     board.worker_done(exp_id, sec)
                 say(f"[sweep] {exp_id}: ran in {sec:.1f}s")
@@ -380,11 +380,10 @@ def append_history(
 ) -> None:
     """Append one measured run to ``data["history"][exp_id]``, bounded.
 
-    The history list is what the dashboard reads: its last entry is the
-    experiment's latest runtime (shown with its scale) and the same-scale
-    entries are the trend.  The regression gate reads none of it — it
-    compares ``sweeps[<key>].per_experiment``.  Entries are append-only
-    up to ``limit``, then the oldest fall off.
+    ``repro-udt explain`` lists the entries at its run's scale as the
+    experiment's recent runtimes.  The regression gate reads none of it —
+    it compares ``sweeps[<key>].per_experiment``.  Entries are
+    append-only up to ``limit``, then the oldest fall off.
     """
     entry: Dict[str, Any] = {
         "ts": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -398,6 +397,13 @@ def append_history(
     runs = history.setdefault(exp_id, [])
     runs.append(entry)
     del runs[:-limit]
+
+
+def history_key(exp_id: str, fidelity: str) -> str:
+    """The ``history`` list an experiment's runs at ``fidelity`` go to:
+    hybrid timings live under ``<exp>@hybrid``, so a packet trend is
+    never mixed with a hybrid one."""
+    return exp_id if fidelity == "packet" else f"{exp_id}@{fidelity}"
 
 
 def update_bench(report: SweepReport, bench_path: Optional[Path] = None) -> Path:
@@ -414,14 +420,11 @@ def update_bench(report: SweepReport, bench_path: Optional[Path] = None) -> Path
     # the scale-blind latest-value table older ledgers carry; nothing reads it
     data.pop("runtimes", None)
     sha = git_sha()
-    # Hybrid timings live under "<exp>@hybrid" so a packet trend is never
-    # mixed with a hybrid one.
-    suffix = "" if report.fidelity == "packet" else f"@{report.fidelity}"
     for exp_id in report.executed:
         # cache hits are skipped: they carry no fresh measurement
         append_history(
             data,
-            exp_id + suffix,
+            history_key(exp_id, report.fidelity),
             report.exp_seconds[exp_id],
             scale=report.scale,
             source="sweep",

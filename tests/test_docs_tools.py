@@ -17,7 +17,7 @@ class TestClidoc:
     def test_reference_covers_once_missing_flags(self):
         # the flags whose omission motivated generating the reference
         ref = clidoc.generate_reference()
-        assert "--progress-file" in ref
+        assert "--trace-dir" in ref
         assert "--sanitize" in ref
         assert "--fidelity" in ref
 
@@ -25,7 +25,7 @@ class TestClidoc:
         flags = clidoc.known_flags()
         assert "sweep" in flags
         assert "--fidelity" in flags["sweep"]
-        assert "--progress-file" in flags["sweep"]
+        assert "--trace-dir" in flags["sweep"]
         assert "--sanitize" in flags["lint"]
         # nested leaves appear under their full path, not the group name
         assert "trace query" in flags

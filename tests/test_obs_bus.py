@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.obs.bus import CC_SAMPLE, LINK_DROP, EventBus
-from repro.obs.export import TraceSummary, read_events, trace_session
+from repro.obs.export import read_events, trace_session
 from repro.obs.store import RtrcWriter
 from tests._collect import Collector, Seen
 
@@ -217,18 +217,4 @@ class TestJsonlExport:
             bus.emit(CC_SAMPLE, 0.0, "s")
             bus.emit(LINK_DROP, 0.1, "l")
         assert [e["kind"] for e in read_events(path)] == [CC_SAMPLE]
-
-
-class TestTraceSummary:
-    def test_counts_and_last_cc(self):
-        s = TraceSummary()
-        s.record(CC_SAMPLE, 0.1, "udt0-snd", {"rate_bps": 1e6, "cwnd": 8.0})
-        s.record(CC_SAMPLE, 0.2, "udt0-snd", {"rate_bps": 2e6, "cwnd": 9.0})
-        s.record(LINK_DROP, 0.15, "1->2", {"reason": "queue"})
-        assert s.total_events == 3
-        assert s.counts[CC_SAMPLE] == 2
-        assert s.last_cc["udt0-snd"]["rate_bps"] == 2e6
-        assert s.t_min == 0.1 and s.t_max == 0.2
-        text = s.to_text()
-        assert "cc.sample" in text and "2.00 Mb/s" in text
 

@@ -17,7 +17,7 @@ from repro.obs.figures import (
     report,
     resolve_result,
 )
-from repro.obs.svg import render_figure, render_timeline
+from repro.obs.svg import render_figure
 from repro.obs.timeline import TIMELINE_KINDS, TimelineRecorder
 from repro.runner.cache import ResultCache, write_json_atomic
 from tests._cache import seed_cache
@@ -50,18 +50,6 @@ def _series_groups(svg_text):
             out[g.get("data-label")] = (
                 json.loads(g.get("data-x")),
                 json.loads(g.get("data-y")),
-            )
-    return out
-
-
-def _mark_groups(svg_text):
-    """{(kind, conn): times} for annotation tick groups."""
-    root = ET.fromstring(svg_text)
-    out = {}
-    for g in root.iter(_SVG + "g"):
-        if g.get("class") == "marks":
-            out[(g.get("data-kind"), g.get("data-conn"))] = json.loads(
-                g.get("data-x")
             )
     return out
 
@@ -162,25 +150,6 @@ class TestFig04TraceEquivalence:
         assert rebuilt.marks == live.marks
         # two congested flows over a shared bottleneck must lose packets
         assert any(live.loss_times(c) for c in live.connections())
-
-    def test_timeline_svg_matches_recorder(self, traced_fig04):
-        _live, path = traced_fig04
-        rec = TimelineRecorder.from_trace(path)
-        svg = render_timeline(rec, max_points=10**9)  # stride 1: exact data
-        assert svg is not None
-        groups = _series_groups(svg)
-        assert groups
-        for conn, (ts, ys) in groups.items():
-            samples = rec.series(conn)
-            assert ts == [s.t for s in samples]
-            assert ys == [s.rate_bps / 1e6 for s in samples]
-        marks = _mark_groups(svg)
-        for (kind, conn), times in marks.items():
-            want = rec.loss_times(conn) if kind == "loss" else rec.exp_times(conn)
-            assert times == want
-
-    def test_timeline_empty_recorder_is_none(self):
-        assert render_timeline(TimelineRecorder()) is None
 
 
 def _metric(exp_id, name):

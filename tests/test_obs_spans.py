@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.obs.export import TruncatedTraceWarning, read_events, trace_session
 from repro.obs.report import render_report, report_dict
 from repro.obs.spans import SpanBuilder, build_spans
@@ -185,9 +186,10 @@ class TestTruncatedTraces:
 
     def test_clean_file_emits_no_warning(self, tmp_path, recwarn):
         path = self._write(tmp_path, [_ev("x", 0.0, "s")])
-        stats = {}
-        assert len(list(read_events(path, stats=stats))) == 1
-        assert stats["truncated"] is False
+        with RtrcReader(path) as reader:
+            assert len(list(reader.iter_events())) == 1
+            assert reader.truncated is False
+        assert len(list(read_events(path))) == 1
         assert not [w for w in recwarn.list if w.category is TruncatedTraceWarning]
 
     def test_build_spans_survives_truncation(self, tmp_path):
@@ -273,3 +275,29 @@ class TestRoundTrip:
         text = render_report(build_spans(path))
         assert "connection udt-rt" in text
         assert "drops by link and cause" in text
+
+
+class TestReportCli:
+    def _summary_trace(self, tmp_path):
+        """A real summary-only (no packet detail) trace of a tiny run."""
+        from repro.obs.export import trace_session
+        from repro.sim.topology import path_topology
+        from repro.udt import start_udt_flow
+
+        path = str(tmp_path / "summary.rtrc")
+        with trace_session(path, generator="test", experiments=["fig04"]):
+            top = path_topology(50e6, 0.02)
+            start_udt_flow(top.net, top.src, top.dst)
+            top.net.run(until=1.0)
+        return path
+
+    def test_summary_only_trace_hints_and_exits_zero(self, tmp_path, capsys):
+        trace = self._summary_trace(tmp_path)
+        assert cli_main(["report", trace]) == 0
+        out = capsys.readouterr().out
+        assert "--trace-packets" in out
+        assert "packet-lifecycle report" not in out
+
+    def test_report_without_trace_errors(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["report"])

@@ -263,15 +263,15 @@ class TestIndexQueries:
         assert not stats["truncated"]
 
     def test_read_events_stats_carry_block_counters(self, indexed):
-        stats = {}
         with RtrcReader(indexed) as reader:
             counts = reader.kind_counts()
-        kind = min(counts, key=counts.get)
-        n = sum(1 for _ in read_events(str(indexed), kinds=[kind], stats=stats))
+            kind = min(counts, key=counts.get)
+            n = sum(1 for _ in reader.iter_events(kinds=[kind]))
+            stats = reader.scan_counters()
+            assert reader.truncated is False
         assert n == counts[kind]
         assert stats["blocks_read"] >= 1
         assert stats["blocks_skipped"] > 0
-        assert stats["truncated"] is False
 
 
 class TestReaderParity:
@@ -306,9 +306,9 @@ class TestReaderParity:
         with RtrcReader(traced_run.rtrc) as index:
             stats = index.stats()
             assert index.events_total == len(events) and not index.truncated
-        assert set(stats) == {"path", "format", "events", "blocks", "t0", "t1",
+        assert set(stats) == {"path", "events", "blocks", "t0", "t1",
                               "kinds", "srcs", "truncated"}
-        assert stats["format"] == "rtrc" and stats["path"] == str(traced_run.rtrc)
+        assert stats["path"] == str(traced_run.rtrc)
         assert stats["events"] == len(events)
         assert stats["blocks"] == -(-len(events) // DEFAULT_BLOCK_EVENTS)
         assert (stats["t0"], stats["t1"]) == (min(r["t"] for r in events),
@@ -461,6 +461,19 @@ class TestTruncation:
             list(read_events(p, strict=True))
         with pytest.warns(TruncatedTraceWarning):
             assert list(read_events(p)) == []
+
+    def test_a_side_time_without_a_time_is_damage(self, tmp_path):
+        """``[row, t]`` is the one shape of a ``"t"`` side-list entry; no
+        writer makes a ``[row]``, so a block holding one is damaged."""
+        p = _tiny_rtrc(tmp_path / "t.rtrc", n=10, block_events=10)
+        _rewrite_block_head(p, lambda head: head.__setitem__("t", [[3, 7]]))
+        assert list(read_events(p, strict=True))[3]["t"] == 7
+        _rewrite_block_head(p, lambda head: head.__setitem__("t", [[3]]))
+        with pytest.raises(RtrcFormatError, match="damaged block"):
+            list(read_events(p, strict=True))
+        with RtrcReader(p) as reader:
+            assert list(reader.iter_events()) == []
+            assert reader.truncated
 
 
 # -- container layout -------------------------------------------------------
@@ -720,7 +733,6 @@ class TestTraceCli:
     def test_info_json(self, indexed, capsys):
         assert self._main("trace", "info", str(indexed), "--json") == 0
         stats = json.loads(capsys.readouterr().out)
-        assert stats["format"] == "rtrc"
         assert stats["events"] > 10_000
         assert stats["meta"]["kind"] == "trace.meta"
 

@@ -17,10 +17,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs.store import RtrcReader
 from repro.runner.cache import ResultCache
 from repro.runner.digest import SRC_ROOT, experiment_digest, import_closure
 from repro.runner.sweep import (
     SweepReport,
+    append_history,
     check_regressions,
     run_sweep,
     select_experiments,
@@ -33,7 +35,8 @@ SCALE = 0.05
 PRESENTATION = [
     f"repro/obs/{name}.py"
     for name in (
-        "claims", "figspec", "figures", "report", "spans", "timeline", "prof"
+        "claims", "figspec", "figures", "report", "spans", "timeline", "prof",
+        "explain",
     )
 ]
 
@@ -124,6 +127,27 @@ class TestDigest:
         monkeypatch.setattr(digest_mod, "file_sha256", tweaked)
         changed, _ = experiment_digest("fig02", SCALE)
         assert changed != base
+
+    def test_a_miss_names_exactly_the_changed_file(self, monkeypatch):
+        """The ``files`` map a sweep stores beside an entry is what a later
+        miss is explained by: one reversed hash, one file named."""
+        import repro.runner.digest as digest_mod
+        from repro.obs.explain import miss_cause
+
+        _, files = experiment_digest("fig02", SCALE)
+        entry = {"exp_id": "fig02", "scale": SCALE, "files": files}
+        target = sorted(files)[len(files) // 2]
+        real = digest_mod.file_sha256
+
+        def tweaked(path):
+            h = real(path)
+            if path.relative_to(SRC_ROOT).as_posix() == target:
+                return h[::-1]
+            return h
+
+        monkeypatch.setattr(digest_mod, "file_sha256", tweaked)
+        _, now = experiment_digest("fig02", SCALE)
+        assert miss_cause(entry, now, {}) == f"changed {target}"
 
     def test_no_key_covers_a_presentation_module(self, monkeypatch):
         """Editing a claim band or a figure tolerance re-keys nothing."""
@@ -306,6 +330,21 @@ class TestCache:
         assert cache.load(self.DIGEST) is None
         assert cache.corrupt_dropped == 1
 
+    def test_newest_entry_of_the_same_run_whatever_its_digest(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        for i, (scale, fidelity) in enumerate(
+            [(SCALE, "packet"), (SCALE, "packet"), (0.3, "packet"), (SCALE, "hybrid")]
+        ):
+            path = cache.store(f"{i:064x}", {
+                "exp_id": "fig02", "scale": scale, "fidelity": fidelity,
+                "result": {}, "n": i,
+            })
+            os.utime(path, ns=(10**18 + i, 10**18 + i))
+        assert cache.newest("fig02", SCALE, "packet")["n"] == 1
+        assert cache.newest("fig02", SCALE, "hybrid")["n"] == 3
+        assert cache.newest("fig02", 0.1, "packet") is None
+        assert cache.newest("fig08", SCALE, "packet") is None
+
     def test_rejects_non_digest_keys(self, tmp_path):
         cache = ResultCache(tmp_path)
         with pytest.raises(ValueError):
@@ -332,7 +371,9 @@ class TestSelect:
 class TestSweepEndToEnd:
     """Subprocess sweeps: cache behaviour and jobs-independence."""
 
-    ONLY = ["table1", "fig09"]
+    #: table1 builds no simulator; the ablation is the cheapest cell that
+    #: does, so its traces hold events to compare.
+    ONLY = ["table1", "ablation-control-channel"]
 
     def test_cold_then_warm_then_jobs_independent(self, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -362,6 +403,9 @@ class TestSweepEndToEnd:
             a = (traces1 / f"{exp_id}.rtrc").read_bytes()
             b = (traces4 / f"{exp_id}.rtrc").read_bytes()
             assert a == b, f"{exp_id}: trace differs between jobs=1 and jobs=4"
+        for traces in (traces1, traces4):
+            with RtrcReader(traces / f"{self.ONLY[1]}.rtrc") as reader:
+                assert reader.events_total > 0
 
         # Cached results equal fresh results, modulo timing metadata.
         cache = ResultCache(cache_dir)
@@ -370,6 +414,9 @@ class TestSweepEndToEnd:
             assert entry is not None
             assert entry["exp_id"] == exp_id
             assert entry["result"]["rows"], f"{exp_id}: empty result cached"
+            # what a later miss is explained by (repro.obs.explain)
+            assert entry["fidelity"] == "packet"
+            assert entry["files"] == experiment_digest(exp_id, SCALE)[1]
 
     def test_fig08_rtrc_packet_trace_jobs_independent_and_compact(self, tmp_path):
         """A packet-tier fig08 traced to .rtrc is byte-identical between
@@ -474,3 +521,53 @@ class TestBenchMerge:
         cur.write_text("{}")
         failures, _ = check_regressions(cur, base)
         assert failures
+
+
+class TestBenchHistory:
+    def test_append_history_is_bounded(self):
+        data = {}
+        for i in range(50):
+            append_history(data, "fig08", float(i), source="test", sha="s", limit=40)
+        runs = data["history"]["fig08"]
+        assert len(runs) == 40
+        assert runs[0]["seconds"] == 10.0  # oldest ten dropped
+        assert runs[-1]["seconds"] == 49.0
+        assert {"ts", "sha", "seconds", "source"} <= set(runs[0])
+
+    def test_update_bench_appends_history_and_keeps_latest(self, tmp_path):
+        bench = tmp_path / "bench.json"
+        report = SweepReport(
+            selector="fig08",
+            scale=0.05,
+            jobs=1,
+            experiments=["fig08"],
+            executed=["fig08"],
+            exp_seconds={"fig08": 19.2},
+            digests={"fig08": "ab" * 32},
+        )
+        update_bench(report, bench)
+        report.exp_seconds["fig08"] = 20.1
+        update_bench(report, bench)
+        data = json.loads(bench.read_text())
+        # the gate reads the sweep's own per-experiment seconds
+        assert data["sweeps"]["fig08|scale=0.05|jobs=1"]["per_experiment"] == {
+            "fig08": 20.1
+        }
+        # explain lists the appended history
+        secs = [h["seconds"] for h in data["history"]["fig08"]]
+        assert secs == [19.2, 20.1]
+        assert all(h["scale"] == 0.05 for h in data["history"]["fig08"])
+
+    def test_cached_experiments_record_no_history(self, tmp_path):
+        bench = tmp_path / "bench.json"
+        report = SweepReport(
+            selector="fig08",
+            scale=0.05,
+            jobs=1,
+            experiments=["fig08"],
+            cached=["fig08"],
+            exp_seconds={"fig08": 19.2},
+        )
+        update_bench(report, bench)
+        data = json.loads(bench.read_text())
+        assert "fig08" not in data.get("history", {})

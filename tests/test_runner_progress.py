@@ -2,8 +2,8 @@
 
 The reporter is tested against real engine runs (the live event count
 is read from another thread while ``run()`` is on the stack) and with a
-stub simulator for the rate/ETA arithmetic; the board and ``read_progress`` are pure
-record-folding and test directly.  The end-to-end ``sweep --progress``
+stub simulator for the rate/ETA arithmetic; the board is pure record
+writing and tests directly.  The end-to-end ``sweep --progress``
 path (subprocess pipe included) lives in the slow tier with the other
 subprocess sweeps.
 """
@@ -19,7 +19,6 @@ from repro.runner.progress import (
     ProgressBoard,
     ProgressReporter,
     default_progress_path,
-    read_progress,
 )
 
 SCALE = 0.05
@@ -228,44 +227,6 @@ class TestBoard:
         assert "209k ev/s" in line and "89k events" in line
         assert "eta 1s" in line and "wall 0.4s" in line
 
-    def test_read_progress_folds_the_feed(self, tmp_path):
-        path = tmp_path / "progress.jsonl"
-        self._feed(path)
-        view = read_progress(path)
-        assert view["begin"]["selector"] == "fig02"
-        assert view["end"]["executed"] == 1
-        w = view["workers"]["fig02"]
-        assert w["status"] == "done" and w["seconds"] == 2.5
-        assert w["last"]["vt"] == 2.0
-        assert view["ts"] is not None
-
-    def test_read_progress_failed_and_running(self, tmp_path):
-        path = tmp_path / "p.jsonl"
-        board = ProgressBoard(path=path)
-        board.sweep_begin("all", 0.05, 2, pending=["a", "b"], cached=[])
-        board.worker_start("a")
-        board.worker_start("b")
-        board.worker_failed("a", "boom")
-        view = read_progress(path)
-        assert view["end"] is None  # still live
-        assert view["workers"]["a"]["status"] == "failed"
-        assert view["workers"]["a"]["error"] == "boom"
-        assert view["workers"]["b"]["status"] == "running"
-
-    def test_read_progress_missing_or_empty_is_none(self, tmp_path):
-        assert read_progress(tmp_path / "nope.jsonl") is None
-        empty = tmp_path / "empty.jsonl"
-        empty.write_text("")
-        assert read_progress(empty) is None
-
-    def test_read_progress_tolerates_mid_write_truncation(self, tmp_path):
-        path = tmp_path / "p.jsonl"
-        self._feed(path)
-        with open(path, "a") as f:
-            f.write('{"kind":"sweep.heartb')  # torn final line
-        view = read_progress(path)
-        assert view["workers"]["fig02"]["status"] == "done"
-
     def test_default_progress_path_lives_in_cache_dir(self, tmp_path):
         assert default_progress_path(tmp_path) == tmp_path / "progress.jsonl"
 
@@ -275,17 +236,18 @@ class TestSweepProgressEndToEnd:
     def test_progress_feed_records_worker_lifecycle(self, tmp_path):
         from repro.runner.sweep import run_sweep
 
-        feed = tmp_path / "progress.jsonl"
+        cache = tmp_path / "cache"
         report = run_sweep(
-            only=["fig09"], jobs=1, scale=SCALE,
-            cache_dir=tmp_path / "cache", progress_path=feed,
+            only=["table1"], jobs=1, scale=SCALE, cache_dir=cache, progress=True,
         )
         assert report.ok
-        kinds = [
-            json.loads(l)["kind"] for l in feed.read_text().splitlines()
+        recs = [
+            json.loads(l)
+            for l in default_progress_path(cache).read_text().splitlines()
         ]
+        kinds = [r["kind"] for r in recs]
         assert kinds[0] == "sweep.begin" and kinds[-1] == "sweep.end"
         assert "sweep.worker_start" in kinds
         assert "sweep.worker_done" in kinds
-        view = read_progress(feed)
-        assert view["workers"]["fig09"]["status"] == "done"
+        done = [r for r in recs if r["kind"] == "sweep.worker_done"]
+        assert [r["exp"] for r in done] == ["table1"]
