@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+from functools import partial
 from time import perf_counter
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
@@ -57,7 +58,10 @@ def categorize(fn: Callable) -> str:
     """The layer a scheduled handler is filed under: the module that
     defines it, without ``repro.``, and ``runner`` for every
     ``repro.runner*`` module (``udt.core``, ``sim.link``, ...).  This is
-    how ``benchmarks/perf``'s tracer files its spans."""
+    how ``benchmarks/perf``'s tracer files its spans.  A ``partial`` (a
+    host's port slot) is filed under what it calls."""
+    while isinstance(fn, partial):
+        fn = fn.func
     mod = getattr(fn, "__module__", None) or "?"
     if mod.startswith("repro.runner"):
         return "runner"

@@ -125,12 +125,9 @@ def dump_record(rec: Dict[str, Any]) -> str:
     return _dumps(rec, separators=(",", ":"), default=str)
 
 
-def _index_time(t: Any = None) -> Any:
-    """What a block's ``t0``/``t1`` count a record's time as.
-
-    A number counts as itself; anything else, a missing ``t`` included,
-    as 0.0 — the value the reader's time filter gives a record without one.
-    """
+def _index_time(t: Any) -> Any:
+    """What a block's ``t0``/``t1`` count a record's time as: a number
+    as itself, anything else as 0.0."""
     return t if isinstance(t, (int, float)) else 0.0
 
 
@@ -295,8 +292,8 @@ class RtrcWriter:
             head["t"] = self._odd_times
             # ``times`` only feeds the index from here on: what the index
             # counts such a row's time as replaces the column's placeholder.
-            for i, *value in self._odd_times:
-                times[i] = _index_time(*value)
+            for i, t in self._odd_times:
+                times[i] = _index_time(t)
         head_json = _dumps(head, separators=(",", ":"), default=str).encode("utf-8")
         # Block stats are derived here, once per block, rather than
         # maintained per event — the append path stays lean.  The writer
@@ -484,7 +481,7 @@ class RtrcReader:
                     meta = json.loads(payload)
                 elif tag == _TAG_BLOCK:
                     recs = _decode_block(payload)
-                    ts = [_index_time(r.get("t")) for r in recs]
+                    ts = [_index_time(r["t"]) for r in recs]
                     kc: Counter = Counter(r["kind"] for r in recs)
                     blocks.append(
                         {
@@ -610,7 +607,7 @@ class RtrcReader:
                     continue
                 if srcset is not None and rec["src"] not in srcset:
                     continue
-                t = rec.get("t", 0.0)  # as the index counts a missing t
+                t = rec["t"]
                 if t0 is not None and t < t0:
                     continue
                 if t1 is not None and t > t1:

@@ -147,9 +147,6 @@ class Simulator:
             raise ValueError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
         self.now: float = 0.0
         self.tie_break = tie_break
-        # FIFO pushes (time, +seq, ev); LIFO negates the tie counter so
-        # equal-time events pop in reverse scheduling order.
-        self._tie_sign = 1 if tie_break == "fifo" else -1
         # Heap entries come in three shapes, distinguished by length:
         #   (time, seq, Event)             — cancellable, schedule()/schedule_at()
         #   (time, seq, fn, args)          — fire-and-forget, post()/post_at()
@@ -161,7 +158,9 @@ class Simulator:
         # of its undispatched entries, oldest first; it is non-empty
         # exactly while its head — the same tuple — sits in the heap.
         self._streams: List[deque] = []
-        self._counter = itertools.count()
+        # The tie-break key: FIFO counts up, LIFO counts down so that
+        # equal-time events pop in reverse scheduling order.
+        self._counter = itertools.count(0, 1 if tie_break == "fifo" else -1)
         self._running = False
         self.rng = random.Random(seed)
         #: Wire-packet uids: whoever puts a packet on the wire draws one.
@@ -178,7 +177,7 @@ class Simulator:
         time = self.now + delay
         seq = next(self._counter)
         ev = Event(time, seq, fn, args)
-        heapq.heappush(self._heap, (time, self._tie_sign * seq, ev))
+        heapq.heappush(self._heap, (time, seq, ev))
         return ev
 
     def schedule_at(self, time: float, fn: Callable, *args: Any) -> Event:
@@ -187,7 +186,7 @@ class Simulator:
             raise ValueError(f"cannot schedule into the past: {time} < {self.now}")
         seq = next(self._counter)
         ev = Event(time, seq, fn, args)
-        heapq.heappush(self._heap, (time, self._tie_sign * seq, ev))
+        heapq.heappush(self._heap, (time, seq, ev))
         return ev
 
     def post(self, delay: float, fn: Callable, *args: Any) -> None:
@@ -201,16 +200,14 @@ class Simulator:
         """
         heapq.heappush(
             self._heap,
-            (self.now + delay, self._tie_sign * next(self._counter), fn, args),
+            (self.now + delay, next(self._counter), fn, args),
         )
 
     def post_at(self, time: float, fn: Callable, *args: Any) -> None:
         """Fire-and-forget :meth:`schedule_at` (see :meth:`post`)."""
         if time < self.now:
             raise ValueError(f"cannot schedule into the past: {time} < {self.now}")
-        heapq.heappush(
-            self._heap, (time, self._tie_sign * next(self._counter), fn, args)
-        )
+        heapq.heappush(self._heap, (time, next(self._counter), fn, args))
 
     def fifo_stream(self) -> deque:
         """A new stream for :meth:`post_fifo`; its owner only passes it back."""
@@ -237,7 +234,7 @@ class Simulator:
         entry fires *before* the one posted ahead of it).
         """
         time = self.now + delay
-        seq = self._tie_sign * next(self._counter)
+        seq = next(self._counter)
         if not stream:
             entry = (time, seq, fn, args, stream)
             stream.append(entry)

@@ -45,13 +45,17 @@ class Link:
         ordering is preserved exactly.
 
     The far end's ``receive`` is bound once, here, and every delivery
-    calls that one bound method: nothing rebinds ``Node.receive`` once
-    links exist.  A link into a router carries that router's next hops
-    (``next_hop``, filled by :meth:`Network.finalize
-    <repro.sim.topology.Network.finalize>`): a packet passing through is
-    handed straight to the next link's ``send`` at its arrival time, and
-    only a packet the table does not name — one addressed to the router,
-    an unroutable one — reaches ``Router.receive``.
+    the link does not resolve itself calls that one bound method: nothing
+    rebinds ``Node.receive`` once links exist.  :meth:`Network.finalize
+    <repro.sim.topology.Network.finalize>` gives a link into a router
+    that router's next hops (``next_hop``): a packet passing through is
+    handed straight to the next link's ``send`` at its arrival time.  It
+    gives a link into a host that host's port slots (``ports``, see
+    :class:`~repro.sim.node.Host`): a datagram for a port ever bound
+    goes straight to the port's slot, which calls what is bound there
+    when it arrives.  Only a packet neither table names — one addressed
+    to a router, an unroutable one, one passing through a host, one for
+    a port never bound — reaches the far end's ``receive``.
     """
 
     def __init__(
@@ -92,8 +96,11 @@ class Link:
         # Packets in flight, in arrival order (Simulator.post_fifo).
         self._pipe = sim.fifo_stream()
         self._arrive = dst.receive
+        self._far = dst.id
         #: Destination node id -> the next link's ``send`` (see above).
         self.next_hop: Dict[int, Callable[[Packet], bool]] = {}
+        #: The far host's port -> delivery slot (see above).
+        self.ports: Dict[int, Callable[[Packet], None]] = {}
         # stats
         self.bytes_sent = 0
         self.pkts_sent = 0
@@ -137,11 +144,18 @@ class Link:
     # ever not be strictly later than the one before it (``delay`` lowered
     # mid-run), the engine posts it the ordinary way.
     def send(self, pkt: Packet) -> bool:
-        """Hand a packet to this link's egress; False if the queue drops it."""
+        """Hand a packet to this link's egress; False if the queue drops it.
+
+        Admission is :meth:`DropTailQueue.push
+        <repro.sim.queues.DropTailQueue.push>`'s rule and bookkeeping,
+        written out on the queue's fields: the queue's early-drop test
+        (RED's), then its capacity bounds.
+        """
         sim = self.sim
+        queue = self.queue
         # ``queue.bytes`` is zero exactly when the queue is empty (packet
         # sizes are positive) and, unlike its truth value, a plain load.
-        if sim.now >= self._busy_until and not self.queue.bytes:
+        if sim.now >= self._busy_until and not queue.bytes:
             # Idle wire: serialisation starts immediately.
             if self.bus.detail:
                 self.bus.emit(
@@ -155,46 +169,65 @@ class Link:
                 )
             self._transmit(pkt)
             return True
-        ok = self.queue.push(pkt)
         bus = self.bus
-        if bus.enabled:
-            if not ok:
+        packets = queue.packets
+        qlen = len(packets)
+        size = pkt.size
+        early_drop = queue.early_drop
+        if (
+            (early_drop is not None and early_drop(qlen))
+            or qlen >= queue.capacity_pkts
+            or (
+                queue.capacity_bytes is not None
+                and queue.bytes + size > queue.capacity_bytes
+            )
+        ):
+            queue.drops += 1
+            if bus.enabled:
                 bus.emit(
                     OB.LINK_DROP,
                     sim.now,
                     self.name,
                     reason="queue",
-                    size=pkt.size,
+                    size=size,
                     flow=pkt.flow,
-                    qlen=len(self.queue),
+                    qlen=qlen,
                     uid=pkt.uid,
                     seq=getattr(pkt.payload, "seq", None),
                 )
-            else:
-                qlen = len(self.queue)
-                if qlen > self._q_highwater:
-                    self._q_highwater = qlen
-                    bus.emit(
-                        OB.QUEUE_HIGHWATER,
-                        sim.now,
-                        self.name,
-                        pkts=qlen,
-                        bytes=self.queue.bytes,
-                    )
-                if bus.detail:
-                    bus.emit(
-                        OB.LINK_ENQ,
-                        sim.now,
-                        self.name,
-                        uid=pkt.uid,
-                        flow=pkt.flow,
-                        seq=getattr(pkt.payload, "seq", None),
-                        qlen=qlen,
-                    )
-        if ok and not self._drain_pending:
+            return False
+        packets.append(pkt)
+        queue.bytes += size
+        queue.enqueued += 1
+        qlen += 1
+        if qlen > queue.peak_pkts:
+            queue.peak_pkts = qlen
+        if queue.bytes > queue.peak_bytes:
+            queue.peak_bytes = queue.bytes
+        if bus.enabled:
+            if qlen > self._q_highwater:
+                self._q_highwater = qlen
+                bus.emit(
+                    OB.QUEUE_HIGHWATER,
+                    sim.now,
+                    self.name,
+                    pkts=qlen,
+                    bytes=queue.bytes,
+                )
+            if bus.detail:
+                bus.emit(
+                    OB.LINK_ENQ,
+                    sim.now,
+                    self.name,
+                    uid=pkt.uid,
+                    flow=pkt.flow,
+                    seq=getattr(pkt.payload, "seq", None),
+                    qlen=qlen,
+                )
+        if not self._drain_pending:
             self._drain_pending = True
             sim.post_at(self._busy_until, self._drain)
-        return ok
+        return True
 
     def _transmit(self, pkt: Packet) -> None:
         """Start serialising ``pkt`` now (the caller guarantees an idle wire).
@@ -248,21 +281,29 @@ class Link:
                 )
         else:
             pkt.hops += 1
-            sim.post_fifo(
-                self._pipe,
-                tx + self.delay,
-                self.next_hop.get(pkt.dst[0], self._arrive),
-                pkt,
-            )
+            dst = pkt.dst
+            hop = self.next_hop.get(dst[0])
+            if hop is None:
+                hop = (
+                    self.ports.get(dst[1], self._arrive)
+                    if dst[0] == self._far
+                    else self._arrive
+                )
+            sim.post_fifo(self._pipe, tx + self.delay, hop, pkt)
 
     def _drain(self) -> None:
-        """Serialise the next queued packet (fires at ``_busy_until``)."""
+        """Serialise the next queued packet (fires at ``_busy_until``);
+        :meth:`DropTailQueue.pop <repro.sim.queues.DropTailQueue.pop>`
+        written out, as :meth:`send` writes out ``push``."""
         self._drain_pending = False
-        pkt = self.queue.pop()
-        if pkt is None:
+        queue = self.queue
+        packets = queue.packets
+        if not packets:
             return
+        pkt = packets.popleft()
+        queue.bytes -= pkt.size
         self._transmit(pkt)
-        if self.queue.bytes:
+        if queue.bytes:
             self._drain_pending = True
             self.sim.post_at(self._busy_until, self._drain)
 

@@ -31,8 +31,13 @@ class FlowMonitor:
         self.total_bytes: Dict[object, int] = defaultdict(int)
         self.first_seen: Dict[object, float] = {}
 
-    def on_deliver(self, flow: object, nbytes: int) -> None:
-        """Record ``nbytes`` of goodput for ``flow`` at the current time."""
+    def on_deliver(self, flow: object, nbytes: int, data: object = None) -> None:
+        """Record ``nbytes`` of goodput for ``flow`` at the current time.
+
+        Takes a transport's delivery callback as it is made: TCP's sink
+        passes ``(size)``, UDT's receive buffer ``(size, data)``; goodput
+        counts bytes, so ``data`` is not read.
+        """
         t = self.sim.now
         bins = self._bins.get(flow)
         if bins is None:  # first record of this flow (credit_span is the other)

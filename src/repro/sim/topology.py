@@ -163,7 +163,9 @@ class Network:
 
         Routes are static from here to the next ``finalize()``.  Every
         link into a router gets that router's routes as its next-hop
-        table, so forwarding costs no ``Router.receive`` call; calling
+        table, so forwarding costs no ``Router.receive`` call, and every
+        link into a host that host's port slots, so a datagram for a
+        bound port costs no ``Host.receive`` call; calling
         ``finalize()`` again (after ``add_link``) rebuilds both.
         """
         compute_routes(self.nodes, self.links)
@@ -174,6 +176,7 @@ class Network:
                 if isinstance(far, Router)
                 else {}
             )
+            link.ports = far.ports if isinstance(far, Host) else {}
         return self
 
     def run(self, until: float) -> None:

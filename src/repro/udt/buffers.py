@@ -45,14 +45,16 @@ class SendBuffer:
         #: live mode only: views of the application's bytes, consumed
         #: from the front, so packetising never copies what is left
         self._pending_data: deque[memoryview] = deque()
-        #: unacknowledged packets, oldest first; ACKs release a prefix
-        self._window: deque[Tuple[int, Optional[bytes]]] = deque()
+        #: unacknowledged packets, oldest first; ACKs release a prefix.
+        #: Read-only outside this class: its length is the sender's
+        #: unacknowledged count, ``seq_off(snd_last_ack, curr_seq)``.
+        self.unacked: deque[Tuple[int, Optional[bytes]]] = deque()
         self._first = 0  # sequence number of the window's head
         self._full = (payload_size, None)
 
     # -- application side --------------------------------------------------
     def free_packets(self) -> int:
-        used = len(self._window) + self.queued_packets()
+        used = len(self.unacked) + self.queued_packets()
         return max(self.capacity_pkts - used, 0)
 
     def queued_packets(self) -> int:
@@ -90,7 +92,7 @@ class SendBuffer:
         """
         pending = self._pending_bytes
         if pending <= 0:
-            room = (self.capacity_pkts - len(self._window)) * self.payload_size
+            room = (self.capacity_pkts - len(self.unacked)) * self.payload_size
             pending = min(refill, room)
             if pending <= 0:
                 return None
@@ -117,7 +119,7 @@ class SendBuffer:
             entry = self._full
         else:
             entry = (size, None)
-        window = self._window
+        window = self.unacked
         if not window:
             self._first = seq
         window.append(entry)
@@ -126,13 +128,13 @@ class SendBuffer:
     def lookup(self, seq: int) -> Optional[Tuple[int, Optional[bytes]]]:
         """Payload (size, data) for a retransmission, None if not in flight."""
         off = seq_off(self._first, seq)
-        if 0 <= off < len(self._window):
-            return self._window[off]
+        if 0 <= off < len(self.unacked):
+            return self.unacked[off]
         return None
 
     def ack_upto(self, seq: int) -> int:
         """Release every packet strictly before ``seq``; returns count freed."""
-        window = self._window
+        window = self.unacked
         freed = min(max(seq_off(self._first, seq), 0), len(window))
         if freed:
             self._first = seq_inc(self._first, freed)
@@ -143,7 +145,7 @@ class SendBuffer:
 
     @property
     def inflight_packets(self) -> int:
-        return len(self._window)
+        return len(self.unacked)
 
 
 class ReceiveBuffer:

@@ -401,16 +401,24 @@ class UdtCore:
     def _schedule_send(self, t: float) -> None:
         if self._post_at is not None:
             self._send_scheduled = True
-            self._post_at(t, self._on_send_timer)
+            self._post_at(t, self._on_send_timer, t)
         else:
             self._send_event = self.sched.call_at(t, self._on_send_timer)
 
-    def _on_send_timer(self) -> None:
+    def _on_send_timer(self, now: Optional[float] = None) -> None:
+        """The pacing tick: one data packet, then the next tick.
+
+        Posted through ``post_at`` (the simulator), the tick is handed
+        its own fire time, which is the clock when it runs; a binding
+        that offers only ``call_at`` calls it bare and the clock is read.
+        Re-arming is :meth:`_schedule_send` written out, once per packet.
+        """
         self._send_event = None
         self._send_scheduled = False
         if not self.connected or self.closed:
             return
-        now = self.sched.now()
+        if now is None:
+            now = self.sched.now()
         if now < self._freeze_until:
             self._schedule_send(self._freeze_until)
             return
@@ -420,12 +428,14 @@ class UdtCore:
             # gaps must not count as send intervals (§4.4).
             self._last_emit_time = None
             return  # idle; a future ACK/app-write/NAK will reschedule
-        if self._pair_pending:
-            # Second packet of a probe pair leaves back-to-back (§3.4).
-            delay = 0.0
+        # The second packet of a probe pair leaves back-to-back (§3.4).
+        t = now if self._pair_pending else now + self.cc.period
+        post_at = self._post_at
+        if post_at is not None:
+            self._send_scheduled = True
+            post_at(t, self._on_send_timer, t)
         else:
-            delay = self.cc.period
-        self._schedule_send(now + delay)
+            self._send_event = self.sched.call_at(t, self._on_send_timer)
 
     def _try_send_one(self, now: float) -> bool:
         """Transmit one data packet: loss list first, then new data.
@@ -442,11 +452,10 @@ class UdtCore:
         snd_buffer = self.snd_buffer
         last_ack = self.snd_last_ack
         window = min(self.flow_window, self.cc.window)
-        # 1. retransmission
-        while True:
+        # 1. retransmission (the count is a plain load: the list is almost
+        # always empty)
+        while snd_loss.ranges.count:
             seq = snd_loss.peek()
-            if seq is None:
-                break
             if seq_cmp(seq, last_ack) < 0:
                 snd_loss.pop()
                 continue  # already acknowledged meanwhile
@@ -463,9 +472,11 @@ class UdtCore:
         # 2. new data, if the window allows
         if self._fluid_hold:
             return False  # hybrid tier is draining the pipe
-        seq = self.curr_seq
-        if seq_off(last_ack, seq) >= window:
+        # Unacknowledged packets are the send buffer's window, so its
+        # length is seq_off(last_ack, curr_seq) without the arithmetic.
+        if len(snd_buffer.unacked) >= window:
             return False
+        seq = self.curr_seq
         entry = snd_buffer.next_packet(
             seq, self._payload_size if self._unlimited_source else 0
         )
@@ -661,9 +672,14 @@ class UdtCore:
         rcv_buffer = self.rcv_buffer
         # Receive-buffer overflow mirrors the OS dropping datagrams before
         # the protocol sees them: it looks like network loss and the normal
-        # NAK/EXP machinery recovers it.
+        # NAK/EXP machinery recovers it.  The expected packet fits whenever
+        # the buffer has room, so only another one asks the buffer's window
+        # (identity, not ordering, of two in-range seqs is wrap-safe).
         ne = rcv_buffer.next_expected
-        if ne is not None and not rcv_buffer.accepts(seq):
+        if ne is not None and (
+            seq != ne  # lint: disable=seqno-taint
+            or rcv_buffer.unread_packets >= rcv_buffer.capacity_pkts
+        ) and not rcv_buffer.accepts(seq):
             self.stats.buffer_drops += 1
             if self.bus.enabled:
                 self.bus.emit(OB.RCV_BUFFER_DROP, now, self.name, seq=seq, size=size)

@@ -68,14 +68,17 @@ class SenderLossList:
     """
 
     def __init__(self) -> None:
-        self._rl = RangeList()
+        #: The lost sequence numbers, at absolute positions.  Read-only
+        #: outside this class: its ``count`` (an attribute) is how many
+        #: wait for retransmission, the send tick's test before ``peek``.
+        self.ranges = RangeList()
         self._uw = _Unwrapper()
 
     def __len__(self) -> int:
-        return len(self._rl)
+        return len(self.ranges)
 
     def events(self) -> int:
-        return self._rl.events()
+        return self.ranges.events()
 
     def insert(self, seq1: int, seq2: Optional[int] = None) -> int:
         if seq2 is None:
@@ -84,24 +87,23 @@ class SenderLossList:
         b = a + seq_off(seq1, seq2)
         if b < a:
             raise ValueError(f"inverted loss range {seq1}..{seq2}")
-        return self._rl.insert(a, b)
+        return self.ranges.insert(a, b)
 
     def remove_upto(self, seq: int) -> int:
         """Drop everything at or before ``seq`` (covered by a new ACK)."""
-        return self._rl.remove_upto(self._uw.to_abs(seq))
+        return self.ranges.remove_upto(self._uw.to_abs(seq))
 
     def pop(self) -> Optional[int]:
         """Lowest lost sequence number, removed — next retransmission."""
-        a = self._rl.pop_first()
+        a = self.ranges.pop_first()
         return None if a is None else _Unwrapper.to_seq(a)
 
     def peek(self) -> Optional[int]:
-        # Asked once per send tick and almost always of an empty list.
-        starts = self._rl.starts
+        starts = self.ranges.starts
         return _Unwrapper.to_seq(starts[0]) if starts else None
 
     def contains(self, seq: int) -> bool:
-        return self._rl.contains(self._uw.to_abs(seq))
+        return self.ranges.contains(self._uw.to_abs(seq))
 
 
 class ReceiverLossList:

@@ -202,11 +202,18 @@ class UdtFlow:
             meter=meter_snd,
             bus=self.bus,
         )
+        # An unlimited flow books its deliveries with the monitor itself;
+        # _on_deliver steps in between for a finite flow (completion) and
+        # once a tap is registered.
         self.receiver = UdtCore(
             self.config,
             sched,
             self._dst_ep.send,
-            deliver=self._on_deliver,
+            deliver=(
+                partial(net.monitor.on_deliver, flow_id)
+                if nbytes is None
+                else self._on_deliver
+            ),
             name=f"{flow_id}-rcv",
             meter=meter_rcv,
             bus=self.bus,
@@ -267,6 +274,7 @@ class UdtFlow:
     def add_delivery_tap(self, cb: Callable[[int], None]) -> None:
         """Call ``cb(size)`` after each in-order delivery's own bookkeeping."""
         self._taps.append(cb)
+        self.receiver.rcv_buffer._deliver = self._on_deliver
 
     # -- experiment helpers ------------------------------------------------
     def throughput_bps(self, t0: float = 0.0, t1: Optional[float] = None) -> float:

@@ -1,5 +1,7 @@
 """Unit tests for queues, links, nodes and routing."""
 
+import random
+
 import pytest
 
 from repro.sim.engine import Simulator
@@ -327,6 +329,185 @@ class TestNodesRouting:
         net.add_link(r_slow, b, 1e9, 0.5)
         net.finalize()
         assert a.routes[b.id].dst is r_fast
+
+
+def _queue_state(q):
+    return (
+        q.drops, q.bytes, len(q), q.peak_pkts, q.peak_bytes, q.enqueued,
+        list(q.packets), getattr(q, "avg", None),
+    )
+
+
+@pytest.mark.parametrize(
+    "make_queue",
+    [
+        lambda: DropTailQueue(5),
+        lambda: DropTailQueue(100, capacity_bytes=4000),
+        lambda: REDQueue(30, min_th=2, max_th=6, weight=0.5, rng=random.Random(3)),
+    ],
+    ids=["droptail", "byte-cap", "red"],
+)
+def test_a_link_admits_and_drains_by_its_queues_own_push_and_pop(make_queue):
+    """``Link.send``/``_drain`` apply the queue's rule to its fields; the
+    queue state, every verdict and the drain order are ``push``/``pop``'s."""
+    sim = Simulator()
+    a, b = Host(sim, 0), _Sink(sim, 1)
+    link = Link(sim, a, b, 8e6, 0.01, queue=make_queue())
+    ref = make_queue()
+    pkts = [mkpkt(size) for size in [1000, 1500, 40, 1500, 700] * 8]
+    assert link.send(pkts[0])  # the idle wire takes the first one
+    verdicts = [(link.send(p), ref.push(p)) for p in pkts[1:]]
+    assert all(mine == theirs for mine, theirs in verdicts)
+    assert any(not ok for ok, _ in verdicts) and any(ok for ok, _ in verdicts)
+    assert _queue_state(link.queue) == _queue_state(ref)
+    sim.run()
+    assert [p for _, p in b.got] == [pkts[0]] + [ref.pop() for _ in range(len(ref))]
+    assert link.queue.bytes == 0 and not link.queue
+
+
+def _via_receive(net):
+    """Empty every link's port table: each datagram then reaches its host's
+    ``receive`` at arrival, the path that resolved ports before links did."""
+    for link in net.links.values():
+        link.ports = {}
+
+
+class TestHostDelivery:
+    """A finalized link into a host hands a datagram for a bound port to the
+    port's slot; every outcome is the one ``Host.receive`` would give at
+    arrival, checked against that path (:func:`_via_receive`) too."""
+
+    def _net(self, sink_cls=Host):
+        # a -> r -> b, 1 ms serialisation and 10 ms delay per hop: a
+        # datagram sent at 0 is on the r -> b link from 0.012 to 0.023 s.
+        net = Network(default_jitter=0.0)
+        a = net.add_host("a")
+        r = net.add_router("r")
+        b = sink_cls(net.sim, 2)
+        net.nodes[b.id] = b
+        net.add_link(a, r, 8e6, 0.01)
+        net.add_link(r, b, 8e6, 0.01)
+        net.finalize()
+        return net, a, b
+
+    def _run(self, via_receive, sink_cls, script):
+        """Send one datagram a -> b:7 at 0, call ``script(b, got)`` at
+        0.015 s (in flight on r -> b); what each party received, when."""
+        net, a, b = self._net(sink_cls)
+        if via_receive:
+            _via_receive(net)
+        got = {"first": [], "second": []}
+        b.bind(7, lambda p: got["first"].append(net.sim.now))
+        net.sim.schedule_at(0.015, script, b, got)
+        a.send(Packet(1000, (a.id, 1), (b.id, 7)))
+        net.run(until=1.0)
+        sink = [t for t, _ in b.got] if sink_cls is _Sink else None
+        return got, sink
+
+    def _both(self, sink_cls, script):
+        mine = self._run(False, sink_cls, script)
+        assert mine == self._run(True, sink_cls, script)
+        return mine
+
+    def test_a_bound_port_gets_its_datagram_at_arrival(self):
+        got, _ = self._both(Host, lambda b, got: None)
+        assert got["first"] == [pytest.approx(0.022)]
+
+    def test_a_port_unbound_in_flight_drops_the_datagram(self):
+        got, _ = self._both(Host, lambda b, got: b.unbind(7))
+        assert got == {"first": [], "second": []}
+
+    def test_a_port_unbound_in_flight_reaches_a_subclass_deliver(self):
+        got, sink = self._both(_Sink, lambda b, got: b.unbind(7))
+        assert got["first"] == [] and sink == [pytest.approx(0.022)]
+
+    def test_a_port_rebound_in_flight_delivers_to_the_new_handler(self):
+        def rebind(b, got):
+            b.unbind(7)
+            b.bind(7, lambda p: got["second"].append(b.sim.now))
+
+        got, _ = self._both(Host, rebind)
+        assert got == {"first": [], "second": [pytest.approx(0.022)]}
+
+    def test_a_port_bound_after_an_unbind_gets_later_datagrams(self):
+        def unbind_rebind_later(b, got):
+            b.unbind(7)
+            b.sim.schedule(0.1, b.bind, 7, lambda p: got["second"].append(b.sim.now))
+
+        net, a, b = self._net()
+        got = {"first": [], "second": []}
+        b.bind(7, lambda p: got["first"].append(net.sim.now))
+        unbind_rebind_later(b, got)
+        a.send(Packet(1000, (a.id, 1), (b.id, 7)))  # arrives unbound
+        net.sim.schedule_at(0.2, a.send, Packet(1000, (a.id, 1), (b.id, 7)))
+        net.run(until=1.0)
+        assert got == {"first": [], "second": [pytest.approx(0.222)]}
+
+    def test_a_never_bound_port_reaches_a_subclass_deliver(self):
+        net, a, b = self._net(_Sink)
+        pkt = Packet(1000, (a.id, 1), (b.id, 9))
+        a.send(pkt)
+        net.run(until=1.0)
+        assert b.got == [(pytest.approx(0.022), pkt)]
+        assert 9 not in b.ports
+
+    def test_a_packet_passing_through_a_host_is_forwarded(self):
+        # a -> h -> c with hosts only: h forwards, and its own port 7
+        # does not capture a datagram addressed to c's port 7.
+        net = Network(default_jitter=0.0)
+        a, h, c = net.add_host("a"), net.add_host("h"), net.add_host("c")
+        net.add_link(a, h, 8e6, 0.01)
+        net.add_link(h, c, 8e6, 0.01)
+        net.finalize()
+        at_h, at_c = [], []
+        h.bind(7, at_h.append)
+        c.bind(7, at_c.append)
+        pkt = Packet(1000, (a.id, 1), (c.id, 7))
+        a.send(pkt)
+        net.run(until=1.0)
+        assert at_h == [] and at_c == [pkt] and pkt.hops == 2
+
+    def test_a_tcp_agents_port_is_reached_as_through_receive(self):
+        from repro.tcp.agent import start_tcp_flow
+
+        def transfer(via_receive):
+            top = path_topology(10e6, 0.01, seed=3)
+            if via_receive:
+                _via_receive(top.net)
+            flow = start_tcp_flow(top.net, top.src, top.dst, nbytes=200_000)
+            assert top.dst.ports[flow.sink.port.port].func == flow.sink.port._on_packet
+            top.net.run(until=2.0)
+            return (
+                flow.done, flow.finish_time, flow.delivered_bytes,
+                flow.sender.stats.segs_sent, top.net.sim.events_processed,
+            )
+
+        got = transfer(False)
+        assert got[0] and got[2] == 200_000
+        assert got == transfer(True)
+
+    def test_a_wrapped_bind_sees_every_delivery(self, monkeypatch):
+        """A handler wrapped at ``bind`` (as a tracing harness wraps it) is
+        what the slot calls: it sees every datagram the endpoints count."""
+        from functools import partial
+
+        from repro.udt import start_udt_flow
+
+        seen = []
+
+        def counting(handler, pkt):
+            seen.append(pkt)
+            handler(pkt)
+
+        bind = Host.bind
+        monkeypatch.setattr(
+            Host, "bind", lambda host, port, h: bind(host, port, partial(counting, h))
+        )
+        top = path_topology(50e6, 0.01, seed=2)
+        flow = start_udt_flow(top.net, top.src, top.dst)
+        top.net.run(until=0.5)
+        received = flow._src_ep.datagrams_received + flow._dst_ep.datagrams_received
+        assert received > 1000 and len(seen) == received
 
 
 class TestTopologies:

@@ -350,6 +350,25 @@ class TestBufferLimits:
         b.on_datagram(far, far.wire_size)
         assert b.stats.buffer_drops == 1
 
+    def test_in_order_packet_dropped_while_the_application_holds_the_buffer(self):
+        """The expected packet skips the window test, not the room test: with
+        every slot held for an application that has not read, it is a
+        buffer drop, and once the application reads it is accepted."""
+        sched, a, b, pump = make_pair(UdtConfig(rcv_buffer_pkts=4))
+        b.rcv_buffer.hold_for_app = True
+        b.listen()
+        a.connect()
+        pump()
+        pkts = [P.DataPacket(seq=a.init_seq + i, size=100) for i in range(5)]
+        for pkt in pkts:
+            b.on_datagram(pkt, pkt.wire_size)
+        assert (b.stats.data_pkts_received, b.stats.buffer_drops) == (4, 1)
+        assert b.rcv_buffer.delivered_packets == 4
+        assert b.rcv_buffer.app_read(1) == 1
+        b.on_datagram(pkts[4], pkts[4].wire_size)
+        assert (b.stats.data_pkts_received, b.stats.buffer_drops) == (5, 1)
+        assert b.rcv_buffer.delivered_packets == 5
+
     def test_send_returns_accepted_bytes_only(self):
         cfg = UdtConfig(snd_buffer_pkts=4)
         sched, a, b, pump = make_pair(cfg)

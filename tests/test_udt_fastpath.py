@@ -130,7 +130,7 @@ def test_golden_unmoved_by_the_profiler(scenario):
 #: Python-level calls per data packet sent over the measured window: a
 #: ceiling that catches added work, not a target.  A lowered figure lands
 #: only beside a ``udt_clean`` ``wall_s`` row (docs/PERFORMANCE.md).
-FRAMES_PER_PACKET = 36.63
+FRAMES_PER_PACKET = 26.75
 
 
 def test_frame_budget_per_data_packet():
@@ -150,7 +150,17 @@ def test_frame_budget_per_data_packet():
     the packet to the next link's ``send`` (no ``Router.receive``), each
     core transmits through its connected endpoint's ``send`` (no
     forwarding closure) and a flow books arrival bins only when it
-    records them: 681 415, 36.63.
+    records them: 681 415, 36.63.  A link into a host hands a datagram
+    to its port's slot (no ``Host.receive``), an unlimited flow books its
+    deliveries with the monitor directly (no ``UdtFlow._on_deliver``),
+    the send tick re-arms itself and is handed its fire time (no
+    ``_schedule_send``, no clock read), the link admits and drains on
+    the queue's fields (no ``DropTailQueue.push``/``pop``), the window
+    check reads the send buffer's length (no ``seq_off``) and an
+    in-order arrival skips ``ReceiveBuffer.accepts``: 516 306, 27.75.
+    The send tick asks the loss list's count (an attribute) before its
+    ``peek``: 497 680, 26.75 (docs/PERFORMANCE.md, "Only what the run
+    reads, down to the port").
 
     The budget catches added work; it is not a target, because fewer
     calls are not always less time.  ``SimScheduler.now`` as a

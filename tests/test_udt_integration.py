@@ -28,6 +28,44 @@ def test_finite_transfer_completes_exactly():
     assert f.finish_time < 2.0
 
 
+def test_a_finite_flow_finishes_once():
+    """Completion is the finite flow's own delivery step: ``done`` and
+    ``finish_time`` set at the last byte, ``flow.done`` emitted once."""
+    top = path_topology(10e6, 0.02, seed=4)
+    events = []
+    top.net.sim.bus.subscribe(lambda *ev: events.append(ev), kinds=["flow.done"])
+    f = start_udt_flow(top.net, top.src, top.dst, nbytes=300_000)
+    bulk = start_udt_flow(top.net, top.src, top.dst)
+    top.net.run(until=5.0)
+    assert f.done and f.delivered_bytes == 300_000
+    assert not bulk.done and bulk.finish_time is None
+    [(kind, t, src, fields)] = events
+    assert (src, t, fields["bytes"]) == (str(f.flow_id), f.finish_time, 300_000)
+    assert fields["elapsed"] == f.finish_time - f.start_time
+
+
+def test_a_tap_added_mid_run_sees_every_later_delivery_and_no_earlier_one():
+    """An unlimited flow books deliveries with the monitor directly; a tap
+    registered mid-run puts the flow's own step back in between, and the
+    monitor's books are those of an untapped run."""
+
+    def run(tap_at):
+        top = path_topology(20e6, 0.02, seed=6)
+        f = start_udt_flow(top.net, top.src, top.dst)
+        top.net.run(until=tap_at)
+        before = top.net.monitor.total_bytes[f.flow_id]
+        seen = []
+        if tap_at < 2.0:
+            f.add_delivery_tap(seen.append)
+        top.net.run(until=2.0)
+        return before, seen, f.delivered_bytes, top.net.monitor.series(f.flow_id, 0.1)
+
+    before, seen, delivered, series = run(0.7)
+    assert 0 < before < delivered
+    assert sum(seen) == delivered - before
+    assert run(2.0)[2:] == (delivered, series)
+
+
 def test_bulk_flow_fills_clean_link():
     top = path_topology(100e6, 0.02)
     f = start_udt_flow(top.net, top.src, top.dst)

@@ -103,7 +103,9 @@ _hostile = st.one_of(
 def test_hostile_acks_leave_the_send_window_whole(capacity, ops):
     """Whatever ACKs and NAKs arrive, a sender across the sequence wrap
     keeps exactly [snd_last_ack, curr_seq) unacknowledged: bounded by its
-    buffer, every packet in it retrievable, the loss list inside it."""
+    buffer, every packet in it retrievable, the loss list inside it.  The
+    send buffer's length is that count (the send tick's window check
+    reads it in place of ``seq_off(snd_last_ack, curr_seq)``)."""
     sched = ManualScheduler()
     wire = []
     cfg = UdtConfig(snd_buffer_pkts=capacity)
