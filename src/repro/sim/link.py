@@ -198,12 +198,9 @@ class Link:
             return False
         packets.append(pkt)
         queue.bytes += size
-        queue.enqueued += 1
         qlen += 1
         if qlen > queue.peak_pkts:
             queue.peak_pkts = qlen
-        if queue.bytes > queue.peak_bytes:
-            queue.peak_bytes = queue.bytes
         if bus.enabled:
             if qlen > self._q_highwater:
                 self._q_highwater = qlen

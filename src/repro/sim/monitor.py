@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from math import trunc
 from typing import Dict, List, Optional, Tuple
 
 #: Snap tolerance for bin-boundary arithmetic: a t0/t1 within 1e-9 s of a
@@ -44,7 +45,7 @@ class FlowMonitor:
             self.first_seen.setdefault(flow, t)
             bins = self._bins[flow]
         self.total_bytes[flow] += nbytes
-        b = int(t / self.bin_width)
+        b = trunc(t / self.bin_width)  # int() of a float, without the type call
         bins[b] = bins.get(b, 0) + nbytes
 
     def credit_span(self, flow: object, t0: float, t1: float, nbytes: int) -> None:

@@ -36,10 +36,8 @@ class DropTailQueue:
         self.packets: deque[Packet] = deque()
         self.bytes = 0
         self.drops = 0
-        self.enqueued = 0
-        # occupancy high-water marks (observability; two compares/packet)
+        # occupancy high-water mark (observability; one compare per packet)
         self.peak_pkts = 0
-        self.peak_bytes = 0
 
     def push(self, pkt: Packet) -> bool:
         """Enqueue; returns False (and counts a drop) when refused."""
@@ -59,12 +57,9 @@ class DropTailQueue:
             return False
         packets.append(pkt)
         self.bytes += size
-        self.enqueued += 1
         n += 1
         if n > self.peak_pkts:
             self.peak_pkts = n
-        if self.bytes > self.peak_bytes:
-            self.peak_bytes = self.bytes
         return True
 
     def pop(self) -> Optional[Packet]:

@@ -185,7 +185,8 @@ class TcpSender:
             return
         now = self.sim.now
         rwnd = self.rwnd
-        window = min(self.cwnd, rwnd)
+        cwnd = self.cwnd
+        window = rwnd if rwnd < cwnd else cwnd  # min(cwnd, rwnd)
         board = self.board
         stats = self.stats
         snd_una = self.snd_una
@@ -290,15 +291,19 @@ class TcpSender:
         if self.in_recovery:
             if self.snd_una >= self.recover_point:
                 self.in_recovery = False
-                self.cwnd = max(self.ssthresh, 2.0)
+                ssthresh = self.ssthresh
+                self.cwnd = 2.0 if 2.0 > ssthresh else ssthresh
         elif (
             board._lost_not_retx > 0 or self.dupacks >= self._dupthresh
         ) and self.snd_una > self.recover_point:
             self._enter_recovery()
 
         if newly_acked > 0 and not self.in_recovery:
-            if self.cwnd < self.ssthresh:
-                self.cwnd = min(self.cwnd + newly_acked, self.ssthresh)
+            cwnd = self.cwnd
+            ssthresh = self.ssthresh
+            if cwnd < ssthresh:
+                cwnd += newly_acked
+                self.cwnd = ssthresh if ssthresh < cwnd else cwnd
             else:
                 for _ in range(newly_acked):
                     self.cwnd += self.response.ack_increment(self.cwnd)
@@ -341,8 +346,13 @@ class TcpSender:
         else:
             self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - sample)
             self.srtt = 0.875 * self.srtt + 0.125 * sample
-        self.rto = self.srtt + max(4.0 * self.rttvar, 0.01)
-        self.rto = min(max(self.rto, self.config.min_rto), self.config.max_rto)
+        # srtt + max(4 rttvar, 0.01), clamped to [min_rto, max_rto] as
+        # min(max(rto, min_rto), max_rto): comparisons, not builtin calls
+        var = 4.0 * self.rttvar
+        rto = self.srtt + (0.01 if 0.01 > var else var)
+        config = self.config
+        rto = config.min_rto if config.min_rto > rto else rto
+        self.rto = config.max_rto if config.max_rto < rto else rto
 
     def _arm_rto(self, restart: bool = False) -> None:
         if self._rto_deadline is not None and not restart:

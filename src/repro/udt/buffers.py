@@ -93,10 +93,11 @@ class SendBuffer:
         pending = self._pending_bytes
         if pending <= 0:
             room = (self.capacity_pkts - len(self.unacked)) * self.payload_size
-            pending = min(refill, room)
+            pending = room if room < refill else refill  # min(refill, room)
             if pending <= 0:
                 return None
-        size = min(self.payload_size, pending)
+        payload_size = self.payload_size
+        size = pending if pending < payload_size else payload_size
         self._pending_bytes = pending - size
         pending_data = self._pending_data
         if pending_data:  # live mode: real payload rides along
@@ -115,7 +116,7 @@ class SendBuffer:
                     need = 0
             data = chunks[0] if len(chunks) == 1 else b"".join(chunks)
             entry = (size, data)
-        elif size == self.payload_size:
+        elif size == payload_size:
             entry = self._full
         else:
             entry = (size, None)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from math import trunc
 from typing import Any, Callable, List, Optional, Protocol, Tuple
 
 from repro.obs import bus as OB
@@ -149,6 +150,9 @@ class UdtCore:
         # §4.4: the real inter-send interval (EWMA).  On hosts where one
         # send costs more than the nominal period, the controller must
         # correct P' with the achieved rate or rate control is impaired.
+        # Only that correction reads it, so only a core configured for it
+        # (the live binding's) measures it.
+        self._measure_period = config.correct_sending_rate
         self.achieved_period = 0.0
         self._last_emit_time: Optional[float] = None
 
@@ -451,7 +455,12 @@ class UdtCore:
         snd_loss = self.snd_loss
         snd_buffer = self.snd_buffer
         last_ack = self.snd_last_ack
-        window = min(self.flow_window, self.cc.window)
+        # min(flow_window, cc.window), the first argument winning a tie,
+        # without the builtin call (docs/PERFORMANCE.md, "What the frame
+        # budget cannot see")
+        flow_window = self.flow_window
+        window = self.cc.window
+        window = window if window < flow_window else flow_window
         # 1. retransmission (the count is a plain load: the list is almost
         # always empty)
         while snd_loss.ranges.count:
@@ -498,23 +507,24 @@ class UdtCore:
         retransmitted: bool,
         now: float,
     ) -> None:
-        last = self._last_emit_time
-        if last is not None and not self._pair_pending:
-            interval = now - last
-            if interval > 0:
-                self.achieved_period = (
-                    interval
-                    if self.achieved_period == 0
-                    else (self.achieved_period * 7 + interval) / 8
-                )
-        self._last_emit_time = now
+        if self._measure_period:
+            last = self._last_emit_time
+            if last is not None and not self._pair_pending:
+                interval = now - last
+                if interval > 0:
+                    self.achieved_period = (
+                        interval
+                        if self.achieved_period == 0
+                        else (self.achieved_period * 7 + interval) / 8
+                    )
+            self._last_emit_time = now
         # Positional (seq, size, ts, dst_id, data, retransmitted); the
         # timestamp is _ts() and the wire size DataPacket.wire_size, both
         # inlined: one allocation and no helper frames per packet.
         pkt = P.DataPacket(
             seq,
             size,
-            int((now - self._start_time) * 1e6) & 0xFFFFFFFF,
+            trunc((now - self._start_time) * 1e6) & 0xFFFFFFFF,
             0,
             data,
             retransmitted,

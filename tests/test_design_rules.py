@@ -93,3 +93,44 @@ def test_a_package_that_reexports_nothing_imports_nothing():
             if isinstance(node, (ast.Import, ast.ImportFrom))
         ]
         assert imports == [], (init, imports)
+
+
+#: The functions every data packet (every TCP segment and its ACK) runs.
+PER_PACKET = {
+    "udt/core.py": {
+        "UdtCore": {
+            "on_datagram", "_on_data", "_on_send_timer", "_try_send_one", "_emit_data"
+        },
+    },
+    "udt/buffers.py": {"SendBuffer": {"next_packet"}, "ReceiveBuffer": {"on_data"}},
+    "sim/monitor.py": {"FlowMonitor": {"on_deliver"}},
+    "tcp/agent.py": {"TcpSender": {"_try_send", "_on_ack", "_rtt_update"}},
+}
+
+
+def test_the_per_packet_path_calls_no_generic_builtin():
+    """DESIGN.md, "The UDT data plane": a two-way ``min``/``max`` is a
+    comparison and ``int()`` of a float is ``math.trunc`` on the per-packet
+    path.  The frame budgets count ``min``/``max`` calls, but ``int(x)`` is
+    a type call that raises no profile event, so only this rule sees it."""
+    generic = {"min", "max", "int", "sum"}
+    hits = []
+    for rel, classes in PER_PACKET.items():
+        tree = ast.parse((SRC / rel).read_text(encoding="utf-8"))
+        found = set()
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name not in classes:
+                continue
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name in classes[cls.name]:
+                    found.add((cls.name, fn.name))
+                    hits += [
+                        f"{rel}:{node.lineno} {cls.name}.{fn.name} calls {node.func.id}"
+                        for node in ast.walk(fn)
+                        if isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id in generic
+                    ]
+        named = {(c, f) for c, fns in classes.items() for f in fns}
+        assert found == named, (rel, named - found)
+    assert hits == []

@@ -333,7 +333,7 @@ class TestNodesRouting:
 
 def _queue_state(q):
     return (
-        q.drops, q.bytes, len(q), q.peak_pkts, q.peak_bytes, q.enqueued,
+        q.drops, q.bytes, len(q), q.peak_pkts,
         list(q.packets), getattr(q, "avg", None),
     )
 

@@ -49,6 +49,19 @@ class TestRto:
         snd._on_rto()  # doubling clamps at max_rto
         assert snd.rto <= 1.0
 
+    @pytest.mark.parametrize("min_rto, max_rto", [(1, 60), (0.2, 1), (1, 1), (2, 60)])
+    def test_rto_clamp_is_min_of_max_with_its_ties_and_types(self, min_rto, max_rto):
+        """The clamp is written as comparisons; it returns what
+        ``min(max(rto, min_rto), max_rto)`` returns, object for object: a
+        sample of 1/3 s makes the RTO exactly 1.0, which ties an int bound
+        of 1 and stays the float, as the first argument of min/max does."""
+        top, snd, sink = make_sender(min_rto=min_rto, max_rto=max_rto)
+        for sample in (1 / 3, 0.001, 0.25, 2.0, 1 / 3):
+            snd._rtt_update(sample)
+            rto = snd.srtt + max(4.0 * snd.rttvar, 0.01)
+            expected = min(max(rto, min_rto), max_rto)
+            assert (snd.rto, type(snd.rto)) == (expected, type(expected))
+
     def test_rtt_sample_updates_srtt(self):
         top, snd, sink = make_sender()
         snd._rtt_update(0.1)

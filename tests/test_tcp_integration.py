@@ -493,7 +493,11 @@ def test_frame_budget_per_segment(record_property):
     failure prints the largest calls per segment.  The recovery episode
     (0.25-0.75 s: 28 287 segments, 3 320 of them retransmissions) is
     counted on the way and reported, not gated: 67.52 before, 46.70 at
-    the straight path, 42.30 with the next hop, 38.17 now.
+    the straight path, 42.30 with the next hop, 38.17 now.  The steady
+    window also made 694 608 C calls, 66.94 per segment, which no frame
+    shows; ``min`` and ``max`` 2.00 each (the window, the RTO clamp).
+    Written as comparisons: 663 511, 63.94, and none may come back
+    (docs/PERFORMANCE.md, "What the frame budget cannot see").
     """
     build, _ = GOLDEN_SCENARIOS["wan-seed1"]
     net, flows, _ = build()
@@ -506,7 +510,7 @@ def test_frame_budget_per_segment(record_property):
 
     net.run(until=0.25)
     segs0, retx0 = sent()
-    calls = sum(count_calls(net, 0.75).values())
+    calls = sum(count_calls(net, 0.75)[0].values())
     segs, retx = sent()
     assert (segs - segs0, retx - retx0) == (28287, 3320)
     record_property("recovery_frames_per_segment", round(calls / (segs - segs0), 2))
@@ -514,10 +518,11 @@ def test_frame_budget_per_segment(record_property):
 
     net.run(until=1.0)
     segs0, retx0 = sent()
-    tally = count_calls(net, 1.2)
+    tally, builtins = count_calls(net, 1.2)
     segs, retx = sent()
     assert (segs - segs0, retx - retx0) == (10377, 0)
     per = segs - segs0
-    assert sum(tally.values()) / per <= FRAMES_PER_SEGMENT + 1.0, top_calls(
-        tally, per, "segment"
-    )
+    report = top_calls(tally, builtins, per, "segment")
+    assert sum(tally.values()) / per <= FRAMES_PER_SEGMENT + 1.0, report
+    # No generic min/max per segment and its ACK (2.00 each before).
+    assert builtins["min"] + builtins["max"] == 0, report

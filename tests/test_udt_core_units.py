@@ -454,3 +454,61 @@ class TestSpeculation:
         # when the retransmission arrives)"
         assert rb.speculation_misses == 2
         assert rb.delivered_packets == 30
+
+
+class TestSendPathArithmetic:
+    """The send path spells min/max/int() out (docs/PERFORMANCE.md, "What
+    the frame budget cannot see"); each spelling returns what the builtin
+    returned, object for object."""
+
+    PAIRS = [(16.0, 16), (16, 16.0), (3, 2.5), (2.5, 3), (-0.0, 0.0), (0.0, -0.0),
+             (float("nan"), 1.0), (1.0, float("nan")), (7, 7)]
+
+    @pytest.mark.parametrize("a, b", PAIRS, ids=repr)
+    def test_a_comparison_returns_what_min_and_max_return(self, a, b):
+        # A tie keeps the first argument and its type: 16.0 beats 16.
+        low = b if b < a else a
+        high = b if b > a else a
+        assert low is min(a, b) and high is max(a, b)
+
+    def test_the_window_is_min_of_flow_and_congestion_window(self):
+        """A tie keeps the flow window, a float, as min() did; either
+        window alone bounds the packets in flight."""
+        cases = [(16.0, 16, 16), (5.0, 40, 5), (40, 7.0, 7)]
+        for flow_window, cc_window, in_flight in cases:
+            sched, a, b, pump = make_pair()
+            b.listen()
+            a.connect()
+            pump()
+            a.flow_window = flow_window
+            a.cc.window = cc_window
+            a.send(100 * 1456)
+            sched.advance(sched.t + 1.0)  # the ticks run; no ACK comes back
+            assert len(a.snd_buffer.unacked) == in_flight
+
+    def test_the_timestamp_wraps_at_2_to_the_32_microseconds(self):
+        sent = []
+        sched = ManualScheduler()
+        sched.t = 3.25
+        core = UdtCore(UdtConfig(), sched, lambda m, s: sent.append(m))
+        wrap = 2**32 / 1e6
+        for now in (3.25, 3.25 + wrap - 1e-6, 3.25 + wrap, 3.25 + wrap + 0.5e-6,
+                    3.25 + 2 * wrap + 0.123456, 1e7 + 0.7):
+            core._emit_data(0, 1456, None, False, now)
+            assert sent[-1].ts == int((now - 3.25) * 1e6) & 0xFFFFFFFF
+
+    @pytest.mark.parametrize("correct", [True, False])
+    def test_only_a_core_that_corrects_its_rate_measures_its_send_period(self, correct):
+        """§4.4's achieved period is read only by UdtNativeCC under
+        ``correct_sending_rate``; a core without it never measures it."""
+        sched, a, b, pump = make_pair(UdtConfig(correct_sending_rate=correct))
+        b.listen()
+        a.connect()
+        pump()
+        a.send(100 * 1456)
+        step(sched, pump, 0.5)
+        assert a.stats.data_pkts_sent >= 100
+        if correct:
+            assert a.achieved_period > 0
+        else:
+            assert a.achieved_period == 0.0 and a._last_emit_time is None
