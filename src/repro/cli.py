@@ -11,9 +11,6 @@
     repro-udt run fig08 --trace t.rtrc --trace-packets
                                     # + per-packet lifecycle events for
                                     # span reconstruction
-    repro-udt run fig02 --profile   # hot-path profile: where the wall
-                                    # clock goes, written to
-                                    # BENCH_profile_fig02.json
     repro-udt explain fig08 --scale 0.05
                                     # one screen on one run: wall time,
                                     # cache hit or why it missed, time by
@@ -23,7 +20,9 @@
                                     # worker processes with digest-keyed
                                     # result caching (unchanged
                                     # experiments are skipped); timings
-                                    # merge into BENCH_runtime.json
+                                    # merge into BENCH_runtime.json;
+                                    # long cells print [progress] lines
+                                    # (virtual time, events/s, ETA)
     repro-udt sweep --only fig02,fig08 --scale 0.05 --force
                                     # re-run a subset at smoke scale
     repro-udt trace query t.rtrc --kind link.drop --stats
@@ -57,7 +56,6 @@ import inspect
 import json
 import sys
 import time
-from contextlib import nullcontext
 from typing import List, Optional
 
 from repro.experiments import get_experiment, list_experiments
@@ -94,21 +92,12 @@ def _resolve_run(
 
 def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     exps, kwargs, run_args = _resolve_run(args, parser)
-    profiling = args.profile or args.profile_json is not None
-    if args.profile_json is not None and len(exps) > 1:
-        parser.error(
-            "--profile-json PATH with 'all': every experiment would "
-            "overwrite PATH; use --profile (one BENCH_profile_<exp>.json each)"
-        )
     if args.trace:
         try:
             check_trace_path(args.trace)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    if profiling:
-        from repro.obs.prof import SimProfiler
-
     with traced(
         args.trace,
         packets=args.trace_packets,
@@ -116,18 +105,11 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         experiments=[exp.exp_id for exp in exps],
     ) as session:
         for exp in exps:
-            prof = SimProfiler() if profiling else None
             t0 = time.perf_counter()
-            with prof.activate() if prof is not None else nullcontext():
-                result = exp.runner(**kwargs, run_args=run_args)
+            result = exp.runner(**kwargs, run_args=run_args)
             dt = time.perf_counter() - t0
             result.print()
             print(f"[{exp.exp_id} finished in {dt:.1f}s wall]\n")
-            if prof is not None:
-                print(prof.to_text(top_n=args.profile_top) + "\n")
-                path = args.profile_json or f"BENCH_profile_{exp.exp_id}.json"
-                prof.write_json(path, exp_id=exp.exp_id, total_wall_seconds=dt)
-                print(f"[profile -> {path}]\n")
     if args.trace:
         print(f"[trace: {session.events_written} events -> {args.trace}]")
     return 0
@@ -177,7 +159,6 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             force=args.force,
             trace_dir=Path(args.trace_dir) if args.trace_dir else None,
             trace_packets=args.trace_packets,
-            progress=args.progress,
             fidelity=args.fidelity,
             emit=print,
         )
@@ -259,27 +240,6 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
         "link.enq/link.deq) in the trace so 'repro-udt report' can "
         "reconstruct packet spans; much larger traces",
     )
-    runp.add_argument(
-        "--profile",
-        action="store_true",
-        help="profile the simulator hot path: handler time per layer "
-        "(the module that defines the handler), "
-        "printed top-N plus a BENCH_profile_<exp>.json snapshot",
-    )
-    runp.add_argument(
-        "--profile-json",
-        metavar="PATH",
-        default=None,
-        help="where to write the profile snapshot (implies --profile; "
-        "default BENCH_profile_<exp>.json)",
-    )
-    runp.add_argument(
-        "--profile-top",
-        type=int,
-        default=10,
-        metavar="N",
-        help="how many layers the printed profile shows (default 10)",
-    )
     add_run_flags(runp, tie_break=True)
 
     explainp = sub.add_parser(
@@ -342,12 +302,6 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
         "--trace-packets",
         action="store_true",
         help="with --trace-dir, include per-packet lifecycle events",
-    )
-    sweepp.add_argument(
-        "--progress",
-        action="store_true",
-        help="stream live per-worker progress (vtime frontier, events/s, "
-        "ETA) as status lines and into <cache-dir>/progress.jsonl",
     )
     sweepp.add_argument(
         "--bench",

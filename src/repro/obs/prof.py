@@ -4,25 +4,24 @@ Attributes wall-clock time and event counts to *layers* — the module
 that defines each handler (``sim.link``, ``udt.core``, ``apps.bulk``) —
 by timing every event the discrete-event engine dispatches.  The paper's
 figures take tens of seconds of wall time each to reproduce; this module
-answers "where do those seconds go" and snapshots the answer to
-``BENCH_profile_<fig>.json`` so perf work has a measured baseline.
+answers "where do those seconds go" on ``repro-udt explain``'s screen.
 
 Design:
 
 * **One test per event when off.**  The engine has a single dispatch
   loop; the profiler registers as a :class:`repro.sim.engine.RunObserver`
   and hands each ``run()`` its accumulator, which switches that run to
-  the loop's timed branch.  Nothing is patched, so other observers (the
-  sweep's progress reporter) may be active at the same time and leave
-  in either order.
+  the loop's timed branch.  Nothing is patched, so other observers (a
+  sweep worker's heartbeat reporter) may be active at the same time and
+  leave in either order.
 * **Layer attribution is lazy.**  The engine accumulates per-function
   ``[count, seconds]`` pairs keyed by the raw function object (one
   ``getattr`` per event); mapping functions to layers happens once, at
   report time (:func:`categorize`).
 * **Experiments construct their own simulators**, so registration is
-  process-wide (:meth:`SimProfiler.install`, or the
-  :meth:`SimProfiler.activate` context manager): every ``Simulator`` run
-  while installed feeds the same accumulator.
+  process-wide for the length of one block
+  (:meth:`SimProfiler.activate`): every ``Simulator`` run inside it
+  feeds the same accumulator.
 
 Usage::
 
@@ -32,12 +31,10 @@ Usage::
     with prof.activate():
         get_experiment("fig02").runner()
     print(prof.to_text())
-    prof.write_json("BENCH_profile_fig02.json", exp_id="fig02")
 """
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from functools import partial
 from time import perf_counter
@@ -51,8 +48,6 @@ from repro.sim.engine import (
     run_observers,
 )
 
-#: Snapshot schema version for ``BENCH_profile_*.json``.
-PROFILE_SCHEMA = 1
 
 def categorize(fn: Callable) -> str:
     """The layer a scheduled handler is filed under: the module that
@@ -83,29 +78,20 @@ class SimProfiler(RunObserver):
         self._run_t0 = 0.0
         self._run_vt0 = 0.0
 
-    # -- installation ----------------------------------------------------
-    def install(self) -> "SimProfiler":
-        """Start profiling every simulator run from now on."""
-        for ob in run_observers():
-            if ob is self:
-                return self
-            if isinstance(ob, SimProfiler):
-                raise RuntimeError("another SimProfiler is already installed")
-        add_run_observer(self)
-        return self
-
-    def uninstall(self) -> None:
-        """Stop profiling (results are kept)."""
-        remove_run_observer(self)
-
+    # -- registration ----------------------------------------------------
     @contextmanager
     def activate(self) -> Iterator["SimProfiler"]:
-        """``install`` on entry, ``uninstall`` on exit."""
-        self.install()
+        """Profile every simulator run inside the block; the results are
+        kept after it.  One profiler at a time: a second ``activate``
+        while one is registered (this one included) raises
+        ``RuntimeError``."""
+        if any(isinstance(ob, SimProfiler) for ob in run_observers()):
+            raise RuntimeError("a SimProfiler is already active")
+        add_run_observer(self)
         try:
             yield self
         finally:
-            self.uninstall()
+            remove_run_observer(self)
 
     # -- the engine seam -------------------------------------------------
     def run_begin(self, sim: Simulator, until: Optional[float]) -> Dict[Any, List]:
@@ -130,8 +116,8 @@ class SimProfiler(RunObserver):
     def categories(self) -> List[Dict[str, Any]]:
         """Merged per-category rows, hottest first.
 
-        Row keys are schema-stable: ``category``, ``events``, ``seconds``,
-        ``share`` (of total handler seconds).
+        Row keys: ``category``, ``events``, ``seconds``, ``share`` (of
+        total handler seconds).
         """
         merged: Dict[str, List] = {}
         for fn, (count, seconds) in self._acc.items():
@@ -155,34 +141,11 @@ class SimProfiler(RunObserver):
         rows.sort(key=lambda r: (-r["seconds"], r["category"]))
         return rows
 
-    def top(self, n: int = 10) -> List[Dict[str, Any]]:
-        """The ``n`` hottest handler categories."""
-        return self.categories()[:n]
-
-    def to_dict(self, **meta: Any) -> Dict[str, Any]:
-        """The full machine-readable snapshot (the BENCH_profile schema)."""
-        d: Dict[str, Any] = {
-            "schema": PROFILE_SCHEMA,
-            "kind": "bench.profile",
-            "wall_seconds": self.wall_seconds,
-            "handler_seconds": self.handler_seconds,
-            "events_total": self.events_total,
-            "runs": self.runs,
-            "categories": self.categories(),
-        }
-        d.update(meta)
-        return d
-
-    def write_json(self, path: str, **meta: Any) -> Dict[str, Any]:
-        """Write the snapshot to ``path``; returns the dict written."""
-        d = self.to_dict(**meta)
-        with open(path, "w") as f:
-            json.dump(d, f, indent=2, default=str)
-            f.write("\n")
-        return d
-
     def to_text(self, top_n: int = 10) -> str:
-        rows = self.top(top_n)
+        """The layer table ``repro-udt explain`` prints: the ``top_n``
+        hottest layers and a count of the rest."""
+        cats = self.categories()
+        rows = cats[:top_n]
         lines = [
             "== simulator profile ==",
             f"{self.events_total} events, {self.handler_seconds:.3f}s in handlers "
@@ -194,7 +157,7 @@ class SimProfiler(RunObserver):
                 f"{r['category']:<24s} {r['events']:>10d} "
                 f"{r['seconds']:>9.3f} {r['share']:>6.1%}"
             )
-        omitted = len(self.categories()) - len(rows)
+        omitted = len(cats) - len(rows)
         if omitted > 0:
             lines.append(f"... {omitted} cooler categories omitted (top {top_n})")
         return "\n".join(lines)

@@ -4,8 +4,9 @@ Two modes, neither intended for direct human use (drive sweeps through
 ``repro-udt sweep``):
 
 * ``python -m repro.runner --worker EXP --scale S --fidelity TIER --digest D --out F``
-  runs one experiment in this (fresh) interpreter and writes its cache
-  entry JSON to ``F``.
+  runs one experiment in this (fresh) interpreter, streams
+  ``sweep.heartbeat`` JSON lines on stdout while it runs and writes its
+  cache entry JSON to ``F``.
 * ``python -m repro.runner --gate CURRENT --baseline BASE [--key K]``
   the CI runtime-regression gate: compares per-experiment sweep timings
   between two ``BENCH_runtime.json`` ledgers (median-normalised; see
@@ -26,26 +27,18 @@ from repro.experiments.common import RunArgs, add_run_flags, parse_run_args, tra
 
 
 def _run_worker_mode(args: argparse.Namespace, run_args: RunArgs) -> int:
-    from contextlib import ExitStack
-
     from repro.experiments import get_experiment
+    from repro.runner.progress import ProgressReporter
 
     exp = get_experiment(args.worker)
-    with ExitStack() as stack:
-        if args.progress:
-            # heartbeat JSON lines on stdout — the parent sweep reads
-            # them off the subprocess pipe (repro.runner.progress)
-            from repro.runner.progress import ProgressReporter
-
-            stack.enter_context(ProgressReporter(args.worker))
-        stack.enter_context(
-            traced(
-                args.trace,
-                packets=args.trace_packets,
-                generator="repro-udt sweep",
-                experiments=[args.worker],
-            )
-        )
+    # heartbeat JSON lines on stdout: the parent sweep reads them off the
+    # subprocess pipe (repro.runner.progress)
+    with ProgressReporter(args.worker), traced(
+        args.trace,
+        packets=args.trace_packets,
+        generator="repro-udt sweep",
+        experiments=[args.worker],
+    ):
         t0 = time.perf_counter()
         result = exp.runner(run_args=run_args)
         seconds = time.perf_counter() - t0
@@ -95,11 +88,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--trace", default=None, help="trace path (.rtrc)"
     )
     parser.add_argument("--trace-packets", action="store_true")
-    parser.add_argument(
-        "--progress",
-        action="store_true",
-        help="emit sweep.heartbeat JSON lines on stdout for the parent",
-    )
     parser.add_argument("--baseline", help="baseline ledger for --gate")
     parser.add_argument("--key", default=None, help="only gate this sweep key")
     parser.add_argument(

@@ -1,28 +1,27 @@
-"""Live sweep telemetry: worker heartbeats and the parent progress board.
+"""Live sweep telemetry: worker heartbeats and the parent's status lines.
 
-A sweep at paper scale keeps workers busy for minutes; until now the
-parent printed nothing between "running" and the final table.  This
-module adds a side channel over the pipe the workers already have:
+A sweep keeps workers busy for minutes (fig13 ≈ 205 s at scale 0.05,
+fig02 ≈ 663 s at scale 1); this module says how far each one is, over
+the pipe the workers already have:
 
-* **Worker side** — :class:`ProgressReporter` runs inside
-  ``python -m repro.runner --worker ... --progress``.  It registers as a
+* **Worker side** — :class:`ProgressReporter` runs inside every
+  ``python -m repro.runner --worker ...``.  It registers as a
   :class:`repro.sim.engine.RunObserver` (process-wide, so every
   simulator an experiment creates is covered) to learn the
   currently-running simulator and its ``until`` horizon, and a daemon
-  thread emits one JSON heartbeat per interval on stdout — the worker's
-  stdout is otherwise unused, so the protocol needs no new file
-  descriptors.  The live event count is the simulator's own
+  thread emits one JSON heartbeat per interval on stdout — the parent
+  skips every stdout line that is not one, so the protocol needs no new
+  file descriptors.  The live event count is the simulator's own
   ``events_processed``, which the dispatch loop writes per event; the
   thread reads it and ``now`` on the live simulator and nothing else,
   stores nothing and calls nothing — the lock-free bargain the engine
   makes with this reader, pinned by a stand-in simulator that raises on
   anything else (tests/test_runner_progress.py, docs/ANALYSIS.md).
 
-* **Parent side** — :class:`ProgressBoard` collects heartbeats (and
-  start/done/failed lifecycle records) from all workers, renders
-  per-worker status lines (vtime frontier, events/s, ETA), and appends
-  every record to ``<cache>/progress.jsonl``, an append-only feed a
-  reader may follow while the sweep runs.
+* **Parent side** — :class:`ProgressBoard` folds the heartbeats of all
+  workers into ``[progress]`` status lines (vtime frontier, events/s,
+  ETA), at most one per experiment per ``line_interval``, through the
+  sweep's ``emit``.  Nothing is written to disk.
 
 Heartbeat record::
 
@@ -42,22 +41,13 @@ import sys
 import threading
 import time
 from math import inf
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, TextIO
+from typing import Any, Callable, Dict, Optional, TextIO
 
 from repro.sim.engine import RunObserver, add_run_observer, remove_run_observer
 
 HEARTBEAT = "sweep.heartbeat"
 
 Emit = Callable[[str], None]
-
-
-def default_progress_path(cache_dir: Optional[Path] = None) -> Path:
-    """Where ``sweep --progress`` writes its feed: ``<cache>/progress.jsonl``."""
-    from repro.runner.cache import default_cache_dir
-
-    base = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    return base / "progress.jsonl"
 
 
 # ---------------------------------------------------------------------------
@@ -182,92 +172,23 @@ def _fmt_count(n: float) -> str:
 
 
 class ProgressBoard:
-    """Thread-safe sink for worker lifecycle + heartbeat records.
+    """Thread-safe fold of worker heartbeats into status lines, rate-limited
+    per experiment so a many-worker sweep stays readable."""
 
-    Appends every record (stamped with a wall-clock ``ts``) to
-    ``progress.jsonl`` and, when ``emit`` is given, renders per-worker
-    status lines, rate-limited per experiment so a many-worker sweep
-    stays readable.  The file is truncated at ``sweep_begin`` — it
-    describes the *current* (or most recent) sweep.
-    """
-
-    def __init__(
-        self,
-        path: Optional[Path] = None,
-        emit: Optional[Emit] = None,
-        line_interval: float = 2.0,
-    ):
-        self.path = Path(path) if path is not None else None
+    def __init__(self, emit: Emit, line_interval: float = 2.0):
         self._emit = emit
         self.line_interval = line_interval
         self._lock = threading.Lock()
         self._last_line: Dict[str, float] = {}
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text("")
-
-    def _record(self, rec: Dict[str, Any]) -> None:
-        rec = dict(rec)
-        rec["ts"] = round(time.time(), 3)
-        with self._lock:
-            if self.path is not None:
-                with open(self.path, "a", encoding="utf-8") as f:
-                    f.write(json.dumps(rec, separators=(",", ":")) + "\n")
-
-    def _say(self, line: str) -> None:
-        if self._emit is not None:
-            self._emit(line)
-
-    # -- lifecycle -------------------------------------------------------
-    def sweep_begin(
-        self,
-        selector: str,
-        scale: float,
-        jobs: int,
-        pending: List[str],
-        cached: List[str],
-    ) -> None:
-        self._record(
-            {
-                "kind": "sweep.begin",
-                "selector": selector,
-                "scale": scale,
-                "jobs": jobs,
-                "pending": list(pending),
-                "cached": list(cached),
-            }
-        )
-
-    def worker_start(self, exp_id: str) -> None:
-        self._record({"kind": "sweep.worker_start", "exp": exp_id})
 
     def heartbeat(self, exp_id: str, rec: Dict[str, Any]) -> None:
-        self._record(rec)
         now = time.monotonic()
         with self._lock:
-            last = self._last_line.get(exp_id, 0.0)
-            if now - last < self.line_interval:
+            last = self._last_line.get(exp_id)
+            if last is not None and now - last < self.line_interval:
                 return
             self._last_line[exp_id] = now
-        self._say(self.format_line(exp_id, rec))
-
-    def worker_done(self, exp_id: str, seconds: float) -> None:
-        self._record(
-            {"kind": "sweep.worker_done", "exp": exp_id, "seconds": round(seconds, 3)}
-        )
-
-    def worker_failed(self, exp_id: str, error: str) -> None:
-        self._record({"kind": "sweep.worker_failed", "exp": exp_id, "error": error})
-
-    def sweep_end(self, seconds: float, executed: int, failed: int) -> None:
-        self._record(
-            {
-                "kind": "sweep.end",
-                "seconds": round(seconds, 3),
-                "executed": executed,
-                "failed": failed,
-            }
-        )
+        self._emit(self.format_line(exp_id, rec))
 
     # -- rendering -------------------------------------------------------
     @staticmethod

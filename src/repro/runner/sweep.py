@@ -30,16 +30,15 @@ import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.common import RunArgs
 from repro.runner.cache import ResultCache, read_json_object, write_json_atomic
 from repro.runner.digest import experiment_digest
+from repro.runner.progress import HEARTBEAT, Emit, ProgressBoard
 
 #: Default location of the merged runtime ledger, relative to the cwd.
 DEFAULT_BENCH = Path("benchmarks/results/BENCH_runtime.json")
-
-Emit = Callable[[str], None]
 
 
 @dataclass
@@ -122,7 +121,6 @@ def _worker_cmd(
     out_path: Path,
     trace_path: Optional[Path],
     trace_packets: bool,
-    progress: bool = False,
 ) -> List[str]:
     cmd = [
         sys.executable,
@@ -143,8 +141,6 @@ def _worker_cmd(
         cmd += ["--trace", str(trace_path)]
         if trace_packets:
             cmd.append("--trace-packets")
-    if progress:
-        cmd.append("--progress")
     return cmd
 
 
@@ -169,23 +165,18 @@ def _run_worker(
     tmp_dir: Path,
     trace_dir: Optional[Path],
     trace_packets: bool,
-    board: Optional[Any] = None,
+    board: ProgressBoard,
 ) -> Dict[str, Any]:
     """Execute one experiment in a fresh interpreter; returns its entry.
 
-    With a :class:`~repro.runner.progress.ProgressBoard` the worker runs
-    with ``--progress`` and its stdout heartbeat lines stream into the
-    board as they arrive.  Worker stderr spools to a file (not a pipe)
-    so a chatty crash can never deadlock against the stdout reader.
+    The worker's stdout heartbeat lines stream into ``board`` as they
+    arrive; any other stdout line is skipped.  Worker stderr spools to a
+    file (not a pipe) so a chatty crash can never deadlock against the
+    stdout reader.
     """
     out_path = tmp_dir / f"{exp_id}.json"
     trace_path = trace_dir / f"{exp_id}.rtrc" if trace_dir is not None else None
-    cmd = _worker_cmd(
-        exp_id, digest, run_args, out_path, trace_path, trace_packets,
-        progress=board is not None,
-    )
-    if board is not None:
-        board.worker_start(exp_id)
+    cmd = _worker_cmd(exp_id, digest, run_args, out_path, trace_path, trace_packets)
     stderr_path = tmp_dir / f"{exp_id}.stderr"
     with open(stderr_path, "w", encoding="utf-8") as err:
         proc = subprocess.Popen(
@@ -197,14 +188,11 @@ def _run_worker(
         )
         assert proc.stdout is not None
         for line in proc.stdout:
-            line = line.strip()
-            if not line or board is None:
-                continue
             try:
                 rec = json.loads(line)
             except ValueError:
-                continue
-            if isinstance(rec, dict) and rec.get("kind") == "sweep.heartbeat":
+                continue  # a runner's own output, not a heartbeat
+            if isinstance(rec, dict) and rec.get("kind") == HEARTBEAT:
                 board.heartbeat(exp_id, rec)
         proc.wait()
     if proc.returncode != 0:
@@ -228,7 +216,6 @@ def run_sweep(
     force: bool = False,
     trace_dir: Optional[Path] = None,
     trace_packets: bool = False,
-    progress: bool = False,
     fidelity: str = RunArgs.fidelity,
     emit: Optional[Emit] = None,
 ) -> SweepReport:
@@ -239,9 +226,10 @@ def run_sweep(
     which is what makes ``--jobs 1`` vs ``--jobs N`` trace comparisons
     meaningful.  ``force`` ignores cache hits but still stores results.
 
-    ``progress`` streams worker heartbeats into per-experiment status
-    lines and appends every record to ``<cache>/progress.jsonl``
-    (docs/OBSERVABILITY.md).
+    ``emit`` gets the ``[sweep]`` lines (each cache hit, the cells it
+    starts, each result or failure) and the workers' heartbeats as
+    rate-limited ``[progress]`` lines (virtual time, events/s, ETA;
+    docs/OBSERVABILITY.md).
 
     Each stored entry carries, beside the worker's result, its fidelity
     and the ``files`` map its digest hashed, so a later miss can name the
@@ -267,11 +255,7 @@ def run_sweep(
         fidelity=fidelity,
     )
 
-    board = None
-    if progress:
-        from repro.runner.progress import ProgressBoard, default_progress_path
-
-        board = ProgressBoard(path=default_progress_path(cache_dir), emit=say)
+    board = ProgressBoard(emit=say)
 
     t0 = time.perf_counter()
     pending: List[str] = []
@@ -289,10 +273,6 @@ def run_sweep(
         else:
             pending.append(exp_id)
 
-    if board is not None:
-        board.sweep_begin(
-            selector, scale, jobs, pending=pending, cached=report.cached
-        )
     if trace_dir is not None:
         trace_dir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix="repro-sweep-") as tmp:
@@ -322,8 +302,6 @@ def run_sweep(
                     entry = fut.result()
                 except Exception as exc:  # worker crash: report, keep going
                     report.failures[exp_id] = str(exc)
-                    if board is not None:
-                        board.worker_failed(exp_id, str(exc))
                     say(f"[sweep] {exp_id}: FAILED ({exc})")
                     continue
                 report.executed.append(exp_id)
@@ -333,17 +311,11 @@ def run_sweep(
                     report.digests[exp_id],
                     dict(entry, fidelity=fidelity, files=files[exp_id]),
                 )
-                if board is not None:
-                    board.worker_done(exp_id, sec)
                 say(f"[sweep] {exp_id}: ran in {sec:.1f}s")
     # registry order, not completion order
     report.executed.sort(key=ids.index)
     report.seconds = time.perf_counter() - t0
     report.corrupt_dropped = cache.corrupt_dropped
-    if board is not None:
-        board.sweep_end(
-            report.seconds, len(report.executed), len(report.failures)
-        )
     return report
 
 

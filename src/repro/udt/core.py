@@ -586,7 +586,10 @@ class UdtCore:
             self.bus.emit(
                 OB.SND_ACK, self.sched.now(), self.name, seq=seq, light=ack.light
             )
-            self._emit_cc_sample("ack")
+            # A peer's receive half ACKs nothing at its first SYN tick; a
+            # core that has sent no data has no CC state to sample.
+            if self.stats.data_pkts_sent:
+                self._emit_cc_sample("ack")
         self._ensure_send_scheduled()
 
     def _on_nak(self, nak: P.Nak) -> None:

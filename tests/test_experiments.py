@@ -187,7 +187,6 @@ class TestCli:
         [
             (["nosuch"], "known: "),
             (["table1", "--set", "bogus=1"], "accepted: mss"),
-            (["all", "--profile-json", "p.json"], "--profile-json"),
         ],
     )
     def test_usage_errors_leave_before_the_trace_is_opened(
@@ -203,6 +202,27 @@ class TestCli:
         assert names in capsys.readouterr().err
         assert trace.read_bytes() == b"an earlier run's trace\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == [trace.name]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "table1", "--profile"],
+            ["run", "table1", "--profile-json", "p.json"],
+            ["run", "table1", "--profile-top", "3"],
+            ["sweep", "--only", "table1", "--progress"],
+        ],
+    )
+    def test_explain_is_the_one_profile_and_a_sweep_takes_no_progress_flag(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        """Layer time is ``explain``'s, and every sweep prints its
+        heartbeat: the options that duplicated them are unknown."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRunIsItsArguments:

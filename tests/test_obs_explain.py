@@ -70,6 +70,38 @@ def test_one_screen_then_the_changed_file_is_the_miss_cause(tmp_path, monkeypatc
     assert f"cache  miss ({missed[:12]}): changed {target}\n" in out
 
 
+def test_the_layer_block_is_an_untraced_profile_of_the_same_call(
+    tmp_path, monkeypatch, capsys
+):
+    """``explain`` is the one screen for layer time: its block names the
+    layers and per-layer event counts a plain ``SimProfiler`` sees on the
+    same call without a trace, and its CC state lists only senders."""
+    from repro.experiments import get_experiment
+    from repro.experiments.common import RunArgs
+    from repro.obs.prof import SimProfiler
+
+    monkeypatch.chdir(tmp_path)
+    kwargs = dict(duration=4, rtts=(0.01,), n_flows=2, rate_bps=20e6)
+    argv = ["explain", "fig02"] + [
+        arg for k, v in kwargs.items() for arg in ("--set", f"{k}={v!r}")
+    ]
+    assert cli_main(argv) == 0
+    out = capsys.readouterr().out
+    block = out.split("-- wall time by layer --\n")[1].split("\n-- events by kind --")[0]
+    rows = block.splitlines()[3:]
+    shown = {row.split()[0]: int(row.split()[1]) for row in rows}
+
+    prof = SimProfiler()
+    with prof.activate():
+        get_experiment("fig02").runner(**kwargs, run_args=RunArgs())
+    assert shown == {r["category"]: r["events"] for r in prof.categories()}
+    assert {"sim.link", "tcp.agent", "udt.core"} <= set(shown)
+    assert block.splitlines()[1].startswith(f"{prof.events_total} events")
+    cc = out.split("-- last CC state per connection --\n")[1].split("\n--")[0]
+    assert [line.split(":")[0].strip() for line in cc.splitlines()] == [
+        "f0-snd", "f1-snd"
+    ]
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.obs.prof import PROFILE_SCHEMA, SimProfiler, categorize
+from repro.obs.prof import SimProfiler, categorize
 from repro.sim.engine import (
     RunObserver,
     Simulator,
@@ -116,12 +116,13 @@ class TestRunProfiled:
 
 class TestSimProfiler:
     def test_instance_install_and_uninstall(self):
+        """Entering ``activate`` installs the profiler, leaving it
+        uninstalls it; what it counted stays."""
         sim = Simulator()  # constructed *before* install
         prof = SimProfiler()
-        prof.install()
-        sim.schedule(0.1, lambda: None)
-        sim.run()
-        prof.uninstall()
+        with prof.activate():
+            sim.schedule(0.1, lambda: None)
+            sim.run()
         assert prof.events_total == 1
         assert prof.runs == 1
         assert prof.wall_seconds > 0
@@ -142,9 +143,10 @@ class TestSimProfiler:
 
     def test_class_install_is_exclusive(self):
         with SimProfiler().activate() as prof:
-            with pytest.raises(RuntimeError):
-                SimProfiler().install()
-            assert prof.install() is prof  # re-installing oneself is a no-op
+            for other in (SimProfiler(), prof):  # itself included
+                with pytest.raises(RuntimeError):
+                    with other.activate():
+                        pass
             assert run_observers() == (prof,)
         assert run_observers() == ()
 
@@ -162,15 +164,21 @@ class TestSimProfiler:
         whichever leaves first cannot un-install the other."""
         from repro.runner.progress import ProgressReporter
 
-        prof = SimProfiler().install()
+        prof = SimProfiler()
+        profiling = prof.activate()
+        profiling.__enter__()
         rep = ProgressReporter("x", interval=60.0, out=io.StringIO()).start()
         assert Simulator.__dict__["run"] is _IMPORT_TIME_RUN
         sim = Simulator()
         sim.post(0.1, list)
         sim.run()
+
+        def leave_profiler():
+            profiling.__exit__(None, None, None)
+
         first, second = (
-            (prof.uninstall, rep.stop) if profiler_leaves_first
-            else (rep.stop, prof.uninstall)
+            (leave_profiler, rep.stop) if profiler_leaves_first
+            else (rep.stop, leave_profiler)
         )
         first()
         sim.post(0.1, list)
@@ -204,24 +212,11 @@ class TestSimProfiler:
             sim.schedule(0.2, json.JSONEncoder)  # json.encoder
             sim.schedule(0.3, io.BytesIO)  # _io
             sim.run()
-        assert len(prof.top(2)) == 2
         assert len(prof.categories()) == 3
-
-    def test_write_json_schema(self, tmp_path):
-        prof = SimProfiler()
-        with prof.activate():
-            sim = Simulator()
-            sim.schedule(0.1, list)
-            sim.run()
-        path = tmp_path / "BENCH_profile_test.json"
-        prof.write_json(str(path), exp_id="test")
-        d = json.loads(path.read_text())
-        assert d["schema"] == PROFILE_SCHEMA
-        assert d["kind"] == "bench.profile"
-        assert d["exp_id"] == "test"
-        assert d["events_total"] == 1
-        for row in d["categories"]:
-            assert set(row) == {"category", "events", "seconds", "share"}
+        text = prof.to_text(top_n=2)
+        rows = [r["category"] for r in prof.categories()]
+        assert rows[0] in text and rows[1] in text and rows[2] not in text
+        assert "1 cooler categories omitted (top 2)" in text
 
     def test_to_text_renders(self):
         prof = SimProfiler()

@@ -48,6 +48,16 @@ class TestTimelineRecorder:
         assert rec.loss_times(snd) or rec.loss_times(rcv)
         assert rec.mean_rate_bps(snd) > 0
 
+    def test_only_senders_have_a_cc_timeline(self, tmp_path):
+        """The receive half ACKs nothing at its first SYN tick; the core
+        that hears it has sent no data and samples no CC state, so a
+        traced transfer's timelines are its senders' alone."""
+        path = tmp_path / "t.rtrc"
+        flow = _traced_lossy_run(TimelineRecorder(), str(path))
+        assert flow.receiver.stats.acks_sent > 0
+        rec = TimelineRecorder.from_trace(str(path))
+        assert rec.connections() == [flow.sender.name]
+
     def test_windows_series(self):
         rec = TimelineRecorder()
         flow = _traced_lossy_run(rec)

@@ -1,25 +1,21 @@
-"""Live sweep telemetry: worker heartbeats, the progress board, the feed.
+"""Live sweep telemetry: worker heartbeats and the parent's status lines.
 
 The reporter is tested against real engine runs (the live event count
 is read from another thread while ``run()`` is on the stack) and with a
-stub simulator for the rate/ETA arithmetic; the board is pure record
-writing and tests directly.  The end-to-end ``sweep --progress``
-path (subprocess pipe included) lives in the slow tier with the other
+stub simulator for the rate/ETA arithmetic; the board is a pure line
+limiter and tests directly.  The end-to-end path (every sweep's
+subprocess pipe included) lives in the slow tier with the other
 subprocess sweeps.
 """
 
 import io
 import json
+import re
 import time
 
 import pytest
 
-from repro.runner.progress import (
-    HEARTBEAT,
-    ProgressBoard,
-    ProgressReporter,
-    default_progress_path,
-)
+from repro.runner.progress import HEARTBEAT, ProgressBoard, ProgressReporter
 
 SCALE = 0.05
 
@@ -174,41 +170,9 @@ class TestReporter:
 
 
 class TestBoard:
-    def _feed(self, path):
-        board = ProgressBoard(path=path, line_interval=0.0)
-        board.sweep_begin("fig02", 0.05, 2, pending=["fig02"], cached=["fig09"])
-        board.worker_start("fig02")
-        board.heartbeat(
-            "fig02",
-            {"kind": HEARTBEAT, "exp": "fig02", "wall": 1.0, "events": 1000,
-             "vt": 2.0, "vt_end": 5.0, "eps": 1000, "eta": 3.0},
-        )
-        board.worker_done("fig02", 2.5)
-        board.sweep_end(3.0, executed=1, failed=0)
-        return board
-
-    def test_records_are_stamped_and_appended(self, tmp_path):
-        path = tmp_path / "progress.jsonl"
-        self._feed(path)
-        recs = [json.loads(l) for l in path.read_text().splitlines()]
-        kinds = [r["kind"] for r in recs]
-        assert kinds == [
-            "sweep.begin", "sweep.worker_start", HEARTBEAT,
-            "sweep.worker_done", "sweep.end",
-        ]
-        assert all("ts" in r for r in recs)
-
-    def test_begin_truncates_previous_feed(self, tmp_path):
-        path = tmp_path / "progress.jsonl"
-        path.write_text("stale\n")
-        ProgressBoard(path=path)
-        assert path.read_text() == ""
-
-    def test_status_lines_are_rate_limited(self, tmp_path):
+    def test_status_lines_are_rate_limited(self):
         lines = []
-        board = ProgressBoard(
-            path=tmp_path / "p.jsonl", emit=lines.append, line_interval=60.0
-        )
+        board = ProgressBoard(emit=lines.append, line_interval=60.0)
         hb = {"kind": HEARTBEAT, "exp": "fig02", "wall": 1.0, "events": 10}
         board.heartbeat("fig02", hb)
         board.heartbeat("fig02", hb)
@@ -227,27 +191,31 @@ class TestBoard:
         assert "209k ev/s" in line and "89k events" in line
         assert "eta 1s" in line and "wall 0.4s" in line
 
-    def test_default_progress_path_lives_in_cache_dir(self, tmp_path):
-        assert default_progress_path(tmp_path) == tmp_path / "progress.jsonl"
-
 
 @pytest.mark.slow
 class TestSweepProgressEndToEnd:
     def test_progress_feed_records_worker_lifecycle(self, tmp_path):
+        """A sweep's one output is its ``emit`` stream: each worker's start
+        and end as ``[sweep]`` lines and, with no option asked for, the
+        heartbeats of a cell that runs for seconds as ``[progress]`` lines
+        with a live event count read across the subprocess pipe."""
         from repro.runner.sweep import run_sweep
 
+        long_cell = "ablation-control-channel"  # ~3 s at this scale
+        lines = []
         cache = tmp_path / "cache"
         report = run_sweep(
-            only=["table1"], jobs=1, scale=SCALE, cache_dir=cache, progress=True,
+            only=["table1", long_cell], jobs=1, scale=SCALE, cache_dir=cache,
+            emit=lines.append,
         )
         assert report.ok
-        recs = [
-            json.loads(l)
-            for l in default_progress_path(cache).read_text().splitlines()
-        ]
-        kinds = [r["kind"] for r in recs]
-        assert kinds[0] == "sweep.begin" and kinds[-1] == "sweep.end"
-        assert "sweep.worker_start" in kinds
-        assert "sweep.worker_done" in kinds
-        done = [r for r in recs if r["kind"] == "sweep.worker_done"]
-        assert [r["exp"] for r in done] == ["table1"]
+        assert lines[0].startswith("[sweep] running 2 experiment(s)")
+        assert {l.split(":")[0] for l in lines if " ran in " in l} == {
+            "[sweep] table1", f"[sweep] {long_cell}"
+        }
+        beats = [l for l in lines if l.startswith("[progress]")]
+        assert beats and all(long_cell in l for l in beats), lines
+        assert any(re.search(r" [1-9][0-9.]*[kM]? events", l) for l in beats), beats
+        assert sorted(p.name for p in cache.iterdir()) == sorted(
+            f"{d}.json" for d in report.digests.values()
+        )

@@ -7,8 +7,11 @@ the transfer still completes exactly once.
 
 import random
 
+from repro.obs.bus import CONN_CONNECTED
 from repro.sim.topology import path_topology
 from repro.udt import start_udt_flow
+from tests._collect import Collector
+from tests.test_udt_properties import connected_state
 
 
 def wrap_transmit(core, fault):
@@ -141,3 +144,45 @@ def test_corrupt_nak_report_is_ignored():
     f.sender.on_datagram(Nak(loss=[5 | (1 << 31)]), 20)  # dangling flag
     top.net.run(until=10.0)
     assert f.done and f.delivered_bytes == 100_000
+
+
+def test_late_handshakes_and_unknown_ack2s_mid_transfer():
+    """Both ends of a simulated transfer hear, mid-flight, every
+    handshake that connected them again, a forged request and response,
+    and ACK2s for ack numbers never issued or already matched: each is
+    absorbed without touching connected state, and the transfer ends
+    exactly with one ``conn.connected`` per end."""
+    from repro.udt.packets import Ack2, Handshake
+
+    top = path_topology(10e6, 0.02)
+    connects = Collector()
+    top.net.sim.bus.subscribe(connects, kinds=[CONN_CONNECTED])
+    f = start_udt_flow(top.net, top.src, top.dst, nbytes=300_000)
+    handshakes = []
+
+    def keep(msg, size, forward):
+        if msg.type_name == "handshake":
+            handshakes.append(msg)
+        forward(msg, size)
+
+    wrap_transmit(f.sender, keep)
+    wrap_transmit(f.receiver, keep)
+    top.net.run(until=0.1)
+    assert f.sender.connected and f.receiver.connected
+    assert f.receiver._ack_no > 1  # ACK2s have been matched already
+    for core in (f.sender, f.receiver):
+        forged = handshakes + [
+            Handshake(req_type=r, init_seq=12345, mss=576, flow_window=2)
+            for r in (1, -1)
+        ] + [Ack2(ack_no=n) for n in (0, 1, core._ack_no + 1, 2**31 - 1)]
+        for msg in forged:
+            if msg.type_name == "ack2":
+                assert msg.ack_no not in core._ack_window
+            before = connected_state(core)
+            core.on_datagram(msg, msg.wire_size)
+            assert connected_state(core) == before
+    top.net.run(until=20.0)
+    assert f.done and f.delivered_bytes == 300_000
+    assert sorted(ev.src for ev in connects) == sorted(
+        [f.sender.name, f.receiver.name]
+    )

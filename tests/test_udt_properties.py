@@ -7,6 +7,7 @@ protocol state quiescing afterwards.
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.obs.bus import CONN_CONNECTED, EventBus
 from repro.sim.topology import path_topology
 from repro.udt import UdtConfig, start_udt_flow
 from repro.udt import packets as P
@@ -14,6 +15,7 @@ from repro.udt.core import UdtCore
 from repro.udt.nakcodec import encode as nak_encode
 from repro.udt.params import MAX_SEQ_NO
 from repro.udt.seqno import seq_inc, seq_off
+from tests._collect import Collector
 from tests.test_udt_core_units import ManualScheduler
 
 
@@ -147,3 +149,94 @@ def test_hostile_acks_leave_the_send_window_whole(capacity, ops):
             for i in range(outstanding)
         )
         assert buf.lookup(a.curr_seq) is None
+
+
+def connected_state(core):
+    """What late control input must leave alone on a connected core: the
+    connection, what it learned at its handshake, the send window, the
+    receive buffer and both RTT estimates."""
+    buf = core.rcv_buffer
+    return (
+        core.connected, core.closed, core.peer_mss, core.flow_window,
+        core.cc.max_cwnd, core.snd_last_ack, core.curr_seq, core.lrsn,
+        buf.next_expected, buf.delivered_packets, buf.duplicates,
+        core.rtt, core.rtt_var, core.rtt_est.rtt, core.rtt_est.var,
+        dict(core._ack_window),
+    )
+
+
+# A hostile or merely slow peer, once both ends are connected: ACK2s for
+# ack numbers the receiver never issued or has already matched, forged
+# handshake requests and responses, and late replays of the two
+# handshakes that did connect them, each reaching either end.
+_late = st.one_of(
+    st.tuples(st.just("ack2"), st.booleans(), st.integers(0, 2**31 - 1)),
+    st.tuples(st.just("handshake"), st.booleans(), st.sampled_from([1, -1]),
+              st.integers(0, MAX_SEQ_NO - 1), st.integers(76, 9000),
+              st.integers(0, 2**31 - 1)),
+    st.tuples(st.just("replay"), st.booleans()),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=st.lists(_late, min_size=1, max_size=30))
+def test_late_handshakes_and_unknown_ack2s_leave_a_connection_alone(ops):
+    """Whatever late handshake or unknown ACK2 arrives mid-transfer, no
+    exception, no second ``conn.connected`` and no change to either end's
+    send window, receive buffer or RTT state; the transfer then completes."""
+    sched = ManualScheduler()
+    bus = EventBus()
+    connects = Collector()
+    bus.subscribe(connects, kinds=[CONN_CONNECTED])
+    wire = {"a": [], "b": []}
+    handshakes = {"a": [], "b": []}
+
+    def sender_of(name):
+        def transmit(msg, size):
+            wire[name].append((msg, size))
+            if msg.type_name == "handshake":
+                handshakes[name].append(msg)
+        return transmit
+
+    got = []
+    cfg = UdtConfig()
+    a = UdtCore(cfg, sched, sender_of("a"), name="a", bus=bus, init_seq=MAX_SEQ_NO - 40)
+    b = UdtCore(cfg, sched, sender_of("b"), deliver=lambda n, d: got.append(n),
+                name="b", bus=bus)
+    peer = {"a": b, "b": a}
+
+    def pump():
+        while wire["a"] or wire["b"]:
+            for name in ("a", "b"):
+                while wire[name]:
+                    peer[name].on_datagram(*wire[name].pop(0))
+
+    def run_until(t):
+        while sched.t < t:
+            sched.advance(sched.t + 0.001)
+            pump()
+
+    b.listen()
+    a.connect()
+    pump()
+    a.send(300_000)
+    run_until(0.05)  # data, ACKs and ACK2s in flight: RTT state is live
+    assert a.connected and b.connected and len(connects) == 2
+    for op in ops:
+        target = a if op[1] else b
+        if op[0] == "ack2":
+            if op[2] in target._ack_window:
+                continue  # a known id is the legitimate case
+            msg = P.Ack2(ack_no=op[2])
+        elif op[0] == "handshake":
+            msg = P.Handshake(req_type=op[2], init_seq=op[3], mss=op[4],
+                              flow_window=op[5])
+        else:  # what the other end sent to connect, arriving again
+            msg = handshakes["b" if target is a else "a"][0]
+        before = connected_state(a), connected_state(b)
+        target.on_datagram(msg, msg.wire_size)
+        pump()  # and whatever it answered
+        assert (connected_state(a), connected_state(b)) == before
+    assert len(connects) == 2
+    run_until(10.0)
+    assert sum(got) == 300_000
